@@ -18,7 +18,8 @@ STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 .PHONY: all build fmt-check vet test race lint fuzz-smoke kill-recover chaos bench \
-	selftest sweep-smoke ci bench-json bench-gate bench-baseline mmap-large
+	selftest sweep-smoke ci bench-json bench-gate bench-baseline mmap-large \
+	e2e e2e-repeat
 
 all: ci
 
@@ -133,6 +134,19 @@ sweep-smoke:
 	$(GO) run ./cmd/filecule-cachesim -sweep -workload "dzero,seed=1,scale=0.002,shape=burst,rps-start=5,rps-target=50,slot=30s"
 	$(GO) run ./cmd/filecule-gen -kv-csv 5000 -kv-keys 400 -seed 1 -o $(BENCHDIR)/smoke-kv.csv
 	$(GO) run ./cmd/filecule-cachesim -sweep -workload "kv-csv,path=$(BENCHDIR)/smoke-kv.csv,window=16"
+
+# The end-to-end ledger (BENCHMARK.json, bench/README.md): one run of one
+# workload printing its bounded metrics (`make e2e W=serve-mixed`; add
+# `E2EFLAGS="-trace 1"` for the per-layer metrics), or K runs of every
+# workload with each metric's spread beside its bound. Everything they write
+# stays under .bench_build/.
+W ?= ingest-durable
+K ?= 10
+e2e:
+	bash bench/run.sh -workload $(W) $(E2EFLAGS)
+
+e2e-repeat:
+	bash bench/repeat.sh $(K) $(E2EFLAGS)
 
 ci: fmt-check vet build race fuzz-smoke sweep-smoke kill-recover chaos
 	@echo "ci: all green"

@@ -120,17 +120,6 @@ func BenchmarkIdentifyBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkIdentifyParallel(b *testing.B) {
-	t := benchRunner.Trace()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := core.IdentifyParallel(t, 0)
-		if p.NumFilecules() == 0 {
-			b.Fatal("no filecules")
-		}
-	}
-}
-
 func BenchmarkIdentifyOnline(b *testing.B) {
 	t := benchRunner.Trace()
 	b.ResetTimer()

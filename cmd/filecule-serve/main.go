@@ -87,12 +87,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	t, err := wf.Workload().Load()
-	if err != nil {
-		fatal(err)
-	}
 	cfg := server.Config{
-		Catalog:       t.Files,
 		EnablePprof:   *pprof,
 		EngineShards:  *shards,
 		ShutdownGrace: *grace,
@@ -102,7 +97,11 @@ func main() {
 	}
 
 	if *selftest {
-		err := error(nil)
+		t, err := wf.Workload().Load()
+		if err != nil {
+			fatal(err)
+		}
+		cfg.Catalog = t.Files
 		if dopts != nil {
 			if *wireAddr != "" {
 				fatal(fmt.Errorf("filecule-serve: -selftest supports -wire-addr or -state-dir, not both"))
@@ -119,6 +118,16 @@ func main() {
 		return
 	}
 
+	// Serving needs the file catalog only, and a source's catalog outlives
+	// it (a mapped file's names are copies): no job is decoded or generated.
+	src, err := wf.Workload().Open()
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Catalog = src.Files()
+	if err := src.Close(); err != nil {
+		fatal(err)
+	}
 	if dopts != nil {
 		d, err := durable.Open(*dopts)
 		if err != nil {
@@ -143,8 +152,7 @@ func main() {
 	ready := make(chan net.Addr, 1)
 	go func() {
 		a := <-ready
-		fmt.Printf("filecule-serve: listening on %s (catalog: %d files, %d jobs source trace)\n",
-			a, len(t.Files), len(t.Jobs))
+		fmt.Printf("filecule-serve: listening on %s (catalog: %d files)\n", a, len(cfg.Catalog))
 	}()
 	listeners := 1
 	errc := make(chan error, 2)
@@ -331,6 +339,9 @@ func runSelftest(cfg server.Config, t *trace.Trace, clients, batch int, shape sy
 		"filecule_server_gomaxprocs",
 		"filecule_engine_shards",
 		"filecule_engine_blocks",
+		"filecule_engine_jobcache_entries",
+		"filecule_engine_jobcache_sweeps_total",
+		"filecule_engine_fastpath_hits_total",
 		fmt.Sprintf("filecule_jobs_observed_total %d", len(t.Jobs)),
 	} {
 		if !strings.Contains(ms, needle) {

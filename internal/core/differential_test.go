@@ -4,10 +4,11 @@ package core
 // must produce the same canonical partition on the same workload, and that
 // partition must satisfy the three filecule invariants from the definition
 // (disjointness, non-emptiness, uniform request count). The implementations
-// share almost no code — batch signature grouping, sharded parallel
-// grouping, online partition refinement, and the mutex-guarded monitor fed
-// concurrently — so agreement across randomized traces is strong evidence
-// of correctness for all of them.
+// share almost no code — batch signature grouping, online partition
+// refinement, the sharded engine, and the monitor fed concurrently — so
+// agreement across randomized traces is strong evidence of correctness for
+// all of them. (identify_reference_test.go holds the batch identifier to its
+// map-based reference.)
 
 import (
 	"math/rand"
@@ -111,12 +112,6 @@ func TestDifferentialIdentification(t *testing.T) {
 		ref := Identify(tr)
 		checkInvariants(t, tr, ref)
 
-		for _, workers := range []int{2, 3, 4, 8} {
-			if p := IdentifyParallel(tr, workers); !ref.Equal(p) {
-				t.Errorf("trace %d: IdentifyParallel(%d) differs from Identify", ti, workers)
-			}
-		}
-
 		r := NewRefiner()
 		r.ObserveTrace(tr)
 		if p := r.Partition(); !ref.Equal(p) {
@@ -186,7 +181,7 @@ func TestDifferentialPrefixes(t *testing.T) {
 // TestDifferentialPrefixAllIdentifiers is the prefix-equivalence property
 // across every identifier in the package: after each sampled prefix of the
 // job stream, batch identification (Identify over a truncated trace,
-// IdentifyJobs over the prefix's job IDs, IdentifyParallel), the online
+// IdentifyJobs over the prefix's job IDs), the online
 // Refiner and the sharded Engine must all produce one bit-identical
 // canonical partition.
 func TestDifferentialPrefixAllIdentifiers(t *testing.T) {
@@ -209,9 +204,6 @@ func TestDifferentialPrefixAllIdentifiers(t *testing.T) {
 			prefix.Jobs = tr.Jobs[:i+1]
 			if got := Identify(&prefix); !want.Equal(got) {
 				t.Fatalf("seed %d prefix %d: Identify differs from IdentifyJobs", seed, i+1)
-			}
-			if got := IdentifyParallel(&prefix, 3); !want.Equal(got) {
-				t.Fatalf("seed %d prefix %d: IdentifyParallel differs from batch", seed, i+1)
 			}
 			if got := r.Partition(); !want.Equal(got) {
 				t.Fatalf("seed %d prefix %d: Refiner differs from batch", seed, i+1)

@@ -51,15 +51,17 @@ func ComparePartitions(a, b *Partition) Similarity {
 	cells := make(map[cell]int)
 	sizeA := make(map[int]int) // block -> #common files in it
 	sizeB := make(map[int]int)
-	for f, ia := range a.byFile {
-		ib, ok := b.byFile[f]
-		if !ok {
-			continue
+	for ia := range a.Filecules {
+		for _, f := range a.Filecules[ia].Files {
+			ib := b.Of(f)
+			if ib < 0 {
+				continue
+			}
+			common++
+			cells[cell{ia, ib}]++
+			sizeA[ia]++
+			sizeB[ib]++
 		}
-		common++
-		cells[cell{ia, ib}]++
-		sizeA[ia]++
-		sizeB[ib]++
 	}
 	s := Similarity{CommonFiles: common}
 	if common == 0 {

@@ -71,6 +71,11 @@ import (
 // split; re-applying such a job slowly would be exactly requests++ on those
 // blocks.
 //
+// A split strands every entry cached before it. Stranded entries are swept
+// out — under the write side, where slow observes already are — whenever the
+// cache has at least doubled since the last sweep left it (see fillCache), so
+// the cache follows the set of jobs that can still hit, not every job seen.
+//
 // # Concurrency
 //
 // Fast-path observes run under the read side of a gate RWMutex and are
@@ -87,7 +92,7 @@ import (
 // by the previous snapshot unless one of the group's blocks changed since —
 // so a snapshot costs O(blocks) bookkeeping plus sorting only for changed
 // groups, instead of re-sorting and re-copying every file. The returned
-// Partition builds its file→filecule index lazily on first lookup.
+// Partition builds its file→filecule index on first lookup.
 type Engine struct {
 	shards []engineShard
 	mask   uint32
@@ -105,16 +110,26 @@ type Engine struct {
 	splitEpoch atomic.Uint64
 	pendMu     sync.Mutex
 	pendJobs   []*cachedJob
+	// Cache reclamation state, touched only under the gate's write side:
+	// the size at which the next sweep is due, the epoch the last sweep ran
+	// at (nothing is stale until it advances), and the entry cap —
+	// maxCachedJobs, a field so that tests can reach it with a few jobs.
+	sweepAt    int64
+	sweptEpoch uint64
+	cacheCap   int64
+	sweeps     atomic.Int64
 
-	// slots maps FileID -> 1+shard-local slot via fixed-size pages (0 =
-	// unseen). Pages never move once installed, and entries are only read
-	// or written under the gate's write side, so they are plain ints; only
-	// the page directory is swapped atomically on growth.
-	slots  atomic.Pointer[slotDir]
-	growMu sync.Mutex
+	// slots maps FileID -> 1+shard-local slot (0 = unseen); read and
+	// written only under the gate's write side.
+	slots fileIndex
 
-	nextGen   atomic.Uint64
-	observed  atomic.Int64
+	nextGen  atomic.Uint64
+	observed atomic.Int64
+	// slowJobs and emptyJobs count the observes that did not take the
+	// repeat-job fast path, so hits = observed - slowJobs - emptyJobs and
+	// the hit path itself counts nothing.
+	slowJobs  atomic.Int64
+	emptyJobs atomic.Int64
 	blocks    atomic.Int64 // raw sub-blocks across shards (>= filecules)
 	filecules atomic.Int64 // distinct signatures = exact filecule count
 	version   atomic.Uint64
@@ -145,21 +160,6 @@ type snapGroup struct {
 	requests int
 	blocks   int    // contributing sub-blocks at build time
 	stamp    uint64 // engine version at materialization
-}
-
-// slotPageBits sizes the interning pages: 8K entries, 32 KiB each.
-const (
-	slotPageBits = 13
-	slotPageSize = 1 << slotPageBits
-	slotPageMask = slotPageSize - 1
-)
-
-type slotPage [slotPageSize]int32
-
-// slotDir is the page directory; entries are atomic so a page install
-// (under growMu) is visible to concurrent lock-free directory readers.
-type slotDir struct {
-	pages []atomic.Pointer[slotPage]
 }
 
 // engineShard holds one shard's sub-partition in dense slot-indexed form.
@@ -230,10 +230,13 @@ func jobKey(files []trace.FileID) sig128 {
 	return k
 }
 
-// maxCachedJobs bounds the repeat-job cache; at ~100 files per job the cap
-// is on the order of a gigabyte of refs, far beyond any paper-scale trace's
-// distinct-job count.
-const maxCachedJobs = 1 << 20
+// maxCachedJobs caps the repeat-job cache's entries, stale and live; a job
+// arriving at a cache full of live entries is observed slowly each time.
+// minCacheSweep keeps a small cache from sweeping at every other insert.
+const (
+	maxCachedJobs = 1 << 20
+	minCacheSweep = 1024
+)
 
 // cacheRef names one block a cached job resolved to.
 type cacheRef struct {
@@ -422,8 +425,9 @@ func NewEngine(shards int) *Engine {
 		shards:     make([]engineShard, p),
 		mask:       uint32(p - 1),
 		snapGroups: make(map[sig128]*snapGroup),
+		sweepAt:    minCacheSweep,
+		cacheCap:   maxCachedJobs,
 	}
-	e.slots.Store(&slotDir{})
 	for i := range e.sigTab.stripes {
 		e.sigTab.stripes[i].m = make(map[sig128]int32)
 	}
@@ -453,6 +457,26 @@ func (e *Engine) NumFilecules() int { return int(e.filecules.Load()) }
 // -layout diagnostic, not a property of the partition.
 func (e *Engine) Blocks() int64 { return e.blocks.Load() }
 
+// JobCacheStats describes the repeat-job fast path from outside.
+type JobCacheStats struct {
+	Entries      int64 // cached input sets, stale ones awaiting a sweep included
+	Sweeps       int64 // reclamation passes so far
+	FastPathHits int64 // non-empty observes answered from the cache
+}
+
+// JobCacheStats reads the cache counters. Hits are derived — observed minus
+// slow minus empty — so the lock-free hit path maintains no counter of its
+// own; read concurrently with observes the figure can run ahead by the one
+// slow observe in flight, never negative.
+func (e *Engine) JobCacheStats() JobCacheStats {
+	notHits := e.slowJobs.Load() + e.emptyJobs.Load()
+	return JobCacheStats{
+		Entries:      e.cacheSize.Load(),
+		Sweeps:       e.sweeps.Load(),
+		FastPathHits: e.observed.Load() - notHits,
+	}
+}
+
 // Version increments on every observe; snapshot caching keys off it.
 func (e *Engine) Version() uint64 { return e.version.Load() }
 
@@ -462,48 +486,13 @@ func (e *Engine) shardOf(f trace.FileID) uint32 {
 	return (uint32(f) * 0x9e3779b1) >> 16 & e.mask
 }
 
-// page returns the interning page holding f's entry, or nil if none was
-// installed yet. Lock-free: the directory pointer and page pointers are
-// atomic; the entries themselves are guarded by the owning shard's lock.
-func (e *Engine) page(f uint32) *slotPage {
-	d := e.slots.Load()
-	pi := f >> slotPageBits
-	if pi >= uint32(len(d.pages)) {
-		return nil
-	}
-	return d.pages[pi].Load()
-}
-
-// ensurePage installs (or finds) the page holding f's entry. Pages are
-// permanent once installed — growth republishes the directory, never moves
-// a page — so entries written under shard locks are never lost to a copy.
-func (e *Engine) ensurePage(f uint32) *slotPage {
-	e.growMu.Lock()
-	defer e.growMu.Unlock()
-	d := e.slots.Load()
-	pi := int(f >> slotPageBits)
-	if pi >= len(d.pages) {
-		nd := &slotDir{pages: make([]atomic.Pointer[slotPage], pi+1)}
-		for i := range d.pages {
-			nd.pages[i].Store(d.pages[i].Load())
-		}
-		e.slots.Store(nd)
-		d = nd
-	}
-	if pg := d.pages[pi].Load(); pg != nil {
-		return pg
-	}
-	pg := new(slotPage)
-	d.pages[pi].Store(pg)
-	return pg
-}
-
 // Observe folds one job's input set into the partition. Duplicate file IDs
 // within the set are ignored. Safe for concurrent use; repeated input sets
 // take a lock-free fast path and proceed in parallel.
 func (e *Engine) Observe(files []trace.FileID) {
 	if len(files) == 0 {
 		e.observed.Add(1)
+		e.emptyJobs.Add(1)
 		e.version.Add(1)
 		return
 	}
@@ -596,6 +585,7 @@ func (e *Engine) flushPending() {
 // caches the blocks it resolved to for future fast-path hits.
 func (e *Engine) observeSlow(files []trace.FileID, key sig128) {
 	e.observed.Add(1)
+	e.slowJobs.Add(1)
 	e.version.Add(1)
 	sc := e.scratchPool.Get().(*observeScratch)
 	sc.idxGen++
@@ -644,12 +634,24 @@ func (e *Engine) observeSlow(files []trace.FileID, key sig128) {
 // properties survive split-free observes, which move whole signature
 // classes at a time — so a later hit is a whole re-request of complete
 // filecules: pure requests++.
+//
+// An insert that finds the cache at twice what the last sweep left (or at the
+// cap) sweeps first, unless no split has happened since that sweep — then
+// every entry is live and there is nothing to reclaim. Each sweep therefore
+// follows at least as many inserts as the entries it walks: O(1) amortised.
 func (e *Engine) fillCache(key sig128, sc *observeScratch) {
 	n := len(sc.wholeRefs) + len(sc.splitRefs) + len(sc.freshRefs)
-	if n == 0 || e.cacheSize.Load() >= maxCachedJobs {
+	if n == 0 {
 		return
 	}
-	cj := &cachedJob{epoch: e.splitEpoch.Load(), refs: make([]cacheRef, 0, n)}
+	epoch := e.splitEpoch.Load()
+	if e.cacheSize.Load() >= min(e.sweepAt, e.cacheCap) && epoch != e.sweptEpoch {
+		e.sweepCache(epoch)
+	}
+	if e.cacheSize.Load() >= e.cacheCap {
+		return
+	}
+	cj := &cachedJob{epoch: epoch, refs: make([]cacheRef, 0, n)}
 	for _, r := range sc.wholeRefs {
 		cj.refs = append(cj.refs, cacheRef{sh: r.sh, bi: r.bi})
 	}
@@ -664,6 +666,26 @@ func (e *Engine) fillCache(key sig128, sc *observeScratch) {
 	}
 }
 
+// sweepCache deletes every entry a split has stranded. Caller holds the
+// gate's write side. A stale entry holds no deferred count: hits stop at the
+// split that strands it, and that split's observe flushed every pending
+// count under the same write hold before it changed any block.
+func (e *Engine) sweepCache(epoch uint64) {
+	var live int64
+	e.jobCache.Range(func(k, v any) bool {
+		if v.(*cachedJob).epoch == epoch {
+			live++
+		} else {
+			e.jobCache.Delete(k)
+		}
+		return true
+	})
+	e.cacheSize.Store(live)
+	e.sweepAt = max(minCacheSweep, 2*live)
+	e.sweptEpoch = epoch
+	e.sweeps.Add(1)
+}
+
 // observeShard applies one job's sub-list to a shard, recording signature
 // effects into the scratch for resolveSigs. Caller holds the gate's write
 // side.
@@ -671,20 +693,13 @@ func (e *Engine) observeShard(s *engineShard, sh uint32, g uint64, files []trace
 	touched := sc.touched[:0]
 	freshStart := int32(len(s.perm))
 	for _, f := range files {
-		pg := e.page(uint32(f))
-		off := uint32(f) & slotPageMask
-		var v int32
-		if pg != nil {
-			v = pg[off]
-		}
+		c := e.slots.cell(f)
+		v := *c
 		if v == 0 {
 			// First sighting ever: append a slot to the tail of perm;
 			// the fresh tail becomes one new block below.
 			slot := int32(len(s.file))
-			if pg == nil {
-				pg = e.ensurePage(uint32(f))
-			}
-			pg[off] = slot + 1
+			*c = slot + 1
 			s.file = append(s.file, f)
 			s.pos = append(s.pos, int32(len(s.perm)))
 			s.perm = append(s.perm, slot)
@@ -920,19 +935,10 @@ func (e *Engine) Snapshot() *Partition {
 	}
 	groups, v, _, _ := e.refreshGroups()
 	fcs := make([]Filecule, 0, len(groups))
-	total := 0
 	for _, entry := range groups {
 		fcs = append(fcs, Filecule{Files: entry.files, Requests: entry.requests})
-		total += len(entry.files)
 	}
-
-	// Canonical order: by smallest member file. IDs follow; the file index
-	// is built lazily on first lookup.
-	sort.Slice(fcs, func(a, b int) bool { return fcs[a].Files[0] < fcs[b].Files[0] })
-	for i := range fcs {
-		fcs[i].ID = i
-	}
-	p := &Partition{Filecules: fcs, nFiles: total}
+	p := NewPartition(fcs)
 	e.snapCache.Store(&snapState{version: v, p: p})
 	return p
 }

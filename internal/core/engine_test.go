@@ -155,9 +155,9 @@ func TestEngineShardConfiguration(t *testing.T) {
 	}
 }
 
-// TestEngineLazyPartitionIndex checks that lazily-indexed partitions answer
-// lookups identically to eagerly-indexed ones, including concurrent first
-// lookups.
+// TestEngineLazyPartitionIndex checks that a snapshot's file index, built on
+// first lookup, answers like batch identification's, including when the
+// first lookups race.
 func TestEngineLazyPartitionIndex(t *testing.T) {
 	tr := randomTrace(t, 11, 40, 150)
 	e := NewEngine(8)

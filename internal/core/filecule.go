@@ -20,8 +20,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,13 +49,12 @@ func (f *Filecule) NumFiles() int { return len(f.Files) }
 // a trace. Files never requested by any job belong to no filecule.
 type Partition struct {
 	Filecules []Filecule
-	// byFile is the eager file index filled by canonicalize. Partitions
-	// assembled by the Engine leave it nil and build lazyIdx on first
-	// lookup instead, so snapshots cost O(changed blocks), not O(files).
-	byFile map[trace.FileID]int
-	// nFiles is the covered-file count when byFile is nil.
-	nFiles  int
-	lazyIdx atomic.Pointer[map[trace.FileID]int]
+	// nFiles is the covered-file count.
+	nFiles int
+	// idx is the file → 1+filecule index, built on first lookup, so
+	// assembling a partition (every post-observe snapshot does) costs the
+	// filecule list, not the file population.
+	idx atomic.Pointer[fileIndex]
 
 	// sizeMu guards the per-catalog byte-size table cached by SizeTable.
 	sizeMu  sync.Mutex
@@ -65,47 +65,42 @@ type Partition struct {
 // NumFilecules returns the number of filecules.
 func (p *Partition) NumFilecules() int { return len(p.Filecules) }
 
-// NewPartition assembles a canonical Partition from filecule groups. Each
-// group's Files must be sorted strictly ascending and the groups must be
-// disjoint (Validate checks both); IDs are assigned by canonical order, so
-// callers need not set them.
+// NewPartition assembles a canonical Partition from filecule groups: sorted
+// by smallest member file, IDs assigned in that order, so equal partitions
+// compare equal with Equal however they were identified. Each group's Files
+// must be non-empty and sorted strictly ascending and the groups must be
+// disjoint (Validate checks all three); callers need not set IDs.
 func NewPartition(fcs []Filecule) *Partition {
-	n := 0
+	sort.Slice(fcs, func(a, b int) bool { return fcs[a].Files[0] < fcs[b].Files[0] })
+	p := &Partition{Filecules: fcs}
 	for i := range fcs {
-		n += len(fcs[i].Files)
+		fcs[i].ID = i
+		p.nFiles += len(fcs[i].Files)
 	}
-	p := &Partition{Filecules: fcs, byFile: make(map[trace.FileID]int, n)}
-	p.canonicalize()
 	return p
 }
 
-// index returns the file→filecule map, building it on first use for
-// lazily-indexed partitions. Safe for concurrent use: racing builders
-// produce identical maps and one wins the CompareAndSwap.
-func (p *Partition) index() map[trace.FileID]int {
-	if p.byFile != nil {
-		return p.byFile
+// index returns the file index, building it on first use. Safe for
+// concurrent use: racing builders produce identical indexes and one wins the
+// CompareAndSwap.
+func (p *Partition) index() *fileIndex {
+	if x := p.idx.Load(); x != nil {
+		return x
 	}
-	if m := p.lazyIdx.Load(); m != nil {
-		return *m
-	}
-	m := make(map[trace.FileID]int, p.nFiles)
+	x := new(fileIndex)
 	for i := range p.Filecules {
 		for _, f := range p.Filecules[i].Files {
-			m[f] = i
+			*x.cell(f) = int32(i) + 1
 		}
 	}
-	p.lazyIdx.CompareAndSwap(nil, &m)
-	return *p.lazyIdx.Load()
+	p.idx.CompareAndSwap(nil, x)
+	return p.idx.Load()
 }
 
 // Of returns the filecule index containing file f, or -1 if f was never
 // requested.
 func (p *Partition) Of(f trace.FileID) int {
-	if i, ok := p.index()[f]; ok {
-		return i
-	}
-	return -1
+	return int(p.index().get(f)) - 1
 }
 
 // FileculeOf returns the filecule containing f, or nil if f was never
@@ -119,12 +114,7 @@ func (p *Partition) FileculeOf(f trace.FileID) *Filecule {
 }
 
 // NumFiles returns the total number of files covered by the partition.
-func (p *Partition) NumFiles() int {
-	if p.byFile != nil {
-		return len(p.byFile)
-	}
-	return p.nFiles
-}
+func (p *Partition) NumFiles() int { return p.nFiles }
 
 // Size returns the total byte size of filecule i given the trace's file
 // catalog. Files outside the catalog — possible when a partition merges
@@ -166,7 +156,7 @@ func (p *Partition) SizeTable(t *trace.Trace) []int64 {
 // sorted non-empty member lists, disjointness, and file-index consistency.
 func (p *Partition) Validate() error {
 	idx := p.index()
-	seen := make(map[trace.FileID]int, len(idx))
+	covered := 0
 	for i := range p.Filecules {
 		fc := &p.Filecules[i]
 		if fc.ID != i {
@@ -182,38 +172,18 @@ func (p *Partition) Validate() error {
 			if k > 0 && fc.Files[k-1] >= f {
 				return fmt.Errorf("core: filecule %d files not strictly increasing at %d", i, k)
 			}
-			if prev, dup := seen[f]; dup {
-				return fmt.Errorf("core: file %d in filecules %d and %d", f, prev, i)
-			}
-			seen[f] = i
-			if got := idx[f]; got != i {
-				return fmt.Errorf("core: index[%d] = %d, want %d", f, got, i)
+			// The index holds the last filecule listing f, so a file
+			// listed twice fails here at its earlier owner.
+			if got := int(idx.get(f)) - 1; got != i {
+				return fmt.Errorf("core: file %d in filecules %d and %d", f, i, got)
 			}
 		}
+		covered += len(fc.Files)
 	}
-	if len(seen) != len(idx) {
-		return fmt.Errorf("core: index has %d entries, filecules cover %d files", len(idx), len(seen))
-	}
-	if p.byFile == nil && p.nFiles != len(seen) {
-		return fmt.Errorf("core: nFiles = %d, filecules cover %d files", p.nFiles, len(seen))
+	if p.nFiles != covered {
+		return fmt.Errorf("core: nFiles = %d, filecules cover %d files", p.nFiles, covered)
 	}
 	return nil
-}
-
-// Canonical sorts filecules by their smallest member FileID and renumbers
-// IDs, producing a unique representation for a given partition. Both
-// identification algorithms return canonical partitions, so equal partitions
-// compare equal with Equal.
-func (p *Partition) canonicalize() {
-	sort.Slice(p.Filecules, func(a, b int) bool {
-		return p.Filecules[a].Files[0] < p.Filecules[b].Files[0]
-	})
-	for i := range p.Filecules {
-		p.Filecules[i].ID = i
-		for _, f := range p.Filecules[i].Files {
-			p.byFile[f] = i
-		}
-	}
 }
 
 // Equal reports whether two partitions decompose the same file population
@@ -265,48 +235,109 @@ func IdentifySource(src trace.Source) (*Partition, int64, error) {
 // IdentifyJobs computes the filecule partition induced by only the given
 // jobs — the partial-knowledge identification of Section 6. Files requested
 // by none of the jobs are not covered. The result is canonical.
+//
+// Files intern to dense slots in first-seen order, every slot's ascending
+// list of distinct requesting jobs is laid out in one array (CSR: a counting
+// pass sizes the lists, a second fills them), and slots with equal lists are
+// grouped by hash with an exact comparison behind every match. Memory is
+// O(distinct files + requests) whatever the ID values, and only t.Jobs is
+// read: a trace without a file catalog identifies like any other.
 func IdentifyJobs(t *trace.Trace, jobs []trace.JobID) *Partition {
-	// Collect, per file, the ascending list of distinct observing jobs.
-	// Job lists are built in iteration order; sorting jobs first makes
-	// every per-file list sorted without a per-file sort.
-	ordered := append([]trace.JobID(nil), jobs...)
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a] < ordered[b] })
+	// Ascending distinct jobs: visiting them in order leaves every list
+	// sorted, which is what makes equal sets equal sequences.
+	jobs = slices.Clone(jobs)
+	slices.Sort(jobs)
+	jobs = slices.Compact(jobs)
 
-	jobLists := make(map[trace.FileID][]trace.JobID)
-	for _, id := range ordered {
-		j := &t.Jobs[id]
-		for _, f := range j.Files {
-			l := jobLists[f]
-			if len(l) > 0 && l[len(l)-1] == id {
-				continue // duplicate entry of f within this job
+	type slot struct {
+		end  int    // list length, then fill cursor, finally the list's end in lists
+		hash uint64 // running hash of the list
+		mark int32  // last job counted (+k) or filled (-k), then the group
+	}
+	var (
+		intern fileIndex // file -> 1+slot
+		slots  []slot
+		fileOf []trace.FileID
+	)
+	// Both passes count a job's repeats of a file once: k is 1 + the job's
+	// rank, so no mark left by one pass reads as current in the other.
+	for i, id := range jobs {
+		k := int32(i) + 1
+		for _, f := range t.Jobs[id].Files {
+			c := intern.cell(f)
+			if *c == 0 {
+				slots = append(slots, slot{})
+				fileOf = append(fileOf, f)
+				*c = int32(len(slots))
 			}
-			jobLists[f] = append(l, id)
+			if sl := &slots[*c-1]; sl.mark != k {
+				sl.mark = k
+				sl.end++
+			}
+		}
+	}
+	total := 0
+	for i := range slots {
+		n := slots[i].end
+		slots[i].end = total
+		total += n
+	}
+	lists := make([]int32, total)
+	for i, id := range jobs {
+		k := int32(i) + 1
+		for _, f := range t.Jobs[id].Files {
+			if sl := &slots[intern.get(f)-1]; sl.mark != -k {
+				sl.mark = -k
+				lists[sl.end] = k
+				sl.end++
+				sl.hash = (sl.hash ^ uint64(k)) * 0x100000001b3
+			}
+		}
+	}
+	list := func(s int32) []int32 {
+		if s == 0 {
+			return lists[:slots[0].end]
+		}
+		return lists[slots[s-1].end:slots[s].end]
+	}
+
+	// Group slots with equal lists: an open-addressing table over group
+	// representatives, at most half full.
+	tab := make([]int32, 1<<bits.Len(uint(2*len(slots)))) // 1+representative slot
+	var fcs []Filecule
+	var sizes []int // members per group
+	for s := range slots {
+		sl := &slots[s]
+		for h := mix64(sl.hash); ; h++ {
+			e := &tab[h&uint64(len(tab)-1)]
+			if *e == 0 {
+				*e = int32(s) + 1
+				sl.mark = int32(len(fcs))
+				fcs = append(fcs, Filecule{Requests: len(list(int32(s)))})
+				sizes = append(sizes, 1)
+				break
+			}
+			if r := &slots[*e-1]; r.hash == sl.hash && slices.Equal(list(*e-1), list(int32(s))) {
+				sl.mark = r.mark
+				sizes[r.mark]++
+				break
+			}
 		}
 	}
 
-	// Group files by signature. The signature key is the exact varint
-	// encoding of the job list, so grouping is collision-free.
-	groups := make(map[string][]trace.FileID)
-	var buf []byte
-	for f, l := range jobLists {
-		buf = buf[:0]
-		var tmp [binary.MaxVarintLen64]byte
-		for _, j := range l {
-			n := binary.PutUvarint(tmp[:], uint64(j))
-			buf = append(buf, tmp[:n]...)
-		}
-		k := string(buf)
-		groups[k] = append(groups[k], f)
+	// One arena holds every member list, each at its exact size.
+	arena := make([]trace.FileID, len(slots))
+	off := 0
+	for g, n := range sizes {
+		fcs[g].Files = arena[off : off : off+n]
+		off += n
 	}
-
-	p := &Partition{byFile: make(map[trace.FileID]int, len(jobLists))}
-	for _, files := range groups {
-		sort.Slice(files, func(a, b int) bool { return files[a] < files[b] })
-		p.Filecules = append(p.Filecules, Filecule{
-			Files:    files,
-			Requests: len(jobLists[files[0]]),
-		})
+	for s := range slots {
+		fc := &fcs[slots[s].mark]
+		fc.Files = append(fc.Files, fileOf[s])
 	}
-	p.canonicalize()
-	return p
+	for g := range fcs {
+		slices.Sort(fcs[g].Files)
+	}
+	return NewPartition(fcs)
 }

@@ -1,0 +1,217 @@
+package core
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+	"testing/quick"
+
+	"filecule/internal/trace"
+)
+
+// identifyReference is the map-of-slices batch identifier IdentifyJobs used
+// to be, kept as the oracle the CSR implementation is held to: per file, the
+// ascending list of distinct observing jobs; files grouped by the exact
+// varint encoding of that list, so grouping is collision-free by
+// construction.
+func identifyReference(t *trace.Trace, jobs []trace.JobID) *Partition {
+	ordered := append([]trace.JobID(nil), jobs...)
+	sort.Slice(ordered, func(a, b int) bool { return ordered[a] < ordered[b] })
+
+	jobLists := make(map[trace.FileID][]trace.JobID)
+	for _, id := range ordered {
+		j := &t.Jobs[id]
+		for _, f := range j.Files {
+			l := jobLists[f]
+			if len(l) > 0 && l[len(l)-1] == id {
+				continue // duplicate entry of f within this job, or of the job
+			}
+			jobLists[f] = append(l, id)
+		}
+	}
+
+	groups := make(map[string][]trace.FileID)
+	var buf []byte
+	for f, l := range jobLists {
+		buf = buf[:0]
+		for _, j := range l {
+			buf = binary.AppendUvarint(buf, uint64(j))
+		}
+		groups[string(buf)] = append(groups[string(buf)], f)
+	}
+
+	fcs := make([]Filecule, 0, len(groups))
+	for _, files := range groups {
+		sort.Slice(files, func(a, b int) bool { return files[a] < files[b] })
+		fcs = append(fcs, Filecule{Files: files, Requests: len(jobLists[files[0]])})
+	}
+	return NewPartition(fcs)
+}
+
+// catalogless builds a trace with jobs only — no Files, Users or Sites —
+// whose file IDs are drawn from ids, with empty jobs and in-job duplicates.
+func catalogless(rng *rand.Rand, ids []trace.FileID, nJobs int) *trace.Trace {
+	t := &trace.Trace{}
+	for i := 0; i < nJobs; i++ {
+		var files []trace.FileID
+		for k := rng.Intn(7); k > 0; k-- { // 0: an empty job
+			files = append(files, ids[rng.Intn(len(ids))])
+			if rng.Intn(3) == 0 {
+				files = append(files, files[rng.Intn(len(files))])
+			}
+		}
+		t.Jobs = append(t.Jobs, trace.Job{ID: trace.JobID(i), Files: files})
+	}
+	return t
+}
+
+// randomSubset draws job IDs with repeats, in no order.
+func randomSubset(rng *rand.Rand, nJobs int) []trace.JobID {
+	ids := make([]trace.JobID, rng.Intn(2*nJobs+1))
+	for i := range ids {
+		ids[i] = trace.JobID(rng.Intn(nJobs))
+	}
+	return ids
+}
+
+// TestIdentifyMatchesReferenceProperty holds the CSR identifier to the
+// reference on random traces with empty jobs and duplicate files within a
+// job, over the whole trace and over random job subsets that repeat IDs.
+func TestIdentifyMatchesReferenceProperty(t *testing.T) {
+	f := func(seed int64, nf, nj uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ids := make([]trace.FileID, int(nf%60)+1)
+		for i := range ids {
+			ids[i] = trace.FileID(i)
+			if seed%2 != 0 { // anywhere in the ID space, negative included
+				ids[i] = trace.FileID(rng.Uint32())
+			}
+		}
+		tr := catalogless(rng, ids, int(nj%40)+1)
+		all := Identify(tr)
+		if all.Validate() != nil || !all.Equal(identifyReference(tr, allJobs(tr))) {
+			return false
+		}
+		sub := randomSubset(rng, len(tr.Jobs))
+		got := IdentifyJobs(tr, sub)
+		return got.Validate() == nil && got.Equal(identifyReference(tr, sub))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func allJobs(t *trace.Trace) []trace.JobID {
+	ids := make([]trace.JobID, len(t.Jobs))
+	for i := range ids {
+		ids[i] = t.Jobs[i].ID
+	}
+	return ids
+}
+
+// TestIdentifyReferenceOnDiffTraces runs the same comparison on the
+// differential suite's synthetic DZero and adversarial traces.
+func TestIdentifyReferenceOnDiffTraces(t *testing.T) {
+	for ti, tr := range diffTraces(t) {
+		if !Identify(tr).Equal(identifyReference(tr, allJobs(tr))) {
+			t.Errorf("trace %d: Identify differs from the reference", ti)
+		}
+		sub := randomSubset(rand.New(rand.NewSource(int64(ti))), len(tr.Jobs))
+		if !IdentifyJobs(tr, sub).Equal(identifyReference(tr, sub)) {
+			t.Errorf("trace %d: IdentifyJobs over a subset differs from the reference", ti)
+		}
+	}
+}
+
+// TestIdentifyJobsLeavesSubsetAlone: the caller's job list is read, not
+// sorted in place.
+func TestIdentifyJobsLeavesSubsetAlone(t *testing.T) {
+	tr := randomTrace(t, 3, 20, 10)
+	sub := []trace.JobID{7, 2, 2, 9, 0}
+	IdentifyJobs(tr, sub)
+	if want := []trace.JobID{7, 2, 2, 9, 0}; !slices.Equal(sub, want) {
+		t.Errorf("subset after IdentifyJobs = %v, want %v", sub, want)
+	}
+}
+
+// allocatedBy returns the bytes fn allocates, by the runtime's own count:
+// machine-independent, and unaffected by when the collector runs.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPartitionIndexFollowsCoveredFiles: the file index costs the pages that
+// hold a covered file, wherever in the ID space they sit — an index laid out
+// by ID would need 8 GiB between files 0 and 2^31-1 — and answers -1 for
+// everything else.
+func TestPartitionIndexFollowsCoveredFiles(t *testing.T) {
+	p := NewPartition([]Filecule{
+		{Files: []trace.FileID{math.MaxInt32}, Requests: 1},
+		{Files: []trace.FileID{0}, Requests: 2},
+	})
+	var first int
+	if got := allocatedBy(func() { first = p.Of(0) }); got >= 1<<20 {
+		t.Errorf("building the index over files 0 and 2^31-1 allocated %d bytes, want < 1 MiB", got)
+	}
+	if first != 0 || p.Of(math.MaxInt32) != 1 {
+		t.Errorf("Of(0) = %d, Of(MaxInt32) = %d, want 0, 1", first, p.Of(math.MaxInt32))
+	}
+	for _, f := range []trace.FileID{-1, math.MinInt32, 1, 8191, 8192, 1 << 22, math.MaxInt32 - 1} {
+		if got := p.Of(f); got != -1 {
+			t.Errorf("Of(%d) = %d, want -1 (not covered)", f, got)
+		}
+		if p.FileculeOf(f) != nil {
+			t.Errorf("FileculeOf(%d) != nil for an uncovered file", f)
+		}
+	}
+	if err := p.Validate(); err != nil {
+		t.Error(err)
+	}
+	if got := allocatedBy(func() { p.Of(math.MaxInt32) }); got != 0 {
+		t.Errorf("a lookup on a built index allocated %d bytes", got)
+	}
+}
+
+// TestIdentifySparseCatalogless: batch identification needs no catalog and
+// its memory follows the files seen, not their ID values.
+func TestIdentifySparseCatalogless(t *testing.T) {
+	tr := &trace.Trace{Jobs: []trace.Job{
+		{ID: 0, Files: []trace.FileID{math.MaxInt32, 0, 0}},
+		{ID: 1, Files: []trace.FileID{math.MaxInt32}},
+		{ID: 2},
+	}}
+	var p *Partition
+	if got := allocatedBy(func() { p = Identify(tr) }); got >= 1<<20 {
+		t.Errorf("Identify over files 0 and 2^31-1 allocated %d bytes, want < 1 MiB", got)
+	}
+	want := NewPartition([]Filecule{
+		{Files: []trace.FileID{0}, Requests: 1},
+		{Files: []trace.FileID{math.MaxInt32}, Requests: 2},
+	})
+	if !p.Equal(want) {
+		t.Errorf("Identify = %+v, want %+v", p.Filecules, want.Filecules)
+	}
+	if !p.Equal(identifyReference(tr, allJobs(tr))) {
+		t.Error("Identify differs from the reference")
+	}
+}
+
+// TestValidateRejectsSharedFile: a file listed by two filecules is reported
+// with both owners, whichever is built into the index last.
+func TestValidateRejectsSharedFile(t *testing.T) {
+	p := NewPartition([]Filecule{
+		{Files: []trace.FileID{1, 5}, Requests: 1},
+		{Files: []trace.FileID{3, 5}, Requests: 1},
+	})
+	if err := p.Validate(); err == nil {
+		t.Error("Validate accepted a partition with file 5 in two filecules")
+	}
+}

@@ -72,6 +72,10 @@ func (m *Monitor) Shards() int { return m.engine.Shards() }
 // the gap measures cross-shard filecule spread).
 func (m *Monitor) Blocks() int64 { return m.engine.Blocks() }
 
+// JobCacheStats reports the engine's repeat-job cache size, sweeps and
+// fast-path hits.
+func (m *Monitor) JobCacheStats() JobCacheStats { return m.engine.JobCacheStats() }
+
 // Snapshot returns a consistent canonical Partition of everything observed
 // so far. Safe for concurrent use; the returned partition is immutable and
 // cached until the next Observe, so callers may compare successive results

@@ -183,11 +183,10 @@ func Combine(a, b *Partition) *Partition {
 		}
 	}
 
-	p := &Partition{byFile: make(map[trace.FileID]int, len(seen))}
+	fcs := make([]Filecule, 0, len(groups))
 	for k, files := range groups {
 		sort.Slice(files, func(x, y int) bool { return files[x] < files[y] })
-		p.Filecules = append(p.Filecules, Filecule{Files: files, Requests: reqs[k]})
+		fcs = append(fcs, Filecule{Files: files, Requests: reqs[k]})
 	}
-	p.canonicalize()
-	return p
+	return NewPartition(fcs)
 }

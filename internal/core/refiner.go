@@ -146,12 +146,11 @@ func (r *Refiner) ObserveTrace(t *trace.Trace) {
 // Partition snapshots the current blocks as a canonical Partition. The
 // refiner remains usable afterwards.
 func (r *Refiner) Partition() *Partition {
-	p := &Partition{byFile: make(map[trace.FileID]int, len(r.byFile))}
+	fcs := make([]Filecule, 0, len(r.blocks))
 	for _, b := range r.blocks {
 		files := append([]trace.FileID(nil), b.files...)
 		sort.Slice(files, func(a, c int) bool { return files[a] < files[c] })
-		p.Filecules = append(p.Filecules, Filecule{Files: files, Requests: b.requests})
+		fcs = append(fcs, Filecule{Files: files, Requests: b.requests})
 	}
-	p.canonicalize()
-	return p
+	return NewPartition(fcs)
 }

@@ -138,13 +138,12 @@ func (e *Engine) ImportState(st *EngineState) error {
 			s := &e.shards[sh]
 			lo := int32(len(s.perm))
 			for _, f := range perShard[sh] {
-				pg := e.ensurePage(uint32(f))
-				off := uint32(f) & slotPageMask
-				if pg[off] != 0 {
+				c := e.slots.cell(f)
+				if *c != 0 {
 					return fmt.Errorf("core: state group %d: file %d appears in more than one group", gi, f)
 				}
 				slot := int32(len(s.file))
-				pg[off] = slot + 1
+				*c = slot + 1
 				s.file = append(s.file, f)
 				s.pos = append(s.pos, int32(len(s.perm)))
 				s.perm = append(s.perm, slot)
@@ -165,6 +164,7 @@ func (e *Engine) ImportState(st *EngineState) error {
 		}
 	}
 	e.observed.Store(st.Observed)
+	e.slowJobs.Store(st.Observed) // fast-path hits count from this process's start
 	e.nextGen.Store(st.NextGen)
 	e.version.Store(uint64(st.Observed))
 	return nil

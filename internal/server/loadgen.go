@@ -101,6 +101,10 @@ func (g *LoadGen) ReplaySource(src trace.Source) (*LoadReport, error) {
 			MaxIdleConnsPerHost: clients * 2,
 		},
 	}
+	// The pool can hold a connection that was dialed but never carried a
+	// request; a server counts such a connection as idle only after 5 s, so
+	// left open it stalls the server's graceful shutdown that long.
+	defer hc.CloseIdleConnections()
 	if err := g.Shape.Validate(); err != nil {
 		return nil, err
 	}

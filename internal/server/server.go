@@ -700,6 +700,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "filecule_engine_shards %d\n", s.monitor.Shards())
 	fmt.Fprintf(w, "# TYPE filecule_engine_blocks gauge\n")
 	fmt.Fprintf(w, "filecule_engine_blocks %d\n", s.monitor.Blocks())
+	// The repeat-job fast path: whether it is hitting, and that its cache
+	// tracks the live repeat set rather than every job ever seen.
+	jc := s.monitor.JobCacheStats()
+	fmt.Fprintf(w, "# TYPE filecule_engine_jobcache_entries gauge\n")
+	fmt.Fprintf(w, "filecule_engine_jobcache_entries %d\n", jc.Entries)
+	fmt.Fprintf(w, "# TYPE filecule_engine_jobcache_sweeps_total counter\n")
+	fmt.Fprintf(w, "filecule_engine_jobcache_sweeps_total %d\n", jc.Sweeps)
+	fmt.Fprintf(w, "# TYPE filecule_engine_fastpath_hits_total counter\n")
+	fmt.Fprintf(w, "filecule_engine_fastpath_hits_total %d\n", jc.FastPathHits)
 	if s.cfg.Durable != nil {
 		st := s.cfg.Durable.Stats()
 		fmt.Fprintf(w, "# TYPE filecule_wal_appended_jobs_total counter\n")

@@ -330,3 +330,25 @@ func TestPprofMounted(t *testing.T) {
 		t.Errorf("pprof served while disabled")
 	}
 }
+
+// TestEngineCacheMetrics: /metrics says whether the repeat-job fast path is
+// hitting. {5,6} is cached by its first observe; the two repeats are hits.
+func TestEngineCacheMetrics(t *testing.T) {
+	s, _ := testServer(t)
+	for _, body := range []string{`{"files":[5,6,7]}`, `{"files":[5,6]}`, `{"files":[5,6]}`, `{"files":[5,6]}`, `{"files":[]}`} {
+		if w := do(s, "POST", "/v1/jobs", body); w.Code != http.StatusOK {
+			t.Fatalf("observe %s: %d %s", body, w.Code, w.Body)
+		}
+	}
+	ms := do(s, "GET", "/metrics", "").Body.String()
+	for _, needle := range []string{
+		"filecule_jobs_observed_total 5\n",
+		"filecule_engine_fastpath_hits_total 2\n",
+		"filecule_engine_jobcache_entries 2\n",
+		"filecule_engine_jobcache_sweeps_total 0\n",
+	} {
+		if !strings.Contains(ms, needle) {
+			t.Errorf("metrics missing %q", needle)
+		}
+	}
+}

@@ -127,6 +127,9 @@ type generator struct {
 	// hotFiles are the planted case-study files (empty when the hot
 	// filecule is disabled).
 	hotFiles []trace.FileID
+
+	// fileScratch is jobFiles' reused assembly buffer.
+	fileScratch []trace.FileID
 }
 
 type regionPick struct {
@@ -393,14 +396,17 @@ func (g *generator) tierPhase(t int) jobPhase {
 
 // jobFiles assembles the input set: nDS datasets drawn from the user's
 // interest list with rank skew (plus occasional exploration picks from the
-// wider catalog), each read whole or as a contiguous subset.
+// wider catalog), each read whole or as a contiguous subset. The list is
+// assembled in a reused scratch and returned as an exact-size copy: a
+// materialized trace keeps every job's list, and append growth would hold
+// about twice the IDs kept.
 func (g *generator) jobFiles(tier, domain int, interest []int, nDS int) []trace.FileID {
 	if len(interest) == 0 {
 		return nil
 	}
 	z := dist.NewZipf(g.cfg.JobZipfS, uint64(len(interest)))
 	chosen := make(map[int]struct{}, nDS)
-	var files []trace.FileID
+	files := g.fileScratch[:0]
 	for tries := 0; len(chosen) < nDS && tries < 6*nDS+20; tries++ {
 		var ds int
 		if g.rng.Float64() < g.cfg.ExploreProb {
@@ -431,7 +437,10 @@ func (g *generator) jobFiles(tier, domain int, interest []int, nDS int) []trace.
 		}
 		files = append(files, dsFiles...)
 	}
-	return files
+	g.fileScratch = files
+	out := make([]trace.FileID, len(files))
+	copy(out, files)
+	return out
 }
 
 func (g *generator) pickNode(site trace.SiteID) string {

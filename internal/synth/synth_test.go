@@ -27,6 +27,13 @@ func TestGenerateValidTrace(t *testing.T) {
 	if len(tr.Jobs) == 0 || len(tr.Files) == 0 || len(tr.Users) == 0 {
 		t.Fatalf("empty trace: %d jobs %d files %d users", len(tr.Jobs), len(tr.Files), len(tr.Users))
 	}
+	// A materialized trace keeps every job's list: none may carry append
+	// slack.
+	for i := range tr.Jobs {
+		if f := tr.Jobs[i].Files; cap(f) != len(f) {
+			t.Fatalf("job %d holds %d file IDs in capacity %d", i, len(f), cap(f))
+		}
+	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {

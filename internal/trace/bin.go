@@ -575,16 +575,21 @@ func readBinChunk(cr *ChunkReader) (byte, []byte, error) {
 	return kind, payload, err
 }
 
-// binPreallocCap bounds pre-sized catalog allocations: a corrupt count can
-// claim at most this many entries up front, and genuinely larger catalogs
-// just fall back to append growth once real records have covered the cap.
+// binPreallocCap bounds a pre-sized catalog allocation whose claimed count
+// the payload cannot back.
 const binPreallocCap = 1 << 16
 
-func binPrealloc(n int) int {
-	if n > binPreallocCap {
-		return binPreallocCap
+// binPrealloc returns the capacity to pre-size a catalog slice with. A count
+// of records that fits the rest of the payload at minRecord bytes each is
+// taken at its word — the allocation is then bounded by a multiple of bytes
+// actually received, and an honest catalog is allocated once, not grown
+// through appends that copy it several times over. A count the payload cannot
+// hold is corrupt; decoding will fail on it, and until then it gets the cap.
+func binPrealloc(n, rem, minRecord int) int {
+	if n <= rem/minRecord {
+		return n
 	}
-	return n
+	return min(n, binPreallocCap)
 }
 
 func decodeBinCatalog(payload []byte) (files []File, users []User, sites []Site, err error) {
@@ -596,7 +601,7 @@ func decodeBinCatalog(payload []byte) (files []File, users []User, sites []Site,
 	// is allocated straight off the payload.
 	p := payload
 	nSites := b.count("site")
-	sites = make([]Site, 0, binPrealloc(nSites))
+	sites = make([]Site, 0, binPrealloc(nSites, b.rem(), 3))
 	pos := b.pos
 	for i := 0; i < nSites && b.err == nil; i++ {
 		var name, domain string
@@ -653,7 +658,7 @@ func decodeBinCatalog(payload []byte) (files []File, users []User, sites []Site,
 	}
 	b.pos = pos
 	nUsers := b.count("user")
-	users = make([]User, 0, binPrealloc(nUsers))
+	users = make([]User, 0, binPrealloc(nUsers, b.rem(), 2))
 	pos = b.pos
 	for i := 0; i < nUsers && b.err == nil; i++ {
 		var n uint64
@@ -696,7 +701,7 @@ func decodeBinCatalog(payload []byte) (files []File, users []User, sites []Site,
 	}
 	b.pos = pos
 	nFiles := b.count("file")
-	files = make([]File, 0, binPrealloc(nFiles))
+	files = make([]File, 0, binPrealloc(nFiles, b.rem(), 3))
 	pos = b.pos
 	for i := 0; i < nFiles && b.err == nil; i++ {
 		var n uint64

@@ -90,8 +90,11 @@ func (b *Builder) Users() []User { return b.t.Users }
 func (b *Builder) Sites() []Site { return b.t.Sites }
 
 // Build finalizes and returns the trace, sorting jobs by start time. The
-// Builder must not be reused afterwards.
+// Builder must not be reused afterwards. The result is a detached copy of the
+// catalog and job slice headers, not a pointer into the Builder: holding the
+// trace must not keep the name→ID maps alive.
 func (b *Builder) Build() *Trace {
 	b.t.SortJobsByStart()
-	return &b.t
+	t := b.t
+	return &t
 }

@@ -1,0 +1,150 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// allocatedBy returns the bytes fn allocates, by the runtime's own count.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// buildAndDrop builds a small trace and lets go of the builder, reporting
+// through collected when the collector has reclaimed it. interior is the
+// white-box form of the same question: whether the result points into the
+// Builder.
+//
+//go:noinline
+func buildAndDrop(collected *atomic.Bool) (tr *Trace, interior bool) {
+	b := NewBuilder()
+	s := b.Site("s", ".gov", 1)
+	u := b.User("u", s)
+	b.SimpleJob(u, s, t0, []FileID{b.File("f0", 1, TierRaw), b.File("f1", 2, TierRaw)})
+	runtime.SetFinalizer(b, func(*Builder) { collected.Store(true) })
+	tr = b.Build()
+	return tr, tr == &b.t
+}
+
+// TestBuildDoesNotPinBuilder: a built trace must not keep the Builder — and
+// through it the three name→ID maps — reachable.
+func TestBuildDoesNotPinBuilder(t *testing.T) {
+	var collected atomic.Bool
+	tr, interior := buildAndDrop(&collected)
+	if interior {
+		t.Error("Build returned a pointer into the Builder")
+	}
+	for i := 0; i < 50 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	if !collected.Load() {
+		t.Error("the Builder is still reachable while only its trace is held")
+	}
+	if len(tr.Files) != 2 || len(tr.Jobs) != 1 {
+		t.Errorf("built trace has %d files, %d jobs", len(tr.Files), len(tr.Jobs))
+	}
+	runtime.KeepAlive(tr)
+}
+
+// catalogPayload encodes a catalog of n files (one site, one user) and
+// returns its chunk payload.
+func catalogPayload(t *testing.T, n int) []byte {
+	t.Helper()
+	files := make([]File, n)
+	for i := range files {
+		files[i] = File{ID: FileID(i), Name: fmt.Sprintf("t1-d%d-f%d", i/100, i%100), Size: int64(1+i) << 20, Tier: TierThumbnail}
+	}
+	var buf bytes.Buffer
+	bw, err := NewBinWriter(&buf, files, []User{{Name: "u"}}, []Site{{Name: "s", Domain: ".gov"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cr := NewChunkReader(bytes.NewReader(buf.Bytes()[len(binMagic):]))
+	kind, payload, err := cr.ReadChunk()
+	if err != nil || kind != binChunkKindCatalog {
+		t.Fatalf("first chunk: kind %q, err %v", kind, err)
+	}
+	return bytes.Clone(payload)
+}
+
+// TestDecodeCatalogAllocatesWhatItKeeps: a catalog whose claimed counts the
+// payload can back is allocated once at its size, not grown through appends.
+func TestDecodeCatalogAllocatesWhatItKeeps(t *testing.T) {
+	const n = 100_000
+	payload := catalogPayload(t, n)
+	var files []File
+	var err error
+	got := allocatedBy(func() { files, _, _, err = decodeBinCatalog(payload) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != n || cap(files) != n {
+		t.Fatalf("decoded %d files into capacity %d, want %d exactly", len(files), cap(files), n)
+	}
+	kept := uint64(n) * uint64(unsafe.Sizeof(File{}))
+	for i := range files {
+		kept += uint64(len(files[i].Name))
+	}
+	if float64(got) > 1.3*float64(kept) {
+		t.Errorf("decodeBinCatalog allocated %d bytes to return %d (%.2fx, want <= 1.3x)", got, kept, float64(got)/float64(kept))
+	}
+}
+
+// TestDecodeCatalogRefusesHostileCount: a file count the payload cannot hold
+// at three bytes a record is not taken at its word. The decode fails, having
+// allocated no more than the pre-size cap.
+func TestDecodeCatalogRefusesHostileCount(t *testing.T) {
+	const claimed = 3 << 20
+	p := []byte{binChunkKindCatalog, 0, 0} // no sites, no users
+	p = binary.AppendUvarint(p, claimed)
+	p = append(p, bytes.Repeat([]byte{0xff}, claimed)...) // passes the one-byte-per-element check only
+	var err error
+	got := allocatedBy(func() { _, _, _, err = decodeBinCatalog(p) })
+	if err == nil || !strings.Contains(err.Error(), "catalog chunk") {
+		t.Fatalf("decodeBinCatalog error = %v, want a catalog chunk error", err)
+	}
+	if limit := uint64(binPreallocCap)*uint64(unsafe.Sizeof(File{})) + 1<<16; got > limit {
+		t.Errorf("a %d-file claim over a %d-byte payload allocated %d bytes, want <= %d", claimed, len(p), got, limit)
+	}
+}
+
+// TestMapCatalogSurvivesClose: a mapped source's catalogs stay valid after
+// Close has unmapped the file — names are copies, not views of the mapping —
+// so a server can open a trace for its catalog and close it again.
+func TestMapCatalogSurvivesClose(t *testing.T) {
+	if !mmapWorks(t) {
+		t.Skip("mmap unavailable on this platform")
+	}
+	tr := buildManyJobs(t, 100)
+	src, err := Open(writeBinFile(t, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := src.(*MapSource); !ok {
+		t.Fatalf("Open returned %T, want *MapSource", src)
+	}
+	files, users, sites := src.Files(), src.Users(), src.Sites()
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// An aliased name would fault here: the pages are gone.
+	if !reflect.DeepEqual(files, tr.Files) || !reflect.DeepEqual(users, tr.Users) || !reflect.DeepEqual(sites, tr.Sites) {
+		t.Error("catalogs read after Close differ from the encoded trace")
+	}
+}
