@@ -8,10 +8,11 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHDIR ?= .bench
 # Benchmarks the regression gate watches: the sweep engine pair, the online
-# identification engine's observe/snapshot pairs, the serving hot path, and
-# the trace-codec decode pair. The Large sweep variants are excluded by the
-# $$ anchors.
-BENCHPAT ?= SweepEngine$$|SweepSequential$$|CacheReplay|Server|Observe|Snapshot|DecodeText$$|DecodeBin$$|DecodeMmap$$|DecodeKV$$|MapIterate$$|ServeTCP
+# identification engine's observe/snapshot pairs, the serving hot path, the
+# trace-codec decode pair, and the cold path before the first answer
+# (generate, order jobs, merge requests — gated on B/op and allocs/op only).
+# The Large sweep variants are excluded by the $$ anchors.
+BENCHPAT ?= SweepEngine$$|SweepSequential$$|CacheReplay|Server|Observe|Snapshot|DecodeText$$|DecodeBin$$|DecodeMmap$$|DecodeKV$$|MapIterate$$|ServeTCP|GenerateWorkload$$|RequestStream$$|SortJobsByStart$$
 BENCH_TOLERANCE ?= 0.15
 # Pinned linter versions, run via `go run` so go.mod stays dependency-free.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzTraceCodec -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzBinRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzMmapDecode -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzRequestOrder -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzEnginePrefix -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzServerHandlers -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzAdviseConsistency -fuzztime=$(FUZZTIME) ./internal/server
@@ -108,7 +110,8 @@ bench-json:
 # mapped decode slower than 0.9x the streaming decode, a sub-3x
 # wire-over-JSON serving speedup, a WAL-on observe more than 10x the bare
 # engine, wire throughput/p99 outside the absolute CI bounds, a mapped
-# per-job hot loop that allocates, or any sweep miss-rate drift.
+# per-job hot loop that allocates, >15% more allocs/op on the cold path
+# (whose ns/op is recorded, not gated), or any sweep miss-rate drift.
 bench-gate: bench-json
 	$(GO) run ./cmd/filecule-benchgate -report BENCH_sweep.json \
 		-baseline BENCH_baseline.json -tolerance $(BENCH_TOLERANCE)

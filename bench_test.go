@@ -15,11 +15,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,15 +98,45 @@ func BenchmarkPlacement(b *testing.B)        { benchExperiment(b, "placement") }
 
 // --- micro-benchmarks of the building blocks ---
 
+// BenchmarkGenerateWorkload, BenchmarkRequestStream and
+// BenchmarkSortJobsByStart are the cold path every run pays before its first
+// answer. The gate holds their B/op and allocs/op (fixed inputs make both
+// exact); ns/op is recorded only.
 func BenchmarkGenerateWorkload(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t, err := synth.Generate(synth.DZero(int64(i), 0.01))
+		t, err := synth.Generate(synth.DZero(1, 0.01))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(t.Jobs) == 0 {
 			b.Fatal("empty trace")
 		}
+	}
+}
+
+// BenchmarkSortJobsByStart orders 100 k jobs that arrive shuffled, as they do
+// from a generator or an unordered source.
+func BenchmarkSortJobsByStart(b *testing.B) {
+	const n = 100_000
+	r := rand.New(rand.NewSource(1))
+	t0 := time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC)
+	shuffled := make([]trace.Job, n)
+	for i := range shuffled {
+		start := t0.Add(time.Duration(r.Int63n(int64(810 * 24 * time.Hour))).Truncate(time.Second))
+		shuffled[i] = trace.Job{Node: "node", App: "app", Version: "v1", Start: start, End: start.Add(time.Hour)}
+	}
+	t := &trace.Trace{Jobs: make([]trace.Job, n)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(t.Jobs, shuffled)
+		b.StartTimer()
+		t.SortJobsByStart()
+	}
+	if !sort.SliceIsSorted(t.Jobs, func(a, c int) bool { return t.Jobs[a].Start.Before(t.Jobs[c].Start) }) {
+		b.Fatal("jobs not in start order")
 	}
 }
 
@@ -176,6 +208,7 @@ func BenchmarkCacheReplayOPT(b *testing.B) {
 
 func BenchmarkRequestStream(b *testing.B) {
 	t := benchRunner.Trace()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(t.Requests()) == 0 {

@@ -65,7 +65,7 @@ func run(args []string, stdout io.Writer) error {
 
 		reportPath   = fs.String("report", "", "report to gate against the baseline")
 		basePath     = fs.String("baseline", "", "committed baseline report")
-		tolerance    = fs.Float64("tolerance", 0.15, "allowed fractional regression of ns/op and B/op")
+		tolerance    = fs.Float64("tolerance", 0.15, "allowed fractional regression of ns/op, B/op and (cold-path benchmarks) allocs/op")
 		speedupFloor = fs.Float64("speedup-floor", 3, "required SweepEngine over SweepSequential wall-clock ratio (0 disables)")
 		observeFloor = fs.Float64("observe-speedup-floor", 4, "required ObserveEngineParallel over ObserveRefiner wall-clock ratio (0 disables)")
 		decodeFloor  = fs.Float64("decode-speedup-floor", 2, "required DecodeBin over DecodeText wall-clock ratio (0 disables)")
@@ -285,6 +285,16 @@ var noRelativeNsOp = map[string]bool{
 	"DecodeMmap":   true,
 }
 
+// coldPath lists the trace-preparation benchmarks (fixed inputs, no
+// concurrency), which are held to the machine-independent half of their
+// record: B/op like every benchmark, allocs/op in its place of ns/op, which
+// the baseline records but a different host would not reproduce.
+var coldPath = map[string]bool{
+	"GenerateWorkload": true,
+	"RequestStream":    true,
+	"SortJobsByStart":  true,
+}
+
 // gate compares a report against the baseline and returns all violations.
 func gate(base, rep *Report, tolerance float64, pairs []speedupPair, ceilings []overheadPair, bounds []metricBound) []string {
 	var out []string
@@ -306,8 +316,8 @@ func gate(base, rep *Report, tolerance float64, pairs []speedupPair, ceilings []
 			out = append(out, fmt.Sprintf("%s: present in baseline, missing from report", name))
 			continue
 		}
-		for _, unit := range []string{"ns/op", "B/op"} {
-			if unit == "ns/op" && noRelativeNsOp[name] {
+		for _, unit := range []string{"ns/op", "B/op", "allocs/op"} {
+			if unit == "ns/op" && (noRelativeNsOp[name] || coldPath[name]) || unit == "allocs/op" && !coldPath[name] {
 				continue
 			}
 			bv, bok := bb.Metrics[unit]

@@ -237,6 +237,28 @@ func TestGateTCPNsOpExempt(t *testing.T) {
 	}
 }
 
+// TestGateColdPathAllocs: the trace-preparation benchmarks are held on B/op
+// and allocs/op and have their ns/op recorded only; allocs/op of any other
+// benchmark stays unbanded.
+func TestGateColdPathAllocs(t *testing.T) {
+	mk := func(ns, bytes, allocs float64) *Report {
+		m := func() map[string]float64 { return map[string]float64{"ns/op": ns, "B/op": bytes, "allocs/op": allocs} }
+		return &Report{Benchmarks: []Benchmark{{Name: "SortJobsByStart", Metrics: m()}, {Name: "ServerAdvise", Metrics: m()}}}
+	}
+	base := mk(40e6, 2e6, 2)
+	if v := gate(base, mk(400e6, 2e6, 2), 0.15, nil, nil, nil); len(v) != 1 || !strings.Contains(v[0], "ServerAdvise: ns/op") {
+		t.Errorf("a slower host must fire for ServerAdvise only, got %v", v)
+	}
+	v := gate(base, mk(40e6, 2e6, 100002), 0.15, nil, nil, nil)
+	if len(v) != 1 || !strings.Contains(v[0], "SortJobsByStart: allocs/op") {
+		t.Errorf("want one SortJobsByStart allocs/op violation, got %v", v)
+	}
+	v = gate(base, mk(40e6, 20e6, 2), 0.15, nil, nil, nil)
+	if len(v) != 2 || !strings.Contains(v[0], "B/op") || !strings.Contains(v[1], "B/op") {
+		t.Errorf("want B/op violations for both, got %v", v)
+	}
+}
+
 func TestGateMetricBounds(t *testing.T) {
 	bounds := []metricBound{
 		{bench: "ServeTCPWire", unit: "req/s", floor: 30000},

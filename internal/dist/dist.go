@@ -122,13 +122,19 @@ type Constant struct{ V float64 }
 // Sample implements Sampler.
 func (c Constant) Sample(*rand.Rand) float64 { return c.V }
 
-// Zipf draws ranks in [0, N) with P(k) proportional to 1/(k+1)^S. It wraps
-// math/rand's rejection-inversion sampler. S may be any positive value; S
-// near 0 degenerates toward uniform (handled explicitly since rand.Zipf
-// requires S > 1).
+// Zipf draws ranks in [0, n) with P(k) proportional to 1/(k+1)^s. s may be
+// any non-negative value: above 1.001 it wraps math/rand's rejection-inversion
+// sampler (which requires s > 1); at or below, it inverts the continuous
+// approximation of the generalized harmonic CDF, integral_1^x t^-s dt scaled
+// to [1, n+1], in O(1) per draw. The fields are unexported so that NewZipf,
+// which computes the per-(s, n) constant of that inversion once, is the only
+// way to a usable value; the zero Zipf panics on Rank.
 type Zipf struct {
-	N uint64
-	S float64
+	n uint64
+	s float64
+	// norm is the CDF's normalizer: log(n+1) for s = 1, else
+	// ((n+1)^(1-s) - 1) / (1-s). Unused for s = 0 and s > 1.001.
+	norm float64
 }
 
 // NewZipf validates and returns a Zipf rank sampler over [0, n).
@@ -136,44 +142,36 @@ func NewZipf(s float64, n uint64) Zipf {
 	if n == 0 || s < 0 {
 		panic(fmt.Sprintf("dist: zipf needs n>0, s>=0; got s=%v n=%d", s, n))
 	}
-	return Zipf{N: n, S: s}
-}
-
-// Rank samples a rank in [0, N).
-func (z Zipf) Rank(r *rand.Rand) uint64 {
-	if z.S <= 1.001 {
-		// rand.Zipf requires s>1; fall back to a weighted inverse-CDF
-		// computed lazily would be costly, so approximate near-uniform
-		// and mildly skewed regimes with the harmonic inversion below.
-		return harmonicRank(r, z.N, z.S)
-	}
-	return rand.NewZipf(r, z.S, 1, z.N-1).Uint64()
-}
-
-// harmonicRank inverts the generalized harmonic CDF by binary search on a
-// precomputed-free running sum approximation. For the modest N used by the
-// generator (tens of thousands) a direct linear pass is fine; to keep it
-// O(log n) we use the continuous approximation of the zeta CDF.
-func harmonicRank(r *rand.Rand, n uint64, s float64) uint64 {
-	u := r.Float64()
-	if s == 0 {
-		return uint64(u * float64(n))
-	}
-	// Continuous inverse of integral_1^x t^-s dt scaled to [1, n+1].
-	fn := float64(n)
+	z := Zipf{n: n, s: s}
 	if math.Abs(s-1) < 1e-9 {
-		x := math.Exp(u * math.Log(fn+1))
-		k := uint64(x) - 1
-		if k >= n {
-			k = n - 1
-		}
-		return k
+		z.norm = math.Log(float64(n) + 1)
+	} else {
+		z.norm = (math.Pow(float64(n)+1, 1-s) - 1) / (1 - s)
 	}
-	total := (math.Pow(fn+1, 1-s) - 1) / (1 - s)
-	x := math.Pow(u*total*(1-s)+1, 1/(1-s))
+	return z
+}
+
+// Rank samples a rank in [0, n).
+func (z Zipf) Rank(r *rand.Rand) uint64 {
+	if z.n == 0 {
+		panic("dist: Zipf not made by NewZipf")
+	}
+	if z.s > 1.001 {
+		return rand.NewZipf(r, z.s, 1, z.n-1).Uint64()
+	}
+	u := r.Float64()
+	if z.s == 0 {
+		return uint64(u * float64(z.n))
+	}
+	var x float64
+	if math.Abs(z.s-1) < 1e-9 {
+		x = math.Exp(u * z.norm)
+	} else {
+		x = math.Pow(u*z.norm*(1-z.s)+1, 1/(1-z.s))
+	}
 	k := uint64(x) - 1
-	if k >= n {
-		k = n - 1
+	if k >= z.n {
+		k = z.n - 1
 	}
 	return k
 }

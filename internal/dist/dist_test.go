@@ -103,6 +103,58 @@ func TestZipfRanksInRange(t *testing.T) {
 	}
 }
 
+// referenceZipfRank is Zipf.Rank as it stood before NewZipf cached the
+// normalizer: everything recomputed from (s, n) on every draw.
+func referenceZipfRank(r *rand.Rand, s float64, n uint64) uint64 {
+	if s > 1.001 {
+		return rand.NewZipf(r, s, 1, n-1).Uint64()
+	}
+	u := r.Float64()
+	if s == 0 {
+		return uint64(u * float64(n))
+	}
+	fn := float64(n)
+	var x float64
+	if math.Abs(s-1) < 1e-9 {
+		x = math.Exp(u * math.Log(fn+1))
+	} else {
+		total := (math.Pow(fn+1, 1-s) - 1) / (1 - s)
+		x = math.Pow(u*total*(1-s)+1, 1/(1-s))
+	}
+	k := uint64(x) - 1
+	if k >= n {
+		k = n - 1
+	}
+	return k
+}
+
+// TestZipfRankSequencesUnchanged: the cached constant must not move a single
+// rank — generated traces are pinned to the draw sequence.
+func TestZipfRankSequencesUnchanged(t *testing.T) {
+	for _, s := range []float64{0, 0.8, 1, 1.001, 1.5} {
+		for _, n := range []uint64{1, 2, 37, 1000, 1 << 20} {
+			got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+			z := NewZipf(s, n)
+			for i := 0; i < 2000; i++ {
+				if g, w := z.Rank(got), referenceZipfRank(want, s, n); g != w {
+					t.Fatalf("s=%v n=%d draw %d: rank %d, reference %d", s, n, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestZeroZipfPanics: a Zipf that skipped NewZipf has no cached constant to
+// draw with, and says so.
+func TestZeroZipfPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Rank on the zero Zipf did not panic")
+		}
+	}()
+	Zipf{}.Rank(rng())
+}
+
 func TestZipfSkewIncreasesWithS(t *testing.T) {
 	r := rng()
 	top := func(s float64) float64 {

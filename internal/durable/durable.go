@@ -362,12 +362,10 @@ func (d *Engine) Checkpoint() error {
 	}
 	st := d.eng.ExportState()
 	epoch := d.epoch + 1
-	f, path, logical, err := createWalFile(d.dir, epoch, st.Observed, d.wal.segBytes)
+	err := d.wal.Rotate(epoch, st.Observed, func() (*os.File, string, int64, error) {
+		return createWalFile(d.dir, epoch, st.Observed, d.wal.segBytes)
+	})
 	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if err := d.wal.Rotate(f, path, epoch, st.Observed, logical); err != nil {
 		d.mu.Unlock()
 		return err
 	}

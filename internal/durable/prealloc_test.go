@@ -216,3 +216,75 @@ func TestInspectPreallocatedTail(t *testing.T) {
 		t.Fatalf("post-recovery size %v, want %d (err %v)", fi, logical, err)
 	}
 }
+
+// copyDir snapshots a state directory: what a process killed at this instant
+// would leave behind (every write the WAL acknowledges is already synced).
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestCheckpointCrashWindows kills the process (by snapshotting the state
+// directory) at the two instants inside a checkpoint's WAL rotation — after
+// the old segment is sealed, and after the new epoch's segment exists but
+// before the checkpoint file is written — and requires both snapshots to
+// recover every acknowledged job. Creating the new epoch before trimming the
+// old segment's fallocated tail, as Checkpoint once did, leaves a zero tail
+// below the newest segment in the first snapshot and recovery refuses it
+// ("damaged below the newest segment ... chunk payload length 0").
+func TestCheckpointCrashWindows(t *testing.T) {
+	if !preallocWorks(t) {
+		t.Skip("fallocate not effective on this platform/filesystem")
+	}
+	dir := t.TempDir()
+	const segBytes, jobs = 1 << 15, 40
+	d := mustOpen(t, Options{Dir: dir, SegmentBytes: segBytes, SyncCommit: true})
+	observeN(t, d, 0, jobs)
+
+	// Checkpoint's rotation, with the file creation spied on.
+	if err := d.wal.SyncNow(); err != nil {
+		t.Fatal(err)
+	}
+	var sealed, created string
+	err := d.wal.Rotate(d.epoch+1, jobs, func() (*os.File, string, int64, error) {
+		if fi, err := os.Stat(filepath.Join(dir, "wal-0")); err != nil || fi.Size() >= segBytes {
+			t.Errorf("the old segment still has its preallocated tail when the new epoch is created: %v, %v", fi, err)
+		}
+		sealed = copyDir(t, dir)
+		f, path, n, err := createWalFile(dir, d.epoch+1, jobs, segBytes)
+		created = copyDir(t, dir)
+		return f, path, n, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, snap := range map[string]string{"sealed": sealed, "created": created, "closed": dir} {
+		r, err := Open(Options{Dir: snap, SegmentBytes: segBytes})
+		if err != nil {
+			t.Fatalf("killed after %s: recovery failed: %v", name, err)
+		}
+		if rec := r.Recovery(); rec.Observed != jobs || rec.ReplayedJobs != jobs {
+			t.Errorf("killed after %s: recovered %d jobs (%d replayed), want %d", name, rec.Observed, rec.ReplayedJobs, jobs)
+		}
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -297,14 +297,15 @@ func (w *wal) SyncNow() error {
 	return w.err
 }
 
-// Rotate swaps in a new epoch's first segment (magic and header already
-// written and synced by the caller; base is the new epoch's base observed
-// -count, fileBytes the new file's logical size). The caller must have
-// quiesced appends and called SyncNow; the old file is truncated to its
-// logical length and closed here — once the new epoch exists the old
-// segment is no longer "newest", and recovery treats a leftover
-// preallocated zero tail below the newest segment as fatal corruption.
-func (w *wal) Rotate(f *os.File, path string, epoch uint64, base, fileBytes int64) error {
+// Rotate seals the current segment — truncated to its logical length,
+// fsynced, closed — and only then has create make the new epoch's first
+// segment (magic and header written and synced; base is the new epoch's base
+// observed-count) and swaps it in. The order matters to a crash in between:
+// once the new epoch exists the old segment is no longer "newest", and
+// recovery treats a leftover preallocated zero tail below the newest segment
+// as fatal corruption. The caller must have quiesced appends and called
+// SyncNow. Any failure is sticky: a sealed log takes no more appends.
+func (w *wal) Rotate(epoch uint64, base int64, create func() (f *os.File, path string, fileBytes int64, err error)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if len(w.pendLens) != 0 {
@@ -317,9 +318,14 @@ func (w *wal) Rotate(f *os.File, path string, epoch uint64, base, fileBytes int6
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
-	w.f, w.path = f, path
-	w.pos = walPosition{dir: w.pos.dir, epoch: epoch, epochBase: base}
-	w.fileBytes = fileBytes
+	if err == nil {
+		if f, path, fileBytes, cerr := create(); cerr == nil {
+			w.f, w.path, w.fileBytes = f, path, fileBytes
+			w.pos = walPosition{dir: w.pos.dir, epoch: epoch, epochBase: base}
+		} else {
+			err = cerr
+		}
+	}
 	if err != nil && w.err == nil {
 		w.err = err
 	}

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"io"
-	"sort"
+	"slices"
 
 	"filecule/internal/core"
 	"filecule/internal/trace"
@@ -10,22 +10,24 @@ import (
 
 // SweepSource replays the full grid from a job stream instead of a
 // materialized trace: one pass drains src, folding each job into an online
-// identification engine and expanding it into requests, then hands the
-// snapshot partition and the time-sorted request stream to Sweep. Peak
-// memory is the request stream plus the partition — job records themselves
-// are never retained, so traces read from a chunked Source (text Scanner or
-// binary BinSource) stream through without ever existing in full.
+// identification engine and keeping what its request expansion reads (ID,
+// interval, a copy of the file list), then hands the snapshot partition and
+// the merged request stream to Sweep. Peak memory is the request stream plus
+// the partition — OPT's next-use chains need the whole stream — while job
+// records proper are never retained, so traces read from a chunked Source
+// (text Scanner or binary BinSource) stream through without ever existing in
+// full.
 //
 // For any trace t, SweepSource(trace.NewTraceSource(t), cfg) is cell-for-cell
 // identical to Sweep(t, core.Identify(t), t.Requests(), cfg): identification
-// is commutative over job order, and requests accumulated in stream order
-// stable-sort into exactly the Requests ordering.
+// is commutative over job order, and trace.MergeRequests over the jobs in
+// stream order is exactly the Requests ordering.
 func SweepSource(src trace.Source, cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	e := core.NewEngine(0)
-	var reqs []trace.Request
+	var runs []trace.Job
 	jobs := 0
 	for {
 		j, err := src.Next()
@@ -36,12 +38,12 @@ func SweepSource(src trace.Source, cfg SweepConfig) (*SweepResult, error) {
 			return nil, err
 		}
 		e.Observe(j.Files)
-		reqs = trace.AppendRequests(reqs, j)
+		if len(j.Files) > 0 {
+			runs = append(runs, trace.Job{ID: j.ID, Start: j.Start, End: j.End, Files: slices.Clone(j.Files)})
+		}
 		jobs++
 	}
-	sort.SliceStable(reqs, func(a, b int) bool {
-		return reqs[a].Time.Before(reqs[b].Time)
-	})
+	reqs := trace.MergeRequests(runs)
 	p := e.Snapshot()
 
 	// The grid only needs the file catalog (sizes for capacity accounting,

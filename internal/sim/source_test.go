@@ -2,7 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"filecule/internal/core"
 	"filecule/internal/trace"
@@ -83,5 +87,46 @@ func TestSweepSourceValidates(t *testing.T) {
 	}
 	if _, err := SweepSource(trace.NewTraceSource(tr), SweepConfig{Scale: -1}); err == nil {
 		t.Fatal("SweepSource accepted negative scale")
+	}
+}
+
+// TestSweepSourceStreamOrder holds the request stream SweepSource merges to
+// the reference ordering — requests concatenated in stream order, then
+// stable-sorted by time — on traces built to make order matter: jobs that
+// arrive out of start order (a generated stream's order), starts and whole
+// runs that tie, zero-duration and empty jobs, and caches of a few files, so
+// a request that moves across a tie changes what LRU holds.
+func TestSweepSourceStreamOrder(t *testing.T) {
+	cfg := SweepConfig{Scale: 1, Policies: []string{"lru"}, Granularities: []string{"file", "filecule"},
+		CapacitiesTB: []float64{3e-6, 8e-6}} // 3 and 8 one-megabyte files
+	t0 := time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC)
+	r := rand.New(rand.NewSource(18))
+	for round := 0; round < 60; round++ {
+		tr := &trace.Trace{Users: []trace.User{{}}, Sites: []trace.Site{{}}, Files: make([]trace.File, 24)}
+		for i := range tr.Files {
+			tr.Files[i] = trace.File{ID: trace.FileID(i), Size: 1e6}
+		}
+		for i := 0; i < 5+r.Intn(40); i++ {
+			start := t0.Add(time.Duration(r.Intn(6)) * time.Second)
+			j := trace.Job{ID: trace.JobID(i), Start: start, End: start.Add(time.Duration(r.Intn(4)) * time.Second)}
+			for k := r.Intn(6); k > 0; k-- {
+				j.Files = append(j.Files, trace.FileID(r.Intn(len(tr.Files))))
+			}
+			tr.Jobs = append(tr.Jobs, j)
+		}
+		var reqs []trace.Request
+		for i := range tr.Jobs {
+			reqs = trace.AppendRequests(reqs, &tr.Jobs[i])
+		}
+		sort.SliceStable(reqs, func(a, b int) bool { return reqs[a].Time.Before(reqs[b].Time) })
+		want, err := Sweep(tr, core.Identify(tr), reqs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SweepSource(trace.NewTraceSource(tr), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffCells(t, fmt.Sprintf("round %d", round), got, want)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -18,16 +20,23 @@ func Generate(cfg Config) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, ph := range g.jobPhases() {
+	phases := g.jobPhases()
+	n := 0
+	for _, ph := range phases {
+		n += ph.n
+	}
+	t := g.catalog
+	t.Jobs = make([]trace.Job, 0, n)
+	for _, ph := range phases {
 		for k := 0; k < ph.n; k++ {
-			g.b.Job(ph.make())
+			t.Jobs = append(t.Jobs, ph.make())
 		}
 	}
-	t := g.b.Build()
+	t.SortJobsByStart()
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: generated invalid trace: %w", err)
 	}
-	return t, nil
+	return &t, nil
 }
 
 // newGenerator validates the config and runs every setup phase: catalogs,
@@ -36,6 +45,10 @@ func Generate(cfg Config) (*trace.Trace, error) {
 // only job emission — via jobPhases — remains. None of the phase constructors
 // draw from the RNG, so jobs pulled lazily see exactly the draw sequence
 // Generate's eager loops see.
+//
+// The rule for every change here: no draw moves. What is drawn, from which
+// sampler, in which order decides the trace; how names are formatted, slices
+// sized or duplicates detected must not (TestGeneratorGoldens).
 func newGenerator(cfg Config) (*generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -43,16 +56,20 @@ func newGenerator(cfg Config) (*generator, error) {
 	g := &generator{
 		cfg: &cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
-		b:   trace.NewBuilder(),
 	}
-	g.buildSites()
-	g.buildUsers()
+	// The builder and its name→ID maps are garbage once the (few) sites and
+	// users are taken from it.
+	b := trace.NewBuilder()
+	g.buildSites(b)
+	g.buildUsers(b)
+	g.catalog = *b.Build()
 	g.buildDatasets()
 	// Hot files are created directly after the datasets: the job loops
 	// between here and plantHotFilecule's original position create no
 	// files and the creation draws no randomness, so IDs and RNG state
 	// are unchanged — but the catalog is complete before any job exists.
 	g.plantHotFiles()
+	g.catalog.Files = slices.Clip(g.catalog.Files)
 	g.buildInterests()
 	g.buildDayChooser()
 	return g, nil
@@ -96,7 +113,8 @@ type userInfo struct {
 type generator struct {
 	cfg *Config
 	rng *rand.Rand
-	b   *trace.Builder
+	// catalog holds the files, users and sites; Generate adds the jobs.
+	catalog trace.Trace
 
 	// Per domain.
 	domainSites [][]trace.SiteID
@@ -123,13 +141,13 @@ type generator struct {
 
 	homeRegions [][]int // per domain
 
-	fileCount int
 	// hotFiles are the planted case-study files (empty when the hot
 	// filecule is disabled).
 	hotFiles []trace.FileID
 
-	// fileScratch is jobFiles' reused assembly buffer.
-	fileScratch []trace.FileID
+	// jobFiles' reused buffers: the assembled list and the datasets picked.
+	fileScratch   []trace.FileID
+	chosenScratch []int
 }
 
 type regionPick struct {
@@ -137,7 +155,7 @@ type regionPick struct {
 	choose  *dist.WeightedChoice
 }
 
-func (g *generator) buildSites() {
+func (g *generator) buildSites(b *trace.Builder) {
 	c := g.cfg
 	g.domainSites = make([][]trace.SiteID, len(c.Domains))
 	g.siteNodes = make(map[trace.SiteID][]string)
@@ -152,7 +170,7 @@ func (g *generator) buildSites() {
 		}
 		for s := 0; s < nsites; s++ {
 			name := fmt.Sprintf("%s-%d", base, s)
-			id := g.b.Site(name, dom.Domain, 0)
+			id := b.Site(name, dom.Domain, 0)
 			g.domainSites[d] = append(g.domainSites[d], id)
 		}
 		nodes := dom.Nodes
@@ -167,7 +185,7 @@ func (g *generator) buildSites() {
 	g.domainChooser = dist.NewWeightedChoice(weights)
 }
 
-func (g *generator) buildUsers() {
+func (g *generator) buildUsers(b *trace.Builder) {
 	c := g.cfg
 	us := c.userScale()
 	nTiers := len(c.Tiers)
@@ -180,7 +198,7 @@ func (g *generator) buildUsers() {
 		for k := 0; k < n; k++ {
 			idx := len(g.users)
 			site := g.domainSites[d][k%len(g.domainSites[d])]
-			id := g.b.User(fmt.Sprintf("u%d", idx), site)
+			id := b.User(fmt.Sprintf("u%d", idx), site)
 			u := userInfo{id: id, site: site, domain: d, active: make([]bool, nTiers)}
 			anyActive := false
 			for t := range c.Tiers {
@@ -225,6 +243,14 @@ func (g *generator) buildDatasets() {
 	c := g.cfg
 	g.datasets = make([][]dataset, len(c.Tiers))
 	g.regionDatasets = make([][][]int, len(c.Tiers))
+	// Size the catalog from the tier targets (the realised count is within a
+	// few percent of them at bench scales) so it is not grown by doubling.
+	want := 2 // the hot files
+	for t := range c.Tiers {
+		want += scaleCount(c.Tiers[t].Files, c.Scale, 0)
+	}
+	g.catalog.Files = make([]trace.File, 0, want+want/16)
+	var name []byte
 	for t := range c.Tiers {
 		tp := &c.Tiers[t]
 		filesTarget := int(math.Round(float64(tp.Files) * c.Scale))
@@ -237,18 +263,25 @@ func (g *generator) buildDatasets() {
 		g.regionDatasets[t] = make([][]int, c.InterestRegions)
 		for ds := 0; ds < nDatasets; ds++ {
 			n := dist.ClampInt(nFiles.Sample(g.rng), 1, 5000)
-			d := dataset{region: g.rng.Intn(c.InterestRegions)}
-			for k := 0; k < n; k++ {
+			d := dataset{region: g.rng.Intn(c.InterestRegions), files: make([]trace.FileID, n)}
+			name = fmt.Appendf(name[:0], "t%d-d%d-f", t, ds)
+			for k := range d.files {
 				mb := size.Sample(g.rng)
 				bytes := dist.ClampInt64(mb*(1<<20), 1<<20, int64(tp.MaxFileSizeMB*(1<<20)))
-				name := fmt.Sprintf("t%d-d%d-f%d", t, ds, k)
-				d.files = append(d.files, g.b.File(name, bytes, tp.Tier))
-				g.fileCount++
+				d.files[k] = g.addFile(string(strconv.AppendInt(name, int64(k), 10)), bytes, tp.Tier)
 			}
 			g.datasets[t] = append(g.datasets[t], d)
 			g.regionDatasets[t][d.region] = append(g.regionDatasets[t][d.region], ds)
 		}
 	}
+}
+
+// addFile appends a file and returns its ID. The generator's names are unique
+// by construction, so there is nothing to memoize and no name→ID map to fill.
+func (g *generator) addFile(name string, size int64, tier trace.Tier) trace.FileID {
+	id := trace.FileID(len(g.catalog.Files))
+	g.catalog.Files = append(g.catalog.Files, trace.File{ID: id, Name: name, Size: size, Tier: tier})
+	return id
 }
 
 func (g *generator) buildInterests() {
@@ -357,6 +390,8 @@ func (g *generator) pickUser(tier int) *userInfo {
 	return &g.users[pool[g.rng.Intn(len(pool))]]
 }
 
+var jobVersions = [...]string{"v1", "v2", "v3", "v4", "v5"}
+
 var tierApps = map[trace.Tier]string{
 	trace.TierReconstructed: "d0_analyze_reco",
 	trace.TierRootTuple:     "root_analyze",
@@ -387,7 +422,7 @@ func (g *generator) tierPhase(t int) jobPhase {
 			Node:   g.pickNode(u.site),
 			Tier:   tp.Tier,
 			Family: trace.FamilyAnalysis,
-			App:    app, Version: fmt.Sprintf("v%d", 1+g.rng.Intn(5)),
+			App:    app, Version: jobVersions[g.rng.Intn(len(jobVersions))],
 			Start: start, End: end,
 			Files: files,
 		}
@@ -405,7 +440,7 @@ func (g *generator) jobFiles(tier, domain int, interest []int, nDS int) []trace.
 		return nil
 	}
 	z := dist.NewZipf(g.cfg.JobZipfS, uint64(len(interest)))
-	chosen := make(map[int]struct{}, nDS)
+	chosen := g.chosenScratch[:0]
 	files := g.fileScratch[:0]
 	for tries := 0; len(chosen) < nDS && tries < 6*nDS+20; tries++ {
 		var ds int
@@ -418,26 +453,25 @@ func (g *generator) jobFiles(tier, domain int, interest []int, nDS int) []trace.
 		} else {
 			ds = interest[int(z.Rank(g.rng))]
 		}
-		if _, dup := chosen[ds]; dup {
+		if slices.Contains(chosen, ds) {
 			continue
 		}
-		chosen[ds] = struct{}{}
+		chosen = append(chosen, ds)
 		dsFiles := g.datasets[tier][ds].files
 		if g.rng.Float64() < g.cfg.SubsetProb && len(dsFiles) > 1 {
 			lo := g.rng.Intn(len(dsFiles))
 			hi := lo + 1 + g.rng.Intn(len(dsFiles)-lo)
 			dsFiles = dsFiles[lo:hi]
 		}
-		if g.cfg.ShuffleWithinDataset && len(dsFiles) > 1 {
-			shuffled := append([]trace.FileID(nil), dsFiles...)
-			g.rng.Shuffle(len(shuffled), func(a, b int) {
-				shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
-			})
-			dsFiles = shuffled
-		}
+		at := len(files)
 		files = append(files, dsFiles...)
+		if picked := files[at:]; g.cfg.ShuffleWithinDataset && len(picked) > 1 {
+			g.rng.Shuffle(len(picked), func(a, b int) {
+				picked[a], picked[b] = picked[b], picked[a]
+			})
+		}
 	}
-	g.fileScratch = files
+	g.fileScratch, g.chosenScratch = files, chosen
 	out := make([]trace.FileID, len(files))
 	copy(out, files)
 	return out
@@ -468,7 +502,7 @@ func (g *generator) otherPhase() jobPhase {
 			Node:   g.pickNode(u.site),
 			Tier:   trace.TierOther,
 			Family: families[fi],
-			App:    apps[fi], Version: fmt.Sprintf("v%d", 1+g.rng.Intn(5)),
+			App:    apps[fi], Version: jobVersions[g.rng.Intn(len(jobVersions))],
 			Start: start, End: end,
 		}
 	}}
@@ -482,8 +516,8 @@ func (g *generator) plantHotFiles() {
 	if !g.cfg.PlantHotFilecule {
 		return
 	}
-	f1 := g.b.File("hot-tmb-0", int64(11)*(1<<30)/10, trace.TierThumbnail)
-	f2 := g.b.File("hot-tmb-1", int64(11)*(1<<30)/10, trace.TierThumbnail)
+	f1 := g.addFile("hot-tmb-0", int64(11)*(1<<30)/10, trace.TierThumbnail)
+	f2 := g.addFile("hot-tmb-1", int64(11)*(1<<30)/10, trace.TierThumbnail)
 	g.hotFiles = []trace.FileID{f1, f2}
 }
 

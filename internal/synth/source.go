@@ -36,9 +36,9 @@ type source struct {
 	closed bool
 }
 
-func (s *source) Files() []trace.File { return s.g.b.Files() }
-func (s *source) Users() []trace.User { return s.g.b.Users() }
-func (s *source) Sites() []trace.Site { return s.g.b.Sites() }
+func (s *source) Files() []trace.File { return s.g.catalog.Files }
+func (s *source) Users() []trace.User { return s.g.catalog.Users }
+func (s *source) Sites() []trace.Site { return s.g.catalog.Sites }
 
 func (s *source) Next() (*trace.Job, error) {
 	if s.closed {

@@ -185,10 +185,10 @@ type xrootdGen struct {
 	cfg XRootDConfig
 	rng *rand.Rand
 
-	b     *trace.Builder
-	files []trace.FileID // birth order == ID order
-	users []trace.UserID
-	sites []trace.SiteID
+	catalog *trace.Trace   // files, users and sites; no jobs
+	files   []trace.FileID // birth order == ID order
+	users   []trace.UserID
+	sites   []trace.SiteID
 
 	nFiles  int
 	nJobs   int
@@ -219,14 +219,16 @@ func (g *xrootdGen) build() {
 	g.span = time.Duration(c.Days) * 24 * time.Hour
 	g.birthDt = g.span / time.Duration(g.nFiles)
 
-	g.b = trace.NewBuilder()
+	// The builder's name→ID maps serve construction only: the stream keeps
+	// the built catalogs, not the builder.
+	b := trace.NewBuilder()
 	g.sites = make([]trace.SiteID, nSites)
 	for i := range g.sites {
-		g.sites[i] = g.b.Site(fmt.Sprintf("xcache-t2-%02d", i), ".edu", 1+i%4)
+		g.sites[i] = b.Site(fmt.Sprintf("xcache-t2-%02d", i), ".edu", 1+i%4)
 	}
 	g.users = make([]trace.UserID, nUsers)
 	for i := range g.users {
-		g.users[i] = g.b.User(fmt.Sprintf("cms%03d", i), g.sites[i%nSites])
+		g.users[i] = b.User(fmt.Sprintf("cms%03d", i), g.sites[i%nSites])
 	}
 
 	g.sizeS = dist.LognormalFromMean(c.MeanFileSizeMB, c.FileSizeSigma)
@@ -234,8 +236,9 @@ func (g *xrootdGen) build() {
 	g.files = make([]trace.FileID, g.nFiles)
 	for i := range g.files {
 		size := dist.ClampInt64(g.sizeS.Sample(g.rng)*1e6, 1e6, maxB)
-		g.files[i] = g.b.File(fmt.Sprintf("/store/data/block%04d/f%07d.root", i/256, i), size, trace.TierReconstructed)
+		g.files[i] = b.File(fmt.Sprintf("/store/data/block%04d/f%07d.root", i/256, i), size, trace.TierReconstructed)
 	}
+	g.catalog = b.Build()
 
 	g.userOf = dist.NewZipf(1.1, uint64(len(g.users)))
 	// Jitter spreads reuse over ~1 birth-day of neighbors around the
@@ -244,9 +247,9 @@ func (g *xrootdGen) build() {
 	g.jitterZ = dist.NewZipf(c.ZipfS, uint64(perDay))
 }
 
-func (g *xrootdGen) Files() []trace.File { return g.b.Files() }
-func (g *xrootdGen) Users() []trace.User { return g.b.Users() }
-func (g *xrootdGen) Sites() []trace.Site { return g.b.Sites() }
+func (g *xrootdGen) Files() []trace.File { return g.catalog.Files }
+func (g *xrootdGen) Users() []trace.User { return g.catalog.Users }
+func (g *xrootdGen) Sites() []trace.Site { return g.catalog.Sites }
 
 // birthTime returns file i's registration time.
 func (g *xrootdGen) birthTime(i int) time.Time {
@@ -327,7 +330,7 @@ func (g *xrootdGen) Next() (*trace.Job, error) {
 	g.job = trace.Job{
 		ID:     trace.JobID(g.emitted),
 		User:   u,
-		Site:   g.b.Users()[u].Site,
+		Site:   g.catalog.Users[u].Site,
 		Node:   "xcache",
 		Tier:   trace.TierReconstructed,
 		Family: trace.FamilyAnalysis,

@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -250,11 +251,17 @@ func (bw *BinWriter) writeJob(j *Job) error {
 			return fmt.Errorf("trace: bin: job %d produces unknown file %d", id, f)
 		}
 	}
+	// Each list is encoded once, here; the table lookups and, for a list not
+	// yet in this chunk, the insertion below all reuse that encoding.
+	bw.scratch = appendListRuns(bw.scratch[:0], j.Files)
+	filesEnc := bw.scratch
+	bw.scratch = appendListRuns(bw.scratch, j.Outputs)
+	outsEnc := bw.scratch[len(filesEnc):]
 	newEntries := 0
-	if _, ok := bw.internListLookup(j.Files); !ok {
+	if len(j.Files) > 0 && bw.listIdx[string(filesEnc)] == 0 {
 		newEntries += len(j.Files)
 	}
-	if _, ok := bw.internListLookup(j.Outputs); !ok {
+	if len(j.Outputs) > 0 && bw.listIdx[string(outsEnc)] == 0 {
 		newEntries += len(j.Outputs)
 	}
 	if newEntries > maxBinChunkListEntries {
@@ -277,8 +284,8 @@ func (bw *BinWriter) writeJob(j *Job) error {
 	bw.jVer = append(bw.jVer, bw.internString(j.Version))
 	bw.jStart = append(bw.jStart, start)
 	bw.jDur = append(bw.jDur, end-start)
-	bw.jFiles = append(bw.jFiles, bw.internList(j.Files))
-	bw.jOutputs = append(bw.jOutputs, bw.internList(j.Outputs))
+	bw.jFiles = append(bw.jFiles, bw.internList(filesEnc, len(j.Files)))
+	bw.jOutputs = append(bw.jOutputs, bw.internList(outsEnc, len(j.Outputs)))
 	bw.n++
 	return nil
 }
@@ -294,20 +301,15 @@ func (bw *BinWriter) internString(s string) uint32 {
 }
 
 // appendListRuns encodes ids as (zigzag start delta, run length) pairs over
-// maximal runs of consecutive ascending IDs, preceded by the run count.
+// maximal runs of consecutive ascending IDs, preceded by the run count. One
+// pass: the count is written first as len(ids), its upper bound, and put
+// right (the pairs moved up if it got shorter) once the runs are known.
 func appendListRuns(dst []byte, ids []FileID) []byte {
-	runs := 0
-	for i := 0; i < len(ids); {
-		j := i + 1
-		for j < len(ids) && ids[j] == ids[j-1]+1 {
-			j++
-		}
-		runs++
-		i = j
-	}
-	dst = binary.AppendUvarint(dst, uint64(runs))
-	prev := int64(0)
-	for i := 0; i < len(ids); {
+	head := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	body := len(dst)
+	runs, prev := 0, int64(0)
+	for i := 0; i < len(ids); runs++ {
 		j := i + 1
 		for j < len(ids) && ids[j] == ids[j-1]+1 {
 			j++
@@ -318,37 +320,30 @@ func appendListRuns(dst []byte, ids []FileID) []byte {
 		prev = start + int64(j-i)
 		i = j
 	}
-	return dst
-}
-
-// internListLookup reports whether ids is already in the chunk list table.
-func (bw *BinWriter) internListLookup(ids []FileID) (uint32, bool) {
-	if len(ids) == 0 {
-		return 0, true
+	if runs == len(ids) {
+		return dst
 	}
-	bw.scratch = appendListRuns(bw.scratch[:0], ids)
-	idx, ok := bw.listIdx[string(bw.scratch)]
-	return idx, ok
+	count := binary.AppendUvarint(dst[head:head], uint64(runs))
+	return append(dst[:head+len(count)], dst[body:]...)
 }
 
-// internList returns the 1-based chunk table index for ids (0 = empty),
-// adding it on first sight.
-func (bw *BinWriter) internList(ids []FileID) uint32 {
-	if len(ids) == 0 {
+// internList returns the 1-based chunk table index for the list of n IDs
+// that enc encodes (0 = empty), adding it on first sight.
+func (bw *BinWriter) internList(enc []byte, n int) uint32 {
+	if n == 0 {
 		return 0
 	}
-	bw.scratch = appendListRuns(bw.scratch[:0], ids)
-	if idx, ok := bw.listIdx[string(bw.scratch)]; ok {
+	if idx, ok := bw.listIdx[string(enc)]; ok {
 		return idx
 	}
 	if len(bw.listOffs) == 0 {
 		bw.listOffs = append(bw.listOffs, 0)
 	}
-	bw.listBuf = append(bw.listBuf, bw.scratch...)
+	bw.listBuf = append(bw.listBuf, enc...)
 	bw.listOffs = append(bw.listOffs, len(bw.listBuf))
 	idx := uint32(len(bw.listOffs) - 1) // 1-based
-	bw.listIdx[string(bw.scratch)] = idx
-	bw.listEntries += len(ids)
+	bw.listIdx[string(enc)] = idx
+	bw.listEntries += n
 	return idx
 }
 
@@ -594,167 +589,46 @@ func binPrealloc(n, rem, minRecord int) int {
 
 func decodeBinCatalog(payload []byte) (files []File, users []User, sites []Site, err error) {
 	b := &binBuf{b: payload, pos: 1}
-	// Catalogs are a fifth of decode time at trace scale, so the record
-	// loops use the same manual cursor as the job columns: the one-byte
-	// varint case inline, binary.Uvarint (inlined) for the rest, b.pos
-	// synced at every exit. Names are unique, so no interner — each string
-	// is allocated straight off the payload.
-	p := payload
 	nSites := b.count("site")
 	sites = make([]Site, 0, binPrealloc(nSites, b.rem(), 3))
-	pos := b.pos
 	for i := 0; i < nSites && b.err == nil; i++ {
-		var name, domain string
-		var n uint64
-		if pos < len(p) && p[pos] < 0x80 {
-			n = uint64(p[pos])
-			pos++
-		} else if v, w := binary.Uvarint(p[pos:]); w > 0 {
-			n = v
-			pos += w
-		} else {
-			b.pos = pos
-			b.fail("bad varint")
-			break
-		}
-		if n > uint64(len(p)-pos) {
-			b.pos = pos
-			b.fail("string length count %d exceeds chunk payload", n)
-			break
-		}
-		name = string(p[pos : pos+int(n)])
-		pos += int(n)
-		if pos < len(p) && p[pos] < 0x80 {
-			n = uint64(p[pos])
-			pos++
-		} else if v, w := binary.Uvarint(p[pos:]); w > 0 {
-			n = v
-			pos += w
-		} else {
-			b.pos = pos
-			b.fail("bad varint")
-			break
-		}
-		if n > uint64(len(p)-pos) {
-			b.pos = pos
-			b.fail("string length count %d exceeds chunk payload", n)
-			break
-		}
-		domain = string(p[pos : pos+int(n)])
-		pos += int(n)
-		if pos < len(p) && p[pos] < 0x80 {
-			n = uint64(p[pos])
-			pos++
-		} else if v, w := binary.Uvarint(p[pos:]); w > 0 {
-			n = v
-			pos += w
-		} else {
-			b.pos = pos
-			b.fail("bad varint")
-			break
-		}
-		nodes := int64(n>>1) ^ -int64(n&1)
-		sites = append(sites, Site{ID: SiteID(i), Name: name, Domain: domain, Nodes: int(nodes)})
+		name, domain := b.str(binOwnString), b.str(binOwnString)
+		sites = append(sites, Site{ID: SiteID(i), Name: name, Domain: domain, Nodes: int(b.zvarint())})
 	}
-	b.pos = pos
 	nUsers := b.count("user")
 	users = make([]User, 0, binPrealloc(nUsers, b.rem(), 2))
-	pos = b.pos
 	for i := 0; i < nUsers && b.err == nil; i++ {
-		var n uint64
-		if pos < len(p) && p[pos] < 0x80 {
-			n = uint64(p[pos])
-			pos++
-		} else if v, w := binary.Uvarint(p[pos:]); w > 0 {
-			n = v
-			pos += w
-		} else {
-			b.pos = pos
-			b.fail("bad varint")
-			break
-		}
-		if n > uint64(len(p)-pos) {
-			b.pos = pos
-			b.fail("string length count %d exceeds chunk payload", n)
-			break
-		}
-		name := string(p[pos : pos+int(n)])
-		pos += int(n)
-		var site uint64
-		if pos < len(p) && p[pos] < 0x80 {
-			site = uint64(p[pos])
-			pos++
-		} else if v, w := binary.Uvarint(p[pos:]); w > 0 {
-			site = v
-			pos += w
-		} else {
-			b.pos = pos
-			b.fail("bad varint")
-			break
-		}
-		if site >= uint64(nSites) {
-			b.pos = pos
+		name, site := b.str(binOwnString), b.uvarint()
+		if b.err == nil && site >= uint64(nSites) {
 			b.fail("user %d references unknown site %d", i, site)
-			break
 		}
 		users = append(users, User{ID: UserID(i), Name: name, Site: SiteID(site)})
 	}
-	b.pos = pos
 	nFiles := b.count("file")
 	files = make([]File, 0, binPrealloc(nFiles, b.rem(), 3))
-	pos = b.pos
+	// File names are unique, so no interner; they are copied off the payload
+	// into one arena (an honest catalog's names all lie in what is left of
+	// it) and not allocated one by one: half a million tiny strings are the
+	// rest of catalog decode time and of the collector's marking after it.
+	var arena strings.Builder
+	if cap(files) == nFiles {
+		arena.Grow(b.rem())
+	}
+	own := func(raw []byte) string {
+		arena.Write(raw)
+		all := arena.String()
+		return all[len(all)-len(raw):]
+	}
 	for i := 0; i < nFiles && b.err == nil; i++ {
-		var n uint64
-		if pos < len(p) && p[pos] < 0x80 {
-			n = uint64(p[pos])
-			pos++
-		} else if v, w := binary.Uvarint(p[pos:]); w > 0 {
-			n = v
-			pos += w
-		} else {
-			b.pos = pos
-			b.fail("bad varint")
-			break
-		}
-		if n > uint64(len(p)-pos) {
-			b.pos = pos
-			b.fail("string length count %d exceeds chunk payload", n)
-			break
-		}
-		name := string(p[pos : pos+int(n)])
-		pos += int(n)
-		var size uint64
-		if pos < len(p) && p[pos] < 0x80 {
-			size = uint64(p[pos])
-			pos++
-		} else if v, w := binary.Uvarint(p[pos:]); w > 0 {
-			size = v
-			pos += w
-		} else {
-			b.pos = pos
-			b.fail("bad varint")
-			break
-		}
-		if size > 1<<62 {
-			b.pos = pos
+		name, size, tier := b.str(own), b.uvarint(), b.byte()
+		if b.err == nil && size > 1<<62 {
 			b.fail("file %d size %d out of range", i, size)
-			break
 		}
-		if pos >= len(p) {
-			b.pos = pos
-			b.fail("truncated chunk")
-			break
-		}
-		tier := p[pos]
-		pos++
-		if int(tier) >= NumTiers {
-			b.pos = pos
+		if b.err == nil && int(tier) >= NumTiers {
 			b.fail("file %d has bad tier %d", i, tier)
-			break
 		}
 		files = append(files, File{ID: FileID(i), Name: name, Size: int64(size), Tier: Tier(tier)})
 	}
-	b.pos = pos
 	if b.err == nil && b.rem() != 0 {
 		b.fail("%d trailing bytes", b.rem())
 	}

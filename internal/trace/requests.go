@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Request is a single file access: job j touched file f at time t. Requests
 // are the unit the cache simulator and the interval analyses replay.
@@ -19,28 +16,18 @@ type Request struct {
 // (Section 3 of the paper notes there is no random access), so sequential
 // access over the run is the faithful model. Ties are broken by (job, index)
 // so the stream is deterministic.
-func (t *Trace) Requests() []Request {
-	out := make([]Request, 0, t.NumRequests())
-	for i := range t.Jobs {
-		appendJobRequests(&out, &t.Jobs[i])
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		return out[a].Time.Before(out[b].Time)
-	})
-	return out
-}
+func (t *Trace) Requests() []Request { return MergeRequests(t.Jobs) }
 
-// appendJobRequests emits one Request per input file of j, spaced uniformly
-// over [Start, End).
-func appendJobRequests(out *[]Request, j *Job) {
-	*out = AppendRequests(*out, j)
+// MergeRequests returns the time-ordered request stream of jobs, in whatever
+// order they are given: the stable sort by time of their AppendRequests
+// expansions, concatenated in slice order.
+func MergeRequests(jobs []Job) []Request {
+	return mergeRequests(len(jobs), func(i int) *Job { return &jobs[i] })
 }
 
 // AppendRequests appends one Request per input file of j to dst, spaced
-// uniformly over [Start, End) exactly as Requests does. Streaming consumers
-// use it to expand a job stream into a request stream without materializing
-// a Trace; stable-sorting the accumulated requests by time then reproduces
-// Requests byte for byte when jobs arrive in Jobs order.
+// uniformly over [Start, End). It defines a job's run; MergeRequests
+// interleaves the runs of many jobs.
 func AppendRequests(dst []Request, j *Job) []Request {
 	n := len(j.Files)
 	if n == 0 {
@@ -59,14 +46,7 @@ func AppendRequests(dst []Request, j *Job) []Request {
 // RequestsOf returns the time-ordered request stream restricted to the given
 // jobs.
 func (t *Trace) RequestsOf(jobs []JobID) []Request {
-	var out []Request
-	for _, id := range jobs {
-		appendJobRequests(&out, &t.Jobs[id])
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		return out[a].Time.Before(out[b].Time)
-	})
-	return out
+	return mergeRequests(len(jobs), func(i int) *Job { return &t.Jobs[jobs[i]] })
 }
 
 // RequestCounts returns, for every file, the number of requests it received

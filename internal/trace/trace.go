@@ -15,7 +15,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -296,17 +295,6 @@ func (t *Trace) Span() (start, end time.Time, ok bool) {
 	return start, end, true
 }
 
-// SortJobsByStart orders Jobs by start time (stably) and renumbers their IDs
-// densely. Call it after assembling a trace from unordered sources.
-func (t *Trace) SortJobsByStart() {
-	sort.SliceStable(t.Jobs, func(a, b int) bool {
-		return t.Jobs[a].Start.Before(t.Jobs[b].Start)
-	})
-	for i := range t.Jobs {
-		t.Jobs[i].ID = JobID(i)
-	}
-}
-
 // JobsBySite partitions job indices by site ID. The result has one slice per
 // site, in site-ID order.
 func (t *Trace) JobsBySite() [][]JobID {
@@ -349,12 +337,14 @@ func (t *Trace) SplitByTime(frac float64) (history, future *Trace) {
 		panic(fmt.Sprintf("trace: split fraction %v outside (0,1)", frac))
 	}
 	ids := make([]JobID, len(t.Jobs))
+	order := startOrder(len(t.Jobs), func(i int) time.Time { return t.Jobs[i].Start })
 	for i := range ids {
-		ids[i] = t.Jobs[i].ID
+		at := i
+		if order != nil {
+			at = int(order[i])
+		}
+		ids[i] = t.Jobs[at].ID
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		return t.Jobs[ids[a]].Start.Before(t.Jobs[ids[b]].Start)
-	})
 	cut := int(float64(len(ids)) * frac)
 	if cut == 0 {
 		cut = 1
