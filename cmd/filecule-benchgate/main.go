@@ -285,14 +285,16 @@ var noRelativeNsOp = map[string]bool{
 	"DecodeMmap":   true,
 }
 
-// coldPath lists the trace-preparation benchmarks (fixed inputs, no
-// concurrency), which are held to the machine-independent half of their
-// record: B/op like every benchmark, allocs/op in its place of ns/op, which
-// the baseline records but a different host would not reproduce.
+// coldPath lists the benchmarks with fixed inputs and no concurrency — trace
+// preparation, and the snapshot cycle after a re-request — which are held to
+// the machine-independent half of their record: B/op like every benchmark,
+// allocs/op in its place of ns/op, which the baseline records but a different
+// host would not reproduce.
 var coldPath = map[string]bool{
-	"GenerateWorkload": true,
-	"RequestStream":    true,
-	"SortJobsByStart":  true,
+	"GenerateWorkload":       true,
+	"RequestStream":          true,
+	"SortJobsByStart":        true,
+	"SnapshotAfterRerequest": true,
 }
 
 // gate compares a report against the baseline and returns all violations.

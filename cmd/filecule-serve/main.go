@@ -54,7 +54,6 @@ func main() {
 		rpsStep  = flag.Float64("rps-step", 10, "selftest: per-slot rate step for ramp and sweep")
 		rpsSlot  = flag.Duration("rps-slot", time.Second, "selftest: duration of one rate slot")
 		pprof    = flag.Bool("pprof", true, "mount /debug/pprof")
-		shards   = flag.Int("shards", 0, "engine lock stripes (<=0 = auto from GOMAXPROCS)")
 		grace    = flag.Duration("shutdown-grace", 10*time.Second, "request-draining bound on shutdown")
 		rdTO     = flag.Duration("read-timeout", 30*time.Second, "HTTP read timeout")
 		wrTO     = flag.Duration("write-timeout", 60*time.Second, "HTTP write timeout")
@@ -69,7 +68,7 @@ func main() {
 	)
 	flag.Parse()
 
-	dopts, err := durableOptions(*stateDir, *ckptInt, *walSync, *shards)
+	dopts, err := durableOptions(*stateDir, *ckptInt, *walSync)
 	if err != nil {
 		fatal(err)
 	}
@@ -89,7 +88,6 @@ func main() {
 	}
 	cfg := server.Config{
 		EnablePprof:   *pprof,
-		EngineShards:  *shards,
 		ShutdownGrace: *grace,
 		ReadTimeout:   *rdTO,
 		WriteTimeout:  *wrTO,
@@ -206,7 +204,7 @@ func fedConfig(site, peers string, interval, timeout time.Duration) (*fed.Config
 
 // durableOptions validates the durability flag set. A nil result means the
 // server runs in-memory only.
-func durableOptions(dir string, ckptInt time.Duration, walSync string, shards int) (*durable.Options, error) {
+func durableOptions(dir string, ckptInt time.Duration, walSync string) (*durable.Options, error) {
 	if dir == "" {
 		if ckptInt != 0 {
 			return nil, fmt.Errorf("filecule-serve: -checkpoint-interval requires -state-dir")
@@ -221,7 +219,6 @@ func durableOptions(dir string, ckptInt time.Duration, walSync string, shards in
 	}
 	opts := &durable.Options{
 		Dir:                dir,
-		Shards:             shards,
 		CheckpointInterval: ckptInt,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "filecule-serve: "+format+"\n", args...)
@@ -337,8 +334,8 @@ func runSelftest(cfg server.Config, t *trace.Trace, clients, batch int, shape sy
 		"filecule_server_requests_total",
 		"filecule_server_request_seconds_quantile",
 		"filecule_server_gomaxprocs",
-		"filecule_engine_shards",
-		"filecule_engine_blocks",
+		`filecule_engine_snapshots_total{kind="shared"}`,
+		`filecule_engine_snapshots_total{kind="rebuilt"}`,
 		"filecule_engine_jobcache_entries",
 		"filecule_engine_jobcache_sweeps_total",
 		"filecule_engine_fastpath_hits_total",

@@ -5,7 +5,7 @@ package core
 // partition must satisfy the three filecule invariants from the definition
 // (disjointness, non-emptiness, uniform request count). The implementations
 // share almost no code — batch signature grouping, online partition
-// refinement, the sharded engine, and the monitor fed concurrently — so
+// refinement, the engine, and the monitor fed concurrently — so
 // agreement across randomized traces is strong evidence of correctness for
 // all of them. (identify_reference_test.go holds the batch identifier to its
 // map-based reference.)
@@ -118,18 +118,14 @@ func TestDifferentialIdentification(t *testing.T) {
 			t.Errorf("trace %d: Refiner differs from Identify", ti)
 		}
 
-		// Sharded engine, sequential feed, at several shard counts
-		// (1 shard degenerates to pure per-shard refinement; more
-		// shards exercise the cross-shard signature merge).
-		for _, shards := range []int{1, 2, 8, 32} {
-			e := NewEngine(shards)
-			e.ObserveTrace(tr)
-			if p := e.Snapshot(); !ref.Equal(p) {
-				t.Errorf("trace %d: Engine(%d shards) differs from Identify", ti, shards)
-			}
-			if got, want := e.NumFilecules(), ref.NumFilecules(); got != want {
-				t.Errorf("trace %d: Engine(%d shards) counts %d filecules, want %d", ti, shards, got, want)
-			}
+		// Engine, sequential feed.
+		e := NewEngine(0)
+		e.ObserveTrace(tr)
+		if p := e.Snapshot(); !ref.Equal(p) {
+			t.Errorf("trace %d: Engine differs from Identify", ti)
+		}
+		if got, want := e.NumFilecules(), ref.NumFilecules(); got != want {
+			t.Errorf("trace %d: Engine counts %d filecules, want %d", ti, got, want)
 		}
 
 		// Monitor fed by concurrent submitters (order scrambled by the
@@ -182,13 +178,13 @@ func TestDifferentialPrefixes(t *testing.T) {
 // across every identifier in the package: after each sampled prefix of the
 // job stream, batch identification (Identify over a truncated trace,
 // IdentifyJobs over the prefix's job IDs), the online
-// Refiner and the sharded Engine must all produce one bit-identical
+// Refiner and the Engine must all produce one bit-identical
 // canonical partition.
 func TestDifferentialPrefixAllIdentifiers(t *testing.T) {
 	for _, seed := range []int64{5, 99, 123} {
 		tr := adversarialTrace(seed)
 		r := NewRefiner()
-		e := NewEngine(4)
+		e := NewEngine(0)
 		for i := range tr.Jobs {
 			r.Observe(tr.Jobs[i].Files)
 			e.Observe(tr.Jobs[i].Files)

@@ -2,56 +2,42 @@ package core
 
 import (
 	"io"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"filecule/internal/trace"
 )
 
-// Engine is the sharded, allocation-flat online identification engine: the
-// same partition refinement the Refiner performs, reorganized for the
-// serving hot path. Files are sharded by hashed ID across dense shards;
-// each shard refines its own sub-partition over dense integer slots
-// (no per-observe map churn), and a deterministic cross-shard merge groups
-// sub-blocks that belong to one global filecule.
+// Engine is the allocation-flat online identification engine: the same
+// partition refinement the Refiner performs, laid out for the serving hot
+// path as one dense partition in which a block is exactly a filecule.
 //
-// # Shard layout
+// # Layout
 //
-// Each shard interns its files to compact local slots and keeps the slots of
-// every block contiguous in a permutation array (perm, with pos as its
+// Files intern to compact slots through one fileIndex, and the slots of
+// every block are contiguous in a permutation array (perm, with pos as its
 // inverse). Observing a job swaps each requested slot into the moved prefix
 // of its block's interval — O(1) per request, including the duplicate check
 // the Refiner pays a linear scan for — and then either re-requests a whole
-// block (interval untouched) or splits it by slicing the interval in two,
-// O(moved) with zero allocation. In steady state (a stable partition under a
-// re-requesting workload) an observe allocates nothing.
+// block (interval untouched, requests++) or splits it by slicing the interval
+// in two, O(moved) with zero allocation. Files seen for the first time form
+// one new block at the tail. Blocks are only ever appended — by a split or a
+// first sighting — and never emptied, so the block count is both the exact
+// filecule count and a monotone membership version: two moments with the
+// same count have the same file → filecule map.
 //
-// # Merge determinism
+// # Identity
 //
-// A block's files all share one job set; the engine identifies that set by a
-// 128-bit commutative signature: sig(J) = (Σ h1(g), Σ h2(g)) over the jobs
-// g in J, with h1, h2 independent 64-bit mixers and sums mod 2^64. The sum
-// form makes the signature independent of the order shards apply sub-jobs
-// in, so concurrent observes need no cross-shard ordering: blocks in
-// different shards belong to the same filecule iff their signatures are
-// equal. Distinct job sets collide with probability ~2^-128 per pair (~2^-98
-// across a billion blocks) — below any hardware error rate; the differential
-// tests replay every trace prefix against batch identification to enforce
-// the partitions stay bit-identical in practice.
-//
-// A lock-striped signature table tracks how many files sit under each
-// signature, giving an exact global filecule count that is O(1) to read.
-// Signatures are lazy: when a job re-requests a filecule wholly — detected
-// by comparing the job's moved file count against the table's count for
-// that signature — nothing moves between signatures, so the blocks keep
-// their signature and the observe performs no table write at all. This is
-// sound because equal signatures still mean equal filecules: the skip fires
-// only when every block carrying the signature was wholly covered by the
-// job, so the blocks stay equal to each other and to nothing else. Partial
-// coverage falls back to moving the touched file counts from the old
-// signature to old+g.
+// Every block carries a 128-bit signature as its stable name, which is what
+// checkpoints, the federation protocol and ExportState key groups by: sigOf(g)
+// for a block born in job generation g, parent.addJob(g) for the half a split
+// in generation g moves out, never rewritten after. Two blocks share an
+// ancestor up to the split that separated them, where exactly one of them
+// took that generation's term, so distinct blocks name distinct generation
+// sets and collide with probability ~2^-128 per pair. Generations are never
+// reused, across restarts included (EngineState.NextGen), so a signature is
+// never reissued.
 //
 // # Repeat-job fast path
 //
@@ -60,16 +46,15 @@ import (
 // filecules it resolved to. The engine caches, per distinct input multiset
 // (a commutative 128-bit hash of the raw file list), the blocks the job
 // resolved to. A later observe of the same multiset under an unchanged
-// partition shape — tracked by a global split epoch that only block splits
+// partition shape — tracked by a split epoch that only block splits
 // advance — is a lock-free hit: it defers one request-count increment per
 // cached block and touches no partition state. Deferred counts are flushed
 // into the blocks before anything can change shape (at the start of every
 // slow observe) and before any snapshot, so they are never observable as
-// missing. A hit is sound because cached refs cover complete filecules
-// (slow observes leave every touched block under a signature whose filecule
-// is exactly the touched set) and block membership cannot change without a
-// split; re-applying such a job slowly would be exactly requests++ on those
-// blocks.
+// missing. A hit is sound because a slow observe leaves the job's input set
+// equal to the union of the blocks it touched, and block membership cannot
+// change without a split; re-applying such a job slowly would be exactly
+// requests++ on those blocks.
 //
 // A split strands every entry cached before it. Stranded entries are swept
 // out — under the write side, where slow observes already are — whenever the
@@ -80,25 +65,21 @@ import (
 //
 // Fast-path observes run under the read side of a gate RWMutex and are
 // otherwise lock-free, so repeat jobs from many submitters proceed in
-// parallel. Slow (shape-changing) observes and snapshots take the write
-// side: a paper-scale job spans every shard anyway, so fine-grained shard
-// locks only add overhead — exclusivity costs nothing and makes signature
-// resolution and the pending-count flush trivially atomic. A snapshot never
-// sees a half-applied job.
+// parallel. Slow (shape-changing) observes and snapshot refreshes take the
+// write side. A snapshot never sees a half-applied job.
 //
-// # Copy-on-write snapshots
+// # Snapshots follow membership
 //
-// Snapshot reuses, per signature group, the sorted member list materialized
-// by the previous snapshot unless one of the group's blocks changed since —
-// so a snapshot costs O(blocks) bookkeeping plus sorting only for changed
-// groups, instead of re-sorting and re-copying every file. The returned
-// Partition builds its file→filecule index on first lookup.
+// The snapshot side keeps, per block, its sorted member list (rebuilt only
+// when the block has split since), its request count and a change stamp, and
+// the canonical order of the blocks (recomputed only when the block count
+// moved). A Snapshot at an unchanged block count therefore copies the
+// previous filecule list, refreshes the request counts, and shares the
+// previous partition's file index, size table and summary; only a membership
+// change assembles a partition from scratch, re-sorting only split blocks.
 type Engine struct {
-	shards []engineShard
-	mask   uint32
-
 	// gate separates the lock-free repeat-job fast path (read side) from
-	// shape-changing slow observes and snapshot assembly (write side).
+	// shape-changing slow observes and snapshot refreshes (write side).
 	gate sync.RWMutex
 
 	// jobCache maps jobKey(files) -> *cachedJob for the repeat-job fast
@@ -119,30 +100,38 @@ type Engine struct {
 	cacheCap   int64
 	sweeps     atomic.Int64
 
-	// slots maps FileID -> 1+shard-local slot (0 = unseen); read and
-	// written only under the gate's write side.
-	slots fileIndex
+	// The partition, read and written only under the gate's write side.
+	slots   fileIndex      // FileID -> 1+slot (0 = unseen)
+	file    []trace.FileID // slot -> FileID
+	perm    []int32        // slots in block-contiguous order
+	pos     []int32        // slot -> index in perm
+	blockOf []int32        // slot -> index in blocks, -1 while fresh this job
+	blocks  []eblock
+	dirty   []int32 // blocks whose count or membership changed since the last refresh
+	touched []int32 // observeSlow's workspace: the blocks the job resolved to
+	nextGen uint64  // job generations issued so far
 
-	nextGen  atomic.Uint64
 	observed atomic.Int64
 	// slowJobs and emptyJobs count the observes that did not take the
 	// repeat-job fast path, so hits = observed - slowJobs - emptyJobs and
 	// the hit path itself counts nothing.
 	slowJobs  atomic.Int64
 	emptyJobs atomic.Int64
-	blocks    atomic.Int64 // raw sub-blocks across shards (>= filecules)
-	filecules atomic.Int64 // distinct signatures = exact filecule count
+	nblocks   atomic.Int64 // len(blocks), published for lock-free readers
 	version   atomic.Uint64
 
-	sigTab sigTable
-
-	scratchPool sync.Pool
-
-	// Snapshot assembly state: the copy-on-write group cache and the last
-	// assembled partition, all guarded by snapMu.
-	snapMu     sync.Mutex
-	snapGroups map[sig128]*snapGroup
-	snapCache  atomic.Pointer[snapState]
+	// Snapshot side, guarded by snapMu: groups mirrors blocks as of the last
+	// refresh, order lists block indexes by smallest member file and is
+	// current while len(order) == len(groups).
+	snapMu    sync.Mutex
+	groups    []snapGroup
+	order     []int32
+	refreshed refreshPoint // what groups is current for
+	snapCache atomic.Pointer[snapState]
+	// How many snapshots shared the previous one's shape and how many were
+	// assembled from scratch; bumped under snapMu.
+	sharedSnaps  atomic.Int64
+	rebuiltSnaps atomic.Int64
 }
 
 type snapState struct {
@@ -150,49 +139,39 @@ type snapState struct {
 	p       *Partition
 }
 
-// snapGroup is one materialized filecule: the sorted member files of every
-// block sharing a signature, built at most once per change. stamp records
-// the engine version the entry was materialized at; an unchanged group keeps
-// its stamp across refreshes, so (sig, stamp) identifies the group's bytes —
-// the key the durable checkpoint writer caches encoded chunks under.
+// refreshPoint is the engine counters of the last refresh.
+type refreshPoint struct {
+	valid    bool
+	version  uint64
+	observed int64
+	nextGen  uint64
+}
+
+// snapGroup is the snapshot side of one block. stamp records the engine
+// version of the refresh that last saw the block's count or membership
+// change, so (sig, stamp) identifies the group's bytes — the key the durable
+// checkpoint writer caches encoded chunks under, and what federation deltas
+// select by.
 type snapGroup struct {
-	files    []trace.FileID // sorted ascending; immutable once built
+	files    []trace.FileID // sorted ascending; immutable, replaced when the block splits
 	requests int
-	blocks   int    // contributing sub-blocks at build time
-	stamp    uint64 // engine version at materialization
+	sig      sig128
+	stamp    uint64
 }
 
-// engineShard holds one shard's sub-partition in dense slot-indexed form.
-// Files are interned to compact local slots via the engine-wide page table.
-// Shards are mutated only under the gate's write side; they exist to keep
-// the slot arrays compact and to give the signature merge its unit of work,
-// not as lock domains (a paper-scale job spans every shard, so per-shard
-// locks measure as pure overhead).
-type engineShard struct {
-	file    []trace.FileID // slot -> FileID
-	perm    []int32        // slots in block-contiguous order
-	pos     []int32        // slot -> index in perm
-	blockOf []int32        // slot -> index in blocks, -1 while fresh this job
-	blocks  []eblock
-}
-
-// eblock is one refinement block: the slots perm[lo:hi], their shared
-// request count and job-set signature.
+// eblock is one refinement block — one filecule: the slots perm[lo:hi],
+// their shared request count and the block's identity.
 type eblock struct {
 	lo, hi   int32
 	mark     int32  // split pointer while gen is current
+	dirty    bool   // on Engine.dirty
 	gen      uint64 // job currently marking this block
 	requests int
 	sig      sig128
-	// gfiles is the filecule's global file count across shards, possibly
-	// stale-high for blocks a partial split could not reach (see
-	// resolveSigs); never stale-low, which keeps the whole-cover test
-	// sound.
-	gfiles int32
-	dirty  bool // changed since the last snapshot materialization
 }
 
-// sig128 is a commutative job-set signature (see Engine doc).
+// sig128 is a block's identity: a commutative sum over job generations (see
+// Engine doc).
 type sig128 struct{ lo, hi uint64 }
 
 // mix64 is the splitmix64 finalizer, a strong 64-bit mixer.
@@ -205,12 +184,13 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// sigOf returns the signature of the singleton job set {g}.
+// sigOf returns the signature of a block born in generation g.
 func sigOf(g uint64) sig128 {
 	return sig128{lo: mix64(g), hi: mix64(g ^ 0x9e3779b97f4a7c15)}
 }
 
-// addJob returns the signature of J ∪ {g} given sig(J), g ∉ J.
+// addJob returns the signature of the half a split in generation g moves out
+// of a block named s.
 func (s sig128) addJob(g uint64) sig128 {
 	d := sigOf(g)
 	return sig128{lo: s.lo + d.lo, hi: s.hi + d.hi}
@@ -238,224 +218,33 @@ const (
 	minCacheSweep = 1024
 )
 
-// cacheRef names one block a cached job resolved to.
-type cacheRef struct {
-	sh uint32
-	bi int32
-}
-
 // cachedJob is one repeat-job cache entry: the blocks the job's input set
 // resolved to, valid while no split has changed any block's membership
 // since epoch. pending counts fast-path hits not yet folded into the
 // blocks' request counters.
 type cachedJob struct {
 	epoch   uint64
-	refs    []cacheRef
+	refs    []int32 // block indexes
 	pending atomic.Int64
 }
 
-// sigStripes is the number of refcount-table stripes. Signatures are
-// uniformly mixed, so contention spreads evenly.
-const sigStripes = 64
-
-type sigTable struct {
-	stripes [sigStripes]sigStripe
+// NewEngine returns an empty engine. The argument is ignored: it was the
+// shard count while the engine hashed files over shards, and the signature
+// stays only because the end-to-end benchmark (bench/e2e), which a change to
+// the program may not edit, calls NewEngine(0).
+func NewEngine(int) *Engine {
+	return &Engine{sweepAt: minCacheSweep, cacheCap: maxCachedJobs}
 }
-
-type sigStripe struct {
-	mu sync.Mutex
-	m  map[sig128]int32
-	_  [40]byte
-}
-
-func (t *sigTable) stripe(s sig128) *sigStripe {
-	return &t.stripes[s.lo&(sigStripes-1)]
-}
-
-// files returns how many files currently sit under signature s.
-func (t *sigTable) files(s sig128) int32 {
-	st := t.stripe(s)
-	st.mu.Lock()
-	c := st.m[s]
-	st.mu.Unlock()
-	return c
-}
-
-// add credits n files to signature s and reports whether s is new (a
-// filecule came into existence).
-func (t *sigTable) add(s sig128, n int32) bool {
-	st := t.stripe(s)
-	st.mu.Lock()
-	c := st.m[s]
-	st.m[s] = c + n
-	st.mu.Unlock()
-	return c == 0
-}
-
-// sub debits n files from signature s and reports whether s is gone (a
-// filecule ceased to exist under that signature).
-func (t *sigTable) sub(s sig128, n int32) bool {
-	st := t.stripe(s)
-	st.mu.Lock()
-	c := st.m[s]
-	if c <= n {
-		delete(st.m, s)
-	} else {
-		st.m[s] = c - n
-	}
-	st.mu.Unlock()
-	return c == n
-}
-
-// sigDelta accumulates one observe's effect on one pre-existing signature:
-// how many files whole-touched blocks moved and how many left via splits.
-type sigDelta struct {
-	sig        sig128
-	newSig     sig128
-	wholeFiles int32
-	splitFiles int32
-	gfiles     int32 // filecule file-count hint from the first block seen
-	newGfiles  int32 // hint for blocks that moved to newSig
-	skip       bool
-}
-
-// blockRef remembers a touched block so resolveSigs can rewrite its
-// signature or file-count hint once the per-filecule decision is made.
-type blockRef struct {
-	sh  uint32
-	bi  int32
-	di  int32 // index into observeScratch.deltas
-	rem int32 // split refs only: the remainder block the new one left
-}
-
-// idxSlot is one open-addressing cell of the scratch delta index;
-// generation stamping makes per-observe reset free.
-type idxSlot struct {
-	gen uint64
-	di  int32
-	sig sig128
-}
-
-// observeScratch is the reusable per-observe workspace, pooled so a steady
-// -state observe allocates nothing.
-type observeScratch struct {
-	byShard   [][]trace.FileID // per-shard sublists of the job's input set
-	shards    []uint32         // touched shard indices, sorted ascending
-	deltas    []sigDelta       // per pre-existing signature touched
-	wholeRefs []blockRef       // whole-touched blocks, all shards
-	splitRefs []blockRef       // split-off new blocks, all shards
-	freshRefs []blockRef       // fresh-tail blocks, one per shard at most
-	touched   []int32          // touched block indices within one shard
-	idx       []idxSlot        // open-addressing index over deltas
-	idxGen    uint64
-	fresh     int32 // files first seen this observe, all shards
-}
-
-// deltaIdx finds or appends the delta entry for signature s — O(1) via the
-// generation-stamped open-addressing index (jobs touch dozens of filecules,
-// so a linear scan over deltas would go quadratic).
-func (sc *observeScratch) deltaIdx(s sig128, gfiles int32) int32 {
-	if len(sc.deltas) >= len(sc.idx)/2 {
-		sc.growIdx()
-	}
-	mask := uint64(len(sc.idx) - 1)
-	h := s.lo & mask // sig words are already well mixed
-	for {
-		sl := &sc.idx[h]
-		if sl.gen != sc.idxGen {
-			sl.gen, sl.sig = sc.idxGen, s
-			sc.deltas = append(sc.deltas, sigDelta{sig: s, gfiles: gfiles})
-			sl.di = int32(len(sc.deltas) - 1)
-			return sl.di
-		}
-		if sl.sig == s {
-			return sl.di
-		}
-		h = (h + 1) & mask
-	}
-}
-
-// growIdx doubles the delta index and re-stamps the live entries.
-func (sc *observeScratch) growIdx() {
-	n := 2 * len(sc.idx)
-	if n < 64 {
-		n = 64
-	}
-	sc.idx = make([]idxSlot, n)
-	mask := uint64(n - 1)
-	for i := range sc.deltas {
-		h := sc.deltas[i].sig.lo & mask
-		for sc.idx[h].gen == sc.idxGen {
-			h = (h + 1) & mask
-		}
-		sc.idx[h] = idxSlot{gen: sc.idxGen, di: int32(i), sig: sc.deltas[i].sig}
-	}
-}
-
-// DefaultEngineShards picks the shard count for NewEngine(0): enough
-// stripes to keep observes from different submitters off each other's
-// locks, clamped to a sane range.
-func DefaultEngineShards() int {
-	n := 4 * runtime.GOMAXPROCS(0)
-	if n < 8 {
-		n = 8
-	}
-	if n > 64 {
-		n = 64
-	}
-	// Round up to a power of two for mask-based shard selection.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// NewEngine returns an empty engine with the given shard count, rounded up
-// to a power of two; shards <= 0 selects DefaultEngineShards.
-func NewEngine(shards int) *Engine {
-	if shards <= 0 {
-		shards = DefaultEngineShards()
-	}
-	p := 1
-	for p < shards {
-		p <<= 1
-	}
-	e := &Engine{
-		shards:     make([]engineShard, p),
-		mask:       uint32(p - 1),
-		snapGroups: make(map[sig128]*snapGroup),
-		sweepAt:    minCacheSweep,
-		cacheCap:   maxCachedJobs,
-	}
-	for i := range e.sigTab.stripes {
-		e.sigTab.stripes[i].m = make(map[sig128]int32)
-	}
-	e.scratchPool.New = func() any {
-		return &observeScratch{
-			byShard: make([][]trace.FileID, p),
-			shards:  make([]uint32, 0, p),
-			touched: make([]int32, 0, 64),
-		}
-	}
-	return e
-}
-
-// Shards returns the engine's shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // Observed returns the number of jobs folded in so far.
 func (e *Engine) Observed() int64 { return e.observed.Load() }
 
-// NumFilecules returns the exact number of filecules (distinct job-set
-// signatures) in O(1), maintained incrementally by the striped refcount
-// table.
-func (e *Engine) NumFilecules() int { return int(e.filecules.Load()) }
-
-// Blocks returns the raw sub-block count across shards. It exceeds
-// NumFilecules when a filecule's files span shards; the gap is a shard
-// -layout diagnostic, not a property of the partition.
-func (e *Engine) Blocks() int64 { return e.blocks.Load() }
+// NumFilecules returns the exact number of filecules in O(1): the block
+// count. Blocks are only ever appended, and every membership change appends
+// one, so the count doubles as a membership version — a Partition with as
+// many filecules as the engine reports now has the engine's current file →
+// filecule map, whatever request counts have moved since.
+func (e *Engine) NumFilecules() int { return int(e.nblocks.Load()) }
 
 // JobCacheStats describes the repeat-job fast path from outside.
 type JobCacheStats struct {
@@ -477,14 +266,63 @@ func (e *Engine) JobCacheStats() JobCacheStats {
 	}
 }
 
+// SnapshotStats counts the partitions Snapshot has assembled: Shared ones
+// reused the previous snapshot's shape (no membership change in between),
+// Rebuilt ones did not.
+type SnapshotStats struct {
+	Shared, Rebuilt int64
+}
+
+// SnapshotStats reads the snapshot counters.
+func (e *Engine) SnapshotStats() SnapshotStats {
+	return SnapshotStats{Shared: e.sharedSnaps.Load(), Rebuilt: e.rebuiltSnaps.Load()}
+}
+
+// Membership returns a partition with the engine's current membership: the
+// latest snapshot while no file has changed filecule since it was taken — its
+// request counts may then be stale — and a fresh Snapshot otherwise. It is
+// what readers of membership alone (cache advice, summaries, file lookups)
+// should hold: between membership changes it costs two atomic loads however
+// many jobs are re-requested in the meantime.
+func (e *Engine) Membership() *Partition {
+	if c := e.snapCache.Load(); c != nil && len(c.p.Filecules) == e.NumFilecules() {
+		return c.p
+	}
+	return e.Snapshot()
+}
+
+// Lookup returns the filecule containing f exactly as Snapshot().FileculeOf(f)
+// would report it, request count included, and a partition of the same
+// membership to size it by; ok is false if f was never requested. While only
+// request counts have moved since the last snapshot it reads the one count it
+// needs instead of assembling a partition of all of them.
+func (e *Engine) Lookup(f trace.FileID) (p *Partition, fc Filecule, ok bool) {
+	p = e.Membership()
+	i := p.Of(f)
+	if i < 0 {
+		return p, fc, false
+	}
+	fc = p.Filecules[i]
+	if c := e.snapCache.Load(); c.p == p && c.version == e.version.Load() {
+		return p, fc, true // p is the exact snapshot
+	}
+	e.snapMu.Lock()
+	e.refresh()
+	current := len(e.groups) == len(p.Filecules)
+	if current {
+		fc.Requests = e.groups[e.canonical()[i]].requests
+	}
+	e.snapMu.Unlock()
+	if !current {
+		// A file changed filecule underneath p; a covered file stays covered.
+		p = e.Snapshot()
+		fc = *p.FileculeOf(f)
+	}
+	return p, fc, true
+}
+
 // Version increments on every observe; snapshot caching keys off it.
 func (e *Engine) Version() uint64 { return e.version.Load() }
-
-// shardOf spreads file IDs over shards with a multiplicative hash, so even
-// strided ID patterns stay balanced.
-func (e *Engine) shardOf(f trace.FileID) uint32 {
-	return (uint32(f) * 0x9e3779b1) >> 16 & e.mask
-}
 
 // Observe folds one job's input set into the partition. Duplicate file IDs
 // within the set are ignored. Safe for concurrent use; repeated input sets
@@ -569,10 +407,9 @@ func (e *Engine) flushPending() {
 	e.pendMu.Lock()
 	for i, cj := range e.pendJobs {
 		if n := int(cj.pending.Swap(0)); n > 0 {
-			for _, r := range cj.refs {
-				b := &e.shards[r.sh].blocks[r.bi]
-				b.requests += n
-				b.dirty = true
+			for _, bi := range cj.refs {
+				e.blocks[bi].requests += n
+				e.markDirty(bi)
 			}
 		}
 		e.pendJobs[i] = nil
@@ -581,69 +418,115 @@ func (e *Engine) flushPending() {
 	e.pendMu.Unlock()
 }
 
+// markDirty queues block bi for the next refresh. Caller holds the gate's
+// write side.
+func (e *Engine) markDirty(bi int32) {
+	if b := &e.blocks[bi]; !b.dirty {
+		b.dirty = true
+		e.dirty = append(e.dirty, bi)
+	}
+}
+
+// addBlock appends nb as the block of the slots perm[nb.lo:nb.hi] and returns
+// its index. Caller holds the gate's write side.
+func (e *Engine) addBlock(nb eblock) int32 {
+	bi := int32(len(e.blocks))
+	for _, slot := range e.perm[nb.lo:nb.hi] {
+		e.blockOf[slot] = bi
+	}
+	nb.dirty = true
+	e.blocks = append(e.blocks, nb)
+	e.dirty = append(e.dirty, bi)
+	return bi
+}
+
 // observeSlow applies one non-empty job under the gate's write side and
 // caches the blocks it resolved to for future fast-path hits.
 func (e *Engine) observeSlow(files []trace.FileID, key sig128) {
 	e.observed.Add(1)
 	e.slowJobs.Add(1)
 	e.version.Add(1)
-	sc := e.scratchPool.Get().(*observeScratch)
-	sc.idxGen++
-	shards := sc.shards[:0]
+	e.nextGen++
+	g := e.nextGen
+	touched := e.touched[:0]
+	freshStart := int32(len(e.perm))
 	for _, f := range files {
-		sh := e.shardOf(f)
-		if len(sc.byShard[sh]) == 0 {
-			shards = append(shards, sh)
+		c := e.slots.cell(f)
+		v := *c
+		if v == 0 {
+			// First sighting ever: append a slot to the tail of perm; the
+			// fresh tail becomes one new block below.
+			slot := int32(len(e.file))
+			*c = slot + 1
+			e.file = append(e.file, f)
+			e.pos = append(e.pos, slot)
+			e.perm = append(e.perm, slot)
+			e.blockOf = append(e.blockOf, -1)
+			continue
 		}
-		sc.byShard[sh] = append(sc.byShard[sh], f)
-	}
-	// Insertion sort: the touched-shard list is short, and a deterministic
-	// order keeps shard application reproducible run to run.
-	for i := 1; i < len(shards); i++ {
-		for k := i; k > 0 && shards[k] < shards[k-1]; k-- {
-			shards[k], shards[k-1] = shards[k-1], shards[k]
+		slot := v - 1
+		bi := e.blockOf[slot]
+		if bi < 0 {
+			continue // duplicate of a file first seen in this job
 		}
+		b := &e.blocks[bi]
+		if b.gen != g {
+			b.gen = g
+			b.mark = b.lo
+			touched = append(touched, bi)
+		} else if e.pos[slot] < b.mark {
+			continue // duplicate within this job: already moved
+		}
+		// Swap the slot into the moved prefix [lo, mark).
+		p, q := e.pos[slot], b.mark
+		other := e.perm[q]
+		e.perm[q], e.perm[p] = slot, other
+		e.pos[slot], e.pos[other] = q, p
+		b.mark++
 	}
-	g := e.nextGen.Add(1)
-	for _, sh := range shards {
-		e.observeShard(&e.shards[sh], sh, g, sc.byShard[sh], sc)
-		sc.byShard[sh] = sc.byShard[sh][:0]
+
+	// touched becomes the blocks the job's input set is now the union of: a
+	// wholly requested block stays, a split block gives way to its moved half.
+	split := false
+	for i, bi := range touched {
+		e.markDirty(bi)
+		b := &e.blocks[bi]
+		if b.mark == b.hi {
+			b.requests++
+			continue
+		}
+		// Split: the moved prefix perm[lo:mark] leaves b as a new block with
+		// one extra request; b keeps its identity and count.
+		nb := eblock{lo: b.lo, hi: b.mark, requests: b.requests + 1, sig: b.sig.addJob(g)}
+		b.lo = b.mark
+		touched[i] = e.addBlock(nb) // b may dangle from here on
+		split = true
 	}
-	e.resolveSigs(g, sc)
-	if len(sc.splitRefs) > 0 {
+	if n := int32(len(e.perm)); n > freshStart {
+		touched = append(touched, e.addBlock(eblock{lo: freshStart, hi: n, requests: 1, sig: sigOf(g)}))
+	}
+	e.nblocks.Store(int64(len(e.blocks)))
+	if split {
 		// Some block's membership changed: every cached ref set may now
 		// straddle filecules, so invalidate them all.
 		e.splitEpoch.Add(1)
 	}
-	e.fillCache(key, sc)
-	sc.shards = shards[:0]
-	sc.deltas = sc.deltas[:0]
-	sc.wholeRefs = sc.wholeRefs[:0]
-	sc.splitRefs = sc.splitRefs[:0]
-	sc.freshRefs = sc.freshRefs[:0]
-	sc.fresh = 0
-	e.scratchPool.Put(sc)
+	e.fillCache(key, touched)
+	e.touched = touched[:0]
 }
 
 // fillCache records the blocks this observe resolved to, keyed by the job's
 // input multiset. Caller holds the gate's write side; the epoch is read
 // after any split bump, so the entry is born valid: at this instant the
-// job's input set is exactly the union of the ref'd blocks, and each ref'd
-// block's whole filecule lies within the refs (resolveSigs left every
-// touched block under a signature carried only by touched blocks). Both
-// properties survive split-free observes, which move whole signature
-// classes at a time — so a later hit is a whole re-request of complete
+// job's input set is exactly the union of the ref'd blocks, which holds until
+// one of them splits — so a later hit is a whole re-request of complete
 // filecules: pure requests++.
 //
 // An insert that finds the cache at twice what the last sweep left (or at the
 // cap) sweeps first, unless no split has happened since that sweep — then
 // every entry is live and there is nothing to reclaim. Each sweep therefore
 // follows at least as many inserts as the entries it walks: O(1) amortised.
-func (e *Engine) fillCache(key sig128, sc *observeScratch) {
-	n := len(sc.wholeRefs) + len(sc.splitRefs) + len(sc.freshRefs)
-	if n == 0 {
-		return
-	}
+func (e *Engine) fillCache(key sig128, refs []int32) {
 	epoch := e.splitEpoch.Load()
 	if e.cacheSize.Load() >= min(e.sweepAt, e.cacheCap) && epoch != e.sweptEpoch {
 		e.sweepCache(epoch)
@@ -651,16 +534,7 @@ func (e *Engine) fillCache(key sig128, sc *observeScratch) {
 	if e.cacheSize.Load() >= e.cacheCap {
 		return
 	}
-	cj := &cachedJob{epoch: epoch, refs: make([]cacheRef, 0, n)}
-	for _, r := range sc.wholeRefs {
-		cj.refs = append(cj.refs, cacheRef{sh: r.sh, bi: r.bi})
-	}
-	for _, r := range sc.splitRefs {
-		cj.refs = append(cj.refs, cacheRef{sh: r.sh, bi: r.bi})
-	}
-	for _, r := range sc.freshRefs {
-		cj.refs = append(cj.refs, cacheRef{sh: r.sh, bi: r.bi})
-	}
+	cj := &cachedJob{epoch: epoch, refs: slices.Clone(refs)}
 	if _, loaded := e.jobCache.Swap(key, cj); !loaded {
 		e.cacheSize.Add(1)
 	}
@@ -686,259 +560,100 @@ func (e *Engine) sweepCache(epoch uint64) {
 	e.sweeps.Add(1)
 }
 
-// observeShard applies one job's sub-list to a shard, recording signature
-// effects into the scratch for resolveSigs. Caller holds the gate's write
-// side.
-func (e *Engine) observeShard(s *engineShard, sh uint32, g uint64, files []trace.FileID, sc *observeScratch) {
-	touched := sc.touched[:0]
-	freshStart := int32(len(s.perm))
-	for _, f := range files {
-		c := e.slots.cell(f)
-		v := *c
-		if v == 0 {
-			// First sighting ever: append a slot to the tail of perm;
-			// the fresh tail becomes one new block below.
-			slot := int32(len(s.file))
-			*c = slot + 1
-			s.file = append(s.file, f)
-			s.pos = append(s.pos, int32(len(s.perm)))
-			s.perm = append(s.perm, slot)
-			s.blockOf = append(s.blockOf, -1)
-			continue
-		}
-		slot := v - 1
-		bi := s.blockOf[slot]
-		if bi < 0 {
-			continue // duplicate of a file first seen in this job
-		}
-		b := &s.blocks[bi]
-		if b.gen != g {
-			b.gen = g
-			b.mark = b.lo
-			touched = append(touched, bi)
-		} else if s.pos[slot] < b.mark {
-			continue // duplicate within this job: already moved
-		}
-		// Swap the slot into the moved prefix [lo, mark).
-		p, q := s.pos[slot], b.mark
-		other := s.perm[q]
-		s.perm[q], s.perm[p] = slot, other
-		s.pos[slot], s.pos[other] = q, p
-		b.mark++
+// refresh folds everything observed so far into the snapshot side and
+// returns the engine counters that state corresponds to. Caller holds snapMu.
+// Member lists are immutable once built (a split block gets a fresh one), so
+// partitions and exports handed out earlier may keep theirs.
+func (e *Engine) refresh() (version uint64, observed int64, nextGen uint64) {
+	// Every observe advances version, so an unchanged version is an
+	// unchanged engine: a settled service's reads stay off the gate.
+	if at := &e.refreshed; at.valid && at.version == e.version.Load() {
+		return at.version, at.observed, at.nextGen
 	}
-
-	for _, bi := range touched {
-		b := &s.blocks[bi]
-		if b.mark == b.hi {
-			// Whole block requested again: the job set gains g, but
-			// whether the signature must move is a per-filecule decision
-			// resolveSigs makes once every shard has reported.
-			di := sc.deltaIdx(b.sig, b.gfiles)
-			sc.deltas[di].wholeFiles += b.hi - b.lo
-			sc.wholeRefs = append(sc.wholeRefs, blockRef{sh: sh, bi: bi, di: di})
-			b.requests++
-			b.dirty = true
-			continue
-		}
-		// Split: the moved prefix perm[lo:mark] leaves b as a new block
-		// with one extra request; b keeps its signature and count.
-		di := sc.deltaIdx(b.sig, b.gfiles)
-		sc.deltas[di].splitFiles += b.mark - b.lo
-		nb := eblock{
-			lo:       b.lo,
-			hi:       b.mark,
-			requests: b.requests + 1,
-			sig:      b.sig.addJob(g),
-			dirty:    true,
-		}
-		nbIdx := int32(len(s.blocks))
-		for i := nb.lo; i < nb.hi; i++ {
-			s.blockOf[s.perm[i]] = nbIdx
-		}
-		b.lo = b.mark
-		b.dirty = true
-		// b may dangle after the append; no use of it beyond this point.
-		s.blocks = append(s.blocks, nb)
-		e.blocks.Add(1)
-		sc.splitRefs = append(sc.splitRefs, blockRef{sh: sh, bi: nbIdx, di: di, rem: bi})
-	}
-
-	if fresh := int32(len(s.perm)) - freshStart; fresh > 0 {
-		nb := eblock{
-			lo:       freshStart,
-			hi:       int32(len(s.perm)),
-			requests: 1,
-			sig:      sigOf(g),
-			dirty:    true,
-		}
-		nbIdx := int32(len(s.blocks))
-		for i := nb.lo; i < nb.hi; i++ {
-			s.blockOf[s.perm[i]] = nbIdx
-		}
-		s.blocks = append(s.blocks, nb)
-		e.blocks.Add(1)
-		sc.freshRefs = append(sc.freshRefs, blockRef{sh: sh, bi: nbIdx})
-		sc.fresh += fresh
-	}
-	sc.touched = touched[:0]
-}
-
-// resolveSigs turns one observe's per-signature deltas into block-signature
-// and table updates. Caller holds the gate's write side.
-//
-// The whole-cover skip: if no block under signature s split and the job's
-// whole-touched blocks account for every file of the filecule (the gfiles
-// hint), then every block carrying s anywhere was wholly re-requested by
-// this job, and they all stay one filecule — leaving the signature alone
-// keeps them equal to each other and to nothing else, and needs no table
-// write at all, which is what makes a steady-state observe map-free.
-//
-// Soundness of the hint: gfiles is exact when written and can only go
-// stale-HIGH — a filecule only ever loses files to splits, and a split
-// updates only the blocks its observe touched, leaving untouched siblings'
-// hints too big. The job's whole-touched files are a subset of the
-// filecule's true file count, which is at most the hint; so wholeFiles ==
-// hint forces hint == truth — the skip can never fire while a foreign
-// block still carries s. A stale-high hint merely misses the skip and
-// takes the exact table-backed path below, which also rewrites the hints,
-// restoring them.
-func (e *Engine) resolveSigs(g uint64, sc *observeScratch) {
-	for i := range sc.deltas {
-		d := &sc.deltas[i]
-		moved := d.wholeFiles + d.splitFiles
-		if d.splitFiles == 0 && d.wholeFiles == d.gfiles {
-			d.skip = true
-			continue
-		}
-		d.newSig = d.sig.addJob(g)
-		d.newGfiles = moved
-		if e.sigTab.add(d.newSig, moved) {
-			e.filecules.Add(1)
-		}
-		if e.sigTab.sub(d.sig, moved) {
-			e.filecules.Add(-1)
-		}
-	}
-	for _, r := range sc.wholeRefs {
-		d := &sc.deltas[r.di]
-		if d.skip {
-			continue
-		}
-		b := &e.shards[r.sh].blocks[r.bi]
-		b.sig = d.newSig
-		b.gfiles = d.newGfiles
-	}
-	for _, r := range sc.splitRefs {
-		d := &sc.deltas[r.di]
-		s := &e.shards[r.sh]
-		s.blocks[r.bi].gfiles = d.newGfiles
-		// The remainder lost the delta's moved files; debiting the
-		// original hint keeps remainders stale-high at worst.
-		s.blocks[r.rem].gfiles = d.gfiles - d.newGfiles
-	}
-	if sc.fresh > 0 {
-		for _, r := range sc.freshRefs {
-			e.shards[r.sh].blocks[r.bi].gfiles = sc.fresh
-		}
-		if e.sigTab.add(sigOf(g), sc.fresh) {
-			e.filecules.Add(1)
-		}
-	}
-}
-
-// refreshGroups brings the copy-on-write group cache up to date and returns
-// it along with the engine counters it corresponds to. Caller holds snapMu.
-// The returned map and its snapGroup entries are immutable once returned
-// (rebuilds allocate fresh entries), so callers may walk them after the
-// engine resumes observing.
-func (e *Engine) refreshGroups() (map[sig128]*snapGroup, uint64, int64, uint64) {
 	// Drain in-flight observes; none can start until the gate drops.
 	e.gate.Lock()
-	v := e.version.Load()
-	observed := e.observed.Load()
-	nextGen := e.nextGen.Load()
-	// Fold deferred fast-path request counts in before assembling; they
-	// mark their blocks dirty so the affected groups re-materialize.
+	defer e.gate.Unlock()
+	version, observed, nextGen = e.version.Load(), e.observed.Load(), e.nextGen
 	e.flushPending()
-
-	// Pass 1: group blocks by signature, noting dirtiness, and clear the
-	// dirty bits (every group is validated or rebuilt by this refresh).
-	type blockRef struct {
-		shard int32
-		block int32
+	for bi := len(e.groups); bi < len(e.blocks); bi++ {
+		e.groups = append(e.groups, snapGroup{sig: e.blocks[bi].sig})
 	}
-	type build struct {
-		refs  []blockRef
-		dirty bool
-	}
-	groups := make(map[sig128]*build, len(e.snapGroups))
-	for si := range e.shards {
-		s := &e.shards[si]
-		for bi := range s.blocks {
-			b := &s.blocks[bi]
-			gb := groups[b.sig]
-			if gb == nil {
-				gb = &build{}
-				groups[b.sig] = gb
+	for _, bi := range e.dirty {
+		b, g := &e.blocks[bi], &e.groups[bi]
+		b.dirty = false
+		g.requests, g.stamp = b.requests, version
+		// A block's membership changes only by losing files to a split, so
+		// a list of the block's length is the block's list.
+		if n := int(b.hi - b.lo); len(g.files) != n {
+			files := make([]trace.FileID, n)
+			for i, slot := range e.perm[b.lo:b.hi] {
+				files[i] = e.file[slot]
 			}
-			gb.refs = append(gb.refs, blockRef{int32(si), int32(bi)})
-			if b.dirty {
-				gb.dirty = true
-				b.dirty = false
-			}
+			slices.Sort(files)
+			g.files = files
 		}
 	}
+	e.dirty = e.dirty[:0]
+	e.refreshed = refreshPoint{true, version, observed, nextGen}
+	return version, observed, nextGen
+}
 
-	// Pass 2: materialize, reusing the previous refresh's entry whenever
-	// no contributing block changed and the group shape is intact.
-	next := make(map[sig128]*snapGroup, len(groups))
-	for sig, gb := range groups {
-		entry := e.snapGroups[sig]
-		if gb.dirty || entry == nil || entry.blocks != len(gb.refs) {
-			n := 0
-			for _, ref := range gb.refs {
-				b := &e.shards[ref.shard].blocks[ref.block]
-				n += int(b.hi - b.lo)
-			}
-			files := make([]trace.FileID, 0, n)
-			requests := 0
-			for _, ref := range gb.refs {
-				s := &e.shards[ref.shard]
-				b := &s.blocks[ref.block]
-				requests = b.requests
-				for i := b.lo; i < b.hi; i++ {
-					files = append(files, s.file[s.perm[i]])
-				}
-			}
-			sort.Slice(files, func(a, b int) bool { return files[a] < files[b] })
-			entry = &snapGroup{files: files, requests: requests, blocks: len(gb.refs), stamp: v}
-		}
-		next[sig] = entry
+// canonical returns the refreshed groups' block indexes ordered by smallest
+// member file — position i is filecule ID i. Caller holds snapMu. The order
+// can only move when a block is appended (a split may also change its
+// remainder's smallest file), so it is recomputed only then.
+func (e *Engine) canonical() []int32 {
+	if len(e.order) == len(e.groups) {
+		return e.order
 	}
-	e.snapGroups = next
-	e.gate.Unlock()
-	return next, v, observed, nextGen
+	// Groups are disjoint, so the smallest files are distinct and one sort of
+	// (sign-flipped smallest file, block index) words is the order.
+	keys := make([]uint64, len(e.groups))
+	for bi := range e.groups {
+		keys[bi] = uint64(uint32(e.groups[bi].files[0])^1<<31)<<32 | uint64(bi)
+	}
+	slices.Sort(keys)
+	e.order = slices.Grow(e.order[:0], len(keys))
+	for _, k := range keys {
+		e.order = append(e.order, int32(uint32(k)))
+	}
+	return e.order
 }
 
 // Snapshot returns a consistent canonical Partition of everything observed
 // so far. Unchanged state returns the identical *Partition (pointer
-// comparison detects change); after observes, only changed signature groups
-// are re-materialized.
+// comparison detects change). After observes that changed no membership the
+// new partition shares the previous one's member lists, file index, size
+// table and summary, and differs from it in request counts only.
 func (e *Engine) Snapshot() *Partition {
 	if c := e.snapCache.Load(); c != nil && c.version == e.version.Load() {
 		return c.p
 	}
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	if c := e.snapCache.Load(); c != nil && c.version == e.version.Load() {
-		return c.p
+	prev := e.snapCache.Load()
+	if prev != nil && prev.version == e.version.Load() {
+		return prev.p
 	}
-	groups, v, _, _ := e.refreshGroups()
-	fcs := make([]Filecule, 0, len(groups))
-	for _, entry := range groups {
-		fcs = append(fcs, Filecule{Files: entry.files, Requests: entry.requests})
+	v, _, _ := e.refresh()
+	order := e.canonical()
+	var p *Partition
+	if prev != nil && len(prev.p.Filecules) == len(order) {
+		fcs := slices.Clone(prev.p.Filecules)
+		for id, bi := range order {
+			fcs[id].Requests = e.groups[bi].requests
+		}
+		p = &Partition{Filecules: fcs, shape: prev.p.shape}
+		e.sharedSnaps.Add(1)
+	} else {
+		fcs := make([]Filecule, len(order))
+		for id, bi := range order {
+			g := &e.groups[bi]
+			fcs[id] = Filecule{Files: g.files, Requests: g.requests}
+		}
+		p = newCanonicalPartition(fcs)
+		e.rebuiltSnaps.Add(1)
 	}
-	p := NewPartition(fcs)
 	e.snapCache.Store(&snapState{version: v, p: p})
 	return p
 }

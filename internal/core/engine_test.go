@@ -9,42 +9,37 @@ import (
 
 func TestEngineMatchesBatchUnderConcurrency(t *testing.T) {
 	tr := randomTrace(t, 42, 50, 300)
-	for _, shards := range []int{1, 4, 16} {
-		e := NewEngine(shards)
-		var wg sync.WaitGroup
-		const workers = 8
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(tr.Jobs); i += workers {
-					e.Observe(tr.Jobs[i].Files)
-				}
-			}(w)
-		}
-		wg.Wait()
-		want := Identify(tr)
-		got := e.Snapshot()
-		if !want.Equal(got) {
-			t.Errorf("shards=%d: concurrent engine diverged from batch", shards)
-		}
-		if err := got.Validate(); err != nil {
-			t.Errorf("shards=%d: %v", shards, err)
-		}
-		if e.NumFilecules() != want.NumFilecules() {
-			t.Errorf("shards=%d: NumFilecules = %d, want %d", shards, e.NumFilecules(), want.NumFilecules())
-		}
-		if e.Observed() != int64(len(tr.Jobs)) {
-			t.Errorf("shards=%d: observed %d, want %d", shards, e.Observed(), len(tr.Jobs))
-		}
-		if e.Blocks() < int64(e.NumFilecules()) {
-			t.Errorf("shards=%d: blocks %d < filecules %d", shards, e.Blocks(), e.NumFilecules())
-		}
+	e := NewEngine(0)
+	var wg sync.WaitGroup
+	const workers = 8
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(tr.Jobs); i += workers {
+				e.Observe(tr.Jobs[i].Files)
+			}
+		}(w)
+	}
+	wg.Wait()
+	want := Identify(tr)
+	got := e.Snapshot()
+	if !want.Equal(got) {
+		t.Error("concurrent engine diverged from batch")
+	}
+	if err := got.Validate(); err != nil {
+		t.Error(err)
+	}
+	if e.NumFilecules() != want.NumFilecules() {
+		t.Errorf("NumFilecules = %d, want %d", e.NumFilecules(), want.NumFilecules())
+	}
+	if e.Observed() != int64(len(tr.Jobs)) {
+		t.Errorf("observed %d, want %d", e.Observed(), len(tr.Jobs))
 	}
 }
 
 func TestEngineSnapshotCachingAndIsolation(t *testing.T) {
-	e := NewEngine(4)
+	e := NewEngine(0)
 	e.Observe([]trace.FileID{1, 2, 3})
 	p1 := e.Snapshot()
 	if p2 := e.Snapshot(); p1 != p2 {
@@ -85,22 +80,54 @@ func TestEngineSnapshotCachingAndIsolation(t *testing.T) {
 	}
 }
 
-// TestEngineCopyOnWriteReuse pins the COW contract: filecule groups
-// untouched between snapshots share their member slices with the previous
-// snapshot instead of being re-materialized.
+// TestEngineCopyOnWriteReuse pins what consecutive snapshots share. After an
+// observe that moved request counts only, the new snapshot shares the previous
+// one's member lists and its shape — file index, size table, summary — and
+// differs in counts; after a split, only the blocks that split are
+// re-materialized.
 func TestEngineCopyOnWriteReuse(t *testing.T) {
-	e := NewEngine(4)
+	e := NewEngine(0)
 	e.Observe([]trace.FileID{1, 2})
 	e.Observe([]trace.FileID{10, 11})
+	cat := &trace.Trace{Files: make([]trace.File, 12)}
+	for i := range cat.Files {
+		cat.Files[i] = trace.File{ID: trace.FileID(i), Size: 100}
+	}
 	p1 := e.Snapshot()
-	// Touch only the {10, 11} group.
+	sizes := p1.SizeTable(cat)
+	// Touch only the {10, 11} group, wholly.
 	e.Observe([]trace.FileID{10, 11})
 	p2 := e.Snapshot()
-	if !sameSlice(fileculeFiles(p1, 1), fileculeFiles(p2, 1)) {
+	if !sameSlice(fileculeFiles(p1, 1), fileculeFiles(p2, 1)) || !sameSlice(fileculeFiles(p1, 10), fileculeFiles(p2, 10)) {
+		t.Error("a re-request re-materialized a member list")
+	}
+	if p2.shape != p1.shape || &p2.SizeTable(cat)[0] != &sizes[0] {
+		t.Error("a snapshot after a re-request did not share the previous one's shape")
+	}
+	if p1.FileculeOf(10).Requests != 1 || p2.FileculeOf(10).Requests != 2 {
+		t.Errorf("requests of {10,11}: %d before, %d after; want 1, 2",
+			p1.FileculeOf(10).Requests, p2.FileculeOf(10).Requests)
+	}
+	if st := e.SnapshotStats(); st != (SnapshotStats{Shared: 1, Rebuilt: 1}) {
+		t.Errorf("SnapshotStats = %+v, want one of each", st)
+	}
+
+	e.Observe([]trace.FileID{10}) // splits {10, 11}
+	p3 := e.Snapshot()
+	if p3.shape == p1.shape {
+		t.Error("a snapshot after a split shares the shape of one before it")
+	}
+	if !sameSlice(fileculeFiles(p1, 1), fileculeFiles(p3, 1)) {
 		t.Error("untouched group was re-materialized (COW reuse failed)")
 	}
-	if p2.FileculeOf(10).Requests != 2 {
-		t.Errorf("touched group requests = %d, want 2", p2.FileculeOf(10).Requests)
+	if got := p3.SizeTable(cat); len(got) != 3 || got[p3.Of(10)] != 100 || got[p3.Of(1)] != 200 {
+		t.Errorf("size table after the split = %v", got)
+	}
+	if st := e.SnapshotStats(); st != (SnapshotStats{Shared: 1, Rebuilt: 2}) {
+		t.Errorf("SnapshotStats = %+v after a split, want 1 shared, 2 rebuilt", st)
+	}
+	if p1.NumFilecules() != 2 || p2.NumFilecules() != 2 || len(fileculeFiles(p2, 10)) != 2 {
+		t.Error("the split leaked into snapshots handed out before it")
 	}
 }
 
@@ -123,7 +150,7 @@ func sameSlice(a, b []trace.FileID) bool {
 // no map churn, no block rebuilds, only swaps and counter updates.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	tr := randomTrace(t, 7, 60, 400)
-	e := NewEngine(8)
+	e := NewEngine(0)
 	e.ObserveTrace(tr)
 	e.ObserveTrace(tr) // second pass: partition fully settled
 	i := 0
@@ -131,27 +158,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		e.Observe(tr.Jobs[i%len(tr.Jobs)].Files)
 		i++
 	})
-	// The signature refcount table replaces one key per touched block per
-	// observe; Go maps amortize that to well under one bucket allocation
-	// per call.
 	if avg > 0.5 {
 		t.Errorf("steady-state Observe allocates %.2f allocs/op, want ~0", avg)
-	}
-}
-
-func TestEngineShardConfiguration(t *testing.T) {
-	if got := NewEngine(0).Shards(); got != DefaultEngineShards() {
-		t.Errorf("NewEngine(0).Shards() = %d, want %d", got, DefaultEngineShards())
-	}
-	if got := NewEngine(5).Shards(); got != 8 {
-		t.Errorf("NewEngine(5).Shards() = %d, want 8 (rounded to power of two)", got)
-	}
-	m := NewMonitorShards(16)
-	if m.Shards() != 16 {
-		t.Errorf("NewMonitorShards(16).Shards() = %d", m.Shards())
-	}
-	if m.Engine() == nil {
-		t.Error("Monitor.Engine() is nil")
 	}
 }
 
@@ -160,7 +168,7 @@ func TestEngineShardConfiguration(t *testing.T) {
 // first lookups race.
 func TestEngineLazyPartitionIndex(t *testing.T) {
 	tr := randomTrace(t, 11, 40, 150)
-	e := NewEngine(8)
+	e := NewEngine(0)
 	e.ObserveTrace(tr)
 	lazy := e.Snapshot()
 	eager := Identify(tr)

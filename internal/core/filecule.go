@@ -20,10 +20,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -49,17 +49,27 @@ func (f *Filecule) NumFiles() int { return len(f.Files) }
 // a trace. Files never requested by any job belong to no filecule.
 type Partition struct {
 	Filecules []Filecule
+	shape     *shape
+}
+
+// shape is everything a partition derives from membership alone, built
+// lazily and at most once. Engine snapshots taken between two membership
+// changes differ in request counts only and share one shape, so the first
+// lookup, size table or summary any of them pays for serves them all.
+type shape struct {
 	// nFiles is the covered-file count.
 	nFiles int
 	// idx is the file → 1+filecule index, built on first lookup, so
-	// assembling a partition (every post-observe snapshot does) costs the
-	// filecule list, not the file population.
+	// assembling a partition costs the filecule list, not the file
+	// population.
 	idx atomic.Pointer[fileIndex]
 
-	// sizeMu guards the per-catalog byte-size table cached by SizeTable.
-	sizeMu  sync.Mutex
-	sizeFor *trace.Trace
-	sizeTab []int64
+	// mu guards the per-catalog caches: the byte-size table and the summary
+	// computed under catalog.
+	mu      sync.Mutex
+	catalog *trace.Trace
+	sizes   []int64
+	summary *Summary
 }
 
 // NumFilecules returns the number of filecules.
@@ -71,11 +81,17 @@ func (p *Partition) NumFilecules() int { return len(p.Filecules) }
 // must be non-empty and sorted strictly ascending and the groups must be
 // disjoint (Validate checks all three); callers need not set IDs.
 func NewPartition(fcs []Filecule) *Partition {
-	sort.Slice(fcs, func(a, b int) bool { return fcs[a].Files[0] < fcs[b].Files[0] })
-	p := &Partition{Filecules: fcs}
+	slices.SortFunc(fcs, func(a, b Filecule) int { return cmp.Compare(a.Files[0], b.Files[0]) })
+	return newCanonicalPartition(fcs)
+}
+
+// newCanonicalPartition is NewPartition for groups already in canonical
+// order.
+func newCanonicalPartition(fcs []Filecule) *Partition {
+	p := &Partition{Filecules: fcs, shape: new(shape)}
 	for i := range fcs {
 		fcs[i].ID = i
-		p.nFiles += len(fcs[i].Files)
+		p.shape.nFiles += len(fcs[i].Files)
 	}
 	return p
 }
@@ -84,7 +100,8 @@ func NewPartition(fcs []Filecule) *Partition {
 // concurrent use: racing builders produce identical indexes and one wins the
 // CompareAndSwap.
 func (p *Partition) index() *fileIndex {
-	if x := p.idx.Load(); x != nil {
+	s := p.shape
+	if x := s.idx.Load(); x != nil {
 		return x
 	}
 	x := new(fileIndex)
@@ -93,8 +110,8 @@ func (p *Partition) index() *fileIndex {
 			*x.cell(f) = int32(i) + 1
 		}
 	}
-	p.idx.CompareAndSwap(nil, x)
-	return p.idx.Load()
+	s.idx.CompareAndSwap(nil, x)
+	return s.idx.Load()
 }
 
 // Of returns the filecule index containing file f, or -1 if f was never
@@ -114,7 +131,7 @@ func (p *Partition) FileculeOf(f trace.FileID) *Filecule {
 }
 
 // NumFiles returns the total number of files covered by the partition.
-func (p *Partition) NumFiles() int { return p.nFiles }
+func (p *Partition) NumFiles() int { return p.shape.nFiles }
 
 // Size returns the total byte size of filecule i given the trace's file
 // catalog. Files outside the catalog — possible when a partition merges
@@ -132,24 +149,77 @@ func (p *Partition) Size(t *trace.Trace, i int) int64 {
 }
 
 // SizeTable returns every filecule's byte size under t's catalog, indexed by
-// filecule ID. The table is computed once per (partition, catalog) pair and
+// filecule ID. The table is computed once per (shape, catalog) pair and
 // cached: published partitions are immutable, so every consumer of the same
-// snapshot — JSON encoding, summaries, granularity construction, the binary
+// membership — JSON encoding, summaries, granularity construction, the binary
 // wire protocol — shares one O(files) pass instead of recomputing sums per
 // filecule. Callers must not mutate the returned slice. Safe for concurrent
 // use.
 func (p *Partition) SizeTable(t *trace.Trace) []int64 {
-	p.sizeMu.Lock()
-	defer p.sizeMu.Unlock()
-	if p.sizeFor == t && p.sizeTab != nil {
-		return p.sizeTab
+	s := p.shape
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.useCatalog(t)
+	return p.sizesLocked()
+}
+
+// useCatalog drops what was cached under another catalog. Caller holds mu.
+func (s *shape) useCatalog(t *trace.Trace) {
+	if s.catalog != t {
+		s.catalog, s.sizes, s.summary = t, nil, nil
 	}
-	tab := make([]int64, len(p.Filecules))
-	for i := range p.Filecules {
-		tab[i] = p.Size(t, i)
+}
+
+// sizesLocked builds the size table under shape.catalog, shape.mu held.
+func (p *Partition) sizesLocked() []int64 {
+	s := p.shape
+	if s.sizes == nil {
+		s.sizes = make([]int64, len(p.Filecules))
+		for i := range p.Filecules {
+			s.sizes[i] = p.Size(s.catalog, i)
+		}
 	}
-	p.sizeFor, p.sizeTab = t, tab
-	return tab
+	return s.sizes
+}
+
+// Summary is a partition's shape statistics: what /v1/partition/summary and
+// the wire protocol's 'S' reply report.
+type Summary struct {
+	Filecules, Files     int
+	Monatomic            int // single-file filecules
+	LargestFiles         int // member count of the largest filecule
+	MeanFilesPerFilecule float64
+	CoveredBytes         int64 // under the catalog; 0 without one
+}
+
+// Summary returns the partition's shape statistics, with CoveredBytes summed
+// under t's catalog when t is non-nil. Like SizeTable it is computed once per
+// (shape, catalog) pair. Safe for concurrent use.
+func (p *Partition) Summary(t *trace.Trace) Summary {
+	s := p.shape
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.useCatalog(t)
+	if s.summary == nil {
+		sum := Summary{Filecules: len(p.Filecules), Files: s.nFiles}
+		for i := range p.Filecules {
+			n := len(p.Filecules[i].Files)
+			if n == 1 {
+				sum.Monatomic++
+			}
+			sum.LargestFiles = max(sum.LargestFiles, n)
+		}
+		if sum.Filecules > 0 {
+			sum.MeanFilesPerFilecule = float64(sum.Files) / float64(sum.Filecules)
+		}
+		if t != nil {
+			for _, b := range p.sizesLocked() {
+				sum.CoveredBytes += b
+			}
+		}
+		s.summary = &sum
+	}
+	return *s.summary
 }
 
 // Validate checks the structural invariants of the partition: dense IDs,
@@ -180,8 +250,8 @@ func (p *Partition) Validate() error {
 		}
 		covered += len(fc.Files)
 	}
-	if p.nFiles != covered {
-		return fmt.Errorf("core: nFiles = %d, filecules cover %d files", p.nFiles, covered)
+	if p.shape.nFiles != covered {
+		return fmt.Errorf("core: nFiles = %d, filecules cover %d files", p.shape.nFiles, covered)
 	}
 	return nil
 }

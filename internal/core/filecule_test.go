@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -227,5 +228,38 @@ func TestSizeSkipsFilesOutsideCatalog(t *testing.T) {
 	tr := &trace.Trace{Files: []trace.File{{Size: 10}}}
 	if got := p.Size(tr, 0); got != 10 {
 		t.Fatalf("Size with out-of-catalog member = %d, want 10", got)
+	}
+}
+
+// TestPartitionSummary: the shape statistics both serving surfaces report,
+// with and without a catalog, and across a catalog switch (the per-catalog
+// cache must not serve one catalog's bytes under another).
+func TestPartitionSummary(t *testing.T) {
+	tr := buildTrace(t, 6, [][]trace.FileID{{0, 1, 2}, {0, 1}, {4}})
+	p := Identify(tr)
+	want := Summary{Filecules: 3, Files: 4, Monatomic: 2, LargestFiles: 2, MeanFilesPerFilecule: 4.0 / 3}
+	if got := p.Summary(nil); got != want {
+		t.Errorf("Summary(nil) = %+v, want %+v", got, want)
+	}
+	for _, f := range p.Filecules {
+		for _, id := range f.Files {
+			want.CoveredBytes += tr.Files[id].Size
+		}
+	}
+	if got := p.Summary(tr); got != want {
+		t.Errorf("Summary(catalog) = %+v, want %+v", got, want)
+	}
+	double := &trace.Trace{Files: slices.Clone(tr.Files)}
+	for i := range double.Files {
+		double.Files[i].Size *= 2
+	}
+	if got := p.Summary(double).CoveredBytes; got != 2*want.CoveredBytes {
+		t.Errorf("CoveredBytes under a doubled catalog = %d, want %d", got, 2*want.CoveredBytes)
+	}
+	if got := p.SizeTable(tr)[0]; got != p.Size(tr, 0) {
+		t.Errorf("SizeTable after a catalog switch = %d for filecule 0, want %d", got, p.Size(tr, 0))
+	}
+	if got := NewPartition(nil).Summary(nil); got != (Summary{}) {
+		t.Errorf("empty partition summary = %+v", got)
 	}
 }

@@ -89,7 +89,7 @@ func TestJobCacheFollowsLiveSet(t *testing.T) {
 // TestJobCacheAdmitsAfterSplitAtCap: a cache filled to its cap and then
 // stranded by a split must make room, or the fast path is dead for good.
 func TestJobCacheAdmitsAfterSplitAtCap(t *testing.T) {
-	e := NewEngine(1) // one shard: a filecule is one block, so a partial request splits it
+	e := NewEngine(0)
 	e.cacheCap = 8
 	for i := 0; i < 12; i++ { // disjoint pairs: no splits, the cache fills and then refuses
 		e.Observe([]trace.FileID{trace.FileID(2 * i), trace.FileID(2*i + 1)})
@@ -120,7 +120,7 @@ func TestJobCacheAdmitsAfterSplitAtCap(t *testing.T) {
 // everything observed; under -race this is also the data-race check of the
 // sweep against lock-free hits.
 func TestJobCacheSweepUnderConcurrentHits(t *testing.T) {
-	e := NewEngine(4)
+	e := NewEngine(0)
 	e.cacheCap = 16
 	const readers, rounds, splits = 3, 400, 300
 	stable := make([][]trace.FileID, 8)

@@ -9,24 +9,17 @@ import (
 // job submissions stream past. Many submitter goroutines call Observe
 // concurrently; readers take consistent Partition snapshots at any time.
 //
-// It is a thin wrapper around Engine, the sharded allocation-flat
-// partition-refinement engine: observes touching disjoint shards proceed in
-// parallel rather than serializing on one mutex, snapshots reuse unchanged
-// filecule groups copy-on-write, and the filecule count is maintained
-// incrementally so progress reporting costs O(1).
+// It is a thin wrapper around Engine, the allocation-flat partition
+// -refinement engine: repeated input sets proceed in parallel rather than
+// serializing on one mutex, snapshots share everything membership did not
+// change, and the filecule count is maintained incrementally so progress
+// reporting costs O(1).
 type Monitor struct {
 	engine *Engine
 }
 
-// NewMonitor returns an empty identification service with the default
-// shard layout.
-func NewMonitor() *Monitor { return NewMonitorShards(0) }
-
-// NewMonitorShards returns an empty identification service with the given
-// engine shard count (<= 0 selects DefaultEngineShards).
-func NewMonitorShards(shards int) *Monitor {
-	return &Monitor{engine: NewEngine(shards)}
-}
+// NewMonitor returns an empty identification service.
+func NewMonitor() *Monitor { return &Monitor{engine: NewEngine(0)} }
 
 // NewMonitorEngine wraps an existing engine — typically one rebuilt from a
 // durable checkpoint — as an identification service.
@@ -61,20 +54,25 @@ func (m *Monitor) ObserveSource(src trace.Source) (int64, error) {
 // Observed returns the number of jobs folded in so far.
 func (m *Monitor) Observed() int64 { return m.engine.Observed() }
 
-// NumFilecules returns the current exact filecule count in O(1).
+// NumFilecules returns the current exact filecule count in O(1); see
+// Engine.NumFilecules for its use as a membership version.
 func (m *Monitor) NumFilecules() int { return m.engine.NumFilecules() }
-
-// Shards returns the engine's shard count (a capacity diagnostic exposed by
-// serving layers).
-func (m *Monitor) Shards() int { return m.engine.Shards() }
-
-// Blocks returns the engine's raw per-shard block count (>= NumFilecules;
-// the gap measures cross-shard filecule spread).
-func (m *Monitor) Blocks() int64 { return m.engine.Blocks() }
 
 // JobCacheStats reports the engine's repeat-job cache size, sweeps and
 // fast-path hits.
 func (m *Monitor) JobCacheStats() JobCacheStats { return m.engine.JobCacheStats() }
+
+// SnapshotStats reports how many snapshots shared the previous one's shape
+// and how many were assembled from scratch.
+func (m *Monitor) SnapshotStats() SnapshotStats { return m.engine.SnapshotStats() }
+
+// Membership returns a partition with the current membership whose request
+// counts may be stale; see Engine.Membership.
+func (m *Monitor) Membership() *Partition { return m.engine.Membership() }
+
+// Lookup returns the filecule containing f with its exact request count and a
+// partition of the same membership; see Engine.Lookup.
+func (m *Monitor) Lookup(f trace.FileID) (*Partition, Filecule, bool) { return m.engine.Lookup(f) }
 
 // Snapshot returns a consistent canonical Partition of everything observed
 // so far. Safe for concurrent use; the returned partition is immutable and

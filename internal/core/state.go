@@ -2,20 +2,19 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"filecule/internal/trace"
 )
 
 // Engine state export/import: the hooks the durable checkpoint layer is
 // built on. An engine's future refinement behavior is fully determined by
-// the per-signature groups (member files, request count, signature), the
-// observed-job count, and the generation counter — so that is exactly what
-// EngineState carries. The generation counter matters: signatures are sums
-// over job generation numbers, so a recovered engine that reused old
-// generations could mint a new job set whose signature collides with a
-// historical one and silently merge distinct filecules. Persisting NextGen
-// keeps every post-recovery generation fresh.
+// the groups (member files, request count, signature), the observed-job
+// count, and the generation counter — so that is exactly what EngineState
+// carries. The generation counter matters: signatures are sums over job
+// generation numbers, so a recovered engine that reused old generations could
+// name a new group with a signature a historical one still carries, and
+// checkpoints and federation peers key groups by signature. Persisting
+// NextGen keeps every post-recovery generation fresh.
 
 // StateGroup is one filecule in exportable form.
 type StateGroup struct {
@@ -52,30 +51,31 @@ func (st *EngineState) ChangedSince(version uint64) []StateGroup {
 
 // ExportState captures the engine's durable state. Like Snapshot it reuses
 // per-group materializations across calls, so a steady-state export costs
-// O(blocks) bookkeeping plus work only for groups that changed; the Files
+// O(groups) bookkeeping plus work only for groups that changed; the Files
 // slices are immutable and safe to retain after the engine resumes
 // observing. Groups whose Stamp is unchanged since a previous export are
 // byte-for-byte identical.
 func (e *Engine) ExportState() *EngineState {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	groups, version, observed, nextGen := e.refreshGroups()
+	version, observed, nextGen := e.refresh()
+	order := e.canonical()
 	st := &EngineState{
 		Observed: observed,
 		NextGen:  nextGen,
 		Version:  version,
-		Groups:   make([]StateGroup, 0, len(groups)),
+		Groups:   make([]StateGroup, len(order)),
 	}
-	for sig, entry := range groups {
-		st.Groups = append(st.Groups, StateGroup{
-			SigLo:    sig.lo,
-			SigHi:    sig.hi,
-			Requests: entry.requests,
-			Files:    entry.files,
-			Stamp:    entry.stamp,
-		})
+	for i, bi := range order {
+		g := &e.groups[bi]
+		st.Groups[i] = StateGroup{
+			SigLo:    g.sig.lo,
+			SigHi:    g.sig.hi,
+			Requests: g.requests,
+			Files:    g.files,
+			Stamp:    g.stamp,
+		}
 	}
-	sort.Slice(st.Groups, func(a, b int) bool { return st.Groups[a].Files[0] < st.Groups[b].Files[0] })
 	return st
 }
 
@@ -86,17 +86,18 @@ func (e *Engine) ExportState() *EngineState {
 // unusable and returns an error naming the offending group.
 //
 // The rebuilt engine is observationally equivalent to the exporter: every
-// group becomes one block per shard holding its files, carrying the
-// original signature and request count, with exact global file-count hints.
+// group becomes one block holding its files, carrying the original signature
+// and request count. The signatures need only be distinct, whatever engine
+// minted them: state written while a signature summed a group's whole job set
+// imports like any other.
 func (e *Engine) ImportState(st *EngineState) error {
-	if e.observed.Load() != 0 || e.blocks.Load() != 0 {
+	if e.observed.Load() != 0 || e.nblocks.Load() != 0 {
 		return fmt.Errorf("core: ImportState on a non-empty engine (%d jobs observed)", e.observed.Load())
 	}
 	if st.Observed < 0 {
 		return fmt.Errorf("core: state declares negative observed count %d", st.Observed)
 	}
 	seenSigs := make(map[sig128]struct{}, len(st.Groups))
-	perShard := make([][]trace.FileID, len(e.shards))
 	for gi := range st.Groups {
 		g := &st.Groups[gi]
 		sig := sig128{lo: g.SigLo, hi: g.SigHi}
@@ -110,6 +111,7 @@ func (e *Engine) ImportState(st *EngineState) error {
 		if g.Requests < 1 {
 			return fmt.Errorf("core: state group %d: request count %d < 1", gi, g.Requests)
 		}
+		lo := int32(len(e.perm))
 		for i, f := range g.Files {
 			if f < 0 {
 				return fmt.Errorf("core: state group %d: negative file ID %d", gi, f)
@@ -117,55 +119,25 @@ func (e *Engine) ImportState(st *EngineState) error {
 			if i > 0 && g.Files[i-1] >= f {
 				return fmt.Errorf("core: state group %d: file list not strictly ascending at index %d", gi, i)
 			}
-		}
-
-		// Bucket the group's files by shard, then lay each bucket down as
-		// one contiguous block. Slot interning doubles as the cross-group
-		// duplicate check: a file that already has a slot is in two groups.
-		for si := range perShard {
-			perShard[si] = perShard[si][:0]
-		}
-		touched := make([]uint32, 0, len(e.shards))
-		for _, f := range g.Files {
-			sh := e.shardOf(f)
-			if len(perShard[sh]) == 0 {
-				touched = append(touched, sh)
+			// Slot interning doubles as the cross-group duplicate check: a
+			// file that already has a slot is in two groups.
+			c := e.slots.cell(f)
+			if *c != 0 {
+				return fmt.Errorf("core: state group %d: file %d appears in more than one group", gi, f)
 			}
-			perShard[sh] = append(perShard[sh], f)
+			slot := int32(len(e.file))
+			*c = slot + 1
+			e.file = append(e.file, f)
+			e.pos = append(e.pos, slot)
+			e.perm = append(e.perm, slot)
+			e.blockOf = append(e.blockOf, -1)
 		}
-		gfiles := int32(len(g.Files))
-		for _, sh := range touched {
-			s := &e.shards[sh]
-			lo := int32(len(s.perm))
-			for _, f := range perShard[sh] {
-				c := e.slots.cell(f)
-				if *c != 0 {
-					return fmt.Errorf("core: state group %d: file %d appears in more than one group", gi, f)
-				}
-				slot := int32(len(s.file))
-				*c = slot + 1
-				s.file = append(s.file, f)
-				s.pos = append(s.pos, int32(len(s.perm)))
-				s.perm = append(s.perm, slot)
-				s.blockOf = append(s.blockOf, int32(len(s.blocks)))
-			}
-			s.blocks = append(s.blocks, eblock{
-				lo:       lo,
-				hi:       int32(len(s.perm)),
-				requests: g.Requests,
-				sig:      sig,
-				gfiles:   gfiles,
-				dirty:    true,
-			})
-			e.blocks.Add(1)
-		}
-		if e.sigTab.add(sig, gfiles) {
-			e.filecules.Add(1)
-		}
+		e.addBlock(eblock{lo: lo, hi: int32(len(e.perm)), requests: g.Requests, sig: sig})
 	}
+	e.nblocks.Store(int64(len(e.blocks)))
 	e.observed.Store(st.Observed)
 	e.slowJobs.Store(st.Observed) // fast-path hits count from this process's start
-	e.nextGen.Store(st.NextGen)
+	e.nextGen = st.NextGen
 	e.version.Store(uint64(st.Observed))
 	return nil
 }

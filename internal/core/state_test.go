@@ -8,13 +8,13 @@ import (
 
 // TestStateRoundTrip is the export/import equivalence property the durable
 // layer leans on: exporting an engine mid-trace, importing into a fresh
-// engine (with a different shard layout), and continuing must yield the
+// engine, and continuing must yield the
 // same partition as an uninterrupted run — after every sampled cut point.
 func TestStateRoundTrip(t *testing.T) {
 	for _, seed := range []int64{5, 42, 99} {
 		tr := adversarialTrace(seed)
 		for cut := 0; cut <= len(tr.Jobs); cut += len(tr.Jobs)/4 + 1 {
-			e := NewEngine(4)
+			e := NewEngine(0)
 			for i := 0; i < cut; i++ {
 				e.Observe(tr.Jobs[i].Files)
 			}
@@ -22,22 +22,20 @@ func TestStateRoundTrip(t *testing.T) {
 			if st.Observed != int64(cut) {
 				t.Fatalf("seed %d cut %d: export observed %d", seed, cut, st.Observed)
 			}
-			for _, shards := range []int{1, 8} {
-				e2 := NewEngine(shards)
-				if err := e2.ImportState(st); err != nil {
-					t.Fatalf("seed %d cut %d: import: %v", seed, cut, err)
-				}
-				if e2.Observed() != int64(cut) || e2.NumFilecules() != e.NumFilecules() {
-					t.Fatalf("seed %d cut %d: imported counters observed=%d filecules=%d, want %d/%d",
-						seed, cut, e2.Observed(), e2.NumFilecules(), cut, e.NumFilecules())
-				}
-				for i := cut; i < len(tr.Jobs); i++ {
-					e2.Observe(tr.Jobs[i].Files)
-				}
-				want := Identify(tr)
-				if got := e2.Snapshot(); !want.Equal(got) {
-					t.Fatalf("seed %d cut %d shards %d: recovered engine differs from Identify", seed, cut, shards)
-				}
+			e2 := NewEngine(0)
+			if err := e2.ImportState(st); err != nil {
+				t.Fatalf("seed %d cut %d: import: %v", seed, cut, err)
+			}
+			if e2.Observed() != int64(cut) || e2.NumFilecules() != e.NumFilecules() {
+				t.Fatalf("seed %d cut %d: imported counters observed=%d filecules=%d, want %d/%d",
+					seed, cut, e2.Observed(), e2.NumFilecules(), cut, e.NumFilecules())
+			}
+			for i := cut; i < len(tr.Jobs); i++ {
+				e2.Observe(tr.Jobs[i].Files)
+			}
+			want := Identify(tr)
+			if got := e2.Snapshot(); !want.Equal(got) {
+				t.Fatalf("seed %d cut %d: recovered engine differs from Identify", seed, cut)
 			}
 		}
 	}
@@ -48,7 +46,7 @@ func TestStateRoundTrip(t *testing.T) {
 // (sig, stamp) encode cache is keyed on.
 func TestStateExportReuse(t *testing.T) {
 	tr := adversarialTrace(7)
-	e := NewEngine(4)
+	e := NewEngine(0)
 	e.ObserveTrace(tr)
 	a := e.ExportState()
 	b := e.ExportState()
@@ -120,16 +118,16 @@ func TestImportStateRejectsBadState(t *testing.T) {
 		}
 		st.Groups[0].Files = append([]trace.FileID(nil), base.Groups[0].Files...)
 		tc.mut(st)
-		if err := NewEngine(2).ImportState(st); err == nil {
+		if err := NewEngine(0).ImportState(st); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	// The unmutated base must import.
-	if err := NewEngine(2).ImportState(base); err != nil {
+	if err := NewEngine(0).ImportState(base); err != nil {
 		t.Errorf("valid state rejected: %v", err)
 	}
 	// Importing onto a used engine must fail.
-	e := NewEngine(2)
+	e := NewEngine(0)
 	e.Observe([]trace.FileID{3})
 	if err := e.ImportState(base); err == nil {
 		t.Error("import on non-empty engine accepted")

@@ -39,8 +39,6 @@ import (
 type Options struct {
 	// Dir is the state directory (required; created if absent).
 	Dir string
-	// Shards is the engine shard count (<= 0 selects the default).
-	Shards int
 	// SyncCommit makes every Observe wait for its WAL fsync (group
 	// commit). Off, records sync on the SyncInterval cadence.
 	SyncCommit bool
@@ -144,7 +142,7 @@ func Open(opts Options) (*Engine, error) {
 	if len(ckpts) == 0 {
 		// Fresh directory: persist the empty state so recovery always has
 		// a base, then open wal-0.
-		eng := core.NewEngine(opts.Shards)
+		eng := core.NewEngine(0)
 		cache, stats, err := writeCheckpoint(opts.Dir, 0, eng.ExportState(), nil)
 		if err != nil {
 			return nil, err
@@ -212,7 +210,7 @@ func (d *Engine) recover(opts Options, ckpts []uint64, wals map[uint64][]int) er
 			d.recovery.SkippedCheckpoints++
 			continue
 		}
-		eng := core.NewEngine(opts.Shards)
+		eng := core.NewEngine(0)
 		if err := eng.ImportState(st); err != nil {
 			lastErr = fmt.Errorf("durable: %s: %w", ckptPath(d.dir, c), err)
 			d.logf("durable: skipping invalid checkpoint-%d: %v", c, err)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func testJobs(seed int64, n int) [][]trace.FileID {
 
 // reference folds jobs into a fresh engine and returns its partition.
 func reference(jobs [][]trace.FileID) *core.Partition {
-	e := core.NewEngine(4)
+	e := core.NewEngine(0)
 	for _, f := range jobs {
 		e.Observe(f)
 	}
@@ -81,7 +82,7 @@ func TestRecoverAcrossRestarts(t *testing.T) {
 	jobs := testJobs(1, 400)
 	want := reference(jobs)
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 4, SyncCommit: true}
+	opts := Options{Dir: dir, SyncCommit: true}
 
 	d := mustOpen(t, opts)
 	observeAll(t, d, jobs[:150])
@@ -124,7 +125,7 @@ func TestRecoverAcrossRestarts(t *testing.T) {
 func TestTornTailTruncation(t *testing.T) {
 	jobs := testJobs(2, 120)
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 2, SyncCommit: true}
+	opts := Options{Dir: dir, SyncCommit: true}
 	d := mustOpen(t, opts)
 	// Strict mode + sequential observes: every job is its own synced batch,
 	// so batch boundaries are per-job and a cut loses a suffix of jobs.
@@ -172,7 +173,7 @@ func TestTornTailTruncation(t *testing.T) {
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	jobs := testJobs(4, 200)
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 4, SyncCommit: true}
+	opts := Options{Dir: dir, SyncCommit: true}
 	d := mustOpen(t, opts)
 	observeAll(t, d, jobs[:120])
 	if err := d.Checkpoint(); err != nil { // epoch 1
@@ -247,7 +248,7 @@ func TestAllCheckpointsCorruptFailsWithOffset(t *testing.T) {
 func TestCheckpointReuseAndPrune(t *testing.T) {
 	jobs := testJobs(6, 300)
 	dir := t.TempDir()
-	d := mustOpen(t, Options{Dir: dir, Shards: 4})
+	d := mustOpen(t, Options{Dir: dir})
 	observeAll(t, d, jobs)
 	if err := d.Checkpoint(); err != nil { // epoch 1: all groups fresh
 		t.Fatal(err)
@@ -284,7 +285,7 @@ func TestCheckpointReuseAndPrune(t *testing.T) {
 		t.Fatalf("wals after prune: %v, want epochs 2 and 3", wals)
 	}
 	// And the pruned directory still recovers.
-	d = mustOpen(t, Options{Dir: dir, Shards: 4})
+	d = mustOpen(t, Options{Dir: dir})
 	defer d.Close()
 	if d.Core().Observed() != int64(len(jobs))+1 {
 		t.Fatalf("recovered %d jobs after prune", d.Core().Observed())
@@ -318,7 +319,7 @@ func TestAsyncCloseSyncsTail(t *testing.T) {
 func TestConcurrentObservesWithCheckpoints(t *testing.T) {
 	jobs := testJobs(8, 400)
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 4, SyncInterval: time.Millisecond}
+	opts := Options{Dir: dir, SyncInterval: time.Millisecond}
 	d := mustOpen(t, opts)
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
@@ -366,5 +367,82 @@ func TestOpenRejectsBadDirs(t *testing.T) {
 	}
 	if _, err := Open(Options{Dir: dir}); err == nil {
 		t.Error("wal-only dir accepted")
+	}
+}
+
+// TestRecoverStateWrittenBySharded8Engine recovers testdata/state-8shard: a
+// state directory written by the engine as it was before the shards were
+// collapsed (commit c7c0a2b, default 8 shards) — two retained checkpoints and
+// a segmented WAL past the newer one, with exact repeats, duplicates, empty
+// jobs and partial reads in the stream. Its signatures sum whole job sets and
+// its groups were glued from per-shard sub-blocks; the formats did not change,
+// so it must recover to exactly batch identification of jobs.txt, and keep
+// refining correctly from there.
+func TestRecoverStateWrittenBySharded8Engine(t *testing.T) {
+	const fixture = "testdata/state-8shard"
+	dir := t.TempDir()
+	ents, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if ent.Name() == "jobs.txt" {
+			continue
+		}
+		buf, err := os.ReadFile(filepath.Join(fixture, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ent.Name()), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(fixture, "jobs.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		var files []trace.FileID
+		for _, w := range strings.Fields(line) {
+			id, err := strconv.Atoi(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, trace.FileID(id))
+		}
+		tr.Jobs = append(tr.Jobs, trace.Job{ID: trace.JobID(len(tr.Jobs)), Files: files})
+	}
+
+	d := mustOpen(t, Options{Dir: dir, SyncCommit: true})
+	defer d.Close()
+	rec := d.Recovery()
+	if rec.CheckpointEpoch != 2 || rec.CheckpointObserved != 280 || rec.ReplayedJobs != 80 || rec.SkippedCheckpoints != 0 {
+		t.Fatalf("recovery = %+v, want checkpoint-2 at 280 jobs plus 80 replayed", rec)
+	}
+	if got := d.Core().Snapshot(); !core.Identify(tr).Equal(got) {
+		t.Fatal("recovered partition differs from core.Identify of the jobs that wrote the fixture")
+	}
+
+	// Splits of imported groups must mint signatures no imported group
+	// carries: observe partial reads, checkpoint, and recover once more.
+	for i := 0; i < 40; i++ {
+		files := tr.Jobs[(7*i)%len(tr.Jobs)].Files
+		files = files[:len(files)/2]
+		if err := d.Observe(files); err != nil {
+			t.Fatal(err)
+		}
+		tr.Jobs = append(tr.Jobs, trace.Job{ID: trace.JobID(len(tr.Jobs)), Files: files})
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := mustOpen(t, Options{Dir: dir})
+	defer d2.Close()
+	if got := d2.Core().Snapshot(); !core.Identify(tr).Equal(got) {
+		t.Fatal("partition after further splits and a second recovery differs from core.Identify")
 	}
 }

@@ -24,7 +24,7 @@ var seedJobs = [][]trace.FileID{
 // file's bytes.
 func seedCheckpointBytes(f *testing.F, epoch uint64) []byte {
 	f.Helper()
-	eng := core.NewEngine(1)
+	eng := core.NewEngine(0)
 	for _, j := range seedJobs {
 		eng.Observe(j)
 	}
@@ -59,7 +59,7 @@ func FuzzCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		eng := core.NewEngine(1)
+		eng := core.NewEngine(0)
 		if err := eng.ImportState(st.EngineState); err != nil {
 			return
 		}

@@ -28,7 +28,7 @@ func TestSegmentRollAndRecover(t *testing.T) {
 	jobs := testJobs(11, 500)
 	want := reference(jobs)
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 2, SyncCommit: true, SegmentBytes: 1 << 11}
+	opts := Options{Dir: dir, SyncCommit: true, SegmentBytes: 1 << 11}
 
 	d := mustOpen(t, opts)
 	observeAll(t, d, jobs[:300])
@@ -74,7 +74,7 @@ func TestSegmentRollAndRecover(t *testing.T) {
 func TestSegmentTornTailTruncation(t *testing.T) {
 	jobs := testJobs(12, 200)
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 2, SyncCommit: true, SegmentBytes: 1 << 11}
+	opts := Options{Dir: dir, SyncCommit: true, SegmentBytes: 1 << 11}
 	d := mustOpen(t, opts)
 	observeAll(t, d, jobs)
 	if err := d.Close(); err != nil {

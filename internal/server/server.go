@@ -36,7 +36,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"filecule/internal/cache"
@@ -65,11 +65,6 @@ type Config struct {
 	ShutdownGrace time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// EngineShards sets the identification engine's lock-stripe count;
-	// <= 0 selects core.DefaultEngineShards. Exposed as the
-	// filecule_engine_shards gauge so observe-path regressions can be
-	// correlated with the shard layout in production.
-	EngineShards int
 	// Durable, when set, makes observes WAL-ahead through the durability
 	// layer (its engine becomes the serving engine, so recovered state is
 	// what the server answers from) and mounts POST /v1/admin/checkpoint.
@@ -126,17 +121,15 @@ type Server struct {
 	fedNode *fed.Node
 	fedErr  error
 
-	// granMu guards the advice granularity, rebuilt only when the
-	// monitor snapshot changes (detected by pointer identity, which
-	// Monitor.Snapshot guarantees between observations).
-	granMu   sync.Mutex
-	granSnap *core.Partition
-	gran     *cache.FileculeGranularity
+	// gran is the advice granularity, rebuilt only when the engine's
+	// membership version has moved past the partition it was built from; see
+	// granularity.
+	gran atomic.Pointer[cache.FileculeGranularity]
 }
 
 // New builds a Server from the configuration.
 func New(cfg Config) *Server {
-	monitor := core.NewMonitorShards(cfg.EngineShards)
+	monitor := core.NewMonitor()
 	if cfg.Durable != nil {
 		monitor = core.NewMonitorEngine(cfg.Durable.Core())
 	}
@@ -551,21 +544,16 @@ func (s *Server) handleFilecule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	p := s.monitor.Snapshot()
-	fc := p.FileculeOf(f)
-	if fc == nil {
+	p, fc, ok := s.monitor.Lookup(f)
+	if !ok {
 		writeError(w, http.StatusNotFound, "file %d not observed in any job", f)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.fileculeBody(p, fc))
-}
-
-func (s *Server) fileculeBody(p *core.Partition, fc *core.Filecule) FileculeBody {
 	b := FileculeBody{ID: fc.ID, Files: fc.Files, Requests: fc.Requests}
 	if s.catTrace != nil {
 		b.Bytes = p.SizeTable(s.catTrace)[fc.ID]
 	}
-	return b
+	writeJSON(w, http.StatusOK, b)
 }
 
 // PartitionJSON encodes a partition in the service's canonical wire form:
@@ -601,45 +589,35 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	p := s.monitor.Snapshot()
-	sum := SummaryBody{
-		Observed:  s.monitor.Observed(),
-		Filecules: p.NumFilecules(),
-		Files:     p.NumFiles(),
-	}
-	var sizes []int64
-	if s.catTrace != nil {
-		sizes = p.SizeTable(s.catTrace)
-	}
-	for i := range p.Filecules {
-		n := p.Filecules[i].NumFiles()
-		if n == 1 {
-			sum.Monatomic++
-		}
-		if n > sum.LargestFiles {
-			sum.LargestFiles = n
-		}
-		if sizes != nil {
-			sum.CoveredBytes += sizes[i]
-		}
-	}
-	if p.NumFilecules() > 0 {
-		sum.MeanFilesPerGroup = float64(p.NumFiles()) / float64(p.NumFilecules())
-	}
-	writeJSON(w, http.StatusOK, sum)
+	sum := s.monitor.Membership().Summary(s.catTrace)
+	writeJSON(w, http.StatusOK, SummaryBody{
+		Observed:          s.monitor.Observed(),
+		Filecules:         sum.Filecules,
+		Files:             sum.Files,
+		Monatomic:         sum.Monatomic,
+		MeanFilesPerGroup: sum.MeanFilesPerFilecule,
+		LargestFiles:      sum.LargestFiles,
+		CoveredBytes:      sum.CoveredBytes,
+	})
 }
 
-// granularity returns the advice granularity for the current snapshot,
-// rebuilding it only when the snapshot changed.
+// granularity returns the advice granularity for the engine's current
+// membership. Advice reads only membership — which files share a filecule and
+// what the filecules weigh — so the granularity is keyed on the membership
+// version (the filecule count, see core.Engine.NumFilecules) of the partition
+// it was built from: an observe that split nothing and saw no new file
+// invalidates nothing here, and an Advise after it takes no snapshot at all.
 func (s *Server) granularity() *cache.FileculeGranularity {
-	p := s.monitor.Snapshot()
-	s.granMu.Lock()
-	defer s.granMu.Unlock()
-	if s.granSnap != p {
-		s.gran = cache.NewFileculeGranularity(s.catTrace, p)
-		s.granSnap = p
+	p := s.monitor.Membership()
+	g := s.gran.Load()
+	if g == nil || g.Partition().NumFilecules() != p.NumFilecules() {
+		// Racing rebuilds are harmless: the size table behind each is built
+		// once per membership (core.Partition.SizeTable), and any of them
+		// answers for p.
+		g = cache.NewFileculeGranularity(s.catTrace, p)
+		s.gran.Store(g)
 	}
-	return s.gran
+	return g
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
@@ -685,21 +663,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WritePrometheus(w)
 	// Application-level gauges alongside the HTTP counters.
-	p := s.monitor.Snapshot()
+	p := s.monitor.Membership()
 	fmt.Fprintf(w, "# TYPE filecule_jobs_observed_total counter\n")
 	fmt.Fprintf(w, "filecule_jobs_observed_total %d\n", s.monitor.Observed())
 	fmt.Fprintf(w, "# TYPE filecule_partition_filecules gauge\n")
 	fmt.Fprintf(w, "filecule_partition_filecules %d\n", p.NumFilecules())
 	fmt.Fprintf(w, "# TYPE filecule_partition_files gauge\n")
 	fmt.Fprintf(w, "filecule_partition_files %d\n", p.NumFiles())
-	// Capacity gauges: how the observe path is laid out on this host, so
-	// throughput regressions are diagnosable from scrapes alone.
+	// Capacity gauge, so throughput regressions are diagnosable from scrapes
+	// alone.
 	fmt.Fprintf(w, "# TYPE filecule_server_gomaxprocs gauge\n")
 	fmt.Fprintf(w, "filecule_server_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "# TYPE filecule_engine_shards gauge\n")
-	fmt.Fprintf(w, "filecule_engine_shards %d\n", s.monitor.Shards())
-	fmt.Fprintf(w, "# TYPE filecule_engine_blocks gauge\n")
-	fmt.Fprintf(w, "filecule_engine_blocks %d\n", s.monitor.Blocks())
 	// The repeat-job fast path: whether it is hitting, and that its cache
 	// tracks the live repeat set rather than every job ever seen.
 	jc := s.monitor.JobCacheStats()
@@ -709,6 +683,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "filecule_engine_jobcache_sweeps_total %d\n", jc.Sweeps)
 	fmt.Fprintf(w, "# TYPE filecule_engine_fastpath_hits_total counter\n")
 	fmt.Fprintf(w, "filecule_engine_fastpath_hits_total %d\n", jc.FastPathHits)
+	// Whether reads after observes hit the split-free path: a shared snapshot
+	// reused the previous one's member lists, index and size table.
+	ss := s.monitor.SnapshotStats()
+	fmt.Fprintf(w, "# TYPE filecule_engine_snapshots_total counter\n")
+	fmt.Fprintf(w, "filecule_engine_snapshots_total{kind=\"shared\"} %d\n", ss.Shared)
+	fmt.Fprintf(w, "filecule_engine_snapshots_total{kind=\"rebuilt\"} %d\n", ss.Rebuilt)
 	if s.cfg.Durable != nil {
 		st := s.cfg.Durable.Stats()
 		fmt.Fprintf(w, "# TYPE filecule_wal_appended_jobs_total counter\n")

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -350,5 +352,160 @@ func TestEngineCacheMetrics(t *testing.T) {
 		if !strings.Contains(ms, needle) {
 			t.Errorf("metrics missing %q", needle)
 		}
+	}
+}
+
+// TestSnapshotMetricsAndMembershipReads: /metrics tells an operator whether
+// reads after observes hit the split-free path, and the reads that need
+// membership alone (advise, summary) or one count (filecule lookup) assemble
+// no partition at all once one of the current membership exists.
+func TestSnapshotMetricsAndMembershipReads(t *testing.T) {
+	s, _ := testServer(t)
+	observe := func(body string) {
+		t.Helper()
+		if w := do(s, "POST", "/v1/jobs", body); w.Code != http.StatusOK {
+			t.Fatalf("observe %s: %d %s", body, w.Code, w.Body)
+		}
+	}
+	get := func(path string) string {
+		t.Helper()
+		w := do(s, "GET", path, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, w.Code, w.Body)
+		}
+		return w.Body.String()
+	}
+	observe(`{"files":[5,6,7]}`)
+	observe(`{"files":[5,6]}`)
+	get("/v1/partition") // rebuilt: the first snapshot
+	observe(`{"files":[5,6]}`)
+	get("/v1/partition") // shared: counts moved, membership did not
+
+	before := s.Monitor().SnapshotStats()
+	if before.Shared != 1 || before.Rebuilt != 1 {
+		t.Fatalf("after one snapshot per kind: %+v", before)
+	}
+	for i := 0; i < 3; i++ {
+		observe(`{"files":[5,6]}`)
+		if w := do(s, "POST", "/v1/cache/advise", `{"capacityBytes":1000000000000,"files":[5,7]}`); w.Code != http.StatusOK {
+			t.Fatalf("advise: %d %s", w.Code, w.Body)
+		}
+		get("/v1/partition/summary")
+		if got, want := get("/v1/filecules/5"), fmt.Sprintf(`"requests":%d`, 4+i); !strings.Contains(got, want) {
+			t.Errorf("filecule of 5 after %d re-requests = %s, want %s", i+1, got, want)
+		}
+	}
+	ms := get("/metrics")
+	if after := s.Monitor().SnapshotStats(); after != before {
+		t.Errorf("advise, summary, lookup and a scrape after re-requests assembled partitions: %+v -> %+v", before, after)
+	}
+	for _, needle := range []string{
+		"filecule_engine_snapshots_total{kind=\"shared\"} 1\n",
+		"filecule_engine_snapshots_total{kind=\"rebuilt\"} 1\n",
+		"filecule_partition_filecules 2\n",
+	} {
+		if !strings.Contains(ms, needle) {
+			t.Errorf("metrics missing %q", needle)
+		}
+	}
+
+	observe(`{"files":[6]}`) // a split: membership moves, everything reads it
+	if got := get("/v1/filecules/5"); !strings.Contains(got, `"files":[5]`) {
+		t.Errorf("filecule of 5 after the split = %s", got)
+	}
+	if after := s.Monitor().SnapshotStats(); after.Rebuilt != before.Rebuilt+1 {
+		t.Errorf("a lookup after a split did not rebuild: %+v -> %+v", before, after)
+	}
+}
+
+// TestSharedShapeSnapshotsAreIsolated: partitions handed out earlier stay
+// byte-identical while re-request observes keep producing shared-shape
+// snapshots that other goroutines read through everything the shape shares —
+// the file index, the size table, the summary. Meaningful under -race.
+func TestSharedShapeSnapshotsAreIsolated(t *testing.T) {
+	s, tr := testServer(t)
+	n := min(300, len(tr.Jobs))
+	for i := 0; i < n; i++ {
+		s.Monitor().Observe(tr.Jobs[i].Files)
+	}
+	cat := &trace.Trace{Files: tr.Files}
+	type held struct {
+		p    *core.Partition
+		json []byte
+	}
+	hold := func() held {
+		p := s.Monitor().Snapshot()
+		buf, err := PartitionJSON(p, 0, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return held{p, buf}
+	}
+	first := hold()
+
+	const writers, readers, rounds = 2, 3, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				s.Monitor().Observe(tr.Jobs[(w+writers*i)%n].Files) // a re-request: counts only
+			}
+		}(w)
+	}
+	kept := make([][]held, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				h := hold()
+				f := tr.Jobs[(r+i)%n].Files
+				if len(f) > 0 {
+					id := h.p.Of(f[0])
+					if id < 0 || h.p.SizeTable(cat)[id] <= 0 {
+						t.Errorf("file %d: filecule %d in a shared-shape snapshot", f[0], id)
+						return
+					}
+				}
+				if sum := h.p.Summary(cat); sum.Filecules != first.p.NumFilecules() || sum.Files != first.p.NumFiles() {
+					t.Errorf("summary %+v disagrees with the membership held before", sum)
+					return
+				}
+				if i%20 == 0 {
+					kept[r] = append(kept[r], h)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	if st := s.Monitor().SnapshotStats(); st.Shared == 0 || st.Rebuilt != 1 {
+		t.Errorf("re-requests took the wrong snapshot path: %+v", st)
+	}
+	for _, h := range append([]held{first}, slices.Concat(kept...)...) {
+		buf, err := PartitionJSON(h.p, 0, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, h.json) {
+			t.Fatal("a partition changed after it was handed out")
+		}
+	}
+	want := &trace.Trace{Files: tr.Files}
+	for i := 0; i < n; i++ {
+		want.Jobs = append(want.Jobs, tr.Jobs[i])
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < rounds; i++ {
+			want.Jobs = append(want.Jobs, tr.Jobs[(w+writers*i)%n])
+		}
+	}
+	for i := range want.Jobs {
+		want.Jobs[i].ID = trace.JobID(i)
+	}
+	if !s.Monitor().Snapshot().Equal(core.Identify(want)) {
+		t.Error("final snapshot differs from batch identification of everything observed")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // This file adapts the Server to the binary wire protocol (internal/wire),
 // so one process serves both surfaces from the same monitor, durability
 // layer, advice granularity and metrics. The adapter is deliberately thin:
-// every decision — durable WAL-ahead observes, snapshot-keyed granularity
+// every decision — durable WAL-ahead observes, membership-keyed granularity
 // caching, catalog bounds — is the same code the HTTP handlers run, which is
 // what makes the two stacks differentially testable.
 
@@ -50,6 +50,15 @@ func (b wireBackend) Granularity() (cache.Granularity, error) {
 
 func (b wireBackend) PartitionState() (*core.Partition, int64, *trace.Trace) {
 	return b.s.monitor.Snapshot(), b.s.monitor.Observed(), b.s.catTrace
+}
+
+func (b wireBackend) Membership() (*core.Partition, int64, *trace.Trace) {
+	return b.s.monitor.Membership(), b.s.monitor.Observed(), b.s.catTrace
+}
+
+func (b wireBackend) Lookup(f trace.FileID) (*core.Partition, core.Filecule, *trace.Trace, bool) {
+	p, fc, ok := b.s.monitor.Lookup(f)
+	return p, fc, b.s.catTrace, ok
 }
 
 // WireServer builds the binary protocol server answering from this Server's

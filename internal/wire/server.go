@@ -26,14 +26,21 @@ type Backend interface {
 	ObserveBatch(jobs [][]trace.FileID) error
 	// Counts reports ingestion progress for observe acknowledgements.
 	Counts() (observed int64, filecules int)
-	// Granularity returns the advice granularity for the current snapshot.
+	// Granularity returns the advice granularity for the current partition.
 	// An error means advice is unavailable (no catalog), answered as 422.
-	// Implementations cache the granularity per snapshot, so consecutive
-	// calls return the identical value until the partition changes.
+	// Implementations cache the granularity per membership, so consecutive
+	// calls return the identical value until some file changes filecule.
 	Granularity() (cache.Granularity, error)
 	// PartitionState returns the current snapshot, the observed count, and
 	// the catalog for byte sizing (nil when the server has no catalog).
 	PartitionState() (p *core.Partition, observed int64, catalog *trace.Trace)
+	// Membership is PartitionState with request counts allowed to be stale
+	// (core.Engine.Membership): what a summary is computed from.
+	Membership() (p *core.Partition, observed int64, catalog *trace.Trace)
+	// Lookup returns the filecule containing f with its exact request count,
+	// and a partition of the same membership plus the catalog to size it by
+	// (core.Engine.Lookup); ok is false if f was never requested.
+	Lookup(f trace.FileID) (p *core.Partition, fc core.Filecule, catalog *trace.Trace, ok bool)
 }
 
 // Server serves filecule-wire/v1 over persistent TCP connections. Each
@@ -450,26 +457,16 @@ func (s *Server) handleSummary(st *connState) ([]byte, string, int) {
 		return s.errResp(st, CodeBadRequest, route,
 			"summary request carries %d unexpected bytes", st.pl.Remaining()), route, CodeBadRequest
 	}
-	p, observed, catalog := s.Backend.PartitionState()
-	r := SummaryReply{Observed: observed, Filecules: p.NumFilecules(), Files: p.NumFiles()}
-	var sizes []int64
-	if catalog != nil {
-		sizes = p.SizeTable(catalog)
-	}
-	for i := range p.Filecules {
-		n := p.Filecules[i].NumFiles()
-		if n == 1 {
-			r.Monatomic++
-		}
-		if n > r.LargestFiles {
-			r.LargestFiles = n
-		}
-		if sizes != nil {
-			r.CoveredBytes += sizes[i]
-		}
-	}
-	if p.NumFilecules() > 0 {
-		r.MeanFilesPerGroup = float64(p.NumFiles()) / float64(p.NumFilecules())
+	p, observed, catalog := s.Backend.Membership()
+	sum := p.Summary(catalog)
+	r := SummaryReply{
+		Observed:          observed,
+		Filecules:         sum.Filecules,
+		Files:             sum.Files,
+		Monatomic:         sum.Monatomic,
+		MeanFilesPerGroup: sum.MeanFilesPerFilecule,
+		LargestFiles:      sum.LargestFiles,
+		CoveredBytes:      sum.CoveredBytes,
 	}
 	st.out = appendSummaryResult(st.out[:0], &r)
 	return st.out, route, 200
@@ -485,9 +482,8 @@ func (s *Server) handleFilecule(st *connState, off int64) ([]byte, string, int) 
 	if err := st.reqErr(off); err != nil {
 		return s.errResp(st, CodeBadRequest, route, "%v", err), route, CodeBadRequest
 	}
-	p, _, catalog := s.Backend.PartitionState()
-	fc := p.FileculeOf(trace.FileID(id))
-	if fc == nil {
+	p, fc, catalog, ok := s.Backend.Lookup(trace.FileID(id))
+	if !ok {
 		return s.errResp(st, CodeNotFound, route,
 			"file %d not observed in any job", id), route, CodeNotFound
 	}

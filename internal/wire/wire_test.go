@@ -76,6 +76,15 @@ func (b *memBackend) PartitionState() (*core.Partition, int64, *trace.Trace) {
 	return b.mon.Snapshot(), b.mon.Observed(), b.cat
 }
 
+func (b *memBackend) Membership() (*core.Partition, int64, *trace.Trace) {
+	return b.mon.Membership(), b.mon.Observed(), b.cat
+}
+
+func (b *memBackend) Lookup(f trace.FileID) (*core.Partition, core.Filecule, *trace.Trace, bool) {
+	p, fc, ok := b.mon.Lookup(f)
+	return p, fc, b.cat, ok
+}
+
 // runStream feeds raw post-magic request bytes through serveStream and
 // returns the raw response bytes and the stream error.
 func runStream(t *testing.T, s *Server, in []byte) ([]byte, error) {
