@@ -52,7 +52,9 @@ lint:
 
 # One short fuzz run per target (Go allows one -fuzz pattern per package
 # invocation). Seeds alone run in `test`; this explores beyond them.
+# TestFuzzSmokeListsEveryTarget fails when a Fuzz function is missing here.
 fuzz-smoke:
+	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzTraceCodec -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzBinRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzMmapDecode -fuzztime=$(FUZZTIME) ./internal/trace
@@ -107,11 +109,13 @@ bench-json:
 # Gate the fresh report against the committed baseline: fail on >15% ns/op
 # or B/op regression, a sub-3x sweep speedup, a sub-4x online-observe
 # speedup over the Refiner, a sub-2x binary-over-text decode speedup, a
-# mapped decode slower than 0.9x the streaming decode, a sub-3x
-# wire-over-JSON serving speedup, a WAL-on observe more than 10x the bare
-# engine, wire throughput/p99 outside the absolute CI bounds, a mapped
-# per-job hot loop that allocates, >15% more allocs/op on the cold path
-# (whose ns/op is recorded, not gated), or any sweep miss-rate drift.
+# mapped decode slower than 0.9x the streaming decode (measured 1.5-1.9x
+# faster on a 2-vCPU host, the same serial decoder on one core; table and
+# host in DESIGN §13), a sub-3x wire-over-JSON serving speedup, a WAL-on
+# observe more than 10x the bare engine, wire throughput/p99 outside the
+# absolute CI bounds, a mapped per-job hot loop that allocates, >15% more
+# allocs/op on the cold path (whose ns/op is recorded, not gated), or any
+# sweep miss-rate drift.
 bench-gate: bench-json
 	$(GO) run ./cmd/filecule-benchgate -report BENCH_sweep.json \
 		-baseline BENCH_baseline.json -tolerance $(BENCH_TOLERANCE)

@@ -646,7 +646,7 @@ func BenchmarkServerAdvise(b *testing.B) {
 	t := benchRunner.Trace()
 	s := server.New(server.Config{Catalog: t.Files})
 	for i := range t.Jobs {
-		s.Monitor().Observe(t.Jobs[i].Files)
+		s.Engine().Observe(t.Jobs[i].Files)
 	}
 	capacity := benchCapacity()
 	bodies := make([][]byte, 0, 256)
@@ -685,9 +685,9 @@ func BenchmarkServerPartitionQuery(b *testing.B) {
 	t := benchRunner.Trace()
 	s := server.New(server.Config{Catalog: t.Files})
 	for i := range t.Jobs {
-		s.Monitor().Observe(t.Jobs[i].Files)
+		s.Engine().Observe(t.Jobs[i].Files)
 	}
-	p := s.Monitor().Snapshot()
+	p := s.Engine().Snapshot()
 	if p.NumFiles() == 0 {
 		b.Fatal("empty partition")
 	}
@@ -718,7 +718,7 @@ func benchTCPServer(b *testing.B) (httpAddr, wireAddr string, stop func()) {
 	for i := range t.Jobs {
 		jobs[i] = t.Jobs[i].Files
 	}
-	s.Monitor().ObserveBatch(jobs)
+	s.Engine().ObserveBatch(jobs)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	hl, err := net.Listen("tcp", "127.0.0.1:0")

@@ -128,11 +128,11 @@ func TestDifferentialIdentification(t *testing.T) {
 			t.Errorf("trace %d: Engine counts %d filecules, want %d", ti, got, want)
 		}
 
-		// Monitor fed by concurrent submitters (order scrambled by the
+		// Engine fed by concurrent submitters (order scrambled by the
 		// scheduler): filecules are equivalence classes, so the final
 		// partition must not depend on observation order. Run under
 		// -race this also checks the locking.
-		m := NewMonitor()
+		m := NewEngine(0)
 		var wg sync.WaitGroup
 		workers := 8
 		for w := 0; w < workers; w++ {
@@ -140,13 +140,13 @@ func TestDifferentialIdentification(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(tr.Jobs); i += workers {
-					m.ObserveJob(&tr.Jobs[i])
+					m.Observe(tr.Jobs[i].Files)
 				}
 			}(w)
 		}
 		wg.Wait()
 		if p := m.Snapshot(); !ref.Equal(p) {
-			t.Errorf("trace %d: concurrent Monitor differs from Identify", ti)
+			t.Errorf("trace %d: concurrent Engine differs from Identify", ti)
 		}
 		checkInvariants(t, tr, m.Snapshot())
 	}
@@ -216,7 +216,7 @@ func TestDifferentialPrefixAllIdentifiers(t *testing.T) {
 // layer relies on: unchanged state returns the identical pointer; an
 // observation invalidates it.
 func TestMonitorSnapshotCaching(t *testing.T) {
-	m := NewMonitor()
+	m := NewEngine(0)
 	m.Observe([]trace.FileID{1, 2})
 	p1 := m.Snapshot()
 	if p2 := m.Snapshot(); p1 != p2 {

@@ -191,3 +191,98 @@ func TestEngineLazyPartitionIndex(t *testing.T) {
 		t.Errorf("NumFiles: lazy %d, eager %d", lazy.NumFiles(), eager.NumFiles())
 	}
 }
+
+// The TestMonitor* cases hold the engine to its Section 6 role — the
+// identification monitor at a concentration point, with many submitters and
+// readers at once — and run under -race in CI.
+
+func TestMonitorMatchesBatchUnderConcurrency(t *testing.T) {
+	tr := randomTrace(t, 77, 40, 200)
+	e := NewEngine(0)
+
+	// Feed jobs from several goroutines. The interleaving is arbitrary,
+	// but filecule identification is order-insensitive over a fixed job
+	// multiset, so the final partition must group files exactly like the
+	// batch result (request counts per filecule also match: they count
+	// jobs, not order).
+	const workers = 8
+	var wg sync.WaitGroup
+	ch := make(chan *trace.Job)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range ch {
+				e.Observe(j.Files)
+			}
+		}()
+	}
+	for i := range tr.Jobs {
+		ch <- &tr.Jobs[i]
+	}
+	close(ch)
+	wg.Wait()
+
+	if e.Observed() != int64(len(tr.Jobs)) {
+		t.Fatalf("observed %d jobs, want %d", e.Observed(), len(tr.Jobs))
+	}
+	got := e.Snapshot()
+	want := Identify(tr)
+	if !got.Equal(want) {
+		t.Error("concurrently fed engine diverged from batch identification")
+	}
+	if got.Validate() != nil {
+		t.Error("snapshot invalid")
+	}
+}
+
+func TestMonitorSnapshotIsIsolated(t *testing.T) {
+	e := NewEngine(0)
+	e.Observe([]trace.FileID{0, 1})
+	snap := e.Snapshot()
+	if snap.NumFilecules() != 1 {
+		t.Fatalf("filecules = %d", snap.NumFilecules())
+	}
+	// Later observations must not mutate the earlier snapshot.
+	e.Observe([]trace.FileID{0})
+	if snap.NumFilecules() != 1 || len(snap.Filecules[0].Files) != 2 {
+		t.Error("snapshot mutated by later observation")
+	}
+	if e.NumFilecules() != 2 {
+		t.Errorf("engine filecules = %d, want 2 after split", e.NumFilecules())
+	}
+}
+
+func TestMonitorConcurrentReadersAndWriters(t *testing.T) {
+	tr := randomTrace(t, 3, 30, 120)
+	e := NewEngine(0)
+	var wg sync.WaitGroup
+	// Writers.
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(tr.Jobs); i += 4 {
+				e.Observe(tr.Jobs[i].Files)
+			}
+		}(w)
+	}
+	// Readers take snapshots while writes are in flight; every snapshot
+	// must be internally consistent.
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := e.Snapshot().Validate(); err != nil {
+					t.Errorf("mid-flight snapshot invalid: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !e.Snapshot().Equal(Identify(tr)) {
+		t.Error("final state diverged from batch")
+	}
+}

@@ -121,7 +121,7 @@ func TestSplitTraceSourcePartition(t *testing.T) {
 
 func TestMonitorObserveSource(t *testing.T) {
 	tr := diffTraces(t)[0]
-	m := NewMonitor()
+	m := NewEngine(0)
 	n, err := m.ObserveSource(trace.NewTraceSource(tr))
 	if err != nil || int(n) != len(tr.Jobs) {
 		t.Fatalf("ObserveSource = (%d, %v), want (%d, nil)", n, err, len(tr.Jobs))
@@ -130,6 +130,6 @@ func TestMonitorObserveSource(t *testing.T) {
 		t.Errorf("Observed = %d, want %d", got, want)
 	}
 	if p := m.Snapshot(); !Identify(tr).Equal(p) {
-		t.Error("Monitor.ObserveSource partition differs from Identify")
+		t.Error("Engine.ObserveSource partition differs from Identify")
 	}
 }

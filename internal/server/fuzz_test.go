@@ -42,8 +42,8 @@ func FuzzServerHandlers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, which uint8, body string) {
 		s := New(Config{Catalog: fuzzCatalog(), MaxBodyBytes: 1 << 20})
 		// Give the partition some state so query paths have content.
-		s.Monitor().Observe([]trace.FileID{1, 2})
-		s.Monitor().Observe([]trace.FileID{2, 3})
+		s.Engine().Observe([]trace.FileID{1, 2})
+		s.Engine().Observe([]trace.FileID{2, 3})
 
 		var r *http.Request
 		switch which % 4 {
@@ -108,9 +108,9 @@ func FuzzAdviseConsistency(f *testing.F) {
 			capacity = 1
 		}
 		s := New(Config{Catalog: fuzzCatalog()})
-		s.Monitor().Observe([]trace.FileID{1, 2})
-		s.Monitor().Observe([]trace.FileID{3, 4, 5})
-		numFilecules := s.Monitor().Snapshot().NumFilecules()
+		s.Engine().Observe([]trace.FileID{1, 2})
+		s.Engine().Observe([]trace.FileID{3, 4, 5})
+		numFilecules := s.Engine().Snapshot().NumFilecules()
 
 		var files []trace.FileID
 		for i := 0; i < 8; i++ {

@@ -1,7 +1,7 @@
 // Package server exposes the filecule identification service over
 // HTTP/JSON — the deployment Section 6 of the paper sketches, where job
 // submissions stream past a concentration point and distributed site caches
-// ask for staging advice. It wraps core.Monitor for ingestion, serves
+// ask for staging advice. It wraps core.Engine for ingestion, serves
 // partition queries from cached snapshots, and computes filecule-granularity
 // cache admission/eviction advice via internal/cache.
 //
@@ -109,8 +109,10 @@ func orDefault(d, def time.Duration) time.Duration {
 // Server is the HTTP serving layer. Create with New; it is safe for
 // concurrent use by any number of connections.
 type Server struct {
-	cfg     Config
-	monitor *core.Monitor
+	cfg Config
+	// engine is the identification engine: the server's own, or the one
+	// inside cfg.Durable, which then takes the observes (see wireBackend).
+	engine  *core.Engine
 	metrics *Metrics
 	mux     *http.ServeMux
 	// catTrace wraps the catalog for granularity construction.
@@ -129,13 +131,13 @@ type Server struct {
 
 // New builds a Server from the configuration.
 func New(cfg Config) *Server {
-	monitor := core.NewMonitor()
+	engine := core.NewEngine(0)
 	if cfg.Durable != nil {
-		monitor = core.NewMonitorEngine(cfg.Durable.Core())
+		engine = cfg.Durable.Core()
 	}
 	s := &Server{
 		cfg:     cfg,
-		monitor: monitor,
+		engine:  engine,
 		metrics: NewMetrics(),
 		mux:     http.NewServeMux(),
 	}
@@ -153,7 +155,7 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Fed != nil {
 		fc := *cfg.Fed
-		fc.Self = s.monitor.Engine()
+		fc.Self = s.engine
 		if fc.MaxFiles == 0 && len(cfg.Catalog) > 0 {
 			// Bound incoming deltas by the catalog, mirroring checkFiles on
 			// the observe path: remote state may never reference a file the
@@ -190,8 +192,9 @@ func New(cfg Config) *Server {
 // Handler returns the root handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Monitor exposes the underlying identification monitor.
-func (s *Server) Monitor() *core.Monitor { return s.monitor }
+// Engine exposes the underlying identification engine. Observing through it
+// bypasses the durability layer when one is configured.
+func (s *Server) Engine() *core.Engine { return s.engine }
 
 // Metrics exposes the request metrics collector.
 func (s *Server) Metrics() *Metrics { return s.metrics }
@@ -407,17 +410,13 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.cfg.Durable != nil {
-		if err := s.cfg.Durable.Observe(body.Files); err != nil {
-			writeError(w, http.StatusInternalServerError, "wal append: %v", err)
-			return
-		}
-	} else {
-		s.monitor.Observe(body.Files)
+	if err := (wireBackend{s}).Observe(body.Files); err != nil {
+		writeError(w, http.StatusInternalServerError, "wal append: %v", err)
+		return
 	}
 	writeJSON(w, http.StatusOK, ObserveResult{
-		Observed:  s.monitor.Observed(),
-		Filecules: s.monitor.NumFilecules(),
+		Observed:  s.engine.Observed(),
+		Filecules: s.engine.NumFilecules(),
 	})
 }
 
@@ -438,17 +437,13 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		jobs[i] = j.Files
 	}
-	if s.cfg.Durable != nil {
-		if err := s.cfg.Durable.ObserveBatch(jobs); err != nil {
-			writeError(w, http.StatusInternalServerError, "wal append: %v", err)
-			return
-		}
-	} else {
-		s.monitor.ObserveBatch(jobs)
+	if err := (wireBackend{s}).ObserveBatch(jobs); err != nil {
+		writeError(w, http.StatusInternalServerError, "wal append: %v", err)
+		return
 	}
 	writeJSON(w, http.StatusOK, ObserveResult{
-		Observed:  s.monitor.Observed(),
-		Filecules: s.monitor.NumFilecules(),
+		Observed:  s.engine.Observed(),
+		Filecules: s.engine.NumFilecules(),
 	})
 }
 
@@ -469,7 +464,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	st := s.cfg.Durable.Stats()
 	writeJSON(w, http.StatusOK, CheckpointResult{
 		Epoch:    st.Epoch,
-		Observed: s.monitor.Observed(),
+		Observed: s.engine.Observed(),
 		Groups:   st.LastGroups,
 		Reused:   st.LastReused,
 		Bytes:    st.LastBytes,
@@ -544,7 +539,7 @@ func (s *Server) handleFilecule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	p, fc, ok := s.monitor.Lookup(f)
+	p, fc, ok := s.engine.Lookup(f)
 	if !ok {
 		writeError(w, http.StatusNotFound, "file %d not observed in any job", f)
 		return
@@ -577,8 +572,8 @@ func PartitionJSON(p *core.Partition, observed int64, catalog *trace.Trace) ([]b
 }
 
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	p := s.monitor.Snapshot()
-	buf, err := PartitionJSON(p, s.monitor.Observed(), s.catTrace)
+	p := s.engine.Snapshot()
+	buf, err := PartitionJSON(p, s.engine.Observed(), s.catTrace)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
@@ -589,9 +584,9 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	sum := s.monitor.Membership().Summary(s.catTrace)
+	sum := s.engine.Membership().Summary(s.catTrace)
 	writeJSON(w, http.StatusOK, SummaryBody{
-		Observed:          s.monitor.Observed(),
+		Observed:          s.engine.Observed(),
 		Filecules:         sum.Filecules,
 		Files:             sum.Files,
 		Monatomic:         sum.Monatomic,
@@ -608,7 +603,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 // it was built from: an observe that split nothing and saw no new file
 // invalidates nothing here, and an Advise after it takes no snapshot at all.
 func (s *Server) granularity() *cache.FileculeGranularity {
-	p := s.monitor.Membership()
+	p := s.engine.Membership()
 	g := s.gran.Load()
 	if g == nil || g.Partition().NumFilecules() != p.NumFilecules() {
 		// Racing rebuilds are harmless: the size table behind each is built
@@ -663,9 +658,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WritePrometheus(w)
 	// Application-level gauges alongside the HTTP counters.
-	p := s.monitor.Membership()
+	p := s.engine.Membership()
 	fmt.Fprintf(w, "# TYPE filecule_jobs_observed_total counter\n")
-	fmt.Fprintf(w, "filecule_jobs_observed_total %d\n", s.monitor.Observed())
+	fmt.Fprintf(w, "filecule_jobs_observed_total %d\n", s.engine.Observed())
 	fmt.Fprintf(w, "# TYPE filecule_partition_filecules gauge\n")
 	fmt.Fprintf(w, "filecule_partition_filecules %d\n", p.NumFilecules())
 	fmt.Fprintf(w, "# TYPE filecule_partition_files gauge\n")
@@ -676,7 +671,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "filecule_server_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
 	// The repeat-job fast path: whether it is hitting, and that its cache
 	// tracks the live repeat set rather than every job ever seen.
-	jc := s.monitor.JobCacheStats()
+	jc := s.engine.JobCacheStats()
 	fmt.Fprintf(w, "# TYPE filecule_engine_jobcache_entries gauge\n")
 	fmt.Fprintf(w, "filecule_engine_jobcache_entries %d\n", jc.Entries)
 	fmt.Fprintf(w, "# TYPE filecule_engine_jobcache_sweeps_total counter\n")
@@ -685,7 +680,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "filecule_engine_fastpath_hits_total %d\n", jc.FastPathHits)
 	// Whether reads after observes hit the split-free path: a shared snapshot
 	// reused the previous one's member lists, index and size table.
-	ss := s.monitor.SnapshotStats()
+	ss := s.engine.SnapshotStats()
 	fmt.Fprintf(w, "# TYPE filecule_engine_snapshots_total counter\n")
 	fmt.Fprintf(w, "filecule_engine_snapshots_total{kind=\"shared\"} %d\n", ss.Shared)
 	fmt.Fprintf(w, "filecule_engine_snapshots_total{kind=\"rebuilt\"} %d\n", ss.Rebuilt)

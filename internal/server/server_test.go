@@ -105,7 +105,7 @@ func TestBatchObserveMatchesSequential(t *testing.T) {
 		t.Fatalf("batch observe: %d %s", w.Code, w.Body)
 	}
 
-	if !s.Monitor().Snapshot().Equal(s2.Monitor().Snapshot()) {
+	if !s.Engine().Snapshot().Equal(s2.Engine().Snapshot()) {
 		t.Error("batched and unbatched ingestion disagree")
 	}
 	p1 := do(s, "GET", "/v1/partition", "").Body.String()
@@ -302,7 +302,7 @@ func TestConcurrentObserveAndQuery(t *testing.T) {
 	wg.Wait()
 
 	want := core.Identify(tr.WithJobs(jobIDs(n)))
-	if !s.Monitor().Snapshot().Equal(want) {
+	if !s.Engine().Snapshot().Equal(want) {
 		t.Error("concurrent ingestion diverged from batch identification")
 	}
 }
@@ -381,7 +381,7 @@ func TestSnapshotMetricsAndMembershipReads(t *testing.T) {
 	observe(`{"files":[5,6]}`)
 	get("/v1/partition") // shared: counts moved, membership did not
 
-	before := s.Monitor().SnapshotStats()
+	before := s.Engine().SnapshotStats()
 	if before.Shared != 1 || before.Rebuilt != 1 {
 		t.Fatalf("after one snapshot per kind: %+v", before)
 	}
@@ -396,7 +396,7 @@ func TestSnapshotMetricsAndMembershipReads(t *testing.T) {
 		}
 	}
 	ms := get("/metrics")
-	if after := s.Monitor().SnapshotStats(); after != before {
+	if after := s.Engine().SnapshotStats(); after != before {
 		t.Errorf("advise, summary, lookup and a scrape after re-requests assembled partitions: %+v -> %+v", before, after)
 	}
 	for _, needle := range []string{
@@ -413,7 +413,7 @@ func TestSnapshotMetricsAndMembershipReads(t *testing.T) {
 	if got := get("/v1/filecules/5"); !strings.Contains(got, `"files":[5]`) {
 		t.Errorf("filecule of 5 after the split = %s", got)
 	}
-	if after := s.Monitor().SnapshotStats(); after.Rebuilt != before.Rebuilt+1 {
+	if after := s.Engine().SnapshotStats(); after.Rebuilt != before.Rebuilt+1 {
 		t.Errorf("a lookup after a split did not rebuild: %+v -> %+v", before, after)
 	}
 }
@@ -426,7 +426,7 @@ func TestSharedShapeSnapshotsAreIsolated(t *testing.T) {
 	s, tr := testServer(t)
 	n := min(300, len(tr.Jobs))
 	for i := 0; i < n; i++ {
-		s.Monitor().Observe(tr.Jobs[i].Files)
+		s.Engine().Observe(tr.Jobs[i].Files)
 	}
 	cat := &trace.Trace{Files: tr.Files}
 	type held struct {
@@ -434,7 +434,7 @@ func TestSharedShapeSnapshotsAreIsolated(t *testing.T) {
 		json []byte
 	}
 	hold := func() held {
-		p := s.Monitor().Snapshot()
+		p := s.Engine().Snapshot()
 		buf, err := PartitionJSON(p, 0, cat)
 		if err != nil {
 			t.Fatal(err)
@@ -450,7 +450,7 @@ func TestSharedShapeSnapshotsAreIsolated(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				s.Monitor().Observe(tr.Jobs[(w+writers*i)%n].Files) // a re-request: counts only
+				s.Engine().Observe(tr.Jobs[(w+writers*i)%n].Files) // a re-request: counts only
 			}
 		}(w)
 	}
@@ -481,7 +481,7 @@ func TestSharedShapeSnapshotsAreIsolated(t *testing.T) {
 	}
 	wg.Wait()
 
-	if st := s.Monitor().SnapshotStats(); st.Shared == 0 || st.Rebuilt != 1 {
+	if st := s.Engine().SnapshotStats(); st.Shared == 0 || st.Rebuilt != 1 {
 		t.Errorf("re-requests took the wrong snapshot path: %+v", st)
 	}
 	for _, h := range append([]held{first}, slices.Concat(kept...)...) {
@@ -505,7 +505,7 @@ func TestSharedShapeSnapshotsAreIsolated(t *testing.T) {
 	for i := range want.Jobs {
 		want.Jobs[i].ID = trace.JobID(i)
 	}
-	if !s.Monitor().Snapshot().Equal(core.Identify(want)) {
+	if !s.Engine().Snapshot().Equal(core.Identify(want)) {
 		t.Error("final snapshot differs from batch identification of everything observed")
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // This file adapts the Server to the binary wire protocol (internal/wire),
-// so one process serves both surfaces from the same monitor, durability
+// so one process serves both surfaces from the same engine, durability
 // layer, advice granularity and metrics. The adapter is deliberately thin:
 // every decision — durable WAL-ahead observes, membership-keyed granularity
 // caching, catalog bounds — is the same code the HTTP handlers run, which is
@@ -25,7 +25,7 @@ func (b wireBackend) Observe(files []trace.FileID) error {
 	if b.s.cfg.Durable != nil {
 		return b.s.cfg.Durable.Observe(files)
 	}
-	b.s.monitor.Observe(files)
+	b.s.engine.Observe(files)
 	return nil
 }
 
@@ -33,12 +33,12 @@ func (b wireBackend) ObserveBatch(jobs [][]trace.FileID) error {
 	if b.s.cfg.Durable != nil {
 		return b.s.cfg.Durable.ObserveBatch(jobs)
 	}
-	b.s.monitor.ObserveBatch(jobs)
+	b.s.engine.ObserveBatch(jobs)
 	return nil
 }
 
 func (b wireBackend) Counts() (int64, int) {
-	return b.s.monitor.Observed(), b.s.monitor.NumFilecules()
+	return b.s.engine.Observed(), b.s.engine.NumFilecules()
 }
 
 func (b wireBackend) Granularity() (cache.Granularity, error) {
@@ -49,15 +49,15 @@ func (b wireBackend) Granularity() (cache.Granularity, error) {
 }
 
 func (b wireBackend) PartitionState() (*core.Partition, int64, *trace.Trace) {
-	return b.s.monitor.Snapshot(), b.s.monitor.Observed(), b.s.catTrace
+	return b.s.engine.Snapshot(), b.s.engine.Observed(), b.s.catTrace
 }
 
 func (b wireBackend) Membership() (*core.Partition, int64, *trace.Trace) {
-	return b.s.monitor.Membership(), b.s.monitor.Observed(), b.s.catTrace
+	return b.s.engine.Membership(), b.s.engine.Observed(), b.s.catTrace
 }
 
 func (b wireBackend) Lookup(f trace.FileID) (*core.Partition, core.Filecule, *trace.Trace, bool) {
-	p, fc, ok := b.s.monitor.Lookup(f)
+	p, fc, ok := b.s.engine.Lookup(f)
 	return p, fc, b.s.catTrace, ok
 }
 

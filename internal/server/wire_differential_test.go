@@ -319,12 +319,12 @@ func TestWireLoadGenReplay(t *testing.T) {
 	if rep.Jobs != len(tr.Jobs) || rep.Errors != 0 {
 		t.Fatalf("report = %+v, want %d jobs and 0 errors", rep, len(tr.Jobs))
 	}
-	if got := s.Monitor().Observed(); got != int64(len(tr.Jobs)) {
+	if got := s.Engine().Observed(); got != int64(len(tr.Jobs)) {
 		t.Errorf("observed = %d, want %d", got, len(tr.Jobs))
 	}
 	// The replayed state must equal a direct identification of the trace.
 	want := core.Identify(tr)
-	if got := s.Monitor().Snapshot(); !got.Equal(want) {
+	if got := s.Engine().Snapshot(); !got.Equal(want) {
 		t.Errorf("wire-replayed partition differs from direct identification")
 	}
 }

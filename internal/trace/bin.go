@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -33,7 +30,7 @@ import (
 //
 // Job chunks are independently decodable (self-contained string and
 // file-list tables, absolute first job ID) — that is what makes the
-// parallel chunk-decode path possible:
+// mapping's parallel chunk-decode path possible:
 //
 //	jobs    := 'J' nJobs firstJobID
 //	           nStrings {str}                       // node/app/version table
@@ -587,7 +584,12 @@ func binPrealloc(n, rem, minRecord int) int {
 	return min(n, binPreallocCap)
 }
 
+// decodeBinCatalog parses the stream's first chunk, which must be the
+// catalog.
 func decodeBinCatalog(payload []byte) (files []File, users []User, sites []Site, err error) {
+	if payload[0] != binChunkKindCatalog {
+		return nil, nil, nil, fmt.Errorf("trace: bin: first chunk kind %q, want catalog", payload[0])
+	}
 	b := &binBuf{b: payload, pos: 1}
 	nSites := b.count("site")
 	sites = make([]Site, 0, binPrealloc(nSites, b.rem(), 3))
@@ -999,28 +1001,93 @@ func (c *binJobChunk) fill(j *Job, i int) {
 	j.Outputs = c.outputs[i]
 }
 
-// BinSource streams jobs out of a filecule-bin/v1 stream one chunk at a
-// time, reusing all decode buffers: draining an N-job trace allocates
-// O(catalog + distinct strings + chunk high-water mark), not O(N).
-type BinSource struct {
-	cr    *ChunkReader
+// chunkCursor is the one reader of what follows the catalog in a
+// filecule-bin/v1 stream: job chunks, then exactly one end chunk, then
+// clean EOF. It has two backings — streamCursor over a ChunkReader, and
+// mapCursor over a Mapping's frame index — and every decode path (the
+// Source, the serial materialiser) is written once on top of it.
+type chunkCursor interface {
+	// next returns the next job-chunk payload, CRC-verified and valid until
+	// the following call, or io.EOF once the end chunk has been read and
+	// nothing follows it.
+	next() ([]byte, error)
+	// total returns the job count the end chunk declares. A mapping knows
+	// it from the start, a stream only once next has returned io.EOF.
+	total() int64
+}
+
+// streamCursor is the read-into-buffer backing: it enforces the chunk
+// grammar as the frames arrive.
+type streamCursor struct {
+	cr  *ChunkReader
+	end int64
+}
+
+func (c *streamCursor) total() int64 { return c.end }
+
+func (c *streamCursor) next() ([]byte, error) {
+	kind, payload, err := readBinChunk(c.cr)
+	if err == io.EOF {
+		return nil, fmt.Errorf("trace: bin: truncated stream (missing end chunk)")
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
+	case binChunkKindJobs:
+		return payload, nil
+	case binChunkKindEnd:
+		total, err := decodeBinEnd(payload)
+		if err != nil {
+			return nil, err
+		}
+		if _, _, err := readBinChunk(c.cr); err != io.EOF {
+			return nil, fmt.Errorf("trace: bin: data after end chunk")
+		}
+		c.end = int64(total)
+		return nil, io.EOF
+	case binChunkKindCatalog:
+		return nil, fmt.Errorf("trace: bin: duplicate catalog chunk")
+	default:
+		return nil, fmt.Errorf("trace: bin: unknown chunk kind %q", kind)
+	}
+}
+
+// newInterner returns a function that shares equal strings, so node, app
+// and version names allocate once per stream rather than once per chunk.
+func newInterner() func([]byte) string {
+	names := make(map[string]string)
+	return func(b []byte) string {
+		if v, ok := names[string(b)]; ok {
+			return v
+		}
+		v := string(b)
+		names[v] = v
+		return v
+	}
+}
+
+// binDecoder decodes a cursor's job chunks one at a time into reused column
+// buffers, holding the chunks to the rest of the grammar: job IDs run on
+// from chunk to chunk, and the end chunk's total is the number seen.
+type binDecoder struct {
+	cur   chunkCursor
 	files []File
 	users []User
 	sites []Site
 
-	chunk binJobChunk
-	idx   int
-	job   Job
-	names map[string]string
-
-	seen   int64
-	err    error
-	closed bool
+	chunk  binJobChunk
+	intern func([]byte) string
+	seen   int64 // jobs in the chunks decoded so far
 }
 
-// NewBinSource reads the magic and catalog chunk from r and returns a
-// Source positioned before the first job.
-func NewBinSource(r io.Reader) (*BinSource, error) {
+func newBinDecoder(cur chunkCursor, files []File, users []User, sites []Site) *binDecoder {
+	return &binDecoder{cur: cur, files: files, users: users, sites: sites, intern: newInterner()}
+}
+
+// openBinStream reads the magic line and the catalog chunk from r and
+// returns a decoder positioned before the first job chunk.
+func openBinStream(r io.Reader) (*binDecoder, error) {
 	br := newBufReader(r)
 	var magic [len(binMagic)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -1029,46 +1096,123 @@ func NewBinSource(r io.Reader) (*BinSource, error) {
 	if string(magic[:]) != binMagic {
 		return nil, fmt.Errorf("trace: bin: bad magic %q (want %q)", magic[:], binMagic)
 	}
-	s := &BinSource{
-		cr:    NewChunkReader(br),
-		names: make(map[string]string),
-	}
-	kind, payload, err := readBinChunk(s.cr)
+	cr := NewChunkReader(br)
+	_, payload, err := readBinChunk(cr)
 	if err == io.EOF {
 		return nil, fmt.Errorf("trace: bin: missing catalog chunk")
 	}
 	if err != nil {
 		return nil, err
 	}
-	if kind != binChunkKindCatalog {
-		return nil, fmt.Errorf("trace: bin: first chunk kind %q, want catalog", kind)
-	}
-	s.files, s.users, s.sites, err = decodeBinCatalog(payload)
+	files, users, sites, err := decodeBinCatalog(payload)
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return newBinDecoder(&streamCursor{cr: cr}, files, users, sites), nil
+}
+
+// nextChunk decodes the following job chunk into d.chunk, or returns io.EOF
+// after the last one. retain gives the chunk a fresh file-ID arena, for a
+// caller whose jobs go on aliasing it after the next chunk is decoded.
+func (d *binDecoder) nextChunk(retain bool) error {
+	payload, err := d.cur.next()
+	if err == io.EOF && d.cur.total() != d.seen {
+		err = fmt.Errorf("trace: bin: end chunk declares %d jobs, stream had %d", d.cur.total(), d.seen)
+	}
+	if err != nil {
+		return err
+	}
+	c := &d.chunk
+	if retain {
+		// Pre-sized to the previous chunk's: chunks are homogeneous, so the
+		// hint kills growth copies. Every other buffer is reused.
+		c.listArena = make([]FileID, 0, len(c.listArena))
+	}
+	if err := c.decode(payload, len(d.files), len(d.users), len(d.sites), d.intern); err != nil {
+		return err
+	}
+	if c.firstID != d.seen {
+		return fmt.Errorf("trace: bin: job chunk starts at ID %d, want %d", c.firstID, d.seen)
+	}
+	d.seen += int64(c.n)
+	return nil
+}
+
+// materialize drains the cursor into a trace on the calling goroutine,
+// interning strings across the whole stream. Decoded jobs are written
+// straight into the trace — no per-chunk job slices or payload copies.
+// sizeHint, when the backing knows the job count, allocates Jobs once.
+func (d *binDecoder) materialize(sizeHint int) (*Trace, error) {
+	t := &Trace{Files: d.files, Users: d.users, Sites: d.sites}
+	if sizeHint > 0 {
+		t.Jobs = make([]Job, 0, sizeHint)
+	}
+	c := &d.chunk
+	for {
+		if err := d.nextChunk(true); err == io.EOF {
+			return t, nil
+		} else if err != nil {
+			return nil, err
+		}
+		// fill writes every Job field, so extend without the append zeroing
+		// pass when capacity allows. len only ever grows, so the region past
+		// it is still zeroed from allocation.
+		base := len(t.Jobs)
+		if cap(t.Jobs)-base >= c.n {
+			t.Jobs = t.Jobs[:base+c.n]
+		} else {
+			t.Jobs = append(t.Jobs, make([]Job, c.n)...)
+		}
+		for i := 0; i < c.n; i++ {
+			c.fill(&t.Jobs[base+i], i)
+		}
+	}
+}
+
+// validated is the last step of every materializing read.
+func validated(t *Trace, err error) (*Trace, error) {
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// BinSource streams jobs out of a filecule-bin/v1 trace one chunk at a
+// time, over a stream (NewBinSource) or a mapped file (Mapping.Source),
+// reusing all decode buffers: draining an N-job trace allocates
+// O(catalog + distinct strings + chunk high-water mark), not O(N).
+type BinSource struct {
+	d   *binDecoder
+	idx int
+	job Job
+	// owner is the mapping, when Open handed the cursor sole ownership.
+	owner io.Closer
+
+	err    error
+	closed bool
+}
+
+// NewBinSource reads the magic and catalog chunk from r and returns a
+// Source positioned before the first job.
+func NewBinSource(r io.Reader) (*BinSource, error) {
+	d, err := openBinStream(r)
+	if err != nil {
+		return nil, err
+	}
+	return &BinSource{d: d}, nil
 }
 
 // Files returns the file catalog.
-func (s *BinSource) Files() []File { return s.files }
+func (s *BinSource) Files() []File { return s.d.files }
 
 // Users returns the user catalog.
-func (s *BinSource) Users() []User { return s.users }
+func (s *BinSource) Users() []User { return s.d.users }
 
 // Sites returns the site catalog.
-func (s *BinSource) Sites() []Site { return s.sites }
-
-// intern shares strings across chunks, so node/app/version names allocate
-// once per stream rather than once per chunk.
-func (s *BinSource) intern(b []byte) string {
-	if v, ok := s.names[string(b)]; ok {
-		return v
-	}
-	v := string(b)
-	s.names[v] = v
-	return v
-}
+func (s *BinSource) Sites() []Site { return s.d.sites }
 
 // Next returns the next job. The job and its slices are invalidated by the
 // Next call that crosses into the following chunk.
@@ -1079,295 +1223,40 @@ func (s *BinSource) Next() (*Job, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	for s.idx >= s.chunk.n {
-		kind, payload, err := readBinChunk(s.cr)
-		if err == io.EOF {
-			err = fmt.Errorf("trace: bin: truncated stream (missing end chunk)")
-		}
-		if err != nil {
+	for s.idx >= s.d.chunk.n {
+		if err := s.d.nextChunk(false); err != nil {
 			s.err = err
 			return nil, err
 		}
-		switch kind {
-		case binChunkKindJobs:
-			if err := s.chunk.decode(payload, len(s.files), len(s.users), len(s.sites), s.intern); err != nil {
-				s.err = err
-				return nil, err
-			}
-			if s.chunk.firstID != s.seen {
-				s.err = fmt.Errorf("trace: bin: job chunk starts at ID %d, want %d", s.chunk.firstID, s.seen)
-				return nil, s.err
-			}
-			s.idx = 0
-		case binChunkKindEnd:
-			total, err := decodeBinEnd(payload)
-			if err != nil {
-				s.err = err
-				return nil, s.err
-			}
-			if total != uint64(s.seen) {
-				s.err = fmt.Errorf("trace: bin: end chunk declares %d jobs, stream had %d", total, s.seen)
-				return nil, s.err
-			}
-			if _, _, err := readBinChunk(s.cr); err != io.EOF {
-				s.err = fmt.Errorf("trace: bin: data after end chunk")
-				return nil, s.err
-			}
-			s.err = io.EOF
-			return nil, io.EOF
-		case binChunkKindCatalog:
-			s.err = fmt.Errorf("trace: bin: duplicate catalog chunk")
-			return nil, s.err
-		default:
-			s.err = fmt.Errorf("trace: bin: unknown chunk kind %q", kind)
-			return nil, s.err
-		}
+		s.idx = 0
 	}
-	s.chunk.fill(&s.job, s.idx)
+	s.d.chunk.fill(&s.job, s.idx)
 	s.idx++
-	s.seen++
 	return &s.job, nil
 }
 
-// Close marks the source closed. The underlying reader is owned by the
-// caller.
+// Close marks the source closed and releases a mapping it owns. A stream's
+// underlying reader is owned by the caller.
 func (s *BinSource) Close() error {
+	if s.closed {
+		return nil
+	}
 	s.closed = true
+	if s.owner != nil {
+		return s.owner.Close()
+	}
 	return nil
 }
 
-// ReadBin materializes a filecule-bin/v1 stream into a validated Trace.
-// With more than one CPU it decodes job chunks in parallel: one goroutine
-// reads and CRC-checks chunks, a worker pool decodes payloads, and the
-// chunks are reassembled in firstID order. On a single CPU the worker pool
-// is pure overhead (payload copies, channel and map traffic, no string
-// sharing), so chunks are decoded in line with buffers reused across the
-// stream. This is the fast cold-replay path the decode benchmarks measure.
+// ReadBin materializes a filecule-bin/v1 stream into a validated Trace,
+// decoding chunks in line with buffers reused across the stream. A stream
+// cannot be decoded in place or out of order, so a worker pool here only
+// buys payload copies (see DESIGN §13 for the measurement); parallel
+// materialization belongs to the mapping (ReadMap).
 func ReadBin(r io.Reader) (*Trace, error) {
-	br := newBufReader(r)
-	var magic [len(binMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: bin: bad magic: %w", err)
-	}
-	if string(magic[:]) != binMagic {
-		return nil, fmt.Errorf("trace: bin: bad magic %q (want %q)", magic[:], binMagic)
-	}
-	cr := NewChunkReader(br)
-	kind, payload, err := readBinChunk(cr)
-	if err == io.EOF {
-		return nil, fmt.Errorf("trace: bin: missing catalog chunk")
-	}
+	d, err := openBinStream(r)
 	if err != nil {
 		return nil, err
 	}
-	if kind != binChunkKindCatalog {
-		return nil, fmt.Errorf("trace: bin: first chunk kind %q, want catalog", kind)
-	}
-	files, users, sites, err := decodeBinCatalog(payload)
-	if err != nil {
-		return nil, err
-	}
-
-	var t *Trace
-	if runtime.GOMAXPROCS(0) > 1 {
-		t, err = readBinParallel(cr, files, users, sites)
-	} else {
-		t, err = readBinSerial(cr, files, users, sites)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// readBinSerial drains job chunks on the calling goroutine, reusing one
-// chunk struct and interning strings across the whole stream. Decoded jobs
-// append straight into the trace — no per-chunk job slices or payload
-// copies.
-func readBinSerial(cr *ChunkReader, files []File, users []User, sites []Site) (*Trace, error) {
-	t := &Trace{Files: files, Users: users, Sites: sites}
-	names := make(map[string]string)
-	intern := func(b []byte) string {
-		if v, ok := names[string(b)]; ok {
-			return v
-		}
-		v := string(b)
-		names[v] = v
-		return v
-	}
-	var c binJobChunk
-	for {
-		kind, payload, err := readBinChunk(cr)
-		if err == io.EOF {
-			return nil, fmt.Errorf("trace: bin: truncated stream (missing end chunk)")
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
-		case binChunkKindJobs:
-			// Jobs keep aliases into the chunk's file-ID arena, so each
-			// chunk gets a fresh arena, pre-sized to the previous chunk's
-			// (chunks are homogeneous, so the hint kills growth copies);
-			// every other buffer is reused.
-			c.listArena = make([]FileID, 0, len(c.listArena))
-			if err := c.decode(payload, len(files), len(users), len(sites), intern); err != nil {
-				return nil, err
-			}
-			if c.firstID != int64(len(t.Jobs)) {
-				return nil, fmt.Errorf("trace: bin: job chunk starts at ID %d, want %d", c.firstID, len(t.Jobs))
-			}
-			// fill writes every Job field, so extend without the append
-			// zeroing pass when capacity allows. len only ever grows, so
-			// the region past it is still zeroed from allocation.
-			base := len(t.Jobs)
-			if cap(t.Jobs)-base >= c.n {
-				t.Jobs = t.Jobs[:base+c.n]
-			} else {
-				t.Jobs = append(t.Jobs, make([]Job, c.n)...)
-			}
-			for i := 0; i < c.n; i++ {
-				c.fill(&t.Jobs[base+i], i)
-			}
-		case binChunkKindEnd:
-			total, err := decodeBinEnd(payload)
-			if err != nil {
-				return nil, err
-			}
-			if total != uint64(len(t.Jobs)) {
-				return nil, fmt.Errorf("trace: bin: end chunk declares %d jobs, stream had %d", total, len(t.Jobs))
-			}
-			if _, _, err := readBinChunk(cr); err != io.EOF {
-				return nil, fmt.Errorf("trace: bin: data after end chunk")
-			}
-			return t, nil
-		case binChunkKindCatalog:
-			return nil, fmt.Errorf("trace: bin: duplicate catalog chunk")
-		default:
-			return nil, fmt.Errorf("trace: bin: unknown chunk kind %q", kind)
-		}
-	}
-}
-
-// readBinParallel fans job-chunk payloads out to a decode worker pool and
-// reassembles the results in firstID order.
-func readBinParallel(cr *ChunkReader, files []File, users []User, sites []Site) (*Trace, error) {
-	type task struct {
-		idx     int
-		payload []byte
-	}
-	type result struct {
-		firstID int64
-		jobs    []Job
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	tasks := make(chan task, workers)
-	var (
-		mu      sync.Mutex
-		results = make(map[int]result)
-		decErr  error
-	)
-	setErr := func(err error) {
-		mu.Lock()
-		if decErr == nil {
-			decErr = err
-		}
-		mu.Unlock()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range tasks {
-				var c binJobChunk
-				if err := c.decode(t.payload, len(files), len(users), len(sites), binOwnString); err != nil {
-					setErr(err)
-					continue
-				}
-				jobs := make([]Job, c.n)
-				for i := range jobs {
-					c.fill(&jobs[i], i)
-				}
-				mu.Lock()
-				results[t.idx] = result{firstID: c.firstID, jobs: jobs}
-				mu.Unlock()
-			}
-		}()
-	}
-
-	var (
-		total   uint64
-		sawEnd  bool
-		readErr error
-		nChunks int
-	)
-	for {
-		kind, payload, err := readBinChunk(cr)
-		if err == io.EOF {
-			if !sawEnd {
-				readErr = fmt.Errorf("trace: bin: truncated stream (missing end chunk)")
-			}
-			break
-		}
-		if err != nil {
-			readErr = err
-			break
-		}
-		if sawEnd {
-			readErr = fmt.Errorf("trace: bin: data after end chunk")
-			break
-		}
-		switch kind {
-		case binChunkKindJobs:
-			tasks <- task{idx: nChunks, payload: append([]byte(nil), payload...)}
-			nChunks++
-		case binChunkKindEnd:
-			if total, err = decodeBinEnd(payload); err != nil {
-				readErr = err
-			}
-			sawEnd = true
-		case binChunkKindCatalog:
-			readErr = fmt.Errorf("trace: bin: duplicate catalog chunk")
-		default:
-			readErr = fmt.Errorf("trace: bin: unknown chunk kind %q", kind)
-		}
-		if readErr != nil {
-			break
-		}
-	}
-	close(tasks)
-	wg.Wait()
-	if readErr != nil {
-		return nil, readErr
-	}
-	if decErr != nil {
-		return nil, decErr
-	}
-
-	ordered := make([]result, 0, len(results))
-	for i := 0; i < nChunks; i++ {
-		ordered = append(ordered, results[i])
-	}
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].firstID < ordered[b].firstID })
-	t := &Trace{Files: files, Users: users, Sites: sites}
-	for _, res := range ordered {
-		if res.firstID != int64(len(t.Jobs)) {
-			return nil, fmt.Errorf("trace: bin: job chunk starts at ID %d, want %d", res.firstID, len(t.Jobs))
-		}
-		t.Jobs = append(t.Jobs, res.jobs...)
-	}
-	if uint64(len(t.Jobs)) != total {
-		return nil, fmt.Errorf("trace: bin: end chunk declares %d jobs, stream had %d", total, len(t.Jobs))
-	}
-	return t, nil
+	return validated(d.materialize(0))
 }

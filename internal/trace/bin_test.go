@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -109,46 +111,136 @@ func TestBinMultiChunk(t *testing.T) {
 	}
 }
 
-// TestReadBinSerialParallelEqual pins ReadBin's two decode paths to the
-// same result: GOMAXPROCS selects between the in-line serial decoder and
-// the worker-pool parallel decoder, so both are forced explicitly — on a
-// single-CPU machine the parallel path would otherwise go untested, and
-// vice versa.
-func TestReadBinSerialParallelEqual(t *testing.T) {
+// binFrames splits a filecule-bin/v1 stream into its raw frames (length
+// prefix, payload, CRC), so corruption cases can reorder, repeat and
+// replace whole chunks.
+func binFrames(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	for pos := len(binMagic); pos < len(data); {
+		_, _, next, err := mapFrame(data, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, data[pos:next])
+		pos = next
+	}
+	return frames
+}
+
+func joinFrames(frames ...[]byte) []byte {
+	return append([]byte(binMagic), bytes.Join(frames, nil)...)
+}
+
+func frameOf(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteChunk(&buf, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBinRoutesAgree is the differential over every way a filecule-bin/v1
+// trace is decoded: the one cursor over each of its backings, through the
+// Source and through the serial materialiser, and the mapping's parallel
+// fill. All routes must decode a multi-chunk trace to the same thing and
+// agree on accept/reject over one corruption corpus; GOMAXPROCS is forced
+// so neither ReadMap path goes untested on any machine.
+func TestBinRoutesAgree(t *testing.T) {
+	drain := func(src Source, err error) (*Trace, error) {
+		if err != nil {
+			return nil, err
+		}
+		defer src.Close()
+		return Materialize(src)
+	}
+	readFileAt := func(procs int) func(*testing.T, []byte) (*Trace, error) {
+		return func(t *testing.T, data []byte) (*Trace, error) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return ReadFile(writeFile(t, data))
+		}
+	}
+	routes := []struct {
+		name   string
+		decode func(t *testing.T, data []byte) (*Trace, error)
+	}{
+		{"stream cursor, source", func(t *testing.T, data []byte) (*Trace, error) {
+			src, err := NewBinSource(bytes.NewReader(data))
+			if err != nil {
+				return nil, err
+			}
+			return drain(src, nil)
+		}},
+		{"stream cursor, materialiser", func(t *testing.T, data []byte) (*Trace, error) {
+			return ReadBin(bytes.NewReader(data))
+		}},
+		{"gzip-wrapped stream", func(t *testing.T, data []byte) (*Trace, error) {
+			var gz bytes.Buffer
+			zw := gzip.NewWriter(&gz)
+			zw.Write(data)
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return ReadAuto(&gz)
+		}},
+		{"mapped cursor, source", func(t *testing.T, data []byte) (*Trace, error) {
+			return drain(Open(writeFile(t, data)))
+		}},
+		{"ReadFile, GOMAXPROCS=1", readFileAt(1)},
+		{"ReadFile, GOMAXPROCS=4", readFileAt(4)},
+	}
+
 	tr := buildManyJobs(t, 3*binChunkJobs+77)
 	var buf bytes.Buffer
 	if err := WriteBin(&buf, tr); err != nil {
 		t.Fatalf("WriteBin: %v", err)
 	}
-	decodeAt := func(procs int) (*Trace, error) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		return ReadBin(bytes.NewReader(buf.Bytes()))
+	valid := buf.Bytes()
+	fr := binFrames(t, valid) // catalog, four job chunks, end
+	if len(fr) != 6 {
+		t.Fatalf("trace encodes to %d frames, want 6", len(fr))
 	}
-	serial, err := decodeAt(1)
-	if err != nil {
-		t.Fatalf("serial ReadBin: %v", err)
+	last := len(fr) - 1
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0x20
+	var empty bytes.Buffer
+	if err := WriteBin(&empty, &Trace{}); err != nil {
+		t.Fatal(err)
 	}
-	parallel, err := decodeAt(4)
-	if err != nil {
-		t.Fatalf("parallel ReadBin: %v", err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("serial and parallel ReadBin decode differently")
-	}
-	if !reflect.DeepEqual(serial, tr) {
-		t.Error("serial ReadBin does not round-trip the trace")
-	}
+	wrongTotal := binary.AppendUvarint([]byte{binChunkKindEnd}, uint64(len(tr.Jobs)+1))
 
-	// Both paths must reject the same corruption.
-	corrupt := append([]byte(nil), buf.Bytes()...)
-	corrupt[len(corrupt)/2] ^= 0x20
-	for _, procs := range []int{1, 4} {
-		func() {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			if _, err := ReadBin(bytes.NewReader(corrupt)); err == nil {
-				t.Errorf("GOMAXPROCS=%d: corrupt stream decoded without error", procs)
+	cases := []struct {
+		name string
+		data []byte
+		want *Trace // nil: every route must reject
+	}{
+		{"multi-chunk trace", valid, tr},
+		{"empty trace", empty.Bytes(), &Trace{Files: []File{}, Users: []User{}, Sites: []Site{}}},
+		{"flipped byte", flipped, nil},
+		{"torn tail, mid-chunk", valid[:len(valid)/2], nil},
+		{"torn tail, last byte", valid[:len(valid)-1], nil},
+		{"missing end chunk", joinFrames(fr[:last]...), nil},
+		{"duplicate catalog", joinFrames(fr[0], fr[1], fr[0], fr[2], fr[3], fr[4], fr[5]), nil},
+		{"mis-ordered chunk IDs", joinFrames(fr[0], fr[1], fr[3], fr[2], fr[4], fr[5]), nil},
+		{"missing job chunk", joinFrames(fr[0], fr[1], fr[2], fr[4], fr[5]), nil},
+		{"wrong end total", joinFrames(append(slices.Clone(fr[:last]), frameOf(t, wrongTotal))...), nil},
+		{"chunk after end", joinFrames(append(slices.Clone(fr), fr[last])...), nil},
+		{"byte after end", append(bytes.Clone(valid), 0), nil},
+		{"unknown chunk kind", joinFrames(fr[0], fr[1], frameOf(t, []byte{'Q', 1}), fr[2], fr[3], fr[4], fr[5]), nil},
+	}
+	for _, c := range cases {
+		for _, r := range routes {
+			got, err := r.decode(t, c.data)
+			switch {
+			case c.want == nil && err == nil:
+				t.Errorf("%s: %s accepted it", c.name, r.name)
+			case c.want != nil && err != nil:
+				t.Errorf("%s: %s: %v", c.name, r.name, err)
+			case c.want != nil && !reflect.DeepEqual(got, c.want):
+				t.Errorf("%s: %s decoded a different trace", c.name, r.name)
 			}
-		}()
+		}
 	}
 }
 
@@ -319,6 +411,49 @@ func TestBinSourceAllocsBounded(t *testing.T) {
 	if perJob := large / float64(8*binChunkJobs); perJob > 0.25 {
 		t.Errorf("draining allocates %.2f per job (want amortized ~0)", perJob)
 	}
+}
+
+// TestBinSourceNextAllocsNothing holds the cursor's steady state to zero
+// allocations per job on both backings — what BenchmarkMapIterate gates
+// for the mapped one: once the reused buffers have seen a chunk, Next
+// allocates nothing, chunk boundaries included.
+func TestBinSourceNextAllocsNothing(t *testing.T) {
+	tr := buildManyJobs(t, 6*binChunkJobs)
+	var buf bytes.Buffer
+	if err := WriteBin(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, src Source) {
+		defer src.Close()
+		next := func() {
+			if _, err := src.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*binChunkJobs; i++ { // warm the buffers and the interner
+			next()
+		}
+		if got := testing.AllocsPerRun(3*binChunkJobs, next); got != 0 {
+			t.Errorf("Next allocates %.2f times per job, want 0", got)
+		}
+	}
+	t.Run("streamed", func(t *testing.T) {
+		src, err := NewBinSource(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, src)
+	})
+	t.Run("mapped", func(t *testing.T) {
+		if !mmapWorks(t) {
+			t.Skip("mmap unavailable on this platform")
+		}
+		src, err := Open(writeFile(t, buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, src)
+	})
 }
 
 func TestReadAutoDetectsBinAndGzip(t *testing.T) {

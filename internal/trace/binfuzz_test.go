@@ -9,7 +9,7 @@ import (
 // FuzzBinRoundTrip checks that the binary codec never panics on arbitrary
 // input and that anything it accepts round-trips stably: a decoded trace
 // re-encodes, the re-encoding decodes to the same trace (through both the
-// parallel materializer and the streaming BinSource), and a second
+// serial materialiser and the streaming BinSource), and a second
 // re-encoding is byte-identical to the first — the encoder is a canonical
 // function of the job stream regardless of the input's chunking.
 func FuzzBinRoundTrip(f *testing.F) {
@@ -55,7 +55,7 @@ func FuzzBinRoundTrip(f *testing.F) {
 			t.Fatalf("streaming decode of encoded trace failed: %v", err)
 		}
 		if !reflect.DeepEqual(t2, t3) {
-			t.Fatal("parallel and streaming decoders disagree")
+			t.Fatal("materialising and streaming decoders disagree")
 		}
 		var enc2 bytes.Buffer
 		if err := WriteBin(&enc2, t2); err != nil {

@@ -114,11 +114,17 @@ func (cr *ChunkReader) ReadChunk() (byte, []byte, error) {
 		cr.payload = make([]byte, n)
 	}
 	payload := cr.payload[:n]
-	if _, err := io.ReadFull(cr.br, payload); err != nil {
+	if got, err := io.ReadFull(cr.br, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, &ChunkError{Offset: start, Kind: payload[0], Err: fmt.Errorf("truncated chunk payload: %w", err)}
+		// The buffer is reused: with nothing read, payload[0] is still the
+		// previous frame's kind byte.
+		var kind byte
+		if got > 0 {
+			kind = payload[0]
+		}
+		return 0, nil, &ChunkError{Offset: start, Kind: kind, Err: fmt.Errorf("truncated chunk payload: %w", err)}
 	}
 	cr.off += int64(n)
 	var crc [4]byte

@@ -73,6 +73,21 @@ func TestChunkTornVsCorrupt(t *testing.T) {
 		if ce.Offset != int64(whole) {
 			t.Fatalf("cut=%d: torn offset %d, want %d", cut, ce.Offset, whole)
 		}
+		// The kind is reported once its byte has arrived, and not before: a
+		// frame cut right after its two-byte length prefix must not inherit
+		// 'A' from the reused payload buffer.
+		wantKind := byte(0)
+		if cut > whole+2 {
+			wantKind = 'B'
+		}
+		if ce.Kind != wantKind {
+			t.Fatalf("cut=%d: torn chunk kind %q, want %q", cut, ce.Kind, wantKind)
+		}
+		// The mapped frame walker must say the same thing about the same bytes.
+		mapped := append([]byte(binMagic), stream[:cut]...)
+		if _, _, _, merr := mapFrame(mapped, len(binMagic)+whole); merr == nil || merr.Error() != err.Error() {
+			t.Fatalf("cut=%d: streamed error %q, mapped error %v", cut, err, merr)
+		}
 	}
 
 	// Flip one payload byte of the second chunk: corrupt, not torn.

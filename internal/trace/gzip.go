@@ -21,50 +21,51 @@ func WriteGzip(w io.Writer, t *Trace) error {
 	return zw.Close()
 }
 
-// ReadAuto parses a trace from v1 text, filecule-bin/v1, or a
-// gzip-compressed stream of either. Binary input takes the parallel
-// chunk-decode path (ReadBin).
-func ReadAuto(r io.Reader) (*Trace, error) {
-	br := newBufReader(r)
-	magic, err := br.Peek(2)
-	if err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
+// sniff is the one format detection: it looks through gzip framing when r
+// has it and reports whether the plain stream br underneath starts with
+// the filecule-bin magic. zr is the gzip reader the caller must close once
+// done with br, nil when the input was not compressed.
+func sniff(r io.Reader) (br *bufio.Reader, isBin bool, zr io.Closer, err error) {
+	br = newBufReader(r)
+	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
+		gz, err := gzip.NewReader(br)
 		if err != nil {
-			return nil, err
+			return nil, false, nil, err
 		}
-		defer zr.Close()
-		return readPlain(newBufReader(zr))
+		zr, br = gz, newBufReader(gz)
 	}
-	return readPlain(br)
+	head, _ := br.Peek(len(binMagic))
+	return br, string(head) == binMagic, zr, nil
 }
 
-func readPlain(br *bufio.Reader) (*Trace, error) {
-	if isBinMagic(br) {
+// ReadAuto parses a trace from v1 text, filecule-bin/v1, or a
+// gzip-compressed stream of either.
+func ReadAuto(r io.Reader) (*Trace, error) {
+	br, isBin, zr, err := sniff(r)
+	if err != nil {
+		return nil, err
+	}
+	if zr != nil {
+		defer zr.Close()
+	}
+	if isBin {
 		return ReadBin(br)
 	}
 	return Read(br)
-}
-
-func isBinMagic(br *bufio.Reader) bool {
-	head, _ := br.Peek(len(binMagic))
-	return string(head) == binMagic
 }
 
 // DetectFormat reports which codec the stream holds — "bin" if it starts
 // with the filecule-bin magic, "text" otherwise — transparently looking
 // through gzip framing. It consumes r; reopen the stream to parse it.
 func DetectFormat(r io.Reader) (string, error) {
-	br := newBufReader(r)
-	magic, err := br.Peek(2)
-	if err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return "", err
-		}
-		defer zr.Close()
-		br = newBufReader(zr)
+	_, isBin, zr, err := sniff(r)
+	if err != nil {
+		return "", err
 	}
-	if isBinMagic(br) {
+	if zr != nil {
+		zr.Close()
+	}
+	if isBin {
 		return "bin", nil
 	}
 	return "text", nil
@@ -75,31 +76,30 @@ func DetectFormat(r io.Reader) (string, error) {
 // gzip framing of either is unwrapped transparently. Closing the returned
 // source also closes the gzip reader when one was opened.
 func NewSource(r io.Reader) (Source, error) {
-	br := newBufReader(r)
-	magic, err := br.Peek(2)
-	if err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		src, err := newPlainSource(newBufReader(zr))
-		if err != nil {
+	br, isBin, zr, err := sniff(r)
+	if err != nil {
+		return nil, err
+	}
+	var src Source
+	if isBin {
+		src, err = NewBinSource(br)
+	} else {
+		src, err = NewScanner(br)
+	}
+	if err != nil {
+		if zr != nil {
 			zr.Close()
-			return nil, err
 		}
+		return nil, err
+	}
+	if zr != nil {
 		return &closerSource{Source: src, c: zr}, nil
 	}
-	return newPlainSource(br)
+	return src, nil
 }
 
-func newPlainSource(br *bufio.Reader) (Source, error) {
-	if isBinMagic(br) {
-		return NewBinSource(br)
-	}
-	return NewScanner(br)
-}
-
-// closerSource couples a Source with an auxiliary closer (a gzip reader).
+// closerSource couples a Source with an auxiliary closer (a gzip reader,
+// or the file Open opened).
 type closerSource struct {
 	Source
 	c io.Closer

@@ -13,9 +13,9 @@ import (
 
 // The mmap substrate: a filecule-bin/v1 file on disk IS the decoded
 // representation, minus varint expansion. Instead of streaming the bytes
-// through a bufio copy and a chunk-payload copy (ChunkReader) — or, on the
-// parallel path, one heap copy per chunk payload — a Mapping maps the file
-// once and decodes every chunk in place:
+// through a bufio copy and a chunk-payload copy (ChunkReader), a Mapping
+// maps the file once and decodes every chunk in place — the second backing
+// of the chunk cursor in bin.go:
 //
 //   - The chunk frames are indexed in one cheap pass at open time (length
 //     prefixes only, no checksums), so the job chunks are addressable and
@@ -123,9 +123,6 @@ func newMapping(data []byte) (*Mapping, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: bin: %w", err)
 	}
-	if data[start] != binChunkKindCatalog {
-		return nil, fmt.Errorf("trace: bin: first chunk kind %q, want catalog", data[start])
-	}
 	if err := crcCheck(data, start, end, int64(pos-len(binMagic))); err != nil {
 		return nil, err
 	}
@@ -170,19 +167,18 @@ func newMapping(data []byte) (*Mapping, error) {
 	return m, nil
 }
 
-// verifyChunk checks job chunk i's CRC on first touch. Racing verifiers
-// both hash and both store true — idempotent, so no synchronization
-// beyond the flag is needed.
-func (m *Mapping) verifyChunk(i int) error {
-	if m.verified[i].Load() {
-		return nil
-	}
+// payload returns job chunk i's payload, checking its CRC on first touch.
+// Racing verifiers both hash and both store true — idempotent, so no
+// synchronization beyond the flag is needed.
+func (m *Mapping) payload(i int) ([]byte, error) {
 	c := m.chunks[i]
-	if err := crcCheck(m.data, c.start, c.end, c.off); err != nil {
-		return err
+	if !m.verified[i].Load() {
+		if err := crcCheck(m.data, c.start, c.end, c.off); err != nil {
+			return nil, err
+		}
+		m.verified[i].Store(true)
 	}
-	m.verified[i].Store(true)
-	return nil
+	return m.data[c.start:c.end], nil
 }
 
 // Files returns the file catalog (shared, read-only).
@@ -208,230 +204,88 @@ func (m *Mapping) Close() error {
 	return munmapFile(data)
 }
 
+// mapCursor is the mapped backing of the chunk cursor. The grammar was
+// enforced when newMapping indexed the frames, so what is left is to hand
+// out the job chunks in file order.
+type mapCursor struct {
+	m  *Mapping
+	ci int // next chunk index within m.chunks
+}
+
+func (c *mapCursor) total() int64 { return c.m.total }
+
+func (c *mapCursor) next() ([]byte, error) {
+	if c.ci >= len(c.m.chunks) {
+		return nil, io.EOF
+	}
+	p, err := c.m.payload(c.ci)
+	c.ci++
+	return p, err
+}
+
+func (m *Mapping) decoder() *binDecoder {
+	return newBinDecoder(&mapCursor{m: m}, m.files, m.users, m.sites)
+}
+
 // Source returns a fresh sequential cursor over the mapping. The cursor
 // does not own the mapping: closing it does not unmap, and several
 // cursors may drain the same Mapping (each is single-goroutine, per the
 // Source contract, but distinct cursors are independent).
-func (m *Mapping) Source() *MapSource {
-	return &MapSource{m: m, names: make(map[string]string)}
+func (m *Mapping) Source() *BinSource {
+	return &BinSource{d: m.decoder()}
 }
 
-// MapSource streams jobs straight off a Mapping: per chunk it verifies
-// the CRC (first touch only), decodes the columns in place, and hands out
-// jobs with the same invalidation contract as BinSource — a job and its
-// slices die when Next crosses into the following chunk.
-type MapSource struct {
-	m       *Mapping
-	ownsMap bool
+// binMinJobBytes is the least a job row costs: one byte in each of the
+// eleven columns of its chunk.
+const binMinJobBytes = 11
 
-	chunk binJobChunk
-	idx   int
-	ci    int // next chunk index within m.chunks
-	job   Job
-	names map[string]string
-
-	seen   int64
-	err    error
-	closed bool
-}
-
-// Files returns the file catalog.
-func (s *MapSource) Files() []File { return s.m.files }
-
-// Users returns the user catalog.
-func (s *MapSource) Users() []User { return s.m.users }
-
-// Sites returns the site catalog.
-func (s *MapSource) Sites() []Site { return s.m.sites }
-
-func (s *MapSource) intern(b []byte) string {
-	if v, ok := s.names[string(b)]; ok {
-		return v
-	}
-	v := string(b)
-	s.names[v] = v
-	return v
-}
-
-// Next returns the next job. The job and its slices are invalidated by
-// the Next call that crosses into the following chunk.
-func (s *MapSource) Next() (*Job, error) {
-	if s.closed {
-		return nil, fmt.Errorf("trace: source is closed")
-	}
-	if s.err != nil {
-		return nil, s.err
-	}
-	for s.idx >= s.chunk.n {
-		if s.ci >= len(s.m.chunks) {
-			if s.seen != s.m.total {
-				s.err = fmt.Errorf("trace: bin: end chunk declares %d jobs, stream had %d", s.m.total, s.seen)
-				return nil, s.err
-			}
-			s.err = io.EOF
-			return nil, io.EOF
-		}
-		if err := s.m.verifyChunk(s.ci); err != nil {
-			s.err = err
-			return nil, err
-		}
-		c := s.m.chunks[s.ci]
-		// Jobs alias the chunk's file-ID arena only until the next chunk
-		// replaces it, so the arena is reused like every other buffer.
-		if err := s.chunk.decode(s.m.data[c.start:c.end], len(s.m.files), len(s.m.users), len(s.m.sites), s.intern); err != nil {
-			s.err = err
-			return nil, err
-		}
-		if s.chunk.firstID != s.seen {
-			s.err = fmt.Errorf("trace: bin: job chunk starts at ID %d, want %d", s.chunk.firstID, s.seen)
-			return nil, s.err
-		}
-		s.ci++
-		s.idx = 0
-	}
-	s.chunk.fill(&s.job, s.idx)
-	s.idx++
-	s.seen++
-	return &s.job, nil
-}
-
-// Close marks the cursor closed and, when the cursor was opened through
-// Open (which hands it sole ownership), unmaps the file.
-func (s *MapSource) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.ownsMap {
-		return s.m.Close()
-	}
-	return nil
-}
-
-// ReadMap materializes the mapping into a validated Trace. With more than
-// one CPU the job chunks are decoded by a worker pool: the end chunk's
-// total pre-sizes the job slice, a cheap header pre-scan assigns each
-// chunk its row range, and workers claim chunk indexes off an atomic
-// cursor — per-worker column buffers and interners, zero payload copies,
-// rows written directly into place.
+// ReadMap materializes the mapping into a validated Trace. Filling rows in
+// place out of order needs random access, which only the mapping has, so
+// this is where the one parallel decode lives: with more than one CPU and
+// more than one chunk, readMapParallel; otherwise the serial materialiser
+// shared with ReadBin, its job slice sized by the end chunk's total (a
+// total the file's bytes could not back is not taken at its word).
 func ReadMap(m *Mapping) (*Trace, error) {
-	var t *Trace
-	var err error
 	if runtime.GOMAXPROCS(0) > 1 && len(m.chunks) > 1 {
-		t, err = readMapParallel(m)
-	} else {
-		t, err = readMapSerial(m)
+		if first, ok := m.rowLayout(); ok {
+			return validated(readMapParallel(m, first))
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return validated(m.decoder().materialize(int(min(m.total, int64(len(m.data)/binMinJobBytes)))))
 }
 
-// readMapSerial mirrors readBinSerial: one cursor, one interner, buffers
-// reused across chunks, fresh file-ID arena per chunk (jobs alias it).
-func readMapSerial(m *Mapping) (*Trace, error) {
-	t := &Trace{Files: m.files, Users: m.users, Sites: m.sites}
-	names := make(map[string]string)
-	intern := func(b []byte) string {
-		if v, ok := names[string(b)]; ok {
-			return v
-		}
-		v := string(b)
-		names[v] = v
-		return v
-	}
-	var c binJobChunk
-	for i := range m.chunks {
-		if err := m.verifyChunk(i); err != nil {
-			return nil, err
-		}
-		mc := m.chunks[i]
-		c.listArena = make([]FileID, 0, len(c.listArena))
-		if err := c.decode(m.data[mc.start:mc.end], len(m.files), len(m.users), len(m.sites), intern); err != nil {
-			return nil, err
-		}
-		if c.firstID != int64(len(t.Jobs)) {
-			return nil, fmt.Errorf("trace: bin: job chunk starts at ID %d, want %d", c.firstID, len(t.Jobs))
-		}
-		base := len(t.Jobs)
-		if cap(t.Jobs)-base >= c.n {
-			t.Jobs = t.Jobs[:base+c.n]
-		} else {
-			t.Jobs = append(t.Jobs, make([]Job, c.n)...)
-		}
-		for i := 0; i < c.n; i++ {
-			c.fill(&t.Jobs[base+i], i)
-		}
-	}
-	if int64(len(t.Jobs)) != m.total {
-		return nil, fmt.Errorf("trace: bin: end chunk declares %d jobs, stream had %d", m.total, len(t.Jobs))
-	}
-	return t, nil
-}
-
-func readMapParallel(m *Mapping) (*Trace, error) {
-	// Header pre-scan: each job chunk opens with its row count and first
-	// job ID, so the whole layout — which rows belong to which chunk — is
-	// known before any column is decoded. The values are read ahead of
-	// CRC verification, so they are re-checked against the verified
-	// decode below; a corrupt header can misroute work but never
-	// mis-assemble a trace.
-	type hdr struct {
-		n     int
-		first int64
-	}
-	hdrs := make([]hdr, len(m.chunks))
-	var cum int64
+// rowLayout pre-scans the job-chunk headers — each opens with its row count
+// and first job ID — so which rows belong to which chunk is known before
+// any column is decoded: chunk i holds rows first[i] to first[i+1]. ok is
+// false when the headers do not tile [0, total); the file is then corrupt
+// or hostile, and the serial decoder is left to say how, in the streamed
+// decoder's order (CRC before contents). The values are read ahead of CRC
+// verification, so readMapParallel re-checks them against the verified
+// decode; a corrupt header can misroute work but never mis-assemble a trace.
+func (m *Mapping) rowLayout() (first []int64, ok bool) {
+	first = make([]int64, len(m.chunks)+1)
 	for i, c := range m.chunks {
-		p := m.data[c.start:c.end]
-		pos := 1
-		n, w := binary.Uvarint(p[pos:])
+		p := m.data[c.start+1 : c.end]
+		n, w := binary.Uvarint(p)
 		if w <= 0 || n > uint64(len(p)) {
-			if err := m.verifyChunk(i); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("trace: bin: job chunk: job count exceeds chunk payload")
+			return nil, false
 		}
-		pos += w
-		first, w := binary.Uvarint(p[pos:])
-		if w <= 0 || first > uint64(maxBinAbsStart) {
-			if err := m.verifyChunk(i); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("trace: bin: job chunk: first job ID out of range")
+		id, w := binary.Uvarint(p[w:])
+		if w <= 0 || id != uint64(first[i]) {
+			return nil, false
 		}
-		if int64(first) != cum {
-			// Before reporting mis-ordered chunks, give CRC the chance to
-			// call the bytes corrupt instead — the streamed decoder would.
-			if err := m.verifyChunk(i); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("trace: bin: job chunk starts at ID %d, want %d", first, cum)
-		}
-		hdrs[i] = hdr{n: int(n), first: int64(first)}
-		cum += int64(n)
+		first[i+1] = first[i] + int64(n)
 	}
-	if cum != m.total {
-		for i := range m.chunks {
-			if err := m.verifyChunk(i); err != nil {
-				return nil, err
-			}
-		}
-		return nil, fmt.Errorf("trace: bin: end chunk declares %d jobs, stream had %d", m.total, cum)
-	}
+	return first, first[len(m.chunks)] == m.total
+}
 
-	t := &Trace{Files: m.files, Users: m.users, Sites: m.sites, Jobs: make([]Job, cum)}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers > len(m.chunks) {
-		workers = len(m.chunks)
-	}
+// readMapParallel decodes the job chunks with a worker pool: the row layout
+// sizes the job slice, and workers claim chunk indexes off an atomic cursor
+// — per-worker column buffers and interners, zero payload copies, rows
+// written directly into place.
+func readMapParallel(m *Mapping, first []int64) (*Trace, error) {
+	t := &Trace{Files: m.files, Users: m.users, Sites: m.sites, Jobs: make([]Job, m.total)}
+	workers := min(runtime.GOMAXPROCS(0), 8, len(m.chunks))
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
@@ -452,37 +306,31 @@ func readMapParallel(m *Mapping) (*Trace, error) {
 		go func() {
 			defer wg.Done()
 			var c binJobChunk
-			names := make(map[string]string)
-			intern := func(b []byte) string {
-				if v, ok := names[string(b)]; ok {
-					return v
-				}
-				v := string(b)
-				names[v] = v
-				return v
-			}
+			intern := newInterner()
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(m.chunks) {
 					return
 				}
-				if err := m.verifyChunk(i); err != nil {
+				p, err := m.payload(i)
+				if err != nil {
 					setErr(err)
 					return
 				}
-				mc := m.chunks[i]
+				// Jobs keep aliases into the chunk's file-ID arena, so each
+				// chunk gets a fresh one, sized like the last.
 				c.listArena = make([]FileID, 0, len(c.listArena))
-				if err := c.decode(m.data[mc.start:mc.end], len(m.files), len(m.users), len(m.sites), intern); err != nil {
+				if err := c.decode(p, len(m.files), len(m.users), len(m.sites), intern); err != nil {
 					setErr(err)
 					return
 				}
-				if c.n != hdrs[i].n || c.firstID != hdrs[i].first {
-					setErr(fmt.Errorf("trace: bin: job chunk starts at ID %d, want %d", c.firstID, hdrs[i].first))
+				if c.firstID != first[i] || int64(c.n) != first[i+1]-first[i] {
+					setErr(fmt.Errorf("trace: bin: job chunk %d header changed between pre-scan and decode", i))
 					return
 				}
-				base := hdrs[i].first
-				for r := 0; r < c.n; r++ {
-					c.fill(&t.Jobs[base+int64(r)], r)
+				rows := t.Jobs[first[i]:first[i+1]]
+				for r := range rows {
+					c.fill(&rows[r], r)
 				}
 			}
 		}()
@@ -494,78 +342,88 @@ func readMapParallel(m *Mapping) (*Trace, error) {
 	return t, nil
 }
 
-// tryMap attempts to map f as a filecule-bin/v1 file. ok=false means f is
-// not eligible for the mapped path (not a regular file, too small to hold
-// the magic, mmap unavailable, or not bin-encoded) and the caller should
-// fall back to the streamed decoder — nothing has been read from f. A
-// non-nil error means f IS a bin file and it is broken.
-func tryMap(f *os.File) (m *Mapping, ok bool, err error) {
+// tryMap attempts to map f as a filecule-bin/v1 file. A nil mapping with a
+// nil error means f is not eligible for the mapped path (not a regular
+// file, too small to hold the magic, mmap unavailable, or not bin-encoded)
+// and the caller should fall back to the streamed decoder — nothing has
+// been read from f. A non-nil error means f IS a bin file and it is broken.
+func tryMap(f *os.File) (*Mapping, error) {
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	size := fi.Size()
 	if !fi.Mode().IsRegular() || size < int64(len(binMagic)) || size != int64(int(size)) {
-		return nil, false, nil
+		return nil, nil
 	}
 	data, err := mmapFile(int(f.Fd()), int(size))
 	if err != nil {
 		// Filesystems without mmap support degrade to streaming, same as
 		// unsupported platforms.
-		return nil, false, nil
+		return nil, nil
 	}
 	if string(data[:len(binMagic)]) != binMagic {
 		_ = munmapFile(data)
-		return nil, false, nil
+		return nil, nil
 	}
 	madviseSequential(data)
-	m, err = newMapping(data)
+	m, err := newMapping(data)
 	if err != nil {
 		_ = munmapFile(data)
-		return nil, false, err
+		return nil, err
 	}
-	return m, true, nil
+	return m, nil
+}
+
+// openFile opens path through the fastest available substrate and returns
+// exactly one of the two: the mapping of a regular filecule-bin/v1 file
+// (the descriptor is already closed; the mapping outlives it), or, for
+// everything else — text, gzip, pipes and other non-regular files,
+// platforms without mmap — the open file, unread, for the streamed
+// decoders. Errors carry the path.
+func openFile(path string) (*Mapping, *os.File, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := tryMap(f)
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if m != nil {
+		f.Close()
+		return m, nil, nil
+	}
+	return nil, f, nil
 }
 
 // OpenMapping maps path, which must be a regular filecule-bin/v1 file on
 // a platform with mmap. Callers that can degrade to streaming should use
 // Open or ReadFile instead, which fall back transparently.
 func OpenMapping(path string) (*Mapping, error) {
-	f, err := os.Open(path)
+	m, f, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	m, ok, err := tryMap(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if !ok {
+	if m == nil {
+		f.Close()
 		return nil, fmt.Errorf("%s: trace: not mappable (need a regular filecule-bin/v1 file and an mmap-capable platform)", path)
 	}
 	return m, nil
 }
 
-// Open opens a trace file as a streaming Source through the fastest
-// available substrate: a regular filecule-bin/v1 file is mmapped (zero
-// copies, lazy CRC), everything else — text, gzip, pipes and other
-// non-regular files, platforms without mmap — takes the streamed
-// auto-detecting path of NewSource. Closing the source releases the
-// mapping or the file.
+// Open opens a trace file as a streaming Source: the mapped cursor (zero
+// copies, lazy CRC) when openFile maps it, the auto-detecting NewSource
+// otherwise. Closing the source releases the mapping or the file.
 func Open(path string) (Source, error) {
-	f, err := os.Open(path)
+	m, f, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
-	m, ok, err := tryMap(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if ok {
-		f.Close() // the mapping outlives the descriptor
+	if m != nil {
 		src := m.Source()
-		src.ownsMap = true
+		src.owner = m
 		return src, nil
 	}
 	src, err := NewSource(f)
@@ -576,30 +434,22 @@ func Open(path string) (Source, error) {
 	return &closerSource{Source: src, c: f}, nil
 }
 
-// ReadFile materializes a trace file: mapped parallel decode (ReadMap)
-// for regular filecule-bin/v1 files, streamed ReadAuto for everything
-// else. The returned trace does not reference the mapping.
+// ReadFile materializes a trace file: ReadMap when openFile maps it,
+// streamed ReadAuto otherwise. The returned trace does not reference the
+// mapping.
 func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	m, f, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
-	m, ok, err := tryMap(f)
-	if err != nil {
+	var t *Trace
+	if m != nil {
+		t, err = ReadMap(m)
+		m.Close()
+	} else {
+		t, err = ReadAuto(f)
 		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if ok {
-		f.Close()
-		defer m.Close()
-		t, err := ReadMap(m)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return t, nil
-	}
-	defer f.Close()
-	t, err := ReadAuto(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

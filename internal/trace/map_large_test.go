@@ -194,8 +194,8 @@ func TestMapLargeDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
-	if _, ok := mapped.(*MapSource); !ok {
-		t.Fatalf("Open returned %T, want *MapSource", mapped)
+	if !isMapped(mapped) {
+		t.Fatalf("Open returned %T, want the mapped cursor", mapped)
 	}
 	sf, err := os.Open(path)
 	if err != nil {

@@ -23,7 +23,16 @@ func mmapWorks(t *testing.T) bool {
 		t.Fatalf("Open: %v", err)
 	}
 	defer src.Close()
-	_, ok := src.(*MapSource)
+	return isMapped(src)
+}
+
+// isMapped reports whether src is the bin cursor over the mapped backing.
+func isMapped(src Source) bool {
+	bs, ok := src.(*BinSource)
+	if !ok {
+		return false
+	}
+	_, ok = bs.d.cur.(*mapCursor)
 	return ok
 }
 
@@ -64,10 +73,10 @@ func TestMapSourceMatchesBinSource(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer src.Close()
-	ms, ok := src.(*MapSource)
-	if !ok {
-		t.Fatalf("Open returned %T, want *MapSource", src)
+	if !isMapped(src) {
+		t.Fatalf("Open returned %T, want the mapped cursor", src)
 	}
+	ms := src
 	if !reflect.DeepEqual(ms.Files(), tr.Files) || !reflect.DeepEqual(ms.Users(), tr.Users) ||
 		!reflect.DeepEqual(ms.Sites(), tr.Sites) {
 		t.Error("mapped catalogs differ from the encoded trace")
@@ -148,7 +157,7 @@ func TestOpenFallsBack(t *testing.T) {
 			t.Fatalf("Open: %v", err)
 		}
 		defer src.Close()
-		if _, ok := src.(*MapSource); ok {
+		if isMapped(src) {
 			t.Fatalf("Open(%s) took the mapped path, want streamed fallback", path)
 		}
 		got, err := Materialize(src)
@@ -198,11 +207,11 @@ func TestOpenFallsBack(t *testing.T) {
 			w.Write(buf.Bytes())
 			w.Close()
 		}()
-		m, ok, err := tryMap(r)
+		m, err := tryMap(r)
 		if err != nil {
 			t.Fatalf("tryMap(pipe): %v", err)
 		}
-		if ok {
+		if m != nil {
 			m.Close()
 			t.Fatal("tryMap mapped a pipe")
 		}
@@ -291,8 +300,8 @@ func TestMapSourceLazyCRC(t *testing.T) {
 		t.Fatalf("Open should defer job-chunk CRC to first touch, got: %v", err)
 	}
 	defer src.Close()
-	if _, ok := src.(*MapSource); !ok {
-		t.Fatalf("Open returned %T, want *MapSource", src)
+	if !isMapped(src) {
+		t.Fatalf("Open returned %T, want the mapped cursor", src)
 	}
 	n := 0
 	for {

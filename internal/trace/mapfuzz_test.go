@@ -81,7 +81,7 @@ func FuzzMmapDecode(f *testing.F) {
 			t.Fatalf("cursor decode of accepted file failed: %v", err)
 		}
 		if !reflect.DeepEqual(cursor, mapped) {
-			t.Fatal("MapSource cursor and ReadMap disagree")
+			t.Fatal("mapped cursor and ReadMap disagree")
 		}
 	})
 }

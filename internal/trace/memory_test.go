@@ -136,8 +136,8 @@ func TestMapCatalogSurvivesClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.(*MapSource); !ok {
-		t.Fatalf("Open returned %T, want *MapSource", src)
+	if !isMapped(src) {
+		t.Fatalf("Open returned %T, want the mapped cursor", src)
 	}
 	files, users, sites := src.Files(), src.Users(), src.Sites()
 	if err := src.Close(); err != nil {

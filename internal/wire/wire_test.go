@@ -17,10 +17,10 @@ import (
 	"filecule/internal/trace"
 )
 
-// memBackend is a self-contained Backend over a monitor and a fixed catalog,
+// memBackend is a self-contained Backend over an engine and a fixed catalog,
 // mirroring the adapter internal/server builds over its own stack.
 type memBackend struct {
-	mon *core.Monitor
+	mon *core.Engine
 	cat *trace.Trace // nil disables advice and byte sizing
 
 	mu      sync.Mutex
@@ -35,7 +35,7 @@ func newMemBackend(nFiles int, size int64) *memBackend {
 	for i := range files {
 		files[i] = trace.File{ID: trace.FileID(i), Name: fmt.Sprintf("f%d", i), Size: size}
 	}
-	return &memBackend{mon: core.NewMonitor(), cat: &trace.Trace{Files: files}}
+	return &memBackend{mon: core.NewEngine(0), cat: &trace.Trace{Files: files}}
 }
 
 func (b *memBackend) Observe(files []trace.FileID) error {
