@@ -107,8 +107,8 @@ bench-json:
 	@echo "bench-json: wrote BENCH_sweep.json"
 
 # Gate the fresh report against the committed baseline: fail on >15% ns/op
-# or B/op regression, a sub-3x sweep speedup, a sub-4x online-observe
-# speedup over the Refiner, a sub-2x binary-over-text decode speedup, a
+# or B/op regression, a sub-3x sweep speedup, a steady-state observe over
+# 700 ns/op or allocating at all, a sub-2x binary-over-text decode speedup, a
 # mapped decode slower than 0.9x the streaming decode (measured 1.5-1.9x
 # faster on a 2-vCPU host, the same serial decoder on one core; table and
 # host in DESIGN §13), a sub-3x wire-over-JSON serving speedup, a WAL-on

@@ -67,7 +67,6 @@ func run(args []string, stdout io.Writer) error {
 		basePath     = fs.String("baseline", "", "committed baseline report")
 		tolerance    = fs.Float64("tolerance", 0.15, "allowed fractional regression of ns/op, B/op and (cold-path benchmarks) allocs/op")
 		speedupFloor = fs.Float64("speedup-floor", 3, "required SweepEngine over SweepSequential wall-clock ratio (0 disables)")
-		observeFloor = fs.Float64("observe-speedup-floor", 4, "required ObserveEngineParallel over ObserveRefiner wall-clock ratio (0 disables)")
 		decodeFloor  = fs.Float64("decode-speedup-floor", 2, "required DecodeBin over DecodeText wall-clock ratio (0 disables)")
 		mmapFloor    = fs.Float64("mmap-decode-speedup-floor", 0.9, "required DecodeMmap over DecodeBin wall-clock ratio (0 disables)")
 		mapAllocs    = fs.Float64("map-iterate-allocs-ceiling", 1, "allowed MapIterate allocs/op (0 disables)")
@@ -126,7 +125,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	violations := gate(base, rep, *tolerance, []speedupPair{
 		{fast: "SweepEngine", slow: "SweepSequential", floor: *speedupFloor},
-		{fast: "ObserveEngineParallel", slow: "ObserveRefiner", floor: *observeFloor},
 		{fast: "DecodeBin", slow: "DecodeText", floor: *decodeFloor},
 		// The mapped decode measured 1.5-1.9x the streamed one on a 2-vCPU
 		// host (71-76 ms against 135-141 ms at scale 0.5; DESIGN §13 has the
@@ -145,6 +143,14 @@ func run(args []string, stdout io.Writer) error {
 		{bench: "MapIterate", unit: "allocs/op", ceiling: *mapAllocs},
 		// The KV CSV row decoder pins its zero-allocation steady state.
 		{bench: "DecodeKV", unit: "allocs/op", ceiling: *kvAllocs},
+		// The engine's steady-state observe, in absolute numbers. The gate
+		// used to require 4x over the map-and-pointer Refiner in the same
+		// run; the Refiner is now a test oracle with no benchmark, so its
+		// last recorded 2 841 ns/op over that 4x floor stands as the
+		// ceiling (the baseline hosts measure 220-240 ns/op). allocs/op
+		// prints whole numbers, so any allocation per observe is over 0.5.
+		{bench: "ObserveEngine", unit: "ns/op", ceiling: 700},
+		{bench: "ObserveEngine", unit: "allocs/op", ceiling: 0.5},
 	})
 	if len(violations) > 0 {
 		for _, v := range violations {

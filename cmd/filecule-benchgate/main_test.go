@@ -99,23 +99,6 @@ func TestGateSpeedupFloor(t *testing.T) {
 	}
 }
 
-func TestGateObserveSpeedupFloor(t *testing.T) {
-	mk := func(refiner, engine float64) *Report {
-		return &Report{Schema: BenchSchema, Benchmarks: []Benchmark{
-			{Name: "ObserveRefiner", Iterations: 1, Metrics: map[string]float64{"ns/op": refiner}},
-			{Name: "ObserveEngineParallel", Iterations: 1, Metrics: map[string]float64{"ns/op": engine}},
-		}}
-	}
-	pairs := []speedupPair{{fast: "ObserveEngineParallel", slow: "ObserveRefiner", floor: 4}}
-	if v := gate(mk(2400, 300), mk(2400, 300), 0.15, pairs, nil, nil); len(v) != 0 {
-		t.Errorf("8x observe speedup must pass a 4x floor, got %v", v)
-	}
-	v := gate(mk(2400, 300), mk(2400, 900), 10, pairs, nil, nil)
-	if len(v) != 1 || !strings.Contains(v[0], "faster than ObserveRefiner") {
-		t.Errorf("want observe speedup-floor violation, got %v", v)
-	}
-}
-
 func TestGateDecodeSpeedupFloor(t *testing.T) {
 	mk := func(text, bin float64) *Report {
 		return &Report{Schema: BenchSchema, Benchmarks: []Benchmark{
@@ -290,6 +273,28 @@ func TestGateMetricBounds(t *testing.T) {
 	off := []metricBound{{bench: "Gone", unit: "req/s"}}
 	if v := gate(ok, ok, 10, nil, nil, off); len(v) != 0 {
 		t.Errorf("disabled bound must not fire, got %v", v)
+	}
+	// The observe ceilings: a settled observe near the recorded 240 ns with
+	// no allocation passes; a slow one and an allocating one each fire.
+	observeBounds := []metricBound{
+		{bench: "ObserveEngine", unit: "ns/op", ceiling: 700},
+		{bench: "ObserveEngine", unit: "allocs/op", ceiling: 0.5},
+	}
+	observe := func(ns, allocs float64) *Report {
+		return &Report{Schema: BenchSchema, Benchmarks: []Benchmark{
+			{Name: "ObserveEngine", Iterations: 1, Metrics: map[string]float64{"ns/op": ns, "allocs/op": allocs}},
+		}}
+	}
+	if v := gate(observe(240, 0), observe(240, 0), 10, nil, nil, observeBounds); len(v) != 0 {
+		t.Errorf("a 240 ns allocation-free observe must pass, got %v", v)
+	}
+	v = gate(observe(240, 0), observe(900, 0), 10, nil, nil, observeBounds)
+	if len(v) != 1 || !strings.Contains(v[0], "ns/op") || !strings.Contains(v[0], "over ceiling") {
+		t.Errorf("want observe ns/op ceiling violation, got %v", v)
+	}
+	v = gate(observe(240, 0), observe(240, 1), 10, nil, nil, observeBounds)
+	if len(v) != 1 || !strings.Contains(v[0], "allocs/op") || !strings.Contains(v[0], "over ceiling") {
+		t.Errorf("want observe allocs/op ceiling violation, got %v", v)
 	}
 }
 

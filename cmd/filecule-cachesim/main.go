@@ -1,6 +1,8 @@
-// Command filecule-cachesim replays a trace through the cache simulator and
-// prints miss rates across cache sizes and policies — the Figure 10
-// experiment plus the policy ablation and the full-grid sweep engine:
+// Command filecule-cachesim replays a trace through the cache simulators and
+// prints miss rates across cache sizes and policies: a file-versus-filecule
+// sweep of any reference policy, the policy ablation, and the single-pass
+// grid engine (the one Figure 10 runs on). Cache sizes are full-scale TB,
+// turned into bytes by sim.ScaledCapacity:
 //
 //	filecule-cachesim -scale 0.05                  # Figure 10 sweep
 //	filecule-cachesim -trace trace.txt -ablation   # policy zoo
@@ -87,10 +89,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Sprintf("%s miss rates (cache sizes scaled by %g)", *policy, effScale),
 		"cache TB (full scale)", "file miss", "filecule miss", "gain")
 	for _, tbs := range sizeList {
-		capBytes := int64(tbs * effScale * (1 << 40))
-		if capBytes < 1<<20 {
-			capBytes = 1 << 20
-		}
+		capBytes := sim.ScaledCapacity(tbs, effScale)
 		pol, err := mkPolicy(*policy, p)
 		if err != nil {
 			return err
@@ -213,7 +212,7 @@ func mkPolicy(name string, p *core.Partition) (cache.Policy, error) {
 	case "landlord":
 		return cache.NewLandlord(), nil
 	case "bundle":
-		return cache.NewBundleLRU(p), nil
+		return cache.NewBundlePolicy(cache.NewLRU(), p), nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}

@@ -1,5 +1,5 @@
 // Onlineid: identify filecules dynamically from a stream of job submissions
-// with the partition-refinement Refiner — the "adaptive and dynamic
+// with the partition-refinement Engine — the "adaptive and dynamic
 // identification" infrastructure Section 6 of the paper calls for — and
 // watch the partial view converge to the global truth as jobs accumulate.
 package main
@@ -23,16 +23,16 @@ func main() {
 	fmt.Printf("global truth: %d filecules over %d files\n\n",
 		global.NumFilecules(), global.NumFiles())
 
-	// Stream jobs through the refiner, snapshotting as the log grows.
-	r := core.NewRefiner()
+	// Stream jobs through the engine, snapshotting as the log grows.
+	e := core.NewEngine(0)
 	tb := report.NewTable("online identification convergence",
 		"jobs observed", "filecules", "covered files", "mean inflation", "exactly right")
 	checkpoints := []int{len(tr.Jobs) / 20, len(tr.Jobs) / 5, len(tr.Jobs) / 2, len(tr.Jobs)}
 	next := 0
 	for i := range tr.Jobs {
-		r.Observe(tr.Jobs[i].Files)
+		e.Observe(tr.Jobs[i].Files)
 		if next < len(checkpoints) && i+1 == checkpoints[next] {
-			snap := r.Partition()
+			snap := e.Snapshot()
 			st := core.CompareToGlobal(global, snap)
 			tb.AddRow(i+1, snap.NumFilecules(), st.CoveredFiles,
 				st.MeanInflation, st.ExactFilecules)
@@ -42,7 +42,7 @@ func main() {
 	tb.Render(os.Stdout)
 
 	// After the full stream, the online partition equals the batch one.
-	final := r.Partition()
+	final := e.Snapshot()
 	if final.Equal(global) {
 		fmt.Println("\nonline refinement converged exactly to the batch identification")
 	} else {
@@ -50,14 +50,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The refiner keeps adapting: feed a brand-new job that splits an
+	// The engine keeps adapting: feed a brand-new job that splits an
 	// existing filecule.
 	victim := pickMultiFileFilecule(final)
 	if victim >= 0 {
 		before := final.NumFilecules()
 		half := final.Filecules[victim].Files[:1]
-		r.Observe(half)
-		after := r.Partition().NumFilecules()
+		e.Observe(half)
+		after := e.Snapshot().NumFilecules()
 		fmt.Printf("a new job touching part of filecule %d split the partition: %d -> %d filecules\n",
 			victim, before, after)
 	}

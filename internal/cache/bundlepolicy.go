@@ -7,19 +7,22 @@ import (
 	"filecule/internal/trace"
 )
 
-// BundlePolicy generalizes BundleLRU's bundle-coherent eviction to any base
-// policy: files are loaded individually (file granularity, no whole-filecule
-// fetch), but the base policy ranks *bundles* (filecules, or per-file
-// singletons for uncovered files), and the victim is the least recently used
-// resident file of whichever bundle the base policy would evict. Touching
-// any member refreshes the whole bundle under the base policy.
+// BundlePolicy is bundle-coherent eviction over any base policy, inspired by
+// the file-bundle caching of Otoo et al. (the paper's Section 7): files are
+// loaded individually (file granularity, no whole-filecule fetch), but the
+// base policy ranks *bundles* (filecules, or per-file singletons for
+// uncovered files), and the victim is the least recently used resident file
+// of whichever bundle the base policy would evict. Touching any member
+// refreshes the whole bundle under the base policy, which protects
+// partially-resident filecules that are still in active use.
 //
 // The base policy sees one unit per resident bundle, admitted with the size
 // of the member that created it; growing a bundle refreshes it (Touch)
-// rather than re-admitting, mirroring BundleLRU's recency semantics. With an
-// LRU base this is exactly BundleLRU (see TestBundlePolicyMatchesBundleLRU);
-// with ARC, GreedyDual or OPTPolicy bases it yields the bundle-aware
-// variants of the sweep grid's "bundle" granularity axis.
+// rather than re-admitting. With an LRU base this is the ablation's
+// "bundle-lru": it isolates one half of the filecule-LRU advantage (eviction
+// coherence) from the other half (prefetching). With ARC, GreedyDual or
+// OPTPolicy bases it yields the bundle-aware variants of the sweep grid's
+// "bundle" granularity axis.
 type BundlePolicy struct {
 	base Policy
 	part *core.Partition

@@ -67,14 +67,6 @@ func (m Metrics) MissRate() float64 {
 	return float64(m.Misses) / float64(m.Requests)
 }
 
-// HitRate returns Hits/Requests.
-func (m Metrics) HitRate() float64 {
-	if m.Requests == 0 {
-		return 0
-	}
-	return float64(m.Hits) / float64(m.Requests)
-}
-
 // ByteMissRate returns BytesMissed/BytesRequested.
 func (m Metrics) ByteMissRate() float64 {
 	if m.BytesRequested == 0 {

@@ -252,7 +252,7 @@ func TestBundleLRUProtectsActiveBundles(t *testing.T) {
 	if m.Misses != 2 {
 		t.Errorf("filecule LRU misses = %d, want 2", m.Misses)
 	}
-	mb := replayFiles(t, tr, NewFileGranularity(tr), NewBundleLRU(p), 4)
+	mb := replayFiles(t, tr, NewFileGranularity(tr), NewBundlePolicy(NewLRU(), p), 4)
 	// Bundle LRU does not prefetch: every first touch of a file misses.
 	if mb.Misses != 4 {
 		t.Errorf("bundle LRU misses = %d, want 4", mb.Misses)
@@ -261,7 +261,7 @@ func TestBundleLRUProtectsActiveBundles(t *testing.T) {
 	// coherently: victims come from the cold bundle.
 	tr2 := seqTrace(t, 4, 1, [][]trace.FileID{{0, 1}, {2, 3}, {0, 1}})
 	p2 := core.Identify(tr2)
-	m2 := replayFiles(t, tr2, NewFileGranularity(tr2), NewBundleLRU(p2), 2)
+	m2 := replayFiles(t, tr2, NewFileGranularity(tr2), NewBundlePolicy(NewLRU(), p2), 2)
 	if m2.Misses != 6 {
 		t.Errorf("bundle LRU thrash misses = %d, want 6", m2.Misses)
 	}
@@ -317,7 +317,7 @@ func TestInvariantsProperty(t *testing.T) {
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewGDS() },
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewGDSF() },
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewLandlord() },
-			func() (Granularity, Policy) { return NewFileGranularity(tr), NewBundleLRU(p) },
+			func() (Granularity, Policy) { return NewFileGranularity(tr), NewBundlePolicy(NewLRU(), p) },
 			func() (Granularity, Policy) { return NewFileculeGranularity(tr, p), NewGDS() },
 		} {
 			g, pol := mk()

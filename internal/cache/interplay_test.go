@@ -129,11 +129,11 @@ func TestOPTFileculeGranularityDominatesLRU(t *testing.T) {
 
 func TestMetricsDerivedRates(t *testing.T) {
 	m := Metrics{Requests: 10, Hits: 7, Misses: 3, BytesRequested: 100, BytesMissed: 25}
-	if m.MissRate() != 0.3 || m.HitRate() != 0.7 || m.ByteMissRate() != 0.25 {
-		t.Errorf("rates = %v/%v/%v", m.MissRate(), m.HitRate(), m.ByteMissRate())
+	if m.MissRate() != 0.3 || m.ByteMissRate() != 0.25 {
+		t.Errorf("rates = %v/%v", m.MissRate(), m.ByteMissRate())
 	}
 	var zero Metrics
-	if zero.MissRate() != 0 || zero.HitRate() != 0 || zero.ByteMissRate() != 0 {
+	if zero.MissRate() != 0 || zero.ByteMissRate() != 0 {
 		t.Error("zero metrics rates not zero")
 	}
 }

@@ -8,24 +8,6 @@ import (
 	"filecule/internal/trace"
 )
 
-// Stepper drives a simulation one request at a time. It is the contract the
-// sweep engine (internal/sim) uses to advance every grid cell in lock-step
-// from a single pass over the request stream: Step consumes the request at
-// logical time now (the global request index), Metrics reports the counters
-// accumulated so far.
-//
-// Sim implements Stepper for every online Policy/Granularity pair; OPTSim
-// (via NewOPTPolicy plus Sim) covers the offline-optimal cells.
-type Stepper interface {
-	Step(r trace.Request, now int64)
-	Metrics() Metrics
-}
-
-// Step implements Stepper: it is exactly one iteration of Replay, so
-// stepping a Sim through a request stream with now = the request index is
-// byte-identical to calling Replay on the whole stream.
-func (s *Sim) Step(r trace.Request, now int64) { s.AccessJob(r.Job, r.File, now) }
-
 // Never is the next-use index assigned to requests whose unit is never
 // requested again (far beyond any valid request index).
 const Never = int64(1) << 62

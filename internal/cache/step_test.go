@@ -72,25 +72,10 @@ func TestOPTPolicyMatchesSimulateOPT(t *testing.T) {
 	}
 }
 
-// TestBundlePolicyMatchesBundleLRU pins that the generic wrapper with an LRU
-// base is exactly the hand-written BundleLRU.
-func TestBundlePolicyMatchesBundleLRU(t *testing.T) {
-	tr := stepTrace(11, 80, 500)
-	p := core.Identify(tr)
-	reqs := tr.Requests()
-	g := NewFileGranularity(tr)
-
-	for _, capacity := range []int64{16 << 20, 128 << 20, 1 << 30} {
-		want := NewSim(tr, g, NewBundleLRU(p), capacity).Replay(reqs)
-		got := NewSim(tr, g, NewBundlePolicy(NewLRU(), p), capacity).Replay(reqs)
-		if got != want {
-			t.Errorf("capacity %d: BundlePolicy(LRU) %+v != BundleLRU %+v", capacity, got, want)
-		}
-	}
-}
-
-// TestStepMatchesReplay pins the Stepper contract: stepping request by
-// request equals Replay for a representative policy mix.
+// TestStepMatchesReplay pins what the drivers that interleave their own work
+// with the cache rely on (the prefetcher experiment, the grid sites): feeding
+// a Sim one AccessJob at a time with now = the request index equals Replay
+// on the whole stream, for a representative policy mix.
 func TestStepMatchesReplay(t *testing.T) {
 	tr := stepTrace(13, 50, 300)
 	p := core.Identify(tr)
@@ -107,12 +92,12 @@ func TestStepMatchesReplay(t *testing.T) {
 	}
 	for name, f := range mk {
 		want := NewSim(tr, g, f(), capacity).Replay(reqs)
-		var step Stepper = NewSim(tr, g, f(), capacity)
+		step := NewSim(tr, g, f(), capacity)
 		for i, r := range reqs {
-			step.Step(r, int64(i))
+			step.AccessJob(r.Job, r.File, int64(i))
 		}
 		if got := step.Metrics(); got != want {
-			t.Errorf("%s: Step-driven %+v != Replay %+v", name, got, want)
+			t.Errorf("%s: step-driven %+v != Replay %+v", name, got, want)
 		}
 	}
 }

@@ -12,18 +12,6 @@ import (
 // the same file identical?" — by identifying filecules in successive time
 // windows and comparing the resulting partitions.
 
-// WindowedPartitions splits the trace span into n equal windows and
-// identifies filecules independently within each, as if each window were
-// the entire observed history.
-func WindowedPartitions(t *trace.Trace, n int) []*Partition {
-	windows := t.Windows(n)
-	out := make([]*Partition, len(windows))
-	for i, jobs := range windows {
-		out[i] = IdentifyJobs(t, jobs)
-	}
-	return out
-}
-
 // Similarity quantifies how alike two partitions are, over the files both
 // cover.
 type Similarity struct {

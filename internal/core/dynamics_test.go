@@ -74,26 +74,6 @@ func TestComparePartitionsSymmetricProperty(t *testing.T) {
 	}
 }
 
-func TestWindowedPartitionsCoverAllJobs(t *testing.T) {
-	tr := randomTrace(t, 5, 25, 40)
-	parts := WindowedPartitions(tr, 4)
-	if len(parts) != 4 {
-		t.Fatalf("got %d windows", len(parts))
-	}
-	jobs := 0
-	for _, w := range tr.Windows(4) {
-		jobs += len(w)
-	}
-	if jobs != len(tr.Jobs) {
-		t.Errorf("windows cover %d jobs, want %d", jobs, len(tr.Jobs))
-	}
-	for i, p := range parts {
-		if err := p.Validate(); err != nil {
-			t.Errorf("window %d invalid: %v", i, err)
-		}
-	}
-}
-
 func TestAnalyzeDynamics(t *testing.T) {
 	tr := randomTrace(t, 11, 30, 60)
 	rep := AnalyzeDynamics(tr, 3)

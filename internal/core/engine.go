@@ -9,9 +9,10 @@ import (
 	"filecule/internal/trace"
 )
 
-// Engine is the allocation-flat online identification engine: the same
-// partition refinement the Refiner performs, laid out for the serving hot
-// path as one dense partition in which a block is exactly a filecule.
+// Engine is the allocation-flat online identification engine: the partition
+// refinement the tests' reference Refiner spells with maps and pointers, laid
+// out for the serving hot path as one dense partition in which a block is
+// exactly a filecule.
 //
 // # Layout
 //

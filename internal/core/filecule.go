@@ -13,7 +13,7 @@
 //  3. every file in a filecule has the same request count as the filecule.
 //
 // The package offers two identification algorithms — batch signature
-// grouping (Identify) and online partition refinement (Refiner) — which
+// grouping (Identify) and online partition refinement (Engine) — which
 // produce identical partitions, plus the partial-knowledge identification of
 // Section 6 (IdentifyJobs over a subset of jobs, and Coarsens to verify that
 // partial knowledge can only merge, never split, true filecules).
@@ -286,20 +286,6 @@ func Identify(t *trace.Trace) *Partition {
 		jobs[i] = t.Jobs[i].ID
 	}
 	return IdentifyJobs(t, jobs)
-}
-
-// IdentifySource drains a job stream through the online engine and returns
-// the resulting canonical partition together with the job count. It is the
-// streaming counterpart of Identify: equal to Identify on the materialized
-// trace (identification is commutative over jobs), but with peak memory
-// bounded by the source's chunk size plus the partition itself.
-func IdentifySource(src trace.Source) (*Partition, int64, error) {
-	e := NewEngine(0)
-	n, err := e.ObserveSource(src)
-	if err != nil {
-		return nil, n, err
-	}
-	return e.Snapshot(), n, nil
 }
 
 // IdentifyJobs computes the filecule partition induced by only the given

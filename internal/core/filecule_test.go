@@ -141,7 +141,13 @@ func TestDisjointnessAndCoverageProperty(t *testing.T) {
 		if p.Validate() != nil {
 			return false
 		}
-		return p.NumFiles() == tr.DistinctFilesRequested()
+		requested := make(map[trace.FileID]bool)
+		for i := range tr.Jobs {
+			for _, f := range tr.Jobs[i].Files {
+				requested[f] = true
+			}
+		}
+		return p.NumFiles() == len(requested)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

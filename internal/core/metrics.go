@@ -81,15 +81,6 @@ func SizesBytes(t *trace.Trace, p *Partition) []int64 {
 	return out
 }
 
-// FilesPer returns each filecule's member count (Figure 7).
-func FilesPer(p *Partition) []int {
-	out := make([]int, p.NumFilecules())
-	for i := range p.Filecules {
-		out[i] = p.Filecules[i].NumFiles()
-	}
-	return out
-}
-
 // RequestsPer returns each filecule's request count (Figures 8 and 9).
 func RequestsPer(p *Partition) []int {
 	out := make([]int, p.NumFilecules())

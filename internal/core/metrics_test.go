@@ -50,14 +50,10 @@ func TestSizesAndFilesPer(t *testing.T) {
 	tr := buildTrace(t, 3, [][]trace.FileID{{0, 1}, {2}})
 	p := Identify(tr)
 	sizes := SizesBytes(tr, p)
-	files := FilesPer(p)
 	reqs := RequestsPer(p)
 	// Canonical order: {0,1} then {2}. Sizes: 100+200, 300.
 	if sizes[0] != 300 || sizes[1] != 300 {
 		t.Errorf("sizes = %v", sizes)
-	}
-	if files[0] != 2 || files[1] != 1 {
-		t.Errorf("files = %v", files)
 	}
 	if reqs[0] != 1 || reqs[1] != 1 {
 		t.Errorf("requests = %v", reqs)

@@ -24,18 +24,6 @@ func IdentifyDomain(t *trace.Trace, domain string) *Partition {
 	return IdentifyJobs(t, jobs)
 }
 
-// IdentifySite identifies filecules from only the jobs submitted at one
-// site.
-func IdentifySite(t *trace.Trace, site trace.SiteID) *Partition {
-	var jobs []trace.JobID
-	for i := range t.Jobs {
-		if t.Jobs[i].Site == site {
-			jobs = append(jobs, t.Jobs[i].ID)
-		}
-	}
-	return IdentifyJobs(t, jobs)
-}
-
 // Coarsens reports whether coarse is a coarsening of fine over the files
 // coarse covers: every filecule of fine must lie entirely inside a single
 // filecule of coarse, for the files both partitions cover. This is the

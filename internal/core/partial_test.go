@@ -148,18 +148,6 @@ func TestCombinePropertyCoarsensGlobal(t *testing.T) {
 	}
 }
 
-func TestIdentifySite(t *testing.T) {
-	tr := buildTrace(t, 3, [][]trace.FileID{{0}, {1}, {2}})
-	p0 := IdentifySite(tr, 0) // jobs 0 and 2
-	if p0.NumFiles() != 2 {
-		t.Errorf("site 0 covered %d files, want 2", p0.NumFiles())
-	}
-	p1 := IdentifySite(tr, 1) // job 1
-	if p1.NumFiles() != 1 {
-		t.Errorf("site 1 covered %d files, want 1", p1.NumFiles())
-	}
-}
-
 func TestCoarsensRejectsSplit(t *testing.T) {
 	// fine groups {0,1}; "coarse" splits them -> not a coarsening.
 	tr1 := buildTrace(t, 2, [][]trace.FileID{{0, 1}})

@@ -6,10 +6,10 @@ import (
 	"filecule/internal/trace"
 )
 
-// Refiner identifies filecules online by partition refinement, the
-// infrastructure Section 6 of the paper calls for: filecules must be
-// discovered "adaptively and dynamically" as job submissions stream past a
-// collection point rather than from a completed log.
+// Refiner is the reference online identifier — pointer blocks and a map,
+// the first implementation of the partition refinement Engine performs
+// densely. It ships in no program; the differential, prefix and fuzz tests
+// hold Engine to it after every observe.
 //
 // The algorithm maintains the current filecule partition. Each observed job
 // with (deduplicated) input set S splits every overlapping block B into

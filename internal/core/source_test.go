@@ -56,12 +56,6 @@ func TestObserveSourceAcrossCodecs(t *testing.T) {
 		if p := streamedPartition(t, bs); !ref.Equal(p) {
 			t.Errorf("trace %d: binary source differs from Identify", ti)
 		}
-
-		if p, n, err := IdentifySource(trace.NewTraceSource(tr)); err != nil ||
-			int(n) != len(tr.Jobs) || !ref.Equal(p) {
-			t.Errorf("trace %d: IdentifySource = (%v jobs, err %v), partition equal: %v",
-				ti, n, err, err == nil && ref.Equal(p))
-		}
 	}
 }
 

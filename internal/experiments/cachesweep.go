@@ -2,18 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"filecule/internal/cache"
 	"filecule/internal/report"
+	"filecule/internal/sim"
 	"filecule/internal/synth"
 )
 
 // Fig10CacheSizesTB are the paper's seven cache sizes in TB (at full trace
-// scale); the sweep scales them with the workload so the cache:catalog ratio
-// matches the paper's.
-var Fig10CacheSizesTB = []float64{1, 2, 5, 10, 20, 50, 100}
+// scale).
+var Fig10CacheSizesTB = sim.Fig10CacheSizesTB
 
 // CacheSweepPoint is one (cache size, granularity) measurement.
 type CacheSweepPoint struct {
@@ -25,66 +23,37 @@ type CacheSweepPoint struct {
 	BytesLoaded  int64
 }
 
-// CacheSweep runs the Figure 10 experiment and returns the raw points
-// (file and filecule granularity LRU at each size, in size order). The
-// 14 simulations are independent, so they run on a worker pool sized to
-// GOMAXPROCS; results are written into pre-assigned slots, keeping the
-// output deterministic regardless of scheduling.
+// CacheSweep runs the Figure 10 experiment — LRU at file and filecule
+// granularity over the seven sizes, one pass of the sweep engine — and
+// returns the raw points in size order, file before filecule. The run is
+// memoised: fig10 and fileBundle read the same points.
 func (r *Runner) CacheSweep() []CacheSweepPoint {
-	t := r.Trace()
-	p := r.Partition()
-	reqs := r.Requests()
-
-	out := make([]CacheSweepPoint, 2*len(Fig10CacheSizesTB))
-	type task struct {
-		slot     int
-		capBytes int64
-		filecule bool
+	if r.sweep != nil {
+		return r.sweep
 	}
-	var tasks []task
-	for i, tb := range Fig10CacheSizesTB {
-		capBytes := int64(tb * r.cfg.Scale * (1 << 40))
-		if capBytes < 1<<20 {
-			capBytes = 1 << 20
+	res, err := sim.Sweep(r.Trace(), r.Partition(), r.Requests(), sim.SweepConfig{
+		Policies:      []string{"lru"},
+		Granularities: []string{"file", "filecule"},
+		Scale:         r.cfg.Scale,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: Figure 10 sweep rejected its own config: %v", err))
+	}
+	// The grid comes back granularity-major: all file cells, then all
+	// filecule cells, each in size order.
+	n := len(res.Cells) / 2
+	r.sweep = make([]CacheSweepPoint, len(res.Cells))
+	for i, c := range res.Cells {
+		r.sweep[2*(i%n)+i/n] = CacheSweepPoint{
+			CacheTB:      c.CacheTB,
+			CacheBytes:   c.CapacityBytes,
+			Granularity:  c.Granularity,
+			MissRate:     c.MissRate,
+			ByteMissRate: c.ByteMissRate,
+			BytesLoaded:  c.Metrics.BytesLoaded,
 		}
-		out[2*i] = CacheSweepPoint{CacheTB: tb, CacheBytes: capBytes, Granularity: "file"}
-		out[2*i+1] = CacheSweepPoint{CacheTB: tb, CacheBytes: capBytes, Granularity: "filecule"}
-		tasks = append(tasks,
-			task{slot: 2 * i, capBytes: capBytes},
-			task{slot: 2*i + 1, capBytes: capBytes, filecule: true})
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	ch := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tk := range ch {
-				var g cache.Granularity
-				if tk.filecule {
-					g = cache.NewFileculeGranularity(t, p)
-				} else {
-					g = cache.NewFileGranularity(t)
-				}
-				m := cache.NewSim(t, g, cache.NewLRU(), tk.capBytes).Replay(reqs)
-				pt := &out[tk.slot]
-				pt.MissRate = m.MissRate()
-				pt.ByteMissRate = m.ByteMissRate()
-				pt.BytesLoaded = m.BytesLoaded
-			}
-		}()
-	}
-	for _, tk := range tasks {
-		ch <- tk
-	}
-	close(ch)
-	wg.Wait()
-	return out
+	return r.sweep
 }
 
 // fig10 reproduces Figure 10: LRU miss rate at file vs filecule granularity
@@ -137,7 +106,7 @@ func (r *Runner) ablation() (*Result, error) {
 	t := r.Trace()
 	p := r.Partition()
 	reqs := r.Requests()
-	capBytes := int64(10 * r.cfg.Scale * (1 << 40)) // the 10 TB point
+	capBytes := sim.ScaledCapacity(10, r.cfg.Scale) // the 10 TB point
 
 	tb := report.NewTable(
 		"cache policy ablation at the 10 TB (full-scale) point",
@@ -153,7 +122,9 @@ func (r *Runner) ablation() (*Result, error) {
 		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewGDS() }},
 		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewGDSF() }},
 		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewLandlord() }},
-		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewBundleLRU(p) }},
+		{"file", func() (cache.Granularity, cache.Policy) {
+			return cache.NewFileGranularity(t), cache.NewBundlePolicy(cache.NewLRU(), p)
+		}},
 		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewARC(capBytes) }},
 		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewLFUDA() }},
 		{"filecule", func() (cache.Granularity, cache.Policy) { return cache.NewFileculeGranularity(t, p), cache.NewLRU() }},

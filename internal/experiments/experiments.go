@@ -62,10 +62,11 @@ func (r *Result) Render() string {
 // Runner owns the shared workload and caches derived state across
 // experiments.
 type Runner struct {
-	cfg  Config
-	tr   *trace.Trace
-	part *core.Partition
-	reqs []trace.Request
+	cfg   Config
+	tr    *trace.Trace
+	part  *core.Partition
+	reqs  []trace.Request
+	sweep []CacheSweepPoint // Figure 10, memoised by CacheSweep
 }
 
 // New creates a Runner. The workload is generated lazily on first use.

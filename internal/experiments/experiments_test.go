@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"filecule/internal/cache"
+	"filecule/internal/sim"
 )
 
 // testRunner shares one small workload across tests in this package.
@@ -113,5 +116,41 @@ func TestDefaultConfig(t *testing.T) {
 	r := New(Config{})
 	if r.Config().Scale <= 0 {
 		t.Error("zero scale not defaulted")
+	}
+}
+
+// TestCacheSweepMatchesReference holds the Figure 10 driver to the reference
+// simulator: each of the 14 points, replayed on its own through cache.Sim
+// with a pointer-and-map LRU, must equal what Runner.CacheSweep reads off
+// the sweep engine, field for field, on two seeds.
+func TestCacheSweepMatchesReference(t *testing.T) {
+	const scale = 0.02
+	for _, seed := range []int64{1, 2} {
+		r := New(Config{Seed: seed, Scale: scale})
+		tr, p, reqs := r.Trace(), r.Partition(), r.Requests()
+		points := r.CacheSweep()
+		if len(points) != 2*len(Fig10CacheSizesTB) {
+			t.Fatalf("seed %d: %d points, want %d", seed, len(points), 2*len(Fig10CacheSizesTB))
+		}
+		for i, got := range points {
+			tb := Fig10CacheSizesTB[i/2]
+			capBytes := sim.ScaledCapacity(tb, scale)
+			g, gran := cache.Granularity(cache.NewFileGranularity(tr)), "file"
+			if i%2 == 1 {
+				g, gran = cache.NewFileculeGranularity(tr, p), "filecule"
+			}
+			m := cache.NewSim(tr, g, cache.NewLRU(), capBytes).Replay(reqs)
+			want := CacheSweepPoint{
+				CacheTB:      tb,
+				CacheBytes:   capBytes,
+				Granularity:  gran,
+				MissRate:     m.MissRate(),
+				ByteMissRate: m.ByteMissRate(),
+				BytesLoaded:  m.BytesLoaded,
+			}
+			if got != want {
+				t.Errorf("seed %d point %d: sweep engine %+v != reference %+v", seed, i, got, want)
+			}
+		}
 	}
 }

@@ -111,22 +111,19 @@ func (r *Runner) prefetchers() (*Result, error) {
 // Figure 10 cache sizes.
 func (r *Runner) fileBundle() (*Result, error) {
 	t := r.Trace()
-	p := r.Partition()
-	reqs := r.Requests()
-	const window = 50 // queued jobs visible to the bundle optimizer
+	points := r.CacheSweep() // the two LRU columns are Figure 10's
+	const window = 50        // queued jobs visible to the bundle optimizer
 
 	tb := report.NewTable(
 		fmt.Sprintf("file-bundle (Otoo et al., window %d jobs) vs LRU granularities", window),
 		"cache (full-scale TB)", "file LRU", "file-bundle", "filecule LRU")
-	for _, tbs := range []float64{1, 10, 100} {
-		capBytes := int64(tbs * r.cfg.Scale * float64(int64(1)<<40))
-		if capBytes < 1<<20 {
-			capBytes = 1 << 20
+	for i := 0; i+1 < len(points); i += 2 {
+		file, filecule := points[i], points[i+1]
+		if tbs := file.CacheTB; tbs != 1 && tbs != 10 && tbs != 100 {
+			continue
 		}
-		fm := cache.NewSim(t, cache.NewFileGranularity(t), cache.NewLRU(), capBytes).Replay(reqs)
-		bm := cache.SimulateFileBundle(t, capBytes, window)
-		cm := cache.NewSim(t, cache.NewFileculeGranularity(t, p), cache.NewLRU(), capBytes).Replay(reqs)
-		tb.AddRow(tbs, fm.MissRate(), bm.MissRate(), cm.MissRate())
+		bm := cache.SimulateFileBundle(t, file.CacheBytes, window)
+		tb.AddRow(file.CacheTB, file.MissRate, bm.MissRate(), filecule.MissRate)
 	}
 	return &Result{Tables: []*report.Table{tb},
 		Notes: []string{

@@ -74,16 +74,6 @@ func Wrap(inner Transport, plan Plan) *Net {
 	return &Net{inner: inner, plan: plan, peers: make(map[string]*peerState)}
 }
 
-// Calls returns how many Exchange calls have been made to peer.
-func (n *Net) Calls(peer string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if ps := n.peers[peer]; ps != nil {
-		return ps.calls
-	}
-	return 0
-}
-
 // decision is one call's precomputed fault outcome, drawn under the lock
 // so concurrent exchanges to different peers stay deterministic per peer.
 type decision struct {

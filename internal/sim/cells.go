@@ -6,12 +6,13 @@ import (
 	"filecule/internal/cache"
 )
 
-// This file holds the dense grid-cell simulators. Each cell replays the
-// resolved request stream with the exact branch and counter order of
-// cache.Sim.serve, but over slot-indexed arrays instead of maps and with the
-// policy inlined instead of dispatched — zero steady-state allocation, no
-// interface calls on the per-request path. The differential test
-// (sweep_test.go) pins every cell to struct equality with the cache package.
+// This file holds the dense grid-cell simulators: four policy states over
+// slot-indexed arrays and the two loops that drive them (policyCell,
+// bundleCell). A cell replays the resolved request stream with the exact
+// branch and counter order of cache.Sim.serve, with zero steady-state
+// allocation and one interface call per policy operation. The differential
+// test (sweep_test.go) pins every cell to struct equality with the cache
+// package.
 //
 // The heap-backed policies (GreedyDual, OPT) replicate container/heap's
 // up/down/Fix/Remove algorithms verbatim so their sift sequences — and hence
@@ -53,8 +54,23 @@ func newCellCore(sp cellSpec, ax *axisData, warmup int64) cellCore {
 func (c *cellCore) metrics() cache.Metrics { return c.m }
 func (c *cellCore) spec() cellSpec         { return c.sp }
 
+// place is the dense statement of the bypass rule (cache.Sim.serve holds the
+// reference one): a missed request loads its whole unit, unless the unit is
+// larger than the cache, in which case only the requested file is cached, as
+// the degenerate slot. ok is false when even that file cannot fit. Both run
+// loops call it; it must stay small enough to inline.
+func (c *cellCore) place(r *resolved, count bool) (slot int32, size int64, ok bool) {
+	if r.size <= c.capacity {
+		return r.unit, r.size, true
+	}
+	if count {
+		c.m.Bypasses++
+	}
+	return r.deg, r.fileSize, r.fileSize <= c.capacity
+}
+
 // denseBase is the slot-level policy contract, mirroring cache.Policy. All
-// four dense policy states implement it; the bundle cell composes through it.
+// four dense policy states implement it; both cells drive theirs through it.
 type denseBase interface {
 	admit(v int32, size, now int64)
 	touch(v int32, now int64)
@@ -512,16 +528,17 @@ func (s *optState) remove(v int32) { s.removeAt(int(s.pos[v])) }
 
 // ---------------------------------------------------------------- cells
 
-// The run loops below are deliberate near-copies of one skeleton — one per
-// policy — so every policy operation is a direct, inlinable call. Any change
-// to the skeleton must be applied to all five and to cache.Sim.serve.
-
-type lruCell struct {
+// policyCell is a cell whose replacement units are the axis's own slots:
+// every policy at file or filecule granularity. One loop serves all four
+// policy states through denseBase; the four copies with direct calls it
+// replaced measured 0-3 % faster, inside their own run-to-run spread (DESIGN
+// §7 has the table).
+type policyCell struct {
 	cellCore
-	st *lruState
+	st denseBase
 }
 
-func (c *lruCell) run(rs []resolved, base int64) {
+func (c *policyCell) run(rs []resolved, base int64) {
 	m := &c.m
 	for k := range rs {
 		r := &rs[k]
@@ -538,6 +555,8 @@ func (c *lruCell) run(rs []resolved, base int64) {
 			}
 			continue
 		}
+		// The file may be resident as a degenerate unit from an earlier
+		// bypass.
 		if r.deg != r.unit && c.resident[r.deg] {
 			c.st.touch(r.deg, now)
 			if count {
@@ -549,204 +568,9 @@ func (c *lruCell) run(rs []resolved, base int64) {
 			m.Misses++
 			m.BytesMissed += r.fileSize
 		}
-		slot, size := r.unit, r.size
-		if size > c.capacity {
-			if count {
-				m.Bypasses++
-			}
-			slot, size = r.deg, r.fileSize
-			if size > c.capacity {
-				continue
-			}
-		}
-		for c.used+size > c.capacity {
-			v := c.st.victim()
-			vs := c.ax.slotSize(v)
-			c.st.remove(v)
-			c.resident[v] = false
-			c.used -= vs
-			if count {
-				m.Evictions++
-				m.BytesEvicted += vs
-			}
-		}
-		c.resident[slot] = true
-		c.used += size
-		c.st.admit(slot, size, now)
-		if count {
-			m.BytesLoaded += size
-		}
-	}
-}
-
-type arcCell struct {
-	cellCore
-	st *arcState
-}
-
-func (c *arcCell) run(rs []resolved, base int64) {
-	m := &c.m
-	for k := range rs {
-		r := &rs[k]
-		now := base + int64(k)
-		count := now >= c.warmup
-		if count {
-			m.Requests++
-			m.BytesRequested += r.fileSize
-		}
-		if c.resident[r.unit] {
-			c.st.touch(r.unit, now)
-			if count {
-				m.Hits++
-			}
+		slot, size, ok := c.place(r, count)
+		if !ok {
 			continue
-		}
-		if r.deg != r.unit && c.resident[r.deg] {
-			c.st.touch(r.deg, now)
-			if count {
-				m.Hits++
-			}
-			continue
-		}
-		if count {
-			m.Misses++
-			m.BytesMissed += r.fileSize
-		}
-		slot, size := r.unit, r.size
-		if size > c.capacity {
-			if count {
-				m.Bypasses++
-			}
-			slot, size = r.deg, r.fileSize
-			if size > c.capacity {
-				continue
-			}
-		}
-		for c.used+size > c.capacity {
-			v := c.st.victim()
-			vs := c.ax.slotSize(v)
-			c.st.remove(v)
-			c.resident[v] = false
-			c.used -= vs
-			if count {
-				m.Evictions++
-				m.BytesEvicted += vs
-			}
-		}
-		c.resident[slot] = true
-		c.used += size
-		c.st.admit(slot, size, now)
-		if count {
-			m.BytesLoaded += size
-		}
-	}
-}
-
-type gdsCell struct {
-	cellCore
-	st *gdsState
-}
-
-func (c *gdsCell) run(rs []resolved, base int64) {
-	m := &c.m
-	for k := range rs {
-		r := &rs[k]
-		now := base + int64(k)
-		count := now >= c.warmup
-		if count {
-			m.Requests++
-			m.BytesRequested += r.fileSize
-		}
-		if c.resident[r.unit] {
-			c.st.touch(r.unit, now)
-			if count {
-				m.Hits++
-			}
-			continue
-		}
-		if r.deg != r.unit && c.resident[r.deg] {
-			c.st.touch(r.deg, now)
-			if count {
-				m.Hits++
-			}
-			continue
-		}
-		if count {
-			m.Misses++
-			m.BytesMissed += r.fileSize
-		}
-		slot, size := r.unit, r.size
-		if size > c.capacity {
-			if count {
-				m.Bypasses++
-			}
-			slot, size = r.deg, r.fileSize
-			if size > c.capacity {
-				continue
-			}
-		}
-		for c.used+size > c.capacity {
-			v := c.st.victim()
-			vs := c.ax.slotSize(v)
-			c.st.remove(v)
-			c.resident[v] = false
-			c.used -= vs
-			if count {
-				m.Evictions++
-				m.BytesEvicted += vs
-			}
-		}
-		c.resident[slot] = true
-		c.used += size
-		c.st.admit(slot, size, now)
-		if count {
-			m.BytesLoaded += size
-		}
-	}
-}
-
-type optCell struct {
-	cellCore
-	st *optState
-}
-
-func (c *optCell) run(rs []resolved, base int64) {
-	m := &c.m
-	for k := range rs {
-		r := &rs[k]
-		now := base + int64(k)
-		count := now >= c.warmup
-		if count {
-			m.Requests++
-			m.BytesRequested += r.fileSize
-		}
-		if c.resident[r.unit] {
-			c.st.touch(r.unit, now)
-			if count {
-				m.Hits++
-			}
-			continue
-		}
-		if r.deg != r.unit && c.resident[r.deg] {
-			c.st.touch(r.deg, now)
-			if count {
-				m.Hits++
-			}
-			continue
-		}
-		if count {
-			m.Misses++
-			m.BytesMissed += r.fileSize
-		}
-		slot, size := r.unit, r.size
-		if size > c.capacity {
-			if count {
-				m.Bypasses++
-			}
-			slot, size = r.deg, r.fileSize
-			if size > c.capacity {
-				continue
-			}
 		}
 		for c.used+size > c.capacity {
 			v := c.st.victim()
@@ -848,13 +672,10 @@ func (c *bundleCell) run(rs []resolved, base int64) {
 			m.Misses++
 			m.BytesMissed += r.fileSize
 		}
-		slot, size := r.unit, r.size
-		if size > c.capacity {
-			if count {
-				m.Bypasses++
-			}
-			// size == fileSize at file granularity: the degenerate unit
-			// cannot fit either.
+		// At file granularity size == fileSize, so an oversized unit's
+		// degenerate slot cannot fit either: place never returns it here.
+		slot, size, ok := c.place(r, count)
+		if !ok {
 			continue
 		}
 		for c.used+size > c.capacity {

@@ -31,9 +31,8 @@ type SweepConfig struct {
 	// Defaults: all of SweepPolicies, all of SweepGranularities.
 	Policies      []string
 	Granularities []string
-	// CapacitiesTB are nominal full-scale cache sizes; each is scaled by
-	// Scale and clamped to at least 1 MiB, exactly like the Figure 10
-	// experiment. Default: experiments.Fig10CacheSizesTB values.
+	// CapacitiesTB are nominal full-scale cache sizes, turned into bytes
+	// by ScaledCapacity. Default: Fig10CacheSizesTB.
 	CapacitiesTB []float64
 	// Scale is the trace subsampling factor the capacities are scaled by.
 	// Default 1.
@@ -49,7 +48,10 @@ type SweepConfig struct {
 	Warmup int64
 }
 
-var defaultCapacitiesTB = []float64{1, 2, 5, 10, 20, 50, 100}
+// Fig10CacheSizesTB are the paper's seven cache sizes in TB (at full trace
+// scale); ScaledCapacity scales them with the workload so the cache:catalog
+// ratio matches the paper's.
+var Fig10CacheSizesTB = []float64{1, 2, 5, 10, 20, 50, 100}
 
 func (c *SweepConfig) withDefaults() SweepConfig {
 	out := *c
@@ -60,7 +62,7 @@ func (c *SweepConfig) withDefaults() SweepConfig {
 		out.Granularities = SweepGranularities
 	}
 	if len(out.CapacitiesTB) == 0 {
-		out.CapacitiesTB = defaultCapacitiesTB
+		out.CapacitiesTB = Fig10CacheSizesTB
 	}
 	if out.Scale == 0 {
 		out.Scale = 1
@@ -108,9 +110,10 @@ func contains(xs []string, s string) bool {
 	return false
 }
 
-// scaledCapacity converts a nominal full-scale TB size into simulated bytes,
-// matching the Figure 10 experiment's scaling and clamp.
-func scaledCapacity(tb, scale float64) int64 {
+// ScaledCapacity converts a nominal full-scale cache size in TB into the
+// bytes simulated for a trace subsampled by scale, at least 1 MiB. Every
+// experiment and tool sizes its caches through it.
+func ScaledCapacity(tb, scale float64) int64 {
 	capBytes := int64(tb * scale * (1 << 40))
 	if capBytes < 1<<20 {
 		capBytes = 1 << 20
@@ -133,7 +136,7 @@ func (c *SweepConfig) grid() []cellSpec {
 					Policy:      p,
 					Granularity: g,
 					CacheTB:     tb,
-					Capacity:    scaledCapacity(tb, c.Scale),
+					Capacity:    ScaledCapacity(tb, c.Scale),
 					axis:        ax,
 				})
 			}
@@ -312,34 +315,31 @@ func Sweep(t *trace.Trace, p *core.Partition, reqs []trace.Request, cfg SweepCon
 	return res, nil
 }
 
-// buildCell constructs one dense cell for a spec.
+// buildCell constructs one dense cell for a spec. A bundle cell's policy
+// state ranks bundle slots; every other cell's ranks the axis's own.
 func buildCell(sp cellSpec, ax *axisData, warmup int64, nextUse []int64, bKeys []int32, nBundles int32, bundleNextUse []int64) cell {
-	if sp.Granularity == "bundle" {
-		var base denseBase
-		switch sp.Policy {
-		case "lru":
-			base = newLRUState(nBundles)
-		case "arc":
-			base = newARCState(nBundles, sp.Capacity)
-		case "gds":
-			base = newGDSState(nBundles)
-		case "opt":
-			base = newOPTState(nBundles, bundleNextUse)
-		}
-		return newBundleCell(sp, ax, warmup, bKeys, nBundles, base)
+	bundle := sp.Granularity == "bundle"
+	nSlots := ax.nSlots
+	if bundle {
+		nSlots, nextUse = nBundles, bundleNextUse
 	}
-	cc := newCellCore(sp, ax, warmup)
+	var st denseBase
 	switch sp.Policy {
 	case "lru":
-		return &lruCell{cellCore: cc, st: newLRUState(ax.nSlots)}
+		st = newLRUState(nSlots)
 	case "arc":
-		return &arcCell{cellCore: cc, st: newARCState(ax.nSlots, sp.Capacity)}
+		st = newARCState(nSlots, sp.Capacity)
 	case "gds":
-		return &gdsCell{cellCore: cc, st: newGDSState(ax.nSlots)}
+		st = newGDSState(nSlots)
 	case "opt":
-		return &optCell{cellCore: cc, st: newOPTState(ax.nSlots, nextUse)}
+		st = newOPTState(nSlots, nextUse)
+	default:
+		panic("sim: unreachable policy " + sp.Policy)
 	}
-	panic("sim: unreachable policy " + sp.Policy)
+	if bundle {
+		return newBundleCell(sp, ax, warmup, bKeys, nBundles, st)
+	}
+	return &policyCell{cellCore: newCellCore(sp, ax, warmup), st: st}
 }
 
 // SweepSequential replays the identical grid cell by cell through the

@@ -59,9 +59,9 @@ func TestSweepMatchesSequential(t *testing.T) {
 	if len(got.Cells) != len(want.Cells) {
 		t.Fatalf("cell count %d != %d", len(got.Cells), len(want.Cells))
 	}
-	if len(got.Cells) != len(SweepPolicies)*len(SweepGranularities)*len(defaultCapacitiesTB) {
+	if len(got.Cells) != len(SweepPolicies)*len(SweepGranularities)*len(Fig10CacheSizesTB) {
 		t.Fatalf("grid has %d cells, want full %d-cell grid", len(got.Cells),
-			len(SweepPolicies)*len(SweepGranularities)*len(defaultCapacitiesTB))
+			len(SweepPolicies)*len(SweepGranularities)*len(Fig10CacheSizesTB))
 	}
 	for i := range got.Cells {
 		g, w := got.Cells[i], want.Cells[i]

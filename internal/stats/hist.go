@@ -184,14 +184,3 @@ func NewCountHistogram(xs []int) *CountHistogram {
 func (h *CountHistogram) FractionAt(v int) float64 {
 	return float64(h.Counts[v]) / float64(h.N)
 }
-
-// FractionAtLeast returns the fraction of samples >= v.
-func (h *CountHistogram) FractionAtLeast(v int) float64 {
-	n := 0
-	for x, c := range h.Counts {
-		if x >= v {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.N)
-}

@@ -109,9 +109,6 @@ func TestCountHistogram(t *testing.T) {
 	if h.FractionAt(3) != 0.5 {
 		t.Errorf("FractionAt(3) = %v", h.FractionAt(3))
 	}
-	if h.FractionAtLeast(2) != 4.0/6 {
-		t.Errorf("FractionAtLeast(2) = %v", h.FractionAtLeast(2))
-	}
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -96,15 +96,6 @@ func Ints(xs []int) []float64 {
 	return out
 }
 
-// Int64s converts an int64 sample to float64.
-func Int64s(xs []int64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // ECDF is an empirical cumulative distribution function.
 type ECDF struct {
 	sorted []float64
@@ -144,34 +135,6 @@ func (e *ECDF) Points(n int) (xs, ys []float64) {
 		ys = append(ys, e.At(x))
 	}
 	return xs, ys
-}
-
-// Pearson returns the Pearson correlation coefficient of the paired samples,
-// or 0 if either sample has zero variance. It panics if lengths differ or
-// are zero.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		panic("stats: Pearson needs equal-length non-empty samples")
-	}
-	n := float64(len(xs))
-	var mx, my float64
-	for i := range xs {
-		mx += xs[i]
-		my += ys[i]
-	}
-	mx /= n
-	my /= n
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // LinearFit is a least-squares line y = Intercept + Slope*x with its
@@ -255,28 +218,4 @@ func FitZipf(counts []int) ZipfFit {
 		fit.HeadR2 = hf.R2
 	}
 	return fit
-}
-
-// Gini computes the Gini coefficient of a non-negative sample — a scalar
-// measure of popularity concentration in [0, 1). It panics on an empty
-// sample and on negative values.
-func Gini(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Gini of empty sample")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var cum, total float64
-	for i, x := range s {
-		if x < 0 {
-			panic("stats: Gini needs non-negative values")
-		}
-		cum += float64(i+1) * x
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	n := float64(len(s))
-	return (2*cum)/(n*total) - (n+1)/n
 }

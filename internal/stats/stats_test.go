@@ -103,21 +103,6 @@ func TestECDFAt(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if r := Pearson(xs, ys); !almostEq(r, 1, 1e-12) {
-		t.Errorf("perfect correlation = %v", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if r := Pearson(xs, neg); !almostEq(r, -1, 1e-12) {
-		t.Errorf("perfect anticorrelation = %v", r)
-	}
-	if r := Pearson(xs, []float64{5, 5, 5, 5}); r != 0 {
-		t.Errorf("zero-variance correlation = %v", r)
-	}
-}
-
 func TestFitLine(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
@@ -166,26 +151,9 @@ func TestFitZipfFlattenedHead(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if g := Gini([]float64{5, 5, 5, 5}); !almostEq(g, 0, 1e-12) {
-		t.Errorf("uniform Gini = %v, want 0", g)
-	}
-	// All mass on one element of n: Gini = (n-1)/n.
-	if g := Gini([]float64{0, 0, 0, 10}); !almostEq(g, 0.75, 1e-12) {
-		t.Errorf("concentrated Gini = %v, want 0.75", g)
-	}
-	if g := Gini([]float64{0, 0}); g != 0 {
-		t.Errorf("all-zero Gini = %v", g)
-	}
-}
-
 func TestIntsConversions(t *testing.T) {
 	f := Ints([]int{1, 2})
 	if len(f) != 2 || f[1] != 2 {
 		t.Errorf("Ints = %v", f)
-	}
-	g := Int64s([]int64{3, 4})
-	if len(g) != 2 || g[0] != 3 {
-		t.Errorf("Int64s = %v", g)
 	}
 }

@@ -183,9 +183,6 @@ func (p *Payload) Reset(payload []byte) {
 // Err returns the first decode failure, or nil.
 func (p *Payload) Err() error { return p.b.err }
 
-// Pos returns the cursor's byte position within the payload.
-func (p *Payload) Pos() int { return p.b.pos }
-
 // Remaining returns the number of unread payload bytes.
 func (p *Payload) Remaining() int { return p.b.rem() }
 

@@ -2,63 +2,6 @@ package trace
 
 import "time"
 
-// Job selection helpers: composable predicates over jobs, used by the
-// windowed (dynamics) analyses and the partial-knowledge experiments.
-
-// JobFilter selects jobs.
-type JobFilter func(*Job) bool
-
-// SelectJobs returns the IDs of jobs matching every filter, in ID order.
-func (t *Trace) SelectJobs(filters ...JobFilter) []JobID {
-	var out []JobID
-	for i := range t.Jobs {
-		j := &t.Jobs[i]
-		ok := true
-		for _, f := range filters {
-			if !f(j) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, j.ID)
-		}
-	}
-	return out
-}
-
-// ByTier selects jobs whose input dataset is in the given tier.
-func ByTier(tier Tier) JobFilter {
-	return func(j *Job) bool { return j.Tier == tier }
-}
-
-// ByUser selects jobs submitted by the given user.
-func ByUser(u UserID) JobFilter {
-	return func(j *Job) bool { return j.User == u }
-}
-
-// BySite selects jobs submitted from the given site.
-func BySite(s SiteID) JobFilter {
-	return func(j *Job) bool { return j.Site == s }
-}
-
-// ByFamily selects jobs of the given application family.
-func ByFamily(f AppFamily) JobFilter {
-	return func(j *Job) bool { return j.Family == f }
-}
-
-// StartedIn selects jobs that start within [from, to).
-func StartedIn(from, to time.Time) JobFilter {
-	return func(j *Job) bool {
-		return !j.Start.Before(from) && j.Start.Before(to)
-	}
-}
-
-// WithFiles selects jobs that have at least one recorded file request.
-func WithFiles() JobFilter {
-	return func(j *Job) bool { return len(j.Files) > 0 }
-}
-
 // Windows partitions the trace's span into n equal time windows and returns
 // the job IDs starting in each window, in window order. Jobs are assigned
 // by start time; every job lands in exactly one window. n must be >= 1.

@@ -1,51 +1,6 @@
 package trace
 
-import (
-	"testing"
-	"time"
-)
-
-func TestSelectJobsFilters(t *testing.T) {
-	tr := smallTrace(t) // 4 jobs: alice@fnal, bob@fnal, carol@kit, alice@fnal
-	alice := UserID(0)
-	if got := tr.SelectJobs(ByUser(alice)); len(got) != 2 {
-		t.Errorf("ByUser(alice) = %v", got)
-	}
-	if got := tr.SelectJobs(BySite(1)); len(got) != 1 {
-		t.Errorf("BySite(kit) = %v", got)
-	}
-	if got := tr.SelectJobs(ByTier(TierThumbnail)); len(got) != 4 {
-		t.Errorf("ByTier = %v", got)
-	}
-	if got := tr.SelectJobs(ByTier(TierRaw)); len(got) != 0 {
-		t.Errorf("ByTier(raw) = %v", got)
-	}
-	if got := tr.SelectJobs(ByFamily(FamilyAnalysis)); len(got) != 4 {
-		t.Errorf("ByFamily = %v", got)
-	}
-	if got := tr.SelectJobs(WithFiles()); len(got) != 4 {
-		t.Errorf("WithFiles = %v", got)
-	}
-	// Conjunction.
-	got := tr.SelectJobs(ByUser(alice), StartedIn(t0.Add(time.Hour), t0.Add(10*time.Hour)))
-	if len(got) != 1 {
-		t.Errorf("conjunction = %v", got)
-	}
-}
-
-func TestStartedInBoundaries(t *testing.T) {
-	tr := smallTrace(t)
-	// Window exactly covering the first job's start.
-	got := tr.SelectJobs(StartedIn(t0, t0.Add(time.Second)))
-	if len(got) != 1 {
-		t.Errorf("inclusive-from window = %v", got)
-	}
-	// Window ending at the first job's start excludes it.
-	got = tr.SelectJobs(StartedIn(t0.Add(-time.Hour), t0))
-	if len(got) != 0 {
-		t.Errorf("exclusive-to window = %v", got)
-	}
-}
+import "testing"
 
 func TestWindowsPartitionJobs(t *testing.T) {
 	tr := smallTrace(t) // jobs at t0, +2h, +4h, +6h

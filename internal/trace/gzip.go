@@ -11,16 +11,6 @@ import (
 // the binary format by its magic line; everything else is treated as text
 // (whose own header check produces the error message).
 
-// WriteGzip serializes t in the v1 text format, gzip-compressed.
-func WriteGzip(w io.Writer, t *Trace) error {
-	zw := gzip.NewWriter(w)
-	if err := Write(zw, t); err != nil {
-		zw.Close()
-		return err
-	}
-	return zw.Close()
-}
-
 // sniff is the one format detection: it looks through gzip framing when r
 // has it and reports whether the plain stream br underneath starts with
 // the filecule-bin magic. zr is the gzip reader the caller must close once

@@ -62,7 +62,7 @@ func (t *Trace) SortJobsByStart() {
 	}
 }
 
-// run is one active job in mergeRequests: the time of its next request in
+// run is one active job in MergeRequests: the time of its next request in
 // nanoseconds from the merge's base instant, the step between requests, the
 // job's position in the input (the tie-break) and the next file's index.
 type run struct {
@@ -72,9 +72,10 @@ type run struct {
 
 func (a run) before(b run) bool { return a.key < b.key || (a.key == b.key && a.pos < b.pos) }
 
-// mergeRequests returns the requests of jobs 0..n-1 in the order a stable
-// sort by time of their concatenated AppendRequests expansions gives: by
-// time, ties by (position, index within the job).
+// MergeRequests returns the time-ordered request stream of jobs, in whatever
+// order they are given: the order a stable sort by time of their concatenated
+// AppendRequests expansions gives — by time, ties by (position, index within
+// the job).
 //
 // A job's requests are an arithmetic progression from Start with a
 // non-negative step, so each job is a sorted run and the global order is a
@@ -84,14 +85,15 @@ func (a run) before(b run) bool { return a.key < b.key || (a.key == b.key && a.p
 // that ends before it starts (a descending run) or instants too far apart for
 // a Duration send the whole input down the generic path: concatenate, then
 // stable-sort.
-func mergeRequests(n int, job func(int) *Job) []Request {
+func MergeRequests(jobs []Job) []Request {
+	n := len(jobs)
 	if n == 0 {
 		return nil
 	}
-	base := job(0).Start.Round(0) // wall clock only, as in startOrder
+	base := jobs[0].Start.Round(0) // wall clock only, as in startOrder
 	total, mergeable := 0, true
 	for i := 0; i < n; i++ {
-		j := job(i)
+		j := &jobs[i]
 		total += len(j.Files)
 		if j.End.Before(j.Start) || j.Start.Sub(base) == math.MinInt64 || j.End.Sub(base) == math.MaxInt64 {
 			mergeable = false
@@ -100,12 +102,12 @@ func mergeRequests(n int, job func(int) *Job) []Request {
 	out := make([]Request, 0, total)
 	if !mergeable {
 		for i := 0; i < n; i++ {
-			out = AppendRequests(out, job(i))
+			out = AppendRequests(out, &jobs[i])
 		}
 		slices.SortStableFunc(out, func(a, b Request) int { return a.Time.Compare(b.Time) })
 		return out
 	}
-	order := startOrder(n, func(i int) time.Time { return job(i).Start })
+	order := startOrder(n, func(i int) time.Time { return jobs[i].Start })
 	var heap []run
 	for next := 0; next <= n; next++ {
 		// Everything pending strictly before the next job's start goes out
@@ -116,12 +118,12 @@ func mergeRequests(n int, job func(int) *Job) []Request {
 			if order != nil {
 				pos = int(order[next])
 			}
-			admit = job(pos)
+			admit = &jobs[pos]
 			limit = int64(admit.Start.Sub(base))
 		}
 		for len(heap) > 0 && heap[0].key < limit {
 			h := &heap[0]
-			j := job(int(h.pos))
+			j := &jobs[h.pos]
 			// Start.Add(k*step) is the value AppendRequests reaches in k Adds.
 			out = append(out, Request{Time: j.Start.Add(time.Duration(int64(h.k) * h.step)), Job: j.ID, File: j.Files[h.k]})
 			h.key += h.step

@@ -10,7 +10,7 @@ import (
 )
 
 // The reference ordering: the reflective stable sorts SortJobsByStart,
-// Requests and RequestsOf were before they became a key sort and a merge.
+// Requests and MergeRequests were before they became a key sort and a merge.
 
 func referenceSortJobs(jobs []Job) {
 	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].Start.Before(jobs[b].Start) })
@@ -92,14 +92,12 @@ func checkOrdering(t *testing.T, jobs []Job) {
 	diffRequests(t, "Requests", tr.Requests(), referenceRequests(jobs))
 
 	// A subset in an order of its own, with repeated IDs.
-	var ids []JobID
 	var picked []Job
 	for i := 0; len(jobs) > 0 && i < len(jobs)+3; i++ {
 		id := JobID((i*7 + 3) % len(jobs))
-		ids = append(ids, id)
 		picked = append(picked, jobs[id])
 	}
-	diffRequests(t, "RequestsOf", tr.RequestsOf(ids), referenceRequests(picked))
+	diffRequests(t, "MergeRequests", MergeRequests(picked), referenceRequests(picked))
 
 	want := slices.Clone(jobs)
 	referenceSortJobs(want)

@@ -18,13 +18,6 @@ type Request struct {
 // so the stream is deterministic.
 func (t *Trace) Requests() []Request { return MergeRequests(t.Jobs) }
 
-// MergeRequests returns the time-ordered request stream of jobs, in whatever
-// order they are given: the stable sort by time of their AppendRequests
-// expansions, concatenated in slice order.
-func MergeRequests(jobs []Job) []Request {
-	return mergeRequests(len(jobs), func(i int) *Job { return &jobs[i] })
-}
-
 // AppendRequests appends one Request per input file of j to dst, spaced
 // uniformly over [Start, End). It defines a job's run; MergeRequests
 // interleaves the runs of many jobs.
@@ -41,44 +34,6 @@ func AppendRequests(dst []Request, j *Job) []Request {
 		at = at.Add(step)
 	}
 	return dst
-}
-
-// RequestsOf returns the time-ordered request stream restricted to the given
-// jobs.
-func (t *Trace) RequestsOf(jobs []JobID) []Request {
-	return mergeRequests(len(jobs), func(i int) *Job { return &t.Jobs[jobs[i]] })
-}
-
-// RequestCounts returns, for every file, the number of requests it received
-// (its popularity). Index i holds the count for FileID(i).
-func (t *Trace) RequestCounts() []int {
-	counts := make([]int, len(t.Files))
-	for i := range t.Jobs {
-		for _, f := range t.Jobs[i].Files {
-			counts[f]++
-		}
-	}
-	return counts
-}
-
-// UsersPerFile returns, for every file, the number of distinct users that
-// requested it at least once.
-func (t *Trace) UsersPerFile() []int {
-	users := make([]map[UserID]struct{}, len(t.Files))
-	for i := range t.Jobs {
-		j := &t.Jobs[i]
-		for _, f := range j.Files {
-			if users[f] == nil {
-				users[f] = make(map[UserID]struct{}, 4)
-			}
-			users[f][j.User] = struct{}{}
-		}
-	}
-	out := make([]int, len(t.Files))
-	for i, m := range users {
-		out[i] = len(m)
-	}
-	return out
 }
 
 // DailyActivity is the per-day aggregate behind Figure 2 of the paper: how

@@ -176,7 +176,7 @@ func TestNewSourceAutoDetects(t *testing.T) {
 	if err := WriteBin(&bin, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteGzip(&gzText, tr); err != nil {
+	if err := writeGzip(&gzText, tr); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

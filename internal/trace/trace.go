@@ -264,18 +264,6 @@ func (t *Trace) TotalBytes() int64 {
 	return n
 }
 
-// RequestedBytes returns the total bytes requested across all jobs, counting
-// a file once per request.
-func (t *Trace) RequestedBytes() int64 {
-	var n int64
-	for i := range t.Jobs {
-		for _, f := range t.Jobs[i].Files {
-			n += t.Files[f].Size
-		}
-	}
-	return n
-}
-
 // Span returns the interval [first job start, last job end]. ok is false for
 // a trace with no jobs.
 func (t *Trace) Span() (start, end time.Time, ok bool) {
@@ -293,17 +281,6 @@ func (t *Trace) Span() (start, end time.Time, ok bool) {
 		}
 	}
 	return start, end, true
-}
-
-// JobsBySite partitions job indices by site ID. The result has one slice per
-// site, in site-ID order.
-func (t *Trace) JobsBySite() [][]JobID {
-	out := make([][]JobID, len(t.Sites))
-	for i := range t.Jobs {
-		s := t.Jobs[i].Site
-		out[s] = append(out[s], t.Jobs[i].ID)
-	}
-	return out
 }
 
 // JobsByDomain groups job indices by the domain label of their site.
@@ -353,20 +330,4 @@ func (t *Trace) SplitByTime(frac float64) (history, future *Trace) {
 		cut = len(ids) - 1
 	}
 	return t.WithJobs(ids[:cut]), t.WithJobs(ids[cut:])
-}
-
-// DistinctFilesRequested returns the number of files that appear in at least
-// one job's input set.
-func (t *Trace) DistinctFilesRequested() int {
-	seen := make([]bool, len(t.Files))
-	n := 0
-	for i := range t.Jobs {
-		for _, f := range t.Jobs[i].Files {
-			if !seen[f] {
-				seen[f] = true
-				n++
-			}
-		}
-	}
-	return n
 }

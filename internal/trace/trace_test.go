@@ -65,13 +65,6 @@ func TestTraceAggregates(t *testing.T) {
 	if got, want := tr.TotalBytes(), int64(100+200+300+400+500); got != want {
 		t.Errorf("TotalBytes = %d, want %d", got, want)
 	}
-	// Requested bytes: job1 f0+f1=300, job2 f0+f1+f2=600, job3 f3=400, job4 300.
-	if got, want := tr.RequestedBytes(), int64(1600); got != want {
-		t.Errorf("RequestedBytes = %d, want %d", got, want)
-	}
-	if got, want := tr.DistinctFilesRequested(), 4; got != want {
-		t.Errorf("DistinctFilesRequested = %d, want %d", got, want)
-	}
 	start, end, ok := tr.Span()
 	if !ok || !start.Equal(t0) || !end.Equal(t0.Add(7*time.Hour)) {
 		t.Errorf("Span = %v..%v ok=%v", start, end, ok)
@@ -94,28 +87,6 @@ func TestRequestsOrderedAndComplete(t *testing.T) {
 		j := &tr.Jobs[r.Job]
 		if r.Time.Before(j.Start) || !r.Time.Before(j.End) {
 			t.Errorf("request at %v outside job interval [%v,%v)", r.Time, j.Start, j.End)
-		}
-	}
-}
-
-func TestRequestCounts(t *testing.T) {
-	tr := smallTrace(t)
-	counts := tr.RequestCounts()
-	want := []int{3, 3, 1, 1, 0}
-	for i, w := range want {
-		if counts[i] != w {
-			t.Errorf("RequestCounts[%d] = %d, want %d", i, counts[i], w)
-		}
-	}
-}
-
-func TestUsersPerFile(t *testing.T) {
-	tr := smallTrace(t)
-	users := tr.UsersPerFile()
-	want := []int{2, 2, 1, 1, 0} // f0,f1 by alice+bob; f2 by bob; f3 by carol
-	for i, w := range want {
-		if users[i] != w {
-			t.Errorf("UsersPerFile[%d] = %d, want %d", i, users[i], w)
 		}
 	}
 }
@@ -249,9 +220,5 @@ func TestJobsByDomainAndSite(t *testing.T) {
 	byDom := tr.JobsByDomain()
 	if len(byDom[".gov"]) != 3 || len(byDom[".de"]) != 1 {
 		t.Errorf("JobsByDomain = %v", byDom)
-	}
-	bySite := tr.JobsBySite()
-	if len(bySite) != 2 || len(bySite[0]) != 3 || len(bySite[1]) != 1 {
-		t.Errorf("JobsBySite = %v", bySite)
 	}
 }
