@@ -627,10 +627,7 @@ func BenchmarkServerAdvise(b *testing.B) {
 		if len(j.Files) == 0 {
 			continue
 		}
-		body, err := json.Marshal(server.AdviseBody{
-			CapacityBytes: capacity,
-			Files:         j.Files,
-		})
+		body, err := json.Marshal(cache.AdviceRequest{Capacity: capacity, Files: j.Files})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -361,8 +361,8 @@ func runSelftest(cfg server.Config, t *trace.Trace, clients, batch int, shape sy
 }
 
 // verifyWirePartition fetches the partition over both protocols and requires
-// the wire reply, re-encoded in the HTTP surface's canonical JSON, to be
-// byte-identical to GET /v1/partition.
+// the wire reply, marshalled as JSON, to be byte-identical to GET
+// /v1/partition.
 func verifyWirePartition(wireAddr, base string) error {
 	c, err := wire.Dial(wireAddr, 10*time.Second)
 	if err != nil {
@@ -373,16 +373,7 @@ func verifyWirePartition(wireAddr, base string) error {
 	if err != nil {
 		return fmt.Errorf("wire partition: %w", err)
 	}
-	body := server.PartitionBody{
-		Observed:  pr.Observed,
-		Filecules: make([]server.FileculeBody, 0, len(pr.Filecules)),
-	}
-	for id, fc := range pr.Filecules {
-		body.Filecules = append(body.Filecules, server.FileculeBody{
-			ID: id, Files: fc.Files, Requests: fc.Requests, Bytes: fc.Bytes,
-		})
-	}
-	fromWire, err := json.Marshal(body)
+	fromWire, err := json.Marshal(pr)
 	if err != nil {
 		return err
 	}

@@ -24,49 +24,49 @@ import (
 // LastAccess is the client's own logical or wall clock; Advise only
 // compares values, so any monotone stamp works.
 type ResidentUnit struct {
-	Unit       UnitID
-	LastAccess int64
+	Unit       UnitID `json:"unit"`
+	LastAccess int64  `json:"lastAccess"`
 }
 
 // AdviceRequest describes a client cache and the files it must serve next.
 type AdviceRequest struct {
 	// Capacity is the client cache size in bytes. Must be positive.
-	Capacity int64
+	Capacity int64 `json:"capacityBytes"`
 	// Files are the files about to be requested (a job's input set, or a
 	// prefix of it). Duplicates are allowed and deduplicated.
-	Files []trace.FileID
+	Files []trace.FileID `json:"files"`
 	// Resident lists the units currently held by the client. Unit sizes
 	// are not trusted from the client; they are recomputed from the
 	// server's catalog.
-	Resident []ResidentUnit
+	Resident []ResidentUnit `json:"resident"`
 }
 
 // LoadUnit is one unit the advice says to fetch.
 type LoadUnit struct {
-	Unit UnitID
+	Unit UnitID `json:"unit"`
 	// Files are the unit's member files to stage (the whole filecule at
 	// filecule granularity; just the requested file for degenerate
 	// units).
-	Files []trace.FileID
-	Bytes int64
+	Files []trace.FileID `json:"files"`
+	Bytes int64          `json:"bytes"`
 }
 
 // Advice is the admission/eviction plan for one AdviceRequest.
 type Advice struct {
 	// Hits are requested units already resident — touch them.
-	Hits []UnitID
+	Hits []UnitID `json:"hits,omitempty"`
 	// Load are the units to fetch, in first-request order.
-	Load []LoadUnit
+	Load []LoadUnit `json:"load,omitempty"`
 	// Evict are the resident victims to discard before loading,
 	// least-recently-used first.
-	Evict []UnitID
+	Evict []UnitID `json:"evict,omitempty"`
 	// Bypassed lists requested files whose enclosing unit exceeds the
 	// whole cache; the advice degrades to caching just the file, the
 	// simulator's documented deviation.
-	Bypassed []trace.FileID
+	Bypassed []trace.FileID `json:"bypassed,omitempty"`
 	// BytesToLoad and BytesToEvict total the plan's traffic.
-	BytesToLoad  int64
-	BytesToEvict int64
+	BytesToLoad  int64 `json:"bytesToLoad"`
+	BytesToEvict int64 `json:"bytesToEvict"`
 }
 
 // unitLister is implemented by granularities that can enumerate a unit's

@@ -1,6 +1,6 @@
 // Package dist provides the random distributions the synthetic workload
-// generator draws from: Zipf-like ranks, bounded Pareto, lognormal, Weibull
-// and exponential variates, plus empirical-CDF sampling and weighted choice.
+// generator draws from: Zipf-like ranks, lognormal variates and weighted
+// choice.
 //
 // Every sampler takes an explicit *rand.Rand so experiments are reproducible
 // from a single seed. Samplers validate their parameters at construction and
@@ -15,25 +15,6 @@ import (
 	"sort"
 )
 
-// Sampler produces float64 variates.
-type Sampler interface {
-	Sample(r *rand.Rand) float64
-}
-
-// Exponential samples Exp(rate): mean 1/rate.
-type Exponential struct{ Rate float64 }
-
-// NewExponential returns an exponential sampler with the given rate (>0).
-func NewExponential(rate float64) Exponential {
-	if rate <= 0 || math.IsNaN(rate) {
-		panic(fmt.Sprintf("dist: exponential rate %v must be > 0", rate))
-	}
-	return Exponential{Rate: rate}
-}
-
-// Sample implements Sampler.
-func (e Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() / e.Rate }
-
 // Lognormal samples exp(N(Mu, Sigma^2)).
 type Lognormal struct{ Mu, Sigma float64 }
 
@@ -45,7 +26,7 @@ func NewLognormal(mu, sigma float64) Lognormal {
 	return Lognormal{Mu: mu, Sigma: sigma}
 }
 
-// Sample implements Sampler.
+// Sample draws one variate.
 func (l Lognormal) Sample(r *rand.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
 }
@@ -62,64 +43,10 @@ func LognormalFromMean(mean, sigma float64) Lognormal {
 	return NewLognormal(math.Log(mean)-sigma*sigma/2, sigma)
 }
 
-// BoundedPareto samples a Pareto(alpha) truncated to [Lo, Hi]. It is the
-// standard model for heavy-tailed sizes with a physical cap (e.g. DZero caps
-// raw files at 1 GB).
-type BoundedPareto struct {
-	Alpha, Lo, Hi float64
-}
-
-// NewBoundedPareto validates and returns a bounded Pareto sampler.
-func NewBoundedPareto(alpha, lo, hi float64) BoundedPareto {
-	if alpha <= 0 || lo <= 0 || hi <= lo {
-		panic(fmt.Sprintf("dist: bounded pareto needs alpha>0, 0<lo<hi; got alpha=%v lo=%v hi=%v", alpha, lo, hi))
-	}
-	return BoundedPareto{Alpha: alpha, Lo: lo, Hi: hi}
-}
-
-// Sample implements Sampler via inverse-CDF.
-func (p BoundedPareto) Sample(r *rand.Rand) float64 {
-	u := r.Float64()
-	la := math.Pow(p.Lo, p.Alpha)
-	ha := math.Pow(p.Hi, p.Alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Alpha)
-}
-
-// Weibull samples Weibull(Shape, Scale).
-type Weibull struct{ Shape, Scale float64 }
-
-// NewWeibull validates and returns a Weibull sampler.
-func NewWeibull(shape, scale float64) Weibull {
-	if shape <= 0 || scale <= 0 {
-		panic(fmt.Sprintf("dist: weibull needs shape>0, scale>0; got %v, %v", shape, scale))
-	}
-	return Weibull{Shape: shape, Scale: scale}
-}
-
-// Sample implements Sampler via inverse-CDF.
-func (w Weibull) Sample(r *rand.Rand) float64 {
-	u := r.Float64()
-	return w.Scale * math.Pow(-math.Log(1-u), 1/w.Shape)
-}
-
-// Uniform samples uniformly from [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// NewUniform validates and returns a uniform sampler.
-func NewUniform(lo, hi float64) Uniform {
-	if hi < lo {
-		panic(fmt.Sprintf("dist: uniform needs lo<=hi; got %v, %v", lo, hi))
-	}
-	return Uniform{Lo: lo, Hi: hi}
-}
-
-// Sample implements Sampler.
-func (u Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
-
 // Constant always returns V. Useful to pin a parameter in sweeps.
 type Constant struct{ V float64 }
 
-// Sample implements Sampler.
+// Sample draws one variate.
 func (c Constant) Sample(*rand.Rand) float64 { return c.V }
 
 // Zipf draws ranks in [0, n) with P(k) proportional to 1/(k+1)^s. s may be
@@ -212,35 +139,6 @@ func (w *WeightedChoice) Choose(r *rand.Rand) int {
 
 // Len returns the number of choices.
 func (w *WeightedChoice) Len() int { return len(w.cum) }
-
-// Empirical samples from a staircase empirical CDF defined by sorted support
-// points: each point is equally likely, with uniform jitter between adjacent
-// points to avoid atom artifacts when modelling continuous quantities.
-type Empirical struct {
-	points []float64
-}
-
-// NewEmpirical builds an empirical sampler from observed values (copied and
-// sorted). It panics on an empty sample.
-func NewEmpirical(values []float64) *Empirical {
-	if len(values) == 0 {
-		panic("dist: empirical sampler needs at least one value")
-	}
-	pts := append([]float64(nil), values...)
-	sort.Float64s(pts)
-	return &Empirical{points: pts}
-}
-
-// Sample implements Sampler: pick a random point, jitter toward its
-// successor.
-func (e *Empirical) Sample(r *rand.Rand) float64 {
-	i := r.Intn(len(e.points))
-	v := e.points[i]
-	if i+1 < len(e.points) {
-		v += r.Float64() * (e.points[i+1] - e.points[i])
-	}
-	return v
-}
 
 // ClampInt converts a float sample to an int in [lo, hi].
 func ClampInt(x float64, lo, hi int) int {

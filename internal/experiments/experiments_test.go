@@ -38,6 +38,23 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+// TestPrefetchersDeterministic: the predictors keep their state in maps, and
+// what they suggest (and in which order) moves the miss rates, so two runners
+// on one seed must print the same table.
+func TestPrefetchersDeterministic(t *testing.T) {
+	want, err := shared.Run("prefetchers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := New(Config{Seed: 1, Scale: 0.02}).Run("prefetchers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Render() != want.Render() {
+		t.Errorf("two runners on one seed disagree:\n%s\n%s", got.Render(), want.Render())
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := shared.Run("fig99"); err == nil {
 		t.Error("unknown experiment accepted")

@@ -24,6 +24,9 @@
 package prefetch
 
 import (
+	"cmp"
+	"slices"
+
 	"filecule/internal/core"
 	"filecule/internal/trace"
 )
@@ -136,24 +139,22 @@ func (p *ProbGraph) Suggest(_ trace.JobID, f trace.FileID) []trace.FileID {
 	if n == 0 {
 		return nil
 	}
+	edges := p.edges[f]
 	var out []trace.FileID
-	bestCount := make(map[trace.FileID]int)
-	for g, c := range p.edges[f] {
+	for g, c := range edges {
 		if float64(c)/float64(n) >= p.MinChance {
-			bestCount[g] = c
 			out = append(out, g)
 		}
 	}
-	if len(out) > p.MaxSuggest {
-		// Keep the strongest edges; selection sort is fine for the
-		// handful of candidates a sane MinChance admits.
-		for i := 0; i < p.MaxSuggest; i++ {
-			for k := i + 1; k < len(out); k++ {
-				if bestCount[out[k]] > bestCount[out[i]] {
-					out[i], out[k] = out[k], out[i]
-				}
-			}
+	// Strongest edges first, ties by file ID: the order is what gets
+	// prefetched (and in which order), so it may not follow map iteration.
+	slices.SortFunc(out, func(a, b trace.FileID) int {
+		if c := cmp.Compare(edges[b], edges[a]); c != 0 {
+			return c
 		}
+		return cmp.Compare(a, b)
+	})
+	if len(out) > p.MaxSuggest {
 		out = out[:p.MaxSuggest]
 	}
 	return out

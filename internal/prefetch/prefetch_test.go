@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -116,10 +117,19 @@ func TestProbGraphMaxSuggest(t *testing.T) {
 	for _, f := range []trace.FileID{1, 2, 3, 4} {
 		p.Record(0, f)
 	}
-	// All of 1-4 are within window 6 of 0's single visit.
-	got := p.Suggest(0, 0)
-	if len(got) != 2 {
-		t.Errorf("Suggest returned %d files, want capped at 2", len(got))
+	// All of 1-4 are within window 6 of 0's single visit and tie at one arc
+	// each: the cap keeps the lowest IDs, whatever order the edge map
+	// iterates in on this call.
+	for i := 0; i < 100; i++ {
+		if got := p.Suggest(0, 0); !slices.Equal(got, []trace.FileID{1, 2}) {
+			t.Fatalf("Suggest call %d = %v, want [1 2]", i, got)
+		}
+	}
+	// A stronger edge outranks a lower ID.
+	p.Record(1, 0)
+	p.Record(1, 4)
+	if got := p.Suggest(0, 0); !slices.Equal(got, []trace.FileID{4, 1}) {
+		t.Errorf("Suggest = %v, want [4 1]", got)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestFedConfigErrorSurfacesInRun(t *testing.T) {
 
 // TestSlowlorisBodyCutOff is the regression test for per-request body read
 // deadlines: with generous server-wide timeouts, a client that sends
-// headers and then trickles nothing must be cut off by BodyReadTimeout,
+// headers and then trickles nothing must be cut off by the body read limit,
 // while concurrent well-behaved requests stay fast.
 func TestSlowlorisBodyCutOff(t *testing.T) {
 	tr, err := synth.Generate(synth.DZero(5, 0.003))
@@ -197,12 +197,11 @@ func TestSlowlorisBodyCutOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{
-		Catalog:         tr.Files,
-		BodyReadTimeout: 200 * time.Millisecond,
-		ReadTimeout:     time.Hour, // deliberately useless: only the per-body deadline protects us
-		WriteTimeout:    time.Hour,
-		IdleTimeout:     time.Hour,
+		Catalog:      tr.Files,
+		ReadTimeout:  time.Hour, // deliberately useless: only the per-body deadline protects us
+		WriteTimeout: time.Hour,
 	})
+	s.lim.bodyRead = 200 * time.Millisecond
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -313,13 +312,11 @@ func TestFedExchangeRejectsOutOfCatalogDelta(t *testing.T) {
 
 // TestFedExchangeNotBoundByJSONBodyCap: the exchange endpoint's body limit
 // is the wire format's delta ceiling, not the JSON-API cap — a full resync
-// delta larger than MaxBodyBytes must still be accepted, or a large-state
+// delta larger than the JSON body cap must still be accepted, or a large-state
 // peer would get 413 forever and the federation never converge.
 func TestFedExchangeNotBoundByJSONBodyCap(t *testing.T) {
-	s := New(Config{
-		MaxBodyBytes: 64,
-		Fed:          &fed.Config{Site: "local", Incarnation: 3},
-	})
+	s := New(Config{Fed: &fed.Config{Site: "local", Incarnation: 3}})
+	s.lim.bodyBytes = 64
 	if s.fedErr != nil {
 		t.Fatal(s.fedErr)
 	}
@@ -328,11 +325,11 @@ func TestFedExchangeNotBoundByJSONBodyCap(t *testing.T) {
 		t.Fatalf("crafted delta is only %d bytes; grow the jobs", len(delta))
 	}
 	if w := do(s, "POST", fed.ExchangePath, string(delta)); w.Code != http.StatusOK {
-		t.Fatalf("exchange body over MaxBodyBytes: %d %s", w.Code, w.Body)
+		t.Fatalf("exchange body over the JSON cap: %d %s", w.Code, w.Body)
 	}
 	// The JSON endpoints stay capped.
 	big := `{"files":[` + strings.Repeat("1,", 64) + `1]}`
 	if w := do(s, "POST", "/v1/jobs", big); w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("JSON body over MaxBodyBytes: %d %s", w.Code, w.Body)
+		t.Fatalf("JSON body over the cap: %d %s", w.Code, w.Body)
 	}
 }

@@ -40,7 +40,8 @@ func FuzzServerHandlers(f *testing.F) {
 	f.Add(uint8(0), strings.Repeat(`[`, 10000))
 
 	f.Fuzz(func(t *testing.T, which uint8, body string) {
-		s := New(Config{Catalog: fuzzCatalog(), MaxBodyBytes: 1 << 20})
+		s := New(Config{Catalog: fuzzCatalog()})
+		s.lim.bodyBytes = 1 << 20
 		// Give the partition some state so query paths have content.
 		s.Engine().Observe([]trace.FileID{1, 2})
 		s.Engine().Observe([]trace.FileID{2, 3})
@@ -118,9 +119,9 @@ func FuzzAdviseConsistency(f *testing.F) {
 				files = append(files, trace.FileID(i))
 			}
 		}
-		body := AdviseBody{CapacityBytes: capacity, Files: files}
+		body := cache.AdviceRequest{Capacity: capacity, Files: files}
 		for i := 0; i < int(nResident)%4 && i < numFilecules; i++ {
-			body.Resident = append(body.Resident, ResidentBody{
+			body.Resident = append(body.Resident, cache.ResidentUnit{
 				Unit: cache.UnitID(i), LastAccess: int64(i),
 			})
 		}
@@ -135,7 +136,7 @@ func FuzzAdviseConsistency(f *testing.F) {
 		if w.Code != http.StatusOK {
 			return
 		}
-		var adv AdviceResult
+		var adv cache.Advice
 		if err := json.Unmarshal(w.Body.Bytes(), &adv); err != nil {
 			t.Fatal(err)
 		}

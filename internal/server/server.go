@@ -1,9 +1,9 @@
 // Package server exposes the filecule identification service over
 // HTTP/JSON — the deployment Section 6 of the paper sketches, where job
 // submissions stream past a concentration point and distributed site caches
-// ask for staging advice. It wraps core.Engine for ingestion, serves
-// partition queries from cached snapshots, and computes filecule-granularity
-// cache admission/eviction advice via internal/cache.
+// ask for staging advice. The six operations are answered by a wire.Service,
+// the request core this package shares with the binary protocol: a handler
+// here decodes JSON, makes one Service call and encodes the reply.
 //
 // Endpoints:
 //
@@ -36,7 +36,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"filecule/internal/cache"
@@ -44,23 +43,21 @@ import (
 	"filecule/internal/durable"
 	"filecule/internal/fed"
 	"filecule/internal/trace"
+	"filecule/internal/wire"
 )
 
 // Config parameterizes a Server. The zero value serves with no catalog
-// (identification only; /v1/cache/advise is disabled) and default limits.
+// (identification only; /v1/cache/advise is disabled).
 type Config struct {
 	// Catalog is the file catalog (sizes) backing cache advice and byte
 	// accounting. File IDs in requests are validated against it when
 	// present; without a catalog any non-negative int32 ID is accepted
 	// and advice is unavailable.
 	Catalog []trace.File
-	// MaxBodyBytes caps request bodies; <= 0 means 32 MiB.
-	MaxBodyBytes int64
-	// MaxBatchJobs caps jobs per batch request; <= 0 means 10000.
-	MaxBatchJobs int
-	// ReadTimeout, WriteTimeout and IdleTimeout configure the underlying
-	// http.Server in Run; zero values mean 30s, 60s and 120s.
-	ReadTimeout, WriteTimeout, IdleTimeout time.Duration
+	// ReadTimeout and WriteTimeout configure the underlying http.Server in
+	// Run (and WriteTimeout the wire server's flushes); zero values mean
+	// 30s and 60s.
+	ReadTimeout, WriteTimeout time.Duration
 	// ShutdownGrace bounds request draining on shutdown; zero means 10s.
 	ShutdownGrace time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
@@ -77,26 +74,19 @@ type Config struct {
 	// and merged-partition endpoints, and Run drives the per-peer exchange
 	// loops for the Server's lifetime.
 	Fed *fed.Config
-	// BodyReadTimeout bounds reading any single request body via a
-	// per-request connection read deadline, independent of the server-wide
-	// ReadTimeout; <= 0 means 30s. This is the slowloris guard: a client
-	// trickling body bytes is cut off after this long, not after
-	// ReadTimeout (which callers may set generously for large batches).
-	BodyReadTimeout time.Duration
 }
 
-func (c *Config) maxBody() int64 {
-	if c.MaxBodyBytes > 0 {
-		return c.MaxBodyBytes
-	}
-	return 32 << 20
-}
-
-func (c *Config) maxBatch() int {
-	if c.MaxBatchJobs > 0 {
-		return c.MaxBatchJobs
-	}
-	return 10000
+// limits are the JSON decoder's budgets. New sets them; tests narrow one to
+// reach a bound cheaply.
+type limits struct {
+	bodyBytes int64 // request body cap
+	batchJobs int   // jobs per batch request
+	// bodyRead bounds reading any single request body via a per-request
+	// connection read deadline, independent of the server-wide ReadTimeout.
+	// This is the slowloris guard: a client trickling body bytes is cut off
+	// after this long, not after ReadTimeout (which callers may set
+	// generously for large batches).
+	bodyRead time.Duration
 }
 
 func orDefault(d, def time.Duration) time.Duration {
@@ -106,43 +96,38 @@ func orDefault(d, def time.Duration) time.Duration {
 	return def
 }
 
-// Server is the HTTP serving layer. Create with New; it is safe for
-// concurrent use by any number of connections.
+// Server is the HTTP serving layer: the JSON codec over a wire.Service. Create
+// with New; it is safe for concurrent use by any number of connections.
 type Server struct {
 	cfg Config
-	// engine is the identification engine: the server's own, or the one
-	// inside cfg.Durable, which then takes the observes (see wireBackend).
-	engine  *core.Engine
+	lim limits
+	// svc answers the six operations, for these handlers and for the frame
+	// server WireServer builds.
+	svc     *wire.Service
 	metrics *Metrics
 	mux     *http.ServeMux
-	// catTrace wraps the catalog for granularity construction.
-	catTrace *trace.Trace
 
 	// fedNode is the federation node when Config.Fed is set; fedErr holds a
 	// construction failure, surfaced by Run so New keeps its signature.
 	fedNode *fed.Node
 	fedErr  error
-
-	// gran is the advice granularity, rebuilt only when the engine's
-	// membership version has moved past the partition it was built from; see
-	// granularity.
-	gran atomic.Pointer[cache.FileculeGranularity]
 }
 
 // New builds a Server from the configuration.
 func New(cfg Config) *Server {
-	engine := core.NewEngine(0)
+	svc := &wire.Service{Engine: core.NewEngine(0)}
 	if cfg.Durable != nil {
-		engine = cfg.Durable.Core()
+		svc.Engine, svc.Journal = cfg.Durable.Core(), cfg.Durable
+	}
+	if len(cfg.Catalog) > 0 {
+		svc.Catalog = &trace.Trace{Files: cfg.Catalog}
 	}
 	s := &Server{
 		cfg:     cfg,
-		engine:  engine,
+		lim:     limits{bodyBytes: 32 << 20, batchJobs: wire.MaxBatchJobs, bodyRead: 30 * time.Second},
+		svc:     svc,
 		metrics: NewMetrics(),
 		mux:     http.NewServeMux(),
-	}
-	if len(cfg.Catalog) > 0 {
-		s.catTrace = &trace.Trace{Files: cfg.Catalog}
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.metrics.instrument("observe", s.handleObserve))
 	s.mux.HandleFunc("POST /v1/jobs/batch", s.metrics.instrument("observe_batch", s.handleObserveBatch))
@@ -155,10 +140,10 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Fed != nil {
 		fc := *cfg.Fed
-		fc.Self = s.engine
+		fc.Self = svc.Engine
 		if fc.MaxFiles == 0 && len(cfg.Catalog) > 0 {
-			// Bound incoming deltas by the catalog, mirroring checkFiles on
-			// the observe path: remote state may never reference a file the
+			// Bound incoming deltas by the catalog, as Service.CheckFiles
+			// bounds observes: remote state may never reference a file the
 			// local catalog cannot resolve.
 			fc.MaxFiles = len(cfg.Catalog)
 		}
@@ -194,7 +179,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Engine exposes the underlying identification engine. Observing through it
 // bypasses the durability layer when one is configured.
-func (s *Server) Engine() *core.Engine { return s.engine }
+func (s *Server) Engine() *core.Engine { return s.svc.Engine }
 
 // Metrics exposes the request metrics collector.
 func (s *Server) Metrics() *Metrics { return s.metrics }
@@ -218,7 +203,7 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 		Handler:      s.Handler(),
 		ReadTimeout:  orDefault(s.cfg.ReadTimeout, 30*time.Second),
 		WriteTimeout: orDefault(s.cfg.WriteTimeout, 60*time.Second),
-		IdleTimeout:  orDefault(s.cfg.IdleTimeout, 120*time.Second),
+		IdleTimeout:  120 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
@@ -248,7 +233,10 @@ func (s *Server) ListenAndRun(ctx context.Context, addr string, ready chan<- net
 	return s.Run(ctx, l)
 }
 
-// --- request/response bodies ---
+// --- request bodies ---
+//
+// Replies, and the advise request, are the message types of internal/wire and
+// internal/cache, which carry this surface's JSON field names.
 
 // JobBody is the POST /v1/jobs request payload.
 type JobBody struct {
@@ -258,67 +246,6 @@ type JobBody struct {
 // BatchBody is the POST /v1/jobs/batch request payload.
 type BatchBody struct {
 	Jobs []JobBody `json:"jobs"`
-}
-
-// ObserveResult reports ingestion progress.
-type ObserveResult struct {
-	Observed  int64 `json:"observed"`
-	Filecules int   `json:"filecules"`
-}
-
-// FileculeBody describes one filecule in responses.
-type FileculeBody struct {
-	ID       int            `json:"id"`
-	Files    []trace.FileID `json:"files"`
-	Requests int            `json:"requests"`
-	Bytes    int64          `json:"bytes,omitempty"`
-}
-
-// PartitionBody is the full-partition response.
-type PartitionBody struct {
-	Observed  int64          `json:"observed"`
-	Filecules []FileculeBody `json:"filecules"`
-}
-
-// SummaryBody is the partition-summary response.
-type SummaryBody struct {
-	Observed          int64   `json:"observed"`
-	Filecules         int     `json:"filecules"`
-	Files             int     `json:"files"`
-	Monatomic         int     `json:"monatomic"`
-	MeanFilesPerGroup float64 `json:"meanFilesPerFilecule"`
-	LargestFiles      int     `json:"largestFilecule"`
-	CoveredBytes      int64   `json:"coveredBytes,omitempty"`
-}
-
-// AdviseBody is the POST /v1/cache/advise request payload.
-type AdviseBody struct {
-	CapacityBytes int64          `json:"capacityBytes"`
-	Files         []trace.FileID `json:"files"`
-	Resident      []ResidentBody `json:"resident"`
-}
-
-// ResidentBody is one resident unit in an advise request.
-type ResidentBody struct {
-	Unit       cache.UnitID `json:"unit"`
-	LastAccess int64        `json:"lastAccess"`
-}
-
-// AdviceResult is the advise response.
-type AdviceResult struct {
-	Hits         []cache.UnitID `json:"hits,omitempty"`
-	Load         []LoadBody     `json:"load,omitempty"`
-	Evict        []cache.UnitID `json:"evict,omitempty"`
-	Bypassed     []trace.FileID `json:"bypassed,omitempty"`
-	BytesToLoad  int64          `json:"bytesToLoad"`
-	BytesToEvict int64          `json:"bytesToEvict"`
-}
-
-// LoadBody is one unit to fetch.
-type LoadBody struct {
-	Unit  cache.UnitID   `json:"unit"`
-	Files []trace.FileID `json:"files"`
-	Bytes int64          `json:"bytes"`
 }
 
 type errorBody struct {
@@ -338,9 +265,30 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// reply encodes what a Service call returned: v, or the refusal with its
+// code as the status.
+func reply(w http.ResponseWriter, v any, rerr *wire.RemoteError) {
+	if rerr != nil {
+		writeJSON(w, rerr.Code, errorBody{Error: rerr.Msg})
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
+// writeRaw sends an already-marshalled JSON document.
+func writeRaw(w http.ResponseWriter, buf []byte, err error) {
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf)
+}
+
 // armBodyDeadline sets a connection read deadline covering one request
 // body, so a client trickling bytes cannot pin a handler goroutine past
-// Config.BodyReadTimeout. The returned func clears the deadline and must
+// limits.bodyRead. The returned func clears the deadline and must
 // be called only after the body was consumed successfully: on a failed
 // read the deadline must stay armed, because net/http's post-handler
 // body drain would otherwise block unboundedly on the same stalled
@@ -350,7 +298,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // regardless.
 func (s *Server) armBodyDeadline(w http.ResponseWriter) func() {
 	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(orDefault(s.cfg.BodyReadTimeout, 30*time.Second)))
+	_ = rc.SetReadDeadline(time.Now().Add(s.lim.bodyRead))
 	return func() { _ = rc.SetReadDeadline(time.Time{}) }
 }
 
@@ -372,7 +320,7 @@ func writeBodyReadError(w http.ResponseWriter, err error) {
 // status code on failure.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	clearDeadline := s.armBodyDeadline(w)
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
+	body := http.MaxBytesReader(w, r.Body, s.lim.bodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -388,36 +336,17 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// checkFiles validates a job's file IDs against the catalog.
-func (s *Server) checkFiles(files []trace.FileID) error {
-	for _, f := range files {
-		if f < 0 {
-			return fmt.Errorf("negative file ID %d", f)
-		}
-		if s.catTrace != nil && int(f) >= len(s.catTrace.Files) {
-			return fmt.Errorf("file ID %d outside catalog of %d files", f, len(s.catTrace.Files))
-		}
-	}
-	return nil
-}
-
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var body JobBody
 	if !s.decodeBody(w, r, &body) {
 		return
 	}
-	if err := s.checkFiles(body.Files); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if rerr := s.svc.CheckFiles(body.Files); rerr != nil {
+		reply(w, nil, rerr)
 		return
 	}
-	if err := (wireBackend{s}).Observe(body.Files); err != nil {
-		writeError(w, http.StatusInternalServerError, "wal append: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ObserveResult{
-		Observed:  s.engine.Observed(),
-		Filecules: s.engine.NumFilecules(),
-	})
+	res, rerr := s.svc.Observe(body.Files)
+	reply(w, res, rerr)
 }
 
 func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
@@ -425,26 +354,20 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &body) {
 		return
 	}
-	if len(body.Jobs) > s.cfg.maxBatch() {
-		writeError(w, http.StatusBadRequest, "batch of %d jobs exceeds limit %d", len(body.Jobs), s.cfg.maxBatch())
+	if rerr := wire.CheckBatchJobs(len(body.Jobs), s.lim.batchJobs); rerr != nil {
+		reply(w, nil, rerr)
 		return
 	}
 	jobs := make([][]trace.FileID, len(body.Jobs))
 	for i, j := range body.Jobs {
-		if err := s.checkFiles(j.Files); err != nil {
-			writeError(w, http.StatusBadRequest, "job %d: %v", i, err)
+		if rerr := s.svc.CheckFiles(j.Files); rerr != nil {
+			writeError(w, rerr.Code, "job %d: %s", i, rerr.Msg)
 			return
 		}
 		jobs[i] = j.Files
 	}
-	if err := (wireBackend{s}).ObserveBatch(jobs); err != nil {
-		writeError(w, http.StatusInternalServerError, "wal append: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ObserveResult{
-		Observed:  s.engine.Observed(),
-		Filecules: s.engine.NumFilecules(),
-	})
+	res, rerr := s.svc.ObserveBatch(jobs)
+	reply(w, res, rerr)
 }
 
 // CheckpointResult is the POST /v1/admin/checkpoint response.
@@ -464,7 +387,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	st := s.cfg.Durable.Stats()
 	writeJSON(w, http.StatusOK, CheckpointResult{
 		Epoch:    st.Epoch,
-		Observed: s.engine.Observed(),
+		Observed: s.svc.Engine.Observed(),
 		Groups:   st.LastGroups,
 		Reused:   st.LastReused,
 		Bytes:    st.LastBytes,
@@ -500,14 +423,8 @@ func (s *Server) handleFedExchange(w http.ResponseWriter, r *http.Request) {
 // canonical wire form as /v1/partition, so convergence is checkable by
 // byte comparison against a single-site identification.
 func (s *Server) handleFedPartition(w http.ResponseWriter, r *http.Request) {
-	buf, err := PartitionJSON(s.fedNode.Merged(), s.fedNode.MergedObserved(), s.catTrace)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
+	buf, err := PartitionJSON(s.fedNode.Merged(), s.fedNode.MergedObserved(), s.svc.Catalog)
+	writeRaw(w, buf, err)
 }
 
 // handleReady is the readiness probe. Without federation it mirrors
@@ -529,138 +446,58 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFilecule(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("file"))
-	if err != nil || id < 0 || id > 1<<31-1 {
+	id, err := strconv.ParseUint(r.PathValue("file"), 10, 64)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad file ID %q", r.PathValue("file"))
 		return
 	}
-	f := trace.FileID(id)
-	if err := s.checkFiles([]trace.FileID{f}); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	p, fc, ok := s.engine.Lookup(f)
-	if !ok {
-		writeError(w, http.StatusNotFound, "file %d not observed in any job", f)
-		return
-	}
-	b := FileculeBody{ID: fc.ID, Files: fc.Files, Requests: fc.Requests}
-	if s.catTrace != nil {
-		b.Bytes = p.SizeTable(s.catTrace)[fc.ID]
-	}
-	writeJSON(w, http.StatusOK, b)
+	res, rerr := s.svc.Filecule(id)
+	reply(w, res, rerr)
 }
 
 // PartitionJSON encodes a partition in the service's canonical wire form:
 // filecules in canonical order, each with sorted member files. Two equal
 // partitions encode to identical bytes, which the self-test relies on.
 func PartitionJSON(p *core.Partition, observed int64, catalog *trace.Trace) ([]byte, error) {
-	body := PartitionBody{Observed: observed, Filecules: make([]FileculeBody, 0, p.NumFilecules())}
-	var sizes []int64
-	if catalog != nil {
-		sizes = p.SizeTable(catalog)
-	}
-	for i := range p.Filecules {
-		fc := &p.Filecules[i]
-		b := FileculeBody{ID: fc.ID, Files: fc.Files, Requests: fc.Requests}
-		if sizes != nil {
-			b.Bytes = sizes[i]
-		}
-		body.Filecules = append(body.Filecules, b)
-	}
-	return json.Marshal(body)
+	return json.Marshal(wire.NewPartitionReply(p, observed, catalog))
 }
 
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	p := s.engine.Snapshot()
-	buf, err := PartitionJSON(p, s.engine.Observed(), s.catTrace)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
+	buf, err := json.Marshal(s.svc.Partition())
+	writeRaw(w, buf, err)
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	sum := s.engine.Membership().Summary(s.catTrace)
-	writeJSON(w, http.StatusOK, SummaryBody{
-		Observed:          s.engine.Observed(),
-		Filecules:         sum.Filecules,
-		Files:             sum.Files,
-		Monatomic:         sum.Monatomic,
-		MeanFilesPerGroup: sum.MeanFilesPerFilecule,
-		LargestFiles:      sum.LargestFiles,
-		CoveredBytes:      sum.CoveredBytes,
-	})
-}
-
-// granularity returns the advice granularity for the engine's current
-// membership. Advice reads only membership — which files share a filecule and
-// what the filecules weigh — so the granularity is keyed on the membership
-// version (the filecule count, see core.Engine.NumFilecules) of the partition
-// it was built from: an observe that split nothing and saw no new file
-// invalidates nothing here, and an Advise after it takes no snapshot at all.
-func (s *Server) granularity() *cache.FileculeGranularity {
-	p := s.engine.Membership()
-	g := s.gran.Load()
-	if g == nil || g.Partition().NumFilecules() != p.NumFilecules() {
-		// Racing rebuilds are harmless: the size table behind each is built
-		// once per membership (core.Partition.SizeTable), and any of them
-		// answers for p.
-		g = cache.NewFileculeGranularity(s.catTrace, p)
-		s.gran.Store(g)
-	}
-	return g
+	writeJSON(w, http.StatusOK, s.svc.Summary())
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	if s.catTrace == nil {
-		writeError(w, http.StatusUnprocessableEntity, "cache advice requires a file catalog; start the server with one")
+	// Without a catalog the answer is 422 whatever the body says, so it is
+	// given before the body is read.
+	if _, rerr := s.svc.Granularity(); rerr != nil {
+		reply(w, nil, rerr)
 		return
 	}
-	var body AdviseBody
-	if !s.decodeBody(w, r, &body) {
+	var req cache.AdviceRequest
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if body.CapacityBytes <= 0 {
-		writeError(w, http.StatusBadRequest, "capacityBytes %d must be > 0", body.CapacityBytes)
+	if rerr := s.svc.CheckFiles(req.Files); rerr != nil {
+		reply(w, nil, rerr)
 		return
 	}
-	if err := s.checkFiles(body.Files); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	req := cache.AdviceRequest{Capacity: body.CapacityBytes, Files: body.Files}
-	for _, res := range body.Resident {
-		req.Resident = append(req.Resident, cache.ResidentUnit{Unit: res.Unit, LastAccess: res.LastAccess})
-	}
-	adv, err := cache.Advise(s.granularity(), req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := AdviceResult{
-		Hits:         adv.Hits,
-		Evict:        adv.Evict,
-		Bypassed:     adv.Bypassed,
-		BytesToLoad:  adv.BytesToLoad,
-		BytesToEvict: adv.BytesToEvict,
-	}
-	for _, lu := range adv.Load {
-		out.Load = append(out.Load, LoadBody{Unit: lu.Unit, Files: lu.Files, Bytes: lu.Bytes})
-	}
-	writeJSON(w, http.StatusOK, out)
+	var pl cache.Planner
+	adv, rerr := s.svc.Advise(&pl, req)
+	reply(w, adv, rerr)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WritePrometheus(w)
 	// Application-level gauges alongside the HTTP counters.
-	p := s.engine.Membership()
+	p := s.svc.Engine.Membership()
 	fmt.Fprintf(w, "# TYPE filecule_jobs_observed_total counter\n")
-	fmt.Fprintf(w, "filecule_jobs_observed_total %d\n", s.engine.Observed())
+	fmt.Fprintf(w, "filecule_jobs_observed_total %d\n", s.svc.Engine.Observed())
 	fmt.Fprintf(w, "# TYPE filecule_partition_filecules gauge\n")
 	fmt.Fprintf(w, "filecule_partition_filecules %d\n", p.NumFilecules())
 	fmt.Fprintf(w, "# TYPE filecule_partition_files gauge\n")
@@ -671,7 +508,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "filecule_server_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
 	// The repeat-job fast path: whether it is hitting, and that its cache
 	// tracks the live repeat set rather than every job ever seen.
-	jc := s.engine.JobCacheStats()
+	jc := s.svc.Engine.JobCacheStats()
 	fmt.Fprintf(w, "# TYPE filecule_engine_jobcache_entries gauge\n")
 	fmt.Fprintf(w, "filecule_engine_jobcache_entries %d\n", jc.Entries)
 	fmt.Fprintf(w, "# TYPE filecule_engine_jobcache_sweeps_total counter\n")
@@ -680,7 +517,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "filecule_engine_fastpath_hits_total %d\n", jc.FastPathHits)
 	// Whether reads after observes hit the split-free path: a shared snapshot
 	// reused the previous one's member lists, index and size table.
-	ss := s.engine.SnapshotStats()
+	ss := s.svc.Engine.SnapshotStats()
 	fmt.Fprintf(w, "# TYPE filecule_engine_snapshots_total counter\n")
 	fmt.Fprintf(w, "filecule_engine_snapshots_total{kind=\"shared\"} %d\n", ss.Shared)
 	fmt.Fprintf(w, "filecule_engine_snapshots_total{kind=\"rebuilt\"} %d\n", ss.Rebuilt)

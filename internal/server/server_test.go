@@ -11,9 +11,11 @@ import (
 	"sync"
 	"testing"
 
+	"filecule/internal/cache"
 	"filecule/internal/core"
 	"filecule/internal/synth"
 	"filecule/internal/trace"
+	"filecule/internal/wire"
 )
 
 // testServer returns a server backed by a small synthetic trace's catalog,
@@ -47,12 +49,12 @@ func TestObserveThenQuery(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("observe: %d %s", w.Code, w.Body)
 	}
-	var res ObserveResult
+	var res wire.ObserveReply
 	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Observed != 1 || res.Filecules != 1 {
-		t.Errorf("ObserveResult = %+v, want 1 job 1 filecule", res)
+		t.Errorf("observe reply = %+v, want 1 job 1 filecule", res)
 	}
 
 	// Splitting job: {1,2} stays together, 3 departs.
@@ -62,7 +64,7 @@ func TestObserveThenQuery(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("filecule: %d %s", w.Code, w.Body)
 	}
-	var fc FileculeBody
+	var fc wire.FileculeLookupReply
 	if err := json.Unmarshal(w.Body.Bytes(), &fc); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestObserveThenQuery(t *testing.T) {
 	}
 
 	w = do(s, "GET", "/v1/filecules/3", "")
-	var fc3 FileculeBody
+	var fc3 wire.FileculeLookupReply
 	if err := json.Unmarshal(w.Body.Bytes(), &fc3); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestSummary(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("summary: %d %s", w.Code, w.Body)
 	}
-	var sum SummaryBody
+	var sum wire.SummaryReply
 	if err := json.Unmarshal(w.Body.Bytes(), &sum); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestAdviseEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("advise: %d %s", w.Code, w.Body)
 	}
-	var adv AdviceResult
+	var adv cache.Advice
 	if err := json.Unmarshal(w.Body.Bytes(), &adv); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestAdviseEndpoint(t *testing.T) {
 	body := fmt.Sprintf(`{"capacityBytes":1099511627776,"files":[0],"resident":[{"unit":%d,"lastAccess":1}]}`,
 		adv.Load[0].Unit)
 	w = do(s, "POST", "/v1/cache/advise", body)
-	var adv2 AdviceResult
+	var adv2 cache.Advice
 	if err := json.Unmarshal(w.Body.Bytes(), &adv2); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +236,8 @@ func TestClientErrors(t *testing.T) {
 }
 
 func TestBatchLimit(t *testing.T) {
-	s := New(Config{MaxBatchJobs: 2})
+	s := New(Config{})
+	s.lim.batchJobs = 2
 	w := do(s, "POST", "/v1/jobs/batch", `{"jobs":[{"files":[1]},{"files":[2]},{"files":[3]}]}`)
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("oversized batch: %d, want 400", w.Code)
@@ -242,7 +245,8 @@ func TestBatchLimit(t *testing.T) {
 }
 
 func TestBodyLimit(t *testing.T) {
-	s := New(Config{MaxBodyBytes: 64})
+	s := New(Config{})
+	s.lim.bodyBytes = 64
 	big := `{"files":[` + strings.Repeat("1,", 1000) + `1]}`
 	w := do(s, "POST", "/v1/jobs", big)
 	if w.Code != http.StatusRequestEntityTooLarge {

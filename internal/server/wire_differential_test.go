@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -72,18 +73,7 @@ func TestWireJSONDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: wire observe: %v", i, err)
 		}
-		w := do(sJSON, "POST", "/v1/jobs", marshalJob(t, files))
-		if w.Code != http.StatusOK {
-			t.Fatalf("job %d: HTTP observe: %d %s", i, w.Code, w.Body)
-		}
-		var jr ObserveResult
-		if err := json.Unmarshal(w.Body.Bytes(), &jr); err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		if wr.Observed != jr.Observed || wr.Filecules != jr.Filecules {
-			t.Fatalf("job %d: wire ack (%d jobs, %d filecules) != JSON ack (%d jobs, %d filecules)",
-				i, wr.Observed, wr.Filecules, jr.Observed, jr.Filecules)
-		}
+		sameJSON(t, i, "observe ack", wr, do(sJSON, "POST", "/v1/jobs", marshalJob(t, files)))
 
 		if i%40 != 39 {
 			continue
@@ -158,86 +148,49 @@ func residentList(resident map[cache.UnitID]int64) []cache.ResidentUnit {
 	return out
 }
 
-// comparePartitions requires the wire partition reply, re-encoded in the
-// HTTP surface's canonical JSON, to be byte-identical to GET /v1/partition.
+// sameJSON requires a wire reply, marshalled as it is, to equal the HTTP
+// surface's 200 response byte for byte: both are encodings of one message
+// type, so this compares what the two servers decided, not how.
+func sameJSON(t *testing.T, i int, what string, reply any, w *httptest.ResponseRecorder) {
+	t.Helper()
+	if w.Code != http.StatusOK {
+		t.Fatalf("job %d: HTTP %s: %d %s", i, what, w.Code, w.Body)
+	}
+	wireJSON, err := json.Marshal(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if httpJSON := strings.TrimSpace(w.Body.String()); string(wireJSON) != httpJSON {
+		t.Fatalf("job %d: %s diverges:\nwire: %.300s\nhttp: %.300s", i, what, wireJSON, httpJSON)
+	}
+}
+
 func comparePartitions(t *testing.T, i int, wc *wire.Client, sJSON *Server) {
 	t.Helper()
 	pr, err := wc.Partition()
 	if err != nil {
 		t.Fatalf("job %d: wire partition: %v", i, err)
 	}
-	body := PartitionBody{Observed: pr.Observed, Filecules: make([]FileculeBody, 0, len(pr.Filecules))}
-	for id, fc := range pr.Filecules {
-		body.Filecules = append(body.Filecules, FileculeBody{
-			ID: id, Files: fc.Files, Requests: fc.Requests, Bytes: fc.Bytes,
-		})
-	}
-	wireJSON, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := do(sJSON, "GET", "/v1/partition", "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("job %d: GET /v1/partition: %d", i, w.Code)
-	}
-	httpJSON := strings.TrimSpace(w.Body.String())
-	if string(wireJSON) != httpJSON {
-		t.Fatalf("job %d: partitions diverge:\nwire: %.200s\nhttp: %.200s", i, wireJSON, httpJSON)
-	}
+	sameJSON(t, i, "partition", pr, do(sJSON, "GET", "/v1/partition", ""))
 }
 
-// compareSummaries requires the wire summary reply, re-encoded in the HTTP
-// surface's JSON, to be byte-identical to GET /v1/partition/summary — which
-// is why the mean crosses the wire as exact IEEE-754 bits.
+// compareSummaries is why the mean crosses the wire as exact IEEE-754 bits.
 func compareSummaries(t *testing.T, i int, wc *wire.Client, sJSON *Server) {
 	t.Helper()
 	sr, err := wc.Summary()
 	if err != nil {
 		t.Fatalf("job %d: wire summary: %v", i, err)
 	}
-	wireJSON, err := json.Marshal(SummaryBody{
-		Observed:          sr.Observed,
-		Filecules:         sr.Filecules,
-		Files:             sr.Files,
-		Monatomic:         sr.Monatomic,
-		MeanFilesPerGroup: sr.MeanFilesPerGroup,
-		LargestFiles:      sr.LargestFiles,
-		CoveredBytes:      sr.CoveredBytes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := do(sJSON, "GET", "/v1/partition/summary", "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("job %d: GET /v1/partition/summary: %d", i, w.Code)
-	}
-	if httpJSON := strings.TrimSpace(w.Body.String()); string(wireJSON) != httpJSON {
-		t.Fatalf("job %d: summaries diverge:\nwire: %s\nhttp: %s", i, wireJSON, httpJSON)
-	}
+	sameJSON(t, i, "summary", sr, do(sJSON, "GET", "/v1/partition/summary", ""))
 }
 
-// compareFilecules requires the wire per-file lookup, re-encoded as the
-// HTTP surface's FileculeBody, to match GET /v1/filecules/{file} byte for
-// byte.
 func compareFilecules(t *testing.T, i int, wc *wire.Client, sJSON *Server, f trace.FileID) {
 	t.Helper()
 	fr, err := wc.Filecule(f)
 	if err != nil {
 		t.Fatalf("job %d: wire filecule %d: %v", i, f, err)
 	}
-	wireJSON, err := json.Marshal(FileculeBody{
-		ID: fr.ID, Files: fr.Files, Requests: fr.Requests, Bytes: fr.Bytes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := do(sJSON, "GET", fmt.Sprintf("/v1/filecules/%d", f), "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("job %d: GET /v1/filecules/%d: %d %s", i, f, w.Code, w.Body)
-	}
-	if httpJSON := strings.TrimSpace(w.Body.String()); string(wireJSON) != httpJSON {
-		t.Fatalf("job %d: filecule %d diverges:\nwire: %s\nhttp: %s", i, f, wireJSON, httpJSON)
-	}
+	sameJSON(t, i, "filecule", fr, do(sJSON, "GET", fmt.Sprintf("/v1/filecules/%d", f), ""))
 }
 
 // compareAdvice requires byte-identical advice from both stacks, then
@@ -249,37 +202,11 @@ func compareAdvice(t *testing.T, i int, wc *wire.Client, sJSON *Server,
 	if err != nil {
 		t.Fatalf("job %d: wire advise: %v", i, err)
 	}
-	wireRes := AdviceResult{
-		Hits:         ar.Hits,
-		Evict:        ar.Evict,
-		Bypassed:     ar.Bypassed,
-		BytesToLoad:  ar.BytesToLoad,
-		BytesToEvict: ar.BytesToEvict,
-	}
-	for _, lu := range ar.Load {
-		wireRes.Load = append(wireRes.Load, LoadBody{Unit: lu.Unit, Files: lu.Files, Bytes: lu.Bytes})
-	}
-	wireJSON, err := json.Marshal(wireRes)
+	hbody, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	hreq := AdviseBody{CapacityBytes: req.Capacity, Files: req.Files}
-	for _, r := range req.Resident {
-		hreq.Resident = append(hreq.Resident, ResidentBody{Unit: r.Unit, LastAccess: r.LastAccess})
-	}
-	hbody, err := json.Marshal(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := do(sJSON, "POST", "/v1/cache/advise", string(hbody))
-	if w.Code != http.StatusOK {
-		t.Fatalf("job %d: POST /v1/cache/advise: %d %s", i, w.Code, w.Body)
-	}
-	httpJSON := strings.TrimSpace(w.Body.String())
-	if string(wireJSON) != httpJSON {
-		t.Fatalf("job %d: advice diverges:\nwire: %s\nhttp: %s", i, wireJSON, httpJSON)
-	}
+	sameJSON(t, i, "advice", ar, do(sJSON, "POST", "/v1/cache/advise", string(hbody)))
 
 	// Evolve the shared residency from the (agreed) plan.
 	for _, u := range ar.Hits {
@@ -290,6 +217,109 @@ func compareAdvice(t *testing.T, i int, wc *wire.Client, sJSON *Server,
 	}
 	for _, lu := range ar.Load {
 		resident[lu.Unit] = now
+	}
+}
+
+// failingJournal refuses every observe, as a durability layer whose WAL
+// append failed does.
+type failingJournal struct{ err error }
+
+func (j failingJournal) Observe([]trace.FileID) error        { return j.err }
+func (j failingJournal) ObserveBatch([][]trace.FileID) error { return j.err }
+
+// TestSurfacesAgreeOnErrors drives each refusal over HTTP and over a wire
+// connection to the same Service and requires the same status code — and the
+// same message wherever the Service, not a decoder, worded it.
+func TestSurfacesAgreeOnErrors(t *testing.T) {
+	dial := func(s *Server) *wire.Client {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- s.RunWire(ctx, l) }()
+		wc, err := wire.Dial(l.Addr().String(), 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			wc.Close()
+			cancel()
+			if err := <-done; err != nil {
+				t.Errorf("RunWire: %v", err)
+			}
+		})
+		return wc
+	}
+	catalog := New(Config{Catalog: fuzzCatalog()}) // files 0..15
+	catalog.Engine().Observe([]trace.FileID{1, 2})
+	bare := New(Config{})
+	broken := New(Config{Catalog: fuzzCatalog()})
+	broken.svc.Journal = failingJournal{fmt.Errorf("disk full")}
+
+	overLimit := make([][]trace.FileID, wire.MaxBatchJobs+1)
+	overLimitJSON := `{"jobs":[` + strings.Repeat(`{"files":[]},`, wire.MaxBatchJobs) + `{"files":[]}]}`
+	advise := func(req cache.AdviceRequest) func(*wire.Client) error {
+		return func(c *wire.Client) error { _, err := c.Advise(req); return err }
+	}
+	cases := []struct {
+		name               string
+		s                  *Server
+		method, path, body string
+		wire               func(*wire.Client) error
+		code               int
+		sameMsg            bool // the Service produced the message
+	}{
+		{"observe out-of-catalog ID", catalog, "POST", "/v1/jobs", `{"files":[16]}`,
+			func(c *wire.Client) error { _, err := c.Observe([]trace.FileID{16}); return err }, 400, false},
+		{"lookup out-of-catalog ID", catalog, "GET", "/v1/filecules/16", "",
+			func(c *wire.Client) error { _, err := c.Filecule(16); return err }, 400, true},
+		{"batch over the job limit", catalog, "POST", "/v1/jobs/batch", overLimitJSON,
+			func(c *wire.Client) error { _, err := c.Batch(overLimit); return err }, 400, true},
+		{"unknown resident unit", catalog, "POST", "/v1/cache/advise",
+			`{"capacityBytes":100,"resident":[{"unit":123456789}]}`,
+			advise(cache.AdviceRequest{Capacity: 100, Resident: []cache.ResidentUnit{{Unit: 123456789}}}), 400, true},
+		{"duplicate resident unit", catalog, "POST", "/v1/cache/advise",
+			`{"capacityBytes":100,"resident":[{"unit":0},{"unit":0}]}`,
+			advise(cache.AdviceRequest{Capacity: 100, Resident: []cache.ResidentUnit{{Unit: 0}, {Unit: 0}}}), 400, true},
+		{"non-positive capacity", catalog, "POST", "/v1/cache/advise", `{"capacityBytes":0,"files":[1]}`,
+			advise(cache.AdviceRequest{Files: []trace.FileID{1}}), 400, true},
+		{"advise without a catalog", bare, "POST", "/v1/cache/advise", `{"capacityBytes":100,"files":[1]}`,
+			advise(cache.AdviceRequest{Capacity: 100, Files: []trace.FileID{1}}), 422, true},
+		{"lookup of an unseen file", catalog, "GET", "/v1/filecules/9", "",
+			func(c *wire.Client) error { _, err := c.Filecule(9); return err }, 404, true},
+		{"WAL failure", broken, "POST", "/v1/jobs", `{"files":[1]}`,
+			func(c *wire.Client) error { _, err := c.Observe([]trace.FileID{1}); return err }, 500, true},
+		{"WAL failure in a batch", broken, "POST", "/v1/jobs/batch", `{"jobs":[{"files":[1]}]}`,
+			func(c *wire.Client) error { _, err := c.Batch([][]trace.FileID{{1}}); return err }, 500, true},
+	}
+	clients := map[*Server]*wire.Client{}
+	for _, c := range cases {
+		if clients[c.s] == nil {
+			clients[c.s] = dial(c.s)
+		}
+		w := do(c.s, c.method, c.path, c.body)
+		var hb errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &hb); err != nil {
+			t.Fatalf("%s: HTTP body %q: %v", c.name, w.Body, err)
+		}
+		re, ok := c.wire(clients[c.s]).(*wire.RemoteError)
+		if !ok {
+			t.Fatalf("%s: wire call did not answer a RemoteError", c.name)
+		}
+		if w.Code != c.code || re.Code != c.code {
+			t.Errorf("%s: HTTP %d, wire %d, want %d on both", c.name, w.Code, re.Code, c.code)
+		}
+		if c.sameMsg && hb.Error != re.Msg {
+			t.Errorf("%s: messages differ:\nhttp: %s\nwire: %s", c.name, hb.Error, re.Msg)
+		}
+	}
+	// Nothing refused was applied: catalog holds its one set-up job.
+	for s, want := range map[*Server]int64{catalog: 1, bare: 0, broken: 0} {
+		if got := s.Engine().Observed(); got != want {
+			t.Errorf("a refused request was applied: %d jobs observed, want %d", got, want)
+		}
 	}
 }
 

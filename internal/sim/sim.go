@@ -12,11 +12,10 @@ import (
 // Kernel is an event calendar with a virtual clock. The zero value is not
 // usable; construct with New.
 type Kernel struct {
-	now    time.Time
-	queue  eventHeap
-	seq    uint64
-	inRun  bool
-	halted bool
+	now   time.Time
+	queue eventHeap
+	seq   uint64
+	inRun bool
 }
 
 // New returns a kernel whose clock starts at the given time.
@@ -48,40 +47,16 @@ func (k *Kernel) After(d time.Duration, fn func()) {
 	k.At(k.now.Add(d), fn)
 }
 
-// Pending returns the number of scheduled events.
-func (k *Kernel) Pending() int { return len(k.queue) }
-
-// Halt stops Run after the current event completes. Events remain queued.
-func (k *Kernel) Halt() { k.halted = true }
-
-// Run executes events in time order until the calendar is empty or Halt is
-// called, returning the number of events processed. Run is not reentrant.
+// Run executes events in time order until the calendar is empty, returning
+// the number of events processed. Run is not reentrant.
 func (k *Kernel) Run() int {
-	return k.run(func(time.Time) bool { return true })
-}
-
-// RunUntil executes events with time <= deadline, then advances the clock to
-// the deadline. It returns the number of events processed.
-func (k *Kernel) RunUntil(deadline time.Time) int {
-	n := k.run(func(t time.Time) bool { return !t.After(deadline) })
-	if !k.halted && k.now.Before(deadline) {
-		k.now = deadline
-	}
-	return n
-}
-
-func (k *Kernel) run(ok func(time.Time) bool) int {
 	if k.inRun {
 		panic("sim: Run is not reentrant")
 	}
 	k.inRun = true
-	k.halted = false
 	defer func() { k.inRun = false }()
 	n := 0
-	for len(k.queue) > 0 && !k.halted {
-		if !ok(k.queue[0].at) {
-			break
-		}
+	for len(k.queue) > 0 {
 		e := heap.Pop(&k.queue).(*event)
 		k.now = e.at
 		e.fn()

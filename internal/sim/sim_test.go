@@ -61,47 +61,6 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	k := New(t0)
-	ran := 0
-	for i := 1; i <= 5; i++ {
-		k.At(t0.Add(time.Duration(i)*time.Hour), func() { ran++ })
-	}
-	n := k.RunUntil(t0.Add(3 * time.Hour))
-	if n != 3 || ran != 3 {
-		t.Fatalf("RunUntil processed %d events, want 3", n)
-	}
-	if !k.Now().Equal(t0.Add(3 * time.Hour)) {
-		t.Errorf("Now = %v, want deadline", k.Now())
-	}
-	if k.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", k.Pending())
-	}
-	// Clock advances to deadline even with no events.
-	k2 := New(t0)
-	k2.RunUntil(t0.Add(time.Minute))
-	if !k2.Now().Equal(t0.Add(time.Minute)) {
-		t.Errorf("empty RunUntil Now = %v", k2.Now())
-	}
-}
-
-func TestHalt(t *testing.T) {
-	k := New(t0)
-	ran := 0
-	k.After(time.Second, func() { ran++; k.Halt() })
-	k.After(2*time.Second, func() { ran++ })
-	if n := k.Run(); n != 1 || ran != 1 {
-		t.Fatalf("Run after Halt processed %d events", n)
-	}
-	if k.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", k.Pending())
-	}
-	// Resume.
-	if n := k.Run(); n != 1 || ran != 2 {
-		t.Errorf("resumed Run processed %d events", n)
-	}
-}
-
 func TestPanicsOnMisuse(t *testing.T) {
 	cases := []func(){
 		func() { New(t0).At(t0.Add(-time.Second), func() {}) },

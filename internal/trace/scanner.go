@@ -393,7 +393,7 @@ func parseIntBytes(b []byte) (int64, bool) {
 	return int64(v), true
 }
 
-// tierOfBytes is ParseTier over a byte slice, allocation-free.
+// tierOfBytes inverts Tier.String over a byte slice, allocation-free.
 func tierOfBytes(b []byte) (Tier, bool) {
 	switch string(b) {
 	case "raw":
@@ -411,7 +411,7 @@ func tierOfBytes(b []byte) (Tier, bool) {
 	}
 }
 
-// familyOfBytes is ParseAppFamily over a byte slice, allocation-free.
+// familyOfBytes inverts AppFamily.String over a byte slice, allocation-free.
 func familyOfBytes(b []byte) (AppFamily, bool) {
 	switch string(b) {
 	case "reconstruction":

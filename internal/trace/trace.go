@@ -67,25 +67,6 @@ func (t Tier) String() string {
 	}
 }
 
-// ParseTier converts a tier name (as produced by Tier.String) back to a
-// Tier. Unknown names map to TierOther with ok=false.
-func ParseTier(s string) (Tier, bool) {
-	switch s {
-	case "raw":
-		return TierRaw, true
-	case "reconstructed":
-		return TierReconstructed, true
-	case "root-tuple":
-		return TierRootTuple, true
-	case "thumbnail":
-		return TierThumbnail, true
-	case "other":
-		return TierOther, true
-	default:
-		return TierOther, false
-	}
-}
-
 // AppFamily categorizes applications the way SAM does (Section 2.2):
 // reconstruction, monte-carlo production, and analysis.
 type AppFamily uint8
@@ -111,20 +92,6 @@ func (f AppFamily) String() string {
 		return "montecarlo"
 	default:
 		return "analysis"
-	}
-}
-
-// ParseAppFamily converts a family name back to an AppFamily.
-func ParseAppFamily(s string) (AppFamily, bool) {
-	switch s {
-	case "reconstruction":
-		return FamilyReconstruction, true
-	case "montecarlo":
-		return FamilyMonteCarlo, true
-	case "analysis":
-		return FamilyAnalysis, true
-	default:
-		return FamilyAnalysis, false
 	}
 }
 

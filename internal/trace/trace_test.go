@@ -197,24 +197,6 @@ func TestValidateCatchesBadRefs(t *testing.T) {
 	}
 }
 
-func TestTierAndFamilyRoundTrip(t *testing.T) {
-	for tier := Tier(0); tier < Tier(NumTiers); tier++ {
-		got, ok := ParseTier(tier.String())
-		if !ok || got != tier {
-			t.Errorf("ParseTier(%q) = %v,%v", tier.String(), got, ok)
-		}
-	}
-	if _, ok := ParseTier("bogus"); ok {
-		t.Error("ParseTier accepted bogus tier")
-	}
-	for f := AppFamily(0); f < AppFamily(NumFamilies); f++ {
-		got, ok := ParseAppFamily(f.String())
-		if !ok || got != f {
-			t.Errorf("ParseAppFamily(%q) = %v,%v", f.String(), got, ok)
-		}
-	}
-}
-
 func TestJobsByDomainAndSite(t *testing.T) {
 	tr := smallTrace(t)
 	byDom := tr.JobsByDomain()

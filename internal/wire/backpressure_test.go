@@ -12,18 +12,14 @@ import (
 
 // TestHostilePipelining: a client that pipelines requests forever without
 // ever reading responses must not pin the server goroutine or queue
-// unbounded responses. With MaxPipeline reached, the forced flush blocks on
+// unbounded responses. With the pipeline limit reached, the forced flush blocks on
 // the socket and the write deadline disconnects the client.
 func TestHostilePipelining(t *testing.T) {
 	srvConn, cliConn := net.Pipe()
 	defer cliConn.Close()
-	s := &Server{
-		Backend:      newMemBackend(16, 10),
-		MaxFiles:     16,
-		MaxPipeline:  4,
-		WriteTimeout: 100 * time.Millisecond,
-		IdleTimeout:  5 * time.Second,
-	}
+	s := newTestServer(16, 10)
+	s.WriteTimeout = 100 * time.Millisecond
+	s.lim.pipeline, s.lim.idle = 4, 5*time.Second
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -56,19 +52,15 @@ func TestHostilePipelining(t *testing.T) {
 }
 
 // TestPipelineCapStillAnswersEverything: a well-behaved client draining
-// concurrently gets every response even when MaxPipeline is far smaller
+// concurrently gets every response even when the pipeline limit is far smaller
 // than the number of pipelined requests — the cap forces intermediate
 // flushes, it never drops frames.
 func TestPipelineCapStillAnswersEverything(t *testing.T) {
 	const n = 64
 	srvConn, cliConn := net.Pipe()
-	s := &Server{
-		Backend:      newMemBackend(16, 10),
-		MaxFiles:     16,
-		MaxPipeline:  2,
-		WriteTimeout: 2 * time.Second,
-		IdleTimeout:  5 * time.Second,
-	}
+	s := newTestServer(16, 10)
+	s.WriteTimeout = 2 * time.Second
+	s.lim.pipeline, s.lim.idle = 2, 5*time.Second
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

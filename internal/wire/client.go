@@ -10,10 +10,10 @@ import (
 	"filecule/internal/trace"
 )
 
-// Client is a filecule-wire/v1 connection. The Send*/Flush/Recv* primitives
-// expose the protocol's FIFO pipelining directly: write any number of
-// requests, flush once, then read the replies in order. The Observe/Batch/
-// Advise/Partition wrappers do one synchronous round trip each.
+// Client is a filecule-wire/v1 connection. Every operation has a method that
+// does one synchronous round trip. SendObserve/Flush/RecvObserve expose the
+// protocol's FIFO pipelining for the operation worth pipelining: write any
+// number of observes, flush once, then read the replies in order.
 //
 // A Client is not safe for concurrent use; open one per goroutine (the
 // protocol is cheap enough that connections need not be shared).
@@ -87,36 +87,6 @@ func (c *Client) SendObserve(files []trace.FileID) error {
 	return c.send(c.out, KindObserveResult)
 }
 
-// SendBatch pipelines a 'B' request. Pair with RecvObserve.
-func (c *Client) SendBatch(jobs [][]trace.FileID) error {
-	c.out = AppendBatchRequest(c.out[:0], jobs)
-	return c.send(c.out, KindObserveResult)
-}
-
-// SendAdvise pipelines an 'A' request. Pair with RecvAdvice.
-func (c *Client) SendAdvise(req cache.AdviceRequest) error {
-	c.out = AppendAdviseRequest(c.out[:0], req)
-	return c.send(c.out, KindAdviceResult)
-}
-
-// SendPartition pipelines a 'P' request. Pair with RecvPartition.
-func (c *Client) SendPartition() error {
-	c.out = AppendPartitionRequest(c.out[:0])
-	return c.send(c.out, KindPartitionResult)
-}
-
-// SendSummary pipelines an 'S' request. Pair with RecvSummary.
-func (c *Client) SendSummary() error {
-	c.out = AppendSummaryRequest(c.out[:0])
-	return c.send(c.out, KindSummaryResult)
-}
-
-// SendFilecule pipelines an 'F' lookup. Pair with RecvFilecule.
-func (c *Client) SendFilecule(f trace.FileID) error {
-	c.out = AppendFileculeRequest(c.out[:0], f)
-	return c.send(c.out, KindFileculeResult)
-}
-
 // Flush writes all pipelined requests to the connection.
 func (c *Client) Flush() error {
 	if c.err != nil {
@@ -129,17 +99,22 @@ func (c *Client) Flush() error {
 	return nil
 }
 
-// recvFrame reads the next response frame and checks it answers the oldest
-// pipelined request. An 'e' frame is returned as *RemoteError with the
-// connection still usable; framing or ordering failures poison the client.
-func (c *Client) recvFrame(want byte) (*trace.Payload, error) {
+// RecvObserve reads the reply to the oldest pipelined observe.
+func (c *Client) RecvObserve() (ObserveReply, error) {
+	return recv(c, KindObserveResult, decodeObserveReply)
+}
+
+// recv reads the next response frame, checks it answers the oldest pipelined
+// request, and decodes it. An 'e' frame is returned as *RemoteError with the
+// connection still usable; framing, ordering or decode failures poison the
+// client.
+func recv[T any](c *Client, want byte, decode func(*trace.Payload) (T, error)) (r T, err error) {
 	if c.err != nil {
-		return nil, c.err
+		return r, c.err
 	}
 	if len(c.pending) == 0 || c.pending[0] != want {
-		err := fmt.Errorf("wire: receive out of order: no pipelined request awaits kind %q", want)
-		c.poison(err)
-		return nil, err
+		c.poison(fmt.Errorf("wire: receive out of order: no pipelined request awaits kind %q", want))
+		return r, c.err
 	}
 	c.pending = c.pending[:copy(c.pending, c.pending[1:])]
 	if c.timeout > 0 {
@@ -148,159 +123,69 @@ func (c *Client) recvFrame(want byte) (*trace.Payload, error) {
 	kind, payload, err := c.cr.ReadChunk()
 	if err != nil {
 		c.poison(fmt.Errorf("wire: read reply: %w", err))
-		return nil, c.err
+		return r, c.err
 	}
 	pl := trace.NewPayload(payload)
-	if kind == KindError {
-		err := decodeError(pl)
-		if _, remote := err.(*RemoteError); !remote {
-			c.poison(err)
+	switch kind {
+	case KindError:
+		err = decodeError(pl)
+		if _, remote := err.(*RemoteError); remote {
+			return r, err
 		}
-		return nil, err
+	case want:
+		r, err = decode(pl)
+	default:
+		err = fmt.Errorf("wire: reply kind %q, want %q", kind, want)
 	}
-	if kind != want {
-		err := fmt.Errorf("wire: reply kind %q, want %q", kind, want)
-		c.poison(err)
-		return nil, err
-	}
-	return pl, nil
-}
-
-// RecvObserve reads the reply to the oldest pipelined observe or batch.
-func (c *Client) RecvObserve() (ObserveReply, error) {
-	pl, err := c.recvFrame(KindObserveResult)
-	if err != nil {
-		return ObserveReply{}, err
-	}
-	r, err := decodeObserveReply(pl)
 	if err != nil {
 		c.poison(err)
-	}
-	return r, err
-}
-
-// RecvAdvice reads the reply to the oldest pipelined advise.
-func (c *Client) RecvAdvice() (*AdviceReply, error) {
-	pl, err := c.recvFrame(KindAdviceResult)
-	if err != nil {
-		return nil, err
-	}
-	r, err := decodeAdviceReply(pl)
-	if err != nil {
-		c.poison(err)
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	return r, nil
 }
 
-// RecvPartition reads the reply to the oldest pipelined partition request.
-func (c *Client) RecvPartition() (*PartitionReply, error) {
-	pl, err := c.recvFrame(KindPartitionResult)
-	if err != nil {
-		return nil, err
+// call does one synchronous round trip: send the request payload (encoded
+// into c.out), flush, and read the reply of kind want.
+func call[T any](c *Client, payload []byte, want byte, decode func(*trace.Payload) (T, error)) (r T, err error) {
+	c.out = payload
+	if err = c.send(payload, want); err == nil {
+		err = c.Flush()
 	}
-	r, err := decodePartitionReply(pl)
 	if err != nil {
-		c.poison(err)
-		return nil, err
+		return r, err
 	}
-	return r, nil
-}
-
-// RecvSummary reads the reply to the oldest pipelined summary request.
-func (c *Client) RecvSummary() (SummaryReply, error) {
-	pl, err := c.recvFrame(KindSummaryResult)
-	if err != nil {
-		return SummaryReply{}, err
-	}
-	r, err := decodeSummaryReply(pl)
-	if err != nil {
-		c.poison(err)
-	}
-	return r, err
-}
-
-// RecvFilecule reads the reply to the oldest pipelined filecule lookup. A
-// file observed in no job comes back as a *RemoteError with code 404, the
-// connection still usable.
-func (c *Client) RecvFilecule() (*FileculeLookupReply, error) {
-	pl, err := c.recvFrame(KindFileculeResult)
-	if err != nil {
-		return nil, err
-	}
-	r, err := decodeFileculeReply(pl)
-	if err != nil {
-		c.poison(err)
-		return nil, err
-	}
-	return r, nil
+	return recv(c, want, decode)
 }
 
 // Observe does one synchronous observe round trip.
 func (c *Client) Observe(files []trace.FileID) (ObserveReply, error) {
-	if err := c.SendObserve(files); err != nil {
-		return ObserveReply{}, err
-	}
-	if err := c.Flush(); err != nil {
-		return ObserveReply{}, err
-	}
-	return c.RecvObserve()
+	return call(c, AppendObserveRequest(c.out[:0], files), KindObserveResult, decodeObserveReply)
 }
 
 // Batch does one synchronous batch round trip.
 func (c *Client) Batch(jobs [][]trace.FileID) (ObserveReply, error) {
-	if err := c.SendBatch(jobs); err != nil {
-		return ObserveReply{}, err
-	}
-	if err := c.Flush(); err != nil {
-		return ObserveReply{}, err
-	}
-	return c.RecvObserve()
+	return call(c, AppendBatchRequest(c.out[:0], jobs), KindObserveResult, decodeObserveReply)
 }
 
 // Advise does one synchronous advise round trip.
 func (c *Client) Advise(req cache.AdviceRequest) (*AdviceReply, error) {
-	if err := c.SendAdvise(req); err != nil {
-		return nil, err
-	}
-	if err := c.Flush(); err != nil {
-		return nil, err
-	}
-	return c.RecvAdvice()
+	return call(c, AppendAdviseRequest(c.out[:0], req), KindAdviceResult, decodeAdviceReply)
 }
 
 // Partition does one synchronous partition round trip.
 func (c *Client) Partition() (*PartitionReply, error) {
-	if err := c.SendPartition(); err != nil {
-		return nil, err
-	}
-	if err := c.Flush(); err != nil {
-		return nil, err
-	}
-	return c.RecvPartition()
+	return call(c, AppendPartitionRequest(c.out[:0]), KindPartitionResult, decodePartitionReply)
 }
 
 // Summary does one synchronous summary round trip.
 func (c *Client) Summary() (SummaryReply, error) {
-	if err := c.SendSummary(); err != nil {
-		return SummaryReply{}, err
-	}
-	if err := c.Flush(); err != nil {
-		return SummaryReply{}, err
-	}
-	return c.RecvSummary()
+	return call(c, AppendSummaryRequest(c.out[:0]), KindSummaryResult, decodeSummaryReply)
 }
 
-// Filecule does one synchronous per-file lookup round trip.
+// Filecule does one synchronous per-file lookup round trip. A file observed
+// in no job comes back as a *RemoteError with code 404, the connection still
+// usable.
 func (c *Client) Filecule(f trace.FileID) (*FileculeLookupReply, error) {
-	if err := c.SendFilecule(f); err != nil {
-		return nil, err
-	}
-	if err := c.Flush(); err != nil {
-		return nil, err
-	}
-	return c.RecvFilecule()
+	return call(c, AppendFileculeRequest(c.out[:0], f), KindFileculeResult, decodeFileculeReply)
 }
-
-// Pending returns the number of pipelined requests awaiting replies.
-func (c *Client) Pending() int { return len(c.pending) }

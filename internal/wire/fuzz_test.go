@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -41,12 +42,14 @@ func FuzzWireProto(f *testing.F) {
 		AppendSummaryRequest(nil),
 		AppendFileculeRequest(nil, 1),
 		AppendFileculeRequest(nil, 15))) // 15: observed in no job -> 404
-	f.Add(fuzzStream([]byte{KindObserve, 0xff, 0xff}))                  // malformed payload
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})                         // broken framing
-	f.Add(fuzzStream(AppendObserveRequest(nil, []trace.FileID{3}))[:3]) // truncated frame
+	f.Add(fuzzStream(binary.AppendUvarint([]byte{KindFilecule}, 1<<63|1))) // ID that narrows to file 1 -> 400
+	f.Add(fuzzStream([]byte{KindObserve, 0xff, 0xff}))                     // malformed payload
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})                            // broken framing
+	f.Add(fuzzStream(AppendObserveRequest(nil, []trace.FileID{3}))[:3])    // truncated frame
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		s := &Server{Backend: newMemBackend(16, 10), MaxFiles: 16, MaxBatchJobs: 64}
+		s := newTestServer(16, 10)
+		s.lim.batchJobs = 64
 		var out bytes.Buffer
 		err := s.serveStream(&connState{},
 			bufio.NewReader(bytes.NewReader(in)), bufio.NewWriter(&out), nil)

@@ -1,7 +1,11 @@
-// Package wire implements filecule-wire/v1, the binary request/response
-// protocol the serving layer speaks over persistent TCP connections. The
-// engine observes a job in ~200 ns with zero allocations; over HTTP/JSON the
-// same job pays orders of magnitude more in framing, header parsing and
+// Package wire holds the serving layer's request core — Service, which
+// answers every operation for both surfaces, and the message types both
+// encode — and filecule-wire/v1, the binary request/response protocol the
+// service speaks over persistent TCP connections (internal/server is the
+// HTTP/JSON codec over the same Service).
+//
+// The engine observes a job in ~200 ns with zero allocations; over HTTP/JSON
+// the same job pays orders of magnitude more in framing, header parsing and
 // marshalling. This protocol removes that tax: one CRC-framed binary chunk
 // per request, one per response, run-length-encoded file lists, and strict
 // FIFO pipelining so a client can keep many requests in flight on one
@@ -100,26 +104,25 @@ const (
 	CodeInternal    = 500
 )
 
-// maxAnyFileID bounds file IDs when no catalog is configured, mirroring the
-// HTTP layer's "any non-negative int32" acceptance.
+// maxAnyFileID bounds file IDs in replies, which a client decodes without a
+// catalog: any non-negative int32.
 const maxAnyFileID = 1 << 31
 
-// DefaultMaxJobFiles caps one job's expanded file list. The HTTP surface
-// caps bodies at 32 MiB of JSON, which bounds a job to a few million file
-// IDs; this is the binary equivalent.
-const DefaultMaxJobFiles = 1 << 22
+// MaxBatchJobs caps the jobs of one batch request on both surfaces.
+const MaxBatchJobs = 10000
 
-// DefaultMaxBatchJobs caps jobs per 'B' request, matching the JSON API's
-// batch limit.
-const DefaultMaxBatchJobs = 10000
+// maxJobFiles caps one job's expanded file list. The HTTP surface caps bodies
+// at 32 MiB of JSON, which bounds a job to a few million file IDs; this is
+// the binary equivalent.
+const maxJobFiles = 1 << 22
 
-// DefaultMaxBatchFiles caps the total expanded file IDs across one 'B'
-// request. The per-job and per-batch caps alone are not enough: run-length
-// encoding lets ~6 bytes expand to a full job's worth of IDs, so a ~70 KB
-// frame could otherwise legally decode to jobs × jobFiles ≈ 4e10 IDs. A
-// 32 MiB JSON batch body spends ≥ 2 bytes per ID, bounding it to ~16M
-// files; this is the binary equivalent.
-const DefaultMaxBatchFiles = 1 << 24
+// maxBatchFiles caps the total expanded file IDs across one 'B' request. The
+// per-job and per-batch caps alone are not enough: run-length encoding lets
+// ~6 bytes expand to a full job's worth of IDs, so a ~70 KB frame could
+// otherwise legally decode to jobs × jobFiles ≈ 4e10 IDs. A 32 MiB JSON batch
+// body spends ≥ 2 bytes per ID, bounding it to ~16M files; this is the binary
+// equivalent.
+const maxBatchFiles = 1 << 24
 
 // --- request encoders (client side; also the fuzz seed builders) ---
 
@@ -170,13 +173,13 @@ func AppendFileculeRequest(dst []byte, f trace.FileID) []byte {
 
 // --- response encoders (server side) ---
 
-func appendObserveResult(dst []byte, observed int64, filecules int) []byte {
+func appendObserveResult(dst []byte, r ObserveReply) []byte {
 	dst = append(dst, KindObserveResult)
-	dst = binary.AppendUvarint(dst, uint64(observed))
-	return binary.AppendUvarint(dst, uint64(filecules))
+	dst = binary.AppendUvarint(dst, uint64(r.Observed))
+	return binary.AppendUvarint(dst, uint64(r.Filecules))
 }
 
-func appendAdviceResult(dst []byte, adv *cache.Advice) []byte {
+func appendAdviceResult(dst []byte, adv *AdviceReply) []byte {
 	dst = append(dst, KindAdviceResult)
 	dst = binary.AppendUvarint(dst, uint64(len(adv.Hits)))
 	for _, u := range adv.Hits {
@@ -198,31 +201,24 @@ func appendAdviceResult(dst []byte, adv *cache.Advice) []byte {
 	return binary.AppendUvarint(dst, uint64(adv.BytesToEvict))
 }
 
-// appendPartitionResult encodes a snapshot in canonical order. sizes is the
-// per-filecule byte table (nil without a catalog; zeros are encoded so the
-// layout is position-independent).
-func appendPartitionResult(dst []byte, fcs []fcView, observed int64) []byte {
+// appendPartitionResult encodes a partition in canonical order. A row's ID
+// is its position and does not travel; bytes are zero without a catalog.
+func appendPartitionResult(dst []byte, r *PartitionReply) []byte {
 	dst = append(dst, KindPartitionResult)
-	dst = binary.AppendUvarint(dst, uint64(observed))
-	dst = binary.AppendUvarint(dst, uint64(len(fcs)))
-	for i := range fcs {
-		dst = binary.AppendUvarint(dst, uint64(fcs[i].requests))
-		dst = binary.AppendUvarint(dst, uint64(fcs[i].bytes))
-		dst = trace.AppendFileRuns(dst, fcs[i].files)
+	dst = binary.AppendUvarint(dst, uint64(r.Observed))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Filecules)))
+	for i := range r.Filecules {
+		fc := &r.Filecules[i]
+		dst = binary.AppendUvarint(dst, uint64(fc.Requests))
+		dst = binary.AppendUvarint(dst, uint64(fc.Bytes))
+		dst = trace.AppendFileRuns(dst, fc.Files)
 	}
 	return dst
 }
 
-// fcView is one filecule row handed to the partition encoder.
-type fcView struct {
-	files    []trace.FileID
-	requests int
-	bytes    int64
-}
-
 // appendSummaryResult encodes an 's' response. The mean travels as its
-// exact IEEE-754 bits so a client re-encoding it (e.g. the differential
-// test's JSON round trip) reproduces the HTTP surface byte for byte.
+// exact IEEE-754 bits so a client marshalling the reply reproduces the HTTP
+// surface byte for byte.
 func appendSummaryResult(dst []byte, r *SummaryReply) []byte {
 	dst = append(dst, KindSummaryResult)
 	dst = binary.AppendUvarint(dst, uint64(r.Observed))
@@ -235,12 +231,12 @@ func appendSummaryResult(dst []byte, r *SummaryReply) []byte {
 }
 
 // appendFileculeResult encodes an 'f' response for one filecule.
-func appendFileculeResult(dst []byte, id, requests int, bytes int64, files []trace.FileID) []byte {
+func appendFileculeResult(dst []byte, r *FileculeLookupReply) []byte {
 	dst = append(dst, KindFileculeResult)
-	dst = binary.AppendUvarint(dst, uint64(id))
-	dst = binary.AppendUvarint(dst, uint64(requests))
-	dst = binary.AppendUvarint(dst, uint64(bytes))
-	return trace.AppendFileRuns(dst, files)
+	dst = binary.AppendUvarint(dst, uint64(r.ID))
+	dst = binary.AppendUvarint(dst, uint64(r.Requests))
+	dst = binary.AppendUvarint(dst, uint64(r.Bytes))
+	return trace.AppendFileRuns(dst, r.Files)
 }
 
 func appendError(dst []byte, code int, msg string) []byte {
@@ -250,68 +246,52 @@ func appendError(dst []byte, code int, msg string) []byte {
 	return append(dst, msg...)
 }
 
-// --- reply types and decoders (client side) ---
+// --- messages: one Go type per reply, shared by both codecs ---
+//
+// The JSON tags are the HTTP surface's field names; the frame layout is in
+// the package comment. The advise messages are cache.AdviceRequest and
+// cache.Advice themselves.
 
-// ObserveReply mirrors the JSON ObserveResult: total jobs observed and the
-// current filecule count after the request was applied.
+// ObserveReply acknowledges an observe or a batch: total jobs observed and
+// the filecule count after the request was applied.
 type ObserveReply struct {
-	Observed  int64
-	Filecules int
+	Observed  int64 `json:"observed"`
+	Filecules int   `json:"filecules"`
 }
 
-// AdviceReply mirrors cache.Advice.
-type AdviceReply struct {
-	Hits         []cache.UnitID
-	Load         []LoadReply
-	Evict        []cache.UnitID
-	Bypassed     []trace.FileID
-	BytesToLoad  int64
-	BytesToEvict int64
-}
+// AdviceReply is the advise response.
+type AdviceReply = cache.Advice
 
-// LoadReply is one unit to fetch.
-type LoadReply struct {
-	Unit  cache.UnitID
-	Files []trace.FileID
-	Bytes int64
-}
-
-// PartitionReply is the decoded 'p' response.
+// PartitionReply is the full canonical partition; row i has ID i.
 type PartitionReply struct {
-	Observed  int64
-	Filecules []FeculeReply
+	Observed  int64                 `json:"observed"`
+	Filecules []FileculeLookupReply `json:"filecules"`
 }
 
-// FeculeReply is one filecule row; its ID is its index in the reply.
-type FeculeReply struct {
-	Files    []trace.FileID
-	Requests int
-	Bytes    int64
-}
-
-// SummaryReply mirrors the JSON SummaryBody: partition shape statistics.
+// SummaryReply is the partition's shape statistics.
 type SummaryReply struct {
-	Observed          int64
-	Filecules         int
-	Files             int
-	Monatomic         int
-	MeanFilesPerGroup float64
-	LargestFiles      int
-	CoveredBytes      int64
+	Observed          int64   `json:"observed"`
+	Filecules         int     `json:"filecules"`
+	Files             int     `json:"files"`
+	Monatomic         int     `json:"monatomic"`
+	MeanFilesPerGroup float64 `json:"meanFilesPerFilecule"`
+	LargestFiles      int     `json:"largestFilecule"`
+	CoveredBytes      int64   `json:"coveredBytes,omitempty"`
 }
 
-// FileculeLookupReply is the decoded 'f' response: the filecule containing
-// one looked-up file, with its canonical ID.
+// FileculeLookupReply is one filecule with its canonical ID: the answer to a
+// per-file lookup, and one row of a PartitionReply.
 type FileculeLookupReply struct {
-	ID       int
-	Files    []trace.FileID
-	Requests int
-	Bytes    int64
+	ID       int            `json:"id"`
+	Files    []trace.FileID `json:"files"`
+	Requests int            `json:"requests"`
+	Bytes    int64          `json:"bytes,omitempty"`
 }
 
-// RemoteError is an 'e' response surfaced to the client caller. The
-// connection stays usable after a RemoteError (per-request failure); every
-// other receive error poisons the client.
+// RemoteError is a request the Service or a decoder refused: Code is the
+// HTTP status, and an 'e' response carries both fields. A client's connection
+// stays usable after one (per-request failure); every other receive error
+// poisons the client.
 type RemoteError struct {
 	Code int
 	Msg  string
@@ -334,14 +314,14 @@ func decodeAdviceReply(pl *trace.Payload) (*AdviceReply, error) {
 		r.Hits = append(r.Hits, cache.UnitID(pl.Uvarint()))
 	}
 	for n := pl.Count("load unit"); n > 0 && pl.Err() == nil; n-- {
-		lu := LoadReply{Unit: cache.UnitID(pl.Uvarint()), Bytes: int64(pl.Uvarint())}
-		lu.Files = pl.FileRuns(nil, maxAnyFileID, DefaultMaxJobFiles)
+		lu := cache.LoadUnit{Unit: cache.UnitID(pl.Uvarint()), Bytes: int64(pl.Uvarint())}
+		lu.Files = pl.FileRuns(nil, maxAnyFileID, maxJobFiles)
 		r.Load = append(r.Load, lu)
 	}
 	for n := pl.Count("evict"); n > 0 && pl.Err() == nil; n-- {
 		r.Evict = append(r.Evict, cache.UnitID(pl.Uvarint()))
 	}
-	r.Bypassed = pl.FileRuns(nil, maxAnyFileID, DefaultMaxJobFiles)
+	r.Bypassed = pl.FileRuns(nil, maxAnyFileID, maxJobFiles)
 	r.BytesToLoad = int64(pl.Uvarint())
 	r.BytesToEvict = int64(pl.Uvarint())
 	return r, replyErr(pl, "advice")
@@ -351,7 +331,7 @@ func decodePartitionReply(pl *trace.Payload) (*PartitionReply, error) {
 	r := &PartitionReply{Observed: int64(pl.Uvarint())}
 	n := pl.Count("filecule")
 	for i := 0; i < n && pl.Err() == nil; i++ {
-		fc := FeculeReply{Requests: int(pl.Uvarint()), Bytes: int64(pl.Uvarint())}
+		fc := FileculeLookupReply{ID: i, Requests: int(pl.Uvarint()), Bytes: int64(pl.Uvarint())}
 		fc.Files = pl.FileRuns(nil, maxAnyFileID, maxAnyFileID)
 		r.Filecules = append(r.Filecules, fc)
 	}

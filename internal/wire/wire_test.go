@@ -17,73 +17,25 @@ import (
 	"filecule/internal/trace"
 )
 
-// memBackend is a self-contained Backend over an engine and a fixed catalog,
-// mirroring the adapter internal/server builds over its own stack.
-type memBackend struct {
-	mon *core.Engine
-	cat *trace.Trace // nil disables advice and byte sizing
-
-	mu      sync.Mutex
-	granFor *core.Partition
-	gran    cache.Granularity
-
-	observeErr error // injected failure for the 500 path
-}
-
-func newMemBackend(nFiles int, size int64) *memBackend {
-	files := make([]trace.File, nFiles)
-	for i := range files {
-		files[i] = trace.File{ID: trace.FileID(i), Name: fmt.Sprintf("f%d", i), Size: size}
+// newTestServer returns a frame server over a fresh engine and a catalog of
+// nFiles files of size bytes each; nFiles 0 means no catalog.
+func newTestServer(nFiles int, size int64) *Server {
+	svc := &Service{Engine: core.NewEngine(0)}
+	if nFiles > 0 {
+		files := make([]trace.File, nFiles)
+		for i := range files {
+			files[i] = trace.File{ID: trace.FileID(i), Name: fmt.Sprintf("f%d", i), Size: size}
+		}
+		svc.Catalog = &trace.Trace{Files: files}
 	}
-	return &memBackend{mon: core.NewEngine(0), cat: &trace.Trace{Files: files}}
+	return NewServer(svc)
 }
 
-func (b *memBackend) Observe(files []trace.FileID) error {
-	if b.observeErr != nil {
-		return b.observeErr
-	}
-	b.mon.Observe(files)
-	return nil
-}
+// failingJournal refuses every observe: the 500 path.
+type failingJournal struct{ err error }
 
-func (b *memBackend) ObserveBatch(jobs [][]trace.FileID) error {
-	if b.observeErr != nil {
-		return b.observeErr
-	}
-	b.mon.ObserveBatch(jobs)
-	return nil
-}
-
-func (b *memBackend) Counts() (int64, int) {
-	return b.mon.Observed(), b.mon.NumFilecules()
-}
-
-func (b *memBackend) Granularity() (cache.Granularity, error) {
-	if b.cat == nil {
-		return nil, fmt.Errorf("no catalog")
-	}
-	p := b.mon.Snapshot()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.granFor != p {
-		b.gran = cache.NewFileculeGranularity(b.cat, p)
-		b.granFor = p
-	}
-	return b.gran, nil
-}
-
-func (b *memBackend) PartitionState() (*core.Partition, int64, *trace.Trace) {
-	return b.mon.Snapshot(), b.mon.Observed(), b.cat
-}
-
-func (b *memBackend) Membership() (*core.Partition, int64, *trace.Trace) {
-	return b.mon.Membership(), b.mon.Observed(), b.cat
-}
-
-func (b *memBackend) Lookup(f trace.FileID) (*core.Partition, core.Filecule, *trace.Trace, bool) {
-	p, fc, ok := b.mon.Lookup(f)
-	return p, fc, b.cat, ok
-}
+func (j failingJournal) Observe([]trace.FileID) error        { return j.err }
+func (j failingJournal) ObserveBatch([][]trace.FileID) error { return j.err }
 
 // runStream feeds raw post-magic request bytes through serveStream and
 // returns the raw response bytes and the stream error.
@@ -119,7 +71,7 @@ func chunk(t *testing.T, payload []byte) []byte {
 }
 
 func TestObserveRoundTrip(t *testing.T) {
-	s := &Server{Backend: newMemBackend(10, 100)}
+	s := newTestServer(10, 100)
 	var in []byte
 	in = append(in, chunk(t, AppendObserveRequest(nil, []trace.FileID{0, 1, 2}))...)
 	in = append(in, chunk(t, AppendObserveRequest(nil, []trace.FileID{0, 1, 2}))...)
@@ -152,8 +104,7 @@ func TestObserveRoundTrip(t *testing.T) {
 }
 
 func TestBatchAndPartitionRoundTrip(t *testing.T) {
-	b := newMemBackend(10, 100)
-	s := &Server{Backend: b}
+	s := newTestServer(10, 100)
 	var in []byte
 	in = append(in, chunk(t, AppendBatchRequest(nil, [][]trace.FileID{
 		{0, 1, 2}, {0, 1, 2}, {3},
@@ -189,9 +140,8 @@ func TestBatchAndPartitionRoundTrip(t *testing.T) {
 }
 
 func TestAdviseMatchesDirectPlanner(t *testing.T) {
-	b := newMemBackend(8, 50)
-	s := &Server{Backend: b}
-	b.mon.ObserveBatch([][]trace.FileID{{0, 1}, {0, 1}, {2, 3}})
+	s := newTestServer(8, 50)
+	s.Engine.ObserveBatch([][]trace.FileID{{0, 1}, {0, 1}, {2, 3}})
 
 	req := cache.AdviceRequest{
 		Capacity: 150,
@@ -212,9 +162,9 @@ func TestAdviseMatchesDirectPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	g, err := b.Granularity()
-	if err != nil {
-		t.Fatalf("granularity: %v", err)
+	g, rerr := s.Granularity()
+	if rerr != nil {
+		t.Fatalf("granularity: %v", rerr)
 	}
 	want, err := cache.Advise(g, req)
 	if err != nil {
@@ -233,7 +183,7 @@ func TestAdviseMatchesDirectPlanner(t *testing.T) {
 }
 
 func TestMalformedPayloadKeepsConnection(t *testing.T) {
-	s := &Server{Backend: newMemBackend(4, 10)}
+	s := newTestServer(4, 10)
 	var in []byte
 	in = append(in, chunk(t, []byte{KindObserve, 0xff})...) // truncated varint
 	in = append(in, chunk(t, AppendObserveRequest(nil, []trace.FileID{1}))...)
@@ -255,27 +205,85 @@ func TestMalformedPayloadKeepsConnection(t *testing.T) {
 	}
 }
 
-func TestFileIDOutOfCatalogRejected(t *testing.T) {
-	s := &Server{Backend: newMemBackend(4, 10), MaxFiles: 4}
-	raw, err := runStream(t, s, chunk(t, AppendObserveRequest(nil, []trace.FileID{7})))
+// answer runs one request frame through s and returns the response kind and,
+// for an 'e' response, the error.
+func answer(t *testing.T, s *Server, payload []byte) (byte, *RemoteError) {
+	t.Helper()
+	raw, err := runStream(t, s, chunk(t, payload))
 	if err != nil {
 		t.Fatalf("serveStream: %v", err)
 	}
 	kinds, payloads := frames(t, raw)
-	if len(kinds) != 1 || kinds[0] != KindError {
-		t.Fatalf("frames = %q, want \"e\"", kinds)
+	if len(kinds) != 1 {
+		t.Fatalf("got %d frames, want 1", len(kinds))
 	}
-	re := decodeError(trace.NewPayload(payloads[0])).(*RemoteError)
-	if re.Code != CodeBadRequest {
-		t.Errorf("code = %d, want 400", re.Code)
+	if kinds[0] != KindError {
+		return kinds[0], nil
 	}
-	if got, _ := s.Backend.Counts(); got != 0 {
+	return KindError, decodeError(trace.NewPayload(payloads[0])).(*RemoteError)
+}
+
+func TestFileIDOutOfCatalogRejected(t *testing.T) {
+	s := newTestServer(4, 10)
+	if _, re := answer(t, s, AppendObserveRequest(nil, []trace.FileID{7})); re == nil || re.Code != CodeBadRequest {
+		t.Errorf("observe of file 7 in a 4-file catalog: %+v, want 400", re)
+	}
+	if got := s.Engine.Observed(); got != 0 {
 		t.Errorf("observed = %d after rejected job, want 0", got)
+	}
+
+	// A frame carries a lookup's file ID as a uvarint, so it can name any
+	// 64-bit value; those of 2⁶³ and up go negative as int64 and, narrowed to
+	// a FileID, alias small IDs (1<<63|1 is file 1). With or without a
+	// catalog the answer is 400, never the aliased file's filecule.
+	uvarint := func(kind byte, vs ...uint64) []byte {
+		p := []byte{kind}
+		for _, v := range vs {
+			p = binary.AppendUvarint(p, v)
+		}
+		return p
+	}
+	for _, srv := range []*Server{newTestServer(4, 10), newTestServer(0, 0)} {
+		srv.Engine.Observe([]trace.FileID{0, 1})
+		for _, id := range []uint64{4 << 30, 1 << 63, 1<<63 | 1, 1<<63 | 0xFFFFFFFF, 1<<64 - 1} {
+			if kind, re := answer(t, srv, uvarint(KindFilecule, id)); re == nil || re.Code != CodeBadRequest {
+				t.Errorf("catalog %v: lookup of file %#x: answered %q %+v, want 'e' 400", srv.Catalog != nil, id, kind, re)
+			}
+		}
+		if kind, _ := answer(t, srv, uvarint(KindFilecule, 1)); kind != KindFileculeResult {
+			t.Errorf("catalog %v: lookup of file 1: answered %q, want 'f'", srv.Catalog != nil, kind)
+		}
+	}
+
+	// The request side's other two unsigned-to-signed narrowings, both in
+	// 'A': a capacity of 2⁶³ or more arrives negative and is refused as
+	// non-positive; a resident unit that large arrives as a negative unit ID,
+	// which names no unit. Each is a 400 from the planner.
+	s.Engine.Observe([]trace.FileID{0, 1})
+	advise := func(capacity, unit uint64) []byte {
+		// capacity, one file run {0}, one resident unit with lastAccess 0
+		return append(uvarint(KindAdvise, capacity, 1, 0, 1, 1, unit), 0)
+	}
+	if kind, _ := answer(t, s, advise(100, 0)); kind != KindAdviceResult {
+		t.Fatalf("well-formed advise answered %q, want 'a'", kind)
+	}
+	for _, c := range []struct {
+		capacity, unit uint64
+		want           string
+	}{
+		{1 << 63, 0, "must be > 0"},
+		{1<<64 - 1, 0, "must be > 0"},
+		{100, 1 << 63, "unknown resident unit"},
+		{100, 1<<64 - 1, "unknown resident unit"},
+	} {
+		if _, re := answer(t, s, advise(c.capacity, c.unit)); re == nil || re.Code != CodeBadRequest || !strings.Contains(re.Msg, c.want) {
+			t.Errorf("advise capacity %#x unit %#x: %+v, want 400 %q", c.capacity, c.unit, re, c.want)
+		}
 	}
 }
 
 func TestBrokenFramingClosesWithFinalError(t *testing.T) {
-	s := &Server{Backend: newMemBackend(4, 10)}
+	s := newTestServer(4, 10)
 	good := chunk(t, AppendObserveRequest(nil, []trace.FileID{1}))
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)-1] ^= 0xff // flip a CRC byte
@@ -295,18 +303,11 @@ func TestBrokenFramingClosesWithFinalError(t *testing.T) {
 }
 
 func TestBatchOverLimitRejected(t *testing.T) {
-	s := &Server{Backend: newMemBackend(4, 10), MaxBatchJobs: 2}
+	s := newTestServer(4, 10)
+	s.lim.batchJobs = 2
 	jobs := [][]trace.FileID{{0}, {1}, {2}}
-	raw, err := runStream(t, s, chunk(t, AppendBatchRequest(nil, jobs)))
-	if err != nil {
-		t.Fatalf("serveStream: %v", err)
-	}
-	kinds, payloads := frames(t, raw)
-	if len(kinds) != 1 || kinds[0] != KindError {
-		t.Fatalf("frames = %q, want \"e\"", kinds)
-	}
-	re := decodeError(trace.NewPayload(payloads[0])).(*RemoteError)
-	if re.Code != CodeBadRequest || !strings.Contains(re.Msg, "exceeds limit 2") {
+	_, re := answer(t, s, AppendBatchRequest(nil, jobs))
+	if re == nil || re.Code != CodeBadRequest || !strings.Contains(re.Msg, "exceeds limit 2") {
 		t.Errorf("error = %+v, want batch-limit rejection", re)
 	}
 }
@@ -315,36 +316,23 @@ func TestBatchOverLimitRejected(t *testing.T) {
 // per-job cap alone would let run-length encoding expand a tiny 'B' frame
 // to jobs × jobFiles IDs, so the total across all jobs must also be capped.
 func TestBatchTotalExpansionCapped(t *testing.T) {
-	s := &Server{Backend: newMemBackend(64, 10), MaxBatchFiles: 10}
+	s := newTestServer(64, 10)
+	s.lim.batchFiles = 10
 
 	// 12 total files over three jobs: exceeds the batch cap even though
 	// each job is well under the per-job cap.
 	over := [][]trace.FileID{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}, {10, 11}}
-	raw, err := runStream(t, s, chunk(t, AppendBatchRequest(nil, over)))
-	if err != nil {
-		t.Fatalf("serveStream: %v", err)
+	if _, re := answer(t, s, AppendBatchRequest(nil, over)); re == nil || re.Code != CodeBadRequest {
+		t.Errorf("error = %+v, want 400", re)
 	}
-	kinds, payloads := frames(t, raw)
-	if len(kinds) != 1 || kinds[0] != KindError {
-		t.Fatalf("frames = %q, want \"e\"", kinds)
-	}
-	re := decodeError(trace.NewPayload(payloads[0])).(*RemoteError)
-	if re.Code != CodeBadRequest {
-		t.Errorf("code = %d, want 400", re.Code)
-	}
-	if got, _ := s.Backend.Counts(); got != 0 {
+	if got := s.Engine.Observed(); got != 0 {
 		t.Errorf("observed = %d after rejected batch, want 0", got)
 	}
 
 	// Exactly at the cap is fine.
 	at := [][]trace.FileID{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}
-	raw, err = runStream(t, s, chunk(t, AppendBatchRequest(nil, at)))
-	if err != nil {
-		t.Fatalf("serveStream: %v", err)
-	}
-	kinds, _ = frames(t, raw)
-	if len(kinds) != 1 || kinds[0] != KindObserveResult {
-		t.Fatalf("frames = %q, want \"o\" for a batch at the cap", kinds)
+	if kind, _ := answer(t, s, AppendBatchRequest(nil, at)); kind != KindObserveResult {
+		t.Fatalf("answered %q, want 'o' for a batch at the cap", kind)
 	}
 }
 
@@ -353,7 +341,8 @@ func TestBatchTotalExpansionCapped(t *testing.T) {
 // form would be jobs × maxJobFiles IDs. It must be answered 400 without the
 // server materializing more than the batch budget.
 func TestBatchAmplificationFrameRejected(t *testing.T) {
-	s := &Server{Backend: newMemBackend(0, 10), MaxJobFiles: 1 << 10, MaxBatchFiles: 1 << 12}
+	s := newTestServer(0, 0)
+	s.lim.jobFiles, s.lim.batchFiles = 1<<10, 1<<12
 	jobs := 100
 	payload := []byte{KindObserveBatch}
 	payload = binary.AppendUvarint(payload, uint64(jobs))
@@ -362,32 +351,19 @@ func TestBatchAmplificationFrameRejected(t *testing.T) {
 		payload = binary.AppendVarint(payload, 0)              // start delta 0
 		payload = binary.AppendUvarint(payload, uint64(1<<10)) // max-length run
 	}
-	raw, err := runStream(t, s, chunk(t, payload))
-	if err != nil {
-		t.Fatalf("serveStream: %v", err)
-	}
-	kinds, payloads := frames(t, raw)
-	if len(kinds) != 1 || kinds[0] != KindError {
-		t.Fatalf("frames = %q, want \"e\"", kinds)
-	}
-	re := decodeError(trace.NewPayload(payloads[0])).(*RemoteError)
-	if re.Code != CodeBadRequest || !strings.Contains(re.Msg, "byte offset") {
+	_, re := answer(t, s, payload)
+	if re == nil || re.Code != CodeBadRequest || !strings.Contains(re.Msg, "byte offset") {
 		t.Errorf("error = %+v, want 400 naming the byte offset", re)
 	}
-	if got, _ := s.Backend.Counts(); got != 0 {
+	if got := s.Engine.Observed(); got != 0 {
 		t.Errorf("observed = %d after rejected batch, want 0", got)
 	}
 }
 
 func TestUnknownKindRejected(t *testing.T) {
-	s := &Server{Backend: newMemBackend(4, 10)}
-	raw, err := runStream(t, s, chunk(t, []byte{'Z'}))
-	if err != nil {
-		t.Fatalf("serveStream: %v", err)
-	}
-	kinds, _ := frames(t, raw)
-	if len(kinds) != 1 || kinds[0] != KindError {
-		t.Fatalf("frames = %q, want \"e\"", kinds)
+	s := newTestServer(4, 10)
+	if kind, _ := answer(t, s, []byte{'Z'}); kind != KindError {
+		t.Fatalf("answered %q, want 'e'", kind)
 	}
 }
 
@@ -395,7 +371,7 @@ func TestUnknownKindRejected(t *testing.T) {
 // observe path: once a connection's pools are warm and the engine has seen
 // the job shape, handling an 'O' frame allocates nothing.
 func TestObserveHandleAllocs(t *testing.T) {
-	s := &Server{Backend: newMemBackend(64, 10)}
+	s := newTestServer(64, 10)
 	payload := AppendObserveRequest(nil, []trace.FileID{3, 4, 5, 6, 7})
 	st := &connState{}
 	// Warm: first calls grow pools and create the engine's blocks.
@@ -413,8 +389,7 @@ func TestObserveHandleAllocs(t *testing.T) {
 }
 
 func TestClientServerOverTCP(t *testing.T) {
-	b := newMemBackend(16, 25)
-	s := &Server{Backend: b, MaxFiles: 16}
+	s := newTestServer(16, 25)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -487,7 +462,7 @@ func TestClientServerOverTCP(t *testing.T) {
 }
 
 func TestBadMagicAnswersError(t *testing.T) {
-	s := &Server{Backend: newMemBackend(4, 10)}
+	s := newTestServer(4, 10)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -558,7 +533,7 @@ func TestShutdownClosesConnAcceptedDuringCancel(t *testing.T) {
 	server, client := net.Pipe()
 	defer client.Close()
 	l := &lateConnListener{conn: server, closed: make(chan struct{})}
-	s := &Server{Backend: newMemBackend(4, 10)} // default 120s idle timeout
+	s := newTestServer(4, 10) // default 120s idle timeout
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ctx, l) }()
@@ -614,19 +589,10 @@ func TestAdviceReplyDecodeStopsOnStickyError(t *testing.T) {
 }
 
 func TestObserveBackendErrorAnswers500(t *testing.T) {
-	b := newMemBackend(4, 10)
-	b.observeErr = fmt.Errorf("disk full")
-	s := &Server{Backend: b}
-	raw, err := runStream(t, s, chunk(t, AppendObserveRequest(nil, []trace.FileID{0})))
-	if err != nil {
-		t.Fatalf("serveStream: %v", err)
-	}
-	kinds, payloads := frames(t, raw)
-	if len(kinds) != 1 || kinds[0] != KindError {
-		t.Fatalf("frames = %q, want \"e\"", kinds)
-	}
-	re := decodeError(trace.NewPayload(payloads[0])).(*RemoteError)
-	if re.Code != CodeInternal || !strings.Contains(re.Msg, "disk full") {
+	s := newTestServer(4, 10)
+	s.Journal = failingJournal{fmt.Errorf("disk full")}
+	_, re := answer(t, s, AppendObserveRequest(nil, []trace.FileID{0}))
+	if re == nil || re.Code != CodeInternal || !strings.Contains(re.Msg, "disk full") {
 		t.Errorf("error = %+v, want 500 carrying the cause", re)
 	}
 }
