@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"filecule/internal/durable"
 )
 
 // buildCmds compiles every command once into a shared temp dir and returns
@@ -236,10 +238,10 @@ func TestDurableExitCodes(t *testing.T) {
 	}
 
 	// A durable selftest initializes the state directory, restarts from it
-	// mid-trace, and must pass.
+	// mid-trace, and must pass. Small segments, so each epoch's WAL is a chain.
 	stateDir := filepath.Join(t.TempDir(), "state")
 	if got, out := exitCode(t, serve,
-		append([]string{"-selftest", "-state-dir", stateDir, "-wal-sync", "commit"}, tiny...)...); got != 0 {
+		append([]string{"-selftest", "-state-dir", stateDir, "-wal-sync", "commit", "-wal-segment-bytes", "4096"}, tiny...)...); got != 0 {
 		t.Fatalf("durable selftest: exit %d\n%s", got, out)
 	}
 
@@ -253,9 +255,57 @@ func TestDurableExitCodes(t *testing.T) {
 		t.Errorf("dump -groups: exit %d, per-group lines missing\n%s", got, out)
 	}
 
+	// A newest segment whose header parses but does not continue the chain
+	// (here: the segment before it cut back to its header) is corruption, not
+	// a crash artifact: the dump and the server both exit 1 and name it, and
+	// the server leaves it as it was.
+	badBase := t.TempDir()
+	ents, err := os.ReadDir(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(stateDir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(badBase, ent.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := durable.Inspect(badBase)
+	if err != nil || len(rep.Segments) < 2 || rep.Segments[len(rep.Segments)-1].Seg == 0 {
+		t.Fatalf("selftest left no segment chain in the newest epoch to damage: %+v, %v", rep, err)
+	}
+	newest, before := rep.Segments[len(rep.Segments)-1], rep.Segments[len(rep.Segments)-2]
+	raw, err := os.ReadFile(before.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const walMagicLen = len("filecule-wal/v1\n")
+	if err := os.Truncate(before.Path, int64(walMagicLen+1+int(raw[walMagicLen])+4)); err != nil { // magic, then the header's frame: length byte, payload, CRC
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		bin  string
+		args []string
+	}{
+		{"dump of a chain with a bad base", state, []string{"dump", "-dir", badBase}},
+		{"serve on a chain with a bad base", serve, append([]string{"-selftest", "-state-dir", badBase}, tiny...)},
+	} {
+		got, out := exitCode(t, tc.bin, tc.args...)
+		if got != 1 || !strings.Contains(out, filepath.Base(newest.Path)) || !strings.Contains(out, "does not chain") {
+			t.Errorf("%s: exit %d, want 1 and %s named as not chaining\noutput:\n%s", tc.name, got, filepath.Base(newest.Path), out)
+		}
+	}
+	if fi, err := os.Stat(newest.Path); err != nil || fi.Size() != newest.Bytes {
+		t.Errorf("the refused server changed %s: %v bytes, was %d (%v)", newest.Path, fi, newest.Bytes, err)
+	}
+
 	// Corrupt every checkpoint and remove the WALs: startup must refuse to
 	// serve and say where the corruption is.
-	ents, err := os.ReadDir(stateDir)
+	ents, err = os.ReadDir(stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}

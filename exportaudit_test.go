@@ -53,14 +53,6 @@ var testOnlyExports = map[string]string{
 	"PaperHotFileculeSites": "paper constant",
 	"PaperHotFileculeUsers": "paper constant",
 	"PaperJobsWithFileInfo": "paper constant",
-
-	// Used by their own unit tests only: still to delete, each with those
-	// tests. PRs 21 and 22 took the deletions that cost the fewest tests per
-	// line.
-	"Bars":               "report: 2 tests",
-	"NewECDF":            "stats.ECDF, with Points: 2 tests",
-	"Points":             "stats.ECDF",
-	"NewLinearHistogram": "stats: 2 tests",
 }
 
 // neverSetFields are the exported struct fields under internal/ that no
@@ -83,7 +75,6 @@ var neverSetFields = map[string]string{
 	"UploadSlots":   "swarm.ChunkScenario, with DownloadSlots: the unchoke-slot tests set 1 and 4",
 	"DownloadSlots": "swarm.ChunkScenario",
 	"SeedAfterDone": "swarm.Scenario and ChunkScenario: the altruistic-seeding tests turn it on",
-	"V":             "dist.Constant: still to delete with TestConstant; no shipped code pins a parameter with it",
 }
 
 func TestNoTestOnlyExports(t *testing.T) {

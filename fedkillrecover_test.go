@@ -5,7 +5,9 @@
 // One site is SIGKILLed mid-replay; while it is down the survivor must
 // report degraded readiness (503) yet keep serving. The killed site then
 // restarts on the same port and state directory, recovers its durable
-// observe count, finishes its stream, and both sites must reconverge to a
+// observe count (the one durable.Inspect read off the killed site's directory,
+// which must show no corruption), finishes its stream, and both sites must
+// reconverge to a
 // merged partition byte-identical to single-node batch identification over
 // the whole trace. Run via `make kill-recover` (go test -race -tags slow
 // -run 'TestKillAndRecover|TestFedKillAndRecover' .).
@@ -132,12 +134,13 @@ func TestFedKillAndRecover(t *testing.T) {
 	// Site B rejoins from its durable state on the same port: the recovered
 	// count must cover every acknowledged observe, and the remainder of its
 	// stream resumes from exactly there.
+	predicted := inspectPredicted(t, stateB)
 	pB = startServeFed(t, bin, tracePath, stateB, addrB, "site-b", addrA)
 	defer pB.kill(t)
 	n := readObserved(t, client, pB.base)
-	if n < acked || n > acked+1 {
-		t.Fatalf("site-b recovered %d jobs, want between %d (acked) and %d\nstderr:\n%s",
-			n, acked, acked+1, pB.stderr.String())
+	if n < acked || n > acked+1 || n != predicted {
+		t.Fatalf("site-b recovered %d jobs, want between %d (acked) and %d and the %d the dump predicted\nstderr:\n%s",
+			n, acked, acked+1, predicted, pB.stderr.String())
 	}
 	for i := n; i < len(streams[1]); i++ {
 		if !postJob(client, pB.base, streams[1][i].Files) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"filecule/internal/trace"
@@ -22,6 +23,43 @@ type StateGroup struct {
 	Requests     int
 	Files        []trace.FileID // sorted ascending; aliases engine-owned immutable memory
 	Stamp        uint64         // engine version the group was materialized at; (sig, stamp) identifies the bytes
+}
+
+// AppendStateGroup encodes one group as the record the checkpoint's and the
+// federation delta's 'G' chunks carry: 16-byte little-endian signature,
+// uvarint request count, run-encoded member list. Stamp is not carried.
+func AppendStateGroup(dst []byte, g *StateGroup) []byte {
+	dst = trace.AppendUint64(dst, g.SigLo)
+	dst = trace.AppendUint64(dst, g.SigHi)
+	dst = binary.AppendUvarint(dst, uint64(g.Requests))
+	return trace.AppendFileRuns(dst, g.Files)
+}
+
+// ReadStateGroups decodes one 'G' chunk payload — a record count, then that
+// many AppendStateGroup records and nothing after them — appending to dst.
+// File IDs must lie in [0, maxID); *filesLeft is the number of member files
+// the stream may still declare and is decremented by what was read. A
+// malformed payload sets p's error; ordering, disjointness and distinct
+// signatures are ImportState's (or the federation receiver's) to check.
+func ReadStateGroups(p *trace.Payload, dst []StateGroup, maxID int64, filesLeft *int) []StateGroup {
+	n := p.Count("group")
+	for i := 0; i < n && p.Err() == nil; i++ {
+		g := StateGroup{SigLo: p.Uint64(), SigHi: p.Uint64(), Requests: int(p.Uvarint())}
+		g.Files = p.FileRuns(nil, maxID, *filesLeft)
+		if p.Err() != nil {
+			return dst
+		}
+		if g.Requests < 1 {
+			p.Fail("group %d request count %d < 1", i, g.Requests)
+			return dst
+		}
+		*filesLeft -= len(g.Files)
+		dst = append(dst, g)
+	}
+	if p.Err() == nil && p.Remaining() != 0 {
+		p.Fail("%d bytes after last group record", p.Remaining())
+	}
+	return dst
 }
 
 // EngineState is a consistent copy-on-write export of an Engine: no observe

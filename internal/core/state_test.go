@@ -133,3 +133,52 @@ func TestImportStateRejectsBadState(t *testing.T) {
 		t.Error("import on non-empty engine accepted")
 	}
 }
+
+// TestStateGroupCodec: the record the checkpoint and the federation delta
+// share round-trips, keeps the caller's file budget, and refuses a request
+// count below one, an over-budget member list and trailing bytes.
+func TestStateGroupCodec(t *testing.T) {
+	groups := []StateGroup{
+		{SigLo: 1, SigHi: 2, Requests: 3, Files: []trace.FileID{0, 1, 2, 9}},
+		{SigLo: 1 << 63, SigHi: 7, Requests: 1, Files: []trace.FileID{100000}},
+	}
+	encode := func(count int, gs ...StateGroup) []byte {
+		payload := []byte{'G', byte(count)}
+		for i := range gs {
+			payload = AppendStateGroup(payload, &gs[i])
+		}
+		return payload
+	}
+	decode := func(payload []byte, budget int) ([]StateGroup, int, error) {
+		p := trace.NewPayload(payload)
+		out := ReadStateGroups(p, nil, 1<<31, &budget)
+		return out, budget, p.Err()
+	}
+
+	got, left, err := decode(encode(2, groups...), 7)
+	if err != nil || left != 2 || len(got) != 2 {
+		t.Fatalf("decoded %d groups, %d files left, err %v; want 2, 2, nil", len(got), left, err)
+	}
+	for i := range groups {
+		if got[i].SigLo != groups[i].SigLo || got[i].SigHi != groups[i].SigHi || got[i].Requests != groups[i].Requests ||
+			len(got[i].Files) != len(groups[i].Files) {
+			t.Fatalf("group %d decoded to %+v, want %+v", i, got[i], groups[i])
+		}
+	}
+
+	zero := groups[0]
+	zero.Requests = 0
+	for name, tc := range map[string]struct {
+		payload []byte
+		budget  int
+	}{
+		"request count 0":   {encode(1, zero), 10},
+		"over file budget":  {encode(2, groups...), 4},
+		"trailing bytes":    {append(encode(1, groups[0]), 0), 10},
+		"count past record": {encode(3, groups...), 10},
+	} {
+		if _, _, err := decode(tc.payload, tc.budget); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -43,12 +43,6 @@ func LognormalFromMean(mean, sigma float64) Lognormal {
 	return NewLognormal(math.Log(mean)-sigma*sigma/2, sigma)
 }
 
-// Constant always returns V. Useful to pin a parameter in sweeps.
-type Constant struct{ V float64 }
-
-// Sample draws one variate.
-func (c Constant) Sample(*rand.Rand) float64 { return c.V }
-
 // Zipf draws ranks in [0, n) with P(k) proportional to 1/(k+1)^s. s may be
 // any non-negative value: above 1.001 it wraps math/rand's rejection-inversion
 // sampler (which requires s > 1); at or below, it inverts the continuous

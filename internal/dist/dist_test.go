@@ -132,13 +132,6 @@ func TestWeightedChoiceDistribution(t *testing.T) {
 	}
 }
 
-func TestConstant(t *testing.T) {
-	c := Constant{V: 7}
-	if c.Sample(rng()) != 7 {
-		t.Error("constant sampler not constant")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if ClampInt(3.6, 0, 10) != 4 {
 		t.Error("ClampInt rounds incorrectly")

@@ -17,9 +17,9 @@ import (
 //	"filecule-ckpt/v1\n"
 //	'H' header chunk: uvarint epoch, observed, next-gen, group count,
 //	                  total file count
-//	'G' group chunks: uvarint record count, then per group a 16-byte LE
-//	                  signature, uvarint request count, and the run-encoded
-//	                  sorted member file list
+//	'G' group chunks: uvarint record count, then one core.AppendStateGroup
+//	                  record per group (16-byte LE signature, uvarint
+//	                  request count, run-encoded sorted member file list)
 //	'E' end chunk:    uvarint group count (cross-check; its presence proves
 //	                  the file is complete)
 //
@@ -63,14 +63,6 @@ type ckptStats struct {
 	reused  int // groups whose encoded record came from the cache
 	bytes   int64
 	observe int64
-}
-
-// appendGroupRecord encodes one group record.
-func appendGroupRecord(dst []byte, g *core.StateGroup) []byte {
-	dst = trace.AppendUint64(dst, g.SigLo)
-	dst = trace.AppendUint64(dst, g.SigHi)
-	dst = binary.AppendUvarint(dst, uint64(g.Requests))
-	return trace.AppendFileRuns(dst, g.Files)
 }
 
 // writeCheckpoint writes dir/checkpoint-<epoch> atomically. cache holds the
@@ -134,7 +126,7 @@ func writeCheckpoint(dir string, epoch uint64, st *core.EngineState, cache map[g
 		if ok {
 			stats.reused++
 		} else {
-			rec = appendGroupRecord(nil, g)
+			rec = core.AppendStateGroup(nil, g)
 		}
 		next[key] = rec
 		pending = append(pending, rec)
@@ -185,10 +177,26 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// readCheckpoint decodes and structurally validates dir/checkpoint-<epoch>.
-// Any malformation — bad magic, torn or corrupt chunk, count mismatch,
-// missing end chunk — is an error; checkpoints are atomic, so there is no
-// tail to salvage.
+// loadCheckpoint reads dir/checkpoint-<epoch> and imports it into a fresh
+// engine — the whole validation a checkpoint gets, for recovery and for the
+// dump alike. A checkpoint that fails it is skipped, never repaired.
+func loadCheckpoint(dir string, epoch uint64) (*core.Engine, *core.EngineState, error) {
+	path := ckptPath(dir, epoch)
+	st, err := readCheckpoint(path, epoch)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng := core.NewEngine(0)
+	if err := eng.ImportState(st); err != nil {
+		return nil, nil, fmt.Errorf("durable: %s: %w", path, err)
+	}
+	return eng, st, nil
+}
+
+// readCheckpoint decodes dir/checkpoint-<epoch> and checks its framing,
+// counts and bounds. Any malformation — bad magic, torn or corrupt chunk,
+// count mismatch, missing end chunk — is an error; checkpoints are atomic, so
+// there is no tail to salvage.
 func readCheckpoint(path string, wantEpoch uint64) (*core.EngineState, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -215,23 +223,10 @@ type ckptState struct {
 // (strictly sorted member lists, disjoint groups, distinct signatures) is
 // ImportState's job; this layer enforces the framing, counts and bounds.
 func decodeCheckpoint(r io.Reader) (*ckptState, error) {
-	var magic [len(ckptMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("bad magic: %w", err)
-	}
-	if string(magic[:]) != ckptMagic {
-		return nil, fmt.Errorf("bad magic %q", magic[:])
-	}
-	cr := trace.NewChunkReader(r)
-
-	kind, payload, err := cr.ReadChunk()
+	cr, p, err := trace.OpenChunks(r, ckptMagic, ckptKindHeader)
 	if err != nil {
 		return nil, err
 	}
-	if kind != ckptKindHeader {
-		return nil, fmt.Errorf("first chunk kind %q, want header", kind)
-	}
-	p := trace.NewPayload(payload)
 	epoch := p.Uvarint()
 	observed := p.Uvarint()
 	nextGen := p.Uvarint()
@@ -241,7 +236,7 @@ func decodeCheckpoint(r io.Reader) (*ckptState, error) {
 		p.Fail("%d bytes after header fields", p.Remaining())
 	}
 	if p.Err() != nil {
-		return nil, &trace.ChunkError{Kind: kind, Err: fmt.Errorf("malformed header: %v", p.Err())}
+		return nil, &trace.ChunkError{Kind: ckptKindHeader, Err: fmt.Errorf("malformed header: %v", p.Err())}
 	}
 	if observed > 1<<62 {
 		return nil, fmt.Errorf("header observed count %d out of range", observed)
@@ -274,23 +269,7 @@ func decodeCheckpoint(r io.Reader) (*ckptState, error) {
 		switch kind {
 		case ckptKindGroups:
 			p := trace.NewPayload(payload)
-			n := p.Count("group")
-			for i := 0; i < n && p.Err() == nil; i++ {
-				g := core.StateGroup{
-					SigLo:    p.Uint64(),
-					SigHi:    p.Uint64(),
-					Requests: int(p.Uvarint()),
-				}
-				g.Files = p.FileRuns(nil, maxWireFileID, filesLeft)
-				if p.Err() != nil {
-					break
-				}
-				filesLeft -= len(g.Files)
-				st.Groups = append(st.Groups, g)
-			}
-			if p.Err() == nil && p.Remaining() != 0 {
-				p.Fail("%d bytes after last group record", p.Remaining())
-			}
+			st.Groups = core.ReadStateGroups(p, st.Groups, maxWireFileID, &filesLeft)
 			if p.Err() != nil {
 				return nil, &trace.ChunkError{Offset: boundary, Kind: kind, Err: p.Err()}
 			}

@@ -22,6 +22,8 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -131,9 +133,14 @@ func Open(opts Options) (*Engine, error) {
 	}
 	d := &Engine{dir: opts.Dir, logf: logf}
 
-	ckpts, wals, err := scanStateDir(opts.Dir)
+	ckpts, wals, tmps, err := scanStateDir(opts.Dir)
 	if err != nil {
 		return nil, err
+	}
+	for _, name := range tmps { // an interrupted checkpoint write
+		if err := os.Remove(filepath.Join(opts.Dir, name)); err != nil {
+			return nil, fmt.Errorf("durable: %w", err)
+		}
 	}
 	if len(ckpts) == 0 && len(wals) > 0 {
 		return nil, fmt.Errorf("durable: %s holds WAL files but no checkpoint", opts.Dir)
@@ -168,149 +175,188 @@ func Open(opts Options) (*Engine, error) {
 	return d, nil
 }
 
-// recover rebuilds the engine from the newest usable checkpoint plus WAL
-// chain and leaves d.wal appending to the newest WAL segment.
+// recover rebuilds the engine from the newest usable checkpoint plus its WAL
+// chain and leaves d.wal appending to the newest segment. The chain walk is
+// replayChain, shared with Inspect; what it cannot call a crash artifact
+// aborts recovery with every checkpoint and segment left as it was.
 func (d *Engine) recover(opts Options, ckpts []uint64, wals map[uint64][]int) error {
-	maxWal := uint64(0)
-	for e := range wals {
-		if e > maxWal {
-			maxWal = e
-		}
-	}
-
 	var lastErr error
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		c := ckpts[i]
-		// The WAL chain c..maxWal must be contiguous on disk — every epoch
-		// present, every epoch's segments gap-free from 0. A directory with
-		// no WAL at or above c is tolerated (wal-c is recreated): the
-		// checkpoint alone is the state.
-		top := c
-		chainOK := true
-		if maxWal >= c {
-			top = maxWal
-			for k := c; k <= maxWal; k++ {
-				if !contiguousSegs(wals[k]) {
-					chainOK = false
-					break
-				}
-			}
+		var eng *core.Engine
+		var st *core.EngineState
+		err := chainGap(wals, c)
+		if err == nil {
+			eng, st, err = loadCheckpoint(d.dir, c)
 		}
-		if !chainOK {
-			lastErr = fmt.Errorf("durable: checkpoint-%d has no contiguous WAL chain to wal-%d", c, top)
-			d.logf("durable: skipping checkpoint-%d: broken WAL chain", c)
-			d.recovery.SkippedCheckpoints++
-			continue
-		}
-
-		st, err := readCheckpoint(ckptPath(d.dir, c), c)
 		if err != nil {
 			lastErr = err
-			d.logf("durable: skipping unreadable checkpoint-%d: %v", c, err)
-			d.recovery.SkippedCheckpoints++
-			continue
-		}
-		eng := core.NewEngine(0)
-		if err := eng.ImportState(st); err != nil {
-			lastErr = fmt.Errorf("durable: %s: %w", ckptPath(d.dir, c), err)
-			d.logf("durable: skipping invalid checkpoint-%d: %v", c, err)
+			d.logf("durable: skipping checkpoint-%d: %v", c, err)
 			d.recovery.SkippedCheckpoints++
 			continue
 		}
 		d.recovery.CheckpointEpoch = c
 		d.recovery.CheckpointObserved = st.Observed
 
-		// Replay the chain segment by segment. Errors anywhere below the
-		// newest segment are fatal: those files were synced and closed
-		// before their successor existed, so damage there is corruption,
-		// not a crash tail.
-		epochBase := eng.Observed() // base of epoch top, set when we reach it
-		recreateSeg := -1           // newest segment to recreate, if its header never landed
-		for k := c; k <= top; k++ {
-			segs := wals[k]
-			if k == top {
-				epochBase = eng.Observed()
-			}
-			if len(segs) == 0 {
-				break // tolerated only for the newest epoch (recreated below)
-			}
-			for si, s := range segs {
-				path := walSegPath(d.dir, k, s)
-				last := k == top && si == len(segs)-1
-				jobs, validTo, err := walReplay(path, k, eng.Observed(), eng.Observe)
-				d.recovery.ReplayedJobs += jobs
-				if err == nil {
-					continue
-				}
-				if !last {
-					return fmt.Errorf("durable: %s is damaged below the newest segment: %w",
-						filepath.Base(path), err)
-				}
-				if validTo <= int64(len(walMagic)) {
-					// Header never became durable: recreate the segment below.
-					d.logf("durable: %s: unusable header (%v); recreating", path, err)
-					recreateSeg = s
-					break
-				}
-				fi, statErr := os.Stat(path)
-				if statErr != nil {
-					return fmt.Errorf("durable: %w", statErr)
-				}
-				d.recovery.TruncatedBytes = fi.Size() - validTo
-				d.logf("durable: %s: truncating torn tail: %v (dropping %d bytes past offset %d)",
-					path, err, d.recovery.TruncatedBytes, validTo)
-				if err := os.Truncate(path, validTo); err != nil {
-					return fmt.Errorf("durable: truncate %s: %w", path, err)
-				}
-			}
+		segs, problems := replayChain(d.dir, wals, c, st.Observed, eng.Observe)
+		if len(problems) > 0 {
+			return problems[0]
 		}
+		// The newest segment's place in its epoch: with no WAL at or above c
+		// that is a wal-c still to create.
+		pos := walPosition{dir: d.dir, epoch: c}
+		for _, s := range segs {
+			d.recovery.ReplayedJobs += s.Jobs
+			if s.Epoch != pos.epoch {
+				pos.epoch, pos.epochJobs = s.Epoch, 0
+			}
+			pos.seg = s.Seg
+			pos.epochJobs += s.Jobs
+		}
+		pos.epochBase = eng.Observed() - pos.epochJobs
 
-		// Reopen (or recreate) the newest segment for appending.
-		var f *os.File
-		var path string
-		var logical int64
-		topSegs := wals[top]
-		seg := 0
-		if len(topSegs) > 0 {
-			seg = topSegs[len(topSegs)-1]
+		var last *SegmentInfo // nil: no WAL at or above c
+		if len(segs) > 0 {
+			last = &segs[len(segs)-1]
 		}
-		if len(topSegs) == 0 || recreateSeg >= 0 {
-			f, path, logical, err = createWalSeg(d.dir, top, seg, eng.Observed(), opts.SegmentBytes)
+		path := walSegPath(d.dir, pos.epoch, pos.seg)
+		if last != nil && last.Note != "" {
+			d.logf("durable: %s: %s", path, last.Note)
+		}
+		var f *os.File
+		var logical int64
+		if last == nil || last.noHeader {
+			f, path, logical, err = createWalSeg(d.dir, pos.epoch, pos.seg, eng.Observed(), opts.SegmentBytes)
 			if err != nil {
 				return err
 			}
 		} else {
-			path = walSegPath(d.dir, top, seg)
+			if last.validTo < last.Bytes {
+				d.recovery.TruncatedBytes = last.Bytes - last.validTo
+				if err := os.Truncate(path, last.validTo); err != nil {
+					return fmt.Errorf("durable: truncate %s: %w", path, err)
+				}
+			}
 			f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("durable: reopen %s: %w", path, err)
 			}
-			// Replay either consumed the whole file or truncated its tail
-			// above, so here the stat size is the logical append offset.
-			fi, serr := f.Stat()
-			if serr != nil {
-				f.Close()
-				return fmt.Errorf("durable: %w", serr)
-			}
-			logical = fi.Size()
+			logical = last.validTo
 		}
 		d.eng = eng
-		d.epoch = top
-		pos := walPosition{
-			dir:       d.dir,
-			epoch:     top,
-			seg:       seg,
-			epochBase: epochBase,
-			epochJobs: eng.Observed() - epochBase,
-		}
+		d.epoch = pos.epoch
 		d.wal = newWAL(f, path, pos, logical, opts.SegmentBytes, opts.SyncCommit, opts.SyncInterval)
 		d.recovery.Observed = eng.Observed()
 		return nil
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("durable: no checkpoint found in %s", d.dir)
-	}
 	return fmt.Errorf("durable: no usable checkpoint in %s: %w", d.dir, lastErr)
+}
+
+// chainGap reports why the WAL chain recovery would replay on top of
+// checkpoint-c is not all on disk — every epoch from c to the newest present,
+// each with its segments gap-free from 0 — or nil. A directory with no WAL at
+// or above c is tolerated: the checkpoint alone is the state and wal-c is
+// created anew.
+func chainGap(wals map[uint64][]int, c uint64) error {
+	top, found := c, false
+	for e := range wals {
+		if e >= top {
+			top, found = e, true
+		}
+	}
+	for k := c; found && k <= top; k++ {
+		segs := wals[k]
+		gapped := len(segs) == 0
+		for i, s := range segs {
+			gapped = gapped || s != i
+		}
+		if gapped {
+			return fmt.Errorf("durable: checkpoint-%d has no contiguous WAL chain to wal-%d (epoch %d gapped or missing)", c, top, k)
+		}
+	}
+	return nil
+}
+
+// replayChain is the one walk over a state directory's WAL files, under
+// recovery (apply is the engine's Observe) and under the dump (apply does
+// nothing): it replays every segment of every epoch >= from in order, each
+// exactly once, expecting the first to start at base and each later one where
+// its predecessor ended, and returns one SegmentInfo per file plus the
+// conditions recovery cannot repair. It alone decides what a segment's ending
+// means. On the newest segment — the one file the writer had open — a header
+// that cannot be read is a crash inside createWalSeg (noHeader: recreate) and
+// an unreadable tail past a good header is a torn or preallocated tail
+// (validTo < Bytes: truncate); both are Notes. Everything else is a problem:
+// any damage below the newest segment (those files were synced and closed
+// before their successor existed), a header that parses but names another
+// epoch or a base that does not chain, and any failed system call. After a
+// problem the walk goes on with anyBase so the dump can show the rest.
+func replayChain(dir string, wals map[uint64][]int, from uint64, base int64, apply func([]trace.FileID)) (segs []SegmentInfo, problems []error) {
+	var epochs []uint64
+	for e := range wals {
+		if e >= from {
+			epochs = append(epochs, e)
+		}
+	}
+	sort.Slice(epochs, func(a, b int) bool { return epochs[a] < epochs[b] })
+	for ei, e := range epochs {
+		for si, s := range wals[e] {
+			path := walSegPath(dir, e, s)
+			newest := ei == len(epochs)-1 && si == len(wals[e])-1
+			seg, err := walReplay(path, e, base, apply)
+			seg.Seg = s
+			base = seg.Base + seg.Jobs
+			var failed *fs.PathError
+			artifact := newest && !errors.As(err, &failed)
+			switch {
+			case err == nil:
+			case artifact && errors.Is(err, errNoWalHeader):
+				seg.noHeader = true
+				seg.Note = fmt.Sprintf("unusable header (%v); recovery recreates this segment", err)
+			case artifact && seg.validTo > 0 && zeroTail(path, seg.validTo):
+				seg.Note = fmt.Sprintf("preallocated tail: %d zero bytes past offset %d; recovery truncates them",
+					seg.Bytes-seg.validTo, seg.validTo)
+			case artifact && seg.validTo > 0:
+				seg.Note = fmt.Sprintf("torn tail: durable: %s: %v; recovery truncates %d bytes past offset %d",
+					path, err, seg.Bytes-seg.validTo, seg.validTo)
+			default:
+				problems = append(problems, fmt.Errorf("durable: %s: %w", path, err))
+				base = anyBase
+			}
+			segs = append(segs, seg)
+		}
+	}
+	return segs, problems
+}
+
+// zeroTail reports whether every byte of path from off to the end is zero —
+// the signature of a preallocated segment the writer had not yet filled or
+// truncated when the process died, as opposed to a torn write (which ends
+// in a partial frame of real bytes before any zeros).
+func zeroTail(path string, off int64) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return false
+	}
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := f.Read(buf)
+		for _, b := range buf[:n] {
+			if b != 0 {
+				return false
+			}
+		}
+		if err == io.EOF {
+			return true
+		}
+		if err != nil {
+			return false
+		}
+	}
 }
 
 // Recovery reports what Open reconstructed.
@@ -393,7 +439,7 @@ func (d *Engine) prune(epoch uint64) {
 	if epoch < 2 {
 		return
 	}
-	ckpts, wals, err := scanStateDir(d.dir)
+	ckpts, wals, _, err := scanStateDir(d.dir)
 	if err != nil {
 		d.logf("durable: prune scan: %v", err)
 		return
@@ -465,24 +511,21 @@ func (d *Engine) Close() error {
 	return d.wal.Close()
 }
 
-// scanStateDir lists checkpoint epochs (sorted ascending) and WAL segments
-// per epoch (each list sorted ascending), and removes leftover temporary
-// files from an interrupted checkpoint write.
-func scanStateDir(dir string) (ckpts []uint64, wals map[uint64][]int, err error) {
+// scanStateDir is the one parser of a state directory's listing: checkpoint
+// epochs (sorted ascending), WAL segments per epoch (each list sorted
+// ascending), and the names of leftover temporary files from an interrupted
+// checkpoint write, which Open removes and Inspect prints.
+func scanStateDir(dir string) (ckpts []uint64, wals map[uint64][]int, tmps []string, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("durable: %w", err)
+		return nil, nil, nil, fmt.Errorf("durable: %w", err)
 	}
 	wals = make(map[uint64][]int)
 	for _, ent := range ents {
 		name := ent.Name()
 		if strings.HasSuffix(name, ".tmp") {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, nil, fmt.Errorf("durable: %w", err)
-			}
-			continue
-		}
-		if e, ok := parseEpoch(name, "checkpoint-"); ok {
+			tmps = append(tmps, name)
+		} else if e, ok := parseEpoch(name, "checkpoint-"); ok {
 			ckpts = append(ckpts, e)
 		} else if e, s, ok := parseWalSeg(name); ok {
 			wals[e] = append(wals[e], s)
@@ -492,7 +535,7 @@ func scanStateDir(dir string) (ckpts []uint64, wals map[uint64][]int, err error)
 	for _, segs := range wals {
 		sort.Ints(segs)
 	}
-	return ckpts, wals, nil
+	return ckpts, wals, tmps, nil
 }
 
 func parseEpoch(name, prefix string) (uint64, bool) {
@@ -522,20 +565,6 @@ func parseWalSeg(name string) (epoch uint64, seg int, ok bool) {
 		return 0, 0, false
 	}
 	return epoch, s, true
-}
-
-// contiguousSegs reports whether segs is exactly 0..len-1: a gap-free
-// segment chain starting at the epoch's first segment.
-func contiguousSegs(segs []int) bool {
-	if len(segs) == 0 {
-		return false
-	}
-	for i, s := range segs {
-		if s != i {
-			return false
-		}
-	}
-	return true
 }
 
 // syncDir fsyncs a directory so renames and creates within it are durable.

@@ -274,7 +274,7 @@ func TestCheckpointReuseAndPrune(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ckpts, wals, err := scanStateDir(dir)
+	ckpts, wals, _, err := scanStateDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

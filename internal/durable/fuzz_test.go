@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -136,32 +137,49 @@ func FuzzWAL(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		jobs, validTo, err := walReplay(path, 0, 0, func(files []trace.FileID) {
+		seg, err := walReplay(path, 0, 0, func(files []trace.FileID) {
 			if len(files) > maxJobFiles {
 				t.Fatalf("applied job with %d files, above the wire bound", len(files))
 			}
 		})
 		if err == nil {
-			if validTo != -1 {
-				t.Fatalf("clean replay reported boundary %d, want -1", validTo)
+			if seg.validTo != int64(len(data)) {
+				t.Fatalf("clean replay of %d bytes reported boundary %d", len(data), seg.validTo)
 			}
 			return
 		}
-		if validTo == 0 {
-			return // unusable header: recovery recreates the file
+		if seg.validTo == 0 {
+			// Nothing was scanned. Either the header could not be read, and
+			// recovery recreates the file; or it parsed and names another
+			// epoch or base, and recovery aborts. Nothing else may end a
+			// replay before the first 'O' chunk.
+			_, p, herr := trace.OpenChunks(bytes.NewReader(data), walMagic, walKindHeader)
+			var epoch, base uint64
+			if herr == nil {
+				epoch, base = p.Uvarint(), p.Uvarint()
+			}
+			readable := herr == nil && p.Err() == nil && p.Remaining() == 0
+			switch {
+			case errors.Is(err, errNoWalHeader) && !readable:
+			case !errors.Is(err, errNoWalHeader) && readable && (epoch != 0 || base != 0):
+			default:
+				t.Fatalf("replay ended before the first chunk with %v (errNoWalHeader: %v) on a header that is readable: %v, epoch %d, base %d",
+					err, errors.Is(err, errNoWalHeader), readable, epoch, base)
+			}
+			return
 		}
-		if validTo < int64(len(walMagic)) || validTo > int64(len(data)) {
-			t.Fatalf("valid-to boundary %d outside file of %d bytes", validTo, len(data))
+		if seg.validTo < int64(len(walMagic)) || seg.validTo >= int64(len(data)) {
+			t.Fatalf("valid-to boundary %d outside file of %d bytes", seg.validTo, len(data))
 		}
-		if err := os.Truncate(path, validTo); err != nil {
+		if err := os.Truncate(path, seg.validTo); err != nil {
 			t.Fatal(err)
 		}
-		jobs2, v2, err2 := walReplay(path, 0, 0, func([]trace.FileID) {})
+		seg2, err2 := walReplay(path, 0, 0, func([]trace.FileID) {})
 		if err2 != nil {
-			t.Fatalf("replay after truncating at reported boundary %d: %v", validTo, err2)
+			t.Fatalf("replay after truncating at reported boundary %d: %v", seg.validTo, err2)
 		}
-		if v2 != -1 || jobs2 != jobs {
-			t.Fatalf("truncated replay drifted: %d jobs (boundary %d), want %d", jobs2, v2, jobs)
+		if seg2.validTo != seg.validTo || seg2.Jobs != seg.Jobs {
+			t.Fatalf("truncated replay drifted: %d jobs (boundary %d), want %d", seg2.Jobs, seg2.validTo, seg.Jobs)
 		}
 	})
 }

@@ -1,19 +1,19 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"filecule/internal/trace"
 )
 
 // Inspect is the read-only view of a state directory: what `filecule-state
-// dump` prints. Unlike Open it never mutates anything — leftover .tmp
-// files stay, torn tails stay — it only reports what recovery would do.
+// dump` prints. It is Open's walk — scanStateDir, loadCheckpoint, chainGap,
+// replayChain — with nothing applied and nothing repaired: leftover .tmp
+// files stay, torn tails stay, and what Open would do about each is printed.
 
 // GroupInfo is one filecule group's counts in a checkpoint.
 type GroupInfo struct {
@@ -43,6 +43,9 @@ type SegmentInfo struct {
 	Base  int64  // observed-count the segment starts at
 	Jobs  int64  // replayable jobs in the segment
 	Note  string // non-fatal condition recovery will repair (torn tail)
+
+	validTo  int64 // offset the file is well-formed up to; recovery truncates the rest
+	noHeader bool  // magic or header chunk unreadable; recovery recreates the file
 }
 
 // Report is everything Inspect learned about a state directory.
@@ -63,212 +66,61 @@ type Report struct {
 // unreadable directory; corruption findings land in Report.Problems so the
 // caller can render the full picture before failing.
 func Inspect(dir string) (*Report, error) {
-	ents, err := os.ReadDir(dir)
+	ckpts, wals, tmps, err := scanStateDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
+		return nil, err
 	}
-	r := &Report{Dir: dir}
-	var ckpts []uint64
-	wals := make(map[uint64][]int)
-	for _, ent := range ents {
-		name := ent.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			r.TempFiles = append(r.TempFiles, name)
-			continue
-		}
-		if e, ok := parseEpoch(name, "checkpoint-"); ok {
-			ckpts = append(ckpts, e)
-		} else if e, s, ok := parseWalSeg(name); ok {
-			wals[e] = append(wals[e], s)
-		}
-	}
-	sort.Slice(ckpts, func(a, b int) bool { return ckpts[a] < ckpts[b] })
-	for _, segs := range wals {
-		sort.Ints(segs)
-	}
-	if len(ckpts) == 0 && len(wals) == 0 {
-		return r, nil
-	}
-	if len(ckpts) == 0 {
-		r.Problems = append(r.Problems, "WAL files but no checkpoint")
+	r := &Report{Dir: dir, TempFiles: tmps}
+	problem := func(err error) { r.Problems = append(r.Problems, err.Error()) }
+	if len(ckpts) == 0 && len(wals) > 0 {
+		problem(errors.New("WAL files but no checkpoint"))
 	}
 
-	ckptObserved := make(map[uint64]int64, len(ckpts))
+	observed := make(map[uint64]int64, len(ckpts)) // by epoch, of the checkpoints Open would accept
 	for _, e := range ckpts {
-		path := ckptPath(dir, e)
-		info := CheckpointInfo{Epoch: e, Path: path}
-		if fi, err := os.Stat(path); err == nil {
+		info := CheckpointInfo{Epoch: e, Path: ckptPath(dir, e)}
+		if fi, err := os.Stat(info.Path); err == nil {
 			info.Bytes = fi.Size()
 		}
-		st, err := readCheckpoint(path, e)
-		if err != nil {
-			r.Problems = append(r.Problems, err.Error())
-			r.Checkpoints = append(r.Checkpoints, info)
-			continue
+		if _, st, err := loadCheckpoint(dir, e); err != nil {
+			problem(err)
+		} else {
+			observed[e] = st.Observed
+			info.Observed = st.Observed
+			info.NextGen = st.NextGen
+			for i := range st.Groups {
+				g := &st.Groups[i]
+				info.Files += len(g.Files)
+				info.Requests += int64(g.Requests)
+				info.Groups = append(info.Groups, GroupInfo{
+					SigLo: g.SigLo, SigHi: g.SigHi,
+					Files: len(g.Files), Requests: g.Requests,
+				})
+			}
 		}
-		info.Observed = st.Observed
-		info.NextGen = st.NextGen
-		for i := range st.Groups {
-			g := &st.Groups[i]
-			info.Files += len(g.Files)
-			info.Requests += int64(g.Requests)
-			info.Groups = append(info.Groups, GroupInfo{
-				SigLo: g.SigLo, SigHi: g.SigHi,
-				Files: len(g.Files), Requests: g.Requests,
-			})
-		}
-		ckptObserved[e] = st.Observed
 		r.Checkpoints = append(r.Checkpoints, info)
 	}
-
-	// The epoch chain recovery would walk: newest checkpoint to newest WAL.
-	maxWal, haveWal := uint64(0), false
-	var epochs []uint64
-	for e := range wals {
-		epochs = append(epochs, e)
-		if e > maxWal {
-			maxWal = e
-		}
-		haveWal = true
-	}
-	sort.Slice(epochs, func(a, b int) bool { return epochs[a] < epochs[b] })
-	if len(ckpts) > 0 && haveWal {
-		c := ckpts[len(ckpts)-1]
-		for k := c; k <= maxWal; k++ {
-			if !contiguousSegs(wals[k]) {
-				r.Problems = append(r.Problems,
-					fmt.Sprintf("checkpoint-%d has no contiguous WAL chain to wal-%d (epoch %d gapped or missing)", c, maxWal, k))
-				break
-			}
+	if len(ckpts) > 0 {
+		if err := chainGap(wals, ckpts[len(ckpts)-1]); err != nil {
+			problem(err)
 		}
 	}
 
-	for _, e := range epochs {
-		segs := wals[e]
-		newestEpoch := e == maxWal
-		var prevEnd int64
-		prevOK := false
-		for si, s := range segs {
-			path := walSegPath(dir, e, s)
-			info := SegmentInfo{Epoch: e, Seg: s, Path: path}
-			if fi, err := os.Stat(path); err == nil {
-				info.Bytes = fi.Size()
-			}
-			newestTail := newestEpoch && si == len(segs)-1
-			hdrEpoch, base, err := readWalHeader(path)
-			if err != nil {
-				if newestTail {
-					info.Note = fmt.Sprintf("unusable header (%v); recovery recreates this segment", err)
-				} else {
-					r.Problems = append(r.Problems, fmt.Sprintf("%s: %v", path, err))
-				}
-				r.Segments = append(r.Segments, info)
-				prevOK = false
-				continue
-			}
-			info.Base = base
-			if hdrEpoch != e {
-				r.Problems = append(r.Problems,
-					fmt.Sprintf("%s: header epoch %d does not match its name", path, hdrEpoch))
-				r.Segments = append(r.Segments, info)
-				prevOK = false
-				continue
-			}
-			// Base must chain: from the epoch's checkpoint for segment 0,
-			// from the previous segment's end otherwise.
-			if s == 0 {
-				if want, ok := ckptObserved[e]; ok && base != want {
-					r.Problems = append(r.Problems,
-						fmt.Sprintf("%s: base %d does not chain from checkpoint-%d at %d", path, base, e, want))
-				}
-			} else if prevOK && base != prevEnd {
-				r.Problems = append(r.Problems,
-					fmt.Sprintf("%s: base %d does not chain from previous segment end %d", path, base, prevEnd))
-			}
-			jobs, validTo, err := walReplay(path, e, base, func([]trace.FileID) {})
-			info.Jobs = jobs
-			if err != nil {
-				if newestTail && validTo > int64(len(walMagic)) {
-					if zeroTail(path, validTo) {
-						info.Note = fmt.Sprintf("preallocated tail: %d zero bytes past offset %d; recovery truncates them",
-							info.Bytes-validTo, validTo)
-					} else {
-						info.Note = fmt.Sprintf("torn tail: %v; recovery truncates %d bytes past offset %d",
-							err, info.Bytes-validTo, validTo)
-					}
-				} else if newestTail {
-					info.Note = fmt.Sprintf("unusable header (%v); recovery recreates this segment", err)
-				} else {
-					r.Problems = append(r.Problems, err.Error())
-				}
-			}
-			prevEnd, prevOK = base+jobs, err == nil
-			r.Segments = append(r.Segments, info)
+	// Walk every WAL epoch on disk, the fallback one included. Open starts
+	// from a checkpoint, not from the segment before, so an epoch's first
+	// segment must also start where its checkpoint stands.
+	segs, problems := replayChain(dir, wals, 0, anyBase, func([]trace.FileID) {})
+	r.Segments = segs
+	for _, err := range problems {
+		problem(err)
+	}
+	for i := range segs {
+		s := &segs[i]
+		if o, ok := observed[s.Epoch]; ok && s.Seg == 0 && s.validTo > 0 && s.Base != o {
+			problem(fmt.Errorf("durable: %s: base %d does not chain from checkpoint-%d at %d", s.Path, s.Base, s.Epoch, o))
 		}
 	}
 	return r, nil
-}
-
-// zeroTail reports whether every byte of path from off to the end is zero —
-// the signature of a preallocated segment the writer had not yet filled or
-// truncated when the process died, as opposed to a torn write (which ends
-// in a partial frame of real bytes before any zeros).
-func zeroTail(path string, off int64) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return false
-	}
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := f.Read(buf)
-		for _, b := range buf[:n] {
-			if b != 0 {
-				return false
-			}
-		}
-		if err == io.EOF {
-			return true
-		}
-		if err != nil {
-			return false
-		}
-	}
-}
-
-// readWalHeader opens one WAL segment read-only and parses just its magic
-// and header chunk.
-func readWalHeader(path string) (epoch uint64, base int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	var magic [len(walMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return 0, 0, fmt.Errorf("bad magic: %w", err)
-	}
-	if string(magic[:]) != walMagic {
-		return 0, 0, fmt.Errorf("bad magic %q", magic[:])
-	}
-	cr := trace.NewChunkReader(f)
-	kind, payload, err := cr.ReadChunk()
-	if err != nil {
-		return 0, 0, fmt.Errorf("header: %w", err)
-	}
-	if kind != walKindHeader {
-		return 0, 0, fmt.Errorf("first chunk kind %q, want header", kind)
-	}
-	p := trace.NewPayload(payload)
-	epoch = p.Uvarint()
-	b := p.Uvarint()
-	if p.Err() != nil || p.Remaining() != 0 {
-		return 0, 0, fmt.Errorf("malformed header: %v", p.Err())
-	}
-	return epoch, int64(b), nil
 }
 
 // WriteTo renders the report in the dump format: one line per file in

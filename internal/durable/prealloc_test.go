@@ -45,12 +45,8 @@ func observeN(t *testing.T, d *Engine, start, n int) {
 // or preallocated tail left behind.
 func replayClean(t *testing.T, path string, epoch uint64) {
 	t.Helper()
-	_, base, err := readWalHeader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, validTo, err := walReplay(path, epoch, base, func([]trace.FileID) {}); err != nil || validTo != -1 {
-		t.Fatalf("%s does not replay cleanly: validTo %d, err %v", path, validTo, err)
+	if seg, err := walReplay(path, epoch, anyBase, func([]trace.FileID) {}); err != nil || seg.validTo != seg.Bytes {
+		t.Fatalf("%s does not replay cleanly: valid to %d of %d bytes, err %v", path, seg.validTo, seg.Bytes, err)
 	}
 }
 

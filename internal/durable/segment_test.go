@@ -10,7 +10,7 @@ import (
 // segmentFiles lists the on-disk segment names of one epoch, in chain order.
 func segmentFiles(t *testing.T, dir string, epoch uint64) []string {
 	t.Helper()
-	_, wals, err := scanStateDir(dir)
+	_, wals, _, err := scanStateDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

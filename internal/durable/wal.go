@@ -2,8 +2,8 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -63,8 +63,6 @@ const maxWireFileID = int64(1) << 31
 // many file IDs, keeping memory bounded under observe bursts faster than
 // the sync cadence.
 const walFlushIDs = 1 << 18
-
-var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // appendUv is binary.AppendUvarint with a fast path for one-byte values,
 // which run deltas and lengths almost always are. The committer encodes
@@ -138,16 +136,6 @@ func jobIDs(p *trace.Payload, dst []trace.FileID) []trace.FileID {
 		left -= int64(length)
 	}
 	return dst
-}
-
-// appendFrame appends one CRC chunk frame (same layout trace.WriteChunk
-// emits) to dst, so a whole group-commit batch lands in one write call.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, walCRC))
-	return append(dst, crc[:]...)
 }
 
 // walPosition places a freshly opened WAL file within its epoch's segment
@@ -412,7 +400,7 @@ func (w *wal) flush(sync bool) {
 			payload = appendJobIDs(payload, ids[off:off+l])
 			off += l
 		}
-		full = appendFrame(w.frame[:0], payload)
+		full = trace.AppendChunk(w.frame[:0], payload)
 		_, err = f.Write(full)
 	}
 	if err == nil && sync {
@@ -498,8 +486,8 @@ func createWalFile(dir string, epoch uint64, base, preBytes int64) (*os.File, st
 // observed-count the segment starts at: the epoch base plus the jobs in the
 // segments before it. preBytes > 0 preallocates that much backing store up
 // front so appends never stall on block allocation; a crash before the
-// header write leaves a file of zeros, which recovery already classifies
-// as "unusable header" and recreates.
+// header write leaves a file of zeros, which replay reports as errNoWalHeader
+// and recovery recreates.
 func createWalSeg(dir string, epoch uint64, seg int, base, preBytes int64) (*os.File, string, int64, error) {
 	path := walSegPath(dir, epoch, seg)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -515,7 +503,7 @@ func createWalSeg(dir string, epoch uint64, seg int, base, preBytes int64) (*os.
 	hdr := []byte{walKindHeader}
 	hdr = binary.AppendUvarint(hdr, epoch)
 	hdr = binary.AppendUvarint(hdr, uint64(base))
-	buf := append([]byte(walMagic), appendFrame(nil, hdr)...)
+	buf := trace.AppendChunk([]byte(walMagic), hdr)
 	if _, err := f.Write(buf); err == nil {
 		err = f.Sync()
 	}
@@ -531,60 +519,74 @@ func createWalSeg(dir string, epoch uint64, seg int, base, preBytes int64) (*os.
 	return f, path, int64(len(buf)), nil
 }
 
-// walReplay streams one WAL file into apply, batch-atomically: a chunk's
-// jobs are fully decoded and validated before any of them is applied, so a
-// corrupt chunk never half-applies. It returns the number of jobs applied
-// and, when the file's tail is unusable, the byte offset the file is valid
-// up to (-1 when the whole file is well-formed) together with the error
-// that ended the scan.
-func walReplay(path string, wantEpoch uint64, wantBase int64, apply func([]trace.FileID)) (jobs int64, validTo int64, err error) {
+// anyBase is the wantBase that accepts whatever base a segment's header
+// names: the dump's walk uses it to keep reporting past a break in the chain.
+const anyBase = -1
+
+// errNoWalHeader marks the one replay failure recovery repairs by recreating
+// the file: the magic line or header chunk could not be read (short,
+// zero-filled, torn or CRC-failed), which is what a crash inside createWalSeg
+// leaves. A header that parses but names another epoch or base is not this.
+var errNoWalHeader = errors.New("no readable WAL header")
+
+// noWalHeader wraps the cause so it matches errNoWalHeader and prints as
+// itself.
+type noWalHeader struct{ error }
+
+func (e noWalHeader) Is(target error) bool { return target == errNoWalHeader }
+func (e noWalHeader) Unwrap() error        { return e.error }
+
+// walReplay is the only reader of a WAL segment. It streams path into apply
+// batch-atomically — a chunk's jobs are fully decoded and validated before any
+// is applied, so a corrupt chunk never half-applies — and describes the file:
+// size, the base its header names, the jobs applied, and validTo, the offset
+// the file is well-formed up to (its size when err is nil). The header must
+// name wantEpoch and, unless wantBase is anyBase, chain from wantBase. A
+// failure before the first 'O' chunk — open, stat, errNoWalHeader, or a
+// header that does not chain — leaves validTo 0; one past it is a tail that
+// ends at validTo.
+func walReplay(path string, wantEpoch uint64, wantBase int64, apply func([]trace.FileID)) (seg SegmentInfo, err error) {
+	seg = SegmentInfo{Epoch: wantEpoch, Path: path}
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, err
+		return seg, err
 	}
 	defer f.Close()
-
-	var magic [len(walMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return 0, 0, fmt.Errorf("durable: %s: bad magic: %w", path, err)
-	}
-	if string(magic[:]) != walMagic {
-		return 0, 0, fmt.Errorf("durable: %s: bad magic %q", path, magic[:])
-	}
-	cr := trace.NewChunkReader(f)
-	kind, payload, err := cr.ReadChunk()
+	fi, err := f.Stat()
 	if err != nil {
-		return 0, 0, fmt.Errorf("durable: %s: header: %w", path, err)
+		return seg, err
 	}
-	if kind != walKindHeader {
-		return 0, 0, fmt.Errorf("durable: %s: first chunk kind %q, want header", path, kind)
+	seg.Bytes = fi.Size()
+
+	cr, p, err := trace.OpenChunks(f, walMagic, walKindHeader)
+	if err != nil {
+		return seg, noWalHeader{err}
 	}
-	p := trace.NewPayload(payload)
 	epoch := p.Uvarint()
-	base := p.Uvarint()
+	seg.Base = int64(p.Uvarint())
 	if p.Err() != nil || p.Remaining() != 0 {
-		return 0, 0, fmt.Errorf("durable: %s: malformed header: %v", path, p.Err())
+		return seg, noWalHeader{fmt.Errorf("malformed header: %v", p.Err())}
 	}
 	if epoch != wantEpoch {
-		return 0, 0, fmt.Errorf("durable: %s: header epoch %d, want %d", path, epoch, wantEpoch)
+		return seg, fmt.Errorf("header epoch %d, want %d", epoch, wantEpoch)
 	}
-	if int64(base) != wantBase {
-		return 0, 0, fmt.Errorf("durable: %s: base observed-count %d does not chain from %d", path, base, wantBase)
+	if wantBase != anyBase && seg.Base != wantBase {
+		return seg, fmt.Errorf("base observed-count %d does not chain from %d", seg.Base, wantBase)
 	}
 
 	var batch [][]trace.FileID
 	var arena []trace.FileID
 	for {
-		boundary := int64(len(walMagic)) + cr.Offset()
+		seg.validTo = int64(len(walMagic)) + cr.Offset()
 		kind, payload, err := cr.ReadChunk()
 		if err == io.EOF {
-			return jobs, -1, nil
+			return seg, nil
 		}
 		if err != nil {
-			return jobs, boundary, fmt.Errorf("durable: %s: %w", path, err)
+			return seg, err
 		}
 		if kind != walKindObserves {
-			return jobs, boundary, fmt.Errorf("durable: %s: chunk at byte offset %d: unexpected kind %q", path, boundary, kind)
+			return seg, fmt.Errorf("chunk at byte offset %d: unexpected kind %q", seg.validTo, kind)
 		}
 		p := trace.NewPayload(payload)
 		n := p.Count("job")
@@ -599,11 +601,11 @@ func walReplay(path string, wantEpoch uint64, wantBase int64, apply func([]trace
 			p.Fail("%d bytes after last job record", p.Remaining())
 		}
 		if p.Err() != nil {
-			return jobs, boundary, fmt.Errorf("durable: %s: chunk %q at byte offset %d: %v", path, kind, boundary, p.Err())
+			return seg, fmt.Errorf("chunk %q at byte offset %d: %v", kind, seg.validTo, p.Err())
 		}
 		for _, files := range batch {
 			apply(files)
 		}
-		jobs += int64(n)
+		seg.Jobs += int64(n)
 	}
 }

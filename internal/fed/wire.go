@@ -21,10 +21,8 @@ import (
 //	                  incarnation, uvarint from-version, to-version,
 //	                  observed count, record count, live count, total
 //	                  record file count
-//	'G' group chunks: uvarint record count, then per changed group a
-//	                  16-byte LE signature, uvarint request count, and the
-//	                  run-encoded sorted member file list (the checkpoint
-//	                  record layout)
+//	'G' group chunks: uvarint record count, then one checkpoint group
+//	                  record (core.AppendStateGroup) per changed group
 //	'L' live chunks:  uvarint count, then one 16-byte LE signature per
 //	                  live group — the sender's complete live set, which is
 //	                  how receivers learn deletions without tombstones
@@ -151,9 +149,6 @@ func readSite(p *trace.Payload) string {
 
 // encodeDelta renders d to wire bytes.
 func encodeDelta(d *delta) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(wireMagic)
-
 	totalFiles := 0
 	for i := range d.Records {
 		totalFiles += len(d.Records[i].Files)
@@ -167,27 +162,20 @@ func encodeDelta(d *delta) []byte {
 	hdr = binary.AppendUvarint(hdr, uint64(len(d.Records)))
 	hdr = binary.AppendUvarint(hdr, uint64(len(d.Live)))
 	hdr = binary.AppendUvarint(hdr, uint64(totalFiles))
-	writeChunk(&buf, hdr)
+	out := trace.AppendChunk([]byte(wireMagic), hdr)
 
-	chunk := []byte{fedKindGroups}
+	chunk := []byte{fedKindGroups} // kind byte, then the records of the chunk being filled
 	count := 0
 	flush := func(kind byte) {
 		if count == 0 {
 			return
 		}
-		payload := []byte{kind}
-		payload = binary.AppendUvarint(payload, uint64(count))
-		payload = append(payload, chunk[1:]...)
-		writeChunk(&buf, payload)
-		chunk = chunk[:1]
-		count = 0
+		payload := binary.AppendUvarint([]byte{kind}, uint64(count))
+		out = trace.AppendChunk(out, append(payload, chunk[1:]...))
+		chunk, count = chunk[:1], 0
 	}
 	for i := range d.Records {
-		g := &d.Records[i]
-		chunk = trace.AppendUint64(chunk, g.SigLo)
-		chunk = trace.AppendUint64(chunk, g.SigHi)
-		chunk = binary.AppendUvarint(chunk, uint64(g.Requests))
-		chunk = trace.AppendFileRuns(chunk, g.Files)
+		chunk = core.AppendStateGroup(chunk, &d.Records[i])
 		count++
 		if len(chunk) >= fedChunkBytes {
 			flush(fedKindGroups)
@@ -208,15 +196,7 @@ func encodeDelta(d *delta) []byte {
 	end := []byte{fedKindEnd}
 	end = binary.AppendUvarint(end, uint64(len(d.Records)))
 	end = binary.AppendUvarint(end, uint64(len(d.Live)))
-	writeChunk(&buf, end)
-	return buf.Bytes()
-}
-
-// writeChunk writes to a bytes.Buffer, which cannot fail.
-func writeChunk(buf *bytes.Buffer, payload []byte) {
-	if err := trace.WriteChunk(buf, payload); err != nil {
-		panic("fed: bytes.Buffer write failed: " + err.Error())
-	}
+	return trace.AppendChunk(out, end)
 }
 
 // decodeDelta parses and bounds-checks one delta message. Every
@@ -228,24 +208,10 @@ func decodeDelta(b []byte) (*delta, error) {
 	if len(b) > maxFedDeltaSize {
 		return nil, fmt.Errorf("fed: delta of %d bytes exceeds limit %d", len(b), maxFedDeltaSize)
 	}
-	r := bytes.NewReader(b)
-	var magic [len(wireMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("fed: bad magic: %w", err)
-	}
-	if string(magic[:]) != wireMagic {
-		return nil, fmt.Errorf("fed: bad magic %q", magic[:])
-	}
-	cr := trace.NewChunkReader(r)
-
-	kind, payload, err := cr.ReadChunk()
+	cr, p, err := trace.OpenChunks(bytes.NewReader(b), wireMagic, fedKindHeader)
 	if err != nil {
 		return nil, fmt.Errorf("fed: %w", err)
 	}
-	if kind != fedKindHeader {
-		return nil, fmt.Errorf("fed: first chunk kind %q, want header", kind)
-	}
-	p := trace.NewPayload(payload)
 	d := &delta{Site: readSite(p)}
 	d.Incarnation = p.Uint64()
 	d.From = p.Uvarint()
@@ -258,7 +224,7 @@ func decodeDelta(b []byte) (*delta, error) {
 		p.Fail("%d bytes after header fields", p.Remaining())
 	}
 	if p.Err() != nil {
-		return nil, fmt.Errorf("fed: %w", &trace.ChunkError{Kind: kind, Err: fmt.Errorf("malformed header: %v", p.Err())})
+		return nil, fmt.Errorf("fed: %w", &trace.ChunkError{Kind: fedKindHeader, Err: fmt.Errorf("malformed header: %v", p.Err())})
 	}
 	switch {
 	case d.To < d.From:
@@ -291,27 +257,7 @@ func decodeDelta(b []byte) (*delta, error) {
 		switch kind {
 		case fedKindGroups:
 			p := trace.NewPayload(payload)
-			n := p.Count("group")
-			for i := 0; i < n && p.Err() == nil; i++ {
-				g := core.StateGroup{
-					SigLo:    p.Uint64(),
-					SigHi:    p.Uint64(),
-					Requests: int(p.Uvarint()),
-				}
-				g.Files = p.FileRuns(nil, maxFedFileID, filesLeft)
-				if p.Err() != nil {
-					break
-				}
-				if g.Requests < 1 {
-					p.Fail("group %d request count %d < 1", i, g.Requests)
-					break
-				}
-				filesLeft -= len(g.Files)
-				d.Records = append(d.Records, g)
-			}
-			if p.Err() == nil && p.Remaining() != 0 {
-				p.Fail("%d bytes after last group record", p.Remaining())
-			}
+			d.Records = core.ReadStateGroups(p, d.Records, maxFedFileID, &filesLeft)
 			if p.Err() != nil {
 				return nil, fmt.Errorf("fed: %w", &trace.ChunkError{Offset: boundary, Kind: kind, Err: p.Err()})
 			}
@@ -363,14 +309,11 @@ func decodeDelta(b []byte) (*delta, error) {
 
 // encodeAck renders an ack to wire bytes.
 func encodeAck(a *ack) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(wireMagic)
 	payload := []byte{fedKindAck}
 	payload = appendSite(payload, a.Site)
 	payload = binary.AppendUvarint(payload, a.Held)
 	payload = append(payload, a.Status)
-	writeChunk(&buf, payload)
-	return buf.Bytes()
+	return trace.AppendChunk([]byte(wireMagic), payload)
 }
 
 // decodeAck parses one ack message.
@@ -378,23 +321,10 @@ func decodeAck(b []byte) (*ack, error) {
 	if len(b) > maxFedAckSize {
 		return nil, fmt.Errorf("fed: ack of %d bytes exceeds limit %d", len(b), maxFedAckSize)
 	}
-	r := bytes.NewReader(b)
-	var magic [len(wireMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("fed: ack: bad magic: %w", err)
-	}
-	if string(magic[:]) != wireMagic {
-		return nil, fmt.Errorf("fed: ack: bad magic %q", magic[:])
-	}
-	cr := trace.NewChunkReader(r)
-	kind, payload, err := cr.ReadChunk()
+	cr, p, err := trace.OpenChunks(bytes.NewReader(b), wireMagic, fedKindAck)
 	if err != nil {
 		return nil, fmt.Errorf("fed: ack: %w", err)
 	}
-	if kind != fedKindAck {
-		return nil, fmt.Errorf("fed: ack: chunk kind %q, want %q", kind, fedKindAck)
-	}
-	p := trace.NewPayload(payload)
 	a := &ack{Site: readSite(p)}
 	a.Held = p.Uvarint()
 	a.Status = p.Byte()

@@ -125,43 +125,6 @@ func (t *Table) CSV(w io.Writer) error {
 	return err
 }
 
-// Bars renders a horizontal ASCII bar chart: one labelled bar per value,
-// scaled to maxWidth characters.
-func Bars(w io.Writer, title string, labels []string, values []float64, maxWidth int) error {
-	if len(labels) != len(values) {
-		panic("report: labels and values must have equal length")
-	}
-	if maxWidth < 1 {
-		maxWidth = 50
-	}
-	maxVal := 0.0
-	labelW := 0
-	for i, v := range values {
-		if v < 0 {
-			panic("report: bar values must be >= 0")
-		}
-		if v > maxVal {
-			maxVal = v
-		}
-		if len(labels[i]) > labelW {
-			labelW = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "== %s ==\n", title)
-	}
-	for i, v := range values {
-		n := 0
-		if maxVal > 0 {
-			n = int(math.Round(v / maxVal * float64(maxWidth)))
-		}
-		fmt.Fprintf(&b, "%-*s | %s %s\n", labelW, labels[i], strings.Repeat("#", n), formatFloat(v))
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // Timeline renders interval spans (Figures 11/12 style): one row per
 // entity, with '=' marking the active window on a time axis of width chars.
 func Timeline(w io.Writer, title string, labels []string, starts, ends []float64, width int) error {

@@ -69,47 +69,6 @@ func TestTablePanics(t *testing.T) {
 	}
 }
 
-func TestBars(t *testing.T) {
-	var buf bytes.Buffer
-	err := Bars(&buf, "pop", []string{"a", "bb"}, []float64{10, 5}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "a  | ########## 10") {
-		t.Errorf("bad full bar:\n%s", out)
-	}
-	if !strings.Contains(out, "bb | ##### 5") {
-		t.Errorf("bad half bar:\n%s", out)
-	}
-}
-
-func TestBarsZeroAndPanics(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Bars(&buf, "", []string{"z"}, []float64{0}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "z |  0") {
-		t.Errorf("zero bar rendering: %q", buf.String())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative bar accepted")
-			}
-		}()
-		Bars(&buf, "", []string{"n"}, []float64{-1}, 10)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("mismatched lengths accepted")
-			}
-		}()
-		Bars(&buf, "", []string{"n"}, []float64{1, 2}, 10)
-	}()
-}
-
 func TestTimeline(t *testing.T) {
 	var buf bytes.Buffer
 	err := Timeline(&buf, "spans",

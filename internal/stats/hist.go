@@ -20,36 +20,6 @@ type Histogram struct {
 	Underflow, Overflow int
 }
 
-// NewLinearHistogram buckets xs into n equal-width bins spanning
-// [min(xs), max(xs)]. It panics for empty samples or n < 1.
-func NewLinearHistogram(xs []float64, n int) *Histogram {
-	if len(xs) == 0 {
-		panic("stats: histogram of empty sample")
-	}
-	if n < 1 {
-		panic("stats: histogram needs n >= 1 bins")
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if lo == hi {
-		hi = lo + 1 // one degenerate bin containing everything
-	}
-	edges := make([]float64, n+1)
-	step := (hi - lo) / float64(n)
-	for i := 0; i <= n; i++ {
-		edges[i] = lo + float64(i)*step
-	}
-	edges[n] = hi
-	return NewHistogram(xs, edges)
-}
-
 // NewLogHistogram buckets positive values of xs into n logarithmically
 // spaced bins spanning the positive sample range. Non-positive samples count
 // as underflow. It panics if no sample is positive or n < 1.

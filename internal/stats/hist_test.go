@@ -6,27 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestLinearHistogram(t *testing.T) {
-	h := NewLinearHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5)
-	if len(h.Bins) != 5 {
-		t.Fatalf("got %d bins", len(h.Bins))
-	}
-	if h.Total() != 11 || h.Underflow != 0 || h.Overflow != 0 {
-		t.Errorf("total = %d under=%d over=%d", h.Total(), h.Underflow, h.Overflow)
-	}
-	// Max value lands in the last (closed) bin.
-	if h.Bins[4].Count != 3 { // 8, 9, 10
-		t.Errorf("last bin = %+v", h.Bins[4])
-	}
-}
-
-func TestLinearHistogramDegenerate(t *testing.T) {
-	h := NewLinearHistogram([]float64{7, 7, 7}, 3)
-	if h.Total() != 3 {
-		t.Errorf("degenerate total = %d, want 3", h.Total())
-	}
-}
-
 func TestLogHistogram(t *testing.T) {
 	xs := []float64{1, 10, 100, 1000, 0, -5}
 	h := NewLogHistogram(xs, 3)
@@ -56,7 +35,11 @@ func TestHistogramMassConservationProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.NormFloat64() * 50
 		}
-		h := NewLinearHistogram(xs, int(bins))
+		edges := make([]float64, int(bins)+1) // [-100, 100]: the tails fall outside
+		for i := range edges {
+			edges[i] = -100 + 200*float64(i)/float64(bins)
+		}
+		h := NewHistogram(xs, edges)
 		return h.Total()+h.Underflow+h.Overflow == len(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -76,8 +59,6 @@ func TestHistogramExplicitEdges(t *testing.T) {
 
 func TestHistogramPanics(t *testing.T) {
 	for i, f := range []func(){
-		func() { NewLinearHistogram(nil, 3) },
-		func() { NewLinearHistogram([]float64{1}, 0) },
 		func() { NewLogHistogram([]float64{-1, 0}, 3) },
 		func() { NewHistogram([]float64{1}, []float64{0}) },
 		func() { NewHistogram([]float64{1}, []float64{0, 0}) },

@@ -96,47 +96,6 @@ func Ints(xs []int) []float64 {
 	return out
 }
 
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from a sample (copied and sorted). It panics on an
-// empty sample.
-func NewECDF(xs []float64) *ECDF {
-	if len(xs) == 0 {
-		panic("stats: ECDF of empty sample")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns P(X <= x), a step function in [0, 1].
-func (e *ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Points returns up to n evenly spaced (x, F(x)) pairs spanning the sample,
-// suitable for plotting. n must be >= 2.
-func (e *ECDF) Points(n int) (xs, ys []float64) {
-	if n < 2 {
-		panic("stats: ECDF.Points needs n >= 2")
-	}
-	lo, hi := e.sorted[0], e.sorted[len(e.sorted)-1]
-	if lo == hi {
-		return []float64{lo}, []float64{1}
-	}
-	step := (hi - lo) / float64(n-1)
-	for i := 0; i < n; i++ {
-		x := lo + float64(i)*step
-		xs = append(xs, x)
-		ys = append(ys, e.At(x))
-	}
-	return xs, ys
-}
-
 // LinearFit is a least-squares line y = Intercept + Slope*x with its
 // coefficient of determination.
 type LinearFit struct {

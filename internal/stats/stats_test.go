@@ -2,9 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -55,51 +53,6 @@ func TestQuantilePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestECDFMonotoneProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	f := func(seed int64, n uint8) bool {
-		if n == 0 {
-			return true
-		}
-		rr := rand.New(rand.NewSource(seed))
-		xs := make([]float64, int(n))
-		for i := range xs {
-			xs[i] = rr.NormFloat64() * 100
-		}
-		e := NewECDF(xs)
-		prev := -1.0
-		x := -500.0
-		for i := 0; i < 50; i++ {
-			y := e.At(x)
-			if y < prev || y < 0 || y > 1 {
-				return false
-			}
-			prev = y
-			x += r.Float64() * 30
-		}
-		return e.At(math.Inf(1)) == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestECDFAt(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 4})
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.25}, {2, 0.75}, {3, 0.75}, {4, 1}, {5, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); got != c.want {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	xs, ys := e.Points(4)
-	if len(xs) != 4 || ys[len(ys)-1] != 1 {
-		t.Errorf("Points = %v, %v", xs, ys)
 	}
 }
 

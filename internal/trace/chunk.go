@@ -10,9 +10,9 @@ import (
 )
 
 // The CRC32C chunk frame shared by every durable filecule byte format: the
-// filecule-bin/v1 trace codec, the engine checkpoint files, and the
-// write-ahead observe log. A stream is a printable magic line (owned by the
-// outer format) followed by frames of the form
+// filecule-bin/v1 trace codec, the engine checkpoint files, the write-ahead
+// observe log, and the federation exchange. A stream is a printable magic
+// line (owned by the outer format) followed by frames of the form
 //
 //	frame := uvarint(len(payload)) payload crc32c(payload, 4 bytes LE)
 //
@@ -54,8 +54,18 @@ func (e *ChunkError) Torn() bool {
 
 var errTornLength = errors.New("truncated chunk length")
 
-// WriteChunk writes one frame: uvarint length, payload, CRC32C. The payload
-// must be non-empty (payload[0] is the chunk kind).
+// AppendChunk appends one frame — uvarint length, payload, CRC32C — to dst,
+// for writers that assemble several frames (or a magic line and a header)
+// into one write call. The payload must be non-empty (payload[0] is the
+// chunk kind).
+func AppendChunk(dst, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, binCRC))
+}
+
+// WriteChunk writes the frame AppendChunk builds straight to w, without
+// copying the payload.
 func WriteChunk(w io.Writer, payload []byte) error {
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
@@ -85,6 +95,31 @@ type ChunkReader struct {
 // reader's offsets are then relative to the end of the magic).
 func NewChunkReader(r io.Reader) *ChunkReader {
 	return &ChunkReader{br: newBufReader(r)}
+}
+
+// OpenChunks is how every state format built on the frame (checkpoint, WAL
+// segment, federation delta and ack) begins reading: it consumes the magic
+// line from r, reads the first chunk, which must be of headerKind, and returns
+// the reader positioned after it together with a cursor over the header's
+// fields. The cursor aliases the reader's buffer: parse it before the next
+// ReadChunk. Offsets the reader reports are relative to the end of the magic.
+func OpenChunks(r io.Reader, magic string, headerKind byte) (*ChunkReader, *Payload, error) {
+	got := make([]byte, len(magic))
+	if _, err := io.ReadFull(r, got); err != nil {
+		return nil, nil, fmt.Errorf("bad magic: %w", err)
+	}
+	if string(got) != magic {
+		return nil, nil, fmt.Errorf("bad magic %q", got)
+	}
+	cr := NewChunkReader(r)
+	kind, payload, err := cr.ReadChunk()
+	if err != nil {
+		return nil, nil, fmt.Errorf("header: %w", err)
+	}
+	if kind != headerKind {
+		return nil, nil, fmt.Errorf("first chunk kind %q, want %q", kind, headerKind)
+	}
+	return cr, NewPayload(payload), nil
 }
 
 // Offset returns the stream offset of the next unread frame — after a

@@ -15,10 +15,15 @@ func TestChunkRoundTripAndOffsets(t *testing.T) {
 		{'G'},
 		append([]byte{'E'}, bytes.Repeat([]byte{0x01}, 300)...),
 	}
+	var appended []byte
 	for _, p := range payloads {
 		if err := WriteChunk(&buf, p); err != nil {
 			t.Fatalf("WriteChunk: %v", err)
 		}
+		appended = AppendChunk(appended, p)
+	}
+	if !bytes.Equal(appended, buf.Bytes()) {
+		t.Fatalf("AppendChunk and WriteChunk frame differently:\n%x\n%x", appended, buf.Bytes())
 	}
 	cr := NewChunkReader(bytes.NewReader(buf.Bytes()))
 	var lastOff int64
@@ -40,6 +45,46 @@ func TestChunkRoundTripAndOffsets(t *testing.T) {
 	}
 	if _, _, err := cr.ReadChunk(); err != io.EOF {
 		t.Fatalf("at clean boundary got %v, want io.EOF", err)
+	}
+}
+
+// OpenChunks is the shared opening of the state formats: the magic line, then
+// a first chunk of the header kind, and nothing else.
+func TestOpenChunks(t *testing.T) {
+	const magic = "filecule-test/v1\n"
+	stream := AppendChunk(AppendChunk([]byte(magic), []byte{'H', 7, 9}), []byte{'G', 1})
+	cr, p, err := OpenChunks(bytes.NewReader(stream), magic, 'H')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := p.Uvarint(), p.Uvarint(); a != 7 || b != 9 || p.Err() != nil || p.Remaining() != 0 {
+		t.Fatalf("header fields %d, %d (err %v, %d left), want 7, 9", a, b, p.Err(), p.Remaining())
+	}
+	if kind, _, err := cr.ReadChunk(); err != nil || kind != 'G' {
+		t.Fatalf("chunk after the header: kind %q, err %v", kind, err)
+	}
+	if cr.Offset() != int64(len(stream)-len(magic)) {
+		t.Fatalf("offset %d is not relative to the end of the magic (%d bytes follow it)", cr.Offset(), len(stream)-len(magic))
+	}
+
+	flipped := append([]byte(nil), stream...)
+	flipped[len(magic)+2] ^= 1 // inside the header payload: CRC fails
+	for name, in := range map[string][]byte{
+		"empty":            nil,
+		"short magic":      stream[:5],
+		"wrong magic":      append([]byte("filecule-tset/v1\n"), stream[len(magic):]...),
+		"magic only":       stream[:len(magic)],
+		"torn header":      stream[:len(magic)+3],
+		"corrupt header":   flipped,
+		"wrong first kind": stream,
+	} {
+		kind := byte('H')
+		if name == "wrong first kind" {
+			kind = 'A'
+		}
+		if _, _, err := OpenChunks(bytes.NewReader(in), magic, kind); err == nil {
+			t.Errorf("%s: opened", name)
+		}
 	}
 }
 

@@ -12,7 +12,10 @@
 //     first N jobs, for every crash point;
 //  3. after several kill-recover cycles on one state directory, finishing
 //     the trace converges to the identical partition an uninterrupted run
-//     produces.
+//     produces;
+//  4. between every kill and restart, the read-only walk (`filecule-state
+//     dump`, durable.Inspect) finds no corruption — a crash artifact never
+//     is — and predicts exactly the count the restarted server reports.
 //
 // The subprocess is built with -race so crash-window code paths run under
 // the race detector. Run via `make kill-recover` (go test -race -tags slow
@@ -37,6 +40,7 @@ import (
 
 	"filecule/internal/cli"
 	"filecule/internal/core"
+	"filecule/internal/durable"
 	"filecule/internal/server"
 	"filecule/internal/trace"
 )
@@ -189,6 +193,31 @@ func comparePartition(t *testing.T, c *http.Client, base string, tr *trace.Trace
 	}
 }
 
+// inspectPredicted runs the dump's read-only walk over the state directory
+// a killed server left: whatever the kill tore is a crash artifact, never
+// corruption, and the count the walk predicts — newest checkpoint plus the
+// replayable jobs of its WAL chain — is what the restart must report.
+func inspectPredicted(t *testing.T, stateDir string) int {
+	t.Helper()
+	rep, err := durable.Inspect(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) > 0 || len(rep.Checkpoints) == 0 {
+		var dump bytes.Buffer
+		rep.WriteTo(&dump, false)
+		t.Fatalf("state directory of a killed server reads as corrupt:\n%s", dump.String())
+	}
+	newest := rep.Checkpoints[len(rep.Checkpoints)-1]
+	n := newest.Observed
+	for _, s := range rep.Segments {
+		if s.Epoch >= newest.Epoch {
+			n += s.Jobs
+		}
+	}
+	return int(n)
+}
+
 func TestKillAndRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and repeatedly kills a subprocess; skipped in -short mode")
@@ -219,19 +248,21 @@ func TestKillAndRecover(t *testing.T) {
 
 	client := &http.Client{Timeout: 30 * time.Second}
 	lo, hi := 0, 0 // bounds on the durable observed count
+	predicted := 0 // what the dump read from the directory the last kill left
 	const cycles = 6
 	for cycle := 0; cycle < cycles; cycle++ {
 		p := startServe(t, bin, tracePath, stateDir)
 		n := readObserved(t, client, p.base)
-		if n < lo || n > hi {
+		if n < lo || n > hi || n != predicted {
 			p.kill(t)
-			t.Fatalf("cycle %d: recovered %d jobs, want between %d (acked) and %d (sent)\nstderr:\n%s",
-				cycle, n, lo, hi, p.stderr.String())
+			t.Fatalf("cycle %d: recovered %d jobs, want between %d (acked) and %d (sent) and the %d the dump predicted\nstderr:\n%s",
+				cycle, n, lo, hi, predicted, p.stderr.String())
 		}
 		comparePartition(t, client, p.base, tr, n, fmt.Sprintf("cycle %d recovery", cycle))
 		next := n
 		if next >= len(tr.Jobs) {
 			p.kill(t)
+			predicted = inspectPredicted(t, stateDir)
 			break
 		}
 
@@ -272,15 +303,16 @@ func TestKillAndRecover(t *testing.T) {
 			hi = len(tr.Jobs)
 		}
 		p.kill(t)
+		predicted = inspectPredicted(t, stateDir)
 	}
 
 	// Final pass: recover once more, finish the trace uninterrupted, and
 	// check convergence to the uninterrupted-reference partition.
 	p := startServe(t, bin, tracePath, stateDir)
 	n := readObserved(t, client, p.base)
-	if n < lo || n > hi {
+	if n < lo || n > hi || n != predicted {
 		p.kill(t)
-		t.Fatalf("final recovery: %d jobs, want between %d and %d", n, lo, hi)
+		t.Fatalf("final recovery: %d jobs, want between %d and %d and the %d the dump predicted", n, lo, hi, predicted)
 	}
 	comparePartition(t, client, p.base, tr, n, "final recovery")
 	for i := n; i < len(tr.Jobs); i++ {
