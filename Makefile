@@ -101,7 +101,7 @@ mmap-large:
 bench-json:
 	mkdir -p $(BENCHDIR)
 	$(GO) test -run=^$$ -bench='$(BENCHPAT)' -benchmem . | tee $(BENCHDIR)/bench.txt
-	$(GO) run ./cmd/filecule-cachesim -sweep -scale 0.02 -seed 1 -o $(BENCHDIR)/sweep.json
+	$(GO) run ./cmd/filecule-cachesim -sweep -workload dzero,seed=1,scale=0.02 -o $(BENCHDIR)/sweep.json
 	$(GO) run ./cmd/filecule-benchgate -bench $(BENCHDIR)/bench.txt \
 		-sweep $(BENCHDIR)/sweep.json -o BENCH_sweep.json
 	@echo "bench-json: wrote BENCH_sweep.json"
@@ -139,7 +139,7 @@ sweep-smoke:
 	$(GO) run ./cmd/filecule-cachesim -sweep -workload dzero,seed=1,scale=0.002
 	$(GO) run ./cmd/filecule-cachesim -sweep -workload xrootd,seed=1,scale=0.002
 	$(GO) run ./cmd/filecule-cachesim -sweep -workload "dzero,seed=1,scale=0.002,shape=burst,rps-start=5,rps-target=50,slot=30s"
-	$(GO) run ./cmd/filecule-gen -kv-csv 5000 -kv-keys 400 -seed 1 -o $(BENCHDIR)/smoke-kv.csv
+	$(GO) run ./cmd/filecule-gen -kv-csv 5000 -kv-keys 400 -kv-seed 1 -o $(BENCHDIR)/smoke-kv.csv
 	$(GO) run ./cmd/filecule-cachesim -sweep -workload "kv-csv,path=$(BENCHDIR)/smoke-kv.csv,window=16"
 
 # The end-to-end ledger (BENCHMARK.json, bench/README.md): one run of one

@@ -485,7 +485,7 @@ func BenchmarkObserveEngineBatch(b *testing.B) {
 // in front: each observe run-encodes its file list into the in-memory
 // group-commit batch before touching the engine; the fsync happens on the
 // committer goroutine's cadence, off the hot path. ObserveWAL over
-// ObserveEngine is bounded by the benchgate's -wal-overhead-ceiling.
+// ObserveEngine is bounded by the benchgate's overheadPairs table.
 func BenchmarkObserveWAL(b *testing.B) {
 	t := benchRunner.Trace()
 	d, err := durable.Open(durable.Options{Dir: b.TempDir()})

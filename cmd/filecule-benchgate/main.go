@@ -3,17 +3,17 @@
 // changes against a committed baseline:
 //
 //	go test -bench 'Sweep|Server' -benchmem ./... > bench.txt
-//	filecule-cachesim -sweep -scale 0.02 -o sweep.json
+//	filecule-cachesim -sweep -workload dzero,seed=1,scale=0.02 -o sweep.json
 //	filecule-benchgate -bench bench.txt -sweep sweep.json -o BENCH_sweep.json
 //	filecule-benchgate -report BENCH_sweep.json -baseline BENCH_baseline.json
 //	filecule-benchgate -report BENCH_sweep.json -baseline BENCH_baseline.json -update
 //
 // The gate fails (exit 1) when ns/op or B/op regresses beyond the tolerance
-// band against the baseline, when the speedup ratio between paired
-// engine/sequential benchmarks drops below the configured floor, when an
-// absolute metric bound is violated (wire req/s floor, wire p99 ceiling), or
-// when the embedded sweep miss rates — which are machine-independent —
-// differ at all.
+// band against the baseline, when the ratio between paired benchmarks of
+// one run leaves its floor or ceiling (speedupPairs, overheadPairs), when an
+// absolute metric bound is violated (metricBounds: wire req/s floor, wire
+// p99 ceiling, ...), or when the embedded sweep miss rates — which are
+// machine-independent — differ at all.
 package main
 
 import (
@@ -63,19 +63,10 @@ func run(args []string, stdout io.Writer) error {
 		sweepPath = fs.String("sweep", "", "sweep JSON (filecule-sweep/v1) to embed in the report")
 		outPath   = fs.String("o", "", "write the assembled report JSON here ('-' for stdout)")
 
-		reportPath   = fs.String("report", "", "report to gate against the baseline")
-		basePath     = fs.String("baseline", "", "committed baseline report")
-		tolerance    = fs.Float64("tolerance", 0.15, "allowed fractional regression of ns/op, B/op and (cold-path benchmarks) allocs/op")
-		speedupFloor = fs.Float64("speedup-floor", 3, "required SweepEngine over SweepSequential wall-clock ratio (0 disables)")
-		decodeFloor  = fs.Float64("decode-speedup-floor", 2, "required DecodeBin over DecodeText wall-clock ratio (0 disables)")
-		mmapFloor    = fs.Float64("mmap-decode-speedup-floor", 0.9, "required DecodeMmap over DecodeBin wall-clock ratio (0 disables)")
-		mapAllocs    = fs.Float64("map-iterate-allocs-ceiling", 1, "allowed MapIterate allocs/op (0 disables)")
-		kvAllocs     = fs.Float64("kv-decode-allocs-ceiling", 1, "allowed DecodeKV allocs/op (0 disables)")
-		wireFloor    = fs.Float64("wire-speedup-floor", 3, "required ServeTCPWire over ServeTCPJSON wall-clock ratio (0 disables)")
-		walCeiling   = fs.Float64("wal-overhead-ceiling", 10, "allowed ObserveWAL over ObserveEngine slowdown ratio (0 disables)")
-		wireRPS      = fs.Float64("wire-rps-floor", 30000, "required ServeTCPWire req/s on a 1-vCPU runner (0 disables)")
-		wireP99      = fs.Float64("wire-p99-ceiling", 25, "allowed ServeTCPWire p99 latency in milliseconds (0 disables)")
-		update       = fs.Bool("update", false, "rewrite the baseline from the report instead of gating")
+		reportPath = fs.String("report", "", "report to gate against the baseline")
+		basePath   = fs.String("baseline", "", "committed baseline report")
+		tolerance  = fs.Float64("tolerance", 0.15, "allowed fractional regression of ns/op, B/op and (cold-path benchmarks) allocs/op")
+		update     = fs.Bool("update", false, "rewrite the baseline from the report instead of gating")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -123,35 +114,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	violations := gate(base, rep, *tolerance, []speedupPair{
-		{fast: "SweepEngine", slow: "SweepSequential", floor: *speedupFloor},
-		{fast: "DecodeBin", slow: "DecodeText", floor: *decodeFloor},
-		// The mapped decode measured 1.5-1.9x the streamed one on a 2-vCPU
-		// host (71-76 ms against 135-141 ms at scale 0.5; DESIGN §13 has the
-		// table and the host), but on a 1-vCPU runner both are the same
-		// serial materialiser, so the floor below 1 polices "never
-		// meaningfully slower" rather than asserting the speedup.
-		{fast: "DecodeMmap", slow: "DecodeBin", floor: *mmapFloor},
-		{fast: "ServeTCPWire", slow: "ServeTCPJSON", floor: *wireFloor},
-	}, []overheadPair{
-		{wrapped: "ObserveWAL", bare: "ObserveEngine", ceiling: *walCeiling},
-	}, []metricBound{
-		{bench: "ServeTCPWire", unit: "req/s", floor: *wireRPS},
-		{bench: "ServeTCPWire", unit: "p99-ns", ceiling: *wireP99 * 1e6},
-		// Machine-independent: the mapped per-job hot loop amortizes chunk
-		// decode to zero allocations per job, and must stay that way.
-		{bench: "MapIterate", unit: "allocs/op", ceiling: *mapAllocs},
-		// The KV CSV row decoder pins its zero-allocation steady state.
-		{bench: "DecodeKV", unit: "allocs/op", ceiling: *kvAllocs},
-		// The engine's steady-state observe, in absolute numbers. The gate
-		// used to require 4x over the map-and-pointer Refiner in the same
-		// run; the Refiner is now a test oracle with no benchmark, so its
-		// last recorded 2 841 ns/op over that 4x floor stands as the
-		// ceiling (the baseline hosts measure 220-240 ns/op). allocs/op
-		// prints whole numbers, so any allocation per observe is over 0.5.
-		{bench: "ObserveEngine", unit: "ns/op", ceiling: 700},
-		{bench: "ObserveEngine", unit: "allocs/op", ceiling: 0.5},
-	})
+	violations := gate(base, rep, *tolerance, speedupPairs, overheadPairs, metricBounds)
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(stdout, "FAIL:", v)
@@ -250,10 +213,22 @@ type speedupPair struct {
 	floor      float64
 }
 
+var speedupPairs = []speedupPair{
+	{fast: "SweepEngine", slow: "SweepSequential", floor: 3},
+	{fast: "DecodeBin", slow: "DecodeText", floor: 2},
+	// The mapped decode measured 1.5-1.9x the streamed one on a 2-vCPU
+	// host (71-76 ms against 135-141 ms at scale 0.5; DESIGN §13 has the
+	// table and the host), but on a 1-vCPU runner both are the same
+	// serial materialiser, so the floor below 1 polices "never
+	// meaningfully slower" rather than asserting the speedup.
+	{fast: "DecodeMmap", slow: "DecodeBin", floor: 0.9},
+	{fast: "ServeTCPWire", slow: "ServeTCPJSON", floor: 3},
+}
+
 // overheadPair names a wrapped/bare benchmark pair whose within-run
 // wall-clock ratio must stay at or below ceiling — the inverse of a
 // speedupPair, for features that add cost (durability) rather than remove
-// it. The default ObserveWAL ceiling is sized for a single-core CI runner,
+// it. The ObserveWAL ceiling is sized for a single-core CI runner,
 // where the WAL committer's encode and write() serialize with the observe
 // path instead of overlapping on another core: measured ~4.5x on a quiet
 // 1-vCPU host and ~6.7x under full-suite load, so 10x flags a real
@@ -263,9 +238,13 @@ type overheadPair struct {
 	ceiling       float64
 }
 
+var overheadPairs = []overheadPair{
+	{wrapped: "ObserveWAL", bare: "ObserveEngine", ceiling: 10},
+}
+
 // metricBound pins one custom benchmark metric (a b.ReportMetric unit like
 // "req/s" or "p99-ns") to an absolute range. Unlike the relative checks,
-// these ARE machine-dependent — the defaults are sized for the slowest
+// these ARE machine-dependent — the wire bounds are sized for the slowest
 // supported runner (1 vCPU) with an order of magnitude of headroom, so they
 // catch a serving path falling off a cliff, not ordinary runner jitter.
 // A zero floor or ceiling disables that side; a bound on a benchmark or
@@ -274,6 +253,24 @@ type overheadPair struct {
 type metricBound struct {
 	bench, unit    string
 	floor, ceiling float64
+}
+
+var metricBounds = []metricBound{
+	{bench: "ServeTCPWire", unit: "req/s", floor: 30000},
+	{bench: "ServeTCPWire", unit: "p99-ns", ceiling: 25e6}, // 25 ms
+	// Machine-independent: the mapped per-job hot loop amortizes chunk
+	// decode to zero allocations per job, and must stay that way.
+	{bench: "MapIterate", unit: "allocs/op", ceiling: 1},
+	// The KV CSV row decoder pins its zero-allocation steady state.
+	{bench: "DecodeKV", unit: "allocs/op", ceiling: 1},
+	// The engine's steady-state observe, in absolute numbers. The gate
+	// used to require 4x over the map-and-pointer Refiner in the same
+	// run; the Refiner is now a test oracle with no benchmark, so its
+	// last recorded 2 841 ns/op over that 4x floor stands as the
+	// ceiling (the baseline hosts measure 220-240 ns/op). allocs/op
+	// prints whole numbers, so any allocation per observe is over 0.5.
+	{bench: "ObserveEngine", unit: "ns/op", ceiling: 700},
+	{bench: "ObserveEngine", unit: "allocs/op", ceiling: 0.5},
 }
 
 // noRelativeNsOp lists benchmarks exempt from the cross-run ns/op tolerance
@@ -347,9 +344,6 @@ func gate(base, rep *Report, tolerance float64, pairs []speedupPair, ceilings []
 
 	// The engines' reasons to exist, each checked within one run.
 	for _, p := range pairs {
-		if p.floor <= 0 {
-			continue
-		}
 		fast, fok := byName[p.fast]
 		slow, sok := byName[p.slow]
 		if fok && sok && fast.Metrics["ns/op"] > 0 {
@@ -363,9 +357,6 @@ func gate(base, rep *Report, tolerance float64, pairs []speedupPair, ceilings []
 	// Features that tax a hot path must keep the tax bounded, again within
 	// one run.
 	for _, p := range ceilings {
-		if p.ceiling <= 0 {
-			continue
-		}
 		wrapped, wok := byName[p.wrapped]
 		bare, bok := byName[p.bare]
 		if wok && bok && bare.Metrics["ns/op"] > 0 {

@@ -4,11 +4,14 @@
 // grid engine (the one Figure 10 runs on). Cache sizes are full-scale TB,
 // turned into bytes by sim.ScaledCapacity:
 //
-//	filecule-cachesim -scale 0.05                  # Figure 10 sweep
-//	filecule-cachesim -trace trace.txt -ablation   # policy zoo
-//	filecule-cachesim -sizes 1,10,100 -policy gds  # custom sweep
-//	filecule-cachesim -sweep -o sweep.json         # single-pass grid sweep
-//	filecule-cachesim -sweep -table                # ... rendered as tables
+//	filecule-cachesim                                          # Figure 10 sweep
+//	filecule-cachesim -workload file,path=trace.txt -ablation  # policy zoo
+//	filecule-cachesim -sizes 1,10,100 -policy gds              # custom sweep
+//	filecule-cachesim -sweep -o sweep.json                     # single-pass grid sweep
+//	filecule-cachesim -sweep -table                            # ... rendered as tables
+//
+// A recorded trace of a scaled workload says so in its spec
+// (file,path=trace.bin,scale=0.05) to get cache sizes scaled to match.
 package main
 
 import (
@@ -25,6 +28,7 @@ import (
 	"filecule/internal/experiments"
 	"filecule/internal/report"
 	"filecule/internal/sim"
+	"filecule/internal/workload"
 )
 
 func main() {
@@ -37,8 +41,8 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	// ExitOnError keeps the conventional usage-error exit code 2.
 	fs := flag.NewFlagSet("filecule-cachesim", flag.ExitOnError)
-	wf := cli.AddWorkloadFlags(fs, 0.05)
 	var (
+		spec     = cli.WorkloadFlag(fs)
 		sizes    = fs.String("sizes", "", "comma-separated cache sizes in full-scale TB (default: the paper's 7 sizes)")
 		policy   = fs.String("policy", "lru", "eviction policy: lru, fifo, lfu, size, gds, gdsf, landlord, bundle")
 		ablation = fs.Bool("ablation", false, "run the full policy-zoo ablation instead of a sweep")
@@ -54,16 +58,18 @@ func run(args []string, stdout io.Writer) error {
 		return err // unreachable with ExitOnError; kept for safety
 	}
 
-	wl := wf.Workload()
 	// Cache sizes scale with the workload so miss-rate curves stay
 	// comparable across scales.
-	effScale := wl.ScaleHint()
-
-	if *sweep {
-		return runSweep(wl, effScale, *sizes, *policies, *grans, *workers, *table, *out, stdout)
+	effScale, err := workload.Scale(*spec)
+	if err != nil {
+		return err
 	}
 
-	t, err := wl.Load()
+	if *sweep {
+		return runSweep(*spec, effScale, *sizes, *policies, *grans, *workers, *table, *out, stdout)
+	}
+
+	t, err := workload.Load(*spec)
 	if err != nil {
 		return err
 	}
@@ -115,7 +121,7 @@ func run(args []string, stdout io.Writer) error {
 // the request stream, not the job history. The synthetic path materializes
 // first to keep jobs in start-time order (tie-order stability pins the
 // benchmark baseline) and streams from the in-memory adapter.
-func runSweep(wl cli.Workload, scale float64, sizes, policies, grans string, workers int, asTable bool, out string, stdout io.Writer) (err error) {
+func runSweep(spec string, scale float64, sizes, policies, grans string, workers int, asTable bool, out string, stdout io.Writer) (err error) {
 	cfg := sim.SweepConfig{Scale: scale, Workers: workers}
 	if cfg.CapacitiesTB, err = parseSizes(sizes); err != nil {
 		return err
@@ -130,7 +136,7 @@ func runSweep(wl cli.Workload, scale float64, sizes, policies, grans string, wor
 	// OpenOrdered holds the start-order replay contract: unshaped synthetics
 	// materialize start-sorted (tie-order stability pins the benchmark
 	// baseline), recorded files and ordered streams replay as-is.
-	src, err := wl.OpenOrdered()
+	src, err := workload.OpenOrdered(spec)
 	if err != nil {
 		return err
 	}

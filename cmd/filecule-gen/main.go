@@ -1,20 +1,21 @@
-// Command filecule-gen generates a synthetic trace from any registered
-// workload adapter (DZero by default), converts an existing trace between
-// codecs, or writes a synthetic Meta-format KV-cache CSV. Output is the v1
-// text format or the filecule-bin/v1 binary columnar format:
+// Command filecule-gen writes the trace of any registered workload (DZero by
+// default; a recorded trace, to convert it between codecs), or a synthetic
+// Meta-format KV-cache CSV. Output is the v1 text format or the
+// filecule-bin/v1 binary columnar format:
 //
-//	filecule-gen -scale 0.05 -seed 7 -o trace.txt
-//	filecule-gen -scale 0.05 -format bin -o trace.bin
-//	filecule-gen -convert trace.txt -format bin -o trace.bin
-//	filecule-gen -scale 1 -stream -format bin -o full.bin   # bounded memory
+//	filecule-gen -workload dzero,seed=7,scale=0.05 -o trace.txt
+//	filecule-gen -format bin -o trace.bin
+//	filecule-gen -workload file,path=trace.txt -format bin -o trace.bin
+//	filecule-gen -workload dzero,seed=1,scale=1 -stream -format bin -o full.bin  # bounded memory
 //	filecule-gen -workload xrootd,seed=3,scale=0.1 -format bin -o x.bin
 //	filecule-gen -workload dzero,seed=1,scale=0.05,shape=burst -o burst.txt
-//	filecule-gen -kv-csv 100000 -kv-keys 5000 -o kv.csv    # KV trace input
+//	filecule-gen -kv-csv 100000 -kv-keys 5000 -kv-seed 1 -o kv.csv  # KV trace input
 //
-// By default the synthetic trace is materialized and written sorted by job
-// start time (byte-identical across runs of the same seed). With -stream,
-// jobs are piped from the generator to the encoder one at a time in
-// generation order, so memory stays bounded by the catalog at any scale;
+// By default the workload is materialized and written in its loaded order:
+// sorted by job start time for the generators (byte-identical across runs of
+// the same seed), stored order for a file. With -stream, jobs are piped from
+// the workload to the encoder one at a time in its stream order (generation
+// order for dzero), so memory stays bounded by the catalog at any scale;
 // readers that need start-time order can sort after decoding.
 package main
 
@@ -40,22 +41,20 @@ func main() {
 func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("filecule-gen", flag.ExitOnError)
 	var (
-		seed    = fs.Int64("seed", 1, "generator seed")
-		scale   = fs.Float64("scale", 0.05, "workload scale (1 = full paper scale)")
-		out     = fs.String("o", "-", "output path ('-' for stdout)")
-		gz      = fs.Bool("gz", false, "gzip-compress the output")
-		format  = fs.String("format", "text", "output codec: text or bin")
-		convert = fs.String("convert", "", "re-encode this trace instead of synthesizing (alias for -workload file,path=...)")
-		stream  = fs.Bool("stream", false, "stream jobs straight to the encoder (bounded memory, adapter stream order)")
-		spec    = fs.String("workload", "", cli.WorkloadHelp())
-		kvRows  = fs.Int("kv-csv", 0, "write a synthetic Meta-format KV-cache CSV with this many rows instead of a trace")
-		kvKeys  = fs.Int("kv-keys", 1000, "distinct keys in the synthetic KV-cache CSV")
+		spec   = cli.WorkloadFlag(fs)
+		out    = fs.String("o", "-", "output path ('-' for stdout)")
+		gz     = fs.Bool("gz", false, "gzip-compress the output")
+		format = fs.String("format", "text", "output codec: text or bin")
+		stream = fs.Bool("stream", false, "stream jobs straight to the encoder (bounded memory, adapter stream order)")
+		kvRows = fs.Int("kv-csv", 0, "write a synthetic Meta-format KV-cache CSV with this many rows instead of a trace")
+		kvKeys = fs.Int("kv-keys", 1000, "distinct keys in the synthetic KV-cache CSV")
+		kvSeed = fs.Int64("kv-seed", 1, "generator seed of the synthetic KV-cache CSV")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err // unreachable with ExitOnError; kept for safety
 	}
 	if *kvRows == 0 {
-		if err := cli.CheckFormat(*format); err != nil {
+		if err := workload.CheckFormat(*format); err != nil {
 			return err
 		}
 	}
@@ -71,9 +70,6 @@ func run(args []string, stderr io.Writer) error {
 		w = f
 	}
 
-	// Path (-convert) and Spec conflicts are caught by the shared resolver.
-	wl := cli.Workload{Spec: *spec, Path: *convert, Seed: *seed, Scale: *scale}
-
 	var jobs, files, users, sites int
 	var err error
 	switch {
@@ -84,15 +80,15 @@ func run(args []string, stderr io.Writer) error {
 			zw = gzip.NewWriter(w)
 			out = zw
 		}
-		err = workload.GenKVCSV(out, *seed, *kvKeys, *kvRows)
+		err = workload.GenKVCSV(out, *kvSeed, *kvKeys, *kvRows)
 		if err == nil && zw != nil {
 			err = zw.Close()
 		}
-	case *stream || *convert != "":
-		jobs, files, users, sites, err = copyStream(w, wl, *format, *gz)
+	case *stream:
+		jobs, files, users, sites, err = copyStream(w, *spec, *format, *gz)
 	default:
 		var t *trace.Trace
-		t, err = wl.Load()
+		t, err = workload.Load(*spec)
 		if err == nil {
 			err = cli.WriteTrace(w, t, *format, *gz)
 		}
@@ -124,8 +120,8 @@ func run(args []string, stderr io.Writer) error {
 
 // copyStream pipes a workload's job stream into a fresh encoder without
 // materializing the trace.
-func copyStream(w io.Writer, wl cli.Workload, format string, gz bool) (jobs, files, users, sites int, err error) {
-	src, err := wl.Open()
+func copyStream(w io.Writer, spec, format string, gz bool) (jobs, files, users, sites int, err error) {
+	src, err := workload.Open(spec)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}

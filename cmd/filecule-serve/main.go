@@ -2,11 +2,11 @@
 // service: an HTTP/JSON wrapper around the online identification monitor,
 // with Prometheus-style metrics and graceful shutdown.
 //
-//	filecule-serve -addr :8080 -scale 0.05          # serve a synthetic catalog
-//	filecule-serve -addr :8080 -trace trace.txt     # serve a trace's catalog
-//	filecule-serve -addr :8080 -wire-addr :9091     # also serve filecule-wire/v1
-//	filecule-serve -selftest                        # closed-loop verification
-//	filecule-serve -site a -peers http://b:9090     # federate with another site
+//	filecule-serve -addr :8080                                    # serve a synthetic catalog
+//	filecule-serve -addr :8080 -workload file,path=trace.txt      # serve a trace's catalog
+//	filecule-serve -addr :8080 -wire-addr :9091                   # also serve filecule-wire/v1
+//	filecule-serve -selftest                                      # closed-loop verification
+//	filecule-serve -site a -peers http://b:9090                   # federate with another site
 //
 // In -selftest mode the command starts an in-process server on a loopback
 // port, replays a synthetic trace against it from -clients concurrent
@@ -38,13 +38,14 @@ import (
 	"filecule/internal/synth"
 	"filecule/internal/trace"
 	"filecule/internal/wire"
+	"filecule/internal/workload"
 )
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		wireAddr = flag.String("wire-addr", "", "also serve the binary wire protocol (filecule-wire/v1) on this TCP address")
-		wf       = cli.AddWorkloadFlags(flag.CommandLine, 0.05)
+		spec     = cli.WorkloadFlag(flag.CommandLine)
 		selftest = flag.Bool("selftest", false, "run the closed-loop load test and exit")
 		clients  = flag.Int("clients", 8, "selftest: concurrent submitters")
 		batch    = flag.Int("batch", 1, "selftest: jobs per request (1 = unbatched)")
@@ -95,7 +96,7 @@ func main() {
 	}
 
 	if *selftest {
-		t, err := wf.Workload().Load()
+		t, err := workload.Load(*spec)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,7 +119,7 @@ func main() {
 
 	// Serving needs the file catalog only, and a source's catalog outlives
 	// it (a mapped file's names are copies): no job is decoded or generated.
-	src, err := wf.Workload().Open()
+	src, err := workload.Open(*spec)
 	if err != nil {
 		fatal(err)
 	}

@@ -31,6 +31,9 @@ func buildCmds(t *testing.T, names ...string) map[string]string {
 	return bins
 }
 
+// tiny is the smallest workload that still exercises every tool.
+var tiny = []string{"-workload", "dzero,seed=1,scale=0.001"}
+
 func exitCode(t *testing.T, bin string, args ...string) (int, string) {
 	t.Helper()
 	out, err := exec.Command(bin, args...).CombinedOutput()
@@ -48,13 +51,10 @@ func TestCommandExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every command; skipped in -short mode")
 	}
-	bins := buildCmds(t,
-		"filecule-cachesim", "filecule-gen", "filecule-analyze",
-		"filecule-repro", "filecule-swarm", "filecule-serve")
+	bins := buildCmds(t, "filecule-cachesim", "filecule-gen", "filecule-repro", "filecule-serve")
 
-	noSuchTrace := filepath.Join(t.TempDir(), "missing.trace")
+	noSuchTrace := []string{"-workload", "file,path=" + filepath.Join(t.TempDir(), "missing.trace")}
 	unwritable := filepath.Join(t.TempDir(), "no-such-dir", "out.trace")
-	tiny := []string{"-scale", "0.001", "-seed", "1"}
 
 	cases := []struct {
 		name string
@@ -66,19 +66,20 @@ func TestCommandExitCodes(t *testing.T) {
 		{"bad flag", "filecule-cachesim", []string{"-no-such-flag"}, 2},
 		{"bad flag gen", "filecule-gen", []string{"-no-such-flag"}, 2},
 
-		// Operational failures: exit 1.
-		{"missing trace", "filecule-cachesim", []string{"-trace", noSuchTrace}, 1},
+		// Operational failures: exit 1. The analyze and swarm cases are the
+		// sec3 and sec5 groups of filecule-repro, the cmds they used to be.
+		{"missing trace", "filecule-cachesim", noSuchTrace, 1},
 		{"unknown policy", "filecule-cachesim", append([]string{"-policy", "belady"}, tiny...), 1},
 		{"bad sweep policy", "filecule-cachesim", append([]string{"-sweep", "-policies", "mru"}, tiny...), 1},
 		{"bad sweep gran", "filecule-cachesim", append([]string{"-sweep", "-grans", "block"}, tiny...), 1},
 		{"bad sweep size", "filecule-cachesim", append([]string{"-sizes", "zero"}, tiny...), 1},
 		{"sweep unwritable output", "filecule-cachesim", append([]string{"-sweep", "-o", unwritable}, tiny...), 1},
 		{"gen unwritable output", "filecule-gen", append([]string{"-o", unwritable}, tiny...), 1},
-		{"analyze missing trace", "filecule-analyze", []string{"-trace", noSuchTrace}, 1},
-		{"analyze unknown experiment", "filecule-analyze", append([]string{"-exp", "fig99"}, tiny...), 1},
+		{"analyze missing trace", "filecule-repro", append([]string{"-exp", "sec3"}, noSuchTrace...), 1},
+		{"analyze unknown experiment", "filecule-repro", append([]string{"-exp", "sec3,fig99"}, tiny...), 1},
 		{"repro unknown experiment", "filecule-repro", append([]string{"-exp", "fig99"}, tiny...), 1},
-		{"swarm missing trace", "filecule-swarm", []string{"-trace", noSuchTrace}, 1},
-		{"serve missing trace", "filecule-serve", []string{"-trace", noSuchTrace}, 1},
+		{"swarm missing trace", "filecule-repro", append([]string{"-exp", "sec5"}, noSuchTrace...), 1},
+		{"serve missing trace", "filecule-serve", noSuchTrace, 1},
 		{"serve unbindable wire addr", "filecule-serve",
 			append([]string{"-selftest", "-wire-addr", "256.256.256.256:1"}, tiny...), 1},
 		{"serve wire addr with durable selftest", "filecule-serve",
@@ -91,6 +92,7 @@ func TestCommandExitCodes(t *testing.T) {
 		{"sweep ok", "filecule-cachesim",
 			append([]string{"-sweep", "-policies", "lru", "-grans", "file", "-sizes", "1"}, tiny...), 0},
 		{"repro list ok", "filecule-repro", []string{"-list"}, 0},
+		{"repro group ok", "filecule-repro", append([]string{"-exp", "sec5,table1"}, tiny...), 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -103,7 +105,7 @@ func TestCommandExitCodes(t *testing.T) {
 	}
 	// Successful trace generation must produce a loadable trace.
 	okTrace := filepath.Join(t.TempDir(), "ok.trace")
-	if got, out := exitCode(t, bins["filecule-gen"], "-o", okTrace, "-scale", "0.001"); got != 0 {
+	if got, out := exitCode(t, bins["filecule-gen"], append([]string{"-o", okTrace}, tiny...)...); got != 0 {
 		t.Fatalf("gen: exit %d\n%s", got, out)
 	}
 	if fi, err := os.Stat(okTrace); err != nil || fi.Size() == 0 {
@@ -119,12 +121,12 @@ func TestWorkloadSpecExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds commands; skipped in -short mode")
 	}
-	bins := buildCmds(t, "filecule-gen", "filecule-cachesim", "filecule-analyze")
+	bins := buildCmds(t, "filecule-gen", "filecule-cachesim", "filecule-repro", "filecule-serve")
 
 	dir := t.TempDir()
 	kvCSV := filepath.Join(dir, "kv.csv")
 	if got, out := exitCode(t, bins["filecule-gen"],
-		"-kv-csv", "400", "-kv-keys", "50", "-seed", "3", "-o", kvCSV); got != 0 {
+		"-kv-csv", "400", "-kv-keys", "50", "-kv-seed", "3", "-o", kvCSV); got != 0 {
 		t.Fatalf("gen -kv-csv: exit %d\n%s", got, out)
 	}
 
@@ -143,20 +145,26 @@ func TestWorkloadSpecExitCodes(t *testing.T) {
 			append([]string{"-workload", "dzero,warp=9"}, sweepArgs...), 1, "unknown option"},
 		{"bad option value", "filecule-cachesim",
 			append([]string{"-workload", "dzero,seed=banana"}, sweepArgs...), 1, "seed"},
-		{"missing key=value", "filecule-analyze",
+		{"missing key=value", "filecule-repro",
 			[]string{"-workload", "dzero,seed", "-exp", "table1"}, 1, "not key=value"},
-		{"duplicate option", "filecule-analyze",
+		{"duplicate option", "filecule-repro",
 			[]string{"-workload", "dzero,seed=1,seed=2", "-exp", "table1"}, 1, "given twice"},
 		{"kv-csv missing path", "filecule-cachesim",
 			append([]string{"-workload", "kv-csv"}, sweepArgs...), 1, "path"},
-		{"spec conflicts with -trace", "filecule-cachesim",
-			append([]string{"-workload", "dzero,seed=1", "-trace", kvCSV}, sweepArgs...), 1, "conflicts"},
+		{"comma in a path", "filecule-cachesim",
+			append([]string{"-workload", "file,path=" + filepath.Join(dir, "a,b.bin")}, sweepArgs...), 1,
+			`"b.bin" is not key=value (spec values cannot contain commas)`},
+		{"bad file scale", "filecule-cachesim",
+			append([]string{"-workload", "file,path=" + kvCSV + ",scale=0"}, sweepArgs...), 1, "not positive"},
 		{"gen bad spec", "filecule-gen",
 			[]string{"-workload", "xrootd,one-touch=2", "-o", filepath.Join(dir, "x.trace")}, 1, "one-touch"},
 
-		// -workload help prints the adapter listing (exit 1: nothing ran).
+		// -workload help prints the adapter listing (exit 1: nothing ran),
+		// whichever of Open, Load and OpenOrdered the tool calls.
 		{"workload help", "filecule-cachesim",
 			append([]string{"-workload", "help"}, sweepArgs...), 1, "kv-csv"},
+		{"workload help load", "filecule-repro", []string{"-workload", "help", "-exp", "table1"}, 1, "kv-csv"},
+		{"workload list open", "filecule-serve", []string{"-workload", "list"}, 1, "kv-csv"},
 
 		// Every adapter drives the tools to success.
 		{"sweep dzero spec", "filecule-cachesim",
@@ -167,8 +175,14 @@ func TestWorkloadSpecExitCodes(t *testing.T) {
 			append([]string{"-workload", "kv-csv,path=" + kvCSV + ",window=8"}, sweepArgs...), 0, ""},
 		{"sweep shaped spec", "filecule-cachesim",
 			append([]string{"-workload", "dzero,seed=1,scale=0.001,shape=burst,rps-start=5,rps-target=50,slot=30s"}, sweepArgs...), 0, ""},
-		{"analyze kv-csv spec", "filecule-analyze",
+		{"analyze kv-csv spec", "filecule-repro",
 			[]string{"-workload", "kv-csv,path=" + kvCSV, "-exp", "table1"}, 0, ""},
+
+		// The report names the workload it ran (the legacy flags' header
+		// said "seed 1" whatever the spec).
+		{"repro header names the spec", "filecule-repro",
+			[]string{"-workload", "dzero,seed=7,scale=0.001"}, 0,
+			"filecule reproduction report (dzero,seed=7,scale=0.001)\n"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -184,6 +198,39 @@ func TestWorkloadSpecExitCodes(t *testing.T) {
 	}
 }
 
+// TestRetiredFlagsExitCodes: the flags that named a workload before the
+// -workload spec did, and the benchgate thresholds that had one value, are
+// ordinary unknown flags now: usage text and exit 2, on every tool that had
+// them.
+func TestRetiredFlagsExitCodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds commands; skipped in -short mode")
+	}
+	aliases := []string{"-trace", "-seed", "-scale", "-format"}
+	retired := map[string][]string{
+		"filecule-cachesim": aliases,
+		"filecule-repro":    aliases,
+		"filecule-serve":    aliases,
+		"filecule-gen":      {"-seed", "-scale", "-convert"},
+		"filecule-benchgate": {"-speedup-floor", "-decode-speedup-floor", "-mmap-decode-speedup-floor",
+			"-map-iterate-allocs-ceiling", "-kv-decode-allocs-ceiling", "-wire-speedup-floor",
+			"-wal-overhead-ceiling", "-wire-rps-floor", "-wire-p99-ceiling"},
+	}
+	names := make([]string, 0, len(retired))
+	for name := range retired {
+		names = append(names, name)
+	}
+	bins := buildCmds(t, names...)
+	for name, flags := range retired {
+		for _, f := range flags {
+			got, out := exitCode(t, bins[name], f, "1")
+			if got != 2 || !strings.Contains(out, "flag provided but not defined: "+f) {
+				t.Errorf("%s %s 1: exit %d, want 2 and the flag named as undefined\noutput:\n%s", name, f, got, out)
+			}
+		}
+	}
+}
+
 // TestDurableExitCodes pins the crash-safety flag contract of
 // filecule-serve: durability misconfiguration and unrecoverable state both
 // exit 1 before serving a single request, and corruption errors name the
@@ -196,7 +243,6 @@ func TestDurableExitCodes(t *testing.T) {
 	bins := buildCmds(t, "filecule-serve", "filecule-state")
 	serve := bins["filecule-serve"]
 	state := bins["filecule-state"]
-	tiny := []string{"-scale", "0.001", "-seed", "1"}
 
 	// filecule-state usage contract: missing or unknown subcommands and a
 	// missing -dir are usage errors; a nonexistent directory is operational.
@@ -349,25 +395,24 @@ func TestDurableExitCodes(t *testing.T) {
 	}
 }
 
-// TestFormatFlagExitCodes pins the -format / -convert / -stream contract:
-// binary traces round through the tools, asserted formats are enforced, and
-// corrupt binary input fails loudly.
+// TestFormatFlagExitCodes pins filecule-gen's -format / -stream and the file
+// adapter's format option: binary traces round through the tools, asserted
+// formats are enforced, and corrupt binary input fails loudly.
 func TestFormatFlagExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds commands; skipped in -short mode")
 	}
-	bins := buildCmds(t, "filecule-gen", "filecule-cachesim", "filecule-analyze")
+	bins := buildCmds(t, "filecule-gen", "filecule-cachesim", "filecule-repro")
 
 	dir := t.TempDir()
 	textTrace := filepath.Join(dir, "t.trace")
 	binTrace := filepath.Join(dir, "t.bin")
-	tiny := []string{"-scale", "0.001", "-seed", "1"}
 
 	if got, out := exitCode(t, bins["filecule-gen"], append([]string{"-o", textTrace}, tiny...)...); got != 0 {
 		t.Fatalf("gen text: exit %d\n%s", got, out)
 	}
 	if got, out := exitCode(t, bins["filecule-gen"],
-		"-convert", textTrace, "-format", "bin", "-o", binTrace); got != 0 {
+		"-workload", "file,path="+textTrace, "-format", "bin", "-o", binTrace); got != 0 {
 		t.Fatalf("gen convert: exit %d\n%s", got, out)
 	}
 	binBytes, err := os.ReadFile(binTrace)
@@ -397,25 +442,28 @@ func TestFormatFlagExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sweepArgs := []string{"-sweep", "-policies", "lru", "-grans", "file", "-sizes", "1", "-scale", "0.001"}
+	// The traces were recorded at scale 0.001; the spec says so, so the
+	// sweep's cache sizes match.
+	sweepFile := func(path, more string) []string {
+		return []string{"-workload", "file,path=" + path + ",scale=0.001" + more,
+			"-sweep", "-policies", "lru", "-grans", "file", "-sizes", "1"}
+	}
 	cases := []struct {
 		name string
 		bin  string
 		args []string
 		want int
 	}{
-		{"sweep reads bin", "filecule-cachesim", append([]string{"-trace", binTrace}, sweepArgs...), 0},
-		{"sweep reads streamed bin", "filecule-cachesim", append([]string{"-trace", streamBin}, sweepArgs...), 0},
-		{"sweep rejects corrupt bin", "filecule-cachesim", append([]string{"-trace", corrupt}, sweepArgs...), 1},
-		{"cachesim format mismatch", "filecule-cachesim",
-			append([]string{"-trace", textTrace, "-format", "bin"}, sweepArgs...), 1},
-		{"cachesim bad format", "filecule-cachesim",
-			append([]string{"-trace", binTrace, "-format", "xml"}, sweepArgs...), 1},
-		{"gen bad format", "filecule-gen", []string{"-format", "xml", "-scale", "0.001"}, 1},
+		{"sweep reads bin", "filecule-cachesim", sweepFile(binTrace, ""), 0},
+		{"sweep reads streamed bin", "filecule-cachesim", sweepFile(streamBin, ""), 0},
+		{"sweep rejects corrupt bin", "filecule-cachesim", sweepFile(corrupt, ""), 1},
+		{"cachesim format mismatch", "filecule-cachesim", sweepFile(textTrace, ",format=bin"), 1},
+		{"cachesim bad format", "filecule-cachesim", sweepFile(binTrace, ",format=xml"), 1},
+		{"gen bad format", "filecule-gen", append([]string{"-format", "xml"}, tiny...), 1},
 		{"gen convert missing input", "filecule-gen",
-			[]string{"-convert", filepath.Join(dir, "missing.trace"), "-o", filepath.Join(dir, "x.bin")}, 1},
-		{"analyze format mismatch", "filecule-analyze",
-			[]string{"-trace", binTrace, "-format", "text", "-exp", "table1"}, 1},
+			[]string{"-workload", "file,path=" + filepath.Join(dir, "missing.trace"), "-o", filepath.Join(dir, "x.bin")}, 1},
+		{"analyze format mismatch", "filecule-repro",
+			[]string{"-workload", "file,path=" + binTrace + ",format=text", "-exp", "table1"}, 1},
 	}
 	for _, tc := range cases {
 		tc := tc

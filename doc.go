@@ -25,9 +25,9 @@
 //	internal/report      tables, bars, timelines
 //	internal/experiments one driver per table/figure of the paper
 //
-// Entry points: cmd/filecule-repro (full reproduction report),
-// cmd/filecule-gen, cmd/filecule-analyze, cmd/filecule-cachesim,
-// cmd/filecule-swarm, and the runnable walkthroughs under examples/.
+// Entry points: cmd/filecule-repro (the reproduction report, whole or by
+// experiment), cmd/filecule-gen, cmd/filecule-cachesim, cmd/filecule-serve,
+// and the runnable walkthroughs under examples/.
 //
 // The benchmarks in bench_test.go regenerate every table and figure; see
 // EXPERIMENTS.md for paper-vs-measured numbers and DESIGN.md for the system

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 
-	"filecule/internal/cache"
 	"filecule/internal/grid"
 	"filecule/internal/replica"
 	"filecule/internal/report"
@@ -28,8 +27,6 @@ func main() {
 		SiteBandwidth:    1e9 / 8,   // 1 Gbit/s site uplinks
 		HubSiteBandwidth: 100e9 / 8, // FermiLab local access
 		SiteCacheBytes:   100 << 30,
-		NewPolicy:        func() cache.Policy { return cache.NewLRU() },
-		NewGranularity:   func() cache.Granularity { return cache.NewFileGranularity(tr) },
 	}
 
 	outs, err := replica.Evaluate(tr, 0.6, budget, cfg, ".gov",

@@ -23,10 +23,10 @@ import (
 	"testing"
 	"time"
 
-	"filecule/internal/cli"
 	"filecule/internal/core"
 	"filecule/internal/server"
 	"filecule/internal/trace"
+	"filecule/internal/workload"
 )
 
 // reserveAddr grabs a loopback port and releases it, so a subprocess can
@@ -46,7 +46,7 @@ func reserveAddr(t *testing.T) string {
 func startServeFed(t *testing.T, bin, tracePath, stateDir, addr, site, peer string) *serveProc {
 	t.Helper()
 	return startServeArgs(t, bin,
-		"-addr", addr, "-trace", tracePath, "-state-dir", stateDir,
+		"-addr", addr, "-workload", "file,path="+tracePath, "-state-dir", stateDir,
 		"-wal-sync", "commit", "-checkpoint-interval", "50ms", "-pprof=false",
 		"-site", site, "-peers", "http://"+peer, "-exchange-interval", "25ms")
 }
@@ -68,7 +68,7 @@ func TestFedKillAndRecover(t *testing.T) {
 	}
 	bin := buildServeRace(t)
 
-	tr, err := cli.Workload{Seed: 9, Scale: 0.01}.Load()
+	tr, err := workload.Load("dzero,seed=9,scale=0.01")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,6 @@ type Config struct {
 	Scale float64
 }
 
-// DefaultConfig is the scale used by cmd/filecule-repro and the benches:
-// 1/20 of the paper's 27-month trace, which keeps every experiment under a
-// few seconds while preserving the distribution shapes.
-func DefaultConfig() Config { return Config{Seed: 1, Scale: 0.05} }
-
 // Result is one experiment's rendered outcome.
 type Result struct {
 	ID          string
@@ -149,6 +144,50 @@ var registry = []driver{
 	{"replsweep", "replication budget sweep, files vs filecules (Section 6)", (*Runner).replSweep},
 	{"chunkswarm", "chunk-level BitTorrent cross-check (Section 5)", (*Runner).chunkSwarm},
 	{"placement", "replica placement on the peer-assisted grid (Section 6)", (*Runner).placement},
+}
+
+// groups are the named experiment lists Expand accepts beside single IDs,
+// one per section of the paper that is a report of its own.
+var groups = []struct {
+	name string
+	ids  []string
+}{
+	// Section 3, the workload characterization.
+	{"sec3", []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5",
+		"fig6", "fig7", "fig8", "fig9", "dynamics"}},
+	// Section 5, the BitTorrent feasibility study: the hottest filecule's
+	// per-site and per-user access intervals and the swarm simulation.
+	{"sec5", []string{"fig11", "fig12", "swarm"}},
+}
+
+// Groups lists the group names.
+func Groups() []string {
+	names := make([]string, len(groups))
+	for i, g := range groups {
+		names[i] = g.name
+	}
+	return names
+}
+
+// Expand turns a comma-separated list of experiment IDs and group names into
+// the IDs to run, in the order given; an unknown name is an error.
+func Expand(list string) ([]string, error) {
+	var ids []string
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		members := []string{name}
+		for _, g := range groups {
+			if g.name == name {
+				members = g.ids
+			}
+		}
+		if _, ok := Describe(members[0]); !ok {
+			return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s; groups: %s)",
+				name, strings.Join(All(), ", "), strings.Join(Groups(), ", "))
+		}
+		ids = append(ids, members...)
+	}
+	return ids, nil
 }
 
 // All lists the experiment IDs in report order.

@@ -126,10 +126,6 @@ func TestFig10Headline(t *testing.T) {
 }
 
 func TestDefaultConfig(t *testing.T) {
-	c := DefaultConfig()
-	if c.Scale <= 0 || c.Scale > 1 {
-		t.Errorf("default scale = %v", c.Scale)
-	}
 	r := New(Config{})
 	if r.Config().Scale <= 0 {
 		t.Error("zero scale not defaulted")

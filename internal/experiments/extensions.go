@@ -147,8 +147,6 @@ func (r *Runner) replSweep() (*Result, error) {
 			SiteBandwidth:    1e9 / 8,
 			HubSiteBandwidth: 100e9 / 8,
 			SiteCacheBytes:   budget * 4,
-			NewPolicy:        func() cache.Policy { return cache.NewLRU() },
-			NewGranularity:   func() cache.Granularity { return cache.NewFileGranularity(t) },
 		}
 		outs, err := replica.Evaluate(t, 0.6, budget, cfg, ".gov",
 			replica.NoReplication{}, replica.PopularFiles{}, replica.PopularFilecules{})

@@ -5,7 +5,6 @@ import (
 
 	"filecule/internal/trace"
 
-	"filecule/internal/cache"
 	"filecule/internal/core"
 	"filecule/internal/grid"
 	"filecule/internal/replica"
@@ -86,8 +85,6 @@ func (r *Runner) replication() (*Result, error) {
 		SiteBandwidth:    1e9 / 8, // 1 Gbit/s WAN (2005-era site uplink)
 		HubSiteBandwidth: 100e9 / 8,
 		SiteCacheBytes:   budget * 4,
-		NewPolicy:        func() cache.Policy { return cache.NewLRU() },
-		NewGranularity:   func() cache.Granularity { return cache.NewFileGranularity(t) },
 	}
 	outs, err := replica.Evaluate(t, 0.6, budget, cfg, ".gov",
 		replica.NoReplication{}, replica.PopularFiles{}, replica.PopularFilecules{})

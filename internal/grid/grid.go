@@ -21,12 +21,8 @@ type Config struct {
 	// (local access to the mass store); it should be much larger than
 	// SiteBandwidth.
 	HubSiteBandwidth float64
-	// SiteCacheBytes is each site's disk cache capacity.
+	// SiteCacheBytes is each site's disk cache capacity: an LRU of files.
 	SiteCacheBytes int64
-	// NewPolicy constructs one eviction policy instance per site.
-	NewPolicy func() cache.Policy
-	// NewGranularity constructs the caching granularity per site.
-	NewGranularity func() cache.Granularity
 }
 
 // Validate checks the configuration.
@@ -36,9 +32,6 @@ func (c *Config) Validate() error {
 	}
 	if c.SiteCacheBytes <= 0 {
 		return fmt.Errorf("grid: SiteCacheBytes must be > 0")
-	}
-	if c.NewPolicy == nil || c.NewGranularity == nil {
-		return fmt.Errorf("grid: NewPolicy and NewGranularity are required")
 	}
 	return nil
 }
@@ -114,7 +107,7 @@ func New(t *trace.Trace, cfg Config, hubDomain string) (*System, error) {
 			ID:    trace.SiteID(i),
 			Hub:   hub,
 			Link:  NewLink(s.kernel, bw),
-			Store: cache.NewSim(t, cfg.NewGranularity(), cfg.NewPolicy(), cfg.SiteCacheBytes),
+			Store: cache.NewSim(t, cache.NewFileGranularity(t), cache.NewLRU(), cfg.SiteCacheBytes),
 		})
 	}
 	s.m.PerSiteWAN = make(map[trace.SiteID]int64)

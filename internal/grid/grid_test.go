@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"filecule/internal/cache"
 	"filecule/internal/sim"
 	"filecule/internal/trace"
 )
@@ -119,8 +118,6 @@ func defaultCfg(t *trace.Trace) Config {
 		SiteBandwidth:    100,
 		HubSiteBandwidth: 1e6,
 		SiteCacheBytes:   400,
-		NewPolicy:        func() cache.Policy { return cache.NewLRU() },
-		NewGranularity:   func() cache.Granularity { return cache.NewFileGranularity(t) },
 	}
 }
 
@@ -214,8 +211,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SiteBandwidth = 0 },
 		func(c *Config) { c.HubSiteBandwidth = -1 },
 		func(c *Config) { c.SiteCacheBytes = 0 },
-		func(c *Config) { c.NewPolicy = nil },
-		func(c *Config) { c.NewGranularity = nil },
 	}
 	for i, mutate := range bad {
 		cfg := defaultCfg(tr)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"filecule/internal/cache"
 	"filecule/internal/core"
 	"filecule/internal/grid"
 	"filecule/internal/trace"
@@ -46,8 +45,6 @@ func gcfg(t *trace.Trace) grid.Config {
 		SiteBandwidth:    100,
 		HubSiteBandwidth: 1e6,
 		SiteCacheBytes:   1000,
-		NewPolicy:        func() cache.Policy { return cache.NewLRU() },
-		NewGranularity:   func() cache.Granularity { return cache.NewFileGranularity(t) },
 	}
 }
 

@@ -45,7 +45,11 @@ var generatorGoldens = []struct {
 				return nil, err
 			}
 			sh := Shape{Mode: ShapeBurst, StartRPS: 5, TargetRPS: 50, Slot: 30 * time.Second}
-			return GenerateShaped(src, sh, time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC))
+			shaped, err := Reshape(src, sh, time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC))
+			if err != nil {
+				return nil, err
+			}
+			return materializeSorted(shaped)
 		}},
 	// The streaming generator emits in generation order; sorted by start it
 	// must be the very trace Generate returns (same hash as the second row).
@@ -55,14 +59,20 @@ var generatorGoldens = []struct {
 			if err != nil {
 				return nil, err
 			}
-			defer src.Close()
-			t, err := trace.Materialize(src)
-			if err != nil {
-				return nil, err
-			}
-			t.SortJobsByStart()
-			return t, nil
+			return materializeSorted(src)
 		}},
+}
+
+// materializeSorted drains and closes src into a start-sorted trace, the way
+// the workload registry loads a stream.
+func materializeSorted(src trace.Source) (*trace.Trace, error) {
+	defer src.Close()
+	t, err := trace.Materialize(src)
+	if err != nil {
+		return nil, err
+	}
+	t.SortJobsByStart()
+	return t, nil
 }
 
 func TestGeneratorGoldens(t *testing.T) {

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -219,36 +218,4 @@ func (s *shapedSource) Next() (*trace.Job, error) {
 	s.job.Start = s.epoch.Add(s.p.Next())
 	s.job.End = s.job.Start.Add(d)
 	return &s.job, nil
-}
-
-// GenerateShaped materializes a shaped stream into a validated, start-sorted
-// trace — the whole-trace counterpart of Reshape, used by workload adapters'
-// Load paths.
-func GenerateShaped(src trace.Source, sh Shape, epoch time.Time) (*trace.Trace, error) {
-	shaped, err := Reshape(src, sh, epoch)
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	defer shaped.Close()
-	t, err := trace.Materialize(shaped)
-	if err != nil {
-		return nil, err
-	}
-	t.SortJobsByStart()
-	return t, nil
-}
-
-// drainCount is a test hook: counts the jobs remaining in a source.
-func drainCount(src trace.Source) (int64, error) {
-	var n int64
-	for {
-		if _, err := src.Next(); err != nil {
-			if err == io.EOF {
-				return n, nil
-			}
-			return n, err
-		}
-		n++
-	}
 }

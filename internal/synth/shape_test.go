@@ -218,9 +218,9 @@ func TestReshapeNoneIsIdentity(t *testing.T) {
 	}
 }
 
-// TestGenerateShaped: materialized shaped trace validates, start-sorted,
-// and is deterministic across runs.
-func TestGenerateShaped(t *testing.T) {
+// TestReshapeMaterialized: a shaped stream materialized start-sorted
+// validates, is deterministic across runs and follows the schedule.
+func TestReshapeMaterialized(t *testing.T) {
 	sh := Shape{Mode: ShapeBurst, StartRPS: 2, TargetRPS: 40, Slot: 30 * time.Second}
 	epoch := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
 	mk := func() *trace.Trace {
@@ -228,7 +228,11 @@ func TestGenerateShaped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := GenerateShaped(src, sh, epoch)
+		shaped, err := Reshape(src, sh, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := materializeSorted(shaped)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package synth
 import (
 	"io"
 	"testing"
+
+	"filecule/internal/trace"
 )
 
 func xrootdTestConfig(seed int64) XRootDConfig {
@@ -158,6 +160,20 @@ func TestXRootDConfigValidation(t *testing.T) {
 		if _, err := NewXRootDSource(c); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, c)
 		}
+	}
+}
+
+// drainCount counts the jobs remaining in a source.
+func drainCount(src trace.Source) (int64, error) {
+	var n int64
+	for {
+		if _, err := src.Next(); err != nil {
+			if err == io.EOF {
+				return n, nil
+			}
+			return n, err
+		}
+		n++
 	}
 }
 

@@ -12,18 +12,13 @@ import (
 // Built-in adapters. Each registers at init so the registry is complete
 // before any flag parsing happens.
 
-// Formats lists the trace codecs the file adapter (and tools' -format
-// flags) accept.
-var Formats = []string{"text", "bin"}
-
-// CheckFormat validates a codec name against Formats.
+// CheckFormat validates a trace codec name: the file adapter's format option
+// and filecule-gen's -format take the same two.
 func CheckFormat(format string) error {
-	for _, f := range Formats {
-		if format == f {
-			return nil
-		}
+	if format == "text" || format == "bin" {
+		return nil
 	}
-	return fmt.Errorf("unknown format %q (have %v)", format, Formats)
+	return fmt.Errorf("unknown format %q (have [text bin])", format)
 }
 
 // shapeOptions are the RPS-shaping knobs shared by the synthetic adapters.
@@ -81,6 +76,7 @@ func init() {
 		Options: []Option{
 			{Key: "path", Help: "<file> trace to replay (required)"},
 			{Key: "format", Help: "<text|bin> assert the file's codec instead of auto-detecting"},
+			{Key: "scale", Default: "1", Help: "<float> the scale the trace was recorded at: Scale reports it, the replay ignores it"},
 		},
 		Open: openFile,
 		Load: loadFile,
@@ -161,21 +157,18 @@ func openDZero(opts map[string]string) (trace.Source, error) {
 	return synth.Reshape(trace.NewTraceSource(t), sh, cfg.Start)
 }
 
-// loadDZero keeps the unshaped path on synth.Generate so materialized DZero
-// workloads stay bit-identical to what cli.Workload.Load always produced.
+// loadDZero is synth.Generate for the unshaped workload: what the sweep
+// baseline and every experiment are pinned to, and the fastest way to the
+// start-sorted trace. A shaped one takes the registry's default.
 func loadDZero(opts map[string]string) (*trace.Trace, error) {
 	cfg, sh, err := dzeroConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	if sh.Mode == synth.ShapeNone {
-		return synth.Generate(cfg)
+	if sh.Mode != synth.ShapeNone {
+		return loadSorted(openDZero, opts)
 	}
-	t, err := synth.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return synth.GenerateShaped(trace.NewTraceSource(t), sh, cfg.Start)
+	return synth.Generate(cfg)
 }
 
 // openOrderedDZero serves the sweep engine: unshaped streams must replay in

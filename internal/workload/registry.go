@@ -7,12 +7,14 @@
 //
 // e.g. "dzero,seed=1,scale=0.05" or "kv-csv,path=trace.csv,window=64".
 // Option keys are validated against the adapter's declared option set, so a
-// typo is a descriptive error rather than a silently ignored knob. Adapters
+// typo is a descriptive error rather than a silently ignored knob. The
+// grammar has no escape character: a value cannot contain a comma. Adapters
 // register themselves at init; no cmd or server code path constructs a
 // trace.Source except through this package (DESIGN.md §14).
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -56,6 +58,10 @@ type Adapter struct {
 	// nondecreasing start order, so OpenOrdered may fall back to it.
 	OrderedStream bool
 }
+
+// DefaultSpec is the workload every tool replays when -workload is not
+// given: the paper's workload at 1/20 scale, seconds per experiment.
+const DefaultSpec = "dzero,seed=1,scale=0.05"
 
 var registry = map[string]*Adapter{}
 
@@ -117,13 +123,17 @@ func SpecHelp() string {
 }
 
 // ParseSpec splits a "name,key=val,..." spec into its adapter name and
-// option map, validating keys against the adapter's declared options.
+// option map, validating keys against the adapter's declared options. The
+// specs "help" and "list" name no adapter: their error is the SpecHelp text.
 func ParseSpec(spec string) (*Adapter, map[string]string, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil, fmt.Errorf("workload: empty spec (want name[,key=value]...)")
 	}
 	parts := strings.Split(spec, ",")
 	name := strings.TrimSpace(parts[0])
+	if name == "help" || name == "list" {
+		return nil, nil, errors.New(SpecHelp())
+	}
 	a, err := Lookup(name)
 	if err != nil {
 		return nil, nil, err
@@ -134,13 +144,16 @@ func ParseSpec(spec string) (*Adapter, map[string]string, error) {
 		if p == "" {
 			continue
 		}
+		// The tail of a value with a comma in it (a path, usually) arrives
+		// here as a token of its own, so both complaints about a token say
+		// what the grammar lacks.
 		k, v, ok := strings.Cut(p, "=")
 		if !ok {
-			return nil, nil, fmt.Errorf("workload: %s: option %q is not key=value", name, p)
+			return nil, nil, fmt.Errorf("workload: %s: option %q is not key=value (spec values cannot contain commas)", name, p)
 		}
 		k = strings.TrimSpace(k)
 		if !a.hasOption(k) {
-			return nil, nil, fmt.Errorf("workload: %s: unknown option %q (have %s)", name, k, strings.Join(a.optionKeys(), ", "))
+			return nil, nil, fmt.Errorf("workload: %s: unknown option %q (have %s; spec values cannot contain commas)", name, k, strings.Join(a.optionKeys(), ", "))
 		}
 		if _, dup := opts[k]; dup {
 			return nil, nil, fmt.Errorf("workload: %s: option %q given twice", name, k)
@@ -148,6 +161,21 @@ func ParseSpec(spec string) (*Adapter, map[string]string, error) {
 		opts[k] = v
 	}
 	return a, opts, nil
+}
+
+// Scale returns the scale option of spec, 1 when it has none: what a
+// consumer that sizes other quantities by the workload (cache capacities,
+// replication budgets) multiplies them by.
+func Scale(spec string) (float64, error) {
+	_, opts, err := ParseSpec(spec)
+	if err != nil {
+		return 0, err
+	}
+	scale, err := optFloat(opts, "scale", 1)
+	if err == nil && scale <= 0 {
+		err = fmt.Errorf("workload: option scale=%q is not positive", opts["scale"])
+	}
+	return scale, err
 }
 
 func (a *Adapter) hasOption(key string) bool {
@@ -176,29 +204,9 @@ func Open(spec string) (trace.Source, error) {
 	return a.Open(opts)
 }
 
-// OpenNamed opens the named adapter with pre-split options (the path for
-// legacy flag translation, where option values may contain commas). Keys
-// are validated like ParseSpec does.
-func OpenNamed(name string, opts map[string]string) (trace.Source, error) {
-	a, err := prepare(name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return a.Open(opts)
-}
-
 // Load parses spec and materializes the whole workload, start-sorted.
 func Load(spec string) (*trace.Trace, error) {
 	a, opts, err := ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return a.load(opts)
-}
-
-// LoadNamed is Load for pre-split options.
-func LoadNamed(name string, opts map[string]string) (*trace.Trace, error) {
-	a, err := prepare(name, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -215,33 +223,16 @@ func OpenOrdered(spec string) (trace.Source, error) {
 	return a.openOrdered(opts)
 }
 
-// OpenOrderedNamed is OpenOrdered for pre-split options.
-func OpenOrderedNamed(name string, opts map[string]string) (trace.Source, error) {
-	a, err := prepare(name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return a.openOrdered(opts)
-}
-
-func prepare(name string, opts map[string]string) (*Adapter, error) {
-	a, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	for k := range opts {
-		if !a.hasOption(k) {
-			return nil, fmt.Errorf("workload: %s: unknown option %q (have %s)", name, k, strings.Join(a.optionKeys(), ", "))
-		}
-	}
-	return a, nil
-}
-
 func (a *Adapter) load(opts map[string]string) (*trace.Trace, error) {
 	if a.Load != nil {
 		return a.Load(opts)
 	}
-	src, err := a.Open(opts)
+	return loadSorted(a.Open, opts)
+}
+
+// loadSorted is the default Load: materialize open's stream, sort by start.
+func loadSorted(open func(map[string]string) (trace.Source, error), opts map[string]string) (*trace.Trace, error) {
+	src, err := open(opts)
 	if err != nil {
 		return nil, err
 	}

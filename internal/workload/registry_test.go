@@ -1,6 +1,5 @@
 // External test package: these tests exercise the registry the way cmds do,
-// through internal/cli — which itself imports workload, so an internal test
-// package would cycle.
+// by spec.
 package workload_test
 
 import (
@@ -10,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"filecule/internal/cli"
+	"filecule/internal/synth"
 	"filecule/internal/trace"
 	workload "filecule/internal/workload"
 )
@@ -45,6 +44,13 @@ func TestParseSpecErrors(t *testing.T) {
 		{"dzero,warp=9", "unknown option"},
 		{"dzero,seed", "not key=value"},
 		{"dzero,seed=1,seed=2", "given twice"},
+		// No escape character: the tail of a path with a comma in it is
+		// named, with the reason.
+		{"file,path=runs/a,b.bin", `"b.bin" is not key=value (spec values cannot contain commas)`},
+		{"file,path=a,b=c.bin", `unknown option "b" (have path, format, scale; spec values cannot contain commas)`},
+		// help and list name no adapter: the error is the listing.
+		{"help", "workload spec: name[,key=value]..."},
+		{"list", "kv-csv"},
 	} {
 		_, _, err := workload.ParseSpec(tc.spec)
 		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
@@ -81,49 +87,65 @@ func TestSpecHelpMentionsEveryAdapter(t *testing.T) {
 	}
 }
 
-func TestOpenNamedValidatesKeys(t *testing.T) {
-	if _, err := workload.OpenNamed("dzero", map[string]string{"warp": "9"}); err == nil {
-		t.Error("unknown key accepted by OpenNamed")
+// TestScale: the scale a spec declares, 1 when its adapter has none, and the
+// spec's own error when it does not parse.
+func TestScale(t *testing.T) {
+	for _, tc := range []struct {
+		spec    string
+		want    float64
+		wantErr string
+	}{
+		{"dzero,scale=0.02", 0.02, ""},
+		{"file,path=p,scale=0.05", 0.05, ""},
+		{"file,path=p", 1, ""},
+		{"kv-csv,path=p", 1, ""},
+		{"dzero,scale", 0, "not key=value"},
+		{"dzero,scale=wide", 0, "not a number"},
+		{"file,path=p,scale=0", 0, "not positive"},
+	} {
+		got, err := workload.Scale(tc.spec)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("Scale(%q) err = %v, want substring %q", tc.spec, err, tc.wantErr)
+			}
+		} else if err != nil || got != tc.want {
+			t.Errorf("Scale(%q) = %v, %v, want %v", tc.spec, got, err, tc.want)
+		}
 	}
-	if _, err := workload.OpenNamed("klingon", nil); err == nil {
-		t.Error("unknown adapter accepted by OpenNamed")
-	}
-	src, err := workload.OpenNamed("dzero", map[string]string{"seed": "1", "scale": "0.01"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Close()
 }
 
 // TestDZeroLoadBitIdentity: the registry's dzero Load must produce the
-// byte-identical trace the legacy synth path produced — the sweep
-// acceptance criterion.
+// byte-identical trace the generator does — what the sweep baseline was
+// recorded on.
 func TestDZeroLoadBitIdentity(t *testing.T) {
 	got, err := workload.Load("dzero,seed=1,scale=0.02")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cli.Workload{Seed: 1, Scale: 0.02}.Load()
+	want, err := synth.Generate(synth.DZero(1, 0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gb, wb bytes.Buffer
-	if err := cli.WriteTrace(&gb, got, "bin", false); err != nil {
+	if !bytes.Equal(encodeBin(t, got), encodeBin(t, want)) {
+		t.Fatal("registry dzero Load is not byte-identical to synth.Generate")
+	}
+}
+
+// encodeBin is a trace's canonical bin bytes.
+func encodeBin(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteBin(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.WriteTrace(&wb, want, "bin", false); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-		t.Fatal("registry dzero Load is not byte-identical to the legacy synth path")
-	}
+	return buf.Bytes()
 }
 
 // encodeStream drains a source into canonical bin bytes.
 func encodeStream(t *testing.T, src trace.Source) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc, err := cli.NewEncoder(&buf, "bin", false, src.Files(), src.Users(), src.Sites())
+	enc, err := trace.NewBinWriter(&buf, src.Files(), src.Users(), src.Sites())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,15 +179,19 @@ func TestCrossAdapterDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := os.Create(binPath)
-	if err != nil {
+	if err := os.WriteFile(binPath, encodeBin(t, tr), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.WriteTrace(bf, tr, "bin", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.Close(); err != nil {
-		t.Fatal(err)
+	// The file adapter's scale key says what the trace is, not how to read
+	// it: with or without it the same bytes replay.
+	for _, spec := range []string{"file,path=" + binPath, "file,path=" + binPath + ",scale=0.05"} {
+		src, err := workload.Open(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if !bytes.Equal(encodeStream(t, src), encodeBin(t, tr)) {
+			t.Errorf("%s does not replay the recorded bytes", spec)
+		}
 	}
 
 	specs := []string{
@@ -259,32 +285,30 @@ func TestShapedDZeroSequenceInvariant(t *testing.T) {
 	}
 }
 
-// TestLoadMatchesOpenMaterialized: for adapters without a dedicated Load,
-// Load must equal materialize(Open)+sort.
+// TestLoadMatchesOpenMaterialized: where an adapter has no dedicated Load
+// (xrootd) or its Load declines (shaped dzero), Load must equal
+// materialize(Open)+sort.
 func TestLoadMatchesOpenMaterialized(t *testing.T) {
-	spec := "xrootd,seed=4,scale=0.01"
-	lt, err := workload.Load(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := workload.Open(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt, err := trace.Materialize(src)
-	src.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt.SortJobsByStart()
-	var lb, mb bytes.Buffer
-	if err := cli.WriteTrace(&lb, lt, "bin", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.WriteTrace(&mb, mt, "bin", false); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lb.Bytes(), mb.Bytes()) {
-		t.Fatal("Load differs from materialized Open")
+	for _, spec := range []string{
+		"xrootd,seed=4,scale=0.01",
+		"dzero,seed=4,scale=0.01,shape=burst,rps-start=5,rps-target=50,slot=30s",
+	} {
+		lt, err := workload.Load(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := workload.Open(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt, err := trace.Materialize(src)
+		src.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt.SortJobsByStart()
+		if !bytes.Equal(encodeBin(t, lt), encodeBin(t, mt)) {
+			t.Errorf("%s: Load differs from materialized Open", spec)
+		}
 	}
 }

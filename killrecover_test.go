@@ -38,11 +38,11 @@ import (
 	"testing"
 	"time"
 
-	"filecule/internal/cli"
 	"filecule/internal/core"
 	"filecule/internal/durable"
 	"filecule/internal/server"
 	"filecule/internal/trace"
+	"filecule/internal/workload"
 )
 
 // buildServeRace compiles filecule-serve with the race detector enabled.
@@ -72,7 +72,7 @@ var listenRE = regexp.MustCompile(`listening on ([0-9.:]+)`)
 func startServe(t *testing.T, bin, tracePath, stateDir string) *serveProc {
 	t.Helper()
 	return startServeArgs(t, bin,
-		"-addr", "127.0.0.1:0", "-trace", tracePath, "-state-dir", stateDir,
+		"-addr", "127.0.0.1:0", "-workload", "file,path="+tracePath, "-state-dir", stateDir,
 		"-wal-sync", "commit", "-checkpoint-interval", "50ms", "-pprof=false")
 }
 
@@ -224,7 +224,7 @@ func TestKillAndRecover(t *testing.T) {
 	}
 	bin := buildServeRace(t)
 
-	tr, err := cli.Workload{Seed: 7, Scale: 0.01}.Load()
+	tr, err := workload.Load("dzero,seed=7,scale=0.01")
 	if err != nil {
 		t.Fatal(err)
 	}
