@@ -64,9 +64,13 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	sizeList, err := parseSizes(*sizes, effScale)
+	if err != nil {
+		return err
+	}
 
 	if *sweep {
-		return runSweep(*spec, effScale, *sizes, *policies, *grans, *workers, *table, *out, stdout)
+		return runSweep(*spec, effScale, sizeList, *policies, *grans, *workers, *table, *out, stdout)
 	}
 
 	t, err := workload.Load(*spec)
@@ -81,11 +85,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		_, err = fmt.Fprint(stdout, res.Render())
-		return err
-	}
-
-	sizeList, err := parseSizes(*sizes)
-	if err != nil {
 		return err
 	}
 
@@ -118,14 +117,13 @@ func run(args []string, stdout io.Writer) error {
 // runSweep drives the single-pass engine and emits JSON (the
 // filecule-sweep/v1 schema) or rendered tables. File-backed traces stream
 // through SweepSource — the trace is never materialized, so peak memory is
-// the request stream, not the job history. The synthetic path materializes
-// first to keep jobs in start-time order (tie-order stability pins the
-// benchmark baseline) and streams from the in-memory adapter.
-func runSweep(spec string, scale float64, sizes, policies, grans string, workers int, asTable bool, out string, stdout io.Writer) (err error) {
-	cfg := sim.SweepConfig{Scale: scale, Workers: workers}
-	if cfg.CapacitiesTB, err = parseSizes(sizes); err != nil {
-		return err
-	}
+// the merged request stream, briefly, then the 4-byte file-ID stream and cell
+// state sized by the requested files, not the job history or the catalog.
+// The synthetic path materializes first to keep jobs in start-time order
+// (tie-order stability pins the benchmark baseline) and streams from the
+// in-memory adapter.
+func runSweep(spec string, scale float64, sizes []float64, policies, grans string, workers int, asTable bool, out string, stdout io.Writer) (err error) {
+	cfg := sim.SweepConfig{Scale: scale, Workers: workers, CapacitiesTB: sizes}
 	if policies != "" {
 		cfg.Policies = splitList(policies)
 	}
@@ -176,15 +174,20 @@ func runSweep(spec string, scale float64, sizes, policies, grans string, workers
 	return res.WriteJSON(w)
 }
 
-func parseSizes(s string) ([]float64, error) {
+// parseSizes reads -sizes, rejecting any size sim.ScaledCapacity cannot turn
+// into bytes at scale.
+func parseSizes(s string, scale float64) ([]float64, error) {
 	if s == "" {
 		return experiments.Fig10CacheSizesTB, nil
 	}
 	var sizes []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
+		if err != nil {
 			return nil, fmt.Errorf("bad size %q", part)
+		}
+		if err := sim.CheckCacheSize(v, scale); err != nil {
+			return nil, fmt.Errorf("bad size %q: %w", part, err)
 		}
 		sizes = append(sizes, v)
 	}

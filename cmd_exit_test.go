@@ -103,6 +103,29 @@ func TestCommandExitCodes(t *testing.T) {
 			}
 		})
 	}
+	// A cache size that is not a finite positive byte count at the
+	// workload's scale fails before any work, with and without -sweep: exit
+	// 1 and no -o file (a sweep used to run the grid on +Inf and leave a
+	// broken file; the table path printed a +Inf row and exited 0).
+	for _, size := range []string{"nan", "inf", "1e30"} {
+		for _, mode := range []string{"table", "sweep"} {
+			t.Run("bad size "+size+" "+mode, func(t *testing.T) {
+				out := filepath.Join(t.TempDir(), "sweep.json")
+				args := append([]string{"-sizes", size, "-o", out}, tiny...)
+				if mode == "sweep" {
+					args = append(args, "-sweep")
+				}
+				got, output := exitCode(t, bins["filecule-cachesim"], args...)
+				if got != 1 {
+					t.Errorf("cachesim %v: exit %d, want 1\noutput:\n%s", args, got, output)
+				}
+				if _, err := os.Stat(out); !os.IsNotExist(err) {
+					t.Errorf("cachesim %v: left an output file (stat: %v)", args, err)
+				}
+			})
+		}
+	}
+
 	// Successful trace generation must produce a loadable trace.
 	okTrace := filepath.Join(t.TempDir(), "ok.trace")
 	if got, out := exitCode(t, bins["filecule-gen"], append([]string{"-o", okTrace}, tiny...)...); got != 0 {

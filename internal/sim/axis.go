@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"filecule/internal/cache"
+	"math"
+
 	"filecule/internal/core"
 	"filecule/internal/trace"
 )
@@ -10,15 +11,23 @@ import (
 // by resolving each request once per *axis* (a granularity's unit space) into
 // a dense, slot-indexed form shared by every cell on that axis.
 //
-// Slot spaces mirror cache.UnitID semantics exactly, in the same order:
+// Slot spaces cover what the request stream can reach, not the catalog:
 //
-//	file axis:     [0,F) files, [F,2F) degenerate per-file units
-//	filecule axis: [0,K) filecules, [K,K+F) degenerate per-file units
-//	bundle keys:   [0,K) filecules, [K,K+F) per-file singleton bundles
+//	file axis:     [0,R) the R requested files; no degenerate slots
+//	filecule axis: [0,K) filecules, then one degenerate slot per requested
+//	               file that is uncovered or whose filecule is larger than
+//	               the grid's smallest capacity
+//	bundle keys:   [0,K) filecules, then one singleton per uncovered
+//	               requested file
 //
-// Real units sort below degenerate units and both sort by ID, so policies
-// whose tie-breaking inspects unit order (ARC's ghost trimming) behave
-// byte-identically to their cache-package counterparts.
+// A file's degenerate slot is unreachable on the file axis (a file too big
+// for the cache is as big as its own degenerate unit, so cellCore.place never
+// returns it) and for a filecule no cache is too small for; there the
+// degenerate slot is the unit slot. Each range is in catalog order, so slot
+// order is cache.UnitID order: real units sort below degenerate units and
+// both sort by ID, and policies whose tie-breaking inspects unit order (ARC's
+// ghost trimming) behave byte-identically to their cache-package
+// counterparts.
 
 // axisKind indexes the resolved streams carried by each batch. The bundle
 // granularity shares the file axis stream (its replacement units are files);
@@ -31,6 +40,10 @@ const (
 	numAxes
 )
 
+// never is the next-use index of a request whose slot is not requested again.
+// Sweep refuses streams long enough for a request index to reach it.
+const never = math.MaxInt32
+
 // resolved is one request after unit resolution: the replacement-unit slot,
 // the degenerate fallback slot, and the two sizes Sim.serve needs. 24 bytes,
 // filled sequentially into pooled batch buffers.
@@ -42,103 +55,130 @@ type resolved struct {
 }
 
 // axisData is the static, read-only shape of one axis, shared by all cells
-// and all workers.
+// and all workers. The catalog-indexed tables are only read for requested
+// files; every per-cell array is sized by nSlots.
 type axisData struct {
-	kind     axisKind
-	nUnits   int32   // F (file axis) or K (filecule axis)
-	nSlots   int32   // nUnits + F
-	sizes    []int64 // unit sizes, len nUnits
-	fileSize []int64 // catalog file sizes, len F
-	slotOf   []int32 // file -> unit slot (identity on the file axis)
+	nSlots   int32
+	sizes    []int64 // byte size per slot, len nSlots
+	fileSize []int64 // catalog file sizes, shared by both axes
+	slotOf   []int32 // catalog file -> unit slot
+	degOf    []int32 // catalog file -> degenerate slot (slotOf where unreachable)
 }
 
-// newFileAxis builds the file-granularity axis.
-func newFileAxis(t *trace.Trace) *axisData {
-	f := int32(len(t.Files))
-	sizes := make([]int64, f)
-	slot := make([]int32, f)
+// catalogSizes copies the catalog's file sizes into the flat table both axes
+// resolve through.
+func catalogSizes(t *trace.Trace) []int64 {
+	sizes := make([]int64, len(t.Files))
 	for i := range t.Files {
 		sizes[i] = t.Files[i].Size
-		slot[i] = int32(i)
 	}
-	return &axisData{kind: axisFile, nUnits: f, nSlots: 2 * f, sizes: sizes, fileSize: sizes, slotOf: slot}
+	return sizes
 }
 
-// newFileculeAxis builds the filecule-granularity axis. Files the partition
-// does not cover (never requested during identification) map to their
-// degenerate slot, exactly like cache.FileculeGranularity.
-func newFileculeAxis(t *trace.Trace, p *core.Partition) *axisData {
-	f := int32(len(t.Files))
-	k := int32(p.NumFilecules())
+// requestedFiles marks the catalog files the stream names and counts them.
+func requestedFiles(nFiles int, files []trace.FileID) ([]bool, int) {
+	requested := make([]bool, nFiles)
+	n := 0
+	for _, f := range files {
+		if !requested[f] {
+			requested[f] = true
+			n++
+		}
+	}
+	return requested, n
+}
+
+// newFileAxis builds the file-granularity axis: one slot per requested file.
+func newFileAxis(fileSize []int64, requested []bool, nRequested int) *axisData {
+	sizes := make([]int64, 0, nRequested)
+	slot := make([]int32, len(fileSize))
+	for f, req := range requested {
+		slot[f] = -1
+		if req {
+			slot[f] = int32(len(sizes))
+			sizes = append(sizes, fileSize[f])
+		}
+	}
+	return &axisData{nSlots: int32(len(sizes)), sizes: sizes, fileSize: fileSize, slotOf: slot, degOf: slot}
+}
+
+// newFileculeAxis builds the filecule-granularity axis. A requested file the
+// partition does not cover (never requested during identification) maps to
+// its degenerate slot, exactly like cache.FileculeGranularity; a covered one
+// gets a degenerate slot only if its filecule is larger than minCapacity, the
+// smallest cache a cell on the axis simulates.
+func newFileculeAxis(t *trace.Trace, p *core.Partition, fileSize []int64, requested []bool, minCapacity int64) *axisData {
+	k := p.NumFilecules()
 	sizes := make([]int64, k)
 	for i := range sizes {
 		sizes[i] = p.Size(t, i)
 	}
-	fileSize := make([]int64, f)
-	slot := make([]int32, f)
-	for i := range t.Files {
-		fileSize[i] = t.Files[i].Size
-		if fc := p.Of(trace.FileID(i)); fc >= 0 {
-			slot[i] = int32(fc)
-		} else {
-			slot[i] = k + int32(i)
+	slot := make([]int32, len(fileSize))
+	deg := make([]int32, len(fileSize))
+	for f, req := range requested {
+		fc := int32(p.Of(trace.FileID(f)))
+		slot[f], deg[f] = fc, fc
+		if !req {
+			continue
+		}
+		if fc < 0 || sizes[fc] > minCapacity {
+			deg[f] = int32(len(sizes))
+			sizes = append(sizes, fileSize[f])
+			if fc < 0 {
+				slot[f] = deg[f]
+			}
 		}
 	}
-	return &axisData{kind: axisFilecule, nUnits: k, nSlots: k + f, sizes: sizes, fileSize: fileSize, slotOf: slot}
-}
-
-// slotSize returns the byte size of any slot (unit or degenerate).
-func (a *axisData) slotSize(v int32) int64 {
-	if v < a.nUnits {
-		return a.sizes[v]
-	}
-	return a.fileSize[v-a.nUnits]
+	return &axisData{nSlots: int32(len(sizes)), sizes: sizes, fileSize: fileSize, slotOf: slot, degOf: deg}
 }
 
 // resolve fills out with the axis view of chunk. out must have len(chunk).
-func (a *axisData) resolve(chunk []trace.Request, out []resolved) {
-	for i := range chunk {
-		f := chunk[i].File
+func (a *axisData) resolve(chunk []trace.FileID, out []resolved) {
+	for i, f := range chunk {
 		u := a.slotOf[f]
-		fs := a.fileSize[f]
-		size := fs
-		if u < a.nUnits {
-			size = a.sizes[u]
-		}
-		out[i] = resolved{unit: u, deg: a.nUnits + int32(f), size: size, fileSize: fs}
+		out[i] = resolved{unit: u, deg: a.degOf[f], size: a.sizes[u], fileSize: a.fileSize[f]}
 	}
 }
 
 // nextUseBySlot computes the per-request next-use chain over an arbitrary
-// per-file slot mapping (axis units, or bundle keys), densely. It matches
-// cache.NextUse / cache.NextUseBundles value for value and is shared by
-// every OPT cell of the axis — one backward pass instead of one per cell.
-func nextUseBySlot(slotOf []int32, nSlots int32, reqs []trace.Request) []int64 {
-	next := make([]int64, len(reqs))
-	last := make([]int64, nSlots)
+// per-file slot mapping (axis units, or bundle keys), densely. It orders
+// requests exactly as cache.NextUse / cache.NextUseBundles do, with never in
+// place of cache.Never, and is shared by every OPT cell of the axis — one
+// backward pass instead of one per cell.
+func nextUseBySlot(slotOf []int32, nSlots int32, files []trace.FileID) []int32 {
+	next := make([]int32, len(files))
+	last := make([]int32, nSlots)
 	for i := range last {
-		last[i] = cache.Never
+		last[i] = never
 	}
-	for i := len(reqs) - 1; i >= 0; i-- {
-		s := slotOf[reqs[i].File]
+	for i := len(files) - 1; i >= 0; i-- {
+		s := slotOf[files[i]]
 		next[i] = last[s]
-		last[s] = int64(i)
+		last[s] = int32(i)
 	}
 	return next
 }
 
-// bundleKeys maps each file to its bundle slot in [0, K+F): the enclosing
-// filecule or the per-file singleton. Identical, order and all, to
-// cache.BundlePolicy.KeyOf.
-func bundleKeys(t *trace.Trace, p *core.Partition) []int32 {
-	k := int32(p.NumFilecules())
-	keys := make([]int32, len(t.Files))
-	for i := range keys {
-		if fc := p.Of(trace.FileID(i)); fc >= 0 {
-			keys[i] = int32(fc)
-		} else {
-			keys[i] = k + int32(i)
+// bundleKeys numbers the bundles — the K filecules, then one singleton per
+// uncovered requested file in catalog order, as cache.BundlePolicy.KeyOf
+// orders them — and returns each requested file's bundle twice: indexed by
+// catalog file (for next-use over the stream) and by file-axis slot (for the
+// cells).
+func bundleKeys(p *core.Partition, fileAx *axisData) (byFile, bySlot []int32, nBundles int32) {
+	nBundles = int32(p.NumFilecules())
+	byFile = make([]int32, len(fileAx.slotOf))
+	bySlot = make([]int32, fileAx.nSlots)
+	for f, s := range fileAx.slotOf {
+		if s < 0 {
+			byFile[f] = -1
+			continue
 		}
+		key := int32(p.Of(trace.FileID(f)))
+		if key < 0 {
+			key = nBundles
+			nBundles++
+		}
+		byFile[f], bySlot[s] = key, key
 	}
-	return keys
+	return byFile, bySlot, nBundles
 }

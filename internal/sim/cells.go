@@ -427,16 +427,16 @@ func (s *gdsState) remove(v int32) {
 // optState is dense Belady: a max-heap on each resident slot's next use,
 // fed by the axis's shared per-request next-use chain.
 type optState struct {
-	nu   []int64 // per-request next use, shared across OPT cells of the axis
-	key  []int64 // per-slot next use while resident
+	nu   []int32 // per-request next use, shared across OPT cells of the axis
+	key  []int32 // per-slot next use while resident
 	pos  []int32
 	heap []int32
 }
 
-func newOPTState(nSlots int32, nextUse []int64) *optState {
+func newOPTState(nSlots int32, nextUse []int32) *optState {
 	s := &optState{
 		nu:  nextUse,
-		key: make([]int64, nSlots),
+		key: make([]int32, nSlots),
 		pos: make([]int32, nSlots),
 	}
 	for i := range s.pos {
@@ -574,7 +574,7 @@ func (c *policyCell) run(rs []resolved, base int64) {
 		}
 		for c.used+size > c.capacity {
 			v := c.st.victim()
-			vs := c.ax.slotSize(v)
+			vs := c.ax.sizes[v]
 			c.st.remove(v)
 			c.resident[v] = false
 			c.used -= vs
@@ -609,8 +609,8 @@ func newBundleCell(sp cellSpec, ax *axisData, warmup int64, bundleOf []int32, nB
 	c := &bundleCell{
 		cellCore: newCellCore(sp, ax, warmup),
 		bundleOf: bundleOf,
-		fprev:    make([]int32, ax.nUnits),
-		fnext:    make([]int32, ax.nUnits),
+		fprev:    make([]int32, ax.nSlots),
+		fnext:    make([]int32, ax.nSlots),
 		bhead:    make([]int32, nBundles),
 		btail:    make([]int32, nBundles),
 		base:     base,
@@ -666,14 +666,12 @@ func (c *bundleCell) run(rs []resolved, base int64) {
 			}
 			continue
 		}
-		// Degenerate units are unreachable on the file axis (a bypassed
-		// file is itself oversized), so no fallback hit check is needed.
+		// The file axis has no degenerate slots (a bypassed file is itself
+		// oversized, so place never loads one), hence no fallback hit check.
 		if count {
 			m.Misses++
 			m.BytesMissed += r.fileSize
 		}
-		// At file granularity size == fileSize, so an oversized unit's
-		// degenerate slot cannot fit either: place never returns it here.
 		slot, size, ok := c.place(r, count)
 		if !ok {
 			continue
@@ -684,7 +682,7 @@ func (c *bundleCell) run(rs []resolved, base int64) {
 			if v < 0 {
 				panic(fmt.Sprintf("sim: bundle base chose inactive bundle %d", vb))
 			}
-			vs := c.ax.slotSize(v)
+			vs := c.ax.sizes[v]
 			c.memberRemove(vb, v)
 			if c.bhead[vb] < 0 {
 				c.base.remove(vb)

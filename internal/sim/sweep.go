@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -77,8 +78,8 @@ func (c *SweepConfig) withDefaults() SweepConfig {
 }
 
 func (c *SweepConfig) validate() error {
-	if c.Scale < 0 {
-		return fmt.Errorf("sim: sweep scale %g must be non-negative (0 means full scale)", c.Scale)
+	if !(c.Scale >= 0) || math.IsInf(c.Scale, 1) {
+		return fmt.Errorf("sim: sweep scale %g must be non-negative and finite (0 means full scale)", c.Scale)
 	}
 	if c.Warmup < 0 {
 		return fmt.Errorf("sim: sweep warmup %d must be non-negative", c.Warmup)
@@ -93,9 +94,13 @@ func (c *SweepConfig) validate() error {
 			return fmt.Errorf("sim: unknown sweep granularity %q (have %v)", g, SweepGranularities)
 		}
 	}
+	scale := c.Scale
+	if scale == 0 {
+		scale = 1
+	}
 	for _, tb := range c.CapacitiesTB {
-		if tb <= 0 {
-			return fmt.Errorf("sim: sweep cache size %g TB must be positive", tb)
+		if err := CheckCacheSize(tb, scale); err != nil {
+			return fmt.Errorf("sim: sweep %w", err)
 		}
 	}
 	return nil
@@ -119,6 +124,20 @@ func ScaledCapacity(tb, scale float64) int64 {
 		capBytes = 1 << 20
 	}
 	return capBytes
+}
+
+// CheckCacheSize rejects a nominal cache size that ScaledCapacity cannot turn
+// into bytes: one that is not positive, or whose bytes at scale are not a
+// finite int64 (NaN, infinity, overflow). Sizes from outside the program go
+// through it before any work is done.
+func CheckCacheSize(tb, scale float64) error {
+	if !(tb > 0) {
+		return fmt.Errorf("cache size %g TB must be a positive number", tb)
+	}
+	if !(tb*scale*(1<<40) < 1<<63) {
+		return fmt.Errorf("cache size %g TB at scale %g is not a finite int64 byte count", tb, scale)
+	}
+	return nil
 }
 
 // grid enumerates the cell specs in deterministic output order:
@@ -196,10 +215,38 @@ type batch struct {
 // Every cell consumes batches in stream order, so results are deterministic
 // and independent of Workers, and — cell for cell — byte-identical to
 // SweepSequential and to cache.Sim replays (see TestSweepMatchesSequential).
+//
+// The grid reads only the requests' file IDs, so Sweep projects reqs to a
+// 4-byte stream first. Its memory beyond that follows the requests: per-cell
+// state is sized by the files the stream requests and the filecules, never
+// by the catalog, which only the axes' shared lookup tables span.
 func Sweep(t *trace.Trace, p *core.Partition, reqs []trace.Request, cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	files, err := fileIDs(reqs)
+	if err != nil {
+		return nil, err
+	}
+	return sweepFiles(t, p, files, cfg), nil
+}
+
+// fileIDs projects a request stream onto the file IDs the grid reads. The
+// next-use chains index requests in 32 bits, so a stream must stay below
+// never.
+func fileIDs(reqs []trace.Request) ([]trace.FileID, error) {
+	if len(reqs) >= never {
+		return nil, fmt.Errorf("sim: sweep of %d requests: the engine indexes at most %d", len(reqs), never-1)
+	}
+	files := make([]trace.FileID, len(reqs))
+	for i := range reqs {
+		files[i] = reqs[i].File
+	}
+	return files, nil
+}
+
+// sweepFiles is Sweep over a validated configuration and a projected stream.
+func sweepFiles(t *trace.Trace, p *core.Partition, files []trace.FileID, cfg SweepConfig) *SweepResult {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	specs := cfg.grid()
@@ -207,14 +254,16 @@ func Sweep(t *trace.Trace, p *core.Partition, reqs []trace.Request, cfg SweepCon
 	// Static shared state: axes, bundle keys, and per-axis next-use chains
 	// (computed once, shared by all OPT cells of the axis).
 	var axes [numAxes]*axisData
-	var nextUse [numAxes][]int64
-	var bundleNextUse []int64
-	var bKeys []int32
+	var nextUse [numAxes][]int32
+	var bundleNextUse, bundleOf []int32
+	var nBundles int32
 	needAxis := [numAxes]bool{}
 	needOPT := [numAxes]bool{}
 	needBundle, needBundleOPT := false, false
+	minCapacity := int64(math.MaxInt64)
 	for _, sp := range specs {
 		needAxis[sp.axis] = true
+		minCapacity = min(minCapacity, sp.Capacity)
 		if sp.Granularity == "bundle" {
 			needBundle = true
 			if sp.Policy == "opt" {
@@ -224,28 +273,30 @@ func Sweep(t *trace.Trace, p *core.Partition, reqs []trace.Request, cfg SweepCon
 			needOPT[sp.axis] = true
 		}
 	}
+	fileSize := catalogSizes(t)
+	requested, nRequested := requestedFiles(len(t.Files), files)
 	if needAxis[axisFile] {
-		axes[axisFile] = newFileAxis(t)
+		axes[axisFile] = newFileAxis(fileSize, requested, nRequested)
 	}
 	if needAxis[axisFilecule] {
-		axes[axisFilecule] = newFileculeAxis(t, p)
+		axes[axisFilecule] = newFileculeAxis(t, p, fileSize, requested, minCapacity)
 	}
 	for k := axisKind(0); k < numAxes; k++ {
 		if needOPT[k] {
-			nextUse[k] = nextUseBySlot(axes[k].slotOf, axes[k].nSlots, reqs)
+			nextUse[k] = nextUseBySlot(axes[k].slotOf, axes[k].nSlots, files)
 		}
 	}
-	nBundles := int32(p.NumFilecules()) + int32(len(t.Files))
 	if needBundle {
-		bKeys = bundleKeys(t, p)
+		var keys []int32
+		keys, bundleOf, nBundles = bundleKeys(p, axes[axisFile])
 		if needBundleOPT {
-			bundleNextUse = nextUseBySlot(bKeys, nBundles, reqs)
+			bundleNextUse = nextUseBySlot(keys, nBundles, files)
 		}
 	}
 
 	cells := make([]cell, len(specs))
 	for i, sp := range specs {
-		cells[i] = buildCell(sp, axes[sp.axis], cfg.Warmup, nextUse[sp.axis], bKeys, nBundles, bundleNextUse)
+		cells[i] = buildCell(sp, axes[sp.axis], cfg.Warmup, nextUse[sp.axis], bundleOf, nBundles, bundleNextUse)
 	}
 
 	// Fan the resolved stream out to the workers.
@@ -283,12 +334,12 @@ func Sweep(t *trace.Trace, p *core.Partition, reqs []trace.Request, cfg SweepCon
 			}
 		}(w)
 	}
-	for off := 0; off < len(reqs); off += cfg.BatchSize {
+	for off := 0; off < len(files); off += cfg.BatchSize {
 		end := off + cfg.BatchSize
-		if end > len(reqs) {
-			end = len(reqs)
+		if end > len(files) {
+			end = len(files)
 		}
-		chunk := reqs[off:end]
+		chunk := files[off:end]
 		b := pool.Get().(*batch)
 		b.base = int64(off)
 		b.n = len(chunk)
@@ -307,17 +358,17 @@ func Sweep(t *trace.Trace, p *core.Partition, reqs []trace.Request, cfg SweepCon
 	}
 	wg.Wait()
 
-	res := newSweepResult(t, p, reqs, cfg, "single-pass", workers)
+	res := newSweepResult(t, p, len(files), cfg, "single-pass", workers)
 	for _, c := range cells {
 		res.Cells = append(res.Cells, cellResultOf(c.spec(), c.metrics()))
 	}
 	res.WallSeconds = time.Since(start).Seconds()
-	return res, nil
+	return res
 }
 
 // buildCell constructs one dense cell for a spec. A bundle cell's policy
 // state ranks bundle slots; every other cell's ranks the axis's own.
-func buildCell(sp cellSpec, ax *axisData, warmup int64, nextUse []int64, bKeys []int32, nBundles int32, bundleNextUse []int64) cell {
+func buildCell(sp cellSpec, ax *axisData, warmup int64, nextUse []int32, bundleOf []int32, nBundles int32, bundleNextUse []int32) cell {
 	bundle := sp.Granularity == "bundle"
 	nSlots := ax.nSlots
 	if bundle {
@@ -337,7 +388,7 @@ func buildCell(sp cellSpec, ax *axisData, warmup int64, nextUse []int64, bKeys [
 		panic("sim: unreachable policy " + sp.Policy)
 	}
 	if bundle {
-		return newBundleCell(sp, ax, warmup, bKeys, nBundles, st)
+		return newBundleCell(sp, ax, warmup, bundleOf, nBundles, st)
 	}
 	return &policyCell{cellCore: newCellCore(sp, ax, warmup), st: st}
 }
@@ -356,7 +407,7 @@ func SweepSequential(t *trace.Trace, p *core.Partition, reqs []trace.Request, cf
 	start := time.Now()
 	specs := cfg.grid()
 
-	res := newSweepResult(t, p, reqs, cfg, "sequential", 1)
+	res := newSweepResult(t, p, len(reqs), cfg, "sequential", 1)
 	for _, sp := range specs {
 		var g cache.Granularity
 		if sp.Granularity == "filecule" {
@@ -391,14 +442,14 @@ func SweepSequential(t *trace.Trace, p *core.Partition, reqs []trace.Request, cf
 	return res, nil
 }
 
-func newSweepResult(t *trace.Trace, p *core.Partition, reqs []trace.Request, cfg SweepConfig, engine string, workers int) *SweepResult {
+func newSweepResult(t *trace.Trace, p *core.Partition, requests int, cfg SweepConfig, engine string, workers int) *SweepResult {
 	return &SweepResult{
 		Schema:    SweepSchema,
 		Engine:    engine,
 		Jobs:      len(t.Jobs),
 		Files:     len(t.Files),
 		Filecules: p.NumFilecules(),
-		Requests:  len(reqs),
+		Requests:  requests,
 		Scale:     cfg.Scale,
 		Warmup:    cfg.Warmup,
 		Workers:   workers,

@@ -3,7 +3,9 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -41,38 +43,133 @@ func workload(t *testing.T) (*trace.Trace, *core.Partition, []trace.Request) {
 }
 
 // TestSweepMatchesSequential is the engine's contract: every cell of the
-// full grid — policies × granularities × the seven paper capacities — must
-// be byte-identical (Go struct equality on cache.Metrics) between the
-// single-pass dense engine and one-at-a-time cache.Sim replays.
+// grid — policies × granularities × capacities — must be byte-identical (Go
+// struct equality on cache.Metrics) between the single-pass dense engine and
+// one-at-a-time cache.Sim replays. Beside the paper grid, it replays the
+// whole stream over a partition identified from the first half of the jobs,
+// so files only the second half requests are uncovered (degenerate units on
+// the filecule axis, singleton bundles), at caches small enough that
+// filecules bypass to their degenerate slots.
 func TestSweepMatchesSequential(t *testing.T) {
 	tr, p, reqs := workload(t)
-	cfg := SweepConfig{Scale: diffScale}
+	half := make([]trace.JobID, len(tr.Jobs)/2)
+	for i := range half {
+		half[i] = trace.JobID(i)
+	}
+	halfP := core.IdentifyJobs(tr, half)
+	uncovered := 0
+	for _, r := range reqs {
+		if halfP.Of(r.File) < 0 {
+			uncovered++
+		}
+	}
+	if uncovered == 0 {
+		t.Fatal("the half-trace partition covers every request: the case tests nothing")
+	}
 
-	got, err := Sweep(tr, p, reqs, cfg)
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
+	cases := []struct {
+		name string
+		p    *core.Partition
+		cfg  SweepConfig
+	}{
+		{"paper grid", p, SweepConfig{Scale: diffScale}},
+		{"uncovered files, small caches", halfP, SweepConfig{Scale: diffScale, CapacitiesTB: []float64{0.05, 0.5, 5}}},
 	}
-	want, err := SweepSequential(tr, p, reqs, cfg)
-	if err != nil {
-		t.Fatalf("SweepSequential: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Sweep(tr, tc.p, reqs, tc.cfg)
+			if err != nil {
+				t.Fatalf("Sweep: %v", err)
+			}
+			want, err := SweepSequential(tr, tc.p, reqs, tc.cfg)
+			if err != nil {
+				t.Fatalf("SweepSequential: %v", err)
+			}
+			caps := len(tc.cfg.CapacitiesTB)
+			if caps == 0 {
+				caps = len(Fig10CacheSizesTB)
+			}
+			if n := len(SweepPolicies) * len(SweepGranularities) * caps; len(got.Cells) != n || len(want.Cells) != n {
+				t.Fatalf("grids of %d and %d cells, want every policy × granularity pair at %d sizes: %d",
+					len(got.Cells), len(want.Cells), caps, n)
+			}
+			bypassed := false
+			for i := range got.Cells {
+				g, w := got.Cells[i], want.Cells[i]
+				if g != w {
+					t.Errorf("cell %s/%s/%gTB: single-pass %+v != sequential %+v",
+						g.Policy, g.Granularity, g.CacheTB, g, w)
+				}
+				if g.Metrics.Requests != int64(len(reqs)) {
+					t.Errorf("cell %s/%s/%gTB: replayed %d of %d requests",
+						g.Policy, g.Granularity, g.CacheTB, g.Metrics.Requests, len(reqs))
+				}
+				bypassed = bypassed || g.Granularity == "filecule" && g.Metrics.Bypasses > 0
+			}
+			if !bypassed {
+				t.Error("no filecule cell bypassed: the degenerate slots went unexercised")
+			}
+		})
 	}
-	if len(got.Cells) != len(want.Cells) {
-		t.Fatalf("cell count %d != %d", len(got.Cells), len(want.Cells))
+}
+
+// TestSweepMemoryFollowsRequests pins what the compact slot spaces buy. The
+// workload's catalog is padded with 9×F files no request names, interleaved
+// so every requested file's ID moves but its order does not. The cells must
+// not change, and the bytes Sweep allocates may grow only by the axes'
+// shared per-catalog lookup tables — file size, requested mark, file slot,
+// filecule and degenerate slot, bundle key: 25 bytes per padded file — never
+// by anything every cell holds. One per-catalog byte in each of the 84 cells
+// would already cost 84.
+func TestSweepMemoryFollowsRequests(t *testing.T) {
+	tr, p, reqs := workload(t)
+	const stride = 10 // each original file, then nine padding files
+	padded := &trace.Trace{Files: make([]trace.File, stride*len(tr.Files))}
+	for i := range padded.Files {
+		padded.Files[i] = trace.File{ID: trace.FileID(i), Size: 1 << 20}
 	}
-	if len(got.Cells) != len(SweepPolicies)*len(SweepGranularities)*len(Fig10CacheSizesTB) {
-		t.Fatalf("grid has %d cells, want full %d-cell grid", len(got.Cells),
-			len(SweepPolicies)*len(SweepGranularities)*len(Fig10CacheSizesTB))
+	for _, f := range tr.Files {
+		padded.Files[stride*int(f.ID)].Size = f.Size
 	}
-	for i := range got.Cells {
-		g, w := got.Cells[i], want.Cells[i]
-		if g != w {
-			t.Errorf("cell %s/%s/%gTB: single-pass %+v != sequential %+v",
-				g.Policy, g.Granularity, g.CacheTB, g, w)
+	fcs := make([]core.Filecule, p.NumFilecules())
+	for i, fc := range p.Filecules {
+		fcs[i] = core.Filecule{Files: make([]trace.FileID, len(fc.Files)), Requests: fc.Requests}
+		for j, f := range fc.Files {
+			fcs[i].Files[j] = stride * f
 		}
-		if g.Metrics.Requests != int64(len(reqs)) {
-			t.Errorf("cell %s/%s/%gTB: replayed %d of %d requests",
-				g.Policy, g.Granularity, g.CacheTB, g.Metrics.Requests, len(reqs))
+	}
+	paddedP := core.NewPartition(fcs)
+	paddedReqs := make([]trace.Request, len(reqs))
+	for i, r := range reqs {
+		r.File *= stride
+		paddedReqs[i] = r
+	}
+
+	// Small batches keep the pool's share of the allocation, which varies
+	// with scheduling, far below the margin.
+	cfg := SweepConfig{Scale: diffScale, Workers: 2, BatchSize: 256}
+	sweep := func(tr *trace.Trace, p *core.Partition, reqs []trace.Request) (*SweepResult, uint64) {
+		p.Of(0) // the partition's lazy file index is the caller's, not the sweep's
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Sweep(tr, p, reqs, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("Sweep: %v", err)
 		}
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	base, baseBytes := sweep(tr, p, reqs)
+	pad, padBytes := sweep(padded, paddedP, paddedReqs)
+	diffCells(t, "padded catalog", pad, base)
+
+	padFiles := len(padded.Files) - len(tr.Files)
+	perFile := (float64(padBytes) - float64(baseBytes)) / float64(padFiles)
+	t.Logf("Sweep allocated %d B over %d files, %d B over %d (%.1f B per padded file)",
+		baseBytes, len(tr.Files), padBytes, len(padded.Files), perFile)
+	if perFile > 48 {
+		t.Errorf("padding the catalog with %d never-requested files grew Sweep's allocation by %.1f B per file, want <= 48: per-cell state follows the catalog",
+			padFiles, perFile)
 	}
 }
 
@@ -192,7 +289,13 @@ func TestSweepValidates(t *testing.T) {
 		{Granularities: []string{"block"}},
 		{CapacitiesTB: []float64{1, 0}},
 		{CapacitiesTB: []float64{-5}},
+		{CapacitiesTB: []float64{math.NaN()}},
+		{CapacitiesTB: []float64{math.Inf(1)}},
+		{CapacitiesTB: []float64{1e30}},             // 1e30 TB overflows int64 bytes
+		{CapacitiesTB: []float64{1e6}, Scale: 1e30}, // so does a fine size at a huge scale
 		{Scale: -1},
+		{Scale: math.NaN()},
+		{Scale: math.Inf(1)},
 		{Warmup: -1},
 	}
 	for _, cfg := range bad {
