@@ -95,7 +95,8 @@ bench:
 mmap-large:
 	$(GO) test -tags slow -run TestMapLargeDifferential -timeout 30m -v ./internal/trace
 
-# Assemble the machine-readable benchmark report (BENCH_sweep.json): gated
+# Assemble the machine-readable benchmark report (BENCH_sweep.json, generated
+# and gitignored; CI uploads it): gated
 # benchmarks plus the full-grid sweep at bench scale, whose miss rates are
 # exact and machine-independent.
 bench-json:

@@ -69,7 +69,12 @@ func newGenerator(cfg Config) (*generator, error) {
 	// files and the creation draws no randomness, so IDs and RNG state
 	// are unchanged — but the catalog is complete before any job exists.
 	g.plantHotFiles()
-	g.catalog.Files = slices.Clip(g.catalog.Files)
+	// The catalog was pre-sized from the tier targets: keep what it holds,
+	// not the slack.
+	if files := g.catalog.Files; cap(files) > len(files) {
+		g.catalog.Files = make([]trace.File, len(files))
+		copy(g.catalog.Files, files)
+	}
 	g.buildInterests()
 	g.buildDayChooser()
 	return g, nil
@@ -251,6 +256,9 @@ func (g *generator) buildDatasets() {
 	}
 	g.catalog.Files = make([]trace.File, 0, want+want/16)
 	var name []byte
+	// File names are written into arena blocks rather than allocated one by
+	// one: a string per file is half a million allocations at scale 0.5.
+	var names strings.Builder
 	for t := range c.Tiers {
 		tp := &c.Tiers[t]
 		filesTarget := int(math.Round(float64(tp.Files) * c.Scale))
@@ -268,12 +276,27 @@ func (g *generator) buildDatasets() {
 			for k := range d.files {
 				mb := size.Sample(g.rng)
 				bytes := dist.ClampInt64(mb*(1<<20), 1<<20, int64(tp.MaxFileSizeMB*(1<<20)))
-				d.files[k] = g.addFile(string(strconv.AppendInt(name, int64(k), 10)), bytes, tp.Tier)
+				d.files[k] = g.addFile(arenaString(&names, strconv.AppendInt(name, int64(k), 10)), bytes, tp.Tier)
 			}
 			g.datasets[t] = append(g.datasets[t], d)
 			g.regionDatasets[t][d.region] = append(g.regionDatasets[t][d.region], ds)
 		}
 	}
+}
+
+// nameBlock is the size of one file-name arena block.
+const nameBlock = 64 << 10
+
+// arenaString copies raw into the arena's current block, starting a new block
+// when it does not fit, and returns the copy.
+func arenaString(arena *strings.Builder, raw []byte) string {
+	if arena.Cap()-arena.Len() < len(raw) {
+		arena.Reset()
+		arena.Grow(max(nameBlock, len(raw)))
+	}
+	arena.Write(raw)
+	all := arena.String()
+	return all[len(all)-len(raw):]
 }
 
 // addFile appends a file and returns its ID. The generator's names are unique

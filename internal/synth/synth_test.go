@@ -36,6 +36,25 @@ func TestGenerateValidTrace(t *testing.T) {
 	}
 }
 
+// TestGenerateAllocsBelowFileCount: names go into arena blocks, so generating
+// a trace costs fewer allocations than its catalog has files. One string per
+// file would cost at least one each.
+func TestGenerateAllocsBelowFileCount(t *testing.T) {
+	cfg := DZero(1, 0.005)
+	tr, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= float64(len(tr.Files)) {
+		t.Errorf("Generate made %.0f allocations for a %d-file catalog, want fewer", allocs, len(tr.Files))
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(DZero(7, 0.01))
 	if err != nil {

@@ -609,12 +609,12 @@ func decodeBinCatalog(payload []byte) (files []File, users []User, sites []Site,
 	nFiles := b.count("file")
 	files = make([]File, 0, binPrealloc(nFiles, b.rem(), 3))
 	// File names are unique, so no interner; they are copied off the payload
-	// into one arena (an honest catalog's names all lie in what is left of
-	// it) and not allocated one by one: half a million tiny strings are the
-	// rest of catalog decode time and of the collector's marking after it.
+	// into one arena, sized by a skip pass over the records, and not
+	// allocated one by one: half a million tiny strings are the rest of
+	// catalog decode time and of the collector's marking after it.
 	var arena strings.Builder
 	if cap(files) == nFiles {
-		arena.Grow(b.rem())
+		arena.Grow(nameBytes(b.b[b.pos:], nFiles))
 	}
 	own := func(raw []byte) string {
 		arena.Write(raw)
@@ -638,6 +638,24 @@ func decodeBinCatalog(payload []byte) (files []File, users []User, sites []Site,
 		return nil, nil, nil, fmt.Errorf("trace: bin: catalog chunk: %w", b.err)
 	}
 	return files, users, sites, nil
+}
+
+// nameBytes sums the name lengths of the n file records {str name; size;
+// byte tier} at the head of p, up to the first that does not parse: never
+// more than p holds.
+func nameBytes(p []byte, n int) int {
+	b := &binBuf{b: p}
+	total := 0
+	for i := 0; i < n; i++ {
+		l := len(b.bytes(b.count("string length")))
+		b.uvarint()
+		b.byte()
+		if b.err != nil {
+			break
+		}
+		total += l
+	}
+	return total
 }
 
 func binOwnString(b []byte) string { return string(b) }
@@ -681,8 +699,11 @@ type binJobChunk struct {
 
 // decode parses a 'J' payload. intern maps raw string bytes to a (possibly
 // shared) string — the streaming decoder passes a cross-chunk interner so
-// repeated node/app/version names are allocated once per stream.
-func (c *binJobChunk) decode(payload []byte, nFiles, nUsers, nSites int, intern func([]byte) string) error {
+// repeated node/app/version names are allocated once per stream. retain is
+// for a caller whose jobs go on aliasing their file lists after the next
+// chunk is decoded: the lists are moved out of the reused arena into one of
+// exactly their size.
+func (c *binJobChunk) decode(payload []byte, nFiles, nUsers, nSites int, intern func([]byte) string, retain bool) error {
 	b := &binBuf{b: payload, pos: 1}
 	c.n = b.count("job")
 	c.firstID = int64(b.uvarint())
@@ -789,6 +810,16 @@ func (c *binJobChunk) decode(payload []byte, nFiles, nUsers, nSites int, intern 
 		c.lists = append(c.lists, c.listArena[from:len(c.listArena):len(c.listArena)])
 	}
 	b.pos = pos
+	if retain {
+		// The lists lie in table order in the arena, back to back.
+		own := make([]FileID, len(c.listArena))
+		copy(own, c.listArena)
+		at := 0
+		for i, l := range c.lists {
+			c.lists[i] = own[at : at+len(l) : at+len(l)]
+			at += len(l)
+		}
+	}
 
 	c.users = b.u32col(c.users[:0], c.n, nUsers, "user ID")
 	c.sites = b.u32col(c.sites[:0], c.n, nSites, "site ID")
@@ -1112,8 +1143,8 @@ func openBinStream(r io.Reader) (*binDecoder, error) {
 }
 
 // nextChunk decodes the following job chunk into d.chunk, or returns io.EOF
-// after the last one. retain gives the chunk a fresh file-ID arena, for a
-// caller whose jobs go on aliasing it after the next chunk is decoded.
+// after the last one. retain is decode's: the materialiser's jobs keep their
+// chunk's file-ID arena, a Source's do not.
 func (d *binDecoder) nextChunk(retain bool) error {
 	payload, err := d.cur.next()
 	if err == io.EOF && d.cur.total() != d.seen {
@@ -1123,12 +1154,7 @@ func (d *binDecoder) nextChunk(retain bool) error {
 		return err
 	}
 	c := &d.chunk
-	if retain {
-		// Pre-sized to the previous chunk's: chunks are homogeneous, so the
-		// hint kills growth copies. Every other buffer is reused.
-		c.listArena = make([]FileID, 0, len(c.listArena))
-	}
-	if err := c.decode(payload, len(d.files), len(d.users), len(d.sites), d.intern); err != nil {
+	if err := c.decode(payload, len(d.files), len(d.users), len(d.sites), d.intern, retain); err != nil {
 		return err
 	}
 	if c.firstID != d.seen {

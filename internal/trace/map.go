@@ -317,10 +317,7 @@ func readMapParallel(m *Mapping, first []int64) (*Trace, error) {
 					setErr(err)
 					return
 				}
-				// Jobs keep aliases into the chunk's file-ID arena, so each
-				// chunk gets a fresh one, sized like the last.
-				c.listArena = make([]FileID, 0, len(c.listArena))
-				if err := c.decode(p, len(m.files), len(m.users), len(m.sites), intern); err != nil {
+				if err := c.decode(p, len(m.files), len(m.users), len(m.sites), intern, true); err != nil {
 					setErr(err)
 					return
 				}

@@ -96,11 +96,12 @@ func (f AppFamily) String() string {
 }
 
 // File is one catalogued file. Files in DZero are read-only once stored, so
-// Size never changes.
+// Size never changes. Fields are ordered so the four pack into 32 bytes
+// (TestRecordSizes): a catalog holds a million of them.
 type File struct {
-	ID   FileID
 	Name string
 	Size int64 // bytes
+	ID   FileID
 	Tier Tier
 }
 
@@ -126,14 +127,16 @@ type Site struct {
 }
 
 // Job is one SAM "project": an application run over a dataset on behalf of a
-// user. Files lists the job's input files in request order.
+// user. Files lists the job's input files in request order. The five small
+// fields lead and share the first 16 bytes, so a Job is 160 bytes
+// (TestRecordSizes).
 type Job struct {
 	ID      JobID
 	User    UserID
 	Site    SiteID
-	Node    string // submission node name
-	Tier    Tier   // tier of the input dataset
+	Tier    Tier // tier of the input dataset
 	Family  AppFamily
+	Node    string // submission node name
 	App     string // application name
 	Version string // application version
 	Start   time.Time

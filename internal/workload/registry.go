@@ -204,7 +204,9 @@ func Open(spec string) (trace.Source, error) {
 	return a.Open(opts)
 }
 
-// Load parses spec and materializes the whole workload, start-sorted.
+// Load parses spec and materializes the whole workload. Generated workloads
+// come start-sorted; a recorded trace (the file adapter) keeps its stored
+// order.
 func Load(spec string) (*trace.Trace, error) {
 	a, opts, err := ParseSpec(spec)
 	if err != nil {

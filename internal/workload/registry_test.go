@@ -285,6 +285,35 @@ func TestShapedDZeroSequenceInvariant(t *testing.T) {
 	}
 }
 
+// TestFileLoadKeepsStoredOrder: the file adapter's Load returns a recorded
+// trace's jobs in the order they are stored, not sorted by start.
+func TestFileLoadKeepsStoredOrder(t *testing.T) {
+	gen, err := workload.Load("dzero,seed=3,scale=0.005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]trace.JobID, len(gen.Jobs))
+	for i := range ids {
+		ids[i] = trace.JobID(len(ids) - 1 - i)
+	}
+	stored := gen.WithJobs(ids) // latest start first
+	if !stored.Jobs[0].Start.After(stored.Jobs[len(ids)-1].Start) {
+		t.Fatal("the reversed trace is not out of start order")
+	}
+	path := t.TempDir() + "/unsorted.bin"
+	want := encodeBin(t, stored)
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := workload.Load("file,path=" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBin(t, got), want) {
+		t.Error("file Load did not return the jobs in stored order")
+	}
+}
+
 // TestLoadMatchesOpenMaterialized: where an adapter has no dedicated Load
 // (xrootd) or its Load declines (shaped dzero), Load must equal
 // materialize(Open)+sort.
