@@ -12,15 +12,14 @@ BENCHDIR ?= .bench
 # trace-codec decode pair, and the cold path before the first answer
 # (generate, order jobs, merge requests — gated on B/op and allocs/op only).
 # The Large sweep variants are excluded by the $$ anchors.
-BENCHPAT ?= SweepEngine$$|SweepSequential$$|CacheReplay|Server|Observe|Snapshot|DecodeText$$|DecodeBin$$|DecodeMmap$$|DecodeKV$$|MapIterate$$|ServeTCP|GenerateWorkload$$|RequestStream$$|SortJobsByStart$$
+BENCHPAT ?= SweepEngine$$|SweepSequential$$|CacheReplay|Server|Observe|Snapshot|DecodeText$$|DecodeBin$$|DecodeMmap$$|DecodeKV$$|BinIterate$$|ServeTCP|GenerateWorkload$$|RequestStream$$|SortJobsByStart$$
 BENCH_TOLERANCE ?= 0.15
 # Pinned linter versions, run via `go run` so go.mod stays dependency-free.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 .PHONY: all build fmt-check vet test race lint fuzz-smoke kill-recover chaos bench \
-	selftest sweep-smoke ci bench-json bench-gate bench-baseline mmap-large \
-	e2e e2e-repeat
+	selftest sweep-smoke ci bench-json bench-gate bench-baseline e2e e2e-repeat
 
 all: ci
 
@@ -87,14 +86,6 @@ chaos:
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem .
 
-# Scale differential for the mmap substrate: generate a multi-GiB
-# filecule-bin/v1 trace (2 GiB default; MMAP_LARGE_BYTES overrides) and
-# replay it through the mapped cursor and the streamed decoder in lockstep.
-# Memory stays bounded, so the only real requirement is disk: point TMPDIR
-# at a disk-backed directory when /tmp is a small tmpfs.
-mmap-large:
-	$(GO) test -tags slow -run TestMapLargeDifferential -timeout 30m -v ./internal/trace
-
 # Assemble the machine-readable benchmark report (BENCH_sweep.json, generated
 # and gitignored; CI uploads it): gated
 # benchmarks plus the full-grid sweep at bench scale, whose miss rates are
@@ -111,10 +102,9 @@ bench-json:
 # or B/op regression, a sub-3x sweep speedup, a steady-state observe over
 # 700 ns/op or allocating at all, a sub-2x binary-over-text decode speedup, a
 # mapped decode slower than 0.9x the streaming decode (measured 1.5-1.9x
-# faster on a 2-vCPU host, the same serial decoder on one core; table and
-# host in DESIGN §13), a sub-3x wire-over-JSON serving speedup, a WAL-on
+# faster on a 2-vCPU host, one decode worker on one core), a sub-3x wire-over-JSON serving speedup, a WAL-on
 # observe more than 10x the bare engine, wire throughput/p99 outside the
-# absolute CI bounds, a mapped per-job hot loop that allocates, >15% more
+# absolute CI bounds, a streamed per-job hot loop that allocates, >15% more
 # allocs/op on the cold path (whose ns/op is recorded, not gated), or any
 # sweep miss-rate drift.
 bench-gate: bench-json

@@ -134,15 +134,15 @@ func TestGateMmapDecodeSpeedupFloor(t *testing.T) {
 	}
 }
 
-func TestGateMapIterateAllocsCeiling(t *testing.T) {
+func TestGateBinIterateAllocsCeiling(t *testing.T) {
 	mk := func(allocs float64) *Report {
 		return &Report{Schema: BenchSchema, Benchmarks: []Benchmark{
-			{Name: "MapIterate", Iterations: 1, Metrics: map[string]float64{"ns/op": 700, "allocs/op": allocs}},
+			{Name: "BinIterate", Iterations: 1, Metrics: map[string]float64{"ns/op": 700, "allocs/op": allocs}},
 		}}
 	}
-	bounds := []metricBound{{bench: "MapIterate", unit: "allocs/op", ceiling: 1}}
+	bounds := []metricBound{{bench: "BinIterate", unit: "allocs/op", ceiling: 1}}
 	if v := gate(mk(0), mk(0), 0.15, nil, nil, bounds); len(v) != 0 {
-		t.Errorf("allocation-free map iteration must pass, got %v", v)
+		t.Errorf("allocation-free bin iteration must pass, got %v", v)
 	}
 	v := gate(mk(0), mk(3), 10, nil, nil, bounds)
 	if len(v) != 1 || !strings.Contains(v[0], "over ceiling") {

@@ -118,7 +118,7 @@ func main() {
 	}
 
 	// Serving needs the file catalog only, and a source's catalog outlives
-	// it (a mapped file's names are copies): no job is decoded or generated.
+	// it: no job is decoded or generated.
 	src, err := workload.Open(*spec)
 	if err != nil {
 		fatal(err)

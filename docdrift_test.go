@@ -2,10 +2,13 @@
 // anybody rereading them. This test runs every `filecule-<cmd> ...` line it
 // finds in README.md, DESIGN.md, EXPERIMENTS.md, the Makefile and the cmds'
 // package comments past the named binary's own -h: a flag the usage text does
-// not list, or a cmd with no directory under cmd/, fails.
+// not list, or a cmd with no directory under cmd/, fails. The documents also
+// quote speedups, and those are recomputed from BENCH_baseline.json.
 package filecule_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
@@ -112,5 +115,46 @@ func TestQuotedCommandLinesRun(t *testing.T) {
 	}
 	if lines < 20 {
 		t.Errorf("found %d quoted command lines, expected dozens: the extraction is broken", lines)
+	}
+}
+
+// TestQuotedRatiosMatchBaseline: each speedup README.md and DESIGN.md quote
+// is the ns/op ratio BENCH_baseline.json records, to one decimal, so a
+// refreshed baseline that moves one fails here until the prose follows.
+func TestQuotedRatiosMatchBaseline(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base struct {
+		Benchmarks []struct {
+			Name    string
+			Metrics map[string]float64
+		}
+	}
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	nsop := map[string]float64{}
+	for _, b := range base.Benchmarks {
+		nsop[b.Name] = b.Metrics["ns/op"]
+	}
+	for _, r := range []struct{ slow, fast string }{
+		{"SweepSequential", "SweepEngine"},
+		{"ServeTCPJSON", "ServeTCPWire"},
+	} {
+		if nsop[r.slow] == 0 || nsop[r.fast] == 0 {
+			t.Fatalf("BENCH_baseline.json has no ns/op for %s or %s", r.slow, r.fast)
+		}
+		quoted := fmt.Sprintf("%.1f×", nsop[r.slow]/nsop[r.fast])
+		for _, doc := range []string{"README.md", "DESIGN.md"} {
+			text, err := os.ReadFile(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(text), quoted) {
+				t.Errorf("%s does not quote %s, the %s/%s ns/op ratio in BENCH_baseline.json", doc, quoted, r.slow, r.fast)
+			}
+		}
 	}
 }

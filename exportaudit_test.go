@@ -28,7 +28,6 @@ var testOnlyExports = map[string]string{
 	"NumStored":        "prefetch.WorkingSet: tests read the sequence store",
 	"ObserveSource":    "core.Engine: the codec differentials drain every trace.Source through it",
 	"ObserveTrace":     "core.Engine and the reference Refiner: how tests and benchmarks load a trace",
-	"OpenMapping":      "trace: the mapped-substrate tests and benchmarks open files through it",
 	"RecvObserve":      "wire.Client, with SendObserve: the protocol's pipelining primitive; the gated BenchmarkServeTCPWire and TestClientServerOverTCP drive a depth-64 window through it",
 	"SendObserve":      "wire.Client: see RecvObserve",
 	"SimpleJob":        "trace.Builder: the small-trace fixture of a dozen test files",

@@ -55,9 +55,9 @@ func nextUseBy(unitOf func(trace.FileID) UnitID, reqs []trace.Request) []int64 {
 // the same request stream the simulator replays, and it relies on the Sim
 // contract that Admit/Touch are called with now = the current request index.
 //
-// Driven through Sim at file or filecule granularity it reproduces
-// SimulateOPT's results exactly (see TestOPTPolicyMatchesSimulateOPT); the
-// standalone SimulateOPT remains as the independently-coded cross-check.
+// Driven through Sim at file or filecule granularity it reproduces the
+// independently coded SimulateOPT oracle exactly (see
+// TestOPTPolicyMatchesSimulateOPT).
 type OPTPolicy struct {
 	next    []int64
 	entries map[UnitID]*optEntry
@@ -107,3 +107,27 @@ func (p *OPTPolicy) Remove(u UnitID) {
 
 // Len implements Policy.
 func (p *OPTPolicy) Len() int { return len(p.entries) }
+
+type optEntry struct {
+	unit  UnitID
+	size  int64
+	next  int64
+	index int
+}
+
+// optHeap is a max-heap on next use: the farthest-future unit is the root.
+type optHeap []*optEntry
+
+func (h optHeap) Len() int            { return len(h) }
+func (h optHeap) Less(i, j int) bool  { return h[i].next > h[j].next }
+func (h optHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
+func (h *optHeap) Push(x interface{}) { e := x.(*optEntry); e.index = len(*h); *h = append(*h, e) }
+func (h *optHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	e.index = -1
+	*h = old[:n-1]
+	return e
+}

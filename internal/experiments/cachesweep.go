@@ -34,7 +34,7 @@ func (r *Runner) CacheSweep() []CacheSweepPoint {
 	res, err := sim.Sweep(r.Trace(), r.Partition(), r.Requests(), sim.SweepConfig{
 		Policies:      []string{"lru"},
 		Granularities: []string{"file", "filecule"},
-		Scale:         r.cfg.Scale,
+		Scale:         r.scale,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: Figure 10 sweep rejected its own config: %v", err))
@@ -61,7 +61,7 @@ func (r *Runner) CacheSweep() []CacheSweepPoint {
 func (r *Runner) fig10() (*Result, error) {
 	points := r.CacheSweep()
 	tb := report.NewTable(
-		fmt.Sprintf("Figure 10: LRU miss rate (cache sizes scaled by %.3g)", r.cfg.Scale),
+		fmt.Sprintf("Figure 10: LRU miss rate (cache sizes scaled by %.3g)", r.scale),
 		"cache (full-scale TB)", "file miss rate", "filecule miss rate",
 		"gain (file/filecule)", "file byte-miss", "filecule byte-miss")
 	var rows [][2]CacheSweepPoint
@@ -106,7 +106,7 @@ func (r *Runner) ablation() (*Result, error) {
 	t := r.Trace()
 	p := r.Partition()
 	reqs := r.Requests()
-	capBytes := sim.ScaledCapacity(10, r.cfg.Scale) // the 10 TB point
+	capBytes := sim.ScaledCapacity(10, r.scale) // the 10 TB point
 
 	tb := report.NewTable(
 		"cache policy ablation at the 10 TB (full-scale) point",
@@ -147,7 +147,7 @@ func (r *Runner) ablation() (*Result, error) {
 		{"file", cache.NewFileGranularity(t)},
 		{"filecule", cache.NewFileculeGranularity(t, p)},
 	} {
-		m := cache.SimulateOPT(t, gr.g, capBytes, reqs)
+		m := cache.NewSim(t, gr.g, cache.NewOPTPolicy(cache.NextUse(gr.g, reqs)), capBytes).Replay(reqs)
 		tb.AddRow(gr.name, "opt (offline)", m.MissRate(), m.ByteMissRate(), float64(m.BytesLoaded)/(1<<30))
 	}
 	return &Result{Tables: []*report.Table{tb},

@@ -1,8 +1,7 @@
 // Package experiments contains one driver per table and figure of the
-// paper. Each driver builds (or reuses) the calibrated synthetic workload,
-// runs the corresponding analysis or simulation, and emits the same rows or
-// series the paper reports, side by side with the paper's published values
-// where they exist.
+// paper. Each driver runs the corresponding analysis or simulation over the
+// runner's workload, and emits the same rows or series the paper reports,
+// side by side with the paper's published values where they exist.
 //
 // The drivers are used by cmd/filecule-repro (the full report), by the
 // per-experiment benchmarks in the repository root, and by EXPERIMENTS.md.
@@ -15,15 +14,8 @@ import (
 
 	"filecule/internal/core"
 	"filecule/internal/report"
-	"filecule/internal/synth"
 	"filecule/internal/trace"
 )
-
-// Config selects workload scale and seed for all experiments.
-type Config struct {
-	Seed  int64
-	Scale float64
-}
 
 // Result is one experiment's rendered outcome.
 type Result struct {
@@ -57,45 +49,22 @@ func (r *Result) Render() string {
 // Runner owns the shared workload and caches derived state across
 // experiments.
 type Runner struct {
-	cfg   Config
+	scale float64
 	tr    *trace.Trace
 	part  *core.Partition
 	reqs  []trace.Request
 	sweep []CacheSweepPoint // Figure 10, memoised by CacheSweep
 }
 
-// New creates a Runner. The workload is generated lazily on first use.
-func New(cfg Config) *Runner {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 0.05
-	}
-	return &Runner{cfg: cfg}
-}
-
-// NewForTrace creates a Runner over an externally supplied trace (e.g. one
-// loaded from disk) instead of generating a synthetic workload. The scale is
-// still needed to size the Figure 10 cache sweep relative to the paper's
-// 1-100 TB range; pass 1 if the trace is full size.
+// NewForTrace creates a Runner over a workload. The scale sizes the caches
+// and budgets relative to the paper's (the Figure 10 sweep's 1-100 TB
+// range); pass 1 if the trace is full size.
 func NewForTrace(t *trace.Trace, scale float64) *Runner {
-	r := New(Config{Scale: scale})
-	r.tr = t
-	return r
+	return &Runner{scale: scale, tr: t}
 }
 
-// Config returns the runner's configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
-// Trace returns the shared workload, generating it on first call.
-func (r *Runner) Trace() *trace.Trace {
-	if r.tr == nil {
-		t, err := synth.Generate(synth.DZero(r.cfg.Seed, r.cfg.Scale))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: workload generation failed: %v", err))
-		}
-		r.tr = t
-	}
-	return r.tr
-}
+// Trace returns the shared workload.
+func (r *Runner) Trace() *trace.Trace { return r.tr }
 
 // Partition returns the globally identified filecule partition.
 func (r *Runner) Partition() *core.Partition {

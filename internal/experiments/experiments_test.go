@@ -6,10 +6,20 @@ import (
 
 	"filecule/internal/cache"
 	"filecule/internal/sim"
+	"filecule/internal/synth"
 )
 
-// testRunner shares one small workload across tests in this package.
-var shared = New(Config{Seed: 1, Scale: 0.02})
+// generated returns a Runner over the DZero workload at seed and scale.
+func generated(seed int64, scale float64) *Runner {
+	t, err := synth.Generate(synth.DZero(seed, scale))
+	if err != nil {
+		panic(err)
+	}
+	return NewForTrace(t, scale)
+}
+
+// shared is one small workload the tests in this package reuse.
+var shared = generated(1, 0.02)
 
 func TestAllExperimentsRun(t *testing.T) {
 	for _, id := range All() {
@@ -46,7 +56,7 @@ func TestPrefetchersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := New(Config{Seed: 1, Scale: 0.02}).Run("prefetchers")
+	got, err := generated(1, 0.02).Run("prefetchers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +135,6 @@ func TestFig10Headline(t *testing.T) {
 	}
 }
 
-func TestDefaultConfig(t *testing.T) {
-	r := New(Config{})
-	if r.Config().Scale <= 0 {
-		t.Error("zero scale not defaulted")
-	}
-}
-
 // TestCacheSweepMatchesReference holds the Figure 10 driver to the reference
 // simulator: each of the 14 points, replayed on its own through cache.Sim
 // with a pointer-and-map LRU, must equal what Runner.CacheSweep reads off
@@ -139,7 +142,7 @@ func TestDefaultConfig(t *testing.T) {
 func TestCacheSweepMatchesReference(t *testing.T) {
 	const scale = 0.02
 	for _, seed := range []int64{1, 2} {
-		r := New(Config{Seed: seed, Scale: scale})
+		r := generated(seed, scale)
 		tr, p, reqs := r.Trace(), r.Partition(), r.Requests()
 		points := r.CacheSweep()
 		if len(points) != 2*len(Fig10CacheSizesTB) {

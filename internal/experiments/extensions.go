@@ -56,7 +56,7 @@ func (r *Runner) prefetchers() (*Result, error) {
 	t := r.Trace()
 	p := r.Partition()
 	reqs := r.Requests()
-	capBytes := int64(10 * r.cfg.Scale * float64(int64(1)<<40))
+	capBytes := int64(10 * r.scale * float64(int64(1)<<40))
 
 	tb := report.NewTable("prefetching baselines at the 10 TB (full-scale) point",
 		"scheme", "miss rate", "byte miss rate", "prefetch GB", "total loaded GB")
@@ -139,7 +139,7 @@ func (r *Runner) replSweep() (*Result, error) {
 	tb := report.NewTable("replication budget sweep (WAN GB | remote stalled)",
 		"budget (full-scale TB)", "none", "popular-files", "popular-filecules")
 	for _, budgetTB := range []float64{2, 10, 40} {
-		budget := int64(budgetTB * r.cfg.Scale * float64(int64(1)<<40))
+		budget := int64(budgetTB * r.scale * float64(int64(1)<<40))
 		if budget < 1<<30 {
 			budget = 1 << 30
 		}
@@ -208,7 +208,7 @@ func (r *Runner) placement() (*Result, error) {
 	t := r.Trace()
 	history, future := t.SplitByTime(0.6)
 	p := core.Identify(history)
-	budget := int64(20 * r.cfg.Scale * float64(int64(1)<<40))
+	budget := int64(20 * r.scale * float64(int64(1)<<40))
 	if budget < 1<<30 {
 		budget = 1 << 30
 	}

@@ -77,7 +77,7 @@ func (r *Runner) partialKnowledge() (*Result, error) {
 func (r *Runner) replication() (*Result, error) {
 	t := r.Trace()
 	// Budget: 20 TB of replica space per site at full scale.
-	budget := int64(20 * r.cfg.Scale * (1 << 40))
+	budget := int64(20 * r.scale * (1 << 40))
 	if budget < 1<<30 {
 		budget = 1 << 30
 	}

@@ -17,7 +17,7 @@ import (
 func (r *Runner) table1() (*Result, error) {
 	t := r.Trace()
 	per, all := t.SummarizeTiers()
-	scale := r.cfg.Scale
+	scale := r.scale
 
 	paper := make(map[string]synth.PaperTierRow, len(synth.PaperTable1))
 	for _, row := range synth.PaperTable1 {
@@ -67,7 +67,7 @@ func (r *Runner) table2() (*Result, error) {
 	totalJobs := float64(len(t.Jobs))
 
 	tb := report.NewTable(
-		fmt.Sprintf("Table 2 (measured at scale %.3g; paper job shares for comparison)", r.cfg.Scale),
+		fmt.Sprintf("Table 2 (measured at scale %.3g; paper job shares for comparison)", r.scale),
 		"domain", "jobs", "share", "share(paper)", "nodes", "sites", "users",
 		"filecules", "files", "data GB")
 	for _, d := range doms {

@@ -241,8 +241,11 @@ func decodeDelta(b []byte) (*delta, error) {
 		return nil, fmt.Errorf("fed: heartbeat carries %d records / %d live", nRecords, nLive)
 	}
 	d.Observed = int64(observed)
-	d.Records = make([]core.StateGroup, 0, nRecords)
-	d.Live = make([]sigKey, 0, nLive)
+	// The counts are bounded only by maxFedGroups; the pre-size is bounded by
+	// what the body can back — a record takes at least 18 bytes (signature,
+	// request count, run count), a live signature 16.
+	d.Records = make([]core.StateGroup, 0, min(nRecords, uint64(len(b)/18)))
+	d.Live = make([]sigKey, 0, min(nLive, uint64(len(b)/16)))
 
 	filesLeft := int(totalFiles)
 	for {

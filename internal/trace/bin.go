@@ -29,8 +29,8 @@ import (
 //	end     := 'E' totalJobs
 //
 // Job chunks are independently decodable (self-contained string and
-// file-list tables, absolute first job ID) — that is what makes the
-// mapping's parallel chunk-decode path possible:
+// file-list tables, absolute first job ID) — that is what makes
+// ReadFile's parallel chunk-decode path possible:
 //
 //	jobs    := 'J' nJobs firstJobID
 //	           nStrings {str}                       // node/app/version table
@@ -1032,58 +1032,6 @@ func (c *binJobChunk) fill(j *Job, i int) {
 	j.Outputs = c.outputs[i]
 }
 
-// chunkCursor is the one reader of what follows the catalog in a
-// filecule-bin/v1 stream: job chunks, then exactly one end chunk, then
-// clean EOF. It has two backings — streamCursor over a ChunkReader, and
-// mapCursor over a Mapping's frame index — and every decode path (the
-// Source, the serial materialiser) is written once on top of it.
-type chunkCursor interface {
-	// next returns the next job-chunk payload, CRC-verified and valid until
-	// the following call, or io.EOF once the end chunk has been read and
-	// nothing follows it.
-	next() ([]byte, error)
-	// total returns the job count the end chunk declares. A mapping knows
-	// it from the start, a stream only once next has returned io.EOF.
-	total() int64
-}
-
-// streamCursor is the read-into-buffer backing: it enforces the chunk
-// grammar as the frames arrive.
-type streamCursor struct {
-	cr  *ChunkReader
-	end int64
-}
-
-func (c *streamCursor) total() int64 { return c.end }
-
-func (c *streamCursor) next() ([]byte, error) {
-	kind, payload, err := readBinChunk(c.cr)
-	if err == io.EOF {
-		return nil, fmt.Errorf("trace: bin: truncated stream (missing end chunk)")
-	}
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case binChunkKindJobs:
-		return payload, nil
-	case binChunkKindEnd:
-		total, err := decodeBinEnd(payload)
-		if err != nil {
-			return nil, err
-		}
-		if _, _, err := readBinChunk(c.cr); err != io.EOF {
-			return nil, fmt.Errorf("trace: bin: data after end chunk")
-		}
-		c.end = int64(total)
-		return nil, io.EOF
-	case binChunkKindCatalog:
-		return nil, fmt.Errorf("trace: bin: duplicate catalog chunk")
-	default:
-		return nil, fmt.Errorf("trace: bin: unknown chunk kind %q", kind)
-	}
-}
-
 // newInterner returns a function that shares equal strings, so node, app
 // and version names allocate once per stream rather than once per chunk.
 func newInterner() func([]byte) string {
@@ -1098,11 +1046,13 @@ func newInterner() func([]byte) string {
 	}
 }
 
-// binDecoder decodes a cursor's job chunks one at a time into reused column
-// buffers, holding the chunks to the rest of the grammar: job IDs run on
-// from chunk to chunk, and the end chunk's total is the number seen.
+// binDecoder reads what follows the catalog in a filecule-bin/v1 stream —
+// job chunks, then exactly one end chunk, then clean EOF — decoding the job
+// chunks one at a time into reused column buffers and holding them to the
+// rest of the grammar: job IDs run on from chunk to chunk, and the end
+// chunk's total is the number seen.
 type binDecoder struct {
-	cur   chunkCursor
+	cr    *ChunkReader
 	files []File
 	users []User
 	sites []Site
@@ -1110,10 +1060,6 @@ type binDecoder struct {
 	chunk  binJobChunk
 	intern func([]byte) string
 	seen   int64 // jobs in the chunks decoded so far
-}
-
-func newBinDecoder(cur chunkCursor, files []File, users []User, sites []Site) *binDecoder {
-	return &binDecoder{cur: cur, files: files, users: users, sites: sites, intern: newInterner()}
 }
 
 // openBinStream reads the magic line and the catalog chunk from r and
@@ -1139,17 +1085,47 @@ func openBinStream(r io.Reader) (*binDecoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newBinDecoder(&streamCursor{cr: cr}, files, users, sites), nil
+	return &binDecoder{cr: cr, files: files, users: users, sites: sites, intern: newInterner()}, nil
+}
+
+// nextPayload returns the next job-chunk payload, CRC-verified and valid
+// until the following call, or io.EOF once the end chunk has been read,
+// nothing follows it, and its total matches the jobs seen.
+func (d *binDecoder) nextPayload() ([]byte, error) {
+	kind, payload, err := readBinChunk(d.cr)
+	if err == io.EOF {
+		return nil, fmt.Errorf("trace: bin: truncated stream (missing end chunk)")
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
+	case binChunkKindJobs:
+		return payload, nil
+	case binChunkKindEnd:
+		total, err := decodeBinEnd(payload)
+		if err != nil {
+			return nil, err
+		}
+		if _, _, err := readBinChunk(d.cr); err != io.EOF {
+			return nil, fmt.Errorf("trace: bin: data after end chunk")
+		}
+		if int64(total) != d.seen {
+			return nil, fmt.Errorf("trace: bin: end chunk declares %d jobs, stream had %d", int64(total), d.seen)
+		}
+		return nil, io.EOF
+	case binChunkKindCatalog:
+		return nil, fmt.Errorf("trace: bin: duplicate catalog chunk")
+	default:
+		return nil, fmt.Errorf("trace: bin: unknown chunk kind %q", kind)
+	}
 }
 
 // nextChunk decodes the following job chunk into d.chunk, or returns io.EOF
 // after the last one. retain is decode's: the materialiser's jobs keep their
 // chunk's file-ID arena, a Source's do not.
 func (d *binDecoder) nextChunk(retain bool) error {
-	payload, err := d.cur.next()
-	if err == io.EOF && d.cur.total() != d.seen {
-		err = fmt.Errorf("trace: bin: end chunk declares %d jobs, stream had %d", d.cur.total(), d.seen)
-	}
+	payload, err := d.nextPayload()
 	if err != nil {
 		return err
 	}
@@ -1164,15 +1140,11 @@ func (d *binDecoder) nextChunk(retain bool) error {
 	return nil
 }
 
-// materialize drains the cursor into a trace on the calling goroutine,
+// materialize drains the stream into a trace on the calling goroutine,
 // interning strings across the whole stream. Decoded jobs are written
 // straight into the trace — no per-chunk job slices or payload copies.
-// sizeHint, when the backing knows the job count, allocates Jobs once.
-func (d *binDecoder) materialize(sizeHint int) (*Trace, error) {
+func (d *binDecoder) materialize() (*Trace, error) {
 	t := &Trace{Files: d.files, Users: d.users, Sites: d.sites}
-	if sizeHint > 0 {
-		t.Jobs = make([]Job, 0, sizeHint)
-	}
 	c := &d.chunk
 	for {
 		if err := d.nextChunk(true); err == io.EOF {
@@ -1206,16 +1178,13 @@ func validated(t *Trace, err error) (*Trace, error) {
 	return t, nil
 }
 
-// BinSource streams jobs out of a filecule-bin/v1 trace one chunk at a
-// time, over a stream (NewBinSource) or a mapped file (Mapping.Source),
-// reusing all decode buffers: draining an N-job trace allocates
+// BinSource streams jobs out of a filecule-bin/v1 stream one chunk at a
+// time, reusing all decode buffers: draining an N-job trace allocates
 // O(catalog + distinct strings + chunk high-water mark), not O(N).
 type BinSource struct {
 	d   *binDecoder
 	idx int
 	job Job
-	// owner is the mapping, when Open handed the cursor sole ownership.
-	owner io.Closer
 
 	err    error
 	closed bool
@@ -1261,16 +1230,10 @@ func (s *BinSource) Next() (*Job, error) {
 	return &s.job, nil
 }
 
-// Close marks the source closed and releases a mapping it owns. A stream's
-// underlying reader is owned by the caller.
+// Close marks the source closed. The underlying reader is owned by the
+// caller.
 func (s *BinSource) Close() error {
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	if s.owner != nil {
-		return s.owner.Close()
-	}
 	return nil
 }
 
@@ -1278,11 +1241,11 @@ func (s *BinSource) Close() error {
 // decoding chunks in line with buffers reused across the stream. A stream
 // cannot be decoded in place or out of order, so a worker pool here only
 // buys payload copies (see DESIGN §13 for the measurement); parallel
-// materialization belongs to the mapping (ReadMap).
+// materialization belongs to ReadFile's mapped fast path.
 func ReadBin(r io.Reader) (*Trace, error) {
 	d, err := openBinStream(r)
 	if err != nil {
 		return nil, err
 	}
-	return validated(d.materialize(0))
+	return validated(d.materialize())
 }

@@ -118,9 +118,9 @@ func binFrames(t *testing.T, data []byte) [][]byte {
 	t.Helper()
 	var frames [][]byte
 	for pos := len(binMagic); pos < len(data); {
-		_, _, next, err := mapFrame(data, pos)
-		if err != nil {
-			t.Fatal(err)
+		_, _, next, ok := mapFrame(data, pos)
+		if !ok {
+			t.Fatalf("no whole frame at byte %d", pos)
 		}
 		frames = append(frames, data[pos:next])
 		pos = next
@@ -142,11 +142,12 @@ func frameOf(t *testing.T, payload []byte) []byte {
 }
 
 // TestBinRoutesAgree is the differential over every way a filecule-bin/v1
-// trace is decoded: the one cursor over each of its backings, through the
-// Source and through the serial materialiser, and the mapping's parallel
-// fill. All routes must decode a multi-chunk trace to the same thing and
-// agree on accept/reject over one corruption corpus; GOMAXPROCS is forced
-// so neither ReadMap path goes untested on any machine.
+// trace is decoded: the streamed decoder through the Source and through the
+// materialiser, gzip-wrapped, opened from a file, and ReadFile's mapped fill
+// at one worker and at four. All routes must decode a multi-chunk trace to
+// the same thing and reject the same corruption corpus, and ReadFile must
+// fail with the path and then ReadBin's words: its fast path has none of its
+// own.
 func TestBinRoutesAgree(t *testing.T) {
 	drain := func(src Source, err error) (*Trace, error) {
 		if err != nil {
@@ -155,27 +156,24 @@ func TestBinRoutesAgree(t *testing.T) {
 		defer src.Close()
 		return Materialize(src)
 	}
-	readFileAt := func(procs int) func(*testing.T, []byte) (*Trace, error) {
-		return func(t *testing.T, data []byte) (*Trace, error) {
+	readFileAt := func(procs int) func(string, []byte) (*Trace, error) {
+		return func(path string, _ []byte) (*Trace, error) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			return ReadFile(writeFile(t, data))
+			return ReadFile(path)
 		}
 	}
 	routes := []struct {
-		name   string
-		decode func(t *testing.T, data []byte) (*Trace, error)
+		name     string
+		readFile bool
+		decode   func(path string, data []byte) (*Trace, error)
 	}{
-		{"stream cursor, source", func(t *testing.T, data []byte) (*Trace, error) {
-			src, err := NewBinSource(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			return drain(src, nil)
+		{"stream cursor, source", false, func(_ string, data []byte) (*Trace, error) {
+			return drain(NewBinSource(bytes.NewReader(data)))
 		}},
-		{"stream cursor, materialiser", func(t *testing.T, data []byte) (*Trace, error) {
+		{"stream cursor, materialiser", false, func(_ string, data []byte) (*Trace, error) {
 			return ReadBin(bytes.NewReader(data))
 		}},
-		{"gzip-wrapped stream", func(t *testing.T, data []byte) (*Trace, error) {
+		{"gzip-wrapped stream", false, func(_ string, data []byte) (*Trace, error) {
 			var gz bytes.Buffer
 			zw := gzip.NewWriter(&gz)
 			zw.Write(data)
@@ -184,11 +182,11 @@ func TestBinRoutesAgree(t *testing.T) {
 			}
 			return ReadAuto(&gz)
 		}},
-		{"mapped cursor, source", func(t *testing.T, data []byte) (*Trace, error) {
-			return drain(Open(writeFile(t, data)))
+		{"Open, source", false, func(path string, _ []byte) (*Trace, error) {
+			return drain(Open(path))
 		}},
-		{"ReadFile, GOMAXPROCS=1", readFileAt(1)},
-		{"ReadFile, GOMAXPROCS=4", readFileAt(4)},
+		{"ReadFile, GOMAXPROCS=1", true, readFileAt(1)},
+		{"ReadFile, GOMAXPROCS=4", true, readFileAt(4)},
 	}
 
 	tr := buildManyJobs(t, 3*binChunkJobs+77)
@@ -209,6 +207,12 @@ func TestBinRoutesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrongTotal := binary.AppendUvarint([]byte{binChunkKindEnd}, uint64(len(tr.Jobs)+1))
+	// Two faults: a stream meets the bad CRC in job chunk 1 before the torn
+	// tail, a walk over every frame first would meet the tail first.
+	badChunk1 := bytes.Clone(fr[2])
+	badChunk1[len(badChunk1)/2] ^= 0x20
+	crcThenTorn := joinFrames(fr[0], fr[1], badChunk1, fr[3], fr[4], fr[5])
+	crcThenTorn = crcThenTorn[:len(crcThenTorn)-1]
 
 	cases := []struct {
 		name string
@@ -220,6 +224,7 @@ func TestBinRoutesAgree(t *testing.T) {
 		{"flipped byte", flipped, nil},
 		{"torn tail, mid-chunk", valid[:len(valid)/2], nil},
 		{"torn tail, last byte", valid[:len(valid)-1], nil},
+		{"CRC in job chunk 1, then torn tail", crcThenTorn, nil},
 		{"missing end chunk", joinFrames(fr[:last]...), nil},
 		{"duplicate catalog", joinFrames(fr[0], fr[1], fr[0], fr[2], fr[3], fr[4], fr[5]), nil},
 		{"mis-ordered chunk IDs", joinFrames(fr[0], fr[1], fr[3], fr[2], fr[4], fr[5]), nil},
@@ -230,8 +235,10 @@ func TestBinRoutesAgree(t *testing.T) {
 		{"unknown chunk kind", joinFrames(fr[0], fr[1], frameOf(t, []byte{'Q', 1}), fr[2], fr[3], fr[4], fr[5]), nil},
 	}
 	for _, c := range cases {
+		path := writeFile(t, c.data)
+		_, binErr := ReadBin(bytes.NewReader(c.data))
 		for _, r := range routes {
-			got, err := r.decode(t, c.data)
+			got, err := r.decode(path, c.data)
 			switch {
 			case c.want == nil && err == nil:
 				t.Errorf("%s: %s accepted it", c.name, r.name)
@@ -239,6 +246,8 @@ func TestBinRoutesAgree(t *testing.T) {
 				t.Errorf("%s: %s: %v", c.name, r.name, err)
 			case c.want != nil && !reflect.DeepEqual(got, c.want):
 				t.Errorf("%s: %s decoded a different trace", c.name, r.name)
+			case r.readFile && err != nil && err.Error() != path+": "+binErr.Error():
+				t.Errorf("%s: %s says %q, ReadBin %q", c.name, r.name, err, binErr)
 			}
 		}
 	}
@@ -414,8 +423,8 @@ func TestBinSourceAllocsBounded(t *testing.T) {
 }
 
 // TestBinSourceNextAllocsNothing holds the cursor's steady state to zero
-// allocations per job on both backings — what BenchmarkMapIterate gates
-// for the mapped one: once the reused buffers have seen a chunk, Next
+// allocations per job, over a reader and over a file Open opened — what
+// BenchmarkBinIterate gates: once the reused buffers have seen a chunk, Next
 // allocates nothing, chunk boundaries included.
 func TestBinSourceNextAllocsNothing(t *testing.T) {
 	tr := buildManyJobs(t, 6*binChunkJobs)
@@ -444,10 +453,7 @@ func TestBinSourceNextAllocsNothing(t *testing.T) {
 		}
 		check(t, src)
 	})
-	t.Run("mapped", func(t *testing.T) {
-		if !mmapWorks(t) {
-			t.Skip("mmap unavailable on this platform")
-		}
+	t.Run("Open", func(t *testing.T) {
 		src, err := Open(writeFile(t, buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)

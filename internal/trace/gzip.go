@@ -3,7 +3,9 @@ package trace
 import (
 	"bufio"
 	"compress/gzip"
+	"fmt"
 	"io"
+	"os"
 )
 
 // Format auto-detection: tools accept v1 text, filecule-bin/v1, and gzip
@@ -86,6 +88,21 @@ func NewSource(r io.Reader) (Source, error) {
 		return &closerSource{Source: src, c: zr}, nil
 	}
 	return src, nil
+}
+
+// Open opens a trace file — text, filecule-bin/v1, or gzip of either — as a
+// streaming Source through NewSource. Closing the source closes the file.
+func Open(path string) (Source, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	src, err := NewSource(f)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &closerSource{Source: src, c: f}, nil
 }
 
 // closerSource couples a Source with an auxiliary closer (a gzip reader,

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 )
 
@@ -17,10 +18,14 @@ const ioBufSize = 1 << 20
 
 // newBufReader wraps r for buffered reads, passing an existing
 // *bufio.Reader through untouched so stacked codec layers (auto-detect →
-// gzip → bin) never double-buffer.
+// gzip → bin) never double-buffer. Bytes already in memory get a buffer no
+// longer than they are: a 50-byte federation ack needs no 1 MiB buffer.
 func newBufReader(r io.Reader) *bufio.Reader {
-	if br, ok := r.(*bufio.Reader); ok {
-		return br
+	switch r := r.(type) {
+	case *bufio.Reader:
+		return r
+	case *bytes.Reader:
+		return bufio.NewReaderSize(r, min(r.Len(), ioBufSize))
 	}
 	return bufio.NewReaderSize(r, ioBufSize)
 }

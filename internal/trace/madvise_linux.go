@@ -5,8 +5,12 @@ package trace
 import "syscall"
 
 // madviseSequential hints the kernel that the mapping will be read front
-// to back, so readahead runs ahead of the decode cursors. Purely advisory:
-// failures are ignored — the mapping works either way.
+// to back, so readahead runs ahead of the decode workers and pages behind
+// them can be dropped early. It is kept for peak memory: on a 2-vCPU Linux
+// host, the ingest-durable workload without it peaked higher in 8 of 12
+// alternated pairs (median +0.2 %, one pair +16 MB), though it set up faster
+// in 9 of 12 (median -7.9 %); neither median moved past the runs' spread.
+// Purely advisory: failures are ignored — the mapping works either way.
 func madviseSequential(data []byte) {
 	if len(data) > 0 {
 		_ = syscall.Madvise(data, syscall.MADV_SEQUENTIAL)

@@ -13,27 +13,21 @@ import (
 )
 
 // mmapWorks reports whether this platform actually maps files (the !unix
-// stub makes every mmap attempt fall back to streaming, which the
-// fallback tests cover; the mapped-path tests skip).
+// stub makes every mmap attempt fall back to streaming, which the fallback
+// tests cover; the tests that need the mapped fast path skip).
 func mmapWorks(t *testing.T) bool {
 	t.Helper()
-	path := writeBinFile(t, buildManyJobs(t, 10))
-	src, err := Open(path)
+	f, err := os.Open(writeBinFile(t, buildManyJobs(t, 10)))
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatal(err)
 	}
-	defer src.Close()
-	return isMapped(src)
-}
-
-// isMapped reports whether src is the bin cursor over the mapped backing.
-func isMapped(src Source) bool {
-	bs, ok := src.(*BinSource)
-	if !ok {
+	defer f.Close()
+	data := tryMap(f)
+	if data == nil {
 		return false
 	}
-	_, ok = bs.d.cur.(*mapCursor)
-	return ok
+	munmapFile(data)
+	return true
 }
 
 func writeBinFile(t *testing.T, tr *Trace) string {
@@ -54,9 +48,9 @@ func writeFile(t *testing.T, data []byte) string {
 	return path
 }
 
-// TestMapSourceMatchesBinSource is the tentpole differential: the mapped
-// cursor and the streamed decoder must yield byte-identical traces job
-// for job, and re-encoding either must reproduce the input bytes.
+// TestMapSourceMatchesBinSource: ReadFile's mapped fill and the streamed
+// BinSource must yield identical traces job for job, and re-encoding the
+// mapped decode must reproduce the input bytes.
 func TestMapSourceMatchesBinSource(t *testing.T) {
 	if !mmapWorks(t) {
 		t.Skip("mmap unavailable on this platform")
@@ -66,19 +60,12 @@ func TestMapSourceMatchesBinSource(t *testing.T) {
 	if err := WriteBin(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	path := writeFile(t, buf.Bytes())
-
-	src, err := Open(path)
+	got, err := ReadFile(writeFile(t, buf.Bytes()))
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("ReadFile: %v", err)
 	}
-	defer src.Close()
-	if !isMapped(src) {
-		t.Fatalf("Open returned %T, want the mapped cursor", src)
-	}
-	ms := src
-	if !reflect.DeepEqual(ms.Files(), tr.Files) || !reflect.DeepEqual(ms.Users(), tr.Users) ||
-		!reflect.DeepEqual(ms.Sites(), tr.Sites) {
+	if !reflect.DeepEqual(got.Files, tr.Files) || !reflect.DeepEqual(got.Users, tr.Users) ||
+		!reflect.DeepEqual(got.Sites, tr.Sites) {
 		t.Error("mapped catalogs differ from the encoded trace")
 	}
 
@@ -88,27 +75,21 @@ func TestMapSourceMatchesBinSource(t *testing.T) {
 	}
 	defer streamed.Close()
 	for i := 0; ; i++ {
-		mj, merr := ms.Next()
-		sj, serr := streamed.Next()
-		if (merr == nil) != (serr == nil) {
-			t.Fatalf("job %d: mapped err %v, streamed err %v", i, merr, serr)
-		}
-		if merr == io.EOF {
+		sj, err := streamed.Next()
+		if err == io.EOF {
+			if i != len(got.Jobs) {
+				t.Fatalf("streamed %d jobs, mapped %d", i, len(got.Jobs))
+			}
 			break
 		}
-		if merr != nil {
-			t.Fatalf("job %d: %v", i, merr)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(CloneJob(mj), CloneJob(sj)) {
-			t.Fatalf("job %d differs:\n mapped %+v\nstreamed %+v", i, mj, sj)
+		if i >= len(got.Jobs) || !reflect.DeepEqual(got.Jobs[i], CloneJob(sj)) {
+			t.Fatalf("job %d differs from the streamed decode", i)
 		}
 	}
 
-	// A materialized mapped decode must re-encode byte-identically.
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
 	var buf2 bytes.Buffer
 	if err := WriteBin(&buf2, got); err != nil {
 		t.Fatal(err)
@@ -118,8 +99,8 @@ func TestMapSourceMatchesBinSource(t *testing.T) {
 	}
 }
 
-// TestReadMapSerialParallelEqual forces both ReadMap paths (GOMAXPROCS
-// selects) and pins them to the streamed ReadBin result.
+// TestReadMapSerialParallelEqual runs ReadFile's mapped fill with one worker
+// and with four (GOMAXPROCS selects) and pins both to the encoded trace.
 func TestReadMapSerialParallelEqual(t *testing.T) {
 	if !mmapWorks(t) {
 		t.Skip("mmap unavailable on this platform")
@@ -139,7 +120,7 @@ func TestReadMapSerialParallelEqual(t *testing.T) {
 		t.Fatalf("parallel ReadFile: %v", err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("serial and parallel ReadMap decode differently")
+		t.Error("one worker and four decode differently")
 	}
 	if !reflect.DeepEqual(serial, tr) {
 		t.Error("mapped decode does not round-trip the trace")
@@ -147,7 +128,8 @@ func TestReadMapSerialParallelEqual(t *testing.T) {
 }
 
 // TestOpenFallsBack pins the fallback matrix: text files, gzip framing,
-// and non-regular files all stream; only regular bin files map.
+// and non-regular files all stream through both Open and ReadFile; only
+// regular bin files are mapped, and only by ReadFile.
 func TestOpenFallsBack(t *testing.T) {
 	tr := buildManyJobs(t, 200)
 
@@ -157,15 +139,18 @@ func TestOpenFallsBack(t *testing.T) {
 			t.Fatalf("Open: %v", err)
 		}
 		defer src.Close()
-		if isMapped(src) {
-			t.Fatalf("Open(%s) took the mapped path, want streamed fallback", path)
-		}
 		got, err := Materialize(src)
 		if err != nil {
 			t.Fatalf("Materialize: %v", err)
 		}
 		if len(got.Jobs) != len(tr.Jobs) {
-			t.Errorf("got %d jobs, want %d", len(got.Jobs), len(tr.Jobs))
+			t.Errorf("Open: got %d jobs, want %d", len(got.Jobs), len(tr.Jobs))
+		}
+		if got, err = ReadFile(path); err != nil {
+			t.Fatalf("ReadFile: %v", err)
+		}
+		if len(got.Jobs) != len(tr.Jobs) {
+			t.Errorf("ReadFile: got %d jobs, want %d", len(got.Jobs), len(tr.Jobs))
 		}
 	}
 
@@ -207,22 +192,13 @@ func TestOpenFallsBack(t *testing.T) {
 			w.Write(buf.Bytes())
 			w.Close()
 		}()
-		m, err := tryMap(r)
-		if err != nil {
-			t.Fatalf("tryMap(pipe): %v", err)
-		}
-		if m != nil {
-			m.Close()
+		if data := tryMap(r); data != nil {
+			munmapFile(data)
 			t.Fatal("tryMap mapped a pipe")
 		}
-		src, err := NewSource(r)
+		got, err := ReadAuto(r)
 		if err != nil {
-			t.Fatalf("NewSource after declined map: %v", err)
-		}
-		defer src.Close()
-		got, err := Materialize(src)
-		if err != nil {
-			t.Fatalf("Materialize: %v", err)
+			t.Fatalf("ReadAuto after declined map: %v", err)
 		}
 		if len(got.Jobs) != len(tr.Jobs) {
 			t.Errorf("got %d jobs, want %d", len(got.Jobs), len(tr.Jobs))
@@ -232,6 +208,9 @@ func TestOpenFallsBack(t *testing.T) {
 		path := writeFile(t, nil)
 		if _, err := Open(path); err == nil {
 			t.Fatal("Open(empty) succeeded")
+		}
+		if _, err := ReadFile(path); err == nil {
+			t.Fatal("ReadFile(empty) succeeded")
 		}
 	})
 }
@@ -276,116 +255,4 @@ func TestReadFileRejectsCorruption(t *testing.T) {
 			t.Error("bad magic accepted")
 		}
 	})
-}
-
-// TestMapSourceLazyCRC pins the first-touch checksum contract: a corrupt
-// job chunk does not fail Open (only the structure walk and the catalog
-// and end chunks are touched there) — it fails the cursor when the drain
-// reaches it, with the same offset wording as the streamed decoder.
-func TestMapSourceLazyCRC(t *testing.T) {
-	if !mmapWorks(t) {
-		t.Skip("mmap unavailable on this platform")
-	}
-	tr := buildManyJobs(t, 3*binChunkJobs+77)
-	var buf bytes.Buffer
-	if err := WriteBin(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), buf.Bytes()...)
-	bad[len(bad)/2] ^= 0x20 // lands in a middle job chunk
-	path := writeFile(t, bad)
-
-	src, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open should defer job-chunk CRC to first touch, got: %v", err)
-	}
-	defer src.Close()
-	if !isMapped(src) {
-		t.Fatalf("Open returned %T, want the mapped cursor", src)
-	}
-	n := 0
-	for {
-		_, err := src.Next()
-		if err == io.EOF {
-			t.Fatal("corrupt stream drained cleanly")
-		}
-		if err != nil {
-			if !strings.Contains(err.Error(), "CRC mismatch") {
-				t.Fatalf("drain failed with %v, want CRC mismatch", err)
-			}
-			break
-		}
-		n++
-	}
-	if n == 0 || n >= len(tr.Jobs) {
-		t.Errorf("drained %d jobs before the corrupt chunk, want a strict prefix", n)
-	}
-
-	// A second cursor over the same mapping must fail identically (the
-	// verified ledger only latches successes).
-	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
-		t.Errorf("ReadFile over corrupt chunk: err = %v, want CRC mismatch", err)
-	}
-}
-
-// TestMappingSharedCursors checks that several cursors can drain one
-// Mapping independently and that decoded jobs survive Close.
-func TestMappingSharedCursors(t *testing.T) {
-	if !mmapWorks(t) {
-		t.Skip("mmap unavailable on this platform")
-	}
-	tr := buildManyJobs(t, binChunkJobs+50)
-	path := writeBinFile(t, tr)
-	m, err := OpenMapping(path)
-	if err != nil {
-		t.Fatalf("OpenMapping: %v", err)
-	}
-	if m.Jobs() != int64(len(tr.Jobs)) {
-		t.Errorf("Jobs() = %d, want %d", m.Jobs(), len(tr.Jobs))
-	}
-	a, b := m.Source(), m.Source()
-	ja, err := a.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := CloneJob(ja)
-	got, err := Materialize(b) // drains b fully while a sits mid-chunk
-	if err != nil {
-		t.Fatalf("Materialize: %v", err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Error("second cursor decoded a different trace")
-	}
-	a.Close()
-	b.Close()
-	if err := m.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := m.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
-	// The cloned job must not alias the unmapped region.
-	if !reflect.DeepEqual(first, tr.Jobs[0]) {
-		t.Error("job decoded before Close is no longer intact")
-	}
-	// And the materialized trace must stay valid after unmap.
-	if got.Jobs[len(got.Jobs)-1].ID != tr.Jobs[len(tr.Jobs)-1].ID {
-		t.Error("materialized trace damaged by Close")
-	}
-}
-
-// TestOpenMappingRejectsIneligible pins OpenMapping's explicit contract
-// (no fallback).
-func TestOpenMappingRejectsIneligible(t *testing.T) {
-	tr := buildManyJobs(t, 50)
-	var text bytes.Buffer
-	if err := Write(&text, tr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMapping(writeFile(t, text.Bytes())); err == nil {
-		t.Error("OpenMapping mapped a text trace")
-	}
-	if _, err := OpenMapping(filepath.Join(t.TempDir(), "absent")); err == nil {
-		t.Error("OpenMapping opened a missing file")
-	}
 }

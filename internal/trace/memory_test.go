@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -152,8 +151,8 @@ func listHeavyTrace(t *testing.T) *Trace {
 // TestReadFileAllocatesWhatItReturns: what a materialised trace keeps alive
 // is what it holds — its records, its names and one 4-byte entry per file
 // ID in each chunk's list table — not the padding, the pre-size slack or the
-// outgrown arenas of the decode that built it. Run on one CPU (the serial
-// materialiser) and on four (the parallel mapped decode).
+// outgrown arenas of the decode that built it. Run on one CPU and on four:
+// the mapped fill with one worker and with several.
 func TestReadFileAllocatesWhatItReturns(t *testing.T) {
 	if !mmapWorks(t) {
 		t.Skip("mmap unavailable on this platform")
@@ -212,30 +211,5 @@ func TestDecodeCatalogRefusesHostileCount(t *testing.T) {
 	}
 	if limit := uint64(binPreallocCap)*uint64(unsafe.Sizeof(File{})) + 1<<16; got > limit {
 		t.Errorf("a %d-file claim over a %d-byte payload allocated %d bytes, want <= %d", claimed, len(p), got, limit)
-	}
-}
-
-// TestMapCatalogSurvivesClose: a mapped source's catalogs stay valid after
-// Close has unmapped the file — names are copies, not views of the mapping —
-// so a server can open a trace for its catalog and close it again.
-func TestMapCatalogSurvivesClose(t *testing.T) {
-	if !mmapWorks(t) {
-		t.Skip("mmap unavailable on this platform")
-	}
-	tr := buildManyJobs(t, 100)
-	src, err := Open(writeBinFile(t, tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !isMapped(src) {
-		t.Fatalf("Open returned %T, want the mapped cursor", src)
-	}
-	files, users, sites := src.Files(), src.Users(), src.Sites()
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// An aliased name would fault here: the pages are gone.
-	if !reflect.DeepEqual(files, tr.Files) || !reflect.DeepEqual(users, tr.Users) || !reflect.DeepEqual(sites, tr.Sites) {
-		t.Error("catalogs read after Close differ from the encoded trace")
 	}
 }

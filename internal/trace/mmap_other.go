@@ -4,8 +4,8 @@ package trace
 
 import "errors"
 
-// Platforms without mmap fall back to the streamed decode paths; Open and
-// ReadFile treat this error exactly like a non-regular file.
+// Platforms without mmap fall back to the streamed decode paths; ReadFile
+// treats this error exactly like a non-regular file.
 var errMmapUnsupported = errors.New("trace: mmap not supported on this platform")
 
 func mmapFile(fd int, length int) ([]byte, error) { return nil, errMmapUnsupported }
