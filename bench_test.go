@@ -133,7 +133,7 @@ func BenchmarkSortJobsByStart(b *testing.B) {
 	shuffled := make([]trace.Job, n)
 	for i := range shuffled {
 		start := t0.Add(time.Duration(r.Int63n(int64(810 * 24 * time.Hour))).Truncate(time.Second))
-		shuffled[i] = trace.Job{Node: "node", App: "app", Version: "v1", Start: start, End: start.Add(time.Hour)}
+		shuffled[i] = trace.Job{Start: start, End: start.Add(time.Hour)}
 	}
 	t := &trace.Trace{Jobs: make([]trace.Job, n)}
 	b.ReportAllocs()

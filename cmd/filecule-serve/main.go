@@ -118,12 +118,14 @@ func main() {
 	}
 
 	// Serving needs the file catalog only, and a source's catalog outlives
-	// it: no job is decoded or generated.
+	// it: no job is decoded or generated. The server copies the sizes out,
+	// and only the count is kept here, so the rest is garbage once it has.
 	src, err := workload.Open(*spec)
 	if err != nil {
 		fatal(err)
 	}
 	cfg.Catalog = src.Files()
+	nFiles := len(cfg.Catalog)
 	if err := src.Close(); err != nil {
 		fatal(err)
 	}
@@ -151,7 +153,7 @@ func main() {
 	ready := make(chan net.Addr, 1)
 	go func() {
 		a := <-ready
-		fmt.Printf("filecule-serve: listening on %s (catalog: %d files)\n", a, len(cfg.Catalog))
+		fmt.Printf("filecule-serve: listening on %s (catalog: %d files)\n", a, nFiles)
 	}()
 	listeners := 1
 	errc := make(chan error, 2)

@@ -66,6 +66,7 @@ func buildWorkload() *trace.Trace {
 	calib := mkDataset("calibration", 4)
 
 	start := time.Date(2003, 6, 1, 8, 0, 0, 0, time.UTC)
+	exec := &trace.Exec{Node: "node0", App: "analyze", Version: "v1"}
 	// 400 jobs: users cycle over their group's datasets plus calibration.
 	for j := 0; j < 400; j++ {
 		u := j % len(users)
@@ -78,9 +79,8 @@ func buildWorkload() *trace.Trace {
 			input = append(input, calib...)
 		}
 		b.Job(trace.Job{
-			User: users[u], Site: sites[u], Node: "node0",
+			User: users[u], Site: sites[u], Exec: exec,
 			Tier: trace.TierThumbnail, Family: trace.FamilyAnalysis,
-			App: "analyze", Version: "v1",
 			Start: start.Add(time.Duration(j) * 2 * time.Hour),
 			End:   start.Add(time.Duration(j)*2*time.Hour + 90*time.Minute),
 			Files: input,

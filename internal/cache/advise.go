@@ -89,7 +89,7 @@ func (g *FileculeGranularity) FilesOf(u UnitID) []trace.FileID {
 func (g *FileculeGranularity) ValidUnit(u UnitID) bool {
 	if u >= degenerateBase {
 		f := u - degenerateBase
-		return f >= 0 && int(f) < len(g.files)
+		return f >= 0 && int(f) < g.catalog.NumFiles()
 	}
 	return u >= 0 && int(u) < len(g.sizes)
 }

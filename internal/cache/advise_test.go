@@ -25,9 +25,9 @@ func adviseTrace(tb testing.TB) (*trace.Trace, *core.Partition) {
 			{ID: 4, Name: "e", Size: 1 << 40},
 		},
 		Jobs: []trace.Job{
-			{ID: 0, Node: "n", App: "x", Version: "1", Start: t0, End: t0, Files: []trace.FileID{0, 1}},
-			{ID: 1, Node: "n", App: "x", Version: "1", Start: t0, End: t0, Files: []trace.FileID{0, 1, 2}},
-			{ID: 2, Node: "n", App: "x", Version: "1", Start: t0, End: t0, Files: []trace.FileID{4}},
+			{ID: 0, Start: t0, End: t0, Files: []trace.FileID{0, 1}},
+			{ID: 1, Start: t0, End: t0, Files: []trace.FileID{0, 1, 2}},
+			{ID: 2, Start: t0, End: t0, Files: []trace.FileID{4}},
 		},
 	}
 	if err := tr.Validate(); err != nil {

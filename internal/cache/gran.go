@@ -34,16 +34,17 @@ func (g *FileGranularity) SizeOf(u UnitID) int64 {
 // FileculeGranularity maps each file to its filecule: a miss loads the whole
 // filecule and eviction discards whole filecules.
 type FileculeGranularity struct {
-	files []trace.File
-	part  *core.Partition
-	sizes []int64 // per filecule
+	catalog trace.Catalog
+	part    *core.Partition
+	sizes   []int64 // per filecule
 }
 
 // NewFileculeGranularity builds the filecule-level granularity from an
-// identified partition. Files outside the partition (never requested in the
+// identified partition, weighing files by catalog c, which it keeps rather
+// than copies. Files outside the partition (never requested in the
 // identification trace) fall back to degenerate single-file units.
-func NewFileculeGranularity(t *trace.Trace, p *core.Partition) *FileculeGranularity {
-	return &FileculeGranularity{files: t.Files, part: p, sizes: p.SizeTable(t)}
+func NewFileculeGranularity(c trace.Catalog, p *core.Partition) *FileculeGranularity {
+	return &FileculeGranularity{catalog: c, part: p, sizes: p.SizeTable(c)}
 }
 
 // Name implements Granularity.
@@ -61,7 +62,7 @@ func (g *FileculeGranularity) UnitOf(f trace.FileID) UnitID {
 // SizeOf implements Granularity.
 func (g *FileculeGranularity) SizeOf(u UnitID) int64 {
 	if u >= degenerateBase {
-		return g.files[u-degenerateBase].Size
+		return g.catalog.FileSize(trace.FileID(u - degenerateBase))
 	}
 	return g.sizes[u]
 }

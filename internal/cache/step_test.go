@@ -39,8 +39,7 @@ func stepTrace(seed int64, nFiles, nJobs int) *trace.Trace {
 		}
 		start := t0.Add(time.Duration(j) * time.Minute)
 		tr.Jobs = append(tr.Jobs, trace.Job{
-			ID: trace.JobID(j), User: 0, Site: 0, Node: "n",
-			Family: trace.FamilyAnalysis, App: "a", Version: "v",
+			ID: trace.JobID(j), User: 0, Site: 0, Family: trace.FamilyAnalysis,
 			Start: start, End: start.Add(time.Minute),
 			Files: files,
 		})

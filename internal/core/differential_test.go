@@ -53,6 +53,7 @@ func adversarialTrace(seed int64) *trace.Trace {
 			ID: trace.FileID(i), Name: "f", Size: 1 + rng.Int63n(1<<20),
 		})
 	}
+	exec := &trace.Exec{Node: "n", App: "a", Version: "1"}
 	for i := 0; i < nJobs; i++ {
 		n := rng.Intn(8) // 0 is allowed: empty input set
 		files := make([]trace.FileID, 0, n)
@@ -63,7 +64,7 @@ func adversarialTrace(seed int64) *trace.Trace {
 			}
 		}
 		t.Jobs = append(t.Jobs, trace.Job{
-			ID: trace.JobID(i), Node: "n", App: "a", Version: "1", Files: files,
+			ID: trace.JobID(i), Exec: exec, Files: files,
 		})
 	}
 	return t

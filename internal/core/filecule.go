@@ -67,7 +67,7 @@ type shape struct {
 	// mu guards the per-catalog caches: the byte-size table and the summary
 	// computed under catalog.
 	mu      sync.Mutex
-	catalog *trace.Trace
+	catalog trace.Catalog
 	sizes   []int64
 	summary *Summary
 }
@@ -133,40 +133,41 @@ func (p *Partition) FileculeOf(f trace.FileID) *Filecule {
 // NumFiles returns the total number of files covered by the partition.
 func (p *Partition) NumFiles() int { return p.shape.nFiles }
 
-// Size returns the total byte size of filecule i given the trace's file
-// catalog. Files outside the catalog — possible when a partition merges
-// federated remote state whose file space is wider than the local catalog —
-// contribute zero rather than faulting.
-func (p *Partition) Size(t *trace.Trace, i int) int64 {
+// Size returns the total byte size of filecule i under catalog c. Files
+// outside the catalog — possible when a partition merges federated remote
+// state whose file space is wider than the local catalog — contribute zero
+// rather than faulting.
+func (p *Partition) Size(c trace.Catalog, i int) int64 {
 	var n int64
+	files := c.NumFiles()
 	for _, f := range p.Filecules[i].Files {
-		if f < 0 || int(f) >= len(t.Files) {
+		if f < 0 || int(f) >= files {
 			continue
 		}
-		n += t.Files[f].Size
+		n += c.FileSize(f)
 	}
 	return n
 }
 
-// SizeTable returns every filecule's byte size under t's catalog, indexed by
+// SizeTable returns every filecule's byte size under catalog c, indexed by
 // filecule ID. The table is computed once per (shape, catalog) pair and
 // cached: published partitions are immutable, so every consumer of the same
 // membership — JSON encoding, summaries, granularity construction, the binary
 // wire protocol — shares one O(files) pass instead of recomputing sums per
 // filecule. Callers must not mutate the returned slice. Safe for concurrent
 // use.
-func (p *Partition) SizeTable(t *trace.Trace) []int64 {
+func (p *Partition) SizeTable(c trace.Catalog) []int64 {
 	s := p.shape
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.useCatalog(t)
+	s.useCatalog(c)
 	return p.sizesLocked()
 }
 
 // useCatalog drops what was cached under another catalog. Caller holds mu.
-func (s *shape) useCatalog(t *trace.Trace) {
-	if s.catalog != t {
-		s.catalog, s.sizes, s.summary = t, nil, nil
+func (s *shape) useCatalog(c trace.Catalog) {
+	if s.catalog != c {
+		s.catalog, s.sizes, s.summary = c, nil, nil
 	}
 }
 
@@ -193,13 +194,13 @@ type Summary struct {
 }
 
 // Summary returns the partition's shape statistics, with CoveredBytes summed
-// under t's catalog when t is non-nil. Like SizeTable it is computed once per
+// under catalog c when c is non-nil. Like SizeTable it is computed once per
 // (shape, catalog) pair. Safe for concurrent use.
-func (p *Partition) Summary(t *trace.Trace) Summary {
+func (p *Partition) Summary(c trace.Catalog) Summary {
 	s := p.shape
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.useCatalog(t)
+	s.useCatalog(c)
 	if s.summary == nil {
 		sum := Summary{Filecules: len(p.Filecules), Files: s.nFiles}
 		for i := range p.Filecules {
@@ -212,7 +213,7 @@ func (p *Partition) Summary(t *trace.Trace) Summary {
 		if sum.Filecules > 0 {
 			sum.MeanFilesPerFilecule = float64(sum.Files) / float64(sum.Filecules)
 		}
-		if t != nil {
+		if c != nil {
 			for _, b := range p.sizesLocked() {
 				sum.CoveredBytes += b
 			}

@@ -49,10 +49,10 @@ import (
 // Config parameterizes a Server. The zero value serves with no catalog
 // (identification only; /v1/cache/advise is disabled).
 type Config struct {
-	// Catalog is the file catalog (sizes) backing cache advice and byte
-	// accounting. File IDs in requests are validated against it when
-	// present; without a catalog any non-negative int32 ID is accepted
-	// and advice is unavailable.
+	// Catalog is the file catalog backing cache advice and byte accounting.
+	// File IDs in requests are validated against it when present; without a
+	// catalog any non-negative int32 ID is accepted and advice is
+	// unavailable. New copies the sizes out and keeps nothing else of it.
 	Catalog []trace.File
 	// ReadTimeout and WriteTimeout configure the underlying http.Server in
 	// Run (and WriteTimeout the wire server's flushes); zero values mean
@@ -99,7 +99,7 @@ func orDefault(d, def time.Duration) time.Duration {
 // Server is the HTTP serving layer: the JSON codec over a wire.Service. Create
 // with New; it is safe for concurrent use by any number of connections.
 type Server struct {
-	cfg Config
+	cfg Config // without its Catalog
 	lim limits
 	// svc answers the six operations, for these handlers and for the frame
 	// server WireServer builds.
@@ -120,8 +120,9 @@ func New(cfg Config) *Server {
 		svc.Engine, svc.Journal = cfg.Durable.Core(), cfg.Durable
 	}
 	if len(cfg.Catalog) > 0 {
-		svc.Catalog = &trace.Trace{Files: cfg.Catalog}
+		svc.Catalog = trace.NewSizes(cfg.Catalog)
 	}
+	cfg.Catalog = nil // the caller's catalog, names and all, is not held
 	s := &Server{
 		cfg:     cfg,
 		lim:     limits{bodyBytes: 32 << 20, batchJobs: wire.MaxBatchJobs, bodyRead: 30 * time.Second},
@@ -141,11 +142,11 @@ func New(cfg Config) *Server {
 	if cfg.Fed != nil {
 		fc := *cfg.Fed
 		fc.Self = svc.Engine
-		if fc.MaxFiles == 0 && len(cfg.Catalog) > 0 {
+		if fc.MaxFiles == 0 && svc.Catalog != nil {
 			// Bound incoming deltas by the catalog, as Service.CheckFiles
 			// bounds observes: remote state may never reference a file the
 			// local catalog cannot resolve.
-			fc.MaxFiles = len(cfg.Catalog)
+			fc.MaxFiles = svc.Catalog.NumFiles()
 		}
 		if fc.Transport == nil {
 			fc.Transport = fed.NewHTTPTransport()
@@ -458,7 +459,7 @@ func (s *Server) handleFilecule(w http.ResponseWriter, r *http.Request) {
 // PartitionJSON encodes a partition in the service's canonical wire form:
 // filecules in canonical order, each with sorted member files. Two equal
 // partitions encode to identical bytes, which the self-test relies on.
-func PartitionJSON(p *core.Partition, observed int64, catalog *trace.Trace) ([]byte, error) {
+func PartitionJSON(p *core.Partition, observed int64, catalog trace.Catalog) ([]byte, error) {
 	return json.Marshal(wire.NewPartitionReply(p, observed, catalog))
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -41,6 +42,39 @@ func do(s *Server, method, path, body string) *httptest.ResponseRecorder {
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, r)
 	return w
+}
+
+// newOverCatalog builds an n-file catalog with 32-byte names and a Server
+// over it, and returns only the Server.
+//
+//go:noinline
+func newOverCatalog(n int) *Server {
+	files := make([]trace.File, n)
+	for i := range files {
+		files[i] = trace.File{ID: trace.FileID(i), Name: fmt.Sprintf("%032d", i), Size: int64(i + 1)}
+	}
+	return New(Config{Catalog: files})
+}
+
+// TestServerKeepsSizesNotCatalog: once the caller lets go of its catalog, a
+// Server holds the file sizes (8 bytes a file) and nothing else of it — not
+// the File records, not the names.
+func TestServerKeepsSizesNotCatalog(t *testing.T) {
+	const n = 200_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := newOverCatalog(n)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perFile := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	if perFile > 10 {
+		t.Errorf("a Server retains %.1f bytes per catalog file, want <= 10", perFile)
+	}
+	if got := s.svc.MaxID(); got != n {
+		t.Errorf("MaxID = %d, want %d", got, n)
+	}
+	runtime.KeepAlive(s)
 }
 
 func TestObserveThenQuery(t *testing.T) {

@@ -123,7 +123,8 @@ type generator struct {
 
 	// Per domain.
 	domainSites [][]trace.SiteID
-	siteNodes   map[trace.SiteID][]string
+	siteNodes   map[trace.SiteID][]int32 // indexes into nodeNames
+	nodeNames   []string
 	domainUsers [][]int // indices into users
 
 	users []userInfo
@@ -153,6 +154,10 @@ type generator struct {
 	// jobFiles' reused buffers: the assembled list and the datasets picked.
 	fileScratch   []trace.FileID
 	chosenScratch []int
+
+	// execs holds the one Exec of each (node, app, version) index triple,
+	// made on first use (see exec).
+	execs []*trace.Exec
 }
 
 type regionPick struct {
@@ -163,7 +168,7 @@ type regionPick struct {
 func (g *generator) buildSites(b *trace.Builder) {
 	c := g.cfg
 	g.domainSites = make([][]trace.SiteID, len(c.Domains))
-	g.siteNodes = make(map[trace.SiteID][]string)
+	g.siteNodes = make(map[trace.SiteID][]int32)
 	weights := make([]float64, len(c.Domains))
 	for d := range c.Domains {
 		dom := &c.Domains[d]
@@ -184,10 +189,12 @@ func (g *generator) buildSites(b *trace.Builder) {
 		}
 		for n := 0; n < nodes; n++ {
 			site := g.domainSites[d][n%nsites]
-			g.siteNodes[site] = append(g.siteNodes[site], fmt.Sprintf("node%d.%s-%d", n, base, n%nsites))
+			g.siteNodes[site] = append(g.siteNodes[site], int32(len(g.nodeNames)))
+			g.nodeNames = append(g.nodeNames, fmt.Sprintf("node%d.%s-%d", n, base, n%nsites))
 		}
 	}
 	g.domainChooser = dist.NewWeightedChoice(weights)
+	g.execs = make([]*trace.Exec, len(g.nodeNames)*len(appNames)*len(jobVersions))
 }
 
 func (g *generator) buildUsers(b *trace.Builder) {
@@ -415,10 +422,23 @@ func (g *generator) pickUser(tier int) *userInfo {
 
 var jobVersions = [...]string{"v1", "v2", "v3", "v4", "v5"}
 
-var tierApps = map[trace.Tier]string{
-	trace.TierReconstructed: "d0_analyze_reco",
-	trace.TierRootTuple:     "root_analyze",
-	trace.TierThumbnail:     "d0_analyze_tmb",
+// The applications jobs run, as indexes into appNames.
+const (
+	appAnalyze = iota // the analysis application of a tier with none of its own
+	appAnalyzeReco
+	appRootAnalyze
+	appAnalyzeTMB
+	appReco
+	appMonteCarlo
+	appMerge
+)
+
+var appNames = [...]string{"d0_analyze", "d0_analyze_reco", "root_analyze", "d0_analyze_tmb", "d0reco", "mc_runjob", "d0_merge"}
+
+var tierApps = map[trace.Tier]int{
+	trace.TierReconstructed: appAnalyzeReco,
+	trace.TierRootTuple:     appRootAnalyze,
+	trace.TierThumbnail:     appAnalyzeTMB,
 }
 
 // tierPhase builds tier t's analysis-job run. Construction draws no
@@ -429,10 +449,7 @@ func (g *generator) tierPhase(t int) jobPhase {
 	nJobs := scaleCount(tp.Jobs, c.Scale, 1)
 	duration := dist.LognormalFromMean(tp.MeanJobHours, 0.8)
 	nDatasets := dist.LognormalFromMean(tp.MeanDatasetsPerJob, 0.9)
-	app := tierApps[tp.Tier]
-	if app == "" {
-		app = "d0_analyze"
-	}
+	app := tierApps[tp.Tier] // appAnalyze when the tier has none
 	return jobPhase{n: nJobs, make: func() trace.Job {
 		u := g.pickUser(t)
 		interest := u.interests[t]
@@ -442,11 +459,10 @@ func (g *generator) tierPhase(t int) jobPhase {
 		end := start.Add(time.Duration(dist.ClampInt64(hours*float64(time.Hour), int64(3*time.Minute), int64(200*time.Hour))))
 		return trace.Job{
 			User: u.id, Site: u.site,
-			Node:   g.pickNode(u.site),
 			Tier:   tp.Tier,
 			Family: trace.FamilyAnalysis,
-			App:    app, Version: jobVersions[g.rng.Intn(len(jobVersions))],
-			Start: start, End: end,
+			Exec:   g.exec(g.pickNode(u.site), app, g.rng.Intn(len(jobVersions))),
+			Start:  start, End: end,
 			Files: files,
 		}
 	}}
@@ -500,9 +516,20 @@ func (g *generator) jobFiles(tier, domain int, interest []int, nDS int) []trace.
 	return out
 }
 
-func (g *generator) pickNode(site trace.SiteID) string {
+// pickNode returns the index of one of site's nodes.
+func (g *generator) pickNode(site trace.SiteID) int32 {
 	nodes := g.siteNodes[site]
 	return nodes[g.rng.Intn(len(nodes))]
+}
+
+// exec returns the generator's one Exec for a node, application and version,
+// given as indexes into nodeNames, appNames and jobVersions.
+func (g *generator) exec(node int32, app, version int) *trace.Exec {
+	e := &g.execs[(int(node)*len(appNames)+app)*len(jobVersions)+version]
+	if *e == nil {
+		*e = &trace.Exec{Node: g.nodeNames[node], App: appNames[app], Version: jobVersions[version]}
+	}
+	return *e
 }
 
 // otherPhase builds the non-analysis background run (n may be zero).
@@ -511,7 +538,7 @@ func (g *generator) otherPhase() jobPhase {
 	n := scaleCount(c.OtherJobs, c.Scale, 0)
 	duration := dist.LognormalFromMean(c.OtherJobHours, 0.8)
 	families := []trace.AppFamily{trace.FamilyReconstruction, trace.FamilyMonteCarlo, trace.FamilyAnalysis}
-	apps := []string{"d0reco", "mc_runjob", "d0_merge"}
+	apps := []int{appReco, appMonteCarlo, appMerge}
 	return jobPhase{n: n, make: func() trace.Job {
 		d := g.domainChooser.Choose(g.rng)
 		pool := g.domainUsers[d]
@@ -522,11 +549,10 @@ func (g *generator) otherPhase() jobPhase {
 		fi := g.rng.Intn(len(families))
 		return trace.Job{
 			User: u.id, Site: u.site,
-			Node:   g.pickNode(u.site),
 			Tier:   trace.TierOther,
 			Family: families[fi],
-			App:    apps[fi], Version: jobVersions[g.rng.Intn(len(jobVersions))],
-			Start: start, End: end,
+			Exec:   g.exec(g.pickNode(u.site), apps[fi], g.rng.Intn(len(jobVersions))),
+			Start:  start, End: end,
 		}
 	}}
 }
@@ -595,11 +621,10 @@ func (g *generator) hotPhase() jobPhase {
 		end := start.Add(time.Duration(dist.ClampInt64(hours*float64(time.Hour), int64(3*time.Minute), int64(24*time.Hour))))
 		return trace.Job{
 			User: u.id, Site: u.site,
-			Node:   g.pickNode(u.site),
 			Tier:   trace.TierThumbnail,
 			Family: trace.FamilyAnalysis,
-			App:    "d0_analyze_tmb", Version: "v1",
-			Start: start, End: end,
+			Exec:   g.exec(g.pickNode(u.site), appAnalyzeTMB, 0), // v1
+			Start:  start, End: end,
 			Files: g.hotFiles,
 		}
 	}}

@@ -331,10 +331,9 @@ func (g *xrootdGen) Next() (*trace.Job, error) {
 		ID:     trace.JobID(g.emitted),
 		User:   u,
 		Site:   g.catalog.Users[u].Site,
-		Node:   "xcache",
 		Tier:   trace.TierReconstructed,
 		Family: trace.FamilyAnalysis,
-		App:    "cmsRun",
+		Exec:   xrootdExec,
 		Start:  start,
 		End:    start.Add(dur),
 		Files:  g.fileBuf,
@@ -342,6 +341,9 @@ func (g *xrootdGen) Next() (*trace.Job, error) {
 	g.emitted++
 	return &g.job, nil
 }
+
+// xrootdExec is what ran every job of an XRootD trace: one shared value.
+var xrootdExec = &trace.Exec{Node: "xcache", App: "cmsRun"}
 
 func (g *xrootdGen) Close() error {
 	g.closed = true

@@ -276,9 +276,10 @@ func (bw *BinWriter) writeJob(j *Job) error {
 	bw.jSite = append(bw.jSite, int32(j.Site))
 	bw.jTier = append(bw.jTier, byte(j.Tier))
 	bw.jFam = append(bw.jFam, byte(j.Family))
-	bw.jNode = append(bw.jNode, bw.internString(j.Node))
-	bw.jApp = append(bw.jApp, bw.internString(j.App))
-	bw.jVer = append(bw.jVer, bw.internString(j.Version))
+	e := j.exec()
+	bw.jNode = append(bw.jNode, bw.internString(e.Node))
+	bw.jApp = append(bw.jApp, bw.internString(e.App))
+	bw.jVer = append(bw.jVer, bw.internString(e.Version))
 	bw.jStart = append(bw.jStart, start)
 	bw.jDur = append(bw.jDur, end-start)
 	bw.jFiles = append(bw.jFiles, bw.internList(filesEnc, len(j.Files)))
@@ -675,7 +676,7 @@ func decodeBinEnd(payload []byte) (uint64, error) {
 
 // binJobChunk holds one decoded job chunk in columnar form. All backing
 // arrays are reused across chunks by the streaming decoder, so steady-state
-// decoding allocates only for strings never seen before.
+// decoding allocates only for names and triples never seen before.
 type binJobChunk struct {
 	n       int
 	firstID int64
@@ -684,26 +685,27 @@ type binJobChunk struct {
 	sites    []int32
 	tiers    []byte
 	families []byte
-	nodes    []string
-	apps     []string
-	versions []string
+	nodes    []uint32 // interner name numbers
+	apps     []uint32
+	versions []uint32
+	execs    []*Exec
 	starts   []int64
 	durs     []int64
 	files    [][]FileID
 	outputs  [][]FileID
 
-	strs      []string
+	strs      []uint32 // the chunk's string table, as interner name numbers
 	listArena []FileID
 	lists     [][]FileID
 }
 
-// decode parses a 'J' payload. intern maps raw string bytes to a (possibly
-// shared) string — the streaming decoder passes a cross-chunk interner so
-// repeated node/app/version names are allocated once per stream. retain is
+// decode parses a 'J' payload. intern is the decoding goroutine's: it numbers
+// the chunk's string table stream-wide, so each row's Exec is found by the
+// three numbers its columns point at, one shared value per triple. retain is
 // for a caller whose jobs go on aliasing their file lists after the next
 // chunk is decoded: the lists are moved out of the reused arena into one of
 // exactly their size.
-func (c *binJobChunk) decode(payload []byte, nFiles, nUsers, nSites int, intern func([]byte) string, retain bool) error {
+func (c *binJobChunk) decode(payload []byte, nFiles, nUsers, nSites int, intern *interner, retain bool) error {
 	b := &binBuf{b: payload, pos: 1}
 	c.n = b.count("job")
 	c.firstID = int64(b.uvarint())
@@ -713,7 +715,10 @@ func (c *binJobChunk) decode(payload []byte, nFiles, nUsers, nSites int, intern 
 	nStrs := b.count("string")
 	c.strs = c.strs[:0]
 	for i := 0; i < nStrs && b.err == nil; i++ {
-		c.strs = append(c.strs, b.str(intern))
+		raw := b.bytes(b.count("string length"))
+		if b.err == nil {
+			c.strs = append(c.strs, intern.name(raw))
+		}
 	}
 	nLists := b.count("list")
 	c.listArena = c.listArena[:0]
@@ -836,6 +841,12 @@ func (c *binJobChunk) decode(payload []byte, nFiles, nUsers, nSites int, intern 
 	c.nodes = b.strcol(c.nodes[:0], c.n, c.strs, "node")
 	c.apps = b.strcol(c.apps[:0], c.n, c.strs, "app")
 	c.versions = b.strcol(c.versions[:0], c.n, c.strs, "version")
+	c.execs = c.execs[:0]
+	if b.err == nil {
+		for i := 0; i < c.n; i++ {
+			c.execs = append(c.execs, intern.exec(c.nodes[i], c.apps[i], c.versions[i]))
+		}
+	}
 	c.starts = b.startcol(c.starts[:0], c.n)
 	c.durs = b.durcol(c.durs[:0], c.n)
 	c.files = b.listcol(c.files[:0], c.n, c.lists, "input")
@@ -885,8 +896,8 @@ func (b *binBuf) u32col(dst []int32, n, max int, what string) []int32 {
 	return dst
 }
 
-// strcol decodes n string-table indexes into their (interned) strings.
-func (b *binBuf) strcol(dst []string, n int, tab []string, what string) []string {
+// strcol decodes n string-table indexes into the names' interner numbers.
+func (b *binBuf) strcol(dst []uint32, n int, tab []uint32, what string) []uint32 {
 	if b.err != nil {
 		return dst
 	}
@@ -1021,29 +1032,54 @@ func (c *binJobChunk) fill(j *Job, i int) {
 	j.ID = JobID(c.firstID + int64(i))
 	j.User = UserID(c.users[i])
 	j.Site = SiteID(c.sites[i])
-	j.Node = c.nodes[i]
 	j.Tier = Tier(c.tiers[i])
 	j.Family = AppFamily(c.families[i])
-	j.App = c.apps[i]
-	j.Version = c.versions[i]
+	j.Exec = c.execs[i]
 	j.Start = time.Unix(c.starts[i], 0).UTC()
 	j.End = time.Unix(c.starts[i]+c.durs[i], 0).UTC()
 	j.Files = c.files[i]
 	j.Outputs = c.outputs[i]
 }
 
-// newInterner returns a function that shares equal strings, so node, app
-// and version names allocate once per stream rather than once per chunk.
-func newInterner() func([]byte) string {
-	names := make(map[string]string)
-	return func(b []byte) string {
-		if v, ok := names[string(b)]; ok {
-			return v
-		}
-		v := string(b)
-		names[v] = v
-		return v
+// interner is one decoding goroutine's table of node, application and version
+// names and of the Execs made of them. A name is hashed once per string-table
+// entry of a bin chunk (per field of a text record) and numbered in
+// first-seen order; a triple is looked up by its three numbers, so the decode
+// allocates each name and each Exec once per stream.
+type interner struct {
+	ids   map[string]uint32
+	names []string
+	execs map[[3]uint32]*Exec
+}
+
+func newInterner() *interner {
+	return &interner{ids: make(map[string]uint32), execs: make(map[[3]uint32]*Exec)}
+}
+
+// name returns b's number, copying b on first sight.
+func (in *interner) name(b []byte) uint32 {
+	if id, ok := in.ids[string(b)]; ok {
+		return id
 	}
+	id, s := uint32(len(in.names)), string(b)
+	in.names = append(in.names, s)
+	in.ids[s] = id
+	return id
+}
+
+// exec returns the shared Exec of a triple of name numbers; nil for three
+// empty names, which is how a job without one round-trips.
+func (in *interner) exec(node, app, version uint32) *Exec {
+	k := [3]uint32{node, app, version}
+	if e, ok := in.execs[k]; ok {
+		return e
+	}
+	var e *Exec
+	if n, a, v := in.names[node], in.names[app], in.names[version]; n != "" || a != "" || v != "" {
+		e = &Exec{Node: n, App: a, Version: v}
+	}
+	in.execs[k] = e
+	return e
 }
 
 // binDecoder reads what follows the catalog in a filecule-bin/v1 stream —
@@ -1058,7 +1094,7 @@ type binDecoder struct {
 	sites []Site
 
 	chunk  binJobChunk
-	intern func([]byte) string
+	intern *interner
 	seen   int64 // jobs in the chunks decoded so far
 }
 

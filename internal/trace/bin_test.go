@@ -65,8 +65,8 @@ func buildManyJobs(tb testing.TB, nJobs int) *Trace {
 	for i := 0; i < nJobs; i++ {
 		set := files[(i*7)%40 : (i*7)%40+1+(i%12)]
 		b.Job(Job{
-			User: u, Site: s, Node: "n" + fileNameN(i%17), Tier: TierThumbnail,
-			Family: FamilyAnalysis, App: "ana", Version: "v" + fileNameN(i%3),
+			User: u, Site: s, Tier: TierThumbnail, Family: FamilyAnalysis,
+			Exec:  &Exec{Node: "n" + fileNameN(i%17), App: "ana", Version: "v" + fileNameN(i%3)},
 			Start: t0.Add(time.Duration(i) * time.Minute),
 			End:   t0.Add(time.Duration(i)*time.Minute + time.Hour),
 			Files: set,
@@ -94,7 +94,7 @@ func TestBinMultiChunk(t *testing.T) {
 	}
 	for i := range tr.Jobs {
 		g, w := got.Jobs[i], tr.Jobs[i]
-		if g.ID != w.ID || g.User != w.User || g.Node != w.Node ||
+		if g.ID != w.ID || g.User != w.User || *g.Exec != *w.Exec ||
 			!g.Start.Equal(w.Start) || !g.End.Equal(w.End) ||
 			!reflect.DeepEqual(g.Files, w.Files) {
 			t.Fatalf("job %d mismatch:\n got %+v\nwant %+v", i, g, w)
@@ -114,7 +114,7 @@ func TestBinMultiChunk(t *testing.T) {
 // binFrames splits a filecule-bin/v1 stream into its raw frames (length
 // prefix, payload, CRC), so corruption cases can reorder, repeat and
 // replace whole chunks.
-func binFrames(t *testing.T, data []byte) [][]byte {
+func binFrames(t testing.TB, data []byte) [][]byte {
 	t.Helper()
 	var frames [][]byte
 	for pos := len(binMagic); pos < len(data); {
@@ -130,6 +130,24 @@ func binFrames(t *testing.T, data []byte) [][]byte {
 
 func joinFrames(frames ...[]byte) []byte {
 	return append([]byte(binMagic), bytes.Join(frames, nil)...)
+}
+
+// lateCRCFault encodes a trace of nine job chunks, the first eight over three
+// pages long, with a CRC fault in the last. ReadFile's fill meets the fault
+// after it has released the pages of the chunks before it (all of them, on
+// one worker), and ReadBin must then read those pages again.
+func lateCRCFault(tb testing.TB) []byte {
+	var buf bytes.Buffer
+	if err := WriteBin(&buf, buildManyJobs(tb, 8*binChunkJobs+77)); err != nil {
+		tb.Fatal(err)
+	}
+	fr := binFrames(tb, buf.Bytes())
+	if len(fr) != 11 {
+		tb.Fatalf("trace encodes to %d frames, want 11", len(fr))
+	}
+	last := bytes.Clone(fr[9])
+	last[len(last)/2] ^= 0x20
+	return joinFrames(append(slices.Clone(fr[:9]), last, fr[10])...)
 }
 
 func frameOf(t *testing.T, payload []byte) []byte {
@@ -225,6 +243,7 @@ func TestBinRoutesAgree(t *testing.T) {
 		{"torn tail, mid-chunk", valid[:len(valid)/2], nil},
 		{"torn tail, last byte", valid[:len(valid)-1], nil},
 		{"CRC in job chunk 1, then torn tail", crcThenTorn, nil},
+		{"CRC in the last of nine job chunks", lateCRCFault(t), nil},
 		{"missing end chunk", joinFrames(fr[:last]...), nil},
 		{"duplicate catalog", joinFrames(fr[0], fr[1], fr[0], fr[2], fr[3], fr[4], fr[5]), nil},
 		{"mis-ordered chunk IDs", joinFrames(fr[0], fr[1], fr[3], fr[2], fr[4], fr[5]), nil},

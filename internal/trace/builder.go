@@ -70,11 +70,10 @@ func (b *Builder) Job(j Job) JobID {
 func (b *Builder) SimpleJob(user UserID, site SiteID, start time.Time, files []FileID) JobID {
 	return b.Job(Job{
 		User: user, Site: site,
-		Node:   fmt.Sprintf("node-%d.site%d", 0, site),
 		Tier:   TierThumbnail,
 		Family: FamilyAnalysis,
-		App:    "analyze", Version: "v1",
-		Start: start, End: start.Add(time.Hour),
+		Exec:   &Exec{Node: fmt.Sprintf("node-%d.site%d", 0, site), App: "analyze", Version: "v1"},
+		Start:  start, End: start.Add(time.Hour),
 		Files: files,
 	})
 }

@@ -82,21 +82,21 @@ func (tw *TextWriter) WriteJob(j *Job) error {
 	if tw.err != nil {
 		return tw.err
 	}
-	i := tw.n
-	if err := checkName(j.Node); err != nil {
+	i, e := tw.n, j.exec()
+	if err := checkName(e.Node); err != nil {
 		tw.err = fmt.Errorf("trace: job %d node: %w", i, err)
 		return tw.err
 	}
-	if err := checkName(j.App); err != nil {
+	if err := checkName(e.App); err != nil {
 		tw.err = fmt.Errorf("trace: job %d app: %w", i, err)
 		return tw.err
 	}
-	if err := checkName(j.Version); err != nil {
+	if err := checkName(e.Version); err != nil {
 		tw.err = fmt.Errorf("trace: job %d version: %w", i, err)
 		return tw.err
 	}
 	fmt.Fprintf(tw.bw, "J %d %d %d %s %s %s %s %s %d %d %d",
-		j.ID, j.User, j.Site, j.Node, j.Tier, j.Family, j.App, j.Version,
+		j.ID, j.User, j.Site, e.Node, j.Tier, j.Family, e.App, e.Version,
 		j.Start.Unix(), j.End.Unix(), len(j.Files))
 	for _, f := range j.Files {
 		fmt.Fprintf(tw.bw, " %d", f)

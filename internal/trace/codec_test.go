@@ -114,8 +114,8 @@ func TestCodecJobOutputs(t *testing.T) {
 	raw := b.File("raw", 1<<30, TierRaw)
 	reco := b.File("reco", 1<<29, TierReconstructed)
 	b.Job(Job{
-		User: u, Site: s, Node: "n", Tier: TierRaw,
-		Family: FamilyReconstruction, App: "d0reco", Version: "v1",
+		User: u, Site: s, Tier: TierRaw, Family: FamilyReconstruction,
+		Exec:  &Exec{Node: "n", App: "d0reco", Version: "v1"},
 		Start: t0, End: t0.Add(time.Hour),
 		Files: []FileID{raw}, Outputs: []FileID{reco},
 	})

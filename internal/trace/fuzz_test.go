@@ -28,14 +28,14 @@ func fuzzSeedTrace() *Trace {
 		},
 		Jobs: []Job{
 			{
-				ID: 0, User: 0, Site: 0, Node: "n0", Tier: TierRaw,
-				Family: FamilyReconstruction, App: "reco", Version: "p17",
+				ID: 0, User: 0, Site: 0, Tier: TierRaw, Family: FamilyReconstruction,
+				Exec:  &Exec{Node: "n0", App: "reco", Version: "p17"},
 				Start: t0, End: t0.Add(time.Hour),
 				Files: []FileID{0, 0, 1}, Outputs: []FileID{2},
 			},
 			{
-				ID: 1, User: 1, Site: 1, Node: "n1", Tier: TierThumbnail,
-				Family: FamilyAnalysis, App: "ana", Version: "v1",
+				ID: 1, User: 1, Site: 1, Tier: TierThumbnail, Family: FamilyAnalysis,
+				Exec:  &Exec{Node: "n1", App: "ana", Version: "v1"},
 				Start: t0.Add(time.Hour), End: t0.Add(2 * time.Hour),
 				Files: nil,
 			},

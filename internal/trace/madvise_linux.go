@@ -4,15 +4,13 @@ package trace
 
 import "syscall"
 
-// madviseSequential hints the kernel that the mapping will be read front
-// to back, so readahead runs ahead of the decode workers and pages behind
-// them can be dropped early. It is kept for peak memory: on a 2-vCPU Linux
-// host, the ingest-durable workload without it peaked higher in 8 of 12
-// alternated pairs (median +0.2 %, one pair +16 MB), though it set up faster
-// in 9 of 12 (median -7.9 %); neither median moved past the runs' spread.
-// Purely advisory: failures are ignored — the mapping works either way.
-func madviseSequential(data []byte) {
-	if len(data) > 0 {
-		_ = syscall.Madvise(data, syscall.MADV_SEQUENTIAL)
+// releasePages drops the whole pages inside data[start:end] from the
+// process's resident set (MADV_DONTNEED). data is a read-only file mapping,
+// so its bytes are unchanged: a later read faults them back in from the page
+// cache. Failures are ignored.
+func releasePages(data []byte, start, end int) {
+	ps := syscall.Getpagesize()
+	if lo, hi := (start+ps-1)/ps*ps, end/ps*ps; lo < hi {
+		_ = syscall.Madvise(data[lo:hi], syscall.MADV_DONTNEED)
 	}
 }

@@ -2,5 +2,5 @@
 
 package trace
 
-// madviseSequential is a no-op where Madvise is not portably available.
-func madviseSequential(data []byte) {}
+// releasePages is a no-op where Madvise is not portably available.
+func releasePages(data []byte, start, end int) {}

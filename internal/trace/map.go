@@ -25,7 +25,11 @@ import (
 //
 // Decoded traces do not alias the mapping (strings are copied on intern, file
 // lists live in exact-size heap arenas), so the file is unmapped before
-// ReadFile returns.
+// ReadFile returns — and each region is released as soon as it is decoded: the
+// whole pages inside the catalog frame once the catalog is, and inside each
+// job chunk once its rows are filled, so the file's pages stay resident only
+// until the trace holds what they held. A fallback re-reads released pages
+// from the page cache.
 
 // mapping is a mapped filecule-bin/v1 file with its chunk frames indexed and
 // its catalogs decoded.
@@ -77,6 +81,7 @@ func newMapping(data []byte) (*mapping, bool) {
 	if m.files, m.users, m.sites, err = decodeBinCatalog(data[start:end]); err != nil {
 		return nil, false
 	}
+	releasePages(data, start, end)
 	sawEnd := false
 	for pos < len(data) && !sawEnd {
 		if start, end, pos, ok = mapFrame(data, pos); !ok {
@@ -162,6 +167,7 @@ func readMapParallel(m *mapping, first []int64) (*Trace, bool) {
 				for r := range rows {
 					c.fill(&rows[r], r)
 				}
+				releasePages(m.data, ch.start, ch.end)
 			}
 		}()
 	}
@@ -202,7 +208,6 @@ func tryMap(f *os.File) []byte {
 		_ = munmapFile(data)
 		return nil
 	}
-	madviseSequential(data)
 	return data
 }
 

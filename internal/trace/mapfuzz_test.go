@@ -35,6 +35,7 @@ func FuzzMmapDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(multi.Bytes())
+	f.Add(lateCRCFault(f)) // released pages read again by the fallback
 
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -117,8 +117,8 @@ func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(File{}); got != 32 {
 		t.Errorf("unsafe.Sizeof(File{}) = %d, want 32", got)
 	}
-	if got := unsafe.Sizeof(Job{}); got != 160 {
-		t.Errorf("unsafe.Sizeof(Job{}) = %d, want 160", got)
+	if got := unsafe.Sizeof(Job{}); got != 120 {
+		t.Errorf("unsafe.Sizeof(Job{}) = %d, want 120", got)
 	}
 }
 
@@ -135,11 +135,12 @@ func listHeavyTrace(t *testing.T) *Trace {
 	for i := range ids {
 		ids[i] = b.File(fmt.Sprintf("t1-d%d-f%d", i/100, i%100), int64(1+i)<<20, Tier(i%NumTiers))
 	}
+	exec := &Exec{Node: "n", App: "a", Version: "v"}
 	for i := 0; i < nJobs; i++ {
 		n := 1 + (i*i)%97
 		from := (i * 131) % (nFiles - n)
 		b.Job(Job{
-			User: u, Site: s, Node: "n", App: "a", Version: "v",
+			User: u, Site: s, Exec: exec,
 			Start: t0.Add(time.Duration(i) * time.Minute),
 			End:   t0.Add(time.Duration(i)*time.Minute + time.Hour),
 			Files: ids[from : from+n],

@@ -11,10 +11,9 @@ import (
 // Scanner is the incremental reader for the v1 text format: it parses the
 // header and catalog records eagerly (they are small and must precede any
 // job for streaming consumers to resolve references), then yields jobs one
-// at a time through Next. Per-record buffers — the field scratch, the job's
-// file-ID slices, and the node/app/version strings (interned) — are reused
-// across calls, so scanning an N-job trace allocates O(catalog + distinct
-// strings), not O(N).
+// at a time through Next. Per-record buffers — the field scratch and the job's
+// file-ID slices — are reused across calls and the job's Exec is interned, so
+// scanning an N-job trace allocates O(catalog + distinct triples), not O(N).
 //
 // Scanner implements Source. Parse errors carry the 1-based line number and
 // the offending record kind: "trace: line 1042: job: bad user ID \"x\"".
@@ -35,7 +34,7 @@ type Scanner struct {
 	job    Job
 	nJobs  int
 	fields [][]byte
-	names  map[string]string // interned node/app/version strings
+	intern *interner // node/app/version names and their triples
 
 	err    error // sticky
 	closed bool
@@ -46,8 +45,8 @@ type Scanner struct {
 // job records; the writer always emits them that way.
 func NewScanner(r io.Reader) (*Scanner, error) {
 	s := &Scanner{
-		sc:    bufio.NewScanner(r),
-		names: make(map[string]string),
+		sc:     bufio.NewScanner(r),
+		intern: newInterner(),
 	}
 	s.sc.Buffer(make([]byte, 1<<20), 1<<26)
 	if !s.sc.Scan() {
@@ -229,7 +228,7 @@ func (s *Scanner) parseFile(f [][]byte) error {
 }
 
 // parseJob fills s.job from the fields after the leading "J", reusing the
-// job's file-ID slices and interning its strings. References are validated
+// job's file-ID slices and interning its Exec. References are validated
 // against the catalog so streaming consumers never see a dangling ID.
 func (s *Scanner) parseJob(f [][]byte, line int) error {
 	if len(f) < 11 {
@@ -311,27 +310,12 @@ func (s *Scanner) parseJob(f [][]byte, line int) error {
 	s.job.ID = JobID(id)
 	s.job.User = UserID(user)
 	s.job.Site = SiteID(site)
-	s.job.Node = s.intern(f[3])
 	s.job.Tier = tier
 	s.job.Family = family
-	s.job.App = s.intern(f[6])
-	s.job.Version = s.intern(f[7])
+	s.job.Exec = s.intern.exec(s.intern.name(f[3]), s.intern.name(f[6]), s.intern.name(f[7]))
 	s.job.Start = time.Unix(start, 0).UTC()
 	s.job.End = time.Unix(end, 0).UTC()
 	return nil
-}
-
-// intern returns a shared string for b, allocating only on first sight.
-// Node, app and version values repeat heavily across jobs (the paper's
-// trace has hundreds of nodes and a handful of applications over a million
-// jobs), so this keeps job scanning allocation-free in the steady state.
-func (s *Scanner) intern(b []byte) string {
-	if v, ok := s.names[string(b)]; ok {
-		return v
-	}
-	v := string(b)
-	s.names[v] = v
-	return v
 }
 
 // splitFields splits rec on spaces and tabs into dst, reusing its backing

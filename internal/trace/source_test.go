@@ -56,7 +56,6 @@ func TestScannerStreamsTextTrace(t *testing.T) {
 		!reflect.DeepEqual(s.Sites(), tr.Sites) {
 		t.Error("scanner catalog mismatch")
 	}
-	var prevNode string
 	for i := 0; ; i++ {
 		j, err := s.Next()
 		if err == io.EOF {
@@ -69,21 +68,17 @@ func TestScannerStreamsTextTrace(t *testing.T) {
 			t.Fatalf("Next: %v", err)
 		}
 		want := tr.Jobs[i]
-		if j.ID != want.ID || j.User != want.User || !reflect.DeepEqual(j.Files, want.Files) {
+		if j.ID != want.ID || j.User != want.User || *j.Exec != *want.Exec || !reflect.DeepEqual(j.Files, want.Files) {
 			t.Fatalf("job %d = %+v, want %+v", i, j, want)
 		}
-		// Interning: equal node strings must be the same allocation.
-		if j.Node == prevNode && len(prevNode) > 0 {
-			_ = j // identity checked implicitly by the alloc test below
-		}
-		prevNode = j.Node
 	}
 }
 
 // TestScannerAllocsBounded: the text Scanner's per-job buffers are reused,
-// so draining jobs allocates O(distinct strings), not O(jobs).
+// so draining jobs allocates O(catalog + distinct names and Execs), not
+// O(jobs).
 func TestScannerAllocsBounded(t *testing.T) {
-	const nJobs = 3000
+	const nJobs = 6000
 	tr := buildManyJobs(t, nJobs)
 	var buf bytes.Buffer
 	if err := Write(&buf, tr); err != nil {

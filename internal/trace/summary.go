@@ -108,7 +108,7 @@ func (t *Trace) SummarizeDomains() []DomainSummary {
 		j := &t.Jobs[i]
 		a := get(t.Sites[j.Site].Domain)
 		a.jobs++
-		a.nodes[j.Node] = struct{}{}
+		a.nodes[j.exec().Node] = struct{}{}
 		a.sites[j.Site] = struct{}{}
 		a.users[j.User] = struct{}{}
 		for _, f := range j.Files {

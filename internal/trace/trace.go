@@ -126,22 +126,33 @@ type Site struct {
 	Nodes int
 }
 
-// Job is one SAM "project": an application run over a dataset on behalf of a
-// user. Files lists the job's input files in request order. The five small
-// fields lead and share the first 16 bytes, so a Job is 160 bytes
-// (TestRecordSizes).
-type Job struct {
-	ID      JobID
-	User    UserID
-	Site    SiteID
-	Tier    Tier // tier of the input dataset
-	Family  AppFamily
+// Exec says what ran a job: where it was submitted and which application
+// version it ran. A trace has far fewer distinct triples than jobs, so every
+// producer hands out one shared value per triple and jobs point at it; the
+// value is never mutated. A nil *Exec is the triple of empty names.
+type Exec struct {
 	Node    string // submission node name
 	App     string // application name
 	Version string // application version
-	Start   time.Time
-	End     time.Time
-	Files   []FileID
+}
+
+// noExec is what a job with a nil Exec reads as.
+var noExec Exec
+
+// Job is one SAM "project": an application run over a dataset on behalf of a
+// user. Files lists the job's input files in request order. The five small
+// fields lead and share the first 16 bytes, so a Job is 120 bytes
+// (TestRecordSizes).
+type Job struct {
+	ID     JobID
+	User   UserID
+	Site   SiteID
+	Tier   Tier // tier of the input dataset
+	Family AppFamily
+	Exec   *Exec // shared with the jobs of the same triple; read-only
+	Start  time.Time
+	End    time.Time
+	Files  []FileID
 	// Outputs are the files this job produced (reconstruction and
 	// montecarlo jobs create new data; the paper: "the typical jobs
 	// analyze and produce new, processed data files"). Often empty in
@@ -152,6 +163,42 @@ type Job struct {
 // Duration returns the job's wall-clock duration.
 func (j *Job) Duration() time.Duration { return j.End.Sub(j.Start) }
 
+// exec returns the job's descriptor, the empty one for a nil Exec.
+func (j *Job) exec() *Exec {
+	if j.Exec != nil {
+		return j.Exec
+	}
+	return &noExec
+}
+
+// Catalog is what byte accounting reads of a file catalog: how many files it
+// has and what each weighs. *Trace is one; *Sizes keeps nothing else.
+// Implementations are pointer types, so Catalog values compare by identity
+// (core.Partition caches its size table per catalog).
+type Catalog interface {
+	NumFiles() int
+	FileSize(f FileID) int64 // f in [0, NumFiles())
+}
+
+// Sizes is a file catalog reduced to its sizes: 8 bytes per file, against a
+// File record's 32 plus its name.
+type Sizes struct{ bytes []int64 }
+
+// NewSizes copies the sizes out of files.
+func NewSizes(files []File) *Sizes {
+	s := &Sizes{bytes: make([]int64, len(files))}
+	for i := range files {
+		s.bytes[i] = files[i].Size
+	}
+	return s
+}
+
+// NumFiles implements Catalog.
+func (s *Sizes) NumFiles() int { return len(s.bytes) }
+
+// FileSize implements Catalog.
+func (s *Sizes) FileSize(f FileID) int64 { return s.bytes[f] }
+
 // Trace is a complete workload: the file catalog, the site and user
 // populations, and the job history. The zero value is an empty trace.
 type Trace struct {
@@ -160,6 +207,12 @@ type Trace struct {
 	Sites []Site
 	Jobs  []Job
 }
+
+// NumFiles implements Catalog.
+func (t *Trace) NumFiles() int { return len(t.Files) }
+
+// FileSize implements Catalog.
+func (t *Trace) FileSize(f FileID) int64 { return t.Files[f].Size }
 
 // Validate checks referential integrity: every ID stored on a job, user or
 // file must be dense and in range, and job time intervals must be ordered.

@@ -123,13 +123,14 @@ func TestSummarizeTiers(t *testing.T) {
 	fThumb := b.File("ft", 10<<20, TierThumbnail)
 	fReco := b.File("fr", 30<<20, TierReconstructed)
 
-	j := Job{User: u1, Site: s, Node: "n", Tier: TierThumbnail, App: "a", Version: "1",
+	exec := &Exec{Node: "n", App: "a", Version: "1"}
+	j := Job{User: u1, Site: s, Tier: TierThumbnail, Exec: exec,
 		Start: t0, End: t0.Add(2 * time.Hour), Files: []FileID{fThumb}}
 	b.Job(j)
 	j.User = u2
 	j.Start, j.End = t0.Add(time.Hour), t0.Add(5*time.Hour)
 	b.Job(j)
-	b.Job(Job{User: u1, Site: s, Node: "n", Tier: TierReconstructed, App: "a", Version: "1",
+	b.Job(Job{User: u1, Site: s, Tier: TierReconstructed, Exec: exec,
 		Start: t0, End: t0.Add(6 * time.Hour), Files: []FileID{fReco, fThumb}})
 	tr := b.Build()
 

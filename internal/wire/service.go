@@ -30,8 +30,9 @@ type Journal interface {
 type Service struct {
 	Engine *core.Engine
 	// Catalog sizes files for advice and byte accounting and bounds request
-	// file IDs; nil accepts any non-negative int32 ID and disables advice.
-	Catalog *trace.Trace
+	// file IDs — its file count and per-file sizes are all the Service reads
+	// of it. nil accepts any non-negative int32 ID and disables advice.
+	Catalog trace.Catalog
 	// Journal, when non-nil, takes the observes instead of Engine.
 	Journal Journal
 
@@ -47,7 +48,7 @@ func failf(code int, format string, args ...any) *RemoteError {
 // MaxID is the exclusive upper bound on request file IDs.
 func (s *Service) MaxID() int64 {
 	if s.Catalog != nil {
-		return int64(len(s.Catalog.Files))
+		return int64(s.Catalog.NumFiles())
 	}
 	return maxAnyFileID
 }
@@ -139,7 +140,7 @@ func (s *Service) Partition() *PartitionReply {
 // NewPartitionReply renders any partition as the reply both surfaces encode:
 // filecules in canonical order, sized by catalog when there is one. Equal
 // partitions give equal replies, which the byte-identity checks rely on.
-func NewPartitionReply(p *core.Partition, observed int64, catalog *trace.Trace) *PartitionReply {
+func NewPartitionReply(p *core.Partition, observed int64, catalog trace.Catalog) *PartitionReply {
 	r := &PartitionReply{Observed: observed, Filecules: make([]FileculeLookupReply, len(p.Filecules))}
 	var sizes []int64
 	if catalog != nil {

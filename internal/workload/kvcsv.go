@@ -438,10 +438,9 @@ func (s *kvSource) Next() (*trace.Job, error) {
 		ID:     trace.JobID(s.jobs),
 		User:   s.user,
 		Site:   s.site,
-		Node:   "kv",
 		Tier:   trace.TierOther,
 		Family: trace.FamilyAnalysis,
-		App:    "kvcache",
+		Exec:   kvExec,
 		Start:  start,
 		End:    start.Add(time.Second),
 		Files:  s.fileBuf,
@@ -449,6 +448,9 @@ func (s *kvSource) Next() (*trace.Job, error) {
 	s.jobs++
 	return &s.job, nil
 }
+
+// kvExec is what ran every job of a kv-csv trace: one shared value.
+var kvExec = &trace.Exec{Node: "kv", App: "kvcache"}
 
 func (s *kvSource) Close() error {
 	if s.closed {
