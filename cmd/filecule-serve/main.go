@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +62,6 @@ func main() {
 		stateDir = flag.String("state-dir", "", "durable state directory (checkpoints + write-ahead log; empty = in-memory only)")
 		ckptInt  = flag.Duration("checkpoint-interval", 0, "background checkpoint cadence (requires -state-dir; 0 = 30s with a state dir)")
 		walSync  = flag.String("wal-sync", "50ms", "WAL group-commit cadence, or \"commit\" to fsync before acknowledging every observe")
-		walSeg   = flag.Int64("wal-segment-bytes", 0, "roll the WAL to a new segment at this size (requires -state-dir; 0 = 64 MiB)")
 		site     = flag.String("site", "", "this site's name in a federation (required with -peers)")
 		peers    = flag.String("peers", "", "comma-separated peer base URLs to exchange signature tables with")
 		exchInt  = flag.Duration("exchange-interval", time.Second, "steady-state federation exchange cadence per peer")
@@ -72,11 +72,6 @@ func main() {
 	dopts, err := durableOptions(*stateDir, *ckptInt, *walSync)
 	if err != nil {
 		fatal(err)
-	}
-	if dopts != nil {
-		dopts.SegmentBytes = *walSeg
-	} else if *walSeg != 0 {
-		fatal(fmt.Errorf("filecule-serve: -wal-segment-bytes requires -state-dir"))
 	}
 	fedCfg, err := fedConfig(*site, *peers, *exchInt, *peerTO)
 	if err != nil {
@@ -117,32 +112,39 @@ func main() {
 		return
 	}
 
+	if err := serve(cfg, *spec, *addr, *wireAddr, dopts); err != nil {
+		fatal(err)
+	}
+}
+
+// serve runs the listeners until a signal or a listener failure, then
+// checkpoints and closes the state directory, whichever way they ended.
+func serve(cfg server.Config, spec, addr, wireAddr string, dopts *durable.Options) (err error) {
 	// Serving needs the file catalog only, and a source's catalog outlives
 	// it: no job is decoded or generated. The server copies the sizes out,
 	// and only the count is kept here, so the rest is garbage once it has.
-	src, err := workload.Open(*spec)
+	src, err := workload.Open(spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg.Catalog = src.Files()
 	nFiles := len(cfg.Catalog)
 	if err := src.Close(); err != nil {
-		fatal(err)
+		return err
 	}
 	if dopts != nil {
 		d, err := durable.Open(*dopts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		printRecovery(*stateDir, d.Recovery())
+		printRecovery(dopts.Dir, d.Recovery())
 		cfg.Durable = d
 		defer func() {
-			if err := d.Checkpoint(); err != nil {
-				fmt.Fprintln(os.Stderr, "filecule-serve: shutdown checkpoint:", err)
+			if cerr := d.Checkpoint(); cerr != nil {
+				fmt.Fprintln(os.Stderr, "filecule-serve: shutdown checkpoint:", cerr)
 			}
-			if err := d.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "filecule-serve: closing state:", err)
-				os.Exit(1)
+			if cerr := d.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("filecule-serve: closing state: %w", cerr))
 			}
 		}()
 	}
@@ -157,27 +159,25 @@ func main() {
 	}()
 	listeners := 1
 	errc := make(chan error, 2)
-	go func() { errc <- s.ListenAndRun(ctx, *addr, ready) }()
-	if *wireAddr != "" {
+	go func() { errc <- s.ListenAndRun(ctx, addr, ready) }()
+	if wireAddr != "" {
 		listeners++
 		wready := make(chan net.Addr, 1)
 		go func() {
 			fmt.Printf("filecule-serve: wire protocol (filecule-wire/v1) on %s\n", <-wready)
 		}()
-		go func() { errc <- s.ListenAndRunWire(ctx, *wireAddr, wready) }()
+		go func() { errc <- s.ListenAndRunWire(ctx, wireAddr, wready) }()
 	}
-	failed := false
 	for i := 0; i < listeners; i++ {
-		if err := <-errc; err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed = true
+		if lerr := <-errc; lerr != nil {
+			err = errors.Join(err, lerr)
 			stop() // bring the other listener down cleanly
 		}
 	}
-	if failed {
-		os.Exit(1)
+	if err == nil {
+		fmt.Println("filecule-serve: drained and stopped")
 	}
-	fmt.Println("filecule-serve: drained and stopped")
+	return err
 }
 
 // fedConfig validates the federation flag set. A nil result means the

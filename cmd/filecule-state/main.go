@@ -5,10 +5,11 @@
 //
 // dump is strictly read-only: it never truncates torn tails, never removes
 // leftover temporary files, and never rewrites anything — it reports what
-// recovery would do. A torn tail on the newest WAL segment is a normal
-// crash artifact and exits 0 with a note; real corruption (a bad
-// checkpoint, damage below the newest segment, a gapped chain) exits 1 and
-// names the failing chunk's byte offset. Usage errors exit 2.
+// recovery would do. A torn tail on the newest WAL is a normal crash
+// artifact and exits 0 with a note; real corruption (a bad checkpoint,
+// damage below the newest WAL, a gapped chain, a wal-<epoch>.<n> segment an
+// older version left) exits 1 and names the failing file and, for a bad
+// chunk, its byte offset. Usage errors exit 2.
 package main
 
 import (
@@ -23,7 +24,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: filecule-state <subcommand> [flags]
 
 subcommands:
-  dump -dir <state-dir> [-groups]   print checkpoints, WAL segments, and corruption findings`)
+  dump -dir <state-dir> [-groups]   print checkpoints, the WAL of each epoch, and corruption findings`)
 }
 
 func main() {

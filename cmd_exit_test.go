@@ -5,6 +5,8 @@
 package filecule_test
 
 import (
+	"encoding/binary"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"filecule/internal/durable"
+	"filecule/internal/trace"
 )
 
 // buildCmds compiles every command once into a shared temp dir and returns
@@ -233,7 +236,7 @@ func TestRetiredFlagsExitCodes(t *testing.T) {
 	retired := map[string][]string{
 		"filecule-cachesim": aliases,
 		"filecule-repro":    aliases,
-		"filecule-serve":    aliases,
+		"filecule-serve":    append([]string{"-wal-segment-bytes"}, aliases...),
 		"filecule-gen":      {"-seed", "-scale", "-convert"},
 		"filecule-benchgate": {"-speedup-floor", "-decode-speedup-floor", "-mmap-decode-speedup-floor",
 			"-map-iterate-allocs-ceiling", "-kv-decode-allocs-ceiling", "-wire-speedup-floor",
@@ -297,7 +300,6 @@ func TestDurableExitCodes(t *testing.T) {
 		{"bad wal-sync", append([]string{"-selftest", "-state-dir", t.TempDir(), "-wal-sync", "sometimes"}, tiny...)},
 		{"unwritable state dir", append([]string{"-selftest", "-state-dir", "/dev/null/state"}, tiny...)},
 		{"peers without site", []string{"-peers", "http://127.0.0.1:1"}},
-		{"wal-segment-bytes without state-dir", []string{"-wal-segment-bytes", "1048576"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got, out := exitCode(t, serve, tc.args...); got != 1 {
@@ -307,10 +309,10 @@ func TestDurableExitCodes(t *testing.T) {
 	}
 
 	// A durable selftest initializes the state directory, restarts from it
-	// mid-trace, and must pass. Small segments, so each epoch's WAL is a chain.
+	// mid-trace, and must pass.
 	stateDir := filepath.Join(t.TempDir(), "state")
 	if got, out := exitCode(t, serve,
-		append([]string{"-selftest", "-state-dir", stateDir, "-wal-sync", "commit", "-wal-segment-bytes", "4096"}, tiny...)...); got != 0 {
+		append([]string{"-selftest", "-state-dir", stateDir, "-wal-sync", "commit"}, tiny...)...); got != 0 {
 		t.Fatalf("durable selftest: exit %d\n%s", got, out)
 	}
 
@@ -324,9 +326,9 @@ func TestDurableExitCodes(t *testing.T) {
 		t.Errorf("dump -groups: exit %d, per-group lines missing\n%s", got, out)
 	}
 
-	// A newest segment whose header parses but does not continue the chain
-	// (here: the segment before it cut back to its header) is corruption, not
-	// a crash artifact: the dump and the server both exit 1 and name it, and
+	// A newest WAL whose header parses but does not continue the chain (here:
+	// its base forged one past its checkpoint's count) is corruption, not a
+	// crash artifact: the dump and the server both exit 1 and name it, and
 	// the server leaves it as it was.
 	badBase := t.TempDir()
 	ents, err := os.ReadDir(stateDir)
@@ -343,18 +345,22 @@ func TestDurableExitCodes(t *testing.T) {
 		}
 	}
 	rep, err := durable.Inspect(badBase)
-	if err != nil || len(rep.Segments) < 2 || rep.Segments[len(rep.Segments)-1].Seg == 0 {
-		t.Fatalf("selftest left no segment chain in the newest epoch to damage: %+v, %v", rep, err)
+	if err != nil || len(rep.Segments) < 2 || len(rep.Problems) > 0 {
+		t.Fatalf("selftest left no clean two-epoch WAL chain to damage: %+v, %v", rep, err)
 	}
-	newest, before := rep.Segments[len(rep.Segments)-1], rep.Segments[len(rep.Segments)-2]
-	raw, err := os.ReadFile(before.Path)
+	newest := rep.Segments[len(rep.Segments)-1]
+	raw, err := os.ReadFile(newest.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const walMagicLen = len("filecule-wal/v1\n")
-	if err := os.Truncate(before.Path, int64(walMagicLen+1+int(raw[walMagicLen])+4)); err != nil { // magic, then the header's frame: length byte, payload, CRC
+	const walMagic = "filecule-wal/v1\n"
+	hdr := binary.AppendUvarint(binary.AppendUvarint([]byte{'H'}, newest.Epoch), uint64(newest.Base+1))
+	headerEnd := len(walMagic) + 1 + int(raw[len(walMagic)]) + 4 // magic, then the header's frame: length byte, payload, CRC
+	forged := append(trace.AppendChunk([]byte(walMagic), hdr), raw[headerEnd:]...)
+	if err := os.WriteFile(newest.Path, forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	newest.Bytes = int64(len(forged))
 	for _, tc := range []struct {
 		name string
 		bin  string
@@ -370,6 +376,22 @@ func TestDurableExitCodes(t *testing.T) {
 	}
 	if fi, err := os.Stat(newest.Path); err != nil || fi.Size() != newest.Bytes {
 		t.Errorf("the refused server changed %s: %v bytes, was %d (%v)", newest.Path, fi, newest.Bytes, err)
+	}
+
+	// A listener that cannot bind fails the server with exit 1, but only
+	// after the shutdown it owes the state directory: the checkpoint that
+	// makes every acknowledged observe durable, and the close.
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	busyDir := filepath.Join(t.TempDir(), "state")
+	if got, out := exitCode(t, serve, append([]string{"-state-dir", busyDir, "-addr", held.Addr().String()}, tiny...)...); got != 1 {
+		t.Errorf("serve on a held address: exit %d, want 1\noutput:\n%s", got, out)
+	}
+	if got, out := exitCode(t, state, "dump", "-dir", busyDir); got != 0 || !strings.Contains(out, "checkpoint-1") {
+		t.Errorf("serve on a held address skipped its shutdown checkpoint: dump exit %d\n%s", got, out)
 	}
 
 	// Corrupt every checkpoint and remove the WALs: startup must refuse to

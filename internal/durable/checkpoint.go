@@ -307,12 +307,3 @@ func ckptPath(dir string, epoch uint64) string {
 func walPath(dir string, epoch uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%d", epoch))
 }
-
-// walSegPath names segment seg of an epoch's WAL: the first segment is the
-// bare wal-<epoch>, later ones carry a .<seg> suffix.
-func walSegPath(dir string, epoch uint64, seg int) string {
-	if seg == 0 {
-		return walPath(dir, epoch)
-	}
-	return filepath.Join(dir, fmt.Sprintf("wal-%d.%d", epoch, seg))
-}

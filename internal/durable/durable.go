@@ -22,11 +22,10 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,10 +45,6 @@ type Options struct {
 	SyncCommit bool
 	// SyncInterval is the async group-commit cadence (default 50ms).
 	SyncInterval time.Duration
-	// SegmentBytes rolls the WAL to a new segment file (wal-<epoch>.N)
-	// once the current one crosses this size, bounding any single log
-	// file within an epoch (default 64 MiB).
-	SegmentBytes int64
 	// CheckpointInterval starts a background checkpoint loop when > 0.
 	CheckpointInterval time.Duration
 	// Logf receives recovery and background-checkpoint diagnostics
@@ -128,14 +123,14 @@ func Open(opts Options) (*Engine, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 64 << 20
-	}
 	d := &Engine{dir: opts.Dir, logf: logf}
 
-	ckpts, wals, tmps, err := scanStateDir(opts.Dir)
+	ckpts, wals, tmps, refused, err := scanStateDir(opts.Dir)
 	if err != nil {
 		return nil, err
+	}
+	if len(refused) > 0 {
+		return nil, refused[0]
 	}
 	for _, name := range tmps { // an interrupted checkpoint write
 		if err := os.Remove(filepath.Join(opts.Dir, name)); err != nil {
@@ -154,12 +149,12 @@ func Open(opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, path, logical, err := createWalFile(opts.Dir, 0, 0, opts.SegmentBytes)
+		f, path, err := createWalFile(opts.Dir, 0, 0)
 		if err != nil {
 			return nil, err
 		}
 		d.eng, d.cache, d.lastStats = eng, cache, stats
-		d.wal = newWAL(f, path, walPosition{dir: opts.Dir}, logical, opts.SegmentBytes, opts.SyncCommit, opts.SyncInterval)
+		d.wal = newWAL(f, path, opts.SyncCommit, opts.SyncInterval)
 		d.recovery = Recovery{Fresh: true}
 	} else {
 		if err := d.recover(opts, ckpts, wals); err != nil {
@@ -176,10 +171,10 @@ func Open(opts Options) (*Engine, error) {
 }
 
 // recover rebuilds the engine from the newest usable checkpoint plus its WAL
-// chain and leaves d.wal appending to the newest segment. The chain walk is
+// chain and leaves d.wal appending to the newest WAL. The chain walk is
 // replayChain, shared with Inspect; what it cannot call a crash artifact
-// aborts recovery with every checkpoint and segment left as it was.
-func (d *Engine) recover(opts Options, ckpts []uint64, wals map[uint64][]int) error {
+// aborts recovery with every checkpoint and WAL left as it was.
+func (d *Engine) recover(opts Options, ckpts, wals []uint64) error {
 	var lastErr error
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		c := ckpts[i]
@@ -202,31 +197,19 @@ func (d *Engine) recover(opts Options, ckpts []uint64, wals map[uint64][]int) er
 		if len(problems) > 0 {
 			return problems[0]
 		}
-		// The newest segment's place in its epoch: with no WAL at or above c
-		// that is a wal-c still to create.
-		pos := walPosition{dir: d.dir, epoch: c}
+		// The newest WAL; with none at or above c that is a wal-c to create.
+		last := SegmentInfo{Epoch: c, noHeader: true}
 		for _, s := range segs {
 			d.recovery.ReplayedJobs += s.Jobs
-			if s.Epoch != pos.epoch {
-				pos.epoch, pos.epochJobs = s.Epoch, 0
-			}
-			pos.seg = s.Seg
-			pos.epochJobs += s.Jobs
-		}
-		pos.epochBase = eng.Observed() - pos.epochJobs
-
-		var last *SegmentInfo // nil: no WAL at or above c
-		if len(segs) > 0 {
-			last = &segs[len(segs)-1]
-		}
-		path := walSegPath(d.dir, pos.epoch, pos.seg)
-		if last != nil && last.Note != "" {
-			d.logf("durable: %s: %s", path, last.Note)
+			last = s
 		}
 		var f *os.File
-		var logical int64
-		if last == nil || last.noHeader {
-			f, path, logical, err = createWalSeg(d.dir, pos.epoch, pos.seg, eng.Observed(), opts.SegmentBytes)
+		path := walPath(d.dir, last.Epoch)
+		if last.Note != "" {
+			d.logf("durable: %s: %s", path, last.Note)
+		}
+		if last.noHeader {
+			f, path, err = createWalFile(d.dir, last.Epoch, eng.Observed())
 			if err != nil {
 				return err
 			}
@@ -241,11 +224,10 @@ func (d *Engine) recover(opts Options, ckpts []uint64, wals map[uint64][]int) er
 			if err != nil {
 				return fmt.Errorf("durable: reopen %s: %w", path, err)
 			}
-			logical = last.validTo
 		}
 		d.eng = eng
-		d.epoch = pos.epoch
-		d.wal = newWAL(f, path, pos, logical, opts.SegmentBytes, opts.SyncCommit, opts.SyncInterval)
+		d.epoch = last.Epoch
+		d.wal = newWAL(f, path, opts.SyncCommit, opts.SyncInterval)
 		d.recovery.Observed = eng.Observed()
 		return nil
 	}
@@ -253,110 +235,62 @@ func (d *Engine) recover(opts Options, ckpts []uint64, wals map[uint64][]int) er
 }
 
 // chainGap reports why the WAL chain recovery would replay on top of
-// checkpoint-c is not all on disk — every epoch from c to the newest present,
-// each with its segments gap-free from 0 — or nil. A directory with no WAL at
-// or above c is tolerated: the checkpoint alone is the state and wal-c is
-// created anew.
-func chainGap(wals map[uint64][]int, c uint64) error {
-	top, found := c, false
-	for e := range wals {
-		if e >= top {
-			top, found = e, true
+// checkpoint-c is not all on disk — every epoch from c to the newest present
+// — or nil. A directory with no WAL at or above c is tolerated: the
+// checkpoint alone is the state and wal-c is created anew.
+func chainGap(wals []uint64, c uint64) error {
+	want := c
+	for _, e := range wals {
+		if e < c {
+			continue
 		}
-	}
-	for k := c; found && k <= top; k++ {
-		segs := wals[k]
-		gapped := len(segs) == 0
-		for i, s := range segs {
-			gapped = gapped || s != i
+		if e != want {
+			return fmt.Errorf("durable: checkpoint-%d has no contiguous WAL chain to wal-%d (wal-%d missing)", c, wals[len(wals)-1], want)
 		}
-		if gapped {
-			return fmt.Errorf("durable: checkpoint-%d has no contiguous WAL chain to wal-%d (epoch %d gapped or missing)", c, top, k)
-		}
+		want++
 	}
 	return nil
 }
 
 // replayChain is the one walk over a state directory's WAL files, under
 // recovery (apply is the engine's Observe) and under the dump (apply does
-// nothing): it replays every segment of every epoch >= from in order, each
-// exactly once, expecting the first to start at base and each later one where
-// its predecessor ended, and returns one SegmentInfo per file plus the
-// conditions recovery cannot repair. It alone decides what a segment's ending
-// means. On the newest segment — the one file the writer had open — a header
-// that cannot be read is a crash inside createWalSeg (noHeader: recreate) and
-// an unreadable tail past a good header is a torn or preallocated tail
-// (validTo < Bytes: truncate); both are Notes. Everything else is a problem:
-// any damage below the newest segment (those files were synced and closed
-// before their successor existed), a header that parses but names another
-// epoch or a base that does not chain, and any failed system call. After a
-// problem the walk goes on with anyBase so the dump can show the rest.
-func replayChain(dir string, wals map[uint64][]int, from uint64, base int64, apply func([]trace.FileID)) (segs []SegmentInfo, problems []error) {
-	var epochs []uint64
-	for e := range wals {
-		if e >= from {
-			epochs = append(epochs, e)
+// nothing): it replays the WAL of every epoch >= from in order, each exactly
+// once, expecting the first to start at base and each later one where its
+// predecessor ended, and returns one SegmentInfo per file plus the conditions
+// recovery cannot repair. It alone decides what a file's ending means. On the
+// newest WAL — the one file the writer had open — a header that cannot be
+// read is a crash inside createWalFile (noHeader: recreate) and an unreadable
+// tail past a good header is a torn tail (validTo < Bytes: truncate); both
+// are Notes. Everything else is a problem: any damage below the newest WAL
+// (those files were synced and closed before their successor existed), a
+// header that parses but names another epoch or a base that does not chain,
+// and any failed system call. After a problem the walk goes on with anyBase
+// so the dump can show the rest.
+func replayChain(dir string, wals []uint64, from uint64, base int64, apply func([]trace.FileID)) (segs []SegmentInfo, problems []error) {
+	for i, e := range wals {
+		if e < from {
+			continue
 		}
-	}
-	sort.Slice(epochs, func(a, b int) bool { return epochs[a] < epochs[b] })
-	for ei, e := range epochs {
-		for si, s := range wals[e] {
-			path := walSegPath(dir, e, s)
-			newest := ei == len(epochs)-1 && si == len(wals[e])-1
-			seg, err := walReplay(path, e, base, apply)
-			seg.Seg = s
-			base = seg.Base + seg.Jobs
-			var failed *fs.PathError
-			artifact := newest && !errors.As(err, &failed)
-			switch {
-			case err == nil:
-			case artifact && errors.Is(err, errNoWalHeader):
-				seg.noHeader = true
-				seg.Note = fmt.Sprintf("unusable header (%v); recovery recreates this segment", err)
-			case artifact && seg.validTo > 0 && zeroTail(path, seg.validTo):
-				seg.Note = fmt.Sprintf("preallocated tail: %d zero bytes past offset %d; recovery truncates them",
-					seg.Bytes-seg.validTo, seg.validTo)
-			case artifact && seg.validTo > 0:
-				seg.Note = fmt.Sprintf("torn tail: durable: %s: %v; recovery truncates %d bytes past offset %d",
-					path, err, seg.Bytes-seg.validTo, seg.validTo)
-			default:
-				problems = append(problems, fmt.Errorf("durable: %s: %w", path, err))
-				base = anyBase
-			}
-			segs = append(segs, seg)
+		path := walPath(dir, e)
+		seg, err := walReplay(path, e, base, apply)
+		base = seg.Base + seg.Jobs
+		var failed *fs.PathError
+		artifact := i == len(wals)-1 && !errors.As(err, &failed)
+		switch {
+		case err == nil:
+		case artifact && errors.Is(err, errNoWalHeader):
+			seg.noHeader = true
+			seg.Note = fmt.Sprintf("unusable header (%v); recovery recreates the file", err)
+		case artifact && seg.validTo > 0:
+			seg.Note = fmt.Sprintf("torn tail: durable: %s: %v; recovery truncates %d bytes past offset %d",
+				path, err, seg.Bytes-seg.validTo, seg.validTo)
+		default:
+			problems = append(problems, fmt.Errorf("durable: %s: %w", path, err))
+			base = anyBase
 		}
+		segs = append(segs, seg)
 	}
 	return segs, problems
-}
-
-// zeroTail reports whether every byte of path from off to the end is zero —
-// the signature of a preallocated segment the writer had not yet filled or
-// truncated when the process died, as opposed to a torn write (which ends
-// in a partial frame of real bytes before any zeros).
-func zeroTail(path string, off int64) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return false
-	}
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := f.Read(buf)
-		for _, b := range buf[:n] {
-			if b != 0 {
-				return false
-			}
-		}
-		if err == io.EOF {
-			return true
-		}
-		if err != nil {
-			return false
-		}
-	}
 }
 
 // Recovery reports what Open reconstructed.
@@ -406,8 +340,8 @@ func (d *Engine) Checkpoint() error {
 	}
 	st := d.eng.ExportState()
 	epoch := d.epoch + 1
-	err := d.wal.Rotate(epoch, st.Observed, func() (*os.File, string, int64, error) {
-		return createWalFile(d.dir, epoch, st.Observed, d.wal.segBytes)
+	err := d.wal.Rotate(func() (*os.File, string, error) {
+		return createWalFile(d.dir, epoch, st.Observed)
 	})
 	if err != nil {
 		d.mu.Unlock()
@@ -439,7 +373,7 @@ func (d *Engine) prune(epoch uint64) {
 	if epoch < 2 {
 		return
 	}
-	ckpts, wals, _, err := scanStateDir(d.dir)
+	ckpts, wals, _, _, err := scanStateDir(d.dir)
 	if err != nil {
 		d.logf("durable: prune scan: %v", err)
 		return
@@ -451,12 +385,10 @@ func (d *Engine) prune(epoch uint64) {
 			}
 		}
 	}
-	for e, segs := range wals {
+	for _, e := range wals {
 		if e < epoch-1 {
-			for _, s := range segs {
-				if err := os.Remove(walSegPath(d.dir, e, s)); err != nil {
-					d.logf("durable: prune: %v", err)
-				}
+			if err := os.Remove(walPath(d.dir, e)); err != nil {
+				d.logf("durable: prune: %v", err)
 			}
 		}
 	}
@@ -498,8 +430,10 @@ func (d *Engine) Stats() Stats {
 	}
 }
 
-// Close stops background work and syncs and closes the WAL. It does not
-// checkpoint; call Checkpoint first for a fast next startup.
+// Close stops background work, waits out in-flight observes, and syncs and
+// closes the WAL. Every later Observe, ObserveBatch and Checkpoint returns
+// an error. It does not checkpoint; call Checkpoint first for a fast next
+// startup.
 func (d *Engine) Close() error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
@@ -508,34 +442,38 @@ func (d *Engine) Close() error {
 		close(d.stopCkpt)
 		<-d.doneCkpt
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.wal.Close()
 }
 
 // scanStateDir is the one parser of a state directory's listing: checkpoint
-// epochs (sorted ascending), WAL segments per epoch (each list sorted
-// ascending), and the names of leftover temporary files from an interrupted
-// checkpoint write, which Open removes and Inspect prints.
-func scanStateDir(dir string) (ckpts []uint64, wals map[uint64][]int, tmps []string, err error) {
+// and WAL epochs (each sorted ascending), the names of leftover temporary
+// files from an interrupted checkpoint write, which Open removes and Inspect
+// prints, and one error per wal-<epoch>.<n> file. An older writer split an
+// epoch's WAL into such segments; replaying the epoch without them would drop
+// acknowledged observes, so Open refuses them and Inspect reports them.
+func scanStateDir(dir string) (ckpts, wals []uint64, tmps []string, refused []error, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("durable: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("durable: %w", err)
 	}
-	wals = make(map[uint64][]int)
 	for _, ent := range ents {
 		name := ent.Name()
 		if strings.HasSuffix(name, ".tmp") {
 			tmps = append(tmps, name)
 		} else if e, ok := parseEpoch(name, "checkpoint-"); ok {
 			ckpts = append(ckpts, e)
-		} else if e, s, ok := parseWalSeg(name); ok {
-			wals[e] = append(wals[e], s)
+		} else if e, ok := parseEpoch(name, "wal-"); ok {
+			wals = append(wals, e)
+		} else if head, seg, ok := strings.Cut(name, "."); ok && isEpoch(head, "wal-") && isEpoch(seg, "") {
+			refused = append(refused, fmt.Errorf("durable: %s: a WAL segment from an older, segmenting writer; "+
+				"this version replays one wal-<epoch> per epoch and will not drop its observes", filepath.Join(dir, name)))
 		}
 	}
-	sort.Slice(ckpts, func(a, b int) bool { return ckpts[a] < ckpts[b] })
-	for _, segs := range wals {
-		sort.Ints(segs)
-	}
-	return ckpts, wals, tmps, nil
+	slices.Sort(ckpts)
+	slices.Sort(wals)
+	return ckpts, wals, tmps, refused, nil
 }
 
 func parseEpoch(name, prefix string) (uint64, bool) {
@@ -546,25 +484,9 @@ func parseEpoch(name, prefix string) (uint64, bool) {
 	return e, err == nil
 }
 
-// parseWalSeg recognizes wal-<epoch> (segment 0) and wal-<epoch>.<seg>.
-func parseWalSeg(name string) (epoch uint64, seg int, ok bool) {
-	rest, found := strings.CutPrefix(name, "wal-")
-	if !found {
-		return 0, 0, false
-	}
-	epochStr, segStr, dotted := strings.Cut(rest, ".")
-	epoch, err := strconv.ParseUint(epochStr, 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	if !dotted {
-		return epoch, 0, true
-	}
-	s, err := strconv.Atoi(segStr)
-	if err != nil || s < 1 {
-		return 0, 0, false
-	}
-	return epoch, s, true
+func isEpoch(name, prefix string) bool {
+	_, ok := parseEpoch(name, prefix)
+	return ok
 }
 
 // syncDir fsyncs a directory so renames and creates within it are durable.

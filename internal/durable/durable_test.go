@@ -1,9 +1,13 @@
 package durable
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -274,15 +278,15 @@ func TestCheckpointReuseAndPrune(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ckpts, wals, _, err := scanStateDir(dir)
+	ckpts, wals, _, _, err := scanStateDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ckpts) != 2 || ckpts[0] != 2 || ckpts[1] != 3 {
+	if !slices.Equal(ckpts, []uint64{2, 3}) {
 		t.Fatalf("checkpoints after prune: %v, want [2 3]", ckpts)
 	}
-	if len(wals) != 2 || len(wals[2]) != 1 || len(wals[3]) != 1 {
-		t.Fatalf("wals after prune: %v, want epochs 2 and 3", wals)
+	if !slices.Equal(wals, []uint64{2, 3}) {
+		t.Fatalf("wals after prune: %v, want epochs [2 3]", wals)
 	}
 	// And the pruned directory still recovers.
 	d = mustOpen(t, Options{Dir: dir})
@@ -356,6 +360,218 @@ func TestConcurrentObservesWithCheckpoints(t *testing.T) {
 	}
 }
 
+// Damage below the newest WAL is corruption, not a crash artifact: recovery
+// must refuse rather than silently skip records. Recovery reads a WAL below
+// the newest when a crash fell between a checkpoint's rotation and its
+// publish, so the directory is left that way: checkpoint-1 removed.
+func TestSegmentCorruptionBelowNewestIsFatal(t *testing.T) {
+	jobs := testJobs(14, 400)
+	dir := t.TempDir()
+	opts := Options{Dir: dir, SyncCommit: true}
+	d := mustOpen(t, opts)
+	observeAll(t, d, jobs[:200])
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	observeAll(t, d, jobs[200:])
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(ckptPath(dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	intact := mustOpen(t, Options{Dir: copyDir(t, dir)})
+	if n := intact.Core().Observed(); n != int64(len(jobs)) {
+		t.Fatalf("checkpoint-0, wal-0 and wal-1 recovered %d of %d jobs", n, len(jobs))
+	}
+	intact.Close()
+
+	first := walPath(dir, 0)
+	raw, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-10] ^= 0xff
+	if err := os.WriteFile(first, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), "wal-0") {
+		t.Fatalf("corrupt non-newest WAL: Open = %v, want an error naming wal-0", err)
+	}
+
+	// A missing middle WAL likewise breaks the chain for good.
+	if err := os.Remove(first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(opts); err == nil {
+		t.Fatal("gapped WAL chain accepted")
+	}
+}
+
+// copyDir snapshots a state directory: what a process killed at this instant
+// would leave behind (every write the WAL acknowledges is already synced).
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestCheckpointCrashWindows kills the process (by snapshotting the state
+// directory) at the two instants inside a checkpoint's WAL rotation — after
+// the old WAL is sealed, and after the new epoch's WAL exists but before the
+// checkpoint file is written — and requires both snapshots to recover every
+// acknowledged job. The spy also pins the order: the old file is closed, and
+// replays whole, before the new epoch's file is created.
+func TestCheckpointCrashWindows(t *testing.T) {
+	dir := t.TempDir()
+	const jobs = 40
+	d := mustOpen(t, Options{Dir: dir, SyncCommit: true})
+	observeAll(t, d, testJobs(18, jobs))
+
+	// Checkpoint's rotation, with the file creation spied on.
+	if err := d.wal.SyncNow(); err != nil {
+		t.Fatal(err)
+	}
+	var sealed, created string
+	err := d.wal.Rotate(func() (*os.File, string, error) {
+		if _, err := d.wal.f.Stat(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("the old WAL is still open when the new epoch's file is created (stat: %v)", err)
+		}
+		if seg, err := walReplay(walPath(dir, 0), 0, 0, func([]trace.FileID) {}); err != nil || seg.Jobs != jobs {
+			t.Errorf("the old WAL replays %d of %d jobs (%v) when the new epoch's file is created", seg.Jobs, jobs, err)
+		}
+		sealed = copyDir(t, dir)
+		f, path, err := createWalFile(dir, d.epoch+1, jobs)
+		created = copyDir(t, dir)
+		return f, path, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, snap := range map[string]string{"sealed": sealed, "created": created, "closed": dir} {
+		r, err := Open(Options{Dir: snap})
+		if err != nil {
+			t.Fatalf("killed after %s: recovery failed: %v", name, err)
+		}
+		if rec := r.Recovery(); rec.Observed != jobs || rec.ReplayedJobs != jobs {
+			t.Errorf("killed after %s: recovered %d jobs (%d replayed), want %d", name, rec.Observed, rec.ReplayedJobs, jobs)
+		}
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// A closed engine refuses work in both durability modes: Observe,
+// ObserveBatch and Checkpoint return an error at once — none blocks, counts
+// a job, or acknowledges one it will lose — and a reopen recovers exactly
+// what was observed before Close.
+func TestClosedEngineRefusesWork(t *testing.T) {
+	jobs := testJobs(16, 20)
+	for _, strict := range []bool{false, true} {
+		t.Run(fmt.Sprintf("strict=%v", strict), func(t *testing.T) {
+			opts := Options{Dir: t.TempDir(), SyncCommit: strict}
+			d := mustOpen(t, opts)
+			observeAll(t, d, jobs[:10])
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan []error, 1)
+			go func() {
+				done <- []error{d.Observe(jobs[10]), d.ObserveBatch(jobs[11:]), d.Checkpoint()}
+			}()
+			select {
+			case errs := <-done:
+				for i, name := range []string{"Observe", "ObserveBatch", "Checkpoint"} {
+					if errs[i] == nil {
+						t.Errorf("%s after Close returned nil", name)
+					}
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a call after Close was still blocked after 5s")
+			}
+			if n := d.Core().Observed(); n != 10 {
+				t.Errorf("the closed engine counts %d jobs, want 10", n)
+			}
+			d = mustOpen(t, opts)
+			defer d.Close()
+			if n := d.Core().Observed(); n != 10 {
+				t.Fatalf("reopen recovered %d jobs, want 10", n)
+			}
+		})
+	}
+}
+
+// A wal-<epoch>.<n> segment an older, segmenting writer left holds observes
+// this version does not replay: Open refuses the directory, naming the file
+// and changing nothing, and Inspect reports it as corruption.
+func TestLegacySegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, Options{Dir: dir, SyncCommit: true})
+	observeAll(t, d, testJobs(17, 30))
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The segment as that writer left it: a WAL whose header chains from
+	// where wal-0 ends. And a leftover temp file Open would otherwise remove.
+	hdr := binary.AppendUvarint(binary.AppendUvarint([]byte{walKindHeader}, 0), 30)
+	if err := os.WriteFile(filepath.Join(dir, "wal-0.1"), trace.AppendChunk([]byte(walMagic), hdr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint-1.tmp"), []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() map[string]int64 {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := map[string]int64{}
+		for _, e := range ents {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[e.Name()] = fi.Size()
+		}
+		return sizes
+	}
+	before := listing()
+
+	if d, err := Open(Options{Dir: dir}); err == nil {
+		d.Close()
+		t.Fatal("Open accepted a directory holding wal-0.1")
+	} else if !strings.Contains(err.Error(), "wal-0.1") {
+		t.Fatalf("Open's error does not name wal-0.1: %v", err)
+	}
+	if after := listing(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("the refused Open changed the directory: %v, was %v", after, before)
+	}
+	rep, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joined := strings.Join(rep.Problems, "\n"); !strings.Contains(joined, "wal-0.1") {
+		t.Fatalf("Inspect does not report wal-0.1 as corrupt: %q", rep.Problems)
+	}
+}
+
 func TestOpenRejectsBadDirs(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Error("empty dir accepted")
@@ -373,8 +589,9 @@ func TestOpenRejectsBadDirs(t *testing.T) {
 // TestRecoverStateWrittenBySharded8Engine recovers testdata/state-8shard: a
 // state directory written by the engine as it was before the shards were
 // collapsed (commit c7c0a2b, default 8 shards) — two retained checkpoints and
-// a segmented WAL past the newer one, with exact repeats, duplicates, empty
-// jobs and partial reads in the stream. Its signatures sum whole job sets and
+// the WAL past the newer one, with exact repeats, duplicates, empty jobs and
+// partial reads in the stream (that engine split an epoch's WAL into
+// segments; each epoch's are joined into one file, observe chunks unchanged). Its signatures sum whole job sets and
 // its groups were glued from per-shard sub-blocks; the formats did not change,
 // so it must recover to exactly batch identification of jobs.txt, and keep
 // refining correctly from there.

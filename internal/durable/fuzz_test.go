@@ -96,11 +96,11 @@ func FuzzCheckpoint(f *testing.F) {
 func seedWalBytes(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	wf, path, logical, err := createWalFile(dir, 0, 0, 0)
+	wf, path, err := createWalFile(dir, 0, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	w := newWAL(wf, path, walPosition{dir: dir}, logical, 0, true, 0)
+	w := newWAL(wf, path, true, 0)
 	if err := w.AppendBatch(seedJobs[:3]); err != nil {
 		f.Fatal(err)
 	}

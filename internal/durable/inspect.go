@@ -34,14 +34,13 @@ type CheckpointInfo struct {
 	Groups   []GroupInfo
 }
 
-// SegmentInfo summarizes one WAL segment file.
+// SegmentInfo summarizes one epoch's WAL file.
 type SegmentInfo struct {
 	Epoch uint64
-	Seg   int
 	Path  string
 	Bytes int64
-	Base  int64  // observed-count the segment starts at
-	Jobs  int64  // replayable jobs in the segment
+	Base  int64  // observed-count the file starts at
+	Jobs  int64  // replayable jobs in the file
 	Note  string // non-fatal condition recovery will repair (torn tail)
 
 	validTo  int64 // offset the file is well-formed up to; recovery truncates the rest
@@ -57,21 +56,24 @@ type Report struct {
 	// Problems lists real corruption: conditions recovery cannot repair
 	// without falling back or failing. Empty means the directory is clean
 	// (a torn newest tail is a crash artifact, not a problem — it appears
-	// as a segment Note instead).
+	// as a Note on its WAL instead).
 	Problems []string
 }
 
 // Inspect reads dir without modifying it and reports its checkpoints, WAL
-// segment chain, and any corruption. The returned error covers only an
+// chain, and any corruption. The returned error covers only an
 // unreadable directory; corruption findings land in Report.Problems so the
 // caller can render the full picture before failing.
 func Inspect(dir string) (*Report, error) {
-	ckpts, wals, tmps, err := scanStateDir(dir)
+	ckpts, wals, tmps, refused, err := scanStateDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	r := &Report{Dir: dir, TempFiles: tmps}
 	problem := func(err error) { r.Problems = append(r.Problems, err.Error()) }
+	for _, err := range refused {
+		problem(err)
+	}
 	if len(ckpts) == 0 && len(wals) > 0 {
 		problem(errors.New("WAL files but no checkpoint"))
 	}
@@ -107,8 +109,8 @@ func Inspect(dir string) (*Report, error) {
 	}
 
 	// Walk every WAL epoch on disk, the fallback one included. Open starts
-	// from a checkpoint, not from the segment before, so an epoch's first
-	// segment must also start where its checkpoint stands.
+	// from a checkpoint, not from the WAL before, so an epoch's WAL must also
+	// start where its checkpoint stands.
 	segs, problems := replayChain(dir, wals, 0, anyBase, func([]trace.FileID) {})
 	r.Segments = segs
 	for _, err := range problems {
@@ -116,7 +118,7 @@ func Inspect(dir string) (*Report, error) {
 	}
 	for i := range segs {
 		s := &segs[i]
-		if o, ok := observed[s.Epoch]; ok && s.Seg == 0 && s.validTo > 0 && s.Base != o {
+		if o, ok := observed[s.Epoch]; ok && s.validTo > 0 && s.Base != o {
 			problem(fmt.Errorf("durable: %s: base %d does not chain from checkpoint-%d at %d", s.Path, s.Base, s.Epoch, o))
 		}
 	}
@@ -127,7 +129,7 @@ func Inspect(dir string) (*Report, error) {
 // recovery order, then problems. withGroups adds one line per filecule
 // group under each checkpoint.
 func (r *Report) WriteTo(w io.Writer, withGroups bool) {
-	fmt.Fprintf(w, "state dir %s: %d checkpoint(s), %d WAL segment(s)\n",
+	fmt.Fprintf(w, "state dir %s: %d checkpoint(s), %d WAL file(s)\n",
 		r.Dir, len(r.Checkpoints), len(r.Segments))
 	for i := range r.Checkpoints {
 		c := &r.Checkpoints[i]

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// buildInspectDir produces a segmented state dir: one checkpoint plus a
-// multi-segment epoch of strict observes.
+// buildInspectDir produces a two-epoch state dir of strict observes:
+// checkpoint-0 and wal-0, then checkpoint-1 at the halfway mark and wal-1.
 func buildInspectDir(t *testing.T, jobs int) (string, Options) {
 	t.Helper()
 	dir := t.TempDir()
-	opts := Options{Dir: dir, SyncCommit: true, SegmentBytes: 1 << 11}
+	opts := Options{Dir: dir, SyncCommit: true}
 	d := mustOpen(t, opts)
 	work := testJobs(21, jobs)
 	observeAll(t, d, work[:jobs/2])
@@ -51,14 +51,14 @@ func TestInspectCleanDir(t *testing.T) {
 		t.Fatalf("Inspect removed a temp file: %v", err)
 	}
 
-	// Segment job counts must chain: each base is the previous end, and the
+	// WAL job counts must chain: each base is the previous end, and the
 	// newest checkpoint plus its epoch's jobs cover every observe.
 	newest := rep.Checkpoints[len(rep.Checkpoints)-1]
 	var epochJobs int64
 	for _, s := range rep.Segments {
 		if s.Epoch == newest.Epoch {
 			if s.Base != newest.Observed+epochJobs {
-				t.Fatalf("segment %s base %d, want %d", filepath.Base(s.Path), s.Base, newest.Observed+epochJobs)
+				t.Fatalf("%s base %d, want %d", filepath.Base(s.Path), s.Base, newest.Observed+epochJobs)
 			}
 			epochJobs += s.Jobs
 		}
@@ -78,35 +78,48 @@ func TestInspectCleanDir(t *testing.T) {
 }
 
 func TestInspectTornTailIsNoteNotProblem(t *testing.T) {
-	dir, _ := buildInspectDir(t, 300)
-	rep, err := Inspect(dir)
+	dir, opts := buildInspectDir(t, 300)
+	newest := walPath(dir, 1)
+	raw, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := rep.Segments[len(rep.Segments)-1]
-	raw, err := os.ReadFile(last.Path)
-	if err != nil {
+	torn := func(t *testing.T, tail []byte) {
+		t.Helper()
+		if err := os.WriteFile(newest, tail, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Inspect(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Problems) != 0 {
+			t.Fatalf("torn newest tail reported as corruption: %v", rep.Problems)
+		}
+		if note := rep.Segments[len(rep.Segments)-1].Note; !strings.Contains(note, "torn tail") {
+			t.Fatalf("torn tail note missing: %q", note)
+		}
+		// And the file itself must be untouched — dump never truncates.
+		if fi, err := os.Stat(newest); err != nil || fi.Size() != int64(len(tail)) {
+			t.Fatalf("Inspect modified the torn WAL: %v", err)
+		}
+	}
+	// A cut into the last frame.
+	torn(t, raw[:len(raw)-3])
+	// Zeros past the last frame, what a killed writer leaves where the file
+	// had grown but its data never landed: also a torn tail, which recovery
+	// truncates without losing a job.
+	torn(t, append(raw[:len(raw):len(raw)], make([]byte, 8192)...))
+	d := mustOpen(t, opts)
+	rec := d.Recovery()
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(last.Path, raw[:len(raw)-3], 0o644); err != nil {
-		t.Fatal(err)
+	if rec.Observed != 300 || rec.TruncatedBytes != 8192 {
+		t.Fatalf("recovery over a zero tail = %+v, want all 300 observes and 8192 bytes truncated", rec)
 	}
-	rep, err = Inspect(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Problems) != 0 {
-		t.Fatalf("torn newest tail reported as corruption: %v", rep.Problems)
-	}
-	// A cut into the data is a torn tail; a cut into a just-rolled
-	// segment's header is the recreate case. Both are crash artifacts.
-	note := rep.Segments[len(rep.Segments)-1].Note
-	if !strings.Contains(note, "torn tail") && !strings.Contains(note, "unusable header") {
-		t.Fatalf("torn tail note missing: %q", note)
-	}
-	// And the file itself must be untouched — dump never truncates.
-	if fi, err := os.Stat(last.Path); err != nil || fi.Size() != int64(len(raw)-3) {
-		t.Fatalf("Inspect modified the torn segment: %v", err)
+	if fi, err := os.Stat(newest); err != nil || fi.Size() != int64(len(raw)) {
+		t.Fatalf("post-recovery size %v, want %d (err %v)", fi, len(raw), err)
 	}
 }
 
@@ -138,7 +151,7 @@ func TestInspectReportsCorruption(t *testing.T) {
 		t.Fatalf("corruption findings carry no byte offset: %q", joined)
 	}
 
-	// Damage below the newest segment is a problem too, not a note.
+	// Damage below the newest WAL is a problem too, not a note.
 	first := rep.Segments[0]
 	wraw, err := os.ReadFile(first.Path)
 	if err != nil {
@@ -159,6 +172,6 @@ func TestInspectReportsCorruption(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("corrupt non-newest segment not in problems: %v", rep.Problems)
+		t.Fatalf("corrupt non-newest WAL not in problems: %v", rep.Problems)
 	}
 }

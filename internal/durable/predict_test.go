@@ -14,23 +14,19 @@ import (
 )
 
 // predictJobs is the observe count of the directory the prediction tests
-// damage: buildInspectDir's two epochs (checkpoint at the halfway mark), each
-// several 2 KiB segments long.
+// damage: buildInspectDir's two epochs (checkpoint at the halfway mark), one
+// WAL each.
 const predictJobs = 300
 
 // predictTrials is TestInspectPredictsOpen's trial count; -tags slow raises it.
 var predictTrials = 400
 
-// noteTruncates parses the byte count a segment Note says recovery drops.
+// noteTruncates parses the byte count a WAL's Note says recovery drops.
 func noteTruncates(t *testing.T, note string) int64 {
 	t.Helper()
 	var n, off int64
 	if i := strings.Index(note, "recovery truncates "); i >= 0 && strings.HasPrefix(note, "torn tail") {
 		if _, err := fmt.Sscanf(note[i:], "recovery truncates %d bytes past offset %d", &n, &off); err != nil {
-			t.Fatalf("unparseable note %q: %v", note, err)
-		}
-	} else if strings.HasPrefix(note, "preallocated tail") {
-		if _, err := fmt.Sscanf(note, "preallocated tail: %d zero bytes past offset %d", &n, &off); err != nil {
 			t.Fatalf("unparseable note %q: %v", note, err)
 		}
 	}
@@ -47,7 +43,7 @@ func checkInspectPredictsOpen(t *testing.T, dir string, fallback bool, label str
 	if err != nil {
 		t.Fatalf("%s: Inspect: %v", label, err)
 	}
-	d, openErr := Open(Options{Dir: dir, SyncCommit: true, SegmentBytes: 1 << 11})
+	d, openErr := Open(Options{Dir: dir, SyncCommit: true})
 	var rec Recovery
 	if openErr == nil {
 		rec = d.Recovery()
@@ -70,7 +66,7 @@ func checkInspectPredictsOpen(t *testing.T, dir string, fallback bool, label str
 			if s.Epoch >= newest.Epoch {
 				want += s.Jobs
 			}
-			truncated = noteTruncates(t, s.Note) // only the last segment carries one
+			truncated = noteTruncates(t, s.Note) // only the newest WAL carries one
 		}
 		if rec.Observed != want || rec.TruncatedBytes != truncated {
 			t.Fatalf("%s: dump predicts %d observes and %d bytes truncated, Open = %+v", label, want, truncated, rec)
@@ -84,8 +80,8 @@ func checkInspectPredictsOpen(t *testing.T, dir string, fallback bool, label str
 }
 
 // TestInspectPredictsOpen holds the dump and recovery to one reading of a
-// state directory. Each trial copies a clean two-epoch, multi-segment
-// directory, puts one fault in one file — cut at a random offset, one bit
+// state directory. Each trial copies a clean two-epoch directory, puts one
+// fault in one file — cut at a random offset, one bit
 // flipped, removed, or zero-extended — and checks checkInspectPredictsOpen's
 // contract. 400 trials here, 3 000 under -tags slow.
 func TestInspectPredictsOpen(t *testing.T) {
@@ -131,7 +127,7 @@ func TestInspectPredictsOpen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fallback := name == "checkpoint-0" || strings.HasPrefix(name, "wal-0")
+		fallback := name == "checkpoint-0" || name == "wal-0"
 		checkInspectPredictsOpen(t, dir, fallback, fmt.Sprintf("seed %d trial %d: %s %s", seed, trial, name, fault))
 		os.RemoveAll(dir)
 	}
@@ -160,18 +156,14 @@ func TestInspectPredictsOpen(t *testing.T) {
 	}
 }
 
-// TestNewestSegmentBadBaseFailsClosed: on the newest segment recovery repairs
+// TestNewestSegmentBadBaseFailsClosed: on the newest WAL recovery repairs
 // exactly two things, a header that never landed and a torn tail. A header
 // that parses but does not continue the chain, or a file that cannot be read,
 // is neither — Open must fail, naming the file and leaving it as it was, and
 // the dump must report the same file as corrupt.
 func TestNewestSegmentBadBaseFailsClosed(t *testing.T) {
 	clean, opts := buildInspectDir(t, predictJobs)
-	segs := segmentFiles(t, clean, 1)
-	if len(segs) < 2 {
-		t.Fatalf("need at least 2 segments in the newest epoch, have %d", len(segs))
-	}
-	newest, before := filepath.Base(segs[len(segs)-1]), filepath.Base(segs[len(segs)-2])
+	newest, before := "wal-1", "wal-0"
 	headerEnd := func(raw []byte) int { // magic, then a frame: length byte, payload, CRC
 		return len(walMagic) + 1 + int(raw[len(walMagic)]) + 4
 	}
@@ -181,6 +173,12 @@ func TestNewestSegmentBadBaseFailsClosed(t *testing.T) {
 		damage func(t *testing.T, dir string)
 	}{
 		{"the segment before it cut to its header", func(t *testing.T, dir string) {
+			// Without checkpoint-1, as a crash between the rotation to wal-1
+			// and the checkpoint's publish leaves it, recovery replays wal-0
+			// and then wal-1 on top of checkpoint-0.
+			if err := os.Remove(ckptPath(dir, 1)); err != nil {
+				t.Fatal(err)
+			}
 			path := filepath.Join(dir, before)
 			raw, err := os.ReadFile(path)
 			if err != nil {
@@ -242,7 +240,7 @@ func TestNewestSegmentBadBaseFailsClosed(t *testing.T) {
 			opts.Dir = dir
 			if d, err := Open(opts); err == nil {
 				d.Close()
-				t.Errorf("Open recovered %d of %d observes over a newest segment that does not chain", d.Recovery().Observed, predictJobs)
+				t.Errorf("Open recovered %d of %d observes over a newest WAL that does not chain", d.Recovery().Observed, predictJobs)
 			} else if !strings.Contains(err.Error(), newest) {
 				t.Errorf("Open's error does not name %s: %v", newest, err)
 			}

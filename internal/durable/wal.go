@@ -13,10 +13,7 @@ import (
 	"filecule/internal/trace"
 )
 
-// The write-ahead observe log. An epoch's log is a chain of segment files
-// — wal-<epoch> then wal-<epoch>.1, wal-<epoch>.2, … — each rolled when
-// the previous one crosses the size threshold. Every segment has the same
-// self-describing layout:
+// The write-ahead observe log: one file per epoch, wal-<epoch>, laid out as
 //
 //	"filecule-wal/v1\n"
 //	'H' header chunk: uvarint epoch, uvarint base observed-count
@@ -25,11 +22,10 @@ import (
 //	                  covering exactly that many files (order and
 //	                  duplicates preserved)
 //
-// A segment's base is the epoch base plus the jobs in the segments before
-// it, so replaying segments in order chains bases exactly like replaying
-// epochs does. A segment is fsynced before its successor is created;
-// recovery therefore tolerates a torn tail only on the newest epoch's last
-// segment and treats damage anywhere earlier as corruption.
+// An epoch's base is where the previous epoch's log ended, so replaying the
+// files in epoch order chains the bases. A file is fsynced and closed before
+// its successor is created; recovery therefore tolerates a torn tail only on
+// the newest file and treats damage anywhere earlier as corruption.
 //
 // There is no end chunk: the log is append-only and a clean EOF at a frame
 // boundary is the only well-formed ending. Every 'O' chunk is one group
@@ -138,31 +134,19 @@ func jobIDs(p *trace.Payload, dst []trace.FileID) []trace.FileID {
 	return dst
 }
 
-// walPosition places a freshly opened WAL file within its epoch's segment
-// chain, so the writer can name the next segment and stamp its base.
-type walPosition struct {
-	dir       string
-	epoch     uint64
-	seg       int   // segment index of the open file (0 is wal-<epoch>)
-	epochBase int64 // observed-count base of the epoch's first segment
-	epochJobs int64 // jobs already durably in this epoch (all segments)
-}
+// errClosed is what a closed log answers every later append and sync with.
+var errClosed = errors.New("durable: engine closed")
 
 // wal is the group-commit writer. It survives rotations: Checkpoint swaps
 // the underlying file while the committer goroutine and counters carry on.
-// The committer rolls to a new segment file when the current one crosses
-// segBytes (0 disables rolling).
 type wal struct {
 	strict   bool
 	interval time.Duration
-	segBytes int64
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	f           *os.File
 	path        string
-	pos         walPosition
-	fileBytes   int64          // logical append offset of the open segment (not the stat size, which preallocation inflates)
 	pendIDs     []trace.FileID // flat arena of the accumulating batch's file lists
 	pendLens    []int          // per-job list lengths within pendIDs
 	spareIDs    []trace.FileID // committer-returned buffers for the next batch
@@ -171,7 +155,7 @@ type wal struct {
 	writtenSeq  int64 // highest batch number handed to write()
 	syncedSeq   int64 // highest batch number durably on disk
 	writtenJobs int64 // jobs written since the last fsync
-	err         error // sticky: first write/sync failure poisons the log
+	err         error // sticky: the first write/sync failure, or errClosed, poisons the log
 
 	kick     chan struct{} // write the arena out (fsync only if strict)
 	kickSync chan struct{} // write and fsync everything appended so far
@@ -186,27 +170,21 @@ type wal struct {
 }
 
 // newWAL returns a writer over f (already positioned at its append point,
-// magic and header written) and starts the committer. fileBytes is the
-// logical append offset — the caller knows it exactly, and the stat size
-// cannot be trusted once segments are preallocated. segBytes <= 0 disables
-// segment rolling.
-func newWAL(f *os.File, path string, pos walPosition, fileBytes, segBytes int64, strict bool, interval time.Duration) *wal {
+// magic and header written) and starts the committer.
+func newWAL(f *os.File, path string, strict bool, interval time.Duration) *wal {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
 	w := &wal{
-		strict:    strict,
-		interval:  interval,
-		segBytes:  segBytes,
-		f:         f,
-		path:      path,
-		pos:       pos,
-		fileBytes: fileBytes,
-		seq:       1, // batch 0 is "already synced": nothing
-		kick:      make(chan struct{}, 1),
-		kickSync:  make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		strict:   strict,
+		interval: interval,
+		f:        f,
+		path:     path,
+		seq:      1, // batch 0 is "already synced": nothing
+		kick:     make(chan struct{}, 1),
+		kickSync: make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	go w.run()
@@ -285,31 +263,25 @@ func (w *wal) SyncNow() error {
 	return w.err
 }
 
-// Rotate seals the current segment — truncated to its logical length,
-// fsynced, closed — and only then has create make the new epoch's first
-// segment (magic and header written and synced; base is the new epoch's base
-// observed-count) and swaps it in. The order matters to a crash in between:
-// once the new epoch exists the old segment is no longer "newest", and
-// recovery treats a leftover preallocated zero tail below the newest segment
-// as fatal corruption. The caller must have quiesced appends and called
-// SyncNow. Any failure is sticky: a sealed log takes no more appends.
-func (w *wal) Rotate(epoch uint64, base int64, create func() (f *os.File, path string, fileBytes int64, err error)) error {
+// Rotate seals the current file — fsynced, closed — and only then has create
+// make the next epoch's file (see createWalFile) and swaps it in. The order
+// matters to a crash in between: once the new epoch exists the old file is no
+// longer "newest", and recovery treats any damage below the newest file as
+// corruption. The caller must have quiesced appends and called SyncNow. Any
+// failure is sticky: a sealed log takes no more appends.
+func (w *wal) Rotate(create func() (f *os.File, path string, err error)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if len(w.pendLens) != 0 {
 		return fmt.Errorf("durable: wal rotate with %d unsynced jobs pending", len(w.pendLens))
 	}
-	err := w.f.Truncate(w.fileBytes)
-	if serr := w.f.Sync(); err == nil {
-		err = serr
-	}
+	err := w.f.Sync()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		if f, path, fileBytes, cerr := create(); cerr == nil {
-			w.f, w.path, w.fileBytes = f, path, fileBytes
-			w.pos = walPosition{dir: w.pos.dir, epoch: epoch, epochBase: base}
+		if f, path, cerr := create(); cerr == nil {
+			w.f, w.path = f, path
 		} else {
 			err = cerr
 		}
@@ -320,24 +292,22 @@ func (w *wal) Rotate(epoch uint64, base int64, create func() (f *os.File, path s
 	return err
 }
 
-// Close stops the committer, flushes and syncs the final batch, trims the
-// preallocated tail so the file ends at its last frame, and closes the
-// file.
+// Close stops the committer, whose last flush writes and fsyncs every job
+// appended so far, closes the file, and leaves errClosed behind: every later
+// append or SyncNow returns it. The caller must have quiesced appends.
 func (w *wal) Close() error {
 	close(w.stop)
 	<-w.done
-	err := w.SyncNow()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if terr := w.f.Truncate(w.fileBytes); err == nil {
-		err = terr
-	}
-	if serr := w.f.Sync(); err == nil {
-		err = serr
-	}
+	err := w.err
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
+	if w.err == nil {
+		w.err = errClosed
+	}
+	w.cond.Broadcast()
 	return err
 }
 
@@ -420,52 +390,15 @@ func (w *wal) flush(sync bool) {
 		if n > 0 {
 			w.writtenSeq = seq
 			w.writtenJobs += int64(n)
-			w.pos.epochJobs += int64(n)
-			w.fileBytes += int64(len(full))
 		}
 		if sync {
 			w.syncedSeq = w.writtenSeq
 			w.synced.Add(w.writtenJobs)
 			w.writtenJobs = 0
 		}
-		if w.segBytes > 0 && w.fileBytes >= w.segBytes && w.err == nil {
-			w.roll()
-		}
 	}
 	w.cond.Broadcast()
 	w.mu.Unlock()
-}
-
-// roll closes out the current segment and opens the next one, under the
-// mutex so it cannot race a Rotate. The old segment is truncated to its
-// logical length and fsynced first — recovery treats damage in a non-last
-// segment as corruption, so a segment must be fully durable, with its
-// preallocated zero tail gone, before its successor exists on disk. That
-// fsync makes every written batch durable, so synced counters advance too.
-func (w *wal) roll() {
-	if err := w.f.Truncate(w.fileBytes); err != nil {
-		w.err = fmt.Errorf("durable: wal %s: %w", w.path, err)
-		return
-	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("durable: wal %s: %w", w.path, err)
-		return
-	}
-	w.syncedSeq = w.writtenSeq
-	w.synced.Add(w.writtenJobs)
-	w.writtenJobs = 0
-
-	f, path, logical, err := createWalSeg(w.pos.dir, w.pos.epoch, w.pos.seg+1, w.pos.epochBase+w.pos.epochJobs, w.segBytes)
-	if err != nil {
-		w.err = err
-		return
-	}
-	if err := w.f.Close(); err != nil && w.err == nil {
-		w.err = fmt.Errorf("durable: wal %s: %w", w.path, err)
-	}
-	w.f, w.path = f, path
-	w.pos.seg++
-	w.fileBytes = logical
 }
 
 // Err returns the sticky failure, if any.
@@ -475,58 +408,44 @@ func (w *wal) Err() error {
 	return w.err
 }
 
-// createWalFile creates an epoch's first segment, dir/wal-<epoch>.
-func createWalFile(dir string, epoch uint64, base, preBytes int64) (*os.File, string, int64, error) {
-	return createWalSeg(dir, epoch, 0, base, preBytes)
-}
-
-// createWalSeg creates segment seg of an epoch's WAL with magic and header
-// written and fsynced, and the directory entry fsynced, returning the open
-// file positioned for appends together with its logical size. base is the
-// observed-count the segment starts at: the epoch base plus the jobs in the
-// segments before it. preBytes > 0 preallocates that much backing store up
-// front so appends never stall on block allocation; a crash before the
-// header write leaves a file of zeros, which replay reports as errNoWalHeader
-// and recovery recreates.
-func createWalSeg(dir string, epoch uint64, seg int, base, preBytes int64) (*os.File, string, int64, error) {
-	path := walSegPath(dir, epoch, seg)
+// createWalFile creates dir/wal-<epoch> with magic and header written and
+// fsynced, and the directory entry fsynced, returning the open file
+// positioned for appends. base is the observed-count the epoch starts at. A
+// crash before the header is durable leaves a short or zero-filled file, which replay
+// reports as errNoWalHeader and recovery recreates.
+func createWalFile(dir string, epoch uint64, base int64) (*os.File, string, error) {
+	path := walPath(dir, epoch)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, "", 0, err
-	}
-	if preBytes > 0 {
-		// Best-effort: filesystems without fallocate just grow the file on
-		// demand, and the writer truncates back to the logical length when
-		// the segment is retired either way.
-		_ = preallocate(f, preBytes)
+		return nil, "", err
 	}
 	hdr := []byte{walKindHeader}
 	hdr = binary.AppendUvarint(hdr, epoch)
 	hdr = binary.AppendUvarint(hdr, uint64(base))
-	buf := trace.AppendChunk([]byte(walMagic), hdr)
-	if _, err := f.Write(buf); err == nil {
+	if _, err := f.Write(trace.AppendChunk([]byte(walMagic), hdr)); err == nil {
 		err = f.Sync()
 	}
 	if err != nil {
 		f.Close()
 		os.Remove(path)
-		return nil, "", 0, fmt.Errorf("durable: create %s: %w", path, err)
+		return nil, "", fmt.Errorf("durable: create %s: %w", path, err)
 	}
 	if err := syncDir(dir); err != nil {
 		f.Close()
-		return nil, "", 0, err
+		return nil, "", err
 	}
-	return f, path, int64(len(buf)), nil
+	return f, path, nil
 }
 
-// anyBase is the wantBase that accepts whatever base a segment's header
-// names: the dump's walk uses it to keep reporting past a break in the chain.
+// anyBase is the wantBase that accepts whatever base a WAL's header names:
+// the dump's walk uses it to keep reporting past a break in the chain.
 const anyBase = -1
 
 // errNoWalHeader marks the one replay failure recovery repairs by recreating
 // the file: the magic line or header chunk could not be read (short,
-// zero-filled, torn or CRC-failed), which is what a crash inside createWalSeg
-// leaves. A header that parses but names another epoch or base is not this.
+// zero-filled, torn or CRC-failed), which is what a crash inside
+// createWalFile leaves. A header that parses but names another epoch or base
+// is not this.
 var errNoWalHeader = errors.New("no readable WAL header")
 
 // noWalHeader wraps the cause so it matches errNoWalHeader and prints as
@@ -536,7 +455,7 @@ type noWalHeader struct{ error }
 func (e noWalHeader) Is(target error) bool { return target == errNoWalHeader }
 func (e noWalHeader) Unwrap() error        { return e.error }
 
-// walReplay is the only reader of a WAL segment. It streams path into apply
+// walReplay is the only reader of a WAL file. It streams path into apply
 // batch-atomically — a chunk's jobs are fully decoded and validated before any
 // is applied, so a corrupt chunk never half-applies — and describes the file:
 // size, the base its header names, the jobs applied, and validTo, the offset
