@@ -231,6 +231,17 @@ func TestBinRoutesAgree(t *testing.T) {
 	badChunk1[len(badChunk1)/2] ^= 0x20
 	crcThenTorn := joinFrames(fr[0], fr[1], badChunk1, fr[3], fr[4], fr[5])
 	crcThenTorn = crcThenTorn[:len(crcThenTorn)-1]
+	// The mapped fill reads the catalog's counts off its head before any
+	// checksum and decodes the catalog beside the job chunks: a fault past the
+	// head fails that queue item, one in the file count fails the decode.
+	badCatalog := bytes.Clone(fr[0])
+	badCatalog[len(badCatalog)/2] ^= 0x20
+	badFileCount := bytes.Clone(fr[0])
+	at := bytes.Index(badFileCount, []byte{1, 'u', 0, byte(len(tr.Files))}) // user "u" at site 0, then the file count
+	if at < 0 {
+		t.Fatal("no file count after the user record")
+	}
+	badFileCount[at+3]++
 
 	cases := []struct {
 		name string
@@ -244,6 +255,8 @@ func TestBinRoutesAgree(t *testing.T) {
 		{"torn tail, last byte", valid[:len(valid)-1], nil},
 		{"CRC in job chunk 1, then torn tail", crcThenTorn, nil},
 		{"CRC in the last of nine job chunks", lateCRCFault(t), nil},
+		{"CRC fault in the catalog frame", joinFrames(badCatalog, fr[1], fr[2], fr[3], fr[4], fr[5]), nil},
+		{"CRC fault in the catalog's file count", joinFrames(badFileCount, fr[1], fr[2], fr[3], fr[4], fr[5]), nil},
 		{"missing end chunk", joinFrames(fr[:last]...), nil},
 		{"duplicate catalog", joinFrames(fr[0], fr[1], fr[0], fr[2], fr[3], fr[4], fr[5]), nil},
 		{"mis-ordered chunk IDs", joinFrames(fr[0], fr[1], fr[3], fr[2], fr[4], fr[5]), nil},

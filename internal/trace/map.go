@@ -12,10 +12,10 @@ import (
 )
 
 // ReadFile's fast path. A regular filecule-bin/v1 file is mapped read-only
-// and its job chunks are decoded in place, out of order, by a small worker
-// pool that writes rows straight into one job slice sized from the chunk
-// headers — the one thing a stream cannot do, since it neither knows the job
-// total up front nor reaches chunk i without reading chunk i-1.
+// and its catalog and job chunks are decoded in place, out of order, by a
+// small worker pool that writes rows straight into one job slice sized from
+// the chunk headers — the one thing a stream cannot do, since it neither
+// knows the job total up front nor reaches chunk i without reading chunk i-1.
 //
 // The fast path has no error vocabulary of its own. Whatever it finds wrong —
 // a frame, a checksum, a catalog, a row layout that does not tile — it gives
@@ -25,25 +25,26 @@ import (
 //
 // Decoded traces do not alias the mapping (strings are copied on intern, file
 // lists live in exact-size heap arenas), so the file is unmapped before
-// ReadFile returns — and each region is released as soon as it is decoded: the
-// whole pages inside the catalog frame once the catalog is, and inside each
-// job chunk once its rows are filled, so the file's pages stay resident only
-// until the trace holds what they held. A fallback re-reads released pages
-// from the page cache.
+// ReadFile returns — and each region is released as soon as it is decoded:
+// the whole pages inside the catalog frame behind each pass over them, and
+// inside each job chunk once its rows are filled, so the file's pages stay
+// resident only until the trace holds what they held. A fallback re-reads
+// released pages from the page cache.
 
 // mapping is a mapped filecule-bin/v1 file with its chunk frames indexed and
-// its catalogs decoded.
+// the catalog's record counts read off its head.
 type mapping struct {
-	data  []byte
-	files []File
-	users []User
-	sites []Site
-	total int64 // job count declared by the end chunk
+	data    []byte
+	catalog mapChunk // the catalog payload
+	nFiles  int
+	nUsers  int
+	nSites  int
+	total   int64 // job count declared by the end chunk
 
 	chunks []mapChunk // the job chunks, in file order
 }
 
-// mapChunk locates one job-chunk payload inside the mapping; its CRC is
+// mapChunk locates one chunk payload inside the mapping; its CRC is
 // data[end:end+4].
 type mapChunk struct{ start, end int }
 
@@ -67,21 +68,40 @@ func crcCheck(data []byte, start, end int) bool {
 	return crc32.Checksum(data[start:end], binCRC) == binary.LittleEndian.Uint32(data[end:end+4])
 }
 
+// catalogCounts reads the site, user and file counts of a catalog payload,
+// stepping over the site and user records between them — a few hundred bytes
+// at the head of a payload of megabytes.
+func catalogCounts(p []byte) (nSites, nUsers, nFiles int, ok bool) {
+	b := &binBuf{b: p, pos: 1}
+	skipStr := func() { b.bytes(b.count("string length")) }
+	nSites = b.count("site")
+	for i := 0; i < nSites && b.err == nil; i++ {
+		skipStr()
+		skipStr()
+		b.uvarint()
+	}
+	nUsers = b.count("user")
+	for i := 0; i < nUsers && b.err == nil; i++ {
+		skipStr()
+		b.uvarint()
+	}
+	nFiles = b.count("file")
+	return nSites, nUsers, nFiles, b.err == nil
+}
+
 // newMapping indexes a mapped filecule-bin/v1 file: the catalog, the job
-// chunks, then exactly one end chunk and nothing after it. The catalog and
-// end chunks are checked and decoded here, the job chunks by the worker that
-// decodes them.
+// chunks, then exactly one end chunk and nothing after it. The end chunk is
+// checked and decoded here, the catalog and the job chunks by the workers
+// that decode them.
 func newMapping(data []byte) (*mapping, bool) {
 	start, end, pos, ok := mapFrame(data, len(binMagic))
-	if !ok || !crcCheck(data, start, end) {
+	if !ok || data[start] != binChunkKindCatalog {
 		return nil, false
 	}
-	m := &mapping{data: data}
-	var err error
-	if m.files, m.users, m.sites, err = decodeBinCatalog(data[start:end]); err != nil {
+	m := &mapping{data: data, catalog: mapChunk{start: start, end: end}}
+	if m.nSites, m.nUsers, m.nFiles, ok = catalogCounts(data[start:end]); !ok {
 		return nil, false
 	}
-	releasePages(data, start, end)
 	sawEnd := false
 	for pos < len(data) && !sawEnd {
 		if start, end, pos, ok = mapFrame(data, pos); !ok {
@@ -129,17 +149,20 @@ func (m *mapping) rowLayout() (first []int64, ok bool) {
 	return first, first[len(m.chunks)] == m.total
 }
 
-// readMapParallel decodes the job chunks with a worker pool: the row layout
-// sizes the job slice, and workers claim chunk indexes off an atomic cursor —
-// each checks its chunk's CRC, decodes it into its own column buffers and
-// interner, and writes the rows directly into place. ok is false if any
-// chunk fails.
+// readMapParallel decodes the catalog and the job chunks off one work queue:
+// the row layout sizes the job slice, and workers claim items off an atomic
+// cursor — the catalog first, then the job chunks in file order. Each checks
+// its item's CRC and decodes it: the catalog into the trace's catalogs, which
+// must hold the counts the job chunks were bounded by; a job chunk into the
+// worker's own column buffers and interner, its rows written directly into
+// place. ok is false if any item fails.
 func readMapParallel(m *mapping, first []int64) (*Trace, bool) {
-	t := &Trace{Files: m.files, Users: m.users, Sites: m.sites}
+	t := &Trace{}
 	if m.total > 0 {
 		t.Jobs = make([]Job, m.total)
 	}
-	workers := min(runtime.GOMAXPROCS(0), 8, len(m.chunks))
+	items := 1 + len(m.chunks)
+	workers := min(runtime.GOMAXPROCS(0), 8, items)
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
@@ -153,17 +176,24 @@ func readMapParallel(m *mapping, first []int64) (*Trace, bool) {
 			intern := newInterner()
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(m.chunks) {
+				if i >= items {
 					return
 				}
-				ch := m.chunks[i]
+				if i == 0 {
+					if !m.decodeCatalog(t) {
+						failed.Store(true)
+						return
+					}
+					continue
+				}
+				ch := m.chunks[i-1]
 				if !crcCheck(m.data, ch.start, ch.end) ||
-					c.decode(m.data[ch.start:ch.end], len(m.files), len(m.users), len(m.sites), intern, true) != nil ||
-					c.firstID != first[i] || int64(c.n) != first[i+1]-first[i] {
+					c.decode(m.data[ch.start:ch.end], m.nFiles, m.nUsers, m.nSites, intern, true) != nil ||
+					c.firstID != first[i-1] || int64(c.n) != first[i]-first[i-1] {
 					failed.Store(true)
 					return
 				}
-				rows := t.Jobs[first[i]:first[i+1]]
+				rows := t.Jobs[first[i-1]:first[i]]
 				for r := range rows {
 					c.fill(&rows[r], r)
 				}
@@ -173,6 +203,32 @@ func readMapParallel(m *mapping, first []int64) (*Trace, bool) {
 	}
 	wg.Wait()
 	return t, !failed.Load()
+}
+
+// decodeCatalog checks and decodes the catalog chunk into t. The job chunks
+// decode beside it, so the megabytes of the catalog frame are released behind
+// each of its three passes — the checksum, then decodeBinCatalog's two —
+// rather than held resident until the decode ends. ok is false if the
+// catalog fails or holds other counts than its head said.
+func (m *mapping) decodeCatalog(t *Trace) bool {
+	c := m.catalog
+	behind := func(done int) { releasePages(m.data, c.start, c.start+done) }
+	crc := uint32(0)
+	for at := c.start; at < c.end; at += 1 << 20 {
+		to := min(at+1<<20, c.end)
+		crc = crc32.Update(crc, binCRC, m.data[at:to])
+		behind(to - c.start)
+	}
+	if crc != binary.LittleEndian.Uint32(m.data[c.end:]) {
+		return false
+	}
+	files, users, sites, err := decodeBinCatalog(m.data[c.start:c.end], behind)
+	releasePages(m.data, c.start, c.end)
+	if err != nil || len(files) != m.nFiles || len(users) != m.nUsers || len(sites) != m.nSites {
+		return false
+	}
+	t.Files, t.Users, t.Sites = files, users, sites
+	return true
 }
 
 // readMapped materializes a mapped filecule-bin/v1 file: the parallel fill

@@ -89,7 +89,7 @@ func TestDecodeCatalogAllocatesWhatItKeeps(t *testing.T) {
 	payload := catalogPayload(t, n)
 	var files []File
 	var err error
-	got := allocatedBy(func() { files, _, _, err = decodeBinCatalog(payload) })
+	got := allocatedBy(func() { files, _, _, err = decodeBinCatalog(payload, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestDecodeCatalogRefusesHostileCount(t *testing.T) {
 	p = binary.AppendUvarint(p, claimed)
 	p = append(p, bytes.Repeat([]byte{0xff}, claimed)...) // passes the one-byte-per-element check only
 	var err error
-	got := allocatedBy(func() { _, _, _, err = decodeBinCatalog(p) })
+	got := allocatedBy(func() { _, _, _, err = decodeBinCatalog(p, nil) })
 	if err == nil || !strings.Contains(err.Error(), "catalog chunk") {
 		t.Fatalf("decodeBinCatalog error = %v, want a catalog chunk error", err)
 	}

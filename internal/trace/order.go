@@ -3,15 +3,16 @@ package trace
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 )
 
 // startOrder returns the positions 0..n-1 ordered by (start, position) — the
 // order a stable sort by start time produces — or nil when the jobs already
-// are in that order, which costs one scan and no allocation. It sorts 16-byte
-// keys that carry the position, so the order is total and no stable (or
-// reflective) sort is needed. Instants compare by wall clock.
+// are in that order, which costs one scan and no allocation. Instants compare
+// by wall clock. Starts less than 2³³ s (272 years) apart take the radix sort;
+// wider spans the comparison sort.
 func startOrder(n int, start func(int) time.Time) []int32 {
 	sorted := true
 	for i := 1; i < n && sorted; i++ {
@@ -20,6 +21,72 @@ func startOrder(n int, start func(int) time.Time) []int32 {
 	if sorted {
 		return nil
 	}
+	lo, hi := start(0).Unix(), start(0).Unix()
+	for i := 1; i < n; i++ {
+		s := start(i).Unix()
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	if !radixSpan(lo, hi) {
+		return compareStartOrder(n, start)
+	}
+	return radixStartOrder(n, lo, start)
+}
+
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
+// radixSpan reports whether starts from second lo to second hi are less than
+// 2³³ s apart, so that every key (sec-lo)<<30 | nsec fits 63 bits.
+func radixSpan(lo, hi int64) bool { return uint64(hi)-uint64(lo) < 1<<33 }
+
+// radixStartOrder orders the positions by the keys (sec-lo)<<30 | nsec, where
+// lo is the earliest start second and the span is one radixSpan admits, with
+// a least-significant-digit radix sort. It makes one counting pass per
+// 11-bit digit in which the keys differ, and none where they agree (the
+// nanoseconds of second-resolution starts, the high bits of any span). Each pass
+// is stable, and the positions start in order, so equal starts keep position
+// order.
+func radixStartOrder(n int, lo int64, start func(int) time.Time) []int32 {
+	keys, pos := make([]uint64, 2*n), make([]int32, 2*n)
+	src, dst := keys[:n], keys[n:]
+	from, to := pos[:n], pos[n:]
+	or, and := uint64(0), ^uint64(0)
+	for i := range src {
+		s := start(i)
+		k := uint64(s.Unix()-lo)<<30 | uint64(s.Nanosecond())
+		src[i], from[i] = k, int32(i)
+		or, and = or|k, and&k
+	}
+	varying := or ^ and
+	var count [1 << radixBits]int
+	for shift := bits.TrailingZeros64(varying); shift < 64 && varying>>shift != 0; shift += radixBits {
+		if varying>>shift&radixMask == 0 {
+			continue
+		}
+		clear(count[:])
+		for _, k := range src {
+			count[k>>shift&radixMask]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		for i, k := range src {
+			d := k >> shift & radixMask
+			dst[count[d]], to[count[d]] = k, from[i]
+			count[d]++
+		}
+		src, dst, from, to = dst, src, to, from
+	}
+	return from
+}
+
+// compareStartOrder orders the positions by sorting 16-byte keys that carry
+// the position, so the order is total and no stable (or reflective) sort is
+// needed.
+func compareStartOrder(n int, start func(int) time.Time) []int32 {
 	type key struct {
 		sec       int64
 		nsec, pos int32

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -151,6 +153,75 @@ func FuzzRequestOrder(f *testing.F) {
 		}
 		checkOrdering(t, orderCaseJobs(data))
 	})
+}
+
+// TestRadixOrderMatchesComparison is the differential between the two ways
+// startOrder orders starts: the radix sort, on every list whose span admits
+// it, must give the comparison sort's order, ties in position order; startOrder
+// itself must give it on every list.
+func TestRadixOrderMatchesComparison(t *testing.T) {
+	check := func(name string, starts []time.Time) {
+		t.Helper()
+		n := len(starts)
+		at := func(i int) time.Time { return starts[i] }
+		want := compareStartOrder(n, at)
+		got := startOrder(n, at)
+		if got == nil { // already in order
+			got = make([]int32, n)
+			for i := range got {
+				got[i] = int32(i)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: startOrder = %v, comparison sort %v", name, got, want)
+		}
+		if n == 0 {
+			return
+		}
+		lo, hi := starts[0].Unix(), starts[0].Unix()
+		for _, s := range starts {
+			lo, hi = min(lo, s.Unix()), max(hi, s.Unix())
+		}
+		if radixSpan(lo, hi) {
+			if r := radixStartOrder(n, lo, at); !slices.Equal(r, want) {
+				t.Errorf("%s: radix order = %v, comparison sort %v", name, r, want)
+			}
+		}
+	}
+	check("no starts", nil)
+	check("one start", []time.Time{time.Unix(7, 0)})
+
+	r := rand.New(rand.NewSource(33))
+	random := func(n int, at func() time.Time) []time.Time {
+		s := make([]time.Time, n)
+		for i := range s {
+			s[i] = at()
+		}
+		return s
+	}
+	for round := 0; round < 50; round++ {
+		n := 2 + r.Intn(300)
+		check("ties", random(n, func() time.Time { return time.Unix(1e9+r.Int63n(4), 0) }))
+		check("sub-second", random(n, func() time.Time { return time.Unix(1e9+r.Int63n(3), r.Int63n(1e9)) }))
+		check("pre-1970", random(n, func() time.Time { return time.Unix(r.Int63n(2e4)-1e4, r.Int63n(1e9)) }))
+		check("year-long, whole seconds", random(n, func() time.Time { return time.Unix(1e9+r.Int63n(365*86400), 0) }))
+	}
+
+	// The widest span the radix sort takes, 2³³-1 s and nearly a second more
+	// from the earliest start to the latest, and the narrowest it does not.
+	const span = int64(1) << 33
+	for _, lo := range []int64{-1 << 40, -span / 2, 0, 1e9} {
+		edge := []time.Time{time.Unix(lo+span-1, 999_999_999), time.Unix(lo, 0), time.Unix(lo+span-1, 0),
+			time.Unix(lo, 1), time.Unix(lo, 0), time.Unix(lo+span/2, 5)}
+		check(fmt.Sprintf("span 2^33-1 s from %d", lo), edge)
+		if !radixSpan(lo, lo+span-1) || radixSpan(lo, lo+span) {
+			t.Errorf("from %d: radixSpan admits a span of 2^33 s or refuses one of 2^33-1 s", lo)
+		}
+		check(fmt.Sprintf("span 2^33 s from %d", lo), append(edge, time.Unix(lo+span, 0), time.Unix(lo+span/3, 0)))
+	}
+	if radixSpan(math.MinInt64, math.MaxInt64) {
+		t.Error("radixSpan admits the whole int64 range")
+	}
 }
 
 // TestRequestsAllocatesItsResult: the merge writes into one exact-size slice;
