@@ -11,9 +11,9 @@ BENCHDIR ?= .bench
 # identification engine's observe/snapshot pairs, the serving hot path, the
 # trace-codec decode pair and encoder, and the cold path before the first
 # answer (generate, order jobs, merge requests — gated on B/op and allocs/op
-# only).
+# only), and batch identification, the step after it.
 # The Large sweep variants are excluded by the $$ anchors.
-BENCHPAT ?= SweepEngine$$|SweepSequential$$|CacheReplay|Server|Observe|Snapshot|DecodeText$$|DecodeBin$$|EncodeBin$$|DecodeMmap$$|DecodeKV$$|BinIterate$$|ServeTCP|GenerateWorkload$$|RequestStream$$|SortJobsByStart$$
+BENCHPAT ?= SweepEngine$$|SweepSequential$$|CacheReplay|Server|Observe|Snapshot|DecodeText$$|DecodeBin$$|EncodeBin$$|DecodeMmap$$|DecodeKV$$|BinIterate$$|ServeTCP|GenerateWorkload$$|RequestStream$$|SortJobsByStart$$|IdentifyBatch$$
 BENCH_TOLERANCE ?= 0.15
 # Pinned linter versions, run via `go run` so go.mod stays dependency-free.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
@@ -41,12 +41,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# ReadFile's decode queue sizes its worker pool from GOMAXPROCS, and its
-# output may not depend on it: the trace codec and order tests and the
-# generator goldens at one, two and four Ps, whatever the runner's core count.
+# ReadFile's decode queue sizes its worker pool from GOMAXPROCS, and Generate
+# builds its file catalog on a goroutine beside the job draws; neither output
+# may depend on the scheduler: the trace codec and order tests, every
+# generator test (goldens included) and batch identification and Combine at
+# one, two and four Ps, whatever the runner's core count.
 cpu-matrix:
 	$(GO) test -cpu 1,2,4 ./internal/trace
-	$(GO) test -cpu 1,2,4 -run TestGeneratorGoldens ./internal/synth
+	$(GO) test -cpu 1,2,4 ./internal/synth
+	$(GO) test -cpu 1,2,4 -run 'Identify|Combine' ./internal/core
 
 # Static analysis beyond vet plus known-vulnerability scanning. Run via
 # `go run pkg@version` (needs network on first use; the module cache keeps
@@ -67,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMmapDecode -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzRequestOrder -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzEnginePrefix -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzIdentify -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzServerHandlers -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzAdviseConsistency -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) ./internal/durable

@@ -151,6 +151,7 @@ func BenchmarkSortJobsByStart(b *testing.B) {
 
 func BenchmarkIdentifyBatch(b *testing.B) {
 	t := benchRunner.Trace()
+	b.ReportAllocs()
 	b.ReportMetric(float64(t.NumRequests()), "requests")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

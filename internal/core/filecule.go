@@ -279,8 +279,11 @@ func (p *Partition) Equal(q *Partition) bool {
 
 // Identify computes the filecule partition of an entire trace using batch
 // signature grouping: each file's signature is the exact set of job IDs that
-// requested it, and files are grouped by equal signatures. Memory and time
-// are linear in the total number of (job, file) request pairs.
+// requested it, and files are grouped by equal signatures. Time is linear in
+// the total number of (job, file) request pairs, and memory is O(distinct
+// files + requests): per-file state lives in pages addressed by the FileID,
+// so a file costs at most one 16 KiB page and a 4 KiB directory wherever its
+// ID lies, and a dense catalog 16 B a file.
 func Identify(t *trace.Trace) *Partition {
 	jobs := make([]trace.JobID, len(t.Jobs))
 	for i := range jobs {
@@ -293,12 +296,14 @@ func Identify(t *trace.Trace) *Partition {
 // jobs — the partial-knowledge identification of Section 6. Files requested
 // by none of the jobs are not covered. The result is canonical.
 //
-// Files intern to dense slots in first-seen order, every slot's ascending
-// list of distinct requesting jobs is laid out in one array (CSR: a counting
-// pass sizes the lists, a second fills them), and slots with equal lists are
-// grouped by hash with an exact comparison behind every match. Memory is
-// O(distinct files + requests) whatever the ID values, and only t.Jobs is
-// read: a trace without a file catalog identifies like any other.
+// Every file's state sits at its FileID in a paged table. A counting pass
+// sizes each file's ascending list of distinct requesting jobs; walking the
+// touched pages in int32 order lays the lists out in one array (CSR), and a
+// second pass fills them. Files with equal lists are then grouped by hash,
+// with an exact comparison behind every match, walking files in that same
+// ID order: each filecule's members come out ascending and the filecules in
+// canonical order, with no sort. Only t.Jobs is read: a trace without a file
+// catalog identifies like any other.
 func IdentifyJobs(t *trace.Trace, jobs []trace.JobID) *Partition {
 	// Ascending distinct jobs: visiting them in order leaves every list
 	// sorted, which is what makes equal sets equal sequences.
@@ -306,95 +311,107 @@ func IdentifyJobs(t *trace.Trace, jobs []trace.JobID) *Partition {
 	slices.Sort(jobs)
 	jobs = slices.Compact(jobs)
 
-	type slot struct {
-		end  int    // list length, then fill cursor, finally the list's end in lists
-		hash uint64 // running hash of the list
-		mark int32  // last job counted (+k) or filled (-k), then the group
-	}
-	var (
-		intern fileIndex // file -> 1+slot
-		slots  []slot
-		fileOf []trace.FileID
-	)
 	// Both passes count a job's repeats of a file once: k is 1 + the job's
-	// rank, so no mark left by one pass reads as current in the other.
+	// rank, so no mark left by one pass reads as current in the other. A
+	// job's files come in dataset runs of nearby IDs, so each pass keeps the
+	// last page it touched.
+	st := new(fileStates)
+	const noPage = ^uint32(0) // page numbers have 32-stPageBits bits
+	lastP, pg := noPage, (*statePage)(nil)
+	nFiles := 0
 	for i, id := range jobs {
 		k := int32(i) + 1
 		for _, f := range t.Jobs[id].Files {
-			c := intern.cell(f)
-			if *c == 0 {
-				slots = append(slots, slot{})
-				fileOf = append(fileOf, f)
-				*c = int32(len(slots))
+			if p := uint32(f) >> stPageBits; p != lastP {
+				lastP, pg = p, st.page(p)
 			}
-			if sl := &slots[*c-1]; sl.mark != k {
-				sl.mark = k
-				sl.end++
+			if e := &pg[uint32(f)&(1<<stPageBits-1)]; e.mark != k {
+				if e.mark == 0 {
+					nFiles++
+				}
+				e.mark = k
+				e.end++
 			}
 		}
 	}
-	total := 0
-	for i := range slots {
-		n := slots[i].end
-		slots[i].end = total
-		total += n
+	pages := st.pages()
+	total := int32(0)
+	for _, at := range pages {
+		for o := range at.pg {
+			e := &at.pg[o]
+			n := e.end
+			e.end = total
+			total += n
+		}
 	}
 	lists := make([]int32, total)
+	lastP = noPage
 	for i, id := range jobs {
 		k := int32(i) + 1
 		for _, f := range t.Jobs[id].Files {
-			if sl := &slots[intern.get(f)-1]; sl.mark != -k {
-				sl.mark = -k
-				lists[sl.end] = k
-				sl.end++
-				sl.hash = (sl.hash ^ uint64(k)) * 0x100000001b3
+			if p := uint32(f) >> stPageBits; p != lastP {
+				lastP, pg = p, st.page(p)
 			}
-		}
-	}
-	list := func(s int32) []int32 {
-		if s == 0 {
-			return lists[:slots[0].end]
-		}
-		return lists[slots[s-1].end:slots[s].end]
-	}
-
-	// Group slots with equal lists: an open-addressing table over group
-	// representatives, at most half full.
-	tab := make([]int32, 1<<bits.Len(uint(2*len(slots)))) // 1+representative slot
-	var fcs []Filecule
-	var sizes []int // members per group
-	for s := range slots {
-		sl := &slots[s]
-		for h := mix64(sl.hash); ; h++ {
-			e := &tab[h&uint64(len(tab)-1)]
-			if *e == 0 {
-				*e = int32(s) + 1
-				sl.mark = int32(len(fcs))
-				fcs = append(fcs, Filecule{Requests: len(list(int32(s)))})
-				sizes = append(sizes, 1)
-				break
-			}
-			if r := &slots[*e-1]; r.hash == sl.hash && slices.Equal(list(*e-1), list(int32(s))) {
-				sl.mark = r.mark
-				sizes[r.mark]++
-				break
+			if e := &pg[uint32(f)&(1<<stPageBits-1)]; e.mark != -k {
+				e.mark = -k
+				lists[e.end] = k
+				e.end++
+				e.hash = (e.hash ^ uint64(k)) * 0x100000001b3
 			}
 		}
 	}
 
-	// One arena holds every member list, each at its exact size.
-	arena := make([]trace.FileID, len(slots))
+	// Group files with equal lists in ID order: an open-addressing table
+	// over groups, at most half full. A file's list starts where the
+	// previous touched file's ends, and its mark becomes 1 + its group.
+	type group struct {
+		hash   uint64
+		lo, hi int32 // the first member's list
+		n      int32 // members
+	}
+	tab := make([]int32, 1<<bits.Len(uint(2*nFiles))) // 1+group
+	var groups []group
+	lo := int32(0)
+	for _, at := range pages {
+		for o := range at.pg {
+			e := &at.pg[o]
+			if e.mark == 0 {
+				continue
+			}
+			hi := e.end
+			for h := mix64(e.hash); ; h++ {
+				c := &tab[h&uint64(len(tab)-1)]
+				if *c == 0 {
+					groups = append(groups, group{hash: e.hash, lo: lo, hi: hi})
+					*c = int32(len(groups))
+				} else if g := &groups[*c-1]; g.hash != e.hash || !slices.Equal(lists[g.lo:g.hi], lists[lo:hi]) {
+					continue
+				}
+				e.mark = *c
+				groups[*c-1].n++
+				break
+			}
+			lo = hi
+		}
+	}
+
+	// One arena holds every member list, each at its exact size; walking
+	// the files in ID order again fills each list ascending.
+	fcs := make([]Filecule, len(groups))
+	arena := make([]trace.FileID, nFiles)
 	off := 0
-	for g, n := range sizes {
-		fcs[g].Files = arena[off : off : off+n]
+	for g := range groups {
+		n := int(groups[g].n)
+		fcs[g] = Filecule{Files: arena[off : off : off+n], Requests: int(groups[g].hi - groups[g].lo)}
 		off += n
 	}
-	for s := range slots {
-		fc := &fcs[slots[s].mark]
-		fc.Files = append(fc.Files, fileOf[s])
+	for _, at := range pages {
+		for o := range at.pg {
+			if m := at.pg[o].mark; m != 0 {
+				fc := &fcs[m-1]
+				fc.Files = append(fc.Files, at.base+trace.FileID(o))
+			}
+		}
 	}
-	for g := range fcs {
-		slices.Sort(fcs[g].Files)
-	}
-	return NewPartition(fcs)
+	return newCanonicalPartition(fcs)
 }

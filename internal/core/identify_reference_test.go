@@ -215,3 +215,86 @@ func TestValidateRejectsSharedFile(t *testing.T) {
 		t.Error("Validate accepted a partition with file 5 in two filecules")
 	}
 }
+
+// fuzzIDBases are the ID ranges FuzzIdentify's file bytes land in: both ends
+// of the int32 space, the sign change, and fileIndex and page boundaries, so
+// jobs mix negative, sparse and neighbouring IDs.
+var fuzzIDBases = [...]int64{
+	math.MinInt32, -1 << 21, -1032, -8, 0, 1016, 8184, 1 << 13, 1<<21 - 8,
+	1 << 22, 1<<31 - 1<<21, math.MaxInt32 - 15, 3, 4096 + 7, -(1 << 30),
+}
+
+// decodeIdentifyFuzz turns fuzzer bytes into a catalogless trace and a job
+// subset. A byte below 0xF0 adds file fuzzIDBases[b>>4] + b&0xF to the
+// current job (repeats are legal); a byte from 0xF0 ends the job, and its low
+// bits decide whether the job joins the subset, twice, and at which end, so
+// the subset repeats IDs in no order.
+func decodeIdentifyFuzz(data []byte) (*trace.Trace, []trace.JobID) {
+	if len(data) > 512 {
+		data = data[:512]
+	}
+	tr := &trace.Trace{}
+	var sub []trace.JobID
+	var cur []trace.FileID
+	end := func(b byte) {
+		id := trace.JobID(len(tr.Jobs))
+		tr.Jobs = append(tr.Jobs, trace.Job{ID: id, Files: cur})
+		cur = nil
+		for n := int(b&1) + int(b>>1&1); n > 0; n-- {
+			if b&4 != 0 {
+				sub = append([]trace.JobID{id}, sub...)
+			} else {
+				sub = append(sub, id)
+			}
+		}
+	}
+	for _, b := range data {
+		if b >= 0xF0 {
+			end(b)
+			continue
+		}
+		cur = append(cur, trace.FileID(fuzzIDBases[b>>4]+int64(b&0xF)))
+	}
+	end(0xFF)
+	return tr, sub
+}
+
+// FuzzIdentify holds IdentifyJobs to the reference over the whole trace and
+// over a subset, on file IDs anywhere in the int32 space.
+func FuzzIdentify(f *testing.F) {
+	f.Add([]byte{0x40, 0x41, 0xF0, 0x40, 0xF1, 0x00, 0xE0, 0x30, 0xF7})
+	f.Add([]byte{0x00, 0x10, 0x20, 0x30, 0xF3, 0x30, 0x20, 0x30, 0xF5, 0xF6})
+	f.Add([]byte{0x5F, 0x60, 0x6F, 0x70, 0xF2, 0x5F, 0x70, 0xFD, 0xB0, 0xBF, 0xC0, 0xD0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, sub := decodeIdentifyFuzz(data)
+		for _, jobs := range [][]trace.JobID{allJobs(tr), sub} {
+			got := IdentifyJobs(tr, jobs)
+			if err := got.Validate(); err != nil {
+				t.Fatalf("jobs %v: %v", jobs, err)
+			}
+			if want := identifyReference(tr, jobs); !got.Equal(want) {
+				t.Fatalf("jobs %v: IdentifyJobs = %+v, reference = %+v", jobs, got.Filecules, want.Filecules)
+			}
+		}
+	})
+}
+
+// TestIdentifySparseMemory: 1 000 files spaced 2^21 apart, each alone on its
+// page, cost Identify no more than the 35 309 448 bytes the first-seen-slot
+// identifier allocated for the same trace, at either end of the ID space.
+func TestIdentifySparseMemory(t *testing.T) {
+	for _, base := range []int64{0, math.MinInt32} {
+		files := make([]trace.FileID, 1000)
+		for i := range files {
+			files[i] = trace.FileID(base + int64(i)<<21)
+		}
+		tr := &trace.Trace{Jobs: []trace.Job{{ID: 0, Files: files}, {ID: 1, Files: files[:500]}}}
+		var p *Partition
+		if got := allocatedBy(func() { p = Identify(tr) }); got > 35309448 {
+			t.Errorf("base %d: Identify allocated %d bytes, want <= 35309448", base, got)
+		}
+		if p.NumFilecules() != 2 || p.NumFiles() != 1000 {
+			t.Errorf("base %d: %d filecules over %d files, want 2 over 1000", base, p.NumFilecules(), p.NumFiles())
+		}
+	}
+}

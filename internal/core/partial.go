@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"filecule/internal/trace"
-)
+import "filecule/internal/trace"
 
 // This file implements the partial-knowledge analysis of Section 6: when
 // filecule identification runs at a single site (seeing only that site's job
@@ -13,11 +9,12 @@ import (
 // submits the closer its view is to the truth.
 
 // IdentifyDomain identifies filecules from only the jobs submitted by sites
-// in the given domain.
+// in the given domain. A job whose Site lies outside t.Sites — every job of a
+// trace without a site catalog — belongs to no domain.
 func IdentifyDomain(t *trace.Trace, domain string) *Partition {
 	var jobs []trace.JobID
 	for i := range t.Jobs {
-		if t.Sites[t.Jobs[i].Site].Domain == domain {
+		if s := t.Jobs[i].Site; s >= 0 && int(s) < len(t.Sites) && t.Sites[s].Domain == domain {
 			jobs = append(jobs, t.Jobs[i].ID)
 		}
 	}
@@ -137,44 +134,49 @@ func sameFiles(a, b []trace.FileID) bool {
 // summed. This models sites pooling their observations — more information
 // can only refine the partition, bringing it closer to the global truth.
 // Files covered by only one view keep that view's grouping.
+//
+// One walk over both views' file indexes in ID order keys every covered file
+// by its pair of filecules: groups are born in order of their smallest member
+// and fill ascending, so the result is canonical with no sort.
 func Combine(a, b *Partition) *Partition {
-	type key struct{ ia, ib int }
-	groups := make(map[key][]trace.FileID)
-	reqs := make(map[key]int)
-	seen := make(map[trace.FileID]struct{})
-
-	add := func(f trace.FileID, ia, ib int, r int) {
-		if _, dup := seen[f]; dup {
-			return
+	xa, xb := a.index(), b.index()
+	type key struct{ ia, ib int32 } // 1 + filecule in a and in b, 0 if none
+	group := make(map[key]int32)
+	var fcs []Filecule
+	n := len(xa.top)
+	for i := range n {
+		t := (i + n/2) & (n - 1) // negative IDs first
+		if xa.top[t] == nil && xb.top[t] == nil {
+			continue
 		}
-		seen[f] = struct{}{}
-		k := key{ia, ib}
-		groups[k] = append(groups[k], f)
-		reqs[k] = r
-	}
-
-	for i := range a.Filecules {
-		for _, f := range a.Filecules[i].Files {
-			ib := b.Of(f)
-			r := a.Filecules[i].Requests
-			if ib >= 0 {
-				r += b.Filecules[ib].Requests
+		for d := range 1 << idxDirBits {
+			pa, pb := xa.pageAt(t, d), xb.pageAt(t, d)
+			if pa == &zeroPage && pb == &zeroPage {
+				continue
 			}
-			add(f, i, ib, r)
-		}
-	}
-	for i := range b.Filecules {
-		for _, f := range b.Filecules[i].Files {
-			if a.Of(f) < 0 {
-				add(f, -1, i, b.Filecules[i].Requests)
+			base := trace.FileID(t<<(idxDirBits+idxPageBits) | d<<idxPageBits)
+			for o := range pa {
+				k := key{pa[o], pb[o]}
+				if k == (key{}) {
+					continue
+				}
+				g, ok := group[k]
+				if !ok {
+					g = int32(len(fcs))
+					group[k] = g
+					fcs = append(fcs, Filecule{Requests: requestsOf(a, k.ia) + requestsOf(b, k.ib)})
+				}
+				fcs[g].Files = append(fcs[g].Files, base+trace.FileID(o))
 			}
 		}
 	}
+	return newCanonicalPartition(fcs)
+}
 
-	fcs := make([]Filecule, 0, len(groups))
-	for k, files := range groups {
-		sort.Slice(files, func(x, y int) bool { return files[x] < files[y] })
-		fcs = append(fcs, Filecule{Files: files, Requests: reqs[k]})
+// requestsOf is the request count of filecule i-1 of p, 0 for i = 0.
+func requestsOf(p *Partition, i int32) int {
+	if i == 0 {
+		return 0
 	}
-	return NewPartition(fcs)
+	return p.Filecules[i-1].Requests
 }

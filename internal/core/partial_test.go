@@ -161,3 +161,23 @@ func TestCoarsensRejectsSplit(t *testing.T) {
 		t.Error("true coarsening rejected")
 	}
 }
+
+// TestIdentifyDomainWithoutSites: a job whose Site is outside t.Sites —
+// every job of a catalogless trace — belongs to no domain, as Identify
+// accepts such traces.
+func TestIdentifyDomainWithoutSites(t *testing.T) {
+	tr := &trace.Trace{Jobs: []trace.Job{
+		{ID: 0, Files: []trace.FileID{1, 2}},
+		{ID: 1, Site: 3, Files: []trace.FileID{2}},
+		{ID: 2, Site: -1, Files: []trace.FileID{4}},
+	}}
+	if p := IdentifyDomain(tr, ""); p.NumFilecules() != 0 {
+		t.Errorf("catalogless trace: %d filecules in domain \"\", want 0", p.NumFilecules())
+	}
+	tr.Sites = []trace.Site{{ID: 0, Name: "fnal", Domain: ".gov"}}
+	p := IdentifyDomain(tr, ".gov")
+	want := NewPartition([]Filecule{{Files: []trace.FileID{1, 2}, Requests: 1}})
+	if !p.Equal(want) {
+		t.Errorf("IdentifyDomain(.gov) = %+v, want only job 0's files", p.Filecules)
+	}
+}

@@ -28,7 +28,13 @@ func NewLognormal(mu, sigma float64) Lognormal {
 
 // Sample draws one variate.
 func (l Lognormal) Sample(r *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
+	return l.FromNormal(r.NormFloat64())
+}
+
+// FromNormal returns the variate Sample yields when its standard normal draw
+// is z, so a caller can draw now and exponentiate later, elsewhere.
+func (l Lognormal) FromNormal(z float64) float64 {
+	return math.Exp(l.Mu + l.Sigma*z)
 }
 
 // Mean returns the analytic mean exp(mu + sigma^2/2).

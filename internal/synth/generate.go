@@ -25,13 +25,15 @@ func Generate(cfg Config) (*trace.Trace, error) {
 	for _, ph := range phases {
 		n += ph.n
 	}
-	t := g.catalog
-	t.Jobs = make([]trace.Job, 0, n)
+	jobs := make([]trace.Job, 0, n)
 	for _, ph := range phases {
 		for k := 0; k < ph.n; k++ {
-			t.Jobs = append(t.Jobs, ph.make())
+			jobs = append(jobs, ph.make())
 		}
 	}
+	g.joinCatalog()
+	t := g.catalog
+	t.Jobs = jobs
 	t.SortJobsByStart()
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: generated invalid trace: %w", err)
@@ -40,15 +42,18 @@ func Generate(cfg Config) (*trace.Trace, error) {
 }
 
 // newGenerator validates the config and runs every setup phase: catalogs,
-// datasets, interest lists and arrival profile. After it returns, the file,
-// user and site catalogs are complete (the hot case-study files included) and
-// only job emission — via jobPhases — remains. None of the phase constructors
-// draw from the RNG, so jobs pulled lazily see exactly the draw sequence
-// Generate's eager loops see.
+// datasets, interest lists and arrival profile. After it returns, the user
+// and site catalogs are complete, every file ID (the hot case-study files
+// included) is handed out, and only job emission — via jobPhases — remains.
+// The file catalog itself — sizes from the recorded variates, names — is
+// built on its own goroutine while jobs are drawn; joinCatalog waits for it.
+// None of the phase constructors draw from the RNG, so jobs pulled lazily see
+// exactly the draw sequence Generate's eager loops see.
 //
 // The rule for every change here: no draw moves. What is drawn, from which
 // sampler, in which order decides the trace; how names are formatted, slices
-// sized or duplicates detected must not (TestGeneratorGoldens).
+// sized, duplicates detected or on which goroutine a drawn value is turned
+// into a size must not (TestGeneratorGoldens).
 func newGenerator(cfg Config) (*generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -67,14 +72,13 @@ func newGenerator(cfg Config) (*generator, error) {
 	// Hot files are created directly after the datasets: the job loops
 	// between here and plantHotFilecule's original position create no
 	// files and the creation draws no randomness, so IDs and RNG state
-	// are unchanged — but the catalog is complete before any job exists.
+	// are unchanged — but every file ID exists before any job does.
 	g.plantHotFiles()
-	// The catalog was pre-sized from the tier targets: keep what it holds,
-	// not the slack.
-	if files := g.catalog.Files; cap(files) > len(files) {
-		g.catalog.Files = make([]trace.File, len(files))
-		copy(g.catalog.Files, files)
-	}
+	files := make(chan []trace.File, 1)
+	go func(datasets [][]dataset, z []float64, hot int) {
+		files <- fileCatalog(g.cfg, datasets, z, hot)
+	}(g.datasets, g.sizeZ, len(g.hotFiles))
+	g.files, g.sizeZ = files, nil
 	g.buildInterests()
 	g.buildDayChooser()
 	return g, nil
@@ -150,6 +154,17 @@ type generator struct {
 	// hotFiles are the planted case-study files (empty when the hot
 	// filecule is disabled).
 	hotFiles []trace.FileID
+
+	// nFiles counts the file IDs handed out. sizeZ holds, per dataset file
+	// in ID order, the normal variate its size was drawn as, until the
+	// catalog goroutine takes it; files delivers that goroutine's catalog.
+	nFiles int
+	sizeZ  []float64
+	files  <-chan []trace.File
+
+	// jobZipf[n] and interestZipf[n] are the rank samplers over n interest
+	// entries and over a region's n datasets, made on first use (see zipf).
+	jobZipf, interestZipf []dist.Zipf
 
 	// jobFiles' reused buffers: the assembled list and the datasets picked.
 	fileScratch   []trace.FileID
@@ -255,17 +270,13 @@ func (g *generator) buildDatasets() {
 	c := g.cfg
 	g.datasets = make([][]dataset, len(c.Tiers))
 	g.regionDatasets = make([][][]int, len(c.Tiers))
-	// Size the catalog from the tier targets (the realised count is within a
-	// few percent of them at bench scales) so it is not grown by doubling.
-	want := 2 // the hot files
+	// Size the variates from the tier targets (the realised count is within a
+	// few percent of them at bench scales) so they are not grown by doubling.
+	want := 0
 	for t := range c.Tiers {
 		want += scaleCount(c.Tiers[t].Files, c.Scale, 0)
 	}
-	g.catalog.Files = make([]trace.File, 0, want+want/16)
-	var name []byte
-	// File names are written into arena blocks rather than allocated one by
-	// one: a string per file is half a million allocations at scale 0.5.
-	var names strings.Builder
+	g.sizeZ = make([]float64, 0, want+want/16)
 	for t := range c.Tiers {
 		tp := &c.Tiers[t]
 		filesTarget := int(math.Round(float64(tp.Files) * c.Scale))
@@ -274,20 +285,72 @@ func (g *generator) buildDatasets() {
 			nDatasets = 1
 		}
 		nFiles := dist.LognormalFromMean(c.MeanFilesPerDataset, c.FilesPerDatasetSigma)
-		size := dist.LognormalFromMean(tp.MeanFileSizeMB, tp.FileSizeSigma)
 		g.regionDatasets[t] = make([][]int, c.InterestRegions)
 		for ds := 0; ds < nDatasets; ds++ {
 			n := dist.ClampInt(nFiles.Sample(g.rng), 1, 5000)
 			d := dataset{region: g.rng.Intn(c.InterestRegions), files: make([]trace.FileID, n)}
-			name = fmt.Appendf(name[:0], "t%d-d%d-f", t, ds)
 			for k := range d.files {
-				mb := size.Sample(g.rng)
-				bytes := dist.ClampInt64(mb*(1<<20), 1<<20, int64(tp.MaxFileSizeMB*(1<<20)))
-				d.files[k] = g.addFile(arenaString(&names, strconv.AppendInt(name, int64(k), 10)), bytes, tp.Tier)
+				// The draw a file's size.Sample would take; fileCatalog
+				// turns it into the size.
+				g.sizeZ = append(g.sizeZ, g.rng.NormFloat64())
+				d.files[k] = g.newFileID()
 			}
 			g.datasets[t] = append(g.datasets[t], d)
 			g.regionDatasets[t][d.region] = append(g.regionDatasets[t][d.region], ds)
 		}
+	}
+}
+
+// newFileID hands out the next file ID. The generator's names are unique by
+// construction, so there is nothing to memoize and no name→ID map to fill:
+// fileCatalog names and sizes the files afterwards, in ID order.
+func (g *generator) newFileID() trace.FileID {
+	id := trace.FileID(g.nFiles)
+	g.nFiles++
+	return id
+}
+
+// fileCatalog builds the file catalog at its exact size: every dataset file
+// in ID order, sized from its variate z under its tier's size distribution
+// and named after its tier, dataset and position, then the hot planted files.
+// It reads only what newGenerator has finished writing, so it runs beside the
+// job draws.
+func fileCatalog(c *Config, datasets [][]dataset, z []float64, hot int) []trace.File {
+	files := make([]trace.File, len(z)+hot)
+	var name []byte
+	// File names are written into arena blocks rather than allocated one by
+	// one: a string per file is half a million allocations at scale 0.5.
+	var names strings.Builder
+	id := 0
+	for t := range datasets {
+		tp := &c.Tiers[t]
+		size := dist.LognormalFromMean(tp.MeanFileSizeMB, tp.FileSizeSigma)
+		for ds := range datasets[t] {
+			name = fmt.Appendf(name[:0], "t%d-d%d-f", t, ds)
+			for k := range datasets[t][ds].files {
+				mb := size.FromNormal(z[id])
+				files[id] = trace.File{
+					ID:   trace.FileID(id),
+					Name: arenaString(&names, strconv.AppendInt(name, int64(k), 10)),
+					Size: dist.ClampInt64(mb*(1<<20), 1<<20, int64(tp.MaxFileSizeMB*(1<<20))),
+					Tier: tp.Tier,
+				}
+				id++
+			}
+		}
+	}
+	for k := 0; k < hot; k++ {
+		files[id] = trace.File{ID: trace.FileID(id), Name: hotFileNames[k], Size: hotFileSize, Tier: trace.TierThumbnail}
+		id++
+	}
+	return files
+}
+
+// joinCatalog waits for fileCatalog and installs the file catalog.
+func (g *generator) joinCatalog() {
+	if g.files != nil {
+		g.catalog.Files = <-g.files
+		g.files = nil
 	}
 }
 
@@ -306,12 +369,18 @@ func arenaString(arena *strings.Builder, raw []byte) string {
 	return all[len(all)-len(raw):]
 }
 
-// addFile appends a file and returns its ID. The generator's names are unique
-// by construction, so there is nothing to memoize and no name→ID map to fill.
-func (g *generator) addFile(name string, size int64, tier trace.Tier) trace.FileID {
-	id := trace.FileID(len(g.catalog.Files))
-	g.catalog.Files = append(g.catalog.Files, trace.File{ID: id, Name: name, Size: size, Tier: tier})
-	return id
+// zipf returns the cached rank sampler with exponent s over n ranks, making
+// it on first use: NewZipf's normaliser is a math.Pow, and the job and
+// interest draws need one per draw otherwise.
+func zipf(cache *[]dist.Zipf, s float64, n int) dist.Zipf {
+	if n >= len(*cache) {
+		*cache = append(*cache, make([]dist.Zipf, n+1-len(*cache))...)
+	}
+	z := &(*cache)[n]
+	if *z == (dist.Zipf{}) {
+		*z = dist.NewZipf(s, uint64(n))
+	}
+	return *z
 }
 
 func (g *generator) buildInterests() {
@@ -376,7 +445,7 @@ func (g *generator) sampleInterest(t, domain, m int) []int {
 	for tries := 0; len(out) < m && tries < 6*m+20; tries++ {
 		r := rp.regions[rp.choose.Choose(g.rng)]
 		pool := g.regionDatasets[t][r]
-		z := dist.NewZipf(g.cfg.InterestZipfS, uint64(len(pool)))
+		z := zipf(&g.interestZipf, g.cfg.InterestZipfS, len(pool))
 		ds := pool[int(z.Rank(g.rng))]
 		if _, dup := seen[ds]; dup {
 			continue
@@ -478,7 +547,7 @@ func (g *generator) jobFiles(tier, domain int, interest []int, nDS int) []trace.
 	if len(interest) == 0 {
 		return nil
 	}
-	z := dist.NewZipf(g.cfg.JobZipfS, uint64(len(interest)))
+	z := zipf(&g.jobZipf, g.cfg.JobZipfS, len(interest))
 	chosen := g.chosenScratch[:0]
 	files := g.fileScratch[:0]
 	for tries := 0; len(chosen) < nDS && tries < 6*nDS+20; tries++ {
@@ -565,10 +634,15 @@ func (g *generator) plantHotFiles() {
 	if !g.cfg.PlantHotFilecule {
 		return
 	}
-	f1 := g.addFile("hot-tmb-0", int64(11)*(1<<30)/10, trace.TierThumbnail)
-	f2 := g.addFile("hot-tmb-1", int64(11)*(1<<30)/10, trace.TierThumbnail)
-	g.hotFiles = []trace.FileID{f1, f2}
+	for range hotFileNames {
+		g.hotFiles = append(g.hotFiles, g.newFileID())
+	}
 }
+
+// The planted case-study files: the last IDs of the catalog, in this order.
+var hotFileNames = [...]string{"hot-tmb-0", "hot-tmb-1"}
+
+const hotFileSize = int64(11) * (1 << 30) / 10
 
 // hotPhase builds the case-study job run: a pool of users concentrated at
 // FermiLab (.gov) plus a handful of remote domains repeatedly requests both

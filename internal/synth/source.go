@@ -24,6 +24,7 @@ func NewSource(cfg Config) (trace.Source, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.joinCatalog() // Files() must be whole
 	return &source{g: g, phases: g.jobPhases()}, nil
 }
 
