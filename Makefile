@@ -41,11 +41,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# ReadFile's decode queue sizes its worker pool from GOMAXPROCS, and Generate
-# builds its file catalog on a goroutine beside the job draws; neither output
-# may depend on the scheduler: the trace codec and order tests, every
-# generator test (goldens included) and batch identification and Combine at
-# one, two and four Ps, whatever the runner's core count.
+# ReadFile's decode queue and IdentifyJobs' page-owning workers size
+# themselves from GOMAXPROCS, and Generate builds its file catalog on a
+# goroutine beside the job draws; no output may depend on the scheduler: the
+# trace codec and order tests, every generator test (goldens included) and
+# batch identification (held to its reference at every worker count) and
+# Combine at one, two and four Ps, whatever the runner's core count.
 cpu-matrix:
 	$(GO) test -cpu 1,2,4 ./internal/trace
 	$(GO) test -cpu 1,2,4 ./internal/synth
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFedExchange -fuzztime=$(FUZZTIME) ./internal/fed
 	$(GO) test -run=^$$ -fuzz=FuzzWireProto -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzKVTrace -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run=^$$ -fuzz=FuzzZipfRank -fuzztime=$(FUZZTIME) ./internal/dist
 
 # Crash-safety differentials: SIGKILL a race-built filecule-serve at
 # randomized points and verify recovery never loses an acknowledged observe

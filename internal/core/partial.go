@@ -9,13 +9,14 @@ import "filecule/internal/trace"
 // submits the closer its view is to the truth.
 
 // IdentifyDomain identifies filecules from only the jobs submitted by sites
-// in the given domain. A job whose Site lies outside t.Sites — every job of a
-// trace without a site catalog — belongs to no domain.
+// in the given domain, by their positions in t.Jobs. A job whose Site lies
+// outside t.Sites — every job of a trace without a site catalog — belongs to
+// no domain.
 func IdentifyDomain(t *trace.Trace, domain string) *Partition {
 	var jobs []trace.JobID
 	for i := range t.Jobs {
 		if s := t.Jobs[i].Site; s >= 0 && int(s) < len(t.Sites) && t.Sites[s].Domain == domain {
-			jobs = append(jobs, t.Jobs[i].ID)
+			jobs = append(jobs, trace.JobID(i))
 		}
 	}
 	return IdentifyJobs(t, jobs)

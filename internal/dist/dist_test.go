@@ -144,6 +144,41 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// TestClampOutOfRange: infinities, NaN and values past the integer range are
+// clamped by comparison in float64, not by an implementation-defined
+// conversion.
+func TestClampOutOfRange(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		x       float64
+		lo, hi  int64
+		want    int64
+		wantInt int
+		skipInt bool // x fits int64 but not a 32-bit int
+	}{
+		{x: 1e20, lo: 1, hi: 10, want: 10, wantInt: 10},
+		{x: -1e20, lo: 1, hi: 10, want: 1, wantInt: 1},
+		{x: inf, lo: 1, hi: 5000, want: 5000, wantInt: 5000},
+		{x: -inf, lo: 1, hi: 5000, want: 1, wantInt: 1},
+		{x: nan, lo: 1, hi: 5000, want: 1, wantInt: 1},
+		{x: 0x1p63, lo: 1, hi: 10, want: 10, wantInt: 10},
+		{x: -0x1p63, lo: 1, hi: 10, want: 1, wantInt: 1},
+		{x: 0x1p62, lo: 1, hi: math.MaxInt64, want: 1 << 62, skipInt: true},
+		{x: 4.5, lo: 1, hi: 10, want: 5, wantInt: 5},
+		{x: -4.5, lo: -10, hi: 10, want: -5, wantInt: -5},
+	} {
+		if got := ClampInt64(c.x, c.lo, c.hi); got != c.want {
+			t.Errorf("ClampInt64(%v, %d, %d) = %d, want %d", c.x, c.lo, c.hi, got, c.want)
+		}
+		if c.skipInt || c.hi > math.MaxInt32 {
+			continue
+		}
+		if got := ClampInt(c.x, int(c.lo), int(c.hi)); got != c.wantInt {
+			t.Errorf("ClampInt(%v, %d, %d) = %d, want %d", c.x, c.lo, c.hi, got, c.wantInt)
+		}
+	}
+}
+
 func TestConstructorsPanicOnBadParams(t *testing.T) {
 	cases := []func(){
 		func() { NewLognormal(0, 0) },
@@ -180,6 +215,75 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("sample %d differs between identically seeded runs", i)
+		}
+	}
+}
+
+// zipfTableCheck fails t unless rank, the table's answer where there is one,
+// equals inverse, the formula, at u.
+func zipfTableCheck(t *testing.T, z Zipf, u float64) {
+	t.Helper()
+	if u < 0 || u >= 1 {
+		return
+	}
+	if got, want := z.rank(u), z.inverse(u); got != want {
+		t.Fatalf("s=%v n=%d u=%v: table rank %d, formula %d", z.s, z.n, u, got, want)
+	}
+}
+
+// FuzzZipfRank holds the boundary table to the formula it replaces: at the
+// fuzzed (s, n, u), and for small n at every boundary, its float neighbours
+// and the edges of its guard band.
+func FuzzZipfRank(f *testing.F) {
+	f.Add(0.9, uint16(40), 0.5)
+	f.Add(0.7, uint16(3), 0.25)
+	f.Add(1.0, uint16(1), 0.999)
+	f.Add(0.0, uint16(7), 0.1)
+	f.Add(1.001, uint16(65535), 0.75)
+	f.Add(0.999, uint16(1000), 1e-12)
+	f.Fuzz(func(t *testing.T, s float64, n16 uint16, u float64) {
+		if !(s >= 0 && s <= 1.001) {
+			s = math.Abs(math.Mod(s, 1.001))
+			if math.IsNaN(s) {
+				s = 1
+			}
+		}
+		n := uint64(n16) + 1 // 1 .. 2^16
+		z := NewZipf(s, n)
+		zipfTableCheck(t, z, math.Abs(math.Mod(u, 1)))
+		if z.bounds == nil || n > 64 {
+			return
+		}
+		for _, b := range *z.bounds {
+			for _, v := range []float64{b, b - zipfTableGuard, b + zipfTableGuard} {
+				zipfTableCheck(t, z, v)
+				zipfTableCheck(t, z, math.Nextafter(v, 0))
+				zipfTableCheck(t, z, math.Nextafter(v, 1))
+			}
+		}
+	})
+}
+
+// TestZipfTableCoversGeneratorExponents: the exponents the generator draws
+// with get a table that agrees with the formula; the exponents and sizes the
+// error bound does not cover get none.
+func TestZipfTableCoversGeneratorExponents(t *testing.T) {
+	r := rng()
+	for _, s := range []float64{0.7, 0.9, 1} {
+		z := NewZipf(s, 500)
+		if z.bounds == nil {
+			t.Fatalf("s=%v: no boundary table", s)
+		}
+		for i := 0; i < 20000; i++ {
+			zipfTableCheck(t, z, r.Float64())
+		}
+	}
+	for _, c := range []struct {
+		s float64
+		n uint64
+	}{{0, 10}, {1.0005, 10}, {1.5, 10}, {0.9, maxZipfTable + 1}} {
+		if NewZipf(c.s, c.n).bounds != nil {
+			t.Errorf("s=%v n=%d: a table where the formula's error bound does not hold", c.s, c.n)
 		}
 	}
 }

@@ -35,10 +35,34 @@ func Generate(cfg Config) (*trace.Trace, error) {
 	t := g.catalog
 	t.Jobs = jobs
 	t.SortJobsByStart()
+	startOrderFiles(t.Jobs)
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: generated invalid trace: %w", err)
 	}
 	return &t, nil
+}
+
+// startOrderFiles moves every job's file list into one exact-size array, in
+// job order: the lists were drawn in generation order, and every pass that
+// follows — validation, identification, encoding, the request stream — walks
+// the jobs in start order, so it then reads the IDs front to back. Each job
+// gets its own list, hot jobs included, capped at its length.
+func startOrderFiles(jobs []trace.Job) {
+	total := 0
+	for i := range jobs {
+		total += len(jobs[i].Files)
+	}
+	all := make([]trace.FileID, total)
+	off := 0
+	for i := range jobs {
+		j := &jobs[i]
+		if len(j.Files) == 0 {
+			continue
+		}
+		n := copy(all[off:], j.Files)
+		j.Files = all[off : off+n : off+n]
+		off += n
+	}
 }
 
 // newGenerator validates the config and runs every setup phase: catalogs,
@@ -102,11 +126,12 @@ func (g *generator) jobPhases() []jobPhase {
 	return phases
 }
 
-// dataset is a group of files created together (a SAM dataset); whole- or
-// subset-requests of datasets are what induce filecule structure.
+// dataset is a group of files created together (a SAM dataset): the n
+// consecutive file IDs from first. Whole- or subset-requests of datasets are
+// what induce filecule structure.
 type dataset struct {
-	files  []trace.FileID
-	region int
+	first     trace.FileID
+	n, region int32
 }
 
 type userInfo struct {
@@ -166,9 +191,11 @@ type generator struct {
 	// entries and over a region's n datasets, made on first use (see zipf).
 	jobZipf, interestZipf []dist.Zipf
 
-	// jobFiles' reused buffers: the assembled list and the datasets picked.
-	fileScratch   []trace.FileID
+	// chosenScratch is jobFiles' reused list of the datasets picked;
+	// fileBlock the block its lists are assembled in, whose spare capacity
+	// is where the next list goes.
 	chosenScratch []int
+	fileBlock     []trace.FileID
 
 	// execs holds the one Exec of each (node, app, version) index triple,
 	// made on first use (see exec).
@@ -288,13 +315,13 @@ func (g *generator) buildDatasets() {
 		g.regionDatasets[t] = make([][]int, c.InterestRegions)
 		for ds := 0; ds < nDatasets; ds++ {
 			n := dist.ClampInt(nFiles.Sample(g.rng), 1, 5000)
-			d := dataset{region: g.rng.Intn(c.InterestRegions), files: make([]trace.FileID, n)}
-			for k := range d.files {
+			d := dataset{first: trace.FileID(g.nFiles), n: int32(n), region: int32(g.rng.Intn(c.InterestRegions))}
+			for range n {
 				// The draw a file's size.Sample would take; fileCatalog
 				// turns it into the size.
 				g.sizeZ = append(g.sizeZ, g.rng.NormFloat64())
-				d.files[k] = g.newFileID()
 			}
+			g.nFiles += n
 			g.datasets[t] = append(g.datasets[t], d)
 			g.regionDatasets[t][d.region] = append(g.regionDatasets[t][d.region], ds)
 		}
@@ -327,7 +354,7 @@ func fileCatalog(c *Config, datasets [][]dataset, z []float64, hot int) []trace.
 		size := dist.LognormalFromMean(tp.MeanFileSizeMB, tp.FileSizeSigma)
 		for ds := range datasets[t] {
 			name = fmt.Appendf(name[:0], "t%d-d%d-f", t, ds)
-			for k := range datasets[t][ds].files {
+			for k := range datasets[t][ds].n {
 				mb := size.FromNormal(z[id])
 				files[id] = trace.File{
 					ID:   trace.FileID(id),
@@ -370,8 +397,9 @@ func arenaString(arena *strings.Builder, raw []byte) string {
 }
 
 // zipf returns the cached rank sampler with exponent s over n ranks, making
-// it on first use: NewZipf's normaliser is a math.Pow, and the job and
-// interest draws need one per draw otherwise.
+// it on first use: NewZipf takes a math.Pow for its normaliser and one per
+// rank for its boundary table, and the job and interest draws would need
+// them per draw otherwise.
 func zipf(cache *[]dist.Zipf, s float64, n int) dist.Zipf {
 	if n >= len(*cache) {
 		*cache = append(*cache, make([]dist.Zipf, n+1-len(*cache))...)
@@ -540,16 +568,18 @@ func (g *generator) tierPhase(t int) jobPhase {
 // jobFiles assembles the input set: nDS datasets drawn from the user's
 // interest list with rank skew (plus occasional exploration picks from the
 // wider catalog), each read whole or as a contiguous subset. The list is
-// assembled in a reused scratch and returned as an exact-size copy: a
-// materialized trace keeps every job's list, and append growth would hold
-// about twice the IDs kept.
+// assembled in the spare capacity of a shared block and returned capped at
+// its length; one that outgrows the block moves to a new block of
+// fileBlockLen IDs, or of its own length if longer. A materialized trace
+// keeps every job's list: append growth would hold about twice the IDs kept,
+// and a list of its own costs a heap object per job.
 func (g *generator) jobFiles(tier, domain int, interest []int, nDS int) []trace.FileID {
 	if len(interest) == 0 {
 		return nil
 	}
 	z := zipf(&g.jobZipf, g.cfg.JobZipfS, len(interest))
 	chosen := g.chosenScratch[:0]
-	files := g.fileScratch[:0]
+	files := g.fileBlock[len(g.fileBlock):]
 	for tries := 0; len(chosen) < nDS && tries < 6*nDS+20; tries++ {
 		var ds int
 		if g.rng.Float64() < g.cfg.ExploreProb {
@@ -565,25 +595,39 @@ func (g *generator) jobFiles(tier, domain int, interest []int, nDS int) []trace.
 			continue
 		}
 		chosen = append(chosen, ds)
-		dsFiles := g.datasets[tier][ds].files
-		if g.rng.Float64() < g.cfg.SubsetProb && len(dsFiles) > 1 {
-			lo := g.rng.Intn(len(dsFiles))
-			hi := lo + 1 + g.rng.Intn(len(dsFiles)-lo)
-			dsFiles = dsFiles[lo:hi]
+		d := &g.datasets[tier][ds]
+		lo, hi := d.first, d.first+trace.FileID(d.n)
+		if n := int(d.n); g.rng.Float64() < g.cfg.SubsetProb && n > 1 {
+			k := g.rng.Intn(n)
+			lo, hi = d.first+trace.FileID(k), d.first+trace.FileID(k+1+g.rng.Intn(n-k))
 		}
 		at := len(files)
-		files = append(files, dsFiles...)
+		for f := lo; f < hi; f++ {
+			files = append(files, f)
+		}
 		if picked := files[at:]; g.cfg.ShuffleWithinDataset && len(picked) > 1 {
 			g.rng.Shuffle(len(picked), func(a, b int) {
 				picked[a], picked[b] = picked[b], picked[a]
 			})
 		}
 	}
-	g.fileScratch, g.chosenScratch = files, chosen
-	out := make([]trace.FileID, len(files))
-	copy(out, files)
-	return out
+	g.chosenScratch = chosen
+	n := len(files)
+	if n == 0 {
+		return nil
+	}
+	// Appends within the spare capacity stayed in the block; past it, the
+	// list was grown elsewhere and moves to a new block.
+	if at := len(g.fileBlock); n <= cap(g.fileBlock)-at {
+		g.fileBlock = g.fileBlock[:at+n]
+	} else {
+		g.fileBlock = append(make([]trace.FileID, 0, max(fileBlockLen, n)), files...)
+	}
+	return g.fileBlock[len(g.fileBlock)-n : len(g.fileBlock) : len(g.fileBlock)]
 }
+
+// fileBlockLen is the size of one jobFiles block, in IDs.
+const fileBlockLen = 64 << 10
 
 // pickNode returns the index of one of site's nodes.
 func (g *generator) pickNode(site trace.SiteID) int32 {

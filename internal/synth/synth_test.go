@@ -3,6 +3,7 @@ package synth
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"filecule/internal/core"
 	"filecule/internal/stats"
@@ -394,5 +395,33 @@ func TestGeneratorDistributionStability(t *testing.T) {
 	diff := stats.KSTest(sizes(a, trace.TierThumbnail), sizes(a, trace.TierReconstructed))
 	if diff.PValue > 0.001 {
 		t.Errorf("different tiers not separated: D=%v p=%v", diff.D, diff.PValue)
+	}
+}
+
+// TestGenerateFilesInStartOrder pins Generate's layout: every job's file list
+// is capped at its length and starts where the previous non-empty job's list
+// ends, so the passes that walk the jobs in order read one array front to
+// back.
+func TestGenerateFilesInStartOrder(t *testing.T) {
+	tr, err := Generate(DZero(3, 0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []trace.FileID
+	for i := range tr.Jobs {
+		files := tr.Jobs[i].Files
+		if len(files) == 0 {
+			continue
+		}
+		if cap(files) != len(files) {
+			t.Fatalf("job %d: cap %d, len %d", i, cap(files), len(files))
+		}
+		if prev != nil && unsafe.SliceData(files) != (*trace.FileID)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev)*int(unsafe.Sizeof(prev[0])))) {
+			t.Fatalf("job %d: list does not start where the previous one ends", i)
+		}
+		prev = files
+	}
+	if prev == nil {
+		t.Fatal("no job has files")
 	}
 }

@@ -3,8 +3,9 @@ package trace
 import "time"
 
 // Windows partitions the trace's span into n equal time windows and returns
-// the job IDs starting in each window, in window order. Jobs are assigned
-// by start time; every job lands in exactly one window. n must be >= 1.
+// the jobs starting in each window, as positions in t.Jobs, in window order.
+// Jobs are assigned by start time; every job lands in exactly one window.
+// n must be >= 1.
 func (t *Trace) Windows(n int) [][]JobID {
 	if n < 1 {
 		panic("trace: Windows needs n >= 1")
@@ -27,7 +28,7 @@ func (t *Trace) Windows(n int) [][]JobID {
 		if w >= n {
 			w = n - 1
 		}
-		out[w] = append(out[w], j.ID)
+		out[w] = append(out[w], JobID(i))
 	}
 	return out
 }

@@ -38,3 +38,35 @@ func TestWindowsEmptyTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestJobListsArePositions: Windows, JobsByDomain and SplitByTime name jobs
+// by their positions in t.Jobs, whatever the jobs' ID fields hold.
+func TestJobListsArePositions(t *testing.T) {
+	tr := smallTrace(t)
+	for i := range tr.Jobs {
+		tr.Jobs[i].ID = 99
+	}
+	var got []JobID
+	for _, w := range tr.Windows(2) {
+		got = append(got, w...)
+	}
+	n := 0
+	for _, ids := range tr.JobsByDomain() {
+		n += len(ids)
+		for _, id := range ids {
+			if id < 0 || int(id) >= len(tr.Jobs) {
+				t.Fatalf("JobsByDomain lists %d, not a position", id)
+			}
+		}
+	}
+	for i, id := range got {
+		if id != JobID(i) || n != len(tr.Jobs) {
+			t.Fatalf("windows list %v and domains %d jobs, want positions 0..%d in start order", got, n, len(tr.Jobs)-1)
+		}
+	}
+	hist, fut := tr.SplitByTime(0.5)
+	if len(hist.Jobs)+len(fut.Jobs) != len(tr.Jobs) || !hist.Jobs[0].Start.Equal(tr.Jobs[0].Start) {
+		t.Errorf("SplitByTime kept %d+%d jobs, history starting %v, want %d from %v",
+			len(hist.Jobs), len(fut.Jobs), hist.Jobs[0].Start, len(tr.Jobs), tr.Jobs[0].Start)
+	}
+}

@@ -306,12 +306,13 @@ func (t *Trace) Span() (start, end time.Time, ok bool) {
 	return start, end, true
 }
 
-// JobsByDomain groups job indices by the domain label of their site.
+// JobsByDomain groups job positions in t.Jobs by the domain label of their
+// site.
 func (t *Trace) JobsByDomain() map[string][]JobID {
 	out := make(map[string][]JobID)
 	for i := range t.Jobs {
 		d := t.Sites[t.Jobs[i].Site].Domain
-		out[d] = append(out[d], t.Jobs[i].ID)
+		out[d] = append(out[d], JobID(i))
 	}
 	return out
 }
@@ -343,7 +344,7 @@ func (t *Trace) SplitByTime(frac float64) (history, future *Trace) {
 		if order != nil {
 			at = int(order[i])
 		}
-		ids[i] = t.Jobs[at].ID
+		ids[i] = JobID(at)
 	}
 	cut := int(float64(len(ids)) * frac)
 	if cut == 0 {
