@@ -138,10 +138,14 @@ selftest:
 # Cross-workload sweep smoke: the Figure-10 cache sweep must run green on
 # every adapter the registry serves (DZero, XRootD-style, shaped DZero, and
 # a generated KV-cache CSV), pinning the "no tool constructs a source
-# outside the registry" refactor end to end.
+# outside the registry" refactor end to end. The plain cachesim run and the
+# ablation (whose gdsf and lfuda cells are off the default grid) take the
+# engine's other two entry points.
 sweep-smoke:
 	mkdir -p $(BENCHDIR)
 	$(GO) run ./cmd/filecule-cachesim -sweep -workload dzero,seed=1,scale=0.002
+	$(GO) run ./cmd/filecule-cachesim -workload dzero,seed=1,scale=0.002
+	$(GO) run ./cmd/filecule-repro -exp ablation -workload dzero,seed=1,scale=0.002
 	$(GO) run ./cmd/filecule-cachesim -sweep -workload xrootd,seed=1,scale=0.002
 	$(GO) run ./cmd/filecule-cachesim -sweep -workload "dzero,seed=1,scale=0.002,shape=burst,rps-start=5,rps-target=50,slot=30s"
 	$(GO) run ./cmd/filecule-gen -kv-csv 5000 -kv-keys 400 -kv-seed 1 -o $(BENCHDIR)/smoke-kv.csv

@@ -1,17 +1,16 @@
-// Command filecule-cachesim replays a trace through the cache simulators and
-// prints miss rates across cache sizes and policies: a file-versus-filecule
-// sweep of any reference policy, the policy ablation, and the single-pass
-// grid engine (the one Figure 10 runs on). Cache sizes are full-scale TB,
-// turned into bytes by sim.ScaledCapacity:
+// Command filecule-cachesim replays a trace through the single-pass sweep
+// engine (internal/sim) and prints miss rates across cache sizes, policies
+// and granularities. Cache sizes are full-scale TB, turned into bytes by
+// sim.ScaledCapacity:
 //
-//	filecule-cachesim                                          # Figure 10 sweep
-//	filecule-cachesim -workload file,path=trace.txt -ablation  # policy zoo
-//	filecule-cachesim -sizes 1,10,100 -policy gds              # custom sweep
-//	filecule-cachesim -sweep -o sweep.json                     # single-pass grid sweep
-//	filecule-cachesim -sweep -table                            # ... rendered as tables
+//	filecule-cachesim                                 # Figure 10: LRU, file vs filecule
+//	filecule-cachesim -policies gds,gdsf -sizes 1,10  # other policies, other sizes
+//	filecule-cachesim -sweep -o sweep.json            # the whole grid as filecule-sweep/v1 JSON
+//	filecule-cachesim -sweep -table                   # ... rendered as tables
 //
-// A recorded trace of a scaled workload says so in its spec
-// (file,path=trace.bin,scale=0.05) to get cache sizes scaled to match.
+// The policy ablation is `filecule-repro -exp ablation`. A recorded trace of
+// a scaled workload says so in its spec (file,path=trace.bin,scale=0.05) to
+// get cache sizes scaled to match.
 package main
 
 import (
@@ -22,10 +21,7 @@ import (
 	"strconv"
 	"strings"
 
-	"filecule/internal/cache"
 	"filecule/internal/cli"
-	"filecule/internal/core"
-	"filecule/internal/experiments"
 	"filecule/internal/report"
 	"filecule/internal/sim"
 	"filecule/internal/workload"
@@ -44,15 +40,12 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		spec     = cli.WorkloadFlag(fs)
 		sizes    = fs.String("sizes", "", "comma-separated cache sizes in full-scale TB (default: the paper's 7 sizes)")
-		policy   = fs.String("policy", "lru", "eviction policy: lru, fifo, lfu, size, gds, gdsf, landlord, bundle")
-		ablation = fs.Bool("ablation", false, "run the full policy-zoo ablation instead of a sweep")
-
-		sweep    = fs.Bool("sweep", false, "run the single-pass grid sweep engine (policies x granularities x sizes)")
-		policies = fs.String("policies", "", "sweep: comma-separated policies (default lru,arc,gds,opt)")
-		grans    = fs.String("grans", "", "sweep: comma-separated granularities (default file,filecule,bundle)")
-		workers  = fs.Int("workers", 0, "sweep: simulation workers (default GOMAXPROCS)")
+		sweep    = fs.Bool("sweep", false, "run the whole grid (policies x granularities x sizes) and write JSON")
+		policies = fs.String("policies", "", "comma-separated policies: lru, arc, gds, gdsf, lfuda, opt (default lru; with -sweep lru,arc,gds,opt)")
+		grans    = fs.String("grans", "", "comma-separated granularities: file, filecule, bundle (default file,filecule; with -sweep all three)")
+		workers  = fs.Int("workers", 0, "simulation workers (default GOMAXPROCS)")
 		table    = fs.Bool("table", false, "sweep: render per-policy tables instead of JSON")
-		out      = fs.String("o", "-", "sweep: JSON output path ('-' for stdout)")
+		out      = fs.String("o", "-", "output path ('-' for stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err // unreachable with ExitOnError; kept for safety
@@ -68,69 +61,37 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	if *sweep {
-		return runSweep(*spec, effScale, sizeList, *policies, *grans, *workers, *table, *out, stdout)
+	cfg := sim.SweepConfig{
+		Policies:      splitList(*policies),
+		Granularities: splitList(*grans),
+		CapacitiesTB:  sizeList,
+		Scale:         effScale,
+		Workers:       *workers,
 	}
-
-	t, err := workload.Load(*spec)
-	if err != nil {
-		return err
+	asTable := *table
+	if !*sweep {
+		// Figure 10 unless told otherwise, always as tables.
+		asTable = true
+		if len(cfg.Policies) == 0 {
+			cfg.Policies = []string{"lru"}
+		}
+		if len(cfg.Granularities) == 0 {
+			cfg.Granularities = []string{"file", "filecule"}
+		}
 	}
-
-	r := experiments.NewForTrace(t, effScale)
-	if *ablation {
-		res, err := r.Run("ablation")
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprint(stdout, res.Render())
-		return err
-	}
-
-	p := core.Identify(t)
-	reqs := t.Requests()
-	tb := report.NewTable(
-		fmt.Sprintf("%s miss rates (cache sizes scaled by %g)", *policy, effScale),
-		"cache TB (full scale)", "file miss", "filecule miss", "gain")
-	for _, tbs := range sizeList {
-		capBytes := sim.ScaledCapacity(tbs, effScale)
-		pol, err := mkPolicy(*policy, p)
-		if err != nil {
-			return err
-		}
-		fm := cache.NewSim(t, cache.NewFileGranularity(t), pol, capBytes).Replay(reqs)
-		pol, err = mkPolicy(*policy, p)
-		if err != nil {
-			return err
-		}
-		cm := cache.NewSim(t, cache.NewFileculeGranularity(t, p), pol, capBytes).Replay(reqs)
-		gain := 0.0
-		if cm.MissRate() > 0 {
-			gain = fm.MissRate() / cm.MissRate()
-		}
-		tb.AddRow(tbs, fm.MissRate(), cm.MissRate(), gain)
-	}
-	return tb.Render(stdout)
+	return runSweep(*spec, cfg, asTable, *out, stdout)
 }
 
-// runSweep drives the single-pass engine and emits JSON (the
-// filecule-sweep/v1 schema) or rendered tables. File-backed traces stream
-// through SweepSource — the trace is never materialized, so peak memory is
-// the merged request stream, briefly, then the 4-byte file-ID stream and cell
-// state sized by the requested files, not the job history or the catalog.
-// The synthetic path materializes first to keep jobs in start-time order
-// (tie-order stability pins the benchmark baseline) and streams from the
-// in-memory adapter.
-func runSweep(spec string, scale float64, sizes []float64, policies, grans string, workers int, asTable bool, out string, stdout io.Writer) (err error) {
-	cfg := sim.SweepConfig{Scale: scale, Workers: workers, CapacitiesTB: sizes}
-	if policies != "" {
-		cfg.Policies = splitList(policies)
-	}
-	if grans != "" {
-		cfg.Granularities = splitList(grans)
-	}
-
+// runSweep drives the single-pass engine and writes JSON (the
+// filecule-sweep/v1 schema) or rendered tables to out, or to stdout when out
+// is "-". The output file is created only once the sweep has succeeded.
+// File-backed traces stream through SweepSource — the trace is never
+// materialized, so peak memory is the merged request stream, briefly, then
+// the 4-byte file-ID stream and cell state sized by the requested files, not
+// the job history or the catalog. The synthetic path materializes first to
+// keep jobs in start-time order (tie-order stability pins the benchmark
+// baseline) and streams from the in-memory adapter.
+func runSweep(spec string, cfg sim.SweepConfig, asTable bool, out string, stdout io.Writer) (err error) {
 	// OpenOrdered holds the start-order replay contract: unshaped synthetics
 	// materialize start-sorted (tie-order stability pins the benchmark
 	// baseline), recorded files and ordered streams replay as-is.
@@ -142,18 +103,6 @@ func runSweep(spec string, scale float64, sizes []float64, policies, grans strin
 	res, err := sim.SweepSource(src, cfg)
 	if err != nil {
 		return err
-	}
-
-	if asTable {
-		for _, tb := range report.SweepTables(res) {
-			if err := tb.Render(stdout); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintln(stdout); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 
 	w := stdout
@@ -171,14 +120,26 @@ func runSweep(spec string, scale float64, sizes []float64, policies, grans strin
 		}()
 		w = f
 	}
-	return res.WriteJSON(w)
+	if !asTable {
+		return res.WriteJSON(w)
+	}
+	for _, tb := range report.SweepTables(res) {
+		if err := tb.Render(w); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parseSizes reads -sizes, rejecting any size sim.ScaledCapacity cannot turn
-// into bytes at scale.
+// into bytes at scale. An empty list leaves the engine's default, the
+// paper's seven sizes.
 func parseSizes(s string, scale float64) ([]float64, error) {
 	if s == "" {
-		return experiments.Fig10CacheSizesTB, nil
+		return nil, nil
 	}
 	var sizes []float64
 	for _, part := range strings.Split(s, ",") {
@@ -202,27 +163,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func mkPolicy(name string, p *core.Partition) (cache.Policy, error) {
-	switch name {
-	case "lru":
-		return cache.NewLRU(), nil
-	case "fifo":
-		return cache.NewFIFO(), nil
-	case "lfu":
-		return cache.NewLFU(), nil
-	case "size":
-		return cache.NewSize(), nil
-	case "gds":
-		return cache.NewGDS(), nil
-	case "gdsf":
-		return cache.NewGDSF(), nil
-	case "landlord":
-		return cache.NewLandlord(), nil
-	case "bundle":
-		return cache.NewBundlePolicy(cache.NewLRU(), p), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }

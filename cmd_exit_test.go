@@ -72,7 +72,7 @@ func TestCommandExitCodes(t *testing.T) {
 		// Operational failures: exit 1. The analyze and swarm cases are the
 		// sec3 and sec5 groups of filecule-repro, the cmds they used to be.
 		{"missing trace", "filecule-cachesim", noSuchTrace, 1},
-		{"unknown policy", "filecule-cachesim", append([]string{"-policy", "belady"}, tiny...), 1},
+		{"unknown policy", "filecule-cachesim", append([]string{"-policies", "belady"}, tiny...), 1},
 		{"bad sweep policy", "filecule-cachesim", append([]string{"-sweep", "-policies", "mru"}, tiny...), 1},
 		{"bad sweep gran", "filecule-cachesim", append([]string{"-sweep", "-grans", "block"}, tiny...), 1},
 		{"bad sweep size", "filecule-cachesim", append([]string{"-sizes", "zero"}, tiny...), 1},
@@ -127,6 +127,28 @@ func TestCommandExitCodes(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// Plain filecule-cachesim prints Figure 10's LRU pair as the sweep's
+	// tables, byte for byte, and -o takes the tables, leaving stdout empty.
+	stdout := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bins["filecule-cachesim"], append(args, tiny...)...).Output()
+		if err != nil {
+			t.Fatalf("cachesim %v: %v", args, err)
+		}
+		return string(out)
+	}
+	plain := stdout()
+	if table := stdout("-sweep", "-policies", "lru", "-grans", "file,filecule", "-table"); plain != table || plain == "" {
+		t.Errorf("plain cachesim printed\n%s\nwant what -sweep -policies lru -grans file,filecule -table prints\n%s", plain, table)
+	}
+	tableFile := filepath.Join(t.TempDir(), "t.out")
+	if out := stdout("-table", "-o", tableFile); out != "" {
+		t.Errorf("cachesim -table -o printed to stdout:\n%s", out)
+	}
+	if got, err := os.ReadFile(tableFile); err != nil || string(got) != plain {
+		t.Errorf("cachesim -table -o wrote %q (%v), want the tables\n%s", got, err, plain)
 	}
 
 	// Successful trace generation must produce a loadable trace.
@@ -225,16 +247,17 @@ func TestWorkloadSpecExitCodes(t *testing.T) {
 }
 
 // TestRetiredFlagsExitCodes: the flags that named a workload before the
-// -workload spec did, and the benchgate thresholds that had one value, are
-// ordinary unknown flags now: usage text and exit 2, on every tool that had
-// them.
+// -workload spec did, the benchgate thresholds that had one value, and
+// cachesim's -policy (now -policies) and -ablation (filecule-repro -exp
+// ablation) are ordinary unknown flags now: usage text and exit 2, on every
+// tool that had them.
 func TestRetiredFlagsExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds commands; skipped in -short mode")
 	}
 	aliases := []string{"-trace", "-seed", "-scale", "-format"}
 	retired := map[string][]string{
-		"filecule-cachesim": aliases,
+		"filecule-cachesim": append([]string{"-policy", "-ablation"}, aliases...),
 		"filecule-repro":    aliases,
 		"filecule-serve":    append([]string{"-wal-segment-bytes"}, aliases...),
 		"filecule-gen":      {"-seed", "-scale", "-convert"},

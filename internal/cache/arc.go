@@ -174,14 +174,3 @@ func maxI64(a, b int64) int64 {
 	}
 	return b
 }
-
-// NewLFUDA returns LFU with Dynamic Aging: priority L + freq, the classic
-// web-cache policy that fixes LFU's cache pollution via the same inflation
-// mechanism as GreedyDual.
-func NewLFUDA() *GreedyDual {
-	return &GreedyDual{
-		name:     "lfuda",
-		cost:     func(_ UnitID, size int64) float64 { return float64(size) },
-		freqMode: true,
-	}
-}

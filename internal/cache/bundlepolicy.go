@@ -87,7 +87,6 @@ func (p *BundlePolicy) Admit(u UnitID, size, now int64) {
 	}
 	bf := &policyBundleFile{b: b}
 	bf.node.unit = u
-	bf.node.size = size
 	b.files.pushFront(&bf.node)
 	p.byUnit[u] = bf
 	p.count++

@@ -1,8 +1,11 @@
 // Package cache is a trace-driven storage-cache simulator. It reproduces
 // the paper's Section 4 experiment — LRU replacement at file granularity vs
-// filecule granularity over cache sizes from 1 TB to 100 TB — and provides
-// the surrounding policy zoo (FIFO, LFU, SIZE, GreedyDual-Size, GDSF,
-// Landlord, a bundle-aware LRU, and offline Belady OPT as the lower bound).
+// filecule granularity over cache sizes from 1 TB to 100 TB — and the
+// policies the ablation compares it with (ARC, GreedyDual-Size, GDSF, LFUDA,
+// bundle-aware eviction over any of them, and offline Belady OPT as the
+// lower bound). It is the reference the single-pass sweep engine
+// (internal/sim) is held to cell for cell, and the stepping simulator the
+// prefetcher and grid experiments drive one access at a time.
 //
 // The simulator operates on replacement units. A granularity maps each
 // requested file to its unit: at file granularity the unit is the file; at
@@ -111,9 +114,6 @@ type Sim struct {
 	catalog  []trace.File
 	resident map[UnitID]int64 // unit -> size
 	metrics  Metrics
-	// Warmup is the number of initial requests excluded from metrics
-	// (cache state still changes). Zero reproduces the paper.
-	Warmup int64
 	// prefetcher, when set, is consulted on every access.
 	prefetcher Prefetcher
 }
@@ -172,54 +172,38 @@ func (s *Sim) AccessJob(j trace.JobID, f trace.FileID, now int64) {
 // serve handles the demand access itself.
 func (s *Sim) serve(f trace.FileID, now int64) {
 	fileSize := s.catalog[f].Size
-	count := now >= s.Warmup
-	if count {
-		s.metrics.Requests++
-		s.metrics.BytesRequested += fileSize
-	}
+	s.metrics.Requests++
+	s.metrics.BytesRequested += fileSize
 
 	unit := s.gran.UnitOf(f)
 	if _, ok := s.resident[unit]; ok {
 		s.policy.Touch(unit, now)
-		if count {
-			s.metrics.Hits++
-		}
+		s.metrics.Hits++
 		return
 	}
 	// The file may be resident as a degenerate unit from an earlier
 	// bypass.
 	if _, ok := s.resident[degenerate(f)]; ok {
 		s.policy.Touch(degenerate(f), now)
-		if count {
-			s.metrics.Hits++
-		}
+		s.metrics.Hits++
 		return
 	}
 
-	if count {
-		s.metrics.Misses++
-		s.metrics.BytesMissed += fileSize
-	}
+	s.metrics.Misses++
+	s.metrics.BytesMissed += fileSize
 
 	size := s.gran.SizeOf(unit)
 	if size > s.capacity {
 		// Whole unit cannot fit; cache just the requested file.
-		if count {
-			s.metrics.Bypasses++
-		}
+		s.metrics.Bypasses++
 		unit = degenerate(f)
 		size = fileSize
 		if size > s.capacity {
 			return // pathological: single file larger than the cache
 		}
 	}
-	s.evictFor(size, count)
-	s.resident[unit] = size
-	s.used += size
-	s.policy.Admit(unit, size, now)
-	if count {
-		s.metrics.BytesLoaded += size
-	}
+	s.load(unit, size, now)
+	s.metrics.BytesLoaded += size
 }
 
 // prefetch speculatively loads the unit containing g, charging the
@@ -237,19 +221,25 @@ func (s *Sim) prefetch(g trace.FileID, now int64) {
 	if size > s.capacity {
 		return
 	}
-	s.evictFor(size, now >= s.Warmup)
+	s.load(unit, size, now)
+	s.metrics.PrefetchLoads++
+	s.metrics.PrefetchBytes += size
+	s.metrics.BytesLoaded += size
+}
+
+// load evicts until size fits, counting the evictions, then admits unit.
+func (s *Sim) load(unit UnitID, size, now int64) {
+	n, bytes := s.evictFor(size)
+	s.metrics.Evictions += n
+	s.metrics.BytesEvicted += bytes
 	s.resident[unit] = size
 	s.used += size
 	s.policy.Admit(unit, size, now)
-	if now >= s.Warmup {
-		s.metrics.PrefetchLoads++
-		s.metrics.PrefetchBytes += size
-		s.metrics.BytesLoaded += size
-	}
 }
 
-// evictFor frees space until size fits.
-func (s *Sim) evictFor(size int64, count bool) {
+// evictFor frees space until size fits and returns the units and bytes it
+// discarded.
+func (s *Sim) evictFor(size int64) (units, bytes int64) {
 	for s.used+size > s.capacity {
 		v := s.policy.Victim()
 		vsize, ok := s.resident[v]
@@ -259,11 +249,10 @@ func (s *Sim) evictFor(size int64, count bool) {
 		s.policy.Remove(v)
 		delete(s.resident, v)
 		s.used -= vsize
-		if count {
-			s.metrics.Evictions++
-			s.metrics.BytesEvicted += vsize
-		}
+		units++
+		bytes += vsize
 	}
+	return units, bytes
 }
 
 // Preload inserts the unit containing f (evicting as needed) without
@@ -287,7 +276,7 @@ func (s *Sim) Preload(f trace.FileID, now int64) {
 			return
 		}
 	}
-	s.evictFor(size, false)
+	s.evictFor(size)
 	s.resident[unit] = size
 	s.used += size
 	s.policy.Admit(unit, size, now)

@@ -66,15 +66,6 @@ func TestLRUFileGranularityEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestFIFOIgnoresTouches(t *testing.T) {
-	// FIFO: 0,1,0,2 -> 0 still evicted first despite the re-access.
-	tr := seqTrace(t, 3, 1, [][]trace.FileID{{0, 1, 0, 2, 0}})
-	m := replayFiles(t, tr, NewFileGranularity(tr), NewFIFO(), 2)
-	if m.Hits != 1 { // only the in-cache re-access of 0 before eviction
-		t.Errorf("hits = %d, want 1: %+v", m.Hits, m)
-	}
-}
-
 func TestFileculePrefetchBeatsFileLRU(t *testing.T) {
 	// Two filecules of 4 files each, requested sequentially twice.
 	jobs := [][]trace.FileID{
@@ -166,43 +157,6 @@ func TestFileLargerThanCacheNeverCached(t *testing.T) {
 	m := replayFiles(t, tr, NewFileGranularity(tr), NewLRU(), 10)
 	if m.Misses != 2 || m.Hits != 0 {
 		t.Errorf("metrics = %+v, want 2 misses", m)
-	}
-}
-
-func TestWarmupExcludesMetrics(t *testing.T) {
-	tr := seqTrace(t, 2, 1, [][]trace.FileID{{0, 1, 0, 1}})
-	sim := NewSim(tr, NewFileGranularity(tr), NewLRU(), 2)
-	sim.Warmup = 2
-	m := sim.Replay(tr.Requests())
-	if m.Requests != 2 || m.Hits != 2 {
-		t.Errorf("metrics = %+v, want 2 counted requests, both hits", m)
-	}
-}
-
-func TestLFUKeepsHotUnit(t *testing.T) {
-	// 0 accessed 3x, then 1, then 2: LFU evicts 1 (freq 1), not 0.
-	tr := seqTrace(t, 3, 1, [][]trace.FileID{{0, 0, 0, 1, 2, 0}})
-	m := replayFiles(t, tr, NewFileGranularity(tr), NewLFU(), 2)
-	// Requests: 0 miss, 0 hit, 0 hit, 1 miss, 2 miss (evict 1), 0 hit.
-	if m.Hits != 3 || m.Misses != 3 {
-		t.Errorf("metrics = %+v, want 3 hits / 3 misses", m)
-	}
-}
-
-func TestSizeEvictsLargest(t *testing.T) {
-	b := trace.NewBuilder()
-	s := b.Site("s", ".gov", 1)
-	u := b.User("u", s)
-	big := b.File("big", 10, trace.TierThumbnail)
-	small := b.File("small", 1, trace.TierThumbnail)
-	tiny := b.File("tiny", 1, trace.TierThumbnail)
-	b.SimpleJob(u, s, t0, []trace.FileID{big, small, tiny, small, big})
-	tr := b.Build()
-	m := replayFiles(t, tr, NewFileGranularity(tr), NewSize(), 11)
-	// big(10)+small(1) fill the cache; tiny(1) evicts big (largest).
-	// Then small hits, big misses again.
-	if m.Hits != 1 || m.Misses != 4 {
-		t.Errorf("metrics = %+v, want 1 hit / 4 misses", m)
 	}
 }
 
@@ -311,12 +265,9 @@ func TestInvariantsProperty(t *testing.T) {
 		for _, mk := range []func() (Granularity, Policy){
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewLRU() },
 			func() (Granularity, Policy) { return NewFileculeGranularity(tr, p), NewLRU() },
-			func() (Granularity, Policy) { return NewFileGranularity(tr), NewFIFO() },
-			func() (Granularity, Policy) { return NewFileGranularity(tr), NewLFU() },
-			func() (Granularity, Policy) { return NewFileGranularity(tr), NewSize() },
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewGDS() },
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewGDSF() },
-			func() (Granularity, Policy) { return NewFileGranularity(tr), NewLandlord() },
+			func() (Granularity, Policy) { return NewFileGranularity(tr), NewLFUDA() },
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewBundlePolicy(NewLRU(), p) },
 			func() (Granularity, Policy) { return NewFileculeGranularity(tr, p), NewGDS() },
 		} {
@@ -360,7 +311,7 @@ func TestOPTDominatesOnlinePoliciesProperty(t *testing.T) {
 		} {
 			g := gran()
 			opt := SimulateOPT(tr, g, capacity, reqs)
-			for _, pol := range []Policy{NewLRU(), NewFIFO(), NewLFU(), NewGDS()} {
+			for _, pol := range []Policy{NewLRU(), NewARC(capacity), NewGDS(), NewGDSF(), NewLFUDA()} {
 				m := NewSim(tr, g, pol, capacity).Replay(reqs)
 				if opt.Misses > m.Misses {
 					t.Logf("OPT (%d misses) beaten by %s (%d) at capacity %d seed %d",

@@ -6,16 +6,14 @@ import (
 )
 
 // GreedyDual implements the GreedyDual-Size family (Cao & Irani) with the
-// standard inflation-value formulation, which also covers Young's Landlord
-// algorithm (the comparison baseline in Otoo et al., the paper's Section 7):
+// standard inflation-value formulation:
 //
 //	H(u) = L + freq(u)^f * cost(u) / size(u)
 //
 // where L is the global inflation value, set to the priority of each evicted
-// unit. With f=0 and cost=1 this is classic GDS(1); with f=1 it is GDSF;
-// cost=size yields the byte-cost variant (every byte equally expensive to
-// re-fetch, H = L + 1, behaving like FIFO-with-renewal — Landlord with
-// proportional rent).
+// unit. With f=0 and cost=1 this is classic GDS(1); with f=1 it is GDSF, and
+// with f=1 and cost=size it is LFUDA. The sweep engine's dense gdsState
+// evaluates priority's float64 expression operation for operation.
 type GreedyDual struct {
 	name     string
 	cost     func(u UnitID, size int64) float64
@@ -51,12 +49,14 @@ func NewGDSF() *GreedyDual {
 	}
 }
 
-// NewLandlord returns the Landlord policy with cost proportional to unit
-// size (rent is charged per byte; credit is refreshed on hits).
-func NewLandlord() *GreedyDual {
+// NewLFUDA returns LFU with Dynamic Aging: priority L + freq, the classic
+// web-cache policy that fixes LFU's cache pollution via the same inflation
+// mechanism as GreedyDual.
+func NewLFUDA() *GreedyDual {
 	return &GreedyDual{
-		name: "landlord",
-		cost: func(_ UnitID, size int64) float64 { return float64(size) },
+		name:     "lfuda",
+		cost:     func(_ UnitID, size int64) float64 { return float64(size) },
+		freqMode: true,
 	}
 }
 

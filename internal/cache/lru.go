@@ -2,18 +2,15 @@ package cache
 
 import "fmt"
 
-// This file implements the recency/frequency family of policies: LRU (the
-// paper's Section 4 algorithm, "the file with the oldest timestamp ... is
-// evicted", chosen "because of its simplicity and because of its use at
-// FermiLab"), plus FIFO, LFU and SIZE baselines.
+// This file implements LRU, the paper's Section 4 algorithm ("the file with
+// the oldest timestamp ... is evicted", chosen "because of its simplicity and
+// because of its use at FermiLab"), and the intrusive list it and ARC share.
 
 // lruNode is an intrusive doubly-linked list node.
 type lruNode struct {
 	unit       UnitID
 	prev, next *lruNode
-	// freq supports LFU; size supports SIZE.
-	freq int64
-	size int64
+	size       int64 // ARC's byte accounting
 }
 
 // list is a sentinel-based doubly-linked list; front = most recent.
@@ -65,7 +62,7 @@ func (p *LRU) Admit(u UnitID, size, now int64) {
 	if _, dup := p.nodes[u]; dup {
 		panic(fmt.Sprintf("cache: LRU double admit of unit %d", u))
 	}
-	n := &lruNode{unit: u, size: size}
+	n := &lruNode{unit: u}
 	p.nodes[u] = n
 	p.order.pushFront(n)
 }
@@ -95,127 +92,3 @@ func (p *LRU) Remove(u UnitID) {
 
 // Len implements Policy.
 func (p *LRU) Len() int { return len(p.nodes) }
-
-// FIFO evicts the oldest-admitted unit regardless of hits.
-type FIFO struct {
-	LRU
-}
-
-// NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO {
-	p := &FIFO{}
-	p.nodes = make(map[UnitID]*lruNode)
-	p.order.init()
-	return p
-}
-
-// Name implements Policy.
-func (p *FIFO) Name() string { return "fifo" }
-
-// Touch implements Policy: hits do not reorder a FIFO queue.
-func (p *FIFO) Touch(UnitID, int64) {}
-
-// LFU evicts the least frequently used unit (ties broken by recency). It
-// uses a simple ordered scan over a frequency-bucketed list; for simulation
-// workloads the O(1) amortized classic implementation is unnecessary, so LFU
-// keeps a lazily-sorted min search over the map, which is O(n) per eviction
-// but evictions are rare relative to hits.
-type LFU struct {
-	nodes map[UnitID]*lruNode
-	tick  int64
-	last  map[UnitID]int64
-}
-
-// NewLFU returns an empty LFU policy.
-func NewLFU() *LFU {
-	return &LFU{nodes: make(map[UnitID]*lruNode), last: make(map[UnitID]int64)}
-}
-
-// Name implements Policy.
-func (p *LFU) Name() string { return "lfu" }
-
-// Admit implements Policy.
-func (p *LFU) Admit(u UnitID, size, now int64) {
-	p.nodes[u] = &lruNode{unit: u, size: size, freq: 1}
-	p.last[u] = now
-}
-
-// Touch implements Policy.
-func (p *LFU) Touch(u UnitID, now int64) {
-	p.nodes[u].freq++
-	p.last[u] = now
-}
-
-// Victim implements Policy: minimum frequency, then least recent.
-func (p *LFU) Victim() UnitID {
-	var best *lruNode
-	var bestLast int64
-	for u, n := range p.nodes {
-		if best == nil || n.freq < best.freq || (n.freq == best.freq && p.last[u] < bestLast) {
-			best = n
-			bestLast = p.last[u]
-		}
-	}
-	if best == nil {
-		panic("cache: LFU victim requested from empty cache")
-	}
-	return best.unit
-}
-
-// Remove implements Policy.
-func (p *LFU) Remove(u UnitID) {
-	delete(p.nodes, u)
-	delete(p.last, u)
-}
-
-// Len implements Policy.
-func (p *LFU) Len() int { return len(p.nodes) }
-
-// Size evicts the largest unit first (ties by recency), a classic web-cache
-// baseline that hoards many small objects.
-type Size struct {
-	nodes map[UnitID]*lruNode
-	last  map[UnitID]int64
-}
-
-// NewSize returns an empty SIZE policy.
-func NewSize() *Size {
-	return &Size{nodes: make(map[UnitID]*lruNode), last: make(map[UnitID]int64)}
-}
-
-// Name implements Policy.
-func (p *Size) Name() string { return "size" }
-
-// Admit implements Policy.
-func (p *Size) Admit(u UnitID, size, now int64) {
-	p.nodes[u] = &lruNode{unit: u, size: size}
-	p.last[u] = now
-}
-
-// Touch implements Policy.
-func (p *Size) Touch(u UnitID, now int64) { p.last[u] = now }
-
-// Victim implements Policy: maximum size, then least recent.
-func (p *Size) Victim() UnitID {
-	var best *lruNode
-	var bestLast int64
-	for u, n := range p.nodes {
-		if best == nil || n.size > best.size || (n.size == best.size && p.last[u] < bestLast) {
-			best = n
-			bestLast = p.last[u]
-		}
-	}
-	if best == nil {
-		panic("cache: Size victim requested from empty cache")
-	}
-	return best.unit
-}
-
-// Remove implements Policy.
-func (p *Size) Remove(u UnitID) {
-	delete(p.nodes, u)
-	delete(p.last, u)
-}
-
-// Len implements Policy.
-func (p *Size) Len() int { return len(p.nodes) }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"filecule/internal/cache"
 	"filecule/internal/report"
 	"filecule/internal/sim"
 	"filecule/internal/synth"
@@ -99,60 +98,28 @@ func ratio(a, b float64) float64 {
 }
 
 // ablation compares the policy zoo at one representative cache size (the
-// middle of the sweep) at both granularities, plus the offline OPT bound.
-// It isolates the two ingredients of the filecule win: prefetching (filecule
-// loads) and eviction coherence (bundle-aware eviction without prefetch).
+// middle of the sweep) at every granularity, the offline OPT bound included:
+// one pass of the sweep engine over every policy it accepts. It isolates the
+// two ingredients of the filecule win: prefetching (filecule loads) and
+// eviction coherence (bundle-aware eviction without prefetch).
 func (r *Runner) ablation() (*Result, error) {
-	t := r.Trace()
-	p := r.Partition()
-	reqs := r.Requests()
-	capBytes := sim.ScaledCapacity(10, r.scale) // the 10 TB point
-
+	res, err := sim.Sweep(r.Trace(), r.Partition(), r.Requests(), sim.SweepConfig{
+		Policies:     sim.SweepPolicies,
+		CapacitiesTB: []float64{10},
+		Scale:        r.scale,
+	})
+	if err != nil {
+		return nil, err
+	}
 	tb := report.NewTable(
 		"cache policy ablation at the 10 TB (full-scale) point",
 		"granularity", "policy", "miss rate", "byte miss rate", "bytes loaded (GB)")
-
-	type combo struct {
-		gran string
-		mk   func() (cache.Granularity, cache.Policy)
-	}
-	combos := []combo{
-		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewLRU() }},
-		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewFIFO() }},
-		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewGDS() }},
-		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewGDSF() }},
-		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewLandlord() }},
-		{"file", func() (cache.Granularity, cache.Policy) {
-			return cache.NewFileGranularity(t), cache.NewBundlePolicy(cache.NewLRU(), p)
-		}},
-		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewARC(capBytes) }},
-		{"file", func() (cache.Granularity, cache.Policy) { return cache.NewFileGranularity(t), cache.NewLFUDA() }},
-		{"filecule", func() (cache.Granularity, cache.Policy) { return cache.NewFileculeGranularity(t, p), cache.NewLRU() }},
-		{"filecule", func() (cache.Granularity, cache.Policy) { return cache.NewFileculeGranularity(t, p), cache.NewGDS() }},
-		{"filecule", func() (cache.Granularity, cache.Policy) { return cache.NewFileculeGranularity(t, p), cache.NewGDSF() }},
-		{"filecule", func() (cache.Granularity, cache.Policy) {
-			return cache.NewFileculeGranularity(t, p), cache.NewARC(capBytes)
-		}},
-	}
-	for _, c := range combos {
-		g, pol := c.mk()
-		m := cache.NewSim(t, g, pol, capBytes).Replay(reqs)
-		tb.AddRow(c.gran, pol.Name(), m.MissRate(), m.ByteMissRate(), float64(m.BytesLoaded)/(1<<30))
-	}
-	// Offline bounds.
-	for _, gr := range []struct {
-		name string
-		g    cache.Granularity
-	}{
-		{"file", cache.NewFileGranularity(t)},
-		{"filecule", cache.NewFileculeGranularity(t, p)},
-	} {
-		m := cache.NewSim(t, gr.g, cache.NewOPTPolicy(cache.NextUse(gr.g, reqs)), capBytes).Replay(reqs)
-		tb.AddRow(gr.name, "opt (offline)", m.MissRate(), m.ByteMissRate(), float64(m.BytesLoaded)/(1<<30))
+	for _, c := range res.Cells {
+		tb.AddRow(c.Granularity, c.Policy, c.MissRate, c.ByteMissRate, float64(c.Metrics.BytesLoaded)/(1<<30))
 	}
 	return &Result{Tables: []*report.Table{tb},
 		Notes: []string{
-			"bundle-lru isolates eviction coherence without prefetching; filecule granularity adds prefetching",
-			"opt is Belady's bound per granularity (exact for uniform sizes, a strong heuristic here)",
+			"bundle loads files one at a time but evicts by filecule: eviction coherence without prefetching; filecule granularity adds prefetching",
+			"opt is Belady's offline bound per granularity (exact for uniform sizes, a strong heuristic here)",
 		}}, nil
 }

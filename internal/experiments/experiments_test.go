@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"filecule/internal/cache"
+	"filecule/internal/report"
 	"filecule/internal/sim"
 	"filecule/internal/synth"
 )
@@ -50,7 +52,8 @@ func TestAllExperimentsRun(t *testing.T) {
 
 // TestPrefetchersDeterministic: the predictors keep their state in maps, and
 // what they suggest (and in which order) moves the miss rates, so two runners
-// on one seed must print the same table.
+// on one seed must print the same table. The table's atomic filecule-LRU row
+// is Figure 10's 10 TB filecule point of the same runner.
 func TestPrefetchersDeterministic(t *testing.T) {
 	want, err := shared.Run("prefetchers")
 	if err != nil {
@@ -62,6 +65,17 @@ func TestPrefetchersDeterministic(t *testing.T) {
 	}
 	if got.Render() != want.Render() {
 		t.Errorf("two runners on one seed disagree:\n%s\n%s", got.Render(), want.Render())
+	}
+
+	fig10 := report.NewTable("", "scheme", "miss rate", "byte miss rate", "prefetch GB", "total loaded GB")
+	for _, pt := range shared.CacheSweep() {
+		if pt.CacheTB == 10 && pt.Granularity == "filecule" {
+			fig10.AddRow("filecule LRU (atomic units)", pt.MissRate, pt.ByteMissRate, 0.0, float64(pt.BytesLoaded)/(1<<30))
+		}
+	}
+	row := csvLines(t, fig10)[1]
+	if !slices.Contains(csvLines(t, want.Tables[0])[1:], row) {
+		t.Errorf("prefetchers table has no row %q (Figure 10's 10 TB filecule point):\n%s", row, want.Render())
 	}
 }
 
@@ -169,4 +183,68 @@ func TestCacheSweepMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAblationMatchesReference holds the ablation to the reference
+// simulator: each of its 18 rows — every sweep policy at every granularity,
+// in cell order — replayed on its own through cache.Sim at the 10 TB point
+// must render the same cells. A quarter of shared's scale keeps the 18
+// reference replays cheap under the race detector.
+func TestAblationMatchesReference(t *testing.T) {
+	r := generated(1, 0.005)
+	tr, p, reqs := r.Trace(), r.Partition(), r.Requests()
+	res, err := r.Run("ablation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	capBytes := sim.ScaledCapacity(10, r.scale)
+	want := report.NewTable("", "granularity", "policy", "miss rate", "byte miss rate", "bytes loaded (GB)")
+	for _, gran := range sim.SweepGranularities {
+		for _, name := range sim.SweepPolicies {
+			g := cache.Granularity(cache.NewFileGranularity(tr))
+			if gran == "filecule" {
+				g = cache.NewFileculeGranularity(tr, p)
+			}
+			var pol cache.Policy
+			switch name {
+			case "lru":
+				pol = cache.NewLRU()
+			case "arc":
+				pol = cache.NewARC(capBytes)
+			case "gds":
+				pol = cache.NewGDS()
+			case "gdsf":
+				pol = cache.NewGDSF()
+			case "lfuda":
+				pol = cache.NewLFUDA()
+			case "opt":
+				if gran == "bundle" {
+					pol = cache.NewOPTPolicy(cache.NextUseBundles(p, reqs))
+				} else {
+					pol = cache.NewOPTPolicy(cache.NextUse(g, reqs))
+				}
+			default:
+				t.Fatalf("no reference for sweep policy %q", name)
+			}
+			if gran == "bundle" {
+				pol = cache.NewBundlePolicy(pol, p)
+			}
+			m := cache.NewSim(tr, g, pol, capBytes).Replay(reqs)
+			want.AddRow(gran, name, m.MissRate(), m.ByteMissRate(), float64(m.BytesLoaded)/(1<<30))
+		}
+	}
+	got, wantRows := csvLines(t, res.Tables[0]), csvLines(t, want)
+	if len(got) != 19 || !slices.Equal(got, wantRows) {
+		t.Errorf("ablation table differs from cache.Sim replays:\n got %q\nwant %q", got, wantRows)
+	}
+}
+
+// csvLines renders a table as CSV lines, the header first.
+func csvLines(t *testing.T, tb *report.Table) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := tb.CSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
 }

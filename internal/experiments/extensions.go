@@ -10,6 +10,7 @@ import (
 	"filecule/internal/prefetch"
 	"filecule/internal/replica"
 	"filecule/internal/report"
+	"filecule/internal/sim"
 	"filecule/internal/swarm"
 	"filecule/internal/trace"
 )
@@ -56,7 +57,7 @@ func (r *Runner) prefetchers() (*Result, error) {
 	t := r.Trace()
 	p := r.Partition()
 	reqs := r.Requests()
-	capBytes := int64(10 * r.scale * float64(int64(1)<<40))
+	capBytes := sim.ScaledCapacity(10, r.scale)
 
 	tb := report.NewTable("prefetching baselines at the 10 TB (full-scale) point",
 		"scheme", "miss rate", "byte miss rate", "prefetch GB", "total loaded GB")
@@ -95,9 +96,13 @@ func (r *Runner) prefetchers() (*Result, error) {
 	run("working set (Tait-Duchamp)", ws, ws)
 	run("filecule prefetch + file LRU", prefetch.NewFilecules(p), nil)
 
-	atomic := cache.NewSim(t, cache.NewFileculeGranularity(t, p), cache.NewLRU(), capBytes).Replay(reqs)
-	tb.AddRow("filecule LRU (atomic units)", atomic.MissRate(), atomic.ByteMissRate(),
-		0.0, float64(atomic.BytesLoaded)/(1<<30))
+	// Atomic filecule LRU at 10 TB is a point of Figure 10's sweep.
+	for _, pt := range r.CacheSweep() {
+		if pt.CacheTB == 10 && pt.Granularity == "filecule" {
+			tb.AddRow("filecule LRU (atomic units)", pt.MissRate, pt.ByteMissRate,
+				0.0, float64(pt.BytesLoaded)/(1<<30))
+		}
+	}
 
 	return &Result{Tables: []*report.Table{tb},
 		Notes: []string{

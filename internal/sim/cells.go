@@ -6,7 +6,7 @@ import (
 	"filecule/internal/cache"
 )
 
-// This file holds the dense grid-cell simulators: four policy states over
+// This file holds the dense grid-cell simulators: five policy states over
 // slot-indexed arrays and the two loops that drive them (policyCell,
 // bundleCell). A cell replays the resolved request stream with the exact
 // branch and counter order of cache.Sim.serve, with zero steady-state
@@ -40,15 +40,13 @@ type cellCore struct {
 	sp       cellSpec
 	capacity int64
 	used     int64
-	warmup   int64
 	resident []bool
 	ax       *axisData
 	m        cache.Metrics
 }
 
-func newCellCore(sp cellSpec, ax *axisData, warmup int64) cellCore {
-	return cellCore{sp: sp, capacity: sp.Capacity, warmup: warmup,
-		resident: make([]bool, ax.nSlots), ax: ax}
+func newCellCore(sp cellSpec, ax *axisData) cellCore {
+	return cellCore{sp: sp, capacity: sp.Capacity, resident: make([]bool, ax.nSlots), ax: ax}
 }
 
 func (c *cellCore) metrics() cache.Metrics { return c.m }
@@ -59,18 +57,16 @@ func (c *cellCore) spec() cellSpec         { return c.sp }
 // larger than the cache, in which case only the requested file is cached, as
 // the degenerate slot. ok is false when even that file cannot fit. Both run
 // loops call it; it must stay small enough to inline.
-func (c *cellCore) place(r *resolved, count bool) (slot int32, size int64, ok bool) {
+func (c *cellCore) place(r *resolved) (slot int32, size int64, ok bool) {
 	if r.size <= c.capacity {
 		return r.unit, r.size, true
 	}
-	if count {
-		c.m.Bypasses++
-	}
+	c.m.Bypasses++
 	return r.deg, r.fileSize, r.fileSize <= c.capacity
 }
 
 // denseBase is the slot-level policy contract, mirroring cache.Policy. All
-// four dense policy states implement it; both cells drive theirs through it.
+// five dense policy states implement it; both cells drive theirs through it.
 type denseBase interface {
 	admit(v int32, size, now int64)
 	touch(v int32, now int64)
@@ -314,7 +310,8 @@ func (s *arcState) popGhost(h *ghostHeap, want uint8) int32 {
 
 // gdsState is dense GreedyDual-Size with uniform cost: H = L + 1/size, a
 // min-heap on H maintained with container/heap's exact algorithms (slot
-// positions tracked in pos, -1 when absent).
+// positions tracked in pos, -1 when absent). gdsfState adds the frequency
+// term on top of it.
 type gdsState struct {
 	hVal   []float64
 	sizeOf []int64
@@ -424,6 +421,44 @@ func (s *gdsState) remove(v int32) {
 	s.removeAt(i)
 }
 
+// gdsfState is GreedyDual with frequency: H = L + freq×cost/size, where cost
+// is 1 (GDSF) or the unit's size (LFUDA). priority evaluates
+// cache.GreedyDual.priority's float64 expression operation for operation,
+// and frequency starts at 1 on admit and grows before the priority on touch,
+// so every sift matches the reference step for step.
+type gdsfState struct {
+	gdsState
+	freq     []int64
+	byteCost bool
+}
+
+func newGDSFState(nSlots int32, byteCost bool) *gdsfState {
+	return &gdsfState{gdsState: *newGDSState(nSlots), freq: make([]int64, nSlots), byteCost: byteCost}
+}
+
+func (s *gdsfState) priority(v int32) float64 {
+	size := s.sizeOf[v]
+	c := 1.0
+	if s.byteCost {
+		c = float64(size)
+	}
+	c *= float64(s.freq[v])
+	return s.l + c/float64(size)
+}
+
+func (s *gdsfState) admit(v int32, size, now int64) {
+	s.sizeOf[v] = size
+	s.freq[v] = 1
+	s.hVal[v] = s.priority(v)
+	s.push(v)
+}
+
+func (s *gdsfState) touch(v int32, now int64) {
+	s.freq[v]++
+	s.hVal[v] = s.priority(v)
+	s.fix(int(s.pos[v]))
+}
+
 // optState is dense Belady: a max-heap on each resident slot's next use,
 // fed by the axis's shared per-request next-use chain.
 type optState struct {
@@ -529,7 +564,7 @@ func (s *optState) remove(v int32) { s.removeAt(int(s.pos[v])) }
 // ---------------------------------------------------------------- cells
 
 // policyCell is a cell whose replacement units are the axis's own slots:
-// every policy at file or filecule granularity. One loop serves all four
+// every policy at file or filecule granularity. One loop serves all five
 // policy states through denseBase; the four copies with direct calls it
 // replaced measured 0-3 % faster, inside their own run-to-run spread (DESIGN
 // §7 has the table).
@@ -543,32 +578,23 @@ func (c *policyCell) run(rs []resolved, base int64) {
 	for k := range rs {
 		r := &rs[k]
 		now := base + int64(k)
-		count := now >= c.warmup
-		if count {
-			m.Requests++
-			m.BytesRequested += r.fileSize
-		}
+		m.Requests++
+		m.BytesRequested += r.fileSize
 		if c.resident[r.unit] {
 			c.st.touch(r.unit, now)
-			if count {
-				m.Hits++
-			}
+			m.Hits++
 			continue
 		}
 		// The file may be resident as a degenerate unit from an earlier
 		// bypass.
 		if r.deg != r.unit && c.resident[r.deg] {
 			c.st.touch(r.deg, now)
-			if count {
-				m.Hits++
-			}
+			m.Hits++
 			continue
 		}
-		if count {
-			m.Misses++
-			m.BytesMissed += r.fileSize
-		}
-		slot, size, ok := c.place(r, count)
+		m.Misses++
+		m.BytesMissed += r.fileSize
+		slot, size, ok := c.place(r)
 		if !ok {
 			continue
 		}
@@ -578,17 +604,13 @@ func (c *policyCell) run(rs []resolved, base int64) {
 			c.st.remove(v)
 			c.resident[v] = false
 			c.used -= vs
-			if count {
-				m.Evictions++
-				m.BytesEvicted += vs
-			}
+			m.Evictions++
+			m.BytesEvicted += vs
 		}
 		c.resident[slot] = true
 		c.used += size
 		c.st.admit(slot, size, now)
-		if count {
-			m.BytesLoaded += size
-		}
+		m.BytesLoaded += size
 	}
 }
 
@@ -605,9 +627,9 @@ type bundleCell struct {
 	base         denseBase
 }
 
-func newBundleCell(sp cellSpec, ax *axisData, warmup int64, bundleOf []int32, nBundles int32, base denseBase) *bundleCell {
+func newBundleCell(sp cellSpec, ax *axisData, bundleOf []int32, nBundles int32, base denseBase) *bundleCell {
 	c := &bundleCell{
-		cellCore: newCellCore(sp, ax, warmup),
+		cellCore: newCellCore(sp, ax),
 		bundleOf: bundleOf,
 		fprev:    make([]int32, ax.nSlots),
 		fnext:    make([]int32, ax.nSlots),
@@ -651,28 +673,21 @@ func (c *bundleCell) run(rs []resolved, base int64) {
 	for k := range rs {
 		r := &rs[k]
 		now := base + int64(k)
-		count := now >= c.warmup
-		if count {
-			m.Requests++
-			m.BytesRequested += r.fileSize
-		}
+		m.Requests++
+		m.BytesRequested += r.fileSize
 		if c.resident[r.unit] {
 			b := c.bundleOf[r.unit]
 			c.memberRemove(b, r.unit)
 			c.memberPushFront(b, r.unit)
 			c.base.touch(b, now)
-			if count {
-				m.Hits++
-			}
+			m.Hits++
 			continue
 		}
 		// The file axis has no degenerate slots (a bypassed file is itself
 		// oversized, so place never loads one), hence no fallback hit check.
-		if count {
-			m.Misses++
-			m.BytesMissed += r.fileSize
-		}
-		slot, size, ok := c.place(r, count)
+		m.Misses++
+		m.BytesMissed += r.fileSize
+		slot, size, ok := c.place(r)
 		if !ok {
 			continue
 		}
@@ -689,10 +704,8 @@ func (c *bundleCell) run(rs []resolved, base int64) {
 			}
 			c.resident[v] = false
 			c.used -= vs
-			if count {
-				m.Evictions++
-				m.BytesEvicted += vs
-			}
+			m.Evictions++
+			m.BytesEvicted += vs
 		}
 		b := c.bundleOf[slot]
 		if c.bhead[b] < 0 {
@@ -703,9 +716,7 @@ func (c *bundleCell) run(rs []resolved, base int64) {
 		c.resident[slot] = true
 		c.used += size
 		c.memberPushFront(b, slot)
-		if count {
-			m.BytesLoaded += size
-		}
+		m.BytesLoaded += size
 	}
 }
 

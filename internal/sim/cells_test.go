@@ -10,8 +10,8 @@ import (
 // TestPlaceOutcomes drives the bypass rule through its three outcomes on
 // both axes: a unit that fits is loaded whole, a unit larger than the cache
 // sends only the requested file to its degenerate slot, and a single file
-// larger than the cache is not cached at all. Bypasses counts the last two,
-// and only past warm-up. It also pins the compact slot numbering: the file
+// larger than the cache is not cached at all. Bypasses counts the last two.
+// It also pins the compact slot numbering: the file
 // axis numbers requested files only and has no degenerate slots, and the
 // filecule axis gives one, after its filecules, only to a requested file
 // that is uncovered or in a filecule larger than the smallest cache.
@@ -61,26 +61,21 @@ func TestPlaceOutcomes(t *testing.T) {
 	for _, tc := range cases {
 		var rs [1]resolved
 		tc.ax.resolve([]trace.FileID{tc.file}, rs[:])
-		for _, count := range []bool{false, true} {
-			c := newCellCore(cellSpec{Capacity: tc.capacity}, tc.ax, 0)
-			slot, size, ok := c.place(&rs[0], count)
-			if got := (want{slot, size, ok, c.m.Bypasses}); count && got != tc.want {
-				t.Errorf("%s: place = %+v, want %+v", tc.name, got, tc.want)
-			}
-			if !count && c.m.Bypasses != 0 {
-				t.Errorf("%s: a bypass during warm-up was counted", tc.name)
-			}
+		c := newCellCore(cellSpec{Capacity: tc.capacity}, tc.ax)
+		slot, size, ok := c.place(&rs[0])
+		if got := (want{slot, size, ok, c.m.Bypasses}); got != tc.want {
+			t.Errorf("%s: place = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 
-	// Through a whole cell: the first of two bypasses falls inside warm-up.
+	// Through a whole cell: the bypassed file hits its degenerate slot.
 	c := buildCell(cellSpec{Policy: "lru", Granularity: "filecule", Capacity: 4 * mb, axis: axisFilecule},
-		fcAx, 1, nil, nil, 0, nil)
+		fcAx, nil, nil, 0, nil)
 	reqs := []trace.FileID{0, 1, 0}
 	rs := make([]resolved, len(reqs))
 	fcAx.resolve(reqs, rs)
 	c.run(rs, 0)
-	if m := c.metrics(); m.Bypasses != 1 || m.Requests != 2 || m.Hits != 1 || m.Misses != 1 {
-		t.Errorf("warm-up 1 over [bypass, oversized, hit]: %+v, want 1 bypass, 2 requests, 1 hit, 1 miss", m)
+	if m := c.metrics(); m.Bypasses != 2 || m.Requests != 3 || m.Hits != 1 || m.Misses != 2 {
+		t.Errorf("[bypass, oversized, hit]: %+v, want 2 bypasses, 3 requests, 1 hit, 2 misses", m)
 	}
 }

@@ -19,17 +19,21 @@ import (
 // benchmark baseline that embeds it).
 const SweepSchema = "filecule-sweep/v1"
 
-// Grid vocabularies accepted by SweepConfig.
+// Grid vocabularies accepted by SweepConfig, in the ablation's order.
 var (
-	SweepPolicies      = []string{"lru", "arc", "gds", "opt"}
+	SweepPolicies      = []string{"lru", "arc", "gds", "gdsf", "lfuda", "opt"}
 	SweepGranularities = []string{"file", "filecule", "bundle"}
 )
+
+// defaultPolicies is the paper grid's policy axis: gdsf and lfuda run only
+// when named.
+var defaultPolicies = []string{"lru", "arc", "gds", "opt"}
 
 // SweepConfig selects the grid and tunes the engine. Zero values mean "the
 // full paper grid with engine defaults".
 type SweepConfig struct {
 	// Policies and Granularities select grid axes, in output order.
-	// Defaults: all of SweepPolicies, all of SweepGranularities.
+	// Defaults: lru, arc, gds, opt; all of SweepGranularities.
 	Policies      []string
 	Granularities []string
 	// CapacitiesTB are nominal full-scale cache sizes, turned into bytes
@@ -42,11 +46,9 @@ type SweepConfig struct {
 	// sharded over. Default GOMAXPROCS. Results are identical for any
 	// worker count.
 	Workers int
-	// BatchSize is the number of requests resolved per pooled batch.
-	// Default 4096.
-	BatchSize int
-	// Warmup excludes the first Warmup requests from the metrics.
-	Warmup int64
+	// batchSize is the number of requests resolved per pooled batch.
+	// Default 4096; tests set it to pin batch-boundary invariance.
+	batchSize int
 }
 
 // Fig10CacheSizesTB are the paper's seven cache sizes in TB (at full trace
@@ -57,7 +59,7 @@ var Fig10CacheSizesTB = []float64{1, 2, 5, 10, 20, 50, 100}
 func (c *SweepConfig) withDefaults() SweepConfig {
 	out := *c
 	if len(out.Policies) == 0 {
-		out.Policies = SweepPolicies
+		out.Policies = defaultPolicies
 	}
 	if len(out.Granularities) == 0 {
 		out.Granularities = SweepGranularities
@@ -71,8 +73,8 @@ func (c *SweepConfig) withDefaults() SweepConfig {
 	if out.Workers <= 0 {
 		out.Workers = runtime.GOMAXPROCS(0)
 	}
-	if out.BatchSize <= 0 {
-		out.BatchSize = 4096
+	if out.batchSize <= 0 {
+		out.batchSize = 4096
 	}
 	return out
 }
@@ -80,9 +82,6 @@ func (c *SweepConfig) withDefaults() SweepConfig {
 func (c *SweepConfig) validate() error {
 	if !(c.Scale >= 0) || math.IsInf(c.Scale, 1) {
 		return fmt.Errorf("sim: sweep scale %g must be non-negative and finite (0 means full scale)", c.Scale)
-	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("sim: sweep warmup %d must be non-negative", c.Warmup)
 	}
 	for _, p := range c.Policies {
 		if !contains(SweepPolicies, p) {
@@ -186,7 +185,6 @@ type SweepResult struct {
 	Filecules   int          `json:"filecules"`
 	Requests    int          `json:"requests"`
 	Scale       float64      `json:"scale"`
-	Warmup      int64        `json:"warmup,omitempty"`
 	Workers     int          `json:"workers"`
 	WallSeconds float64      `json:"wall_seconds"`
 	Cells       []CellResult `json:"cells"`
@@ -296,7 +294,7 @@ func sweepFiles(t *trace.Trace, p *core.Partition, files []trace.FileID, cfg Swe
 
 	cells := make([]cell, len(specs))
 	for i, sp := range specs {
-		cells[i] = buildCell(sp, axes[sp.axis], cfg.Warmup, nextUse[sp.axis], bundleOf, nBundles, bundleNextUse)
+		cells[i] = buildCell(sp, axes[sp.axis], nextUse[sp.axis], bundleOf, nBundles, bundleNextUse)
 	}
 
 	// Fan the resolved stream out to the workers.
@@ -308,7 +306,7 @@ func sweepFiles(t *trace.Trace, p *core.Partition, files []trace.FileID, cfg Swe
 		b := &batch{}
 		for k := axisKind(0); k < numAxes; k++ {
 			if needAxis[k] {
-				b.res[k] = make([]resolved, cfg.BatchSize)
+				b.res[k] = make([]resolved, cfg.batchSize)
 			}
 		}
 		return b
@@ -334,8 +332,8 @@ func sweepFiles(t *trace.Trace, p *core.Partition, files []trace.FileID, cfg Swe
 			}
 		}(w)
 	}
-	for off := 0; off < len(files); off += cfg.BatchSize {
-		end := off + cfg.BatchSize
+	for off := 0; off < len(files); off += cfg.batchSize {
+		end := off + cfg.batchSize
 		if end > len(files) {
 			end = len(files)
 		}
@@ -368,7 +366,7 @@ func sweepFiles(t *trace.Trace, p *core.Partition, files []trace.FileID, cfg Swe
 
 // buildCell constructs one dense cell for a spec. A bundle cell's policy
 // state ranks bundle slots; every other cell's ranks the axis's own.
-func buildCell(sp cellSpec, ax *axisData, warmup int64, nextUse []int32, bundleOf []int32, nBundles int32, bundleNextUse []int32) cell {
+func buildCell(sp cellSpec, ax *axisData, nextUse []int32, bundleOf []int32, nBundles int32, bundleNextUse []int32) cell {
 	bundle := sp.Granularity == "bundle"
 	nSlots := ax.nSlots
 	if bundle {
@@ -382,15 +380,19 @@ func buildCell(sp cellSpec, ax *axisData, warmup int64, nextUse []int32, bundleO
 		st = newARCState(nSlots, sp.Capacity)
 	case "gds":
 		st = newGDSState(nSlots)
+	case "gdsf":
+		st = newGDSFState(nSlots, false)
+	case "lfuda":
+		st = newGDSFState(nSlots, true)
 	case "opt":
 		st = newOPTState(nSlots, nextUse)
 	default:
 		panic("sim: unreachable policy " + sp.Policy)
 	}
 	if bundle {
-		return newBundleCell(sp, ax, warmup, bundleOf, nBundles, st)
+		return newBundleCell(sp, ax, bundleOf, nBundles, st)
 	}
-	return &policyCell{cellCore: newCellCore(sp, ax, warmup), st: st}
+	return &policyCell{cellCore: newCellCore(sp, ax), st: st}
 }
 
 // SweepSequential replays the identical grid cell by cell through the
@@ -423,6 +425,10 @@ func SweepSequential(t *trace.Trace, p *core.Partition, reqs []trace.Request, cf
 			pol = cache.NewARC(sp.Capacity)
 		case "gds":
 			pol = cache.NewGDS()
+		case "gdsf":
+			pol = cache.NewGDSF()
+		case "lfuda":
+			pol = cache.NewLFUDA()
 		case "opt":
 			if sp.Granularity == "bundle" {
 				pol = cache.NewOPTPolicy(cache.NextUseBundles(p, reqs))
@@ -433,9 +439,7 @@ func SweepSequential(t *trace.Trace, p *core.Partition, reqs []trace.Request, cf
 		if sp.Granularity == "bundle" {
 			pol = cache.NewBundlePolicy(pol, p)
 		}
-		s := cache.NewSim(t, g, pol, sp.Capacity)
-		s.Warmup = cfg.Warmup
-		m := s.Replay(reqs)
+		m := cache.NewSim(t, g, pol, sp.Capacity).Replay(reqs)
 		res.Cells = append(res.Cells, cellResultOf(sp, m))
 	}
 	res.WallSeconds = time.Since(start).Seconds()
@@ -451,7 +455,6 @@ func newSweepResult(t *trace.Trace, p *core.Partition, requests int, cfg SweepCo
 		Filecules: p.NumFilecules(),
 		Requests:  requests,
 		Scale:     cfg.Scale,
-		Warmup:    cfg.Warmup,
 		Workers:   workers,
 	}
 }

@@ -49,7 +49,8 @@ func workload(t *testing.T) (*trace.Trace, *core.Partition, []trace.Request) {
 // whole stream over a partition identified from the first half of the jobs,
 // so files only the second half requests are uncovered (degenerate units on
 // the filecule axis, singleton bundles), at caches small enough that
-// filecules bypass to their degenerate slots.
+// filecules bypass to their degenerate slots. gdsf and lfuda, off the
+// default grid, run over both partitions too.
 func TestSweepMatchesSequential(t *testing.T) {
 	tr, p, reqs := workload(t)
 	half := make([]trace.JobID, len(tr.Jobs)/2)
@@ -67,13 +68,17 @@ func TestSweepMatchesSequential(t *testing.T) {
 		t.Fatal("the half-trace partition covers every request: the case tests nothing")
 	}
 
+	small := []float64{0.05, 0.5, 5}
+	freq := []string{"gdsf", "lfuda"}
 	cases := []struct {
 		name string
 		p    *core.Partition
 		cfg  SweepConfig
 	}{
 		{"paper grid", p, SweepConfig{Scale: diffScale}},
-		{"uncovered files, small caches", halfP, SweepConfig{Scale: diffScale, CapacitiesTB: []float64{0.05, 0.5, 5}}},
+		{"uncovered files, small caches", halfP, SweepConfig{Scale: diffScale, CapacitiesTB: small}},
+		{"gdsf and lfuda", p, SweepConfig{Scale: diffScale, Policies: freq}},
+		{"gdsf and lfuda, uncovered files, small caches", halfP, SweepConfig{Scale: diffScale, Policies: freq, CapacitiesTB: small}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,7 +94,11 @@ func TestSweepMatchesSequential(t *testing.T) {
 			if caps == 0 {
 				caps = len(Fig10CacheSizesTB)
 			}
-			if n := len(SweepPolicies) * len(SweepGranularities) * caps; len(got.Cells) != n || len(want.Cells) != n {
+			pols := len(tc.cfg.Policies)
+			if pols == 0 {
+				pols = len(defaultPolicies)
+			}
+			if n := pols * len(SweepGranularities) * caps; len(got.Cells) != n || len(want.Cells) != n {
 				t.Fatalf("grids of %d and %d cells, want every policy × granularity pair at %d sizes: %d",
 					len(got.Cells), len(want.Cells), caps, n)
 			}
@@ -147,7 +156,7 @@ func TestSweepMemoryFollowsRequests(t *testing.T) {
 
 	// Small batches keep the pool's share of the allocation, which varies
 	// with scheduling, far below the margin.
-	cfg := SweepConfig{Scale: diffScale, Workers: 2, BatchSize: 256}
+	cfg := SweepConfig{Scale: diffScale, Workers: 2, batchSize: 256}
 	sweep := func(tr *trace.Trace, p *core.Partition, reqs []trace.Request) (*SweepResult, uint64) {
 		p.Of(0) // the partition's lazy file index is the caller's, not the sweep's
 		var before, after runtime.MemStats
@@ -209,7 +218,7 @@ func TestSweepBatchInvariance(t *testing.T) {
 
 	var base []CellResult
 	for _, bs := range []int{1, 7, 4096} {
-		cfg.BatchSize = bs
+		cfg.batchSize = bs
 		res, err := Sweep(tr, p, reqs, cfg)
 		if err != nil {
 			t.Fatalf("Sweep(batch=%d): %v", bs, err)
@@ -221,32 +230,6 @@ func TestSweepBatchInvariance(t *testing.T) {
 		if !reflect.DeepEqual(res.Cells, base) {
 			t.Errorf("batch=%d: cells differ from batch=1 run", bs)
 		}
-	}
-}
-
-// TestSweepWarmup pins warmup handling against the sequential reference.
-func TestSweepWarmup(t *testing.T) {
-	tr, p, reqs := workload(t)
-	cfg := SweepConfig{
-		Scale:         diffScale,
-		Policies:      []string{"gds", "opt"},
-		Granularities: []string{"file", "bundle"},
-		CapacitiesTB:  []float64{1, 10},
-		Warmup:        int64(len(reqs) / 3),
-	}
-	got, err := Sweep(tr, p, reqs, cfg)
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	want, err := SweepSequential(tr, p, reqs, cfg)
-	if err != nil {
-		t.Fatalf("SweepSequential: %v", err)
-	}
-	if !reflect.DeepEqual(got.Cells, want.Cells) {
-		t.Errorf("warmup sweep differs from sequential reference")
-	}
-	if n := got.Cells[0].Metrics.Requests; n != int64(len(reqs))-cfg.Warmup {
-		t.Errorf("warmup: counted %d requests, want %d", n, int64(len(reqs))-cfg.Warmup)
 	}
 }
 
@@ -296,7 +279,6 @@ func TestSweepValidates(t *testing.T) {
 		{Scale: -1},
 		{Scale: math.NaN()},
 		{Scale: math.Inf(1)},
-		{Warmup: -1},
 	}
 	for _, cfg := range bad {
 		if _, err := Sweep(tr, p, reqs, cfg); err == nil {
