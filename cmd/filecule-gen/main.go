@@ -97,8 +97,11 @@ func run(args []string, stderr io.Writer) error {
 		}
 	}
 	if err != nil {
+		// A refused workload or a failed encode leaves no output file, not
+		// an empty or partial one.
 		if f != nil {
 			f.Close()
+			os.Remove(*out)
 		}
 		return err
 	}

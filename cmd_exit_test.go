@@ -76,6 +76,8 @@ func TestCommandExitCodes(t *testing.T) {
 		{"bad sweep policy", "filecule-cachesim", append([]string{"-sweep", "-policies", "mru"}, tiny...), 1},
 		{"bad sweep gran", "filecule-cachesim", append([]string{"-sweep", "-grans", "block"}, tiny...), 1},
 		{"bad sweep size", "filecule-cachesim", append([]string{"-sizes", "zero"}, tiny...), 1},
+		{"zero sweep size", "filecule-cachesim", append([]string{"-sweep", "-sizes", "0"}, tiny...), 1},
+		{"repeated sweep size", "filecule-cachesim", append([]string{"-sweep", "-sizes", "1,1"}, tiny...), 1},
 		{"sweep unwritable output", "filecule-cachesim", append([]string{"-sweep", "-o", unwritable}, tiny...), 1},
 		{"gen unwritable output", "filecule-gen", append([]string{"-o", unwritable}, tiny...), 1},
 		{"analyze missing trace", "filecule-repro", append([]string{"-exp", "sec3"}, noSuchTrace...), 1},
@@ -206,6 +208,8 @@ func TestWorkloadSpecExitCodes(t *testing.T) {
 			append([]string{"-workload", "file,path=" + kvCSV + ",scale=0"}, sweepArgs...), 1, "not positive"},
 		{"gen bad spec", "filecule-gen",
 			[]string{"-workload", "xrootd,one-touch=2", "-o", filepath.Join(dir, "x.trace")}, 1, "one-touch"},
+		{"gen NaN scale", "filecule-gen",
+			[]string{"-workload", "dzero,seed=1,scale=NaN", "-o", filepath.Join(dir, "nan.trace")}, 1, "finite"},
 
 		// -workload help prints the adapter listing (exit 1: nothing ran),
 		// whichever of Open, Load and OpenOrdered the tool calls.
@@ -243,6 +247,12 @@ func TestWorkloadSpecExitCodes(t *testing.T) {
 				t.Errorf("%s %v: output missing %q:\n%s", tc.bin, tc.args, tc.wantSub, out)
 			}
 		})
+	}
+	// A refused spec writes nothing, not an empty or partial trace.
+	for _, name := range []string{"x.trace", "nan.trace"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("gen left %s behind for a refused spec (stat: %v)", name, err)
+		}
 	}
 }
 

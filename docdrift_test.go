@@ -9,12 +9,14 @@ package filecule_test
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -155,6 +157,189 @@ func TestQuotedRatiosMatchBaseline(t *testing.T) {
 			if !strings.Contains(string(text), quoted) {
 				t.Errorf("%s does not quote %s, the %s/%s ns/op ratio in BENCH_baseline.json", doc, quoted, r.slow, r.fast)
 			}
+		}
+	}
+}
+
+// The three documents the reference checks below read.
+var referenceDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+var (
+	// A source line: `bin.go:120`, `internal/trace/bin.go:120`, or a range
+	// `main.go:266–272`.
+	fileLineRE = regexp.MustCompile(`([A-Za-z0-9_./-]*[A-Za-z0-9_]\.go):([0-9]+)(?:[–-]([0-9]+))?`)
+	fencedRE   = regexp.MustCompile("(?s)```.*?```")
+	// A code span that opens with a package-qualified name.
+	qualifiedRE = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)[^`]*`")
+	// A citation of a DESIGN.md section, in the documents or a Go comment.
+	designCiteRE = regexp.MustCompile(`DESIGN(?:\.md)?\s+§\s*([0-9]+)`)
+	// DESIGN.md's own cross-references and its section headings.
+	sectionRefRE     = regexp.MustCompile(`§\s*([0-9]+)`)
+	sectionHeadingRE = regexp.MustCompile(`(?m)^## ([0-9]+)\. `)
+)
+
+func readDocs(t *testing.T) map[string]string {
+	t.Helper()
+	docs := map[string]string{}
+	for _, path := range referenceDocs {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[path] = string(b)
+	}
+	return docs
+}
+
+// goFiles lists the module's .go files, slash-separated, outside testdata.
+func goFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestDocFileLineRefsResolve: every `file.go:NN` the documents quote names
+// exactly one source file (by its path or a path suffix) and a line inside it.
+func TestDocFileLineRefsResolve(t *testing.T) {
+	files := goFiles(t)
+	for path, text := range readDocs(t) {
+		for _, m := range fileLineRE.FindAllStringSubmatch(text, -1) {
+			var match []string
+			for _, f := range files {
+				if f == m[1] || strings.HasSuffix(f, "/"+m[1]) {
+					match = append(match, f)
+				}
+			}
+			if len(match) != 1 {
+				t.Errorf("%s cites %s: it names %d source files %v, want one", path, m[0], len(match), match)
+				continue
+			}
+			src, err := os.ReadFile(match[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Count(string(src), "\n")
+			for _, n := range m[2:] {
+				if n == "" {
+					continue // no range end
+				}
+				if line, _ := strconv.Atoi(n); line < 1 || line > lines {
+					t.Errorf("%s cites %s: %s has %d lines", path, m[0], match[0], lines)
+				}
+			}
+		}
+	}
+}
+
+// TestDocQualifiedNamesResolve: every code span of the documents that opens
+// with `pkg.Name`, where pkg is an internal package, names an identifier that
+// package declares at top level outside its tests.
+func TestDocQualifiedNamesResolve(t *testing.T) {
+	decls := map[string]map[string]bool{} // package name → top-level identifiers
+	for _, f := range goFiles(t) {
+		if !strings.HasPrefix(f, "internal/") || strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := decls[file.Name.Name]
+		if ids == nil {
+			ids = map[string]bool{}
+			decls[file.Name.Name] = ids
+		}
+		for _, d := range file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					ids[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						ids[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							ids[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	refs := 0
+	for path, text := range readDocs(t) {
+		for _, m := range qualifiedRE.FindAllStringSubmatch(fencedRE.ReplaceAllString(text, ""), -1) {
+			pkg, name := m[1], m[2]
+			// Not an internal package, a file name, or a ledger metric
+			// (`durable.wal_self_us_per_job`): Go names carry no underscores.
+			if decls[pkg] == nil || name == "go" || strings.Contains(name, "_") && strings.ToLower(name) == name {
+				continue
+			}
+			refs++
+			if !decls[pkg][name] {
+				t.Errorf("%s quotes %s: package %s declares no %s", path, m[0], pkg, name)
+			}
+		}
+	}
+	t.Logf("%d package-qualified names checked", refs)
+	if refs < 40 {
+		t.Errorf("found %d package-qualified names, expected dozens: the extraction is broken", refs)
+	}
+}
+
+// TestDesignCitationsResolve: every `DESIGN.md §N` or `DESIGN §N` in the
+// documents and in non-test Go comments, and every `§N` inside DESIGN.md,
+// names one of DESIGN.md's numbered sections, which run 1, 2, ... in order.
+func TestDesignCitationsResolve(t *testing.T) {
+	docs := readDocs(t)
+	headings := sectionHeadingRE.FindAllStringSubmatch(docs["DESIGN.md"], -1)
+	if len(headings) == 0 {
+		t.Fatal("DESIGN.md has no numbered sections")
+	}
+	for i, m := range headings {
+		if want := strconv.Itoa(i + 1); m[1] != want {
+			t.Errorf("DESIGN.md section %s is heading %d, want section %s", m[1], i+1, want)
+		}
+	}
+	check := func(where, text string, re *regexp.Regexp) {
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			if n, _ := strconv.Atoi(m[1]); n < 1 || n > len(headings) {
+				t.Errorf("%s cites %q: DESIGN.md has no section %s", where, m[0], m[1])
+			}
+		}
+	}
+	for path, text := range docs {
+		check(path, text, designCiteRE)
+	}
+	check("DESIGN.md", docs["DESIGN.md"], sectionRefRE)
+	for _, f := range goFiles(t) {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range file.Comments {
+			check(f, c.Text(), designCiteRE)
 		}
 	}
 }

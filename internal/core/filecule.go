@@ -300,7 +300,7 @@ func Identify(t *trace.Trace) *Partition {
 // second worker costs more than it saves. The cap is the largest worker count
 // that has been measured; a third worker adds another pass over every
 // request for a smaller share of the state, and nothing yet shows that pays
-// (DESIGN §5 has the measurements).
+// (CHANGES.md, "Generate and identify for less", has the measurements).
 const (
 	identifyRequestsPerWorker = 512 << 10
 	maxIdentifyWorkers        = 2

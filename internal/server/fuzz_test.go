@@ -38,6 +38,9 @@ func FuzzServerHandlers(f *testing.F) {
 	f.Add(uint8(3), `-1`)
 	f.Add(uint8(3), `99999999999999999999`)
 	f.Add(uint8(0), strings.Repeat(`[`, 10000))
+	f.Add(uint8(0), `{"files":[1]}]`)
+	f.Add(uint8(0), `{"files":[1]}}}garbage`)
+	f.Add(uint8(1), `{"jobs":[{"files":[1]}]}]`)
 
 	f.Fuzz(func(t *testing.T, which uint8, body string) {
 		s := New(Config{Catalog: fuzzCatalog()})

@@ -328,9 +328,15 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 		writeBodyReadError(w, err)
 		return false
 	}
-	// Trailing garbage after the JSON value is a client error.
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
+	// Only whitespace may follow the JSON value. (More would pass trailing
+	// bytes that start with ']' or '}'.)
+	if _, err := dec.Token(); err != io.EOF {
+		var syn *json.SyntaxError
+		if err == nil || errors.As(err, &syn) {
+			writeError(w, http.StatusBadRequest, "trailing data after JSON body")
+		} else {
+			writeBodyReadError(w, err)
+		}
 		return false
 	}
 	clearDeadline()

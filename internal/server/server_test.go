@@ -246,6 +246,9 @@ func TestClientErrors(t *testing.T) {
 		{"wrong type", "POST", "/v1/jobs", `{"files":"nope"}`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/jobs", `{"fils":[1]}`, http.StatusBadRequest},
 		{"trailing data", "POST", "/v1/jobs", `{"files":[1]}{"files":[2]}`, http.StatusBadRequest},
+		{"trailing bracket", "POST", "/v1/jobs", `{"files":[1]}]`, http.StatusBadRequest},
+		{"trailing braces", "POST", "/v1/jobs", `{"files":[1]}}}garbage`, http.StatusBadRequest},
+		{"batch trailing bracket", "POST", "/v1/jobs/batch", `{"jobs":[{"files":[1]}]}]`, http.StatusBadRequest},
 		{"negative file", "POST", "/v1/jobs", `{"files":[-1]}`, http.StatusBadRequest},
 		{"file beyond catalog", "POST", "/v1/jobs",
 			fmt.Sprintf(`{"files":[%d]}`, len(tr.Files)), http.StatusBadRequest},

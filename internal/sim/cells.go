@@ -566,8 +566,8 @@ func (s *optState) remove(v int32) { s.removeAt(int(s.pos[v])) }
 // policyCell is a cell whose replacement units are the axis's own slots:
 // every policy at file or filecule granularity. One loop serves all five
 // policy states through denseBase; the four copies with direct calls it
-// replaced measured 0-3 % faster, inside their own run-to-run spread (DESIGN
-// §7 has the table).
+// replaced measured 0-3 % faster, inside their own run-to-run spread
+// (CHANGES.md, "one replay skeleton per engine", has the runs).
 type policyCell struct {
 	cellCore
 	st denseBase

@@ -102,6 +102,17 @@ func (c *SweepConfig) validate() error {
 			return fmt.Errorf("sim: sweep %w", err)
 		}
 	}
+	// A repeated axis value would simulate its cells twice and write them
+	// twice into the grid.
+	if p, ok := firstRepeat(c.Policies); ok {
+		return fmt.Errorf("sim: sweep policy %q given twice", p)
+	}
+	if g, ok := firstRepeat(c.Granularities); ok {
+		return fmt.Errorf("sim: sweep granularity %q given twice", g)
+	}
+	if tb, ok := firstRepeat(c.CapacitiesTB); ok {
+		return fmt.Errorf("sim: sweep cache size %g TB given twice", tb)
+	}
 	return nil
 }
 
@@ -112,6 +123,19 @@ func contains(xs []string, s string) bool {
 		}
 	}
 	return false
+}
+
+// firstRepeat returns the first value that occurs in xs a second time.
+func firstRepeat[T comparable](xs []T) (T, bool) {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
+	}
+	var zero T
+	return zero, false
 }
 
 // ScaledCapacity converts a nominal full-scale cache size in TB into the

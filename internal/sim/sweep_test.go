@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -286,6 +287,20 @@ func TestSweepValidates(t *testing.T) {
 		}
 		if _, err := SweepSequential(tr, p, reqs, cfg); err == nil {
 			t.Errorf("SweepSequential accepted invalid config %+v", cfg)
+		}
+	}
+	// A repeated axis value would put every cell it names in the grid twice;
+	// the refusal names it.
+	for _, c := range []struct {
+		cfg  SweepConfig
+		want string
+	}{
+		{SweepConfig{Policies: []string{"lru", "lru"}}, `policy "lru" given twice`},
+		{SweepConfig{Granularities: []string{"file", "filecule", "file"}}, `granularity "file" given twice`},
+		{SweepConfig{CapacitiesTB: []float64{1, 10, 1}}, "cache size 1 TB given twice"},
+	} {
+		if _, err := Sweep(tr, p, reqs, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Sweep(%+v) = %v, want an error saying %s", c.cfg, err, c.want)
 		}
 	}
 }

@@ -181,8 +181,11 @@ func DZero(seed int64, scale float64) Config {
 
 // Validate checks the configuration for internal consistency.
 func (c *Config) Validate() error {
-	if c.Scale <= 0 {
-		return fmt.Errorf("synth: Scale %v must be > 0", c.Scale)
+	if !positiveFinite(c.Scale) {
+		return fmt.Errorf("synth: Scale %v must be > 0 and finite", c.Scale)
+	}
+	if c.UserScale != 0 && !positiveFinite(c.UserScale) {
+		return fmt.Errorf("synth: UserScale %v must be 0 (sqrt(Scale)) or > 0 and finite", c.UserScale)
 	}
 	if c.Days < 1 {
 		return fmt.Errorf("synth: Days %d must be >= 1", c.Days)
@@ -216,6 +219,9 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether x > 0 and is neither NaN nor infinite.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 func (c *Config) userScale() float64 {
 	if c.UserScale > 0 {

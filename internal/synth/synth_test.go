@@ -311,6 +311,11 @@ func TestScaleMonotone(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Scale = 0 },
+		func(c *Config) { c.Scale = math.NaN() },
+		func(c *Config) { c.Scale = math.Inf(1) },
+		func(c *Config) { c.UserScale = -3 },
+		func(c *Config) { c.UserScale = math.NaN() },
+		func(c *Config) { c.UserScale = math.Inf(1) },
 		func(c *Config) { c.Days = 0 },
 		func(c *Config) { c.Tiers = nil },
 		func(c *Config) { c.Domains = nil },

@@ -143,7 +143,7 @@ func (c XRootDConfig) withDefaults() XRootDConfig {
 
 // Validate checks the configuration after defaulting.
 func (c XRootDConfig) Validate() error {
-	if c.Scale <= 0 || math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) {
+	if !positiveFinite(c.Scale) {
 		return fmt.Errorf("synth: xrootd scale %v must be > 0 and finite", c.Scale)
 	}
 	if c.Days <= 0 {

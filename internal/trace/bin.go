@@ -1230,7 +1230,8 @@ func (d *binDecoder) materialize() (*Trace, error) {
 // stays for the collector. A cycle that starts late in ReadFile's parallel
 // fill finishes marking during this pass, before the caller allocates on;
 // without it the cycle counts those allocations live, the next heap goal
-// rises with them, and ingest-durable's peak RSS rose 2.4-3.5 % (DESIGN §13).
+// rises with them, and ingest-durable's peak RSS rose 2.4-3.5 % (CHANGES.md,
+// "the second core on the trace decode").
 func validated(t *Trace, err error) (*Trace, error) {
 	if err != nil {
 		return nil, err
@@ -1303,8 +1304,9 @@ func (s *BinSource) Close() error {
 // ReadBin materializes a filecule-bin/v1 stream into a validated Trace,
 // decoding chunks in line with buffers reused across the stream. A stream
 // cannot be decoded in place or out of order, so a worker pool here only
-// buys payload copies (see DESIGN §13 for the measurement); parallel
-// materialization belongs to ReadFile's mapped fast path.
+// buys payload copies (CHANGES.md, "one filecule-bin decoder", has the
+// measurement); parallel materialization belongs to ReadFile's mapped fast
+// path.
 func ReadBin(r io.Reader) (*Trace, error) {
 	d, err := openBinStream(r)
 	if err != nil {

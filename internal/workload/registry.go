@@ -16,6 +16,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -172,8 +173,8 @@ func Scale(spec string) (float64, error) {
 		return 0, err
 	}
 	scale, err := optFloat(opts, "scale", 1)
-	if err == nil && scale <= 0 {
-		err = fmt.Errorf("workload: option scale=%q is not positive", opts["scale"])
+	if err == nil && (!(scale > 0) || math.IsInf(scale, 1)) {
+		err = fmt.Errorf("workload: option scale=%q is not positive and finite", opts["scale"])
 	}
 	return scale, err
 }

@@ -102,6 +102,8 @@ func TestScale(t *testing.T) {
 		{"dzero,scale", 0, "not key=value"},
 		{"dzero,scale=wide", 0, "not a number"},
 		{"file,path=p,scale=0", 0, "not positive"},
+		{"dzero,scale=NaN", 0, "not positive and finite"},
+		{"dzero,scale=Inf", 0, "not positive and finite"},
 	} {
 		got, err := workload.Scale(tc.spec)
 		if tc.wantErr != "" {
