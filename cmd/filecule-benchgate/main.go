@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 
+	"filecule/internal/cli"
 	"filecule/internal/sim"
 )
 
@@ -68,9 +69,7 @@ func run(args []string, stdout io.Writer) error {
 		tolerance  = fs.Float64("tolerance", 0.15, "allowed fractional regression of ns/op, B/op and (cold-path benchmarks) allocs/op")
 		update     = fs.Bool("update", false, "rewrite the baseline from the report instead of gating")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	cli.Parse(fs, args)
 
 	if *benchPath != "" {
 		rep, err := assemble(*benchPath, *sweepPath)

@@ -47,9 +47,7 @@ func run(args []string, stdout io.Writer) error {
 		table    = fs.Bool("table", false, "sweep: render per-policy tables instead of JSON")
 		out      = fs.String("o", "-", "output path ('-' for stdout)")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err // unreachable with ExitOnError; kept for safety
-	}
+	cli.Parse(fs, args)
 
 	// Cache sizes scale with the workload so miss-rate curves stay
 	// comparable across scales.

@@ -50,9 +50,7 @@ func run(args []string, stderr io.Writer) error {
 		kvKeys = fs.Int("kv-keys", 1000, "distinct keys in the synthetic KV-cache CSV")
 		kvSeed = fs.Int64("kv-seed", 1, "generator seed of the synthetic KV-cache CSV")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err // unreachable with ExitOnError; kept for safety
-	}
+	cli.Parse(fs, args)
 	if *kvRows == 0 {
 		if err := workload.CheckFormat(*format); err != nil {
 			return err

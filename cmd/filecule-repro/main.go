@@ -31,7 +31,7 @@ func main() {
 		list = flag.Bool("list", false, "list experiment IDs and groups and exit")
 		csv  = flag.String("csv", "", "also dump every table as CSV into this directory")
 	)
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:])
 
 	if *list {
 		for _, id := range experiments.All() {

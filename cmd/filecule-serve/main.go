@@ -6,7 +6,7 @@
 //	filecule-serve -addr :8080 -workload file,path=trace.txt      # serve a trace's catalog
 //	filecule-serve -addr :8080 -wire-addr :9091                   # also serve filecule-wire/v1
 //	filecule-serve -selftest                                      # closed-loop verification
-//	filecule-serve -site a -peers http://b:9090                   # federate with another site
+//	filecule-serve -wire-addr :9091 -site a -peers b:9091         # federate with another site
 //
 // In -selftest mode the command starts an in-process server on a loopback
 // port, replays a synthetic trace against it from -clients concurrent
@@ -62,18 +62,18 @@ func main() {
 		stateDir = flag.String("state-dir", "", "durable state directory (checkpoints + write-ahead log; empty = in-memory only)")
 		ckptInt  = flag.Duration("checkpoint-interval", 0, "background checkpoint cadence (requires -state-dir; 0 = 30s with a state dir)")
 		walSync  = flag.String("wal-sync", "50ms", "WAL group-commit cadence, or \"commit\" to fsync before acknowledging every observe")
-		site     = flag.String("site", "", "this site's name in a federation (required with -peers)")
-		peers    = flag.String("peers", "", "comma-separated peer base URLs to exchange signature tables with")
+		site     = flag.String("site", "", "this site's name in a federation (required with -peers; requires -wire-addr)")
+		peers    = flag.String("peers", "", "comma-separated peer wire addresses (host:port) to exchange signature tables with")
 		exchInt  = flag.Duration("exchange-interval", time.Second, "steady-state federation exchange cadence per peer")
 		peerTO   = flag.Duration("peer-timeout", 2*time.Second, "bound on one federation exchange round-trip")
 	)
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:])
 
 	dopts, err := durableOptions(*stateDir, *ckptInt, *walSync)
 	if err != nil {
 		fatal(err)
 	}
-	fedCfg, err := fedConfig(*site, *peers, *exchInt, *peerTO)
+	fedCfg, err := fedConfig(*site, *peers, *wireAddr, *exchInt, *peerTO)
 	if err != nil {
 		fatal(err)
 	}
@@ -181,13 +181,20 @@ func serve(cfg server.Config, spec, addr, wireAddr string, dopts *durable.Option
 }
 
 // fedConfig validates the federation flag set. A nil result means the
-// server runs standalone.
-func fedConfig(site, peers string, interval, timeout time.Duration) (*fed.Config, error) {
+// server runs standalone. Deltas travel between wire listeners.
+func fedConfig(site, peers, wireAddr string, interval, timeout time.Duration) (*fed.Config, error) {
+	// fed.Config would silently take a non-positive value for its default.
+	if interval <= 0 || timeout <= 0 {
+		return nil, fmt.Errorf("filecule-serve: -exchange-interval and -peer-timeout must be positive (got %v, %v)", interval, timeout)
+	}
 	if site == "" {
 		if peers != "" {
 			return nil, fmt.Errorf("filecule-serve: -peers requires -site")
 		}
 		return nil, nil
+	}
+	if wireAddr == "" {
+		return nil, fmt.Errorf("filecule-serve: -site requires -wire-addr")
 	}
 	cfg := &fed.Config{
 		Site:     site,
@@ -198,9 +205,13 @@ func fedConfig(site, peers string, interval, timeout time.Duration) (*fed.Config
 		},
 	}
 	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			cfg.Peers = append(cfg.Peers, p)
+		if p = strings.TrimSpace(p); p == "" {
+			continue
 		}
+		if _, _, err := net.SplitHostPort(p); err != nil {
+			return nil, fmt.Errorf("filecule-serve: -peers: %q is not a wire address host:port: %v", p, err)
+		}
+		cfg.Peers = append(cfg.Peers, p)
 	}
 	return cfg, nil
 }

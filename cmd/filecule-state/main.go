@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"filecule/internal/cli"
 	"filecule/internal/durable"
 )
 
@@ -48,7 +49,7 @@ func runDump(args []string) {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
 	dir := fs.String("dir", "", "state directory to inspect (required)")
 	groups := fs.Bool("groups", false, "list every filecule group's file and request counts")
-	fs.Parse(args)
+	cli.Parse(fs, args)
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "filecule-state dump: -dir is required")
 		fs.Usage()

@@ -54,10 +54,20 @@ func TestCommandExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every command; skipped in -short mode")
 	}
-	bins := buildCmds(t, "filecule-cachesim", "filecule-gen", "filecule-repro", "filecule-serve")
+	bins := buildCmds(t, "filecule-cachesim", "filecule-gen", "filecule-repro", "filecule-serve",
+		"filecule-state", "filecule-benchgate")
 
 	noSuchTrace := []string{"-workload", "file,path=" + filepath.Join(t.TempDir(), "missing.trace")}
 	unwritable := filepath.Join(t.TempDir(), "no-such-dir", "out.trace")
+	benchTxt := filepath.Join(t.TempDir(), "bench.txt")
+	if err := os.WriteFile(benchTxt, []byte("BenchmarkX-2 \t 100\t 12.5 ns/op\nPASS\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A federated selftest: valid federation flags, so each case below
+	// breaks exactly one.
+	fedSelftest := func(args ...string) []string {
+		return append(append([]string{"-selftest", "-site", "a", "-wire-addr", "127.0.0.1:0"}, tiny...), args...)
+	}
 
 	cases := []struct {
 		name string
@@ -68,6 +78,14 @@ func TestCommandExitCodes(t *testing.T) {
 		// Usage errors: the flag package's conventional exit 2.
 		{"bad flag", "filecule-cachesim", []string{"-no-such-flag"}, 2},
 		{"bad flag gen", "filecule-gen", []string{"-no-such-flag"}, 2},
+		// A positional argument ends flag parsing, so every flag after it
+		// would be dropped without a word: one case per command.
+		{"stray arg serve", "filecule-serve", append(append([]string{"-selftest"}, tiny...), "stray", "-state-dir", t.TempDir()), 2},
+		{"stray arg cachesim", "filecule-cachesim", append(append([]string{}, tiny...), "stray", "-o", filepath.Join(t.TempDir(), "o")), 2},
+		{"stray arg gen", "filecule-gen", append(append([]string{"-o", filepath.Join(t.TempDir(), "t.trace")}, tiny...), "stray", "-format", "bin"), 2},
+		{"stray arg repro", "filecule-repro", []string{"-list", "stray", "-exp", "fig99"}, 2},
+		{"stray arg state", "filecule-state", []string{"dump", "-dir", t.TempDir(), "extra"}, 2},
+		{"stray arg benchgate", "filecule-benchgate", []string{"-bench", benchTxt, "-o", filepath.Join(t.TempDir(), "r.json"), "stray"}, 2},
 
 		// Operational failures: exit 1. The analyze and swarm cases are the
 		// sec3 and sec5 groups of filecule-repro, the cmds they used to be.
@@ -89,10 +107,16 @@ func TestCommandExitCodes(t *testing.T) {
 			append([]string{"-selftest", "-wire-addr", "256.256.256.256:1"}, tiny...), 1},
 		{"serve wire addr with durable selftest", "filecule-serve",
 			append([]string{"-selftest", "-wire-addr", "127.0.0.1:0", "-state-dir", t.TempDir()}, tiny...), 1},
+		{"serve negative exchange interval", "filecule-serve", fedSelftest("-peers", "b:1", "-exchange-interval", "-5s"), 1},
+		{"serve zero exchange interval", "filecule-serve", fedSelftest("-exchange-interval", "0s"), 1},
+		{"serve zero peer timeout", "filecule-serve", fedSelftest("-peers", "b:1", "-peer-timeout", "0s"), 1},
+		{"serve site without wire addr", "filecule-serve", append([]string{"-selftest", "-site", "a"}, tiny...), 1},
+		{"serve peer URL, not host:port", "filecule-serve", fedSelftest("-peers", "http://b:9091"), 1},
 
 		// Success: exit 0.
 		{"serve wire selftest ok", "filecule-serve",
 			append([]string{"-selftest", "-wire-addr", "127.0.0.1:0"}, tiny...), 0},
+		{"serve federated selftest ok", "filecule-serve", fedSelftest(), 0},
 		{"gen ok", "filecule-gen", append([]string{"-o", filepath.Join(t.TempDir(), "t.trace")}, tiny...), 0},
 		{"sweep ok", "filecule-cachesim",
 			append([]string{"-sweep", "-policies", "lru", "-grans", "file", "-sizes", "1"}, tiny...), 0},

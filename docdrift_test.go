@@ -3,7 +3,8 @@
 // finds in README.md, DESIGN.md, EXPERIMENTS.md, the Makefile and the cmds'
 // package comments past the named binary's own -h: a flag the usage text does
 // not list, or a cmd with no directory under cmd/, fails. The documents also
-// quote speedups, and those are recomputed from BENCH_baseline.json.
+// quote speedups, and those are recomputed from BENCH_baseline.json, and
+// README's endpoint table must list exactly the routes the server mounts.
 package filecule_test
 
 import (
@@ -340,6 +341,59 @@ func TestDesignCitationsResolve(t *testing.T) {
 		}
 		for _, c := range file.Comments {
 			check(f, c.Text(), designCiteRE)
+		}
+	}
+}
+
+var (
+	// A route the JSON server mounts: the pattern of one s.mux.HandleFunc.
+	muxRouteRE = regexp.MustCompile(`s\.mux\.HandleFunc\("([^"]+)"`)
+	// The code spans of a table row's first cell.
+	firstCellRE = regexp.MustCompile("^\\|([^|]*)\\|")
+	codeSpanRE  = regexp.MustCompile("`([^`]+)`")
+)
+
+// TestReadmeRoutesMatchServer: README's endpoint table lists exactly the
+// routes internal/server mounts, its pprof routes as one /debug/pprof/*.
+func TestReadmeRoutesMatchServer(t *testing.T) {
+	src, err := os.ReadFile("internal/server/server.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mounted := map[string]bool{}
+	for _, m := range muxRouteRE.FindAllStringSubmatch(string(src), -1) {
+		route := m[1]
+		if strings.HasPrefix(route, "/debug/pprof/") {
+			route = "/debug/pprof/*"
+		}
+		mounted[route] = true
+	}
+	readme := readDocs(t)["README.md"]
+	_, table, ok := strings.Cut(readme, "| Endpoint | Meaning |\n|---|---|\n")
+	if !ok {
+		t.Fatal("README.md has no endpoint table")
+	}
+	listed := map[string]bool{}
+	for _, row := range strings.Split(table, "\n") {
+		cell := firstCellRE.FindStringSubmatch(row)
+		if cell == nil {
+			break
+		}
+		for _, m := range codeSpanRE.FindAllStringSubmatch(cell[1], -1) {
+			listed[m[1]] = true
+		}
+	}
+	if len(mounted) < 10 || len(listed) == 0 {
+		t.Fatalf("found %d mounted routes and %d README rows: the extraction is broken", len(mounted), len(listed))
+	}
+	for route := range mounted {
+		if !listed[route] {
+			t.Errorf("internal/server mounts %q; README's endpoint table does not list it", route)
+		}
+	}
+	for route := range listed {
+		if !mounted[route] {
+			t.Errorf("README's endpoint table lists %q; internal/server mounts no such route", route)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 //go:build slow
 
 // Federated kill-and-recover harness: two filecule-serve processes, each
-// holding half the trace, cross-peered over HTTP with strict WAL commits.
+// holding half the trace, cross-peered over their wire listeners with strict
+// WAL commits.
 // One site is SIGKILLed mid-replay; while it is down the survivor must
 // report degraded readiness (503) yet keep serving. The killed site then
 // restarts on the same port and state directory, recovers its durable
@@ -42,13 +43,14 @@ func reserveAddr(t *testing.T) string {
 	return addr
 }
 
-// startServeFed launches one federated site on a fixed address.
-func startServeFed(t *testing.T, bin, tracePath, stateDir, addr, site, peer string) *serveProc {
+// startServeFed launches one federated site on fixed HTTP and wire
+// addresses, peered with the wire address of the other site.
+func startServeFed(t *testing.T, bin, tracePath, stateDir, addr, wireAddr, site, peer string) *serveProc {
 	t.Helper()
 	return startServeArgs(t, bin,
-		"-addr", addr, "-workload", "file,path="+tracePath, "-state-dir", stateDir,
+		"-addr", addr, "-wire-addr", wireAddr, "-workload", "file,path="+tracePath, "-state-dir", stateDir,
 		"-wal-sync", "commit", "-checkpoint-interval", "50ms", "-pprof=false",
-		"-site", site, "-peers", "http://"+peer, "-exchange-interval", "25ms")
+		"-site", site, "-peers", peer, "-exchange-interval", "25ms")
 }
 
 // readyCode fetches /readyz and returns the status code (0 on transport
@@ -87,10 +89,11 @@ func TestFedKillAndRecover(t *testing.T) {
 	}
 
 	addrA, addrB := reserveAddr(t), reserveAddr(t)
+	wireA, wireB := reserveAddr(t), reserveAddr(t)
 	stateA, stateB := dir+"/state-a", dir+"/state-b"
-	pA := startServeFed(t, bin, tracePath, stateA, addrA, "site-a", addrB)
+	pA := startServeFed(t, bin, tracePath, stateA, addrA, wireA, "site-a", wireB)
 	defer pA.kill(t)
-	pB := startServeFed(t, bin, tracePath, stateB, addrB, "site-b", addrA)
+	pB := startServeFed(t, bin, tracePath, stateB, addrB, wireB, "site-b", wireA)
 
 	client := &http.Client{Timeout: 30 * time.Second}
 	seed := time.Now().UnixNano()
@@ -131,11 +134,11 @@ func TestFedKillAndRecover(t *testing.T) {
 		t.Fatal("site-a metrics do not show filecule_fed_degraded 1 while peer is down")
 	}
 
-	// Site B rejoins from its durable state on the same port: the recovered
+	// Site B rejoins from its durable state on the same ports: the recovered
 	// count must cover every acknowledged observe, and the remainder of its
 	// stream resumes from exactly there.
 	predicted := inspectPredicted(t, stateB)
-	pB = startServeFed(t, bin, tracePath, stateB, addrB, "site-b", addrA)
+	pB = startServeFed(t, bin, tracePath, stateB, addrB, wireB, "site-b", wireA)
 	defer pB.kill(t)
 	n := readObserved(t, client, pB.base)
 	if n < acked || n > acked+1 || n != predicted {

@@ -1,19 +1,34 @@
-// Package cli holds what the filecule command line tools share: the one
-// -workload flag every workload-consuming tool registers, and the trace
-// encoders behind -format and -gz. Everything that constructs a job stream
-// is internal/workload's; a tool hands the flag's value to workload.Open,
-// Load or OpenOrdered.
+// Package cli holds what the filecule command line tools share: the flag
+// parse every tool runs, the one -workload flag every workload-consuming
+// tool registers, and the trace encoders behind -format and -gz. Everything
+// that constructs a job stream is internal/workload's; a tool hands the
+// flag's value to workload.Open, Load or OpenOrdered.
 package cli
 
 import (
 	"compress/gzip"
 	"flag"
+	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"filecule/internal/trace"
 	"filecule/internal/workload"
 )
+
+// Parse parses args into fs, an ExitOnError set, and exits 2 with fs's usage
+// when an argument is left over: parsing stops at the first non-flag, so
+// every flag after a stray word (as in "-peers b:9091, c:9091") would
+// otherwise be dropped without a word.
+func Parse(fs *flag.FlagSet, args []string) {
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited 2
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s: unexpected argument %q; every flag after it would be ignored\n", fs.Name(), fs.Arg(0))
+		fs.Usage()
+		os.Exit(2)
+	}
+}
 
 // WorkloadFlag registers -workload on fs (flag.CommandLine for tools using
 // the global set), the same flag with the same default and help in every

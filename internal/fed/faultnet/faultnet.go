@@ -13,13 +13,9 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-)
 
-// Transport matches fed.Transport without importing it (no dependency
-// cycle risk, and the harness works for any byte-in/byte-out exchange).
-type Transport interface {
-	Exchange(ctx context.Context, peer string, delta []byte) ([]byte, error)
-}
+	"filecule/internal/fed"
+)
 
 // Plan is a deterministic fault schedule. Probabilities are per Exchange
 // call, evaluated in the order partition, drop, corrupt, duplicate, delay.
@@ -56,7 +52,7 @@ type Plan struct {
 
 // Net is the fault-injecting transport.
 type Net struct {
-	inner Transport
+	inner fed.Transport
 	plan  Plan
 
 	mu    sync.Mutex
@@ -70,7 +66,7 @@ type peerState struct {
 
 // Wrap returns a Transport that applies plan to every exchange through
 // inner.
-func Wrap(inner Transport, plan Plan) *Net {
+func Wrap(inner fed.Transport, plan Plan) *Net {
 	return &Net{inner: inner, plan: plan, peers: make(map[string]*peerState)}
 }
 
@@ -128,7 +124,7 @@ func (n *Net) decide(peer string, deltaLen int) decision {
 	return d
 }
 
-// Exchange implements Transport with faults applied.
+// Exchange implements fed.Transport with faults applied.
 func (n *Net) Exchange(ctx context.Context, peer string, delta []byte) ([]byte, error) {
 	d := n.decide(peer, len(delta))
 	if d.partitioned {

@@ -39,7 +39,7 @@ import (
 )
 
 // Transport carries one exchange to a peer and returns the peer's ack
-// bytes. Implementations must honor the context deadline.
+// bytes, within the context deadline; wire.FedTransport crosses a network.
 type Transport interface {
 	Exchange(ctx context.Context, peer string, delta []byte) ([]byte, error)
 }
@@ -58,7 +58,7 @@ type Config struct {
 
 	// Interval is the steady-state exchange cadence per peer (default 1s).
 	Interval time.Duration
-	// Timeout bounds one exchange round-trip (default 2s).
+	// Timeout bounds one exchange: dial, write and read (default 2s).
 	Timeout time.Duration
 	// BackoffMin..BackoffMax bound the exponential retry backoff after
 	// failures (defaults 100ms..10s); actual waits are jittered.

@@ -50,14 +50,15 @@ import (
 // restarted (or saw a new sender incarnation) reports 0 and gets the full
 // state again.
 
-const wireMagic = "filecule-fed/v1\n"
-
+// The messages' magic and chunk kinds. A filecule-wire/v1 connection
+// carries the frames after the magic as they are.
 const (
-	fedKindHeader = 'H'
-	fedKindGroups = 'G'
-	fedKindLive   = 'L'
-	fedKindEnd    = 'E'
-	fedKindAck    = 'A'
+	Magic      = "filecule-fed/v1\n"
+	KindHeader = 'H'
+	KindGroups = 'G'
+	KindLive   = 'L'
+	KindEnd    = 'E'
+	KindAck    = 'A'
 )
 
 // Ack statuses (diagnostic only; held-version drives the protocol).
@@ -78,11 +79,9 @@ const (
 	maxFedAckSize   = 1 << 12
 )
 
-// MaxDeltaSize is the largest encoded delta the wire format accepts. A full
-// resync after a receiver restart carries the sender's entire state, so HTTP
-// servers mounting ExchangePath must allow request bodies up to this size —
-// a smaller cap (such as a JSON-API body limit) would make every exchange
-// with a large-state peer fail with 413 and the federation never converge.
+// MaxDeltaSize is the largest encoded delta the format accepts. A full
+// resync after a receiver restart carries the sender's entire state, so a
+// transport must carry deltas up to this size.
 const MaxDeltaSize = maxFedDeltaSize
 
 // delta is one decoded exchange message.
@@ -153,7 +152,7 @@ func encodeDelta(d *delta) []byte {
 	for i := range d.Records {
 		totalFiles += len(d.Records[i].Files)
 	}
-	hdr := []byte{fedKindHeader}
+	hdr := []byte{KindHeader}
 	hdr = appendSite(hdr, d.Site)
 	hdr = trace.AppendUint64(hdr, d.Incarnation)
 	hdr = binary.AppendUvarint(hdr, d.From)
@@ -162,9 +161,9 @@ func encodeDelta(d *delta) []byte {
 	hdr = binary.AppendUvarint(hdr, uint64(len(d.Records)))
 	hdr = binary.AppendUvarint(hdr, uint64(len(d.Live)))
 	hdr = binary.AppendUvarint(hdr, uint64(totalFiles))
-	out := trace.AppendChunk([]byte(wireMagic), hdr)
+	out := trace.AppendChunk([]byte(Magic), hdr)
 
-	chunk := []byte{fedKindGroups} // kind byte, then the records of the chunk being filled
+	chunk := []byte{KindGroups} // kind byte, then the records of the chunk being filled
 	count := 0
 	flush := func(kind byte) {
 		if count == 0 {
@@ -178,22 +177,22 @@ func encodeDelta(d *delta) []byte {
 		chunk = core.AppendStateGroup(chunk, &d.Records[i])
 		count++
 		if len(chunk) >= fedChunkBytes {
-			flush(fedKindGroups)
+			flush(KindGroups)
 		}
 	}
-	flush(fedKindGroups)
+	flush(KindGroups)
 
 	for _, s := range d.Live {
 		chunk = trace.AppendUint64(chunk, s.Lo)
 		chunk = trace.AppendUint64(chunk, s.Hi)
 		count++
 		if len(chunk) >= fedChunkBytes {
-			flush(fedKindLive)
+			flush(KindLive)
 		}
 	}
-	flush(fedKindLive)
+	flush(KindLive)
 
-	end := []byte{fedKindEnd}
+	end := []byte{KindEnd}
 	end = binary.AppendUvarint(end, uint64(len(d.Records)))
 	end = binary.AppendUvarint(end, uint64(len(d.Live)))
 	return trace.AppendChunk(out, end)
@@ -208,7 +207,7 @@ func decodeDelta(b []byte) (*delta, error) {
 	if len(b) > maxFedDeltaSize {
 		return nil, fmt.Errorf("fed: delta of %d bytes exceeds limit %d", len(b), maxFedDeltaSize)
 	}
-	cr, p, err := trace.OpenChunks(bytes.NewReader(b), wireMagic, fedKindHeader)
+	cr, p, err := trace.OpenChunks(bytes.NewReader(b), Magic, KindHeader)
 	if err != nil {
 		return nil, fmt.Errorf("fed: %w", err)
 	}
@@ -224,7 +223,7 @@ func decodeDelta(b []byte) (*delta, error) {
 		p.Fail("%d bytes after header fields", p.Remaining())
 	}
 	if p.Err() != nil {
-		return nil, fmt.Errorf("fed: %w", &trace.ChunkError{Kind: fedKindHeader, Err: fmt.Errorf("malformed header: %v", p.Err())})
+		return nil, fmt.Errorf("fed: %w", &trace.ChunkError{Kind: KindHeader, Err: fmt.Errorf("malformed header: %v", p.Err())})
 	}
 	switch {
 	case d.To < d.From:
@@ -258,7 +257,7 @@ func decodeDelta(b []byte) (*delta, error) {
 			return nil, fmt.Errorf("fed: %w", err)
 		}
 		switch kind {
-		case fedKindGroups:
+		case KindGroups:
 			p := trace.NewPayload(payload)
 			d.Records = core.ReadStateGroups(p, d.Records, maxFedFileID, &filesLeft)
 			if p.Err() != nil {
@@ -267,7 +266,7 @@ func decodeDelta(b []byte) (*delta, error) {
 			if uint64(len(d.Records)) > nRecords {
 				return nil, fmt.Errorf("fed: more than the declared %d records", nRecords)
 			}
-		case fedKindLive:
+		case KindLive:
 			p := trace.NewPayload(payload)
 			n := p.Count("live signature")
 			for i := 0; i < n && p.Err() == nil; i++ {
@@ -282,7 +281,7 @@ func decodeDelta(b []byte) (*delta, error) {
 			if uint64(len(d.Live)) > nLive {
 				return nil, fmt.Errorf("fed: more than the declared %d live signatures", nLive)
 			}
-		case fedKindEnd:
+		case KindEnd:
 			p := trace.NewPayload(payload)
 			gotRecords := p.Uvarint()
 			gotLive := p.Uvarint()
@@ -302,7 +301,7 @@ func decodeDelta(b []byte) (*delta, error) {
 				return nil, fmt.Errorf("fed: data after end chunk")
 			}
 			return d, nil
-		case fedKindHeader:
+		case KindHeader:
 			return nil, fmt.Errorf("fed: duplicate header chunk")
 		default:
 			return nil, fmt.Errorf("fed: %w", &trace.ChunkError{Offset: boundary, Kind: kind, Err: fmt.Errorf("unknown chunk kind")})
@@ -312,11 +311,11 @@ func decodeDelta(b []byte) (*delta, error) {
 
 // encodeAck renders an ack to wire bytes.
 func encodeAck(a *ack) []byte {
-	payload := []byte{fedKindAck}
+	payload := []byte{KindAck}
 	payload = appendSite(payload, a.Site)
 	payload = binary.AppendUvarint(payload, a.Held)
 	payload = append(payload, a.Status)
-	return trace.AppendChunk([]byte(wireMagic), payload)
+	return trace.AppendChunk([]byte(Magic), payload)
 }
 
 // decodeAck parses one ack message.
@@ -324,7 +323,7 @@ func decodeAck(b []byte) (*ack, error) {
 	if len(b) > maxFedAckSize {
 		return nil, fmt.Errorf("fed: ack of %d bytes exceeds limit %d", len(b), maxFedAckSize)
 	}
-	cr, p, err := trace.OpenChunks(bytes.NewReader(b), wireMagic, fedKindAck)
+	cr, p, err := trace.OpenChunks(bytes.NewReader(b), Magic, KindAck)
 	if err != nil {
 		return nil, fmt.Errorf("fed: ack: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 // chunk without first allocating for what it claims — the counts are taken
 // only as far as the body's bytes can back them.
 func TestDecodeDeltaHostileCountsAllocateLittle(t *testing.T) {
-	hdr := []byte{fedKindHeader}
+	hdr := []byte{KindHeader}
 	hdr = appendSite(hdr, "a")
 	hdr = trace.AppendUint64(hdr, 1)
 	hdr = binary.AppendUvarint(hdr, 0)            // from
@@ -22,7 +22,7 @@ func TestDecodeDeltaHostileCountsAllocateLittle(t *testing.T) {
 	hdr = binary.AppendUvarint(hdr, maxFedGroups) // records
 	hdr = binary.AppendUvarint(hdr, maxFedGroups) // live
 	hdr = binary.AppendUvarint(hdr, 0)            // record files
-	b := trace.AppendChunk([]byte(wireMagic), hdr)
+	b := trace.AppendChunk([]byte(Magic), hdr)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

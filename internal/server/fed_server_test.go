@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -16,20 +17,40 @@ import (
 	"filecule/internal/fed"
 	"filecule/internal/synth"
 	"filecule/internal/trace"
+	"filecule/internal/wire"
 )
 
 // startOn runs s on l until the test ends.
 func startOn(t *testing.T, s *Server, l net.Listener) {
 	t.Helper()
+	runUntilCleanup(t, "Run", func(ctx context.Context) error { return s.Run(ctx, l) })
+}
+
+// startWireOn runs s's wire listener on l until the test ends.
+func startWireOn(t *testing.T, s *Server, l net.Listener) {
+	t.Helper()
+	runUntilCleanup(t, "RunWire", func(ctx context.Context) error { return s.RunWire(ctx, l) })
+}
+
+func runUntilCleanup(t *testing.T, name string, run func(context.Context) error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx, l) }()
+	go func() { done <- run(ctx) }()
 	t.Cleanup(func() {
 		cancel()
 		if err := <-done; err != nil {
-			t.Errorf("Run: %v", err)
+			t.Errorf("%s: %v", name, err)
 		}
 	})
+}
+
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func httpGet(t *testing.T, url string) (int, string) {
@@ -46,9 +67,9 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// TestFederatedServersConverge stands up two real HTTP servers, each fed
-// half the trace over /v1/jobs/batch, peered at each other, and waits for
-// both /v1/fed/partition responses to become byte-identical to a
+// TestFederatedServersConverge stands up two real servers, each fed half the
+// trace over /v1/jobs/batch and peered at the other's wire listener, and
+// waits for both /v1/fed/partition responses to become byte-identical to a
 // single-node identification of the whole trace.
 func TestFederatedServersConverge(t *testing.T) {
 	tr, err := synth.Generate(synth.DZero(17, 0.003))
@@ -56,16 +77,10 @@ func TestFederatedServersConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	lA, lB, wA, wB := listen(t), listen(t), listen(t), listen(t)
 	baseA := "http://" + lA.Addr().String()
 	baseB := "http://" + lB.Addr().String()
+	peerB := wB.Addr().String()
 
 	mk := func(site, peer string, inc uint64) *Server {
 		return New(Config{
@@ -79,10 +94,12 @@ func TestFederatedServersConverge(t *testing.T) {
 			},
 		})
 	}
-	sA := mk("site-a", baseB, 1)
-	sB := mk("site-b", baseA, 2)
+	sA := mk("site-a", peerB, 1)
+	sB := mk("site-b", wA.Addr().String(), 2)
 	startOn(t, sA, lA)
 	startOn(t, sB, lB)
+	startWireOn(t, sA, wA)
+	startWireOn(t, sB, wB)
 
 	// Deal job i to server i%2, batched.
 	var batches [2]BatchBody
@@ -128,8 +145,8 @@ func TestFederatedServersConverge(t *testing.T) {
 	for _, needle := range []string{
 		"filecule_fed_degraded 0",
 		"filecule_fed_sites_known 1",
-		`filecule_fed_peer_healthy{peer="` + baseB + `"} 1`,
-		`filecule_fed_peer_breaker_state{peer="` + baseB + `"} 0`,
+		`filecule_fed_peer_healthy{peer="` + peerB + `"} 1`,
+		`filecule_fed_peer_breaker_state{peer="` + peerB + `"} 0`,
 		"filecule_fed_peer_exchanges_total",
 	} {
 		if !strings.Contains(metrics, needle) {
@@ -143,7 +160,7 @@ func TestFederatedServersConverge(t *testing.T) {
 func TestReadyzDegradedWithDeadPeer(t *testing.T) {
 	s := New(Config{Fed: &fed.Config{
 		Site:        "lonely",
-		Peers:       []string{"http://127.0.0.1:1"},
+		Peers:       []string{"127.0.0.1:1"},
 		Incarnation: 9,
 	}})
 	if s.fedErr != nil {
@@ -248,7 +265,7 @@ func TestSlowlorisBodyCutOff(t *testing.T) {
 }
 
 // captureTransport records the delta bytes a fed node asks it to deliver
-// and fails the exchange, so tests can replay raw wire messages over HTTP.
+// and fails the exchange, so tests can replay raw messages over the wire.
 type captureTransport struct{ delta []byte }
 
 func (c *captureTransport) Exchange(_ context.Context, _ string, delta []byte) ([]byte, error) {
@@ -276,6 +293,15 @@ func craftFedDelta(tb testing.TB, site string, jobs ...[]trace.FileID) []byte {
 	return ct.delta
 }
 
+// exchange sends delta to the wire listener at addr as a peer would.
+func exchange(t *testing.T, addr string, delta []byte) error {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := wire.FedTransport{}.Exchange(ctx, addr, delta)
+	return err
+}
+
 // TestFedExchangeRejectsOutOfCatalogDelta: a well-formed delta whose file
 // IDs exceed the server's catalog must be rejected with 400, and the merged
 // partition endpoint must keep serving — previously the held remote state
@@ -292,17 +318,20 @@ func TestFedExchangeRejectsOutOfCatalogDelta(t *testing.T) {
 	if s.fedErr != nil {
 		t.Fatal(s.fedErr)
 	}
+	wl := listen(t)
+	startWireOn(t, s, wl)
 	bad := craftFedDelta(t, "wide", []trace.FileID{1, trace.FileID(len(tr.Files) + 1000)})
-	if w := do(s, "POST", fed.ExchangePath, string(bad)); w.Code != http.StatusBadRequest {
-		t.Fatalf("out-of-catalog delta: %d %s", w.Code, w.Body)
+	var re *wire.RemoteError
+	if err := exchange(t, wl.Addr().String(), bad); !errors.As(err, &re) || re.Code != http.StatusBadRequest {
+		t.Fatalf("out-of-catalog delta: %v, want a 400", err)
 	}
 	if w := do(s, "GET", "/v1/fed/partition", ""); w.Code != http.StatusOK {
 		t.Fatalf("fed partition after rejected delta: %d %s", w.Code, w.Body)
 	}
-	// An in-catalog delta over the same endpoint still applies and sizes.
+	// An in-catalog delta over the same listener still applies and sizes.
 	good := craftFedDelta(t, "narrow", []trace.FileID{1, 2})
-	if w := do(s, "POST", fed.ExchangePath, string(good)); w.Code != http.StatusOK {
-		t.Fatalf("in-catalog delta: %d %s", w.Code, w.Body)
+	if err := exchange(t, wl.Addr().String(), good); err != nil {
+		t.Fatalf("in-catalog delta: %v", err)
 	}
 	w := do(s, "GET", "/v1/fed/partition", "")
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"bytes"`) {
@@ -310,26 +339,38 @@ func TestFedExchangeRejectsOutOfCatalogDelta(t *testing.T) {
 	}
 }
 
-// TestFedExchangeNotBoundByJSONBodyCap: the exchange endpoint's body limit
-// is the wire format's delta ceiling, not the JSON-API cap — a full resync
-// delta larger than the JSON body cap must still be accepted, or a large-state
-// peer would get 413 forever and the federation never converge.
-func TestFedExchangeNotBoundByJSONBodyCap(t *testing.T) {
+// TestFedLargeDeltaOverWire: a full resync of 30 000 groups spans several
+// 'G' frames, is larger than the JSON body cap, and applies over a real wire
+// connection: the exchange never passes through the JSON decoder's limits.
+func TestFedLargeDeltaOverWire(t *testing.T) {
 	s := New(Config{Fed: &fed.Config{Site: "local", Incarnation: 3}})
-	s.lim.bodyBytes = 64
-	if s.fedErr != nil {
-		t.Fatal(s.fedErr)
+	s.lim.bodyBytes = 1 << 20
+	jobs := make([][]trace.FileID, 30000)
+	for i := range jobs {
+		jobs[i] = []trace.FileID{trace.FileID(8 * i), trace.FileID(8*i + 2), trace.FileID(8*i + 4), trace.FileID(8*i + 6)}
 	}
-	delta := craftFedDelta(t, "bulky", []trace.FileID{0, 1, 2}, []trace.FileID{3, 4}, []trace.FileID{5, 6, 7})
-	if len(delta) <= 64 {
-		t.Fatalf("crafted delta is only %d bytes; grow the jobs", len(delta))
+	delta := craftFedDelta(t, "bulky", jobs...)
+	groupFrames := 0
+	cr := trace.NewChunkReader(bytes.NewReader(delta[len(fed.Magic):]))
+	for {
+		kind, _, err := cr.ReadChunk()
+		if err != nil {
+			break
+		}
+		if kind == fed.KindGroups {
+			groupFrames++
+		}
 	}
-	if w := do(s, "POST", fed.ExchangePath, string(delta)); w.Code != http.StatusOK {
-		t.Fatalf("exchange body over the JSON cap: %d %s", w.Code, w.Body)
+	t.Logf("delta of %d bytes in %d 'G' frames", len(delta), groupFrames)
+	if groupFrames < 4 || int64(len(delta)) <= s.lim.bodyBytes {
+		t.Fatalf("delta of %d bytes in %d 'G' frames, want ≥ 4 frames and more than %d bytes", len(delta), groupFrames, s.lim.bodyBytes)
 	}
-	// The JSON endpoints stay capped.
-	big := `{"files":[` + strings.Repeat("1,", 64) + `1]}`
-	if w := do(s, "POST", "/v1/jobs", big); w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("JSON body over the cap: %d %s", w.Code, w.Body)
+	wl := listen(t)
+	startWireOn(t, s, wl)
+	if err := exchange(t, wl.Addr().String(), delta); err != nil {
+		t.Fatalf("exchange of a %d-byte delta: %v", len(delta), err)
+	}
+	if sites := s.Fed().Sites(); len(sites) != 1 || sites[0].Groups != len(jobs) {
+		t.Fatalf("held %+v, want bulky's %d groups", sites, len(jobs))
 	}
 }

@@ -13,7 +13,7 @@
 //	GET  /v1/partition         the full canonical partition
 //	GET  /v1/partition/summary partition shape statistics
 //	POST /v1/cache/advise      admission/eviction advice for a client cache
-//	POST /v1/fed/exchange      peer delta ingestion (binary, when Config.Fed)
+//	POST /v1/admin/checkpoint  write a checkpoint now (when Config.Durable)
 //	GET  /v1/fed/partition     merged cross-site partition (when Config.Fed)
 //	GET  /metrics              Prometheus text exposition
 //	GET  /healthz              liveness probe
@@ -68,11 +68,10 @@ type Config struct {
 	// A WAL append failure answers 500 and the job is not applied.
 	Durable *durable.Engine
 	// Fed, when set, federates this server's engine with peer sites: New
-	// builds a fed.Node over the serving engine (Fed.Self is overridden,
-	// Fed.Transport defaults to fed.NewHTTPTransport, Fed.MaxFiles defaults
-	// to the catalog size when a catalog is present), mounts the exchange
-	// and merged-partition endpoints, and Run drives the per-peer exchange
-	// loops for the Server's lifetime.
+	// builds a fed.Node over the serving engine (Fed.Self and Fed.Transport,
+	// a wire.FedTransport, are overridden; Fed.MaxFiles defaults to the
+	// catalog size), mounts the merged-partition endpoint, and Run drives
+	// the exchange loops. Peers send deltas to the wire listener.
 	Fed *fed.Config
 }
 
@@ -101,16 +100,15 @@ func orDefault(d, def time.Duration) time.Duration {
 type Server struct {
 	cfg Config // without its Catalog
 	lim limits
-	// svc answers the six operations, for these handlers and for the frame
-	// server WireServer builds.
+	// svc answers every operation, for these handlers and for the frame
+	// server WireServer builds, and holds the federation node.
 	svc     *wire.Service
 	metrics *Metrics
 	mux     *http.ServeMux
 
-	// fedNode is the federation node when Config.Fed is set; fedErr holds a
-	// construction failure, surfaced by Run so New keeps its signature.
-	fedNode *fed.Node
-	fedErr  error
+	// fedErr holds a federation construction failure, surfaced by Run so
+	// New keeps its signature.
+	fedErr error
 }
 
 // New builds a Server from the configuration.
@@ -148,15 +146,12 @@ func New(cfg Config) *Server {
 			// local catalog cannot resolve.
 			fc.MaxFiles = svc.Catalog.NumFiles()
 		}
-		if fc.Transport == nil {
-			fc.Transport = fed.NewHTTPTransport()
-		}
+		fc.Transport = wire.FedTransport{}
 		node, err := fed.NewNode(fc)
 		if err != nil {
 			s.fedErr = fmt.Errorf("server: federation: %w", err)
 		} else {
-			s.fedNode = node
-			s.mux.HandleFunc("POST "+fed.ExchangePath, s.metrics.instrument("fed_exchange", s.handleFedExchange))
+			svc.Fed = node
 			s.mux.HandleFunc("GET /v1/fed/partition", s.metrics.instrument("fed_partition", s.handleFedPartition))
 		}
 	}
@@ -186,7 +181,7 @@ func (s *Server) Engine() *core.Engine { return s.svc.Engine }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Fed exposes the federation node, or nil when federation is off.
-func (s *Server) Fed() *fed.Node { return s.fedNode }
+func (s *Server) Fed() *fed.Node { return s.svc.Fed }
 
 // Run serves on l until ctx is cancelled, then drains in-flight requests
 // for at most Config.ShutdownGrace before returning. It returns nil on a
@@ -196,9 +191,9 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 		l.Close()
 		return s.fedErr
 	}
-	if s.fedNode != nil {
-		s.fedNode.Start()
-		defer s.fedNode.Stop()
+	if s.svc.Fed != nil {
+		s.svc.Fed.Start()
+		defer s.svc.Fed.Stop()
 	}
 	hs := &http.Server{
 		Handler:      s.Handler(),
@@ -287,22 +282,6 @@ func writeRaw(w http.ResponseWriter, buf []byte, err error) {
 	_, _ = w.Write(buf)
 }
 
-// armBodyDeadline sets a connection read deadline covering one request
-// body, so a client trickling bytes cannot pin a handler goroutine past
-// limits.bodyRead. The returned func clears the deadline and must
-// be called only after the body was consumed successfully: on a failed
-// read the deadline must stay armed, because net/http's post-handler
-// body drain would otherwise block unboundedly on the same stalled
-// connection before flushing the error response. Deadline errors are
-// ignored: httptest recorders don't support deadlines
-// (http.ErrNotSupported), and the server-wide ReadTimeout still applies
-// regardless.
-func (s *Server) armBodyDeadline(w http.ResponseWriter) func() {
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(s.lim.bodyRead))
-	return func() { _ = rc.SetReadDeadline(time.Time{}) }
-}
-
 // bodyReadError maps a body-read failure to a client-appropriate status.
 func writeBodyReadError(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
@@ -317,10 +296,15 @@ func writeBodyReadError(w http.ResponseWriter, err error) {
 }
 
 // decodeBody parses the JSON request body into v, enforcing the size cap
-// and the per-request body read deadline. It reports a client-appropriate
-// status code on failure.
+// and a read deadline of limits.bodyRead on the body, so a client trickling
+// bytes cannot pin a handler. It reports a client-appropriate status code on
+// failure. Only a successful read clears the deadline: net/http's
+// post-handler drain of a failed body would otherwise block on the stalled
+// connection before the error is flushed. Deadline errors are ignored
+// (httptest recorders have none; the server-wide ReadTimeout still applies).
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	clearDeadline := s.armBodyDeadline(w)
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.lim.bodyRead))
 	body := http.MaxBytesReader(w, r.Body, s.lim.bodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -339,7 +323,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 		}
 		return false
 	}
-	clearDeadline()
+	_ = rc.SetReadDeadline(time.Time{})
 	return true
 }
 
@@ -401,36 +385,11 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleFedExchange ingests one peer's signature-table delta. The body is
-// binary (filecule-fed/v1 chunk framing), not JSON; the response is the
-// binary ack naming the version now held for the sending site.
-func (s *Server) handleFedExchange(w http.ResponseWriter, r *http.Request) {
-	clearDeadline := s.armBodyDeadline(w)
-	// The cap is the wire format's own delta ceiling, not the JSON-API body
-	// limit: a full resync delta carries a peer's entire state, and capping
-	// it below fed.MaxDeltaSize would 413 every exchange with that peer and
-	// permanently stall convergence.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, fed.MaxDeltaSize))
-	if err != nil {
-		writeBodyReadError(w, err)
-		return
-	}
-	clearDeadline()
-	ackBytes, err := s.fedNode.HandleExchange(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(ackBytes)
-}
-
 // handleFedPartition serves the merged cross-site partition in the same
 // canonical wire form as /v1/partition, so convergence is checkable by
 // byte comparison against a single-site identification.
 func (s *Server) handleFedPartition(w http.ResponseWriter, r *http.Request) {
-	buf, err := PartitionJSON(s.fedNode.Merged(), s.fedNode.MergedObserved(), s.svc.Catalog)
+	buf, err := PartitionJSON(s.svc.Fed.Merged(), s.svc.Fed.MergedObserved(), s.svc.Catalog)
 	writeRaw(w, buf, err)
 }
 
@@ -440,8 +399,8 @@ func (s *Server) handleFedPartition(w http.ResponseWriter, r *http.Request) {
 // coarsening of the global truth, never a corruption), but load balancers
 // may prefer converged replicas.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.fedNode != nil {
-		if degraded, reasons := s.fedNode.Degraded(); degraded {
+	if s.svc.Fed != nil {
+		if degraded, reasons := s.svc.Fed.Degraded(); degraded {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"status":  "degraded",
 				"reasons": reasons,
@@ -539,7 +498,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE filecule_checkpoints_total counter\n")
 		fmt.Fprintf(w, "filecule_checkpoints_total %d\n", st.Checkpoints)
 	}
-	if s.fedNode != nil {
+	if s.svc.Fed != nil {
 		s.writeFedMetrics(w)
 	}
 }
@@ -547,15 +506,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // writeFedMetrics emits the federation health gauges: one series per peer
 // for retry/breaker state, plus node-wide degradation and site counts.
 func (s *Server) writeFedMetrics(w io.Writer) {
-	degraded, _ := s.fedNode.Degraded()
+	degraded, _ := s.svc.Fed.Degraded()
 	fmt.Fprintf(w, "# TYPE filecule_fed_degraded gauge\n")
 	fmt.Fprintf(w, "filecule_fed_degraded %d\n", boolGauge(degraded))
 	fmt.Fprintf(w, "# TYPE filecule_fed_sites_known gauge\n")
-	fmt.Fprintf(w, "filecule_fed_sites_known %d\n", len(s.fedNode.Sites()))
+	fmt.Fprintf(w, "filecule_fed_sites_known %d\n", len(s.svc.Fed.Sites()))
 	fmt.Fprintf(w, "# TYPE filecule_fed_merged_observed gauge\n")
-	fmt.Fprintf(w, "filecule_fed_merged_observed %d\n", s.fedNode.MergedObserved())
+	fmt.Fprintf(w, "filecule_fed_merged_observed %d\n", s.svc.Fed.MergedObserved())
 
-	health := s.fedNode.Health()
+	health := s.svc.Fed.Health()
 	perPeer := func(name, kind string, val func(h fed.PeerHealth) int64) {
 		fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
 		for _, h := range health {

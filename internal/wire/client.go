@@ -2,11 +2,15 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
+	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"time"
 
 	"filecule/internal/cache"
+	"filecule/internal/fed"
 	"filecule/internal/trace"
 )
 
@@ -28,7 +32,7 @@ type Client struct {
 }
 
 // Dial connects to a wire server and sends the protocol magic. timeout
-// bounds each synchronous receive (and the dial itself); <= 0 means 30s.
+// bounds the dial, each socket write and each receive; <= 0 means 30s.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -73,6 +77,9 @@ func (c *Client) send(payload []byte, wantReply byte) error {
 	if c.err != nil {
 		return c.err
 	}
+	if c.bw.Available() < len(payload)+binary.MaxVarintLen64+4 {
+		c.armWrite() // the frame will not fit the buffer: it reaches the socket
+	}
 	if err := trace.WriteChunk(c.bw, payload); err != nil {
 		c.poison(err)
 		return err
@@ -92,11 +99,20 @@ func (c *Client) Flush() error {
 	if c.err != nil {
 		return c.err
 	}
+	c.armWrite()
 	if err := c.bw.Flush(); err != nil {
 		c.poison(err)
 		return err
 	}
 	return nil
+}
+
+// armWrite bounds the socket writes a send or flush is about to make, so a
+// peer that stops reading fails the call instead of pinning it.
+func (c *Client) armWrite() {
+	if c.timeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	}
 }
 
 // RecvObserve reads the reply to the oldest pipelined observe.
@@ -188,4 +204,42 @@ func (c *Client) Summary() (SummaryReply, error) {
 // usable.
 func (c *Client) Filecule(f trace.FileID) (*FileculeLookupReply, error) {
 	return call(c, AppendFileculeRequest(c.out[:0], f), KindFileculeResult, decodeFileculeReply)
+}
+
+// FedTransport carries federation exchanges over filecule-wire/v1. A peer is
+// the host:port of its wire listener; each exchange dials, sends the delta's
+// frames as they are, reads the one reply and hangs up, since one exchange
+// per peer per interval needs no pool. The context's deadline bounds the
+// dial, the write and the read.
+type FedTransport struct{}
+
+// Exchange implements fed.Transport.
+func (FedTransport) Exchange(ctx context.Context, peer string, delta []byte) ([]byte, error) {
+	frames, ok := bytes.CutPrefix(delta, []byte(fed.Magic))
+	if !ok {
+		return nil, fmt.Errorf("wire: not a filecule-fed/v1 delta")
+	}
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", peer)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	dl, _ := ctx.Deadline() // the zero time sets none
+	conn.SetDeadline(dl)
+	bufs := net.Buffers{[]byte(Magic), frames}
+	if _, err := bufs.WriteTo(conn); err != nil {
+		return nil, fmt.Errorf("wire: send delta to %s: %w", peer, err)
+	}
+	kind, payload, err := trace.NewChunkReader(conn).ReadChunk()
+	if err != nil {
+		return nil, fmt.Errorf("wire: read ack from %s: %w", peer, err)
+	}
+	switch kind {
+	case fed.KindAck:
+		return trace.AppendChunk([]byte(fed.Magic), payload), nil
+	case KindError:
+		return nil, decodeError(trace.NewPayload(payload))
+	}
+	return nil, fmt.Errorf("wire: reply kind %q from %s, want %q", kind, peer, fed.KindAck)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"filecule/internal/cache"
+	"filecule/internal/fed"
 	"filecule/internal/trace"
 )
 
@@ -22,7 +23,7 @@ func fuzzStream(payloads ...[]byte) []byte {
 }
 
 // FuzzWireProto feeds arbitrary post-magic connection bytes through the full
-// decode→handle→encode path. The contract under fuzzing: never panic, answer
+// decode→handle→encode path of a server with a federation node. The contract under fuzzing: never panic, answer
 // every complete frame, name the byte offset when framing breaks, and emit
 // only well-formed response frames that the client-side decoders accept.
 func FuzzWireProto(f *testing.F) {
@@ -46,9 +47,17 @@ func FuzzWireProto(f *testing.F) {
 	f.Add(fuzzStream([]byte{KindObserve, 0xff, 0xff}))                     // malformed payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})                            // broken framing
 	f.Add(fuzzStream(AppendObserveRequest(nil, []trace.FileID{3}))[:3])    // truncated frame
+	// Federation deltas: whole, cut before its 'E', with an 'O' inside, and
+	// a 'G' outside any delta.
+	_, delta := deltaFrames(f, captureDelta(f, "remote", []trace.FileID{1, 2, 3}, []trace.FileID{2, 3}))
+	observe := fuzzStream(AppendObserveRequest(nil, []trace.FileID{4}))
+	f.Add(bytes.Join(append(delta, observe), nil))
+	f.Add(bytes.Join(delta[:3], nil))
+	f.Add(bytes.Join([][]byte{delta[0], delta[1], observe, delta[2], delta[3]}, nil))
+	f.Add(bytes.Join([][]byte{delta[1], observe}, nil))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		s := newTestServer(16, 10)
+		s := newFedTestServer(t, 16)
 		s.lim.batchJobs = 64
 		var out bytes.Buffer
 		err := s.serveStream(&connState{},
@@ -77,6 +86,7 @@ func FuzzWireProto(f *testing.F) {
 				_, derr = decodeSummaryReply(pl)
 			case KindFileculeResult:
 				_, derr = decodeFileculeReply(pl)
+			case fed.KindAck:
 			case KindError:
 				e := decodeError(pl)
 				if _, ok := e.(*RemoteError); !ok {

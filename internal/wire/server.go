@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"filecule/internal/cache"
+	"filecule/internal/fed"
 	"filecule/internal/trace"
 )
 
@@ -25,9 +27,8 @@ type Server struct {
 	// stops draining for this long is disconnected rather than pinning the
 	// server goroutine.
 	WriteTimeout time.Duration
-	// Metrics, when set, records every request under routes
-	// "wire_observe", "wire_observe_batch", "wire_advise", "wire_partition",
-	// "wire_summary" and "wire_filecule" with an HTTP-aligned status code.
+	// Metrics, when set, records every request under its route ("wire_" and
+	// the operation, e.g. "wire_fed_exchange") with an HTTP-aligned code.
 	Metrics func(route string, code int, d time.Duration)
 
 	lim limits
@@ -47,7 +48,8 @@ type limits struct {
 	pipeline int
 	// idle bounds the wait for the next request frame, and for the arrival
 	// of a frame's bytes once started — the slowloris guard.
-	idle time.Duration
+	idle  time.Duration
+	delta int // bytes of one federation delta
 }
 
 // NewServer returns a frame server over svc with the protocol's limits and a
@@ -62,6 +64,7 @@ func NewServer(svc *Service) *Server {
 			batchFiles: maxBatchFiles,
 			pipeline:   64,
 			idle:       120 * time.Second,
+			delta:      fed.MaxDeltaSize,
 		},
 	}
 }
@@ -191,6 +194,9 @@ func (s *Server) serveStream(st *connState, br *bufio.Reader, bw *bufio.Writer, 
 		if err == io.EOF {
 			return flush()
 		}
+		if err == nil && kind == fed.KindHeader && s.Fed != nil {
+			payload, err = s.readDelta(cr, payload, dl)
+		}
 		if err != nil {
 			// The frame boundary is lost; answer once and hang up.
 			st.out = appendError(st.out[:0], CodeBadRequest, err.Error())
@@ -251,6 +257,8 @@ func (s *Server) handle(st *connState, kind byte, payload []byte, off int64) ([]
 		}
 	case KindFilecule:
 		route, rerr = "wire_filecule", s.handleFilecule(st, off)
+	case fed.KindHeader:
+		route, rerr = "wire_fed_exchange", s.handleExchange(st, payload)
 	default:
 		route, rerr = "wire_unknown", failf(CodeBadRequest, "request frame at byte offset %d: unknown kind %q", off, kind)
 	}
@@ -357,4 +365,49 @@ func (s *Server) handleFilecule(st *connState, off int64) *RemoteError {
 		st.out = appendFileculeResult(st.out[:0], &r)
 	}
 	return rerr
+}
+
+// readDelta gathers the delta whose 'H' frame the loop just read, up to its
+// 'E', framed again behind fed.Magic into the message fed.Node.HandleExchange
+// decodes. Each frame gets the idle deadline afresh. Every failure names its
+// byte offset and loses the stream's frame boundary.
+func (s *Server) readDelta(cr *trace.ChunkReader, header []byte, dl *connDeadlines) ([]byte, error) {
+	delta := trace.AppendChunk([]byte(fed.Magic), header)
+	for {
+		if dl != nil {
+			dl.read()
+		}
+		off := cr.Offset()
+		kind, payload, err := cr.ReadChunk()
+		switch {
+		case err == io.EOF:
+			return nil, fmt.Errorf("federation delta cut short at byte offset %d: %w", off, io.ErrUnexpectedEOF)
+		case err != nil:
+			return nil, err
+		case kind != fed.KindGroups && kind != fed.KindLive && kind != fed.KindEnd:
+			return nil, fmt.Errorf("frame %q at byte offset %d inside a federation delta", kind, off)
+		}
+		if delta = trace.AppendChunk(delta, payload); len(delta) > s.lim.delta {
+			return nil, fmt.Errorf("federation delta passes %d bytes at byte offset %d", s.lim.delta, off)
+		}
+		if kind == fed.KindEnd {
+			return delta, nil
+		}
+	}
+}
+
+// handleExchange applies a gathered delta and answers with its ack frame.
+// Without federation only 'H' is refused; 'G', 'L' and 'E' are unknown kinds.
+func (s *Server) handleExchange(st *connState, delta []byte) *RemoteError {
+	if s.Fed == nil {
+		return failf(CodeBadRequest, "federation is not enabled on this server")
+	}
+	ack, err := s.Fed.HandleExchange(delta)
+	if err != nil {
+		return failf(CodeBadRequest, "%v", err)
+	}
+	if _, st.out, err = trace.NewChunkReader(bytes.NewReader(ack[len(fed.Magic):])).ReadChunk(); err != nil {
+		return failf(CodeInternal, "ack: %v", err)
+	}
+	return nil
 }

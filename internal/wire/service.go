@@ -6,6 +6,7 @@ import (
 
 	"filecule/internal/cache"
 	"filecule/internal/core"
+	"filecule/internal/fed"
 	"filecule/internal/trace"
 )
 
@@ -35,6 +36,8 @@ type Service struct {
 	Catalog trace.Catalog
 	// Journal, when non-nil, takes the observes instead of Engine.
 	Journal Journal
+	// Fed, when non-nil, applies the federation deltas peers send.
+	Fed *fed.Node
 
 	// gran is the advice granularity, rebuilt only when the engine's
 	// membership has moved past the partition it was built from.

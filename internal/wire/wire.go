@@ -36,6 +36,8 @@
 //	'P' partition       (empty)
 //	'S' summary         (empty)
 //	'F' filecule        uvarint(fileID)
+//	'H' fed delta       a filecule-fed/v1 delta's frames as they are: 'H',
+//	                    then its 'G' and 'L' frames, then 'E' (internal/fed)
 //
 // Response kinds:
 //
@@ -53,12 +55,17 @@
 //	                    uvarint(coveredBytes)
 //	'f' filecule        uvarint(id), uvarint(requests), uvarint(bytes), fileRuns
 //	'e' error           uvarint(code), uvarint(len), len × msg bytes
+//	'A' fed ack         the delta's filecule-fed/v1 ack frame, unchanged
 //
 // Malformed request payloads (bad varints, out-of-range file IDs, trailing
 // bytes) are per-request failures: the server answers 'e' with the frame's
 // byte offset in the message and keeps the connection. Broken framing
 // (truncation, CRC mismatch, oversized chunks) is unrecoverable — the frame
 // boundary itself is lost — so the server answers one final 'e' and closes.
+// A delta, the one request that spans frames, gets one response, 'A' or 'e'.
+// Broken framing inside it, a frame other than 'G', 'L' or 'E' before its
+// 'E', or a delta past fed.MaxDeltaSize is answered once and closes; a delta
+// the node refuses, or an 'H' to a server without federation, is a 400.
 // Error codes align with the HTTP surface: 400 bad request, 404 file not
 // observed, 422 advice unavailable, 500 internal.
 package wire

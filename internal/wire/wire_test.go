@@ -596,3 +596,39 @@ func TestObserveBackendErrorAnswers500(t *testing.T) {
 		t.Errorf("error = %+v, want 500 carrying the cause", re)
 	}
 }
+
+// TestClientWriteTimeout: Dial's timeout bounds writes too. Against a peer
+// that accepts and never reads, a batch far larger than the socket buffers
+// must fail within the timeout's order, not when the peer gives up.
+func TestClientWriteTimeout(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		time.Sleep(10 * time.Second) // a stalled peer, then it gives up
+		conn.Close()
+	}()
+	jobs := make([][]trace.FileID, 5000)
+	for j := range jobs {
+		jobs[j] = make([]trace.FileID, 400)
+		for k := range jobs[j] {
+			jobs[j][k] = trace.FileID(2 * (400*j + k)) // no runs: ~2 bytes an ID
+		}
+	}
+	c, err := Dial(l.Addr().String(), 200*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	_, err = c.Batch(jobs)
+	if elapsed := time.Since(start); err == nil || elapsed > 2*time.Second {
+		t.Fatalf("Batch to a peer that never reads: %v after %v, want an error within 2s", err, elapsed)
+	}
+}
