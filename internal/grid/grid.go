@@ -1,7 +1,19 @@
+// Package grid is the wide-area substrate behind the paper's resource-
+// management discussion (Sections 5 and 6): the central mass-storage system
+// (the FermiLab tape store / SAM cache) and the collaborating sites, each
+// with a disk cache, on one fluid transfer Network. A flow is limited at
+// both of its ends; the mass store's uplink is unbounded, so a transfer
+// out of it is limited only by the fair share of the site's downlink.
+// Trace-driven stagers replay jobs against the site caches and measure the
+// WAN traffic and stage latency that data-placement decisions (caching
+// granularity, proactive replication, replica placement) produce: System
+// stages every miss from the mass store, PeerSystem from pinned replicas
+// at other sites as well.
 package grid
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"filecule/internal/cache"
@@ -11,14 +23,14 @@ import (
 
 // Config parameterizes the grid simulation.
 type Config struct {
-	// HubBandwidth is the aggregate egress of the central store in bytes
-	// per second (shared per-site via each site's link instead of
-	// modelled separately; the hub is assumed well-provisioned, the
-	// site's WAN link is the bottleneck — the DZero reality where remote
-	// collaborators sit behind trans-Atlantic paths).
+	// SiteBandwidth is a site's WAN downlink in bytes per second, fair-
+	// shared by its concurrent transfers out of the mass store (the store
+	// is assumed well-provisioned, the site's link is the bottleneck — the
+	// DZero reality where remote collaborators sit behind trans-Atlantic
+	// paths).
 	SiteBandwidth float64
-	// HubSiteBandwidth overrides the bandwidth of the hub site's "link"
-	// (local access to the mass store); it should be much larger than
+	// HubSiteBandwidth overrides the downlink of the hub site (local
+	// access to the mass store); it should be much larger than
 	// SiteBandwidth.
 	HubSiteBandwidth float64
 	// SiteCacheBytes is each site's disk cache capacity: an LRU of files.
@@ -27,13 +39,34 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
-	if c.SiteBandwidth <= 0 || c.HubSiteBandwidth <= 0 {
-		return fmt.Errorf("grid: bandwidths must be > 0")
+	if !finitePositive(c.SiteBandwidth, c.HubSiteBandwidth) {
+		return fmt.Errorf("grid: bandwidths must be finite and > 0")
 	}
 	if c.SiteCacheBytes <= 0 {
 		return fmt.Errorf("grid: SiteCacheBytes must be > 0")
 	}
 	return nil
+}
+
+// finitePositive reports whether every capacity is a finite number above zero.
+func finitePositive(caps ...float64) bool {
+	for _, c := range caps {
+		if !(c > 0) || math.IsInf(c, 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// hubSite picks the hub, the site that sits on the mass store: the first
+// site in hubDomain, else site 0.
+func hubSite(t *trace.Trace, hubDomain string) trace.SiteID {
+	for i := range t.Sites {
+		if hubDomain != "" && t.Sites[i].Domain == hubDomain {
+			return trace.SiteID(i)
+		}
+	}
+	return 0
 }
 
 // Metrics aggregates a replay's outcome.
@@ -43,16 +76,12 @@ type Metrics struct {
 	// RemoteStalled counts stalled jobs at non-hub sites only — the
 	// population replication is meant to help.
 	RemoteStalled int
-	// WANBytes are bytes pulled over true wide-area links (non-hub
-	// sites); HubBytes are the hub's fetches from its local mass store.
-	WANBytes      int64
-	HubBytes      int64
-	LocalBytes    int64 // bytes served from site caches
-	TotalStage    time.Duration
-	MaxStage      time.Duration
-	PerSiteWAN    map[trace.SiteID]int64
-	PerSiteJobs   map[trace.SiteID]int
-	TransfersUsed int
+	// WANBytes are bytes pulled over true wide-area links (non-hub sites;
+	// the hub's fetches from its local mass store are not counted).
+	WANBytes   int64
+	LocalBytes int64 // bytes served from site caches
+	TotalStage time.Duration
+	MaxStage   time.Duration
 }
 
 // MeanStage returns the mean stage latency per job.
@@ -65,9 +94,10 @@ func (m Metrics) MeanStage() time.Duration {
 
 // System is the simulated grid.
 type System struct {
-	cfg    Config
 	tr     *trace.Trace
 	kernel *sim.Kernel
+	net    *Network
+	store  *Endpoint // the mass store: unbounded uplink
 	sites  []*Site
 	m      Metrics
 }
@@ -76,15 +106,14 @@ type System struct {
 type Site struct {
 	ID    trace.SiteID
 	Hub   bool
-	Link  *Link
+	Link  *Endpoint // its downlink carries every stage-in
 	Store *cache.Sim
 	clock int64 // logical access counter for the cache policy
 }
 
-// New builds a System for the trace. Site 0's domain (the busiest, FermiLab
-// in the calibrated workload) is NOT automatically the hub; the hub is the
-// site whose domain matches hubDomain (usually ".gov"); pass "" to make
-// site 0 the hub.
+// New builds a System for the trace. The hub is the first site whose
+// domain is hubDomain (usually ".gov"), which need not be site 0 (the
+// busiest); with no such site, or hubDomain "", the hub is site 0.
 func New(t *trace.Trace, cfg Config, hubDomain string) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -93,30 +122,24 @@ func New(t *trace.Trace, cfg Config, hubDomain string) (*System, error) {
 	if !ok {
 		return nil, fmt.Errorf("grid: trace has no jobs")
 	}
-	s := &System{cfg: cfg, tr: t, kernel: sim.New(start)}
-	hubbed := false
+	s := &System{tr: t, kernel: sim.New(start)}
+	s.net = NewNetwork(s.kernel)
+	s.store = s.net.NewEndpoint(math.Inf(1), math.Inf(1))
+	hub := hubSite(t, hubDomain)
 	for i := range t.Sites {
-		bw := cfg.SiteBandwidth
-		hub := false
-		if (hubDomain == "" && i == 0) || (hubDomain != "" && t.Sites[i].Domain == hubDomain && !hubbed) {
-			bw = cfg.HubSiteBandwidth
-			hub = true
-			hubbed = true
+		id, down := trace.SiteID(i), cfg.SiteBandwidth
+		if id == hub {
+			down = cfg.HubSiteBandwidth
 		}
 		s.sites = append(s.sites, &Site{
-			ID:    trace.SiteID(i),
-			Hub:   hub,
-			Link:  NewLink(s.kernel, bw),
+			ID:    id,
+			Hub:   id == hub,
+			Link:  s.net.NewEndpoint(down, down),
 			Store: cache.NewSim(t, cache.NewFileGranularity(t), cache.NewLRU(), cfg.SiteCacheBytes),
 		})
 	}
-	s.m.PerSiteWAN = make(map[trace.SiteID]int64)
-	s.m.PerSiteJobs = make(map[trace.SiteID]int)
 	return s, nil
 }
-
-// Kernel exposes the simulation kernel (for tests and custom schedules).
-func (s *System) Kernel() *sim.Kernel { return s.kernel }
 
 // Site returns the site state.
 func (s *System) Site(id trace.SiteID) *Site { return s.sites[id] }
@@ -133,8 +156,8 @@ func (s *System) Place(site trace.SiteID, files []trace.FileID) {
 
 // Replay schedules every job at its start time and runs the simulation to
 // completion, returning the metrics. Each job stages its missing input
-// bytes from the hub over the site's link; jobs with fully-cached inputs
-// start immediately.
+// bytes from the mass store in one flow into its site; jobs with
+// fully-cached inputs start immediately.
 func (s *System) Replay() Metrics {
 	for i := range s.tr.Jobs {
 		j := &s.tr.Jobs[i]
@@ -158,22 +181,17 @@ func (s *System) stage(j *trace.Job) {
 	served := after.BytesRequested - before.BytesRequested - (after.BytesMissed - before.BytesMissed)
 
 	s.m.Jobs++
-	s.m.PerSiteJobs[j.Site]++
 	s.m.LocalBytes += served
 	if missing == 0 {
 		return
 	}
 	s.m.JobsStalled++
-	if site.Hub {
-		s.m.HubBytes += missing
-	} else {
+	if !site.Hub {
 		s.m.RemoteStalled++
 		s.m.WANBytes += missing
 	}
-	s.m.PerSiteWAN[j.Site] += missing
-	s.m.TransfersUsed++
-	site.Link.Start(missing, func(t *Transfer) {
-		stage := s.kernel.Now().Sub(t.Started())
+	s.net.Start(s.store, site.Link, missing, func(f *Flow) {
+		stage := s.kernel.Now().Sub(f.Started())
 		s.m.TotalStage += stage
 		if stage > s.m.MaxStage {
 			s.m.MaxStage = stage

@@ -5,94 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"filecule/internal/sim"
 	"filecule/internal/trace"
 )
 
 var t0 = time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC)
-
-func TestLinkSingleTransferTime(t *testing.T) {
-	k := sim.New(t0)
-	l := NewLink(k, 100) // 100 B/s
-	var doneAt time.Time
-	l.Start(1000, func(*Transfer) { doneAt = k.Now() })
-	k.Run()
-	want := t0.Add(10 * time.Second)
-	if doneAt.Sub(want).Abs() > time.Millisecond {
-		t.Errorf("transfer done at %v, want ~%v", doneAt, want)
-	}
-}
-
-func TestLinkFairSharing(t *testing.T) {
-	// Two equal transfers started together on a 100 B/s link: both take
-	// 20s (each gets 50 B/s).
-	k := sim.New(t0)
-	l := NewLink(k, 100)
-	var done []time.Time
-	l.Start(1000, func(*Transfer) { done = append(done, k.Now()) })
-	l.Start(1000, func(*Transfer) { done = append(done, k.Now()) })
-	k.Run()
-	if len(done) != 2 {
-		t.Fatalf("%d transfers completed", len(done))
-	}
-	for _, d := range done {
-		if d.Sub(t0.Add(20*time.Second)).Abs() > 10*time.Millisecond {
-			t.Errorf("completion at %v, want ~t0+20s", d)
-		}
-	}
-}
-
-func TestLinkLateArrivalSlowsFirst(t *testing.T) {
-	// T1 (1000B) alone for 5s (500B done), then T2 (250B) arrives: both
-	// at 50 B/s. T2 finishes at 5+5=10s; T1's remaining 500-250... T1 has
-	// 500 left at t=5, runs at 50 B/s until T2 done (t=10, 250 more),
-	// then 100 B/s for the last 250 -> 12.5s total.
-	k := sim.New(t0)
-	l := NewLink(k, 100)
-	var t1Done, t2Done time.Time
-	l.Start(1000, func(*Transfer) { t1Done = k.Now() })
-	k.At(t0.Add(5*time.Second), func() {
-		l.Start(250, func(*Transfer) { t2Done = k.Now() })
-	})
-	k.Run()
-	if t2Done.Sub(t0.Add(10*time.Second)).Abs() > 50*time.Millisecond {
-		t.Errorf("t2 done at %v, want ~t0+10s", t2Done)
-	}
-	if t1Done.Sub(t0.Add(12500*time.Millisecond)).Abs() > 50*time.Millisecond {
-		t.Errorf("t1 done at %v, want ~t0+12.5s", t1Done)
-	}
-}
-
-func TestLinkZeroByteTransfer(t *testing.T) {
-	k := sim.New(t0)
-	l := NewLink(k, 10)
-	ran := false
-	l.Start(0, func(*Transfer) { ran = true })
-	if !ran {
-		t.Error("zero-byte transfer did not complete inline")
-	}
-	if l.InFlight() != 0 {
-		t.Error("zero-byte transfer left residue")
-	}
-}
-
-func TestLinkPanics(t *testing.T) {
-	k := sim.New(t0)
-	for i, f := range []func(){
-		func() { NewLink(k, 0) },
-		func() { NewLink(k, math.NaN()) },
-		func() { NewLink(k, 10).Start(-1, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
 
 // gridTrace: 2 sites; site 0 hub (.gov). Jobs at site 1 request files.
 func gridTrace(tb testing.TB, jobFiles [][]trace.FileID, gap time.Duration) *trace.Trace {
@@ -187,21 +103,43 @@ func TestConcurrentJobsShareLink(t *testing.T) {
 	}
 }
 
+// TestHubSelection: both constructors pick the first site in the hub
+// domain, else site 0 — also when no site is in the domain at all.
 func TestHubSelection(t *testing.T) {
 	tr := gridTrace(t, [][]trace.FileID{{0}}, time.Hour)
-	sys, err := New(tr, defaultCfg(tr), ".gov")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sys.Site(0).Hub || sys.Site(1).Hub {
-		t.Error("hub selection by domain failed")
-	}
-	sys2, err := New(tr, defaultCfg(tr), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sys2.Site(0).Hub {
-		t.Error("default hub should be site 0")
+	b := trace.NewBuilder()
+	b.Site("slac", ".edu", 1)
+	edu := b.Site("ucsd", ".edu", 1)
+	b.File("a", 100, trace.TierThumbnail)
+	b.SimpleJob(b.User("u", edu), edu, t0, []trace.FileID{0})
+	noGov := b.Build()
+	for _, c := range []struct {
+		name   string
+		tr     *trace.Trace
+		domain string
+		hub    trace.SiteID
+	}{
+		{"by domain", tr, ".gov", 0},
+		{"by site", tr, "", 0},
+		{"another domain", tr, ".de", 1},
+		{"no site in the domain", noGov, ".gov", 0},
+	} {
+		sys, err := New(c.tr, defaultCfg(c.tr), c.domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.tr.Sites {
+			if id := trace.SiteID(i); sys.Site(id).Hub != (id == c.hub) {
+				t.Errorf("%s: System site %d Hub = %v, want hub %d", c.name, id, sys.Site(id).Hub, c.hub)
+			}
+		}
+		peer, err := NewPeerSystem(c.tr, peerCfg(), c.domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peer.Hub() != c.hub {
+			t.Errorf("%s: PeerSystem hub = %d, want %d", c.name, peer.Hub(), c.hub)
+		}
 	}
 }
 
@@ -211,6 +149,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SiteBandwidth = 0 },
 		func(c *Config) { c.HubSiteBandwidth = -1 },
 		func(c *Config) { c.SiteCacheBytes = 0 },
+		func(c *Config) { c.SiteBandwidth = math.NaN() },
+		func(c *Config) { c.HubSiteBandwidth = math.NaN() },
+		func(c *Config) { c.SiteBandwidth = math.Inf(1) },
+		func(c *Config) { c.HubSiteBandwidth = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		cfg := defaultCfg(tr)

@@ -15,10 +15,6 @@ import (
 // recomputed globally on every arrival and departure; with the flow counts
 // a trace-driven grid produces (thousands), the O(flows) recomputation per
 // event is negligible.
-//
-// Link (hub-and-spoke, single-bottleneck) remains for the simpler staging
-// model; Network powers peer-assisted staging where the source's uplink
-// matters too.
 type Network struct {
 	kernel     *sim.Kernel
 	flows      map[*Flow]struct{}
@@ -28,7 +24,8 @@ type Network struct {
 }
 
 // Endpoint is one site's connection: independent uplink and downlink
-// capacities in bytes/second.
+// capacities in bytes/second. A capacity of +Inf is unbounded: a flow out
+// of an unbounded uplink is limited by its destination alone.
 type Endpoint struct {
 	Up, Down float64
 	outbound int
@@ -72,6 +69,9 @@ func (n *Network) InFlight() int { return len(n.flows) }
 func (n *Network) Start(src, dst *Endpoint, bytes int64, done func(*Flow)) *Flow {
 	if src == nil || dst == nil || src == dst {
 		panic("grid: flow needs two distinct endpoints")
+	}
+	if math.IsInf(src.Up, 1) && math.IsInf(dst.Down, 1) {
+		panic("grid: flow between two unbounded ends would never drain")
 	}
 	if bytes < 0 {
 		panic(fmt.Sprintf("grid: negative flow size %d", bytes))

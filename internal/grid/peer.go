@@ -20,7 +20,6 @@ import (
 // location registry stays truthful — the model of deliberately provisioned
 // replica space next to a working cache.
 type PeerSystem struct {
-	cfg    PeerConfig
 	tr     *trace.Trace
 	kernel *sim.Kernel
 	net    *Network
@@ -42,8 +41,8 @@ type PeerConfig struct {
 
 // Validate checks the configuration.
 func (c *PeerConfig) Validate() error {
-	if c.SiteUp <= 0 || c.SiteDown <= 0 || c.HubUp <= 0 || c.HubDown <= 0 {
-		return fmt.Errorf("grid: peer capacities must be > 0")
+	if !finitePositive(c.SiteUp, c.SiteDown, c.HubUp, c.HubDown) {
+		return fmt.Errorf("grid: peer capacities must be finite and > 0")
 	}
 	if c.SiteCacheBytes <= 0 {
 		return fmt.Errorf("grid: SiteCacheBytes must be > 0")
@@ -100,12 +99,11 @@ func NewPeerSystem(t *trace.Trace, cfg PeerConfig, hubDomain string) (*PeerSyste
 	if !ok {
 		return nil, fmt.Errorf("grid: trace has no jobs")
 	}
-	s := &PeerSystem{cfg: cfg, tr: t, kernel: sim.New(start), hub: -1}
+	s := &PeerSystem{tr: t, kernel: sim.New(start), hub: hubSite(t, hubDomain)}
 	s.net = NewNetwork(s.kernel)
 	for i := range t.Sites {
 		up, down := cfg.SiteUp, cfg.SiteDown
-		if s.hub < 0 && ((hubDomain == "" && i == 0) || t.Sites[i].Domain == hubDomain) {
-			s.hub = trace.SiteID(i)
+		if trace.SiteID(i) == s.hub {
 			up, down = cfg.HubUp, cfg.HubDown
 		}
 		s.sites = append(s.sites, &peerSite{
@@ -114,9 +112,6 @@ func NewPeerSystem(t *trace.Trace, cfg PeerConfig, hubDomain string) (*PeerSyste
 			store:  cache.NewSim(t, cache.NewFileGranularity(t), cache.NewLRU(), cfg.SiteCacheBytes),
 			pinned: make(map[trace.FileID]struct{}),
 		})
-	}
-	if s.hub < 0 {
-		s.hub = 0
 	}
 	return s, nil
 }
