@@ -138,9 +138,13 @@ bench-baseline: bench-json
 		-baseline BENCH_baseline.json -update
 
 # Closed-loop verification of the serving layer: replay a synthetic trace
-# from concurrent clients and cross-check the partition byte-for-byte.
+# from concurrent clients and cross-check the partition byte-for-byte, then
+# again in the production ingest configuration (wire listener, state
+# directory, a checkpoint and a restart halfway).
 selftest:
 	$(GO) run ./cmd/filecule-serve -selftest
+	rm -rf $(BENCHDIR)/selftest-state
+	$(GO) run ./cmd/filecule-serve -selftest -state-dir $(BENCHDIR)/selftest-state -wire-addr 127.0.0.1:0 -batch 8
 
 # Cross-workload sweep smoke: the Figure-10 cache sweep must run green on
 # every adapter the registry serves (DZero, XRootD-style, shaped DZero, and

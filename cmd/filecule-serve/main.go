@@ -9,9 +9,10 @@
 //	filecule-serve -wire-addr :9091 -site a -peers b:9091         # federate with another site
 //
 // In -selftest mode the command starts an in-process server on a loopback
-// port, replays a synthetic trace against it from -clients concurrent
-// submitters, and verifies that the partition the service converged to is
-// byte-identical to batch identification over the same trace, and that the
+// port, replays the workload's trace against it from -clients concurrent
+// submitters (over the wire listener with -wire-addr, restarting from
+// -state-dir halfway), and verifies that the served partition is
+// byte-identical to batch identification over the same trace and that the
 // metrics endpoint reflects the traffic. It exits non-zero on any mismatch.
 package main
 
@@ -96,15 +97,8 @@ func main() {
 			fatal(err)
 		}
 		cfg.Catalog = t.Files
-		if dopts != nil {
-			if *wireAddr != "" {
-				fatal(fmt.Errorf("filecule-serve: -selftest supports -wire-addr or -state-dir, not both"))
-			}
-			err = runSelftestDurable(cfg, t, *clients, *batch, shape, *dopts)
-		} else {
-			err = runSelftest(cfg, t, *clients, *batch, shape, *wireAddr)
-		}
-		if err != nil {
+		gen := server.LoadGen{Clients: *clients, BatchSize: *batch, Shape: shape}
+		if err := runSelftest(cfg, t, gen, *wireAddr, dopts); err != nil {
 			fmt.Fprintln(os.Stderr, "selftest FAILED:", err)
 			os.Exit(1)
 		}
@@ -276,75 +270,143 @@ func selftestShape(mode string, start, target, step float64, slot time.Duration)
 	return sh, sh.Validate()
 }
 
-// runSelftest boots the service on a loopback port, replays t from many
+// runSelftest boots the service on a loopback port, replays t from gen's
 // clients, and cross-checks the served partition against batch
-// identification. With wireAddr set, it additionally serves the binary wire
-// protocol on that address, replays over it instead of HTTP, and verifies
-// that both surfaces answer the identical partition — the cross-protocol
-// differential check.
-func runSelftest(cfg server.Config, t *trace.Trace, clients, batch int, shape synth.Shape, wireAddr string) error {
-	fmt.Printf("selftest: %d jobs, %d files, %d clients, batch %d\n",
-		len(t.Jobs), len(t.Files), clients, batch)
-
-	s := server.New(cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() { done <- s.ListenAndRun(ctx, "127.0.0.1:0", ready) }()
-	addr := <-ready
-	base := "http://" + addr.String()
-
-	gen := &server.LoadGen{BaseURL: base, Clients: clients, BatchSize: batch, Shape: shape}
-	var wdone chan error
-	if wireAddr != "" {
-		wready := make(chan net.Addr, 1)
-		wdone = make(chan error, 1)
-		go func() { wdone <- s.ListenAndRunWire(ctx, wireAddr, wready) }()
-		select {
-		case a := <-wready:
-			gen.WireAddr = a.String()
-			fmt.Printf("selftest: replaying over filecule-wire/v1 at %s\n", a)
-		case err := <-wdone:
-			return fmt.Errorf("wire listener: %w", err)
+// identification and /metrics against the traffic. With wireAddr set it
+// also serves the binary wire protocol there, replays over it instead of
+// HTTP, and requires both surfaces to answer the identical partition. With
+// opts it serves from that state directory and replays t in two halves:
+// between them it checkpoints through the admin endpoint and tears the
+// whole stack down, and the restarted server must recover the first half's
+// jobs and its partition before it takes the second.
+func runSelftest(cfg server.Config, t *trace.Trace, gen server.LoadGen, wireAddr string, opts *durable.Options) error {
+	fmt.Printf("selftest: %d jobs, %d files, %d clients, batch %d\n", len(t.Jobs), len(t.Files), gen.Clients, gen.BatchSize)
+	ends := []int{len(t.Jobs)}
+	if opts != nil {
+		ends = []int{len(t.Jobs) / 2, len(t.Jobs)}
+		fmt.Printf("selftest: restart after %d jobs, state dir %s\n", ends[0], opts.Dir)
+	}
+	done := 0
+	for i, end := range ends {
+		err := withServer(cfg, wireAddr, opts, func(base, wireAt string, d *durable.Engine) error {
+			if i > 0 {
+				if rec := d.Recovery(); rec.Fresh || rec.Observed != int64(done) {
+					return fmt.Errorf("recovered %d jobs from %s, want %d", rec.Observed, opts.Dir, done)
+				}
+				if err := checkPartition(base, wireAt, t, done); err != nil {
+					return err
+				}
+			}
+			gen.BaseURL, gen.WireAddr = base, wireAt
+			rep, err := gen.Replay(&trace.Trace{Files: t.Files, Jobs: t.Jobs[done:end]})
+			if err != nil {
+				return err
+			}
+			fmt.Println(rep)
+			if err := checkPartition(base, wireAt, t, end); err != nil {
+				return err
+			}
+			err = checkMetrics(base, end, d != nil)
+			if err == nil && end < len(t.Jobs) {
+				_, err = fetch(http.MethodPost, base+"/v1/admin/checkpoint")
+			}
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("jobs [%d, %d): %w", done, end, err)
 		}
+		done = end
 	}
-	rep, err := gen.Replay(t)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep)
+	return nil
+}
 
-	if wireAddr != "" {
-		if err := verifyWirePartition(gen.WireAddr, base); err != nil {
+// withServer serves cfg on a loopback HTTP port, and on wireAddr when set,
+// from the state directory opts names when set, and runs fn with the bound
+// addresses. It then drains the listeners, and only then closes the state.
+func withServer(cfg server.Config, wireAddr string, opts *durable.Options, fn func(base, wireAt string, d *durable.Engine) error) (err error) {
+	var d *durable.Engine
+	if opts != nil {
+		if d, err = durable.Open(*opts); err != nil {
 			return err
 		}
-		fmt.Println("wire partition: byte-identical to the HTTP partition")
+		printRecovery(opts.Dir, d.Recovery())
+		cfg.Durable = d
+		defer func() {
+			if cerr := d.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("closing state: %w", cerr))
+			}
+		}()
 	}
-
-	// The served partition must be byte-identical to batch identification
-	// over the same trace, in the service's canonical wire form.
-	want, err := server.PartitionJSON(core.Identify(t), int64(len(t.Jobs)), &trace.Trace{Files: t.Files})
+	s := server.New(cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	var running []chan error
+	defer func() {
+		cancel()
+		for _, done := range running {
+			if serr := <-done; serr != nil {
+				err = errors.Join(err, fmt.Errorf("shutdown: %w", serr))
+			}
+		}
+	}()
+	listen := func(run func(context.Context, string, chan<- net.Addr) error, addr string) (string, error) {
+		ready, done := make(chan net.Addr, 1), make(chan error, 1)
+		go func() { done <- run(ctx, addr, ready) }()
+		select {
+		case a := <-ready:
+			running = append(running, done)
+			return a.String(), nil
+		case err := <-done:
+			return "", err
+		}
+	}
+	httpAt, err := listen(s.ListenAndRun, "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	got, err := get(base + "/v1/partition")
+	wireAt := ""
+	if wireAddr != "" {
+		if wireAt, err = listen(s.ListenAndRunWire, wireAddr); err != nil {
+			return fmt.Errorf("wire listener: %w", err)
+		}
+		fmt.Printf("selftest: replaying over filecule-wire/v1 at %s\n", wireAt)
+	}
+	return fn("http://"+httpAt, wireAt, d)
+}
+
+// checkPartition requires the served partition to be byte-identical to
+// batch identification over t's first n jobs, in the service's canonical
+// wire form, and the wire listener's at wireAt, when set, to the same bytes.
+func checkPartition(base, wireAt string, t *trace.Trace, n int) error {
+	p := core.Identify(&trace.Trace{Files: t.Files, Jobs: t.Jobs[:n]})
+	want, err := server.PartitionJSON(p, int64(n), &trace.Trace{Files: t.Files})
+	if err != nil {
+		return err
+	}
+	got, err := fetch(http.MethodGet, base+"/v1/partition")
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
-		return fmt.Errorf("served partition differs from batch identification (%d vs %d bytes)", len(got), len(want))
+		return fmt.Errorf("served partition differs from batch identification over the first %d jobs (%d vs %d bytes)",
+			n, len(got), len(want))
 	}
-	fmt.Printf("partition: byte-identical to core.Identify (%d filecules, %d bytes of JSON)\n",
-		core.Identify(t).NumFilecules(), len(want))
+	fmt.Printf("partition: byte-identical to core.Identify over the first %d jobs (%d filecules, %d bytes of JSON)\n",
+		n, p.NumFilecules(), len(want))
+	if wireAt == "" {
+		return nil
+	}
+	return verifyWirePartition(wireAt, got)
+}
 
-	// The metrics endpoint must reflect the traffic.
-	metrics, err := get(base + "/metrics")
+// checkMetrics requires /metrics to carry the request and engine series,
+// the WAL and epoch series when the server has a state directory, and an
+// observed-jobs total of n.
+func checkMetrics(base string, n int, durable bool) error {
+	metrics, err := fetch(http.MethodGet, base+"/metrics")
 	if err != nil {
 		return err
 	}
-	ms := string(metrics)
-	for _, needle := range []string{
+	needles := []string{
 		"filecule_server_requests_total",
 		"filecule_server_request_seconds_quantile",
 		"filecule_server_gomaxprocs",
@@ -353,32 +415,25 @@ func runSelftest(cfg server.Config, t *trace.Trace, clients, batch int, shape sy
 		"filecule_engine_jobcache_entries",
 		"filecule_engine_jobcache_sweeps_total",
 		"filecule_engine_fastpath_hits_total",
-		fmt.Sprintf("filecule_jobs_observed_total %d", len(t.Jobs)),
-	} {
-		if !strings.Contains(ms, needle) {
+		fmt.Sprintf("filecule_jobs_observed_total %d", n),
+	}
+	if durable {
+		needles = append(needles, "filecule_state_epoch", "filecule_wal_appended_jobs_total", "filecule_checkpoints_total")
+	}
+	for _, needle := range needles {
+		if !bytes.Contains(metrics, []byte(needle)) {
 			return fmt.Errorf("metrics output missing %q", needle)
 		}
 	}
-	fmt.Println("metrics: request counters and latency quantiles present")
-
-	// Exercise graceful shutdown.
-	cancel()
-	if err := <-done; err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if wdone != nil {
-		if err := <-wdone; err != nil {
-			return fmt.Errorf("wire shutdown: %w", err)
-		}
-	}
+	fmt.Printf("metrics: %d series present\n", len(needles))
 	return nil
 }
 
-// verifyWirePartition fetches the partition over both protocols and requires
-// the wire reply, marshalled as JSON, to be byte-identical to GET
-// /v1/partition.
-func verifyWirePartition(wireAddr, base string) error {
-	c, err := wire.Dial(wireAddr, 10*time.Second)
+// verifyWirePartition requires the partition fetched over the wire listener
+// at wireAt, marshalled as JSON, to be byte-identical to fromHTTP, the body
+// of GET /v1/partition.
+func verifyWirePartition(wireAt string, fromHTTP []byte) error {
+	c, err := wire.Dial(wireAt, 10*time.Second)
 	if err != nil {
 		return fmt.Errorf("dial wire: %w", err)
 	}
@@ -391,150 +446,20 @@ func verifyWirePartition(wireAddr, base string) error {
 	if err != nil {
 		return err
 	}
-	fromHTTP, err := get(base + "/v1/partition")
-	if err != nil {
-		return err
+	if !bytes.Equal(fromWire, bytes.TrimSpace(fromHTTP)) {
+		return fmt.Errorf("wire partition differs from HTTP partition (%d vs %d bytes)", len(fromWire), len(fromHTTP))
 	}
-	if !bytes.Equal(bytes.TrimSpace(fromWire), bytes.TrimSpace(fromHTTP)) {
-		return fmt.Errorf("wire partition differs from HTTP partition (%d vs %d bytes)",
-			len(fromWire), len(fromHTTP))
-	}
+	fmt.Println("wire partition: byte-identical to the HTTP partition")
 	return nil
 }
 
-// runSelftestDurable verifies the crash-safety wiring end to end: it serves
-// the first half of the trace with durability on, checkpoints through the
-// admin endpoint, tears the whole stack down, then recovers from the state
-// directory and checks the reconstructed partition is byte-identical to
-// batch identification over the first half before replaying the rest.
-func runSelftestDurable(cfg server.Config, t *trace.Trace, clients, batch int, shape synth.Shape, opts durable.Options) error {
-	half := len(t.Jobs) / 2
-	firstHalf := &trace.Trace{Files: t.Files, Jobs: t.Jobs[:half]}
-	secondHalf := &trace.Trace{Files: t.Files, Jobs: t.Jobs[half:]}
-	catalog := &trace.Trace{Files: t.Files}
-
-	fmt.Printf("selftest (durable): %d jobs, %d files, restart after %d jobs, state dir %s\n",
-		len(t.Jobs), len(t.Files), half, opts.Dir)
-
-	// Phase 1: replay the first half, checkpoint via the admin endpoint,
-	// shut everything down.
-	err := withDurableServer(cfg, opts, func(base string, d *durable.Engine) error {
-		gen := &server.LoadGen{BaseURL: base, Clients: clients, BatchSize: batch, Shape: shape}
-		if _, err := gen.Replay(firstHalf); err != nil {
-			return err
-		}
-		resp, err := http.Post(base+"/v1/admin/checkpoint", "application/json", nil)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("admin checkpoint: HTTP %d", resp.StatusCode)
-		}
-		return nil
-	})
+// fetch sends a body-less request and returns the body of its 200 reply.
+func fetch(method, url string) ([]byte, error) {
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
-		return fmt.Errorf("phase 1: %w", err)
+		return nil, err
 	}
-
-	// Phase 2: recover, verify the reconstructed state, finish the trace.
-	err = withDurableServer(cfg, opts, func(base string, d *durable.Engine) error {
-		rec := d.Recovery()
-		if rec.Fresh {
-			return fmt.Errorf("recovery found no prior state in %s", opts.Dir)
-		}
-		if rec.Observed != int64(half) {
-			return fmt.Errorf("recovered %d jobs, want %d", rec.Observed, half)
-		}
-		fmt.Printf("recovery: %d jobs (checkpoint epoch %d at %d jobs + %d WAL jobs replayed)\n",
-			rec.Observed, rec.CheckpointEpoch, rec.CheckpointObserved, rec.ReplayedJobs)
-
-		want, err := server.PartitionJSON(core.Identify(firstHalf), int64(half), catalog)
-		if err != nil {
-			return err
-		}
-		got, err := get(base + "/v1/partition")
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
-			return fmt.Errorf("recovered partition differs from batch identification over the first %d jobs (%d vs %d bytes)",
-				half, len(got), len(want))
-		}
-		fmt.Printf("recovered partition: byte-identical to core.Identify over first %d jobs\n", half)
-
-		gen := &server.LoadGen{BaseURL: base, Clients: clients, BatchSize: batch, Shape: shape}
-		if _, err := gen.Replay(secondHalf); err != nil {
-			return err
-		}
-		want, err = server.PartitionJSON(core.Identify(t), int64(len(t.Jobs)), catalog)
-		if err != nil {
-			return err
-		}
-		got, err = get(base + "/v1/partition")
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(bytes.TrimSpace(got), bytes.TrimSpace(want)) {
-			return fmt.Errorf("final partition differs from batch identification (%d vs %d bytes)", len(got), len(want))
-		}
-		fmt.Printf("final partition: byte-identical to core.Identify (%d filecules)\n",
-			core.Identify(t).NumFilecules())
-
-		metrics, err := get(base + "/metrics")
-		if err != nil {
-			return err
-		}
-		ms := string(metrics)
-		for _, needle := range []string{
-			"filecule_state_epoch",
-			"filecule_wal_appended_jobs_total",
-			"filecule_checkpoints_total",
-			fmt.Sprintf("filecule_jobs_observed_total %d", len(t.Jobs)),
-		} {
-			if !strings.Contains(ms, needle) {
-				return fmt.Errorf("metrics output missing %q", needle)
-			}
-		}
-		fmt.Println("metrics: durability gauges present")
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("phase 2: %w", err)
-	}
-	return nil
-}
-
-// withDurableServer opens the state directory, serves on a loopback port
-// with durability wired in, runs fn, and tears down in order: server drain,
-// then WAL sync and close.
-func withDurableServer(cfg server.Config, opts durable.Options, fn func(base string, d *durable.Engine) error) error {
-	d, err := durable.Open(opts)
-	if err != nil {
-		return err
-	}
-	cfg.Durable = d
-	s := server.New(cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() { done <- s.ListenAndRun(ctx, "127.0.0.1:0", ready) }()
-	addr := <-ready
-	ferr := fn("http://"+addr.String(), d)
-	cancel()
-	if err := <-done; err != nil && ferr == nil {
-		ferr = fmt.Errorf("shutdown: %w", err)
-	}
-	if err := d.Close(); err != nil && ferr == nil {
-		ferr = fmt.Errorf("closing state: %w", err)
-	}
-	return ferr
-}
-
-func get(url string) ([]byte, error) {
-	resp, err := http.Get(url)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -544,7 +469,7 @@ func get(url string) ([]byte, error) {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d: %s", url, resp.StatusCode, b)
+		return nil, fmt.Errorf("%s %s: HTTP %d: %s", method, url, resp.StatusCode, b)
 	}
 	return b, nil
 }

@@ -105,8 +105,6 @@ func TestCommandExitCodes(t *testing.T) {
 		{"serve missing trace", "filecule-serve", noSuchTrace, 1},
 		{"serve unbindable wire addr", "filecule-serve",
 			append([]string{"-selftest", "-wire-addr", "256.256.256.256:1"}, tiny...), 1},
-		{"serve wire addr with durable selftest", "filecule-serve",
-			append([]string{"-selftest", "-wire-addr", "127.0.0.1:0", "-state-dir", t.TempDir()}, tiny...), 1},
 		{"serve negative exchange interval", "filecule-serve", fedSelftest("-peers", "b:1", "-exchange-interval", "-5s"), 1},
 		{"serve zero exchange interval", "filecule-serve", fedSelftest("-exchange-interval", "0s"), 1},
 		{"serve zero peer timeout", "filecule-serve", fedSelftest("-peers", "b:1", "-peer-timeout", "0s"), 1},
@@ -117,6 +115,8 @@ func TestCommandExitCodes(t *testing.T) {
 		{"serve wire selftest ok", "filecule-serve",
 			append([]string{"-selftest", "-wire-addr", "127.0.0.1:0"}, tiny...), 0},
 		{"serve federated selftest ok", "filecule-serve", fedSelftest(), 0},
+		{"serve wire addr with durable selftest", "filecule-serve",
+			append([]string{"-selftest", "-wire-addr", "127.0.0.1:0", "-state-dir", t.TempDir()}, tiny...), 0},
 		{"gen ok", "filecule-gen", append([]string{"-o", filepath.Join(t.TempDir(), "t.trace")}, tiny...), 0},
 		{"sweep ok", "filecule-cachesim",
 			append([]string{"-sweep", "-policies", "lru", "-grans", "file", "-sizes", "1"}, tiny...), 0},
@@ -383,6 +383,23 @@ func TestDurableExitCodes(t *testing.T) {
 		t.Errorf("dump -groups: exit %d, per-group lines missing\n%s", got, out)
 	}
 
+	// The same restart with the jobs ingested over the wire listener, the
+	// production ingest path: it recovers, both surfaces answer the same
+	// partition, and the directory holds one WAL per epoch, the second
+	// based where the first ends.
+	wireDir := filepath.Join(t.TempDir(), "state")
+	got, out := exitCode(t, serve, append([]string{"-selftest", "-state-dir", wireDir, "-wire-addr", "127.0.0.1:0", "-batch", "8"}, tiny...)...)
+	if got != 0 || !strings.Contains(out, "recovered ") || !strings.Contains(out, "wire partition: byte-identical") {
+		t.Errorf("durable selftest over wire: exit %d, want 0 with the recovery and the wire partition named\n%s", got, out)
+	}
+	if rep, err := durable.Inspect(wireDir); err != nil || len(rep.Segments) != 2 || len(rep.Problems) > 0 ||
+		rep.Segments[1].Base != rep.Segments[0].Base+rep.Segments[0].Jobs {
+		t.Errorf("durable selftest over wire left no clean two-epoch WAL chain: %+v, %v", rep, err)
+	}
+	if got, out := exitCode(t, state, "dump", "-dir", wireDir); got != 0 || !strings.Contains(out, "wal-1") {
+		t.Errorf("dump of the wire selftest's state dir: exit %d, want 0 and wal-1 listed\n%s", got, out)
+	}
+
 	// A newest WAL whose header parses but does not continue the chain (here:
 	// its base forged one past its checkpoint's count) is corruption, not a
 	// crash artifact: the dump and the server both exit 1 and name it, and
@@ -479,7 +496,7 @@ func TestDurableExitCodes(t *testing.T) {
 	if corrupted == 0 {
 		t.Fatal("selftest left no checkpoint files to corrupt")
 	}
-	got, out := exitCode(t, serve, append([]string{"-selftest", "-state-dir", stateDir}, tiny...)...)
+	got, out = exitCode(t, serve, append([]string{"-selftest", "-state-dir", stateDir}, tiny...)...)
 	if got != 1 {
 		t.Errorf("corrupt state: exit %d, want 1\noutput:\n%s", got, out)
 	}

@@ -32,8 +32,6 @@ type LoadGen struct {
 	Clients int
 	// BatchSize groups jobs per request; <= 1 posts one job per request.
 	BatchSize int
-	// Timeout bounds each HTTP request or wire round trip; zero means 30s.
-	Timeout time.Duration
 	// Shape, when not ShapeNone, paces submission to the RPS schedule
 	// (ramp/sweep/burst, as in the invitro trace synthesizer): the k'th
 	// claimed job is not posted before replay-start + schedule-offset(k),
@@ -69,19 +67,14 @@ func (r *LoadReport) String() string {
 		r.Latency.Median*1e3, r.Latency.P90*1e3, r.Latency.P99*1e3, r.Latency.Max*1e3)
 }
 
-// Replay posts every job of t (in ID order of claim) and blocks until all
-// are acknowledged. It is safe to call on a live server; jobs interleave
-// with other traffic.
-func (g *LoadGen) Replay(t *trace.Trace) (*LoadReport, error) {
-	return g.ReplaySource(trace.NewTraceSource(t))
-}
+// replayTimeout bounds each HTTP request or wire round trip.
+const replayTimeout = 30 * time.Second
 
-// ReplaySource drains a job stream against the server: clients claim batches
-// from the source under a mutex (copying each job out of the source's reused
-// buffers), then post them concurrently. Memory stays bounded by clients ×
-// batch jobs however long the stream is, so arbitrarily large binary traces
-// replay without ever being materialized.
-func (g *LoadGen) ReplaySource(src trace.Source) (*LoadReport, error) {
+// Replay posts every job of t and blocks until all are acknowledged. Clients
+// claim index ranges of t.Jobs in order under a mutex and post them
+// concurrently; the jobs are read in place, never copied. It is safe to call
+// on a live server; jobs interleave with other traffic.
+func (g *LoadGen) Replay(t *trace.Trace) (*LoadReport, error) {
 	clients := g.Clients
 	if clients <= 0 {
 		clients = 8
@@ -90,12 +83,8 @@ func (g *LoadGen) ReplaySource(src trace.Source) (*LoadReport, error) {
 	if batch < 1 {
 		batch = 1
 	}
-	timeout := g.Timeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
-	}
 	hc := &http.Client{
-		Timeout: timeout,
+		Timeout: replayTimeout,
 		Transport: &http.Transport{
 			MaxIdleConns:        clients * 2,
 			MaxIdleConnsPerHost: clients * 2,
@@ -110,32 +99,23 @@ func (g *LoadGen) ReplaySource(src trace.Source) (*LoadReport, error) {
 	}
 	pacer := synth.NewPacer(g.Shape)
 
-	var mu sync.Mutex // guards src and claimed
-	var srcErr error
-	var claimed int64
-	// pull claims up to batch jobs, returning the copies, the stream offset
-	// of the first one, and its not-before submission offset under the RPS
-	// schedule (the pacer advances once per claimed job, serialized by the
-	// same mutex that orders claims).
-	pull := func(buf []trace.Job) ([]trace.Job, int64, time.Duration) {
+	var mu sync.Mutex // guards next and pacer
+	next := 0
+	// claim takes the next up to batch jobs as t.Jobs[lo:hi] with the
+	// first one's not-before submission offset under the RPS schedule (the
+	// pacer advances once per claimed job, serialized by the same mutex
+	// that orders claims).
+	claim := func() (lo, hi int, notBefore time.Duration) {
 		mu.Lock()
 		defer mu.Unlock()
-		buf = buf[:0]
-		lo := claimed
-		notBefore := time.Duration(-1)
-		for len(buf) < batch && srcErr == nil {
-			j, err := src.Next()
-			if err != nil {
-				srcErr = err
-				break
-			}
-			if off := pacer.Next(); notBefore < 0 {
+		lo, hi = next, min(next+batch, len(t.Jobs))
+		for k := lo; k < hi; k++ {
+			if off := pacer.Next(); k == lo {
 				notBefore = off
 			}
-			buf = append(buf, trace.CloneJob(j))
 		}
-		claimed += int64(len(buf))
-		return buf, lo, notBefore
+		next = hi
+		return lo, hi, notBefore
 	}
 
 	var requests, errs int64
@@ -152,7 +132,7 @@ func (g *LoadGen) ReplaySource(src trace.Source) (*LoadReport, error) {
 			var wc *wire.Client
 			if g.WireAddr != "" {
 				var err error
-				wc, err = wire.Dial(g.WireAddr, timeout)
+				wc, err = wire.Dial(g.WireAddr, replayTimeout)
 				if err != nil {
 					atomic.AddInt64(&errs, 1)
 					errOnce.Do(func() { firstErr = fmt.Errorf("dial wire %s: %w", g.WireAddr, err) })
@@ -160,25 +140,21 @@ func (g *LoadGen) ReplaySource(src trace.Source) (*LoadReport, error) {
 				}
 				defer wc.Close()
 			}
-			buf := make([]trace.Job, 0, batch)
 			for {
-				var lo int64
-				var notBefore time.Duration
-				buf, lo, notBefore = pull(buf)
-				if len(buf) == 0 {
+				lo, hi, notBefore := claim()
+				if lo == hi {
 					return
 				}
 				if g.Shape.Mode != synth.ShapeNone {
 					time.Sleep(time.Until(start.Add(notBefore)))
 				}
-				hi := lo + int64(len(buf))
 				var err error
 				t0 := time.Now()
 				if wc != nil {
-					err = g.postWire(wc, buf)
+					err = g.postWire(wc, t.Jobs[lo:hi])
 					atomic.AddInt64(&requests, 1)
 				} else {
-					err = g.postHTTP(hc, buf, &requests)
+					err = g.postHTTP(hc, t.Jobs[lo:hi], &requests)
 				}
 				if err != nil {
 					atomic.AddInt64(&errs, 1)
@@ -198,14 +174,11 @@ func (g *LoadGen) ReplaySource(src trace.Source) (*LoadReport, error) {
 		all = append(all, l...)
 	}
 	rep := &LoadReport{
-		Jobs:     int(claimed),
+		Jobs:     next,
 		Requests: requests,
 		Errors:   errs,
 		Duration: time.Since(start),
 		Latency:  stats.Summarize(all),
-	}
-	if srcErr != nil && srcErr != io.EOF {
-		return rep, fmt.Errorf("loadgen: reading job stream: %w", srcErr)
 	}
 	if errs > 0 {
 		return rep, fmt.Errorf("loadgen: %d of %d requests failed (first: %v)", errs, requests, firstErr)

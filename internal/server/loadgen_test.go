@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -54,8 +55,11 @@ func TestLoadGenReplay(t *testing.T) {
 		t.Error("served partition differs from batch identification after concurrent replay")
 	}
 
-	if s.Metrics().Requests() == 0 {
-		t.Error("no requests recorded in metrics")
+	// Every claim of 3 jobs is one batch request; the last may be short.
+	batches := (len(tr.Jobs) + 2) / 3
+	needle := fmt.Sprintf(`filecule_server_request_seconds_count{route="observe_batch"} %d`, batches)
+	if m := do(s, "GET", "/metrics", "").Body.String(); !strings.Contains(m, needle) {
+		t.Errorf("metrics lack %q", needle)
 	}
 
 	// Graceful shutdown must drain and return nil.

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"filecule/internal/stats"
 )
 
 // latencyEdges are the fixed histogram bucket upper bounds (seconds) used
@@ -19,20 +17,30 @@ var latencyEdges = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// maxLatencySamples bounds the per-route sample window kept for quantile
-// estimation. The window holds the most recent samples (ring buffer), so
-// quantiles track current behavior rather than all-time history.
-const maxLatencySamples = 16384
-
 // routeMetrics accumulates counters for one route.
 type routeMetrics struct {
 	byCode  map[int]int64
-	buckets []int64 // per-bucket counts, same index as latencyEdges
-	over    int64   // samples above the last edge
+	buckets []int64 // per-bucket counts, same index as latencyEdges; +Inf is n
 	sum     float64 // total seconds
 	n       int64
-	samples []float64 // ring buffer for quantiles
-	next    int
+}
+
+// quantile estimates the q-th latency quantile (0 < q <= 1) of a route with
+// at least one request from its buckets, the way Prometheus's
+// histogram_quantile does: linear inside the bucket the rank falls in (the
+// first bucket starting at 0), and the last edge for a rank above it.
+func (r *routeMetrics) quantile(q float64) float64 {
+	rank := q * float64(r.n)
+	var cum int64
+	lower := 0.0
+	for i, edge := range latencyEdges {
+		if c := r.buckets[i]; float64(cum+c) >= rank {
+			return lower + (edge-lower)*(rank-float64(cum))/float64(c)
+		}
+		cum += r.buckets[i]
+		lower = edge
+	}
+	return lower
 }
 
 // Metrics collects request counters and latency distributions per route and
@@ -66,44 +74,9 @@ func (m *Metrics) Observe(route string, code int, d time.Duration) {
 	r.byCode[code]++
 	r.sum += sec
 	r.n++
-	for i, edge := range latencyEdges {
-		if sec <= edge {
-			r.buckets[i]++
-			break
-		}
-		if i == len(latencyEdges)-1 {
-			r.over++
-		}
+	if i := sort.SearchFloat64s(latencyEdges, sec); i < len(latencyEdges) {
+		r.buckets[i]++
 	}
-	if len(r.samples) < maxLatencySamples {
-		r.samples = append(r.samples, sec)
-	} else {
-		r.samples[r.next] = sec
-		r.next = (r.next + 1) % maxLatencySamples
-	}
-}
-
-// Requests returns the total request count across all routes and codes.
-func (m *Metrics) Requests() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, r := range m.route {
-		n += r.n
-	}
-	return n
-}
-
-// Quantile returns the q-th latency quantile (seconds) over the route's
-// recent sample window, or 0 if the route has no samples.
-func (m *Metrics) Quantile(route string, q float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r := m.route[route]
-	if r == nil || len(r.samples) == 0 {
-		return 0
-	}
-	return stats.Quantile(r.samples, q)
 }
 
 // statusRecorder captures the status code written by a handler.
@@ -134,7 +107,8 @@ func (m *Metrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc 
 
 // WritePrometheus renders all counters in the Prometheus text format:
 // request totals by route and code, latency histograms with cumulative
-// buckets, and windowed quantile gauges computed via internal/stats.
+// buckets, and quantile gauges estimated from those buckets over every
+// request since start.
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -177,12 +151,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE filecule_server_request_seconds_quantile gauge\n")
 	for _, name := range routes {
 		r := m.route[name]
-		if len(r.samples) == 0 {
-			continue
-		}
 		for _, q := range []float64{0.5, 0.9, 0.99} {
 			fmt.Fprintf(w, "filecule_server_request_seconds_quantile{route=%q,quantile=\"%g\"} %g\n",
-				name, q, stats.Quantile(r.samples, q))
+				name, q, r.quantile(q))
 		}
 	}
 }

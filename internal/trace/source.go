@@ -18,7 +18,7 @@ import (
 // Consumers that retain jobs must copy them (see CloneJob).
 //
 // Sources are not safe for concurrent use; wrap Next in a mutex to share one
-// across goroutines (server.LoadGen does this).
+// across goroutines.
 type Source interface {
 	// Files returns the file catalog. The slice is shared, not copied;
 	// callers must not mutate it.
