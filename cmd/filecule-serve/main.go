@@ -145,31 +145,74 @@ func serve(cfg server.Config, spec, addr, wireAddr string, dopts *durable.Option
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	s := server.New(cfg)
-	ready := make(chan net.Addr, 1)
-	go func() {
-		a := <-ready
-		fmt.Printf("filecule-serve: listening on %s (catalog: %d files)\n", a, nFiles)
-	}()
-	listeners := 1
-	errc := make(chan error, 2)
-	go func() { errc <- s.ListenAndRun(ctx, addr, ready) }()
-	if wireAddr != "" {
-		listeners++
-		wready := make(chan net.Addr, 1)
-		go func() {
-			fmt.Printf("filecule-serve: wire protocol (filecule-wire/v1) on %s\n", <-wready)
-		}()
-		go func() { errc <- s.ListenAndRunWire(ctx, wireAddr, wready) }()
+	l, err := listen(ctx, server.New(cfg), addr, wireAddr)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < listeners; i++ {
-		if lerr := <-errc; lerr != nil {
-			err = errors.Join(err, lerr)
-			stop() // bring the other listener down cleanly
+	fmt.Printf("filecule-serve: listening on %s (catalog: %d files)\n", l.httpAt, nFiles)
+	if l.wireAt != "" {
+		fmt.Printf("filecule-serve: wire protocol (filecule-wire/v1) on %s\n", l.wireAt)
+	}
+	// A listener ends on a failure or once ctx is done at a signal.
+	if err := l.ended(<-l.errc); err != nil {
+		return err
+	}
+	fmt.Println("filecule-serve: drained and stopped")
+	return nil
+}
+
+// listeners are a server's HTTP listener and, when asked for, its wire
+// listener.
+type listeners struct {
+	httpAt, wireAt string // bound addresses
+	cancel         context.CancelFunc
+	errc           chan error // each listener's result, once it ends
+	running        int        // listeners whose result is not read yet
+}
+
+// listen starts s's HTTP listener on addr and, when wireAddr is set, its
+// wire listener, until ctx is done or stop is called, and returns once both
+// are bound. If one ends first, the other is drained and every result
+// returned.
+func listen(ctx context.Context, s *server.Server, addr, wireAddr string) (*listeners, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	l := &listeners{cancel: cancel, errc: make(chan error, 2)}
+	start := func(run func(context.Context, string, chan<- net.Addr) error, addr string) (string, error) {
+		ready := make(chan net.Addr, 1)
+		l.running++
+		go func() { l.errc <- run(ctx, addr, ready) }()
+		select {
+		case a := <-ready:
+			return a.String(), nil
+		case err := <-l.errc:
+			return "", l.ended(err)
 		}
 	}
-	if err == nil {
-		fmt.Println("filecule-serve: drained and stopped")
+	var err error
+	if l.httpAt, err = start(s.ListenAndRun, addr); err != nil {
+		return nil, err
+	}
+	if wireAddr != "" {
+		if l.wireAt, err = start(s.ListenAndRunWire, wireAddr); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
+// ended takes the result err of a listener that has ended, stops the
+// others, and returns every result.
+func (l *listeners) ended(err error) error {
+	l.running--
+	return errors.Join(err, l.stop())
+}
+
+// stop cancels the listeners and returns once every one has drained, with
+// their results.
+func (l *listeners) stop() (err error) {
+	l.cancel()
+	for ; l.running > 0; l.running-- {
+		err = errors.Join(err, <-l.errc)
 	}
 	return err
 }
@@ -337,40 +380,19 @@ func withServer(cfg server.Config, wireAddr string, opts *durable.Options, fn fu
 			}
 		}()
 	}
-	s := server.New(cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	var running []chan error
-	defer func() {
-		cancel()
-		for _, done := range running {
-			if serr := <-done; serr != nil {
-				err = errors.Join(err, fmt.Errorf("shutdown: %w", serr))
-			}
-		}
-	}()
-	listen := func(run func(context.Context, string, chan<- net.Addr) error, addr string) (string, error) {
-		ready, done := make(chan net.Addr, 1), make(chan error, 1)
-		go func() { done <- run(ctx, addr, ready) }()
-		select {
-		case a := <-ready:
-			running = append(running, done)
-			return a.String(), nil
-		case err := <-done:
-			return "", err
-		}
-	}
-	httpAt, err := listen(s.ListenAndRun, "127.0.0.1:0")
+	l, err := listen(context.Background(), server.New(cfg), "127.0.0.1:0", wireAddr)
 	if err != nil {
 		return err
 	}
-	wireAt := ""
-	if wireAddr != "" {
-		if wireAt, err = listen(s.ListenAndRunWire, wireAddr); err != nil {
-			return fmt.Errorf("wire listener: %w", err)
+	defer func() {
+		if serr := l.stop(); serr != nil {
+			err = errors.Join(err, fmt.Errorf("shutdown: %w", serr))
 		}
-		fmt.Printf("selftest: replaying over filecule-wire/v1 at %s\n", wireAt)
+	}()
+	if l.wireAt != "" {
+		fmt.Printf("selftest: replaying over filecule-wire/v1 at %s\n", l.wireAt)
 	}
-	return fn("http://"+httpAt, wireAt, d)
+	return fn("http://"+l.httpAt, l.wireAt, d)
 }
 
 // checkPartition requires the served partition to be byte-identical to

@@ -232,6 +232,8 @@ func TestWorkloadSpecExitCodes(t *testing.T) {
 			append([]string{"-workload", "file,path=" + kvCSV + ",scale=0"}, sweepArgs...), 1, "not positive"},
 		{"gen bad spec", "filecule-gen",
 			[]string{"-workload", "xrootd,one-touch=2", "-o", filepath.Join(dir, "x.trace")}, 1, "one-touch"},
+		{"gen zero decay-days", "filecule-gen",
+			[]string{"-workload", "xrootd,decay-days=0", "-o", filepath.Join(dir, "z.trace")}, 1, "decay-days=0"},
 		{"gen NaN scale", "filecule-gen",
 			[]string{"-workload", "dzero,seed=1,scale=NaN", "-o", filepath.Join(dir, "nan.trace")}, 1, "finite"},
 

@@ -397,3 +397,15 @@ func TestReadmeRoutesMatchServer(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignFitsItsCap: DESIGN.md holds contracts only, in at most 40 960
+// bytes; a new measurement goes in CHANGES.md and DESIGN cites it.
+func TestDesignFitsItsCap(t *testing.T) {
+	fi, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() > 40960 {
+		t.Errorf("DESIGN.md is %d bytes, over its 40 960-byte cap", fi.Size())
+	}
+}

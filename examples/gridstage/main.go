@@ -44,7 +44,7 @@ func main() {
 	for _, o := range outs {
 		tb.AddRow(o.Strategy,
 			float64(o.PlacedBytes)/(1<<30),
-			float64(o.Grid.WANBytes)/(1<<30),
+			float64(o.Grid.WANBytes())/(1<<30),
 			o.Grid.JobsStalled,
 			o.Grid.MeanStage().Round(1e9).String(),
 			o.Grid.MaxStage.Round(1e9).String())

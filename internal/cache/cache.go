@@ -150,8 +150,13 @@ func (s *Sim) Replay(reqs []trace.Request) Metrics {
 }
 
 // Access processes a single file request at logical time now, with no job
-// attribution (prefetchers that track per-job streams see job -1).
-func (s *Sim) Access(f trace.FileID, now int64) { s.AccessJob(-1, f, now) }
+// attribution (prefetchers that track per-job streams see job -1), and
+// reports whether it hit.
+func (s *Sim) Access(f trace.FileID, now int64) (hit bool) {
+	hits := s.metrics.Hits
+	s.AccessJob(-1, f, now)
+	return s.metrics.Hits > hits
+}
 
 // AccessJob processes a single file request issued by job j at logical time
 // now.
@@ -280,13 +285,4 @@ func (s *Sim) Preload(f trace.FileID, now int64) {
 	s.resident[unit] = size
 	s.used += size
 	s.policy.Admit(unit, size, now)
-}
-
-// Contains reports whether file f would hit right now.
-func (s *Sim) Contains(f trace.FileID) bool {
-	if _, ok := s.resident[s.gran.UnitOf(f)]; ok {
-		return true
-	}
-	_, ok := s.resident[degenerate(f)]
-	return ok
 }

@@ -39,7 +39,7 @@ func TestPrefetchNeverCountsDemandMisses(t *testing.T) {
 	if pf.records != 1 {
 		t.Errorf("Record called %d times", pf.records)
 	}
-	if !sim.Contains(1) || !sim.Contains(2) {
+	if !resident(sim, 1) || !resident(sim, 2) {
 		t.Error("prefetched files not resident")
 	}
 }
@@ -100,8 +100,8 @@ func TestPreloadIdempotentAndEvicts(t *testing.T) {
 		t.Fatalf("used = %d", sim.Used())
 	}
 	sim.Preload(2, 3) // evicts LRU (0)
-	if sim.Used() != 2 || sim.Contains(0) {
-		t.Errorf("preload eviction failed: used=%d contains0=%v", sim.Used(), sim.Contains(0))
+	if sim.Used() != 2 || resident(sim, 0) {
+		t.Errorf("preload eviction failed: used=%d contains0=%v", sim.Used(), resident(sim, 0))
 	}
 	if m := sim.Metrics(); m.Requests != 0 || m.BytesLoaded != 0 {
 		t.Errorf("preload touched metrics: %+v", m)

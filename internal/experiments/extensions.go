@@ -159,7 +159,7 @@ func (r *Runner) replSweep() (*Result, error) {
 			return nil, err
 		}
 		cell := func(o replica.Outcome) string {
-			return fmt.Sprintf("%.0f | %d", float64(o.Grid.WANBytes)/(1<<30), o.Grid.RemoteStalled)
+			return fmt.Sprintf("%.0f | %d", float64(o.Grid.WANBytes())/(1<<30), o.Grid.RemoteStalled)
 		}
 		tb.AddRow(budgetTB, cell(outs[0]), cell(outs[1]), cell(outs[2]))
 	}
@@ -217,30 +217,34 @@ func (r *Runner) placement() (*Result, error) {
 	if budget < 1<<30 {
 		budget = 1 << 30
 	}
-	cfg := grid.PeerConfig{
-		SiteUp:         1e9 / 8,
-		SiteDown:       1e9 / 8,
-		HubUp:          20e9 / 8,
-		HubDown:        20e9 / 8,
-		SiteCacheBytes: budget,
+	cfg := grid.Config{
+		SiteBandwidth:    1e9 / 8,
+		HubSiteBandwidth: 20e9 / 8,
+		SiteCacheBytes:   budget,
+	}
+	// The hub holds every file: a remote miss no other site pins comes
+	// through its link.
+	all := make([]trace.FileID, len(future.Files))
+	for i := range all {
+		all[i] = trace.FileID(i)
 	}
 
 	plan := replica.PopularFilecules{}.Plan(history, p, budget)
 
 	type setup struct {
 		name  string
-		apply func(*grid.PeerSystem)
+		apply func(*grid.System)
 	}
 	setups := []setup{
-		{"no replicas (hub only)", func(*grid.PeerSystem) {}},
-		{"per-site filecule replicas", func(s *grid.PeerSystem) {
+		{"no replicas (hub only)", func(*grid.System) {}},
+		{"per-site filecule replicas", func(s *grid.System) {
 			for site, files := range plan {
 				if site != s.Hub() {
-					s.Place(site, files)
+					s.Pin(site, files)
 				}
 			}
 		}},
-		{"one shared mirror (busiest remote)", func(s *grid.PeerSystem) {
+		{"one shared mirror (busiest remote)", func(s *grid.System) {
 			// The busiest non-hub site pins the union of every remote
 			// site's plan; everyone else fetches from it.
 			counts := make(map[trace.SiteID]int)
@@ -272,23 +276,24 @@ func (r *Runner) placement() (*Result, error) {
 					}
 				}
 			}
-			s.Place(mirror, union)
+			s.Pin(mirror, union)
 		}},
 	}
 
 	tb := report.NewTable("Section 6: replica placement on the peer grid",
 		"setup", "hub GB", "peer GB", "hub share", "local GB", "stalled", "mean stage")
 	for _, su := range setups {
-		sys, err := grid.NewPeerSystem(future, cfg, ".gov")
+		sys, err := grid.New(future, cfg, ".gov")
 		if err != nil {
 			return nil, err
 		}
+		sys.Pin(sys.Hub(), all)
 		su.apply(sys)
 		m := sys.Replay()
 		tb.AddRow(su.name,
 			float64(m.HubBytes)/(1<<30), float64(m.PeerBytes)/(1<<30),
 			m.HubShare(), float64(m.LocalBytes)/(1<<30),
-			m.Stalled, m.MeanStage().Round(1e9).String())
+			m.JobsStalled, m.MeanStage().Round(1e9).String())
 	}
 	return &Result{Tables: []*report.Table{tb},
 		Notes: []string{

@@ -8,8 +8,10 @@ import (
 
 // TestGridGolden pins the grid's numbers: the three experiments that replay
 // through internal/grid must render, on shared's workload, exactly the
-// tables under testdata, which were written before System staged over
-// grid.Network.
+// tables under testdata. The replication tables were written before System
+// staged over grid.Network; the placement table was re-recorded when
+// placement moved onto System, which fetches a file a job's own earlier
+// read evicted again instead of counting it as local.
 func TestGridGolden(t *testing.T) {
 	for _, id := range []string{"replication", "replsweep", "placement"} {
 		res, err := shared.Run(id)

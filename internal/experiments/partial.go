@@ -105,7 +105,7 @@ func (r *Runner) replication() (*Result, error) {
 	var placed int64
 	for _, round := range []map[trace.SiteID][]trace.FileID{round1, round2} {
 		for site, files := range round {
-			sys.Place(site, files)
+			sys.Warm(site, files)
 			for _, f := range files {
 				placed += t.Files[f].Size
 			}
@@ -122,7 +122,7 @@ func (r *Runner) replication() (*Result, error) {
 	for _, o := range outs {
 		tb.AddRow(o.Strategy,
 			float64(o.PlacedBytes)/(1<<30),
-			float64(o.Grid.WANBytes)/(1<<30),
+			float64(o.Grid.WANBytes())/(1<<30),
 			float64(o.Grid.LocalBytes)/(1<<30),
 			o.Grid.RemoteStalled,
 			o.Grid.MeanStage().Round(1e9).String(),

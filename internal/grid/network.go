@@ -37,12 +37,8 @@ type Flow struct {
 	src, dst  *Endpoint
 	seq       uint64
 	remaining float64
-	started   time.Time
 	done      func(*Flow)
 }
-
-// Started returns the flow's start time.
-func (f *Flow) Started() time.Time { return f.started }
 
 // NewNetwork creates a network driven by the kernel.
 func NewNetwork(k *sim.Kernel) *Network {
@@ -77,8 +73,7 @@ func (n *Network) Start(src, dst *Endpoint, bytes int64, done func(*Flow)) *Flow
 		panic(fmt.Sprintf("grid: negative flow size %d", bytes))
 	}
 	n.seq++
-	f := &Flow{src: src, dst: dst, seq: n.seq, remaining: float64(bytes),
-		started: n.kernel.Now(), done: done}
+	f := &Flow{src: src, dst: dst, seq: n.seq, remaining: float64(bytes), done: done}
 	if bytes == 0 {
 		if done != nil {
 			done(f)

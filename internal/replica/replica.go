@@ -178,7 +178,7 @@ func Evaluate(t *trace.Trace, splitFrac float64, budget int64, gcfg grid.Config,
 		}
 		var placed int64
 		for site, files := range s.Plan(history, p, budget) {
-			sys.Place(site, files)
+			sys.Warm(site, files)
 			for _, f := range files {
 				placed += t.Files[f].Size
 			}
@@ -200,7 +200,7 @@ func Evaluate(t *trace.Trace, splitFrac float64, budget int64, gcfg grid.Config,
 // price. Remaining budget goes to whole unplaced filecules by popularity
 // per byte.
 type CompleteFilecules struct {
-	// Existing is the current placement per site (files already pinned).
+	// Existing is the current placement per site (files already placed).
 	Existing map[trace.SiteID][]trace.FileID
 }
 

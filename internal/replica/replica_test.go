@@ -117,15 +117,15 @@ func TestEvaluateOrdersStrategies(t *testing.T) {
 	none := byName["none"]
 	popF := byName["popular-files"]
 	popC := byName["popular-filecules"]
-	if none.PlacedBytes != 0 || none.Grid.WANBytes == 0 {
+	if none.PlacedBytes != 0 || none.Grid.WANBytes() == 0 {
 		t.Errorf("baseline outcome = %+v", none)
 	}
 	// Any replication must reduce WAN bytes on this re-accessing workload.
-	if popF.Grid.WANBytes >= none.Grid.WANBytes {
-		t.Errorf("popular-files WAN %d not better than baseline %d", popF.Grid.WANBytes, none.Grid.WANBytes)
+	if popF.Grid.WANBytes() >= none.Grid.WANBytes() {
+		t.Errorf("popular-files WAN %d not better than baseline %d", popF.Grid.WANBytes(), none.Grid.WANBytes())
 	}
-	if popC.Grid.WANBytes >= none.Grid.WANBytes {
-		t.Errorf("popular-filecules WAN %d not better than baseline %d", popC.Grid.WANBytes, none.Grid.WANBytes)
+	if popC.Grid.WANBytes() >= none.Grid.WANBytes() {
+		t.Errorf("popular-filecules WAN %d not better than baseline %d", popC.Grid.WANBytes(), none.Grid.WANBytes())
 	}
 	// Filecule placement never stalls more jobs than file placement at
 	// equal budget on this workload (atomic groups -> complete inputs).
@@ -244,10 +244,10 @@ func TestTwoRoundPlacementBeatsFileContinuation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for site, files := range round1 {
-			sys.Place(site, files)
+			sys.Warm(site, files)
 		}
 		for site, files := range round2 {
-			sys.Place(site, files)
+			sys.Warm(site, files)
 		}
 		return sys.Replay()
 	}

@@ -30,8 +30,7 @@ import (
 // catalogs and samplers are resident.
 
 // XRootDConfig parameterizes the scientific-cache workload at Scale = 1.
-// The zero value of every field (except Seed/Scale) selects the calibrated
-// default from XRootDDefaults.
+// Start from XRootDDefaults: every field is taken as given, zero included.
 type XRootDConfig struct {
 	Seed  int64
 	Scale float64
@@ -93,73 +92,35 @@ func XRootDDefaults(seed int64, scale float64) XRootDConfig {
 	}
 }
 
-// withDefaults fills zero-valued knobs from XRootDDefaults.
-func (c XRootDConfig) withDefaults() XRootDConfig {
-	d := XRootDDefaults(c.Seed, c.Scale)
-	if c.Days == 0 {
-		c.Days = d.Days
-	}
-	if c.Files == 0 {
-		c.Files = d.Files
-	}
-	if c.Jobs == 0 {
-		c.Jobs = d.Jobs
-	}
-	if c.MeanFileSizeMB == 0 {
-		c.MeanFileSizeMB = d.MeanFileSizeMB
-	}
-	if c.FileSizeSigma == 0 {
-		c.FileSizeSigma = d.FileSizeSigma
-	}
-	if c.MaxFileSizeMB == 0 {
-		c.MaxFileSizeMB = d.MaxFileSizeMB
-	}
-	if c.MeanFilesPerJob == 0 {
-		c.MeanFilesPerJob = d.MeanFilesPerJob
-	}
-	if c.OneTouchFrac == 0 {
-		c.OneTouchFrac = d.OneTouchFrac
-	}
-	if c.DecayDays == 0 {
-		c.DecayDays = d.DecayDays
-	}
-	if c.GroupProb == 0 {
-		c.GroupProb = d.GroupProb
-	}
-	if c.GroupSize == 0 {
-		c.GroupSize = d.GroupSize
-	}
-	if c.Users == 0 {
-		c.Users = d.Users
-	}
-	if c.Sites == 0 {
-		c.Sites = d.Sites
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = d.ZipfS
-	}
-	return c
-}
-
-// Validate checks the configuration after defaulting.
+// Validate checks the configuration, naming each refused value by its
+// workload option key (or, for a knob the registry does not expose, its
+// field name).
 func (c XRootDConfig) Validate() error {
-	if !positiveFinite(c.Scale) {
-		return fmt.Errorf("synth: xrootd scale %v must be > 0 and finite", c.Scale)
-	}
-	if c.Days <= 0 {
-		return fmt.Errorf("synth: xrootd days %d must be > 0", c.Days)
-	}
-	if c.OneTouchFrac < 0 || c.OneTouchFrac >= 1 {
-		return fmt.Errorf("synth: xrootd one-touch fraction %v must be in [0,1)", c.OneTouchFrac)
-	}
-	if c.GroupProb < 0 || c.GroupProb > 1 {
-		return fmt.Errorf("synth: xrootd group probability %v must be in [0,1]", c.GroupProb)
-	}
-	if c.DecayDays <= 0 {
-		return fmt.Errorf("synth: xrootd decay-days %v must be > 0", c.DecayDays)
-	}
-	if c.MeanFilesPerJob < 1 {
-		return fmt.Errorf("synth: xrootd mean files/job %v must be >= 1", c.MeanFilesPerJob)
+	for _, k := range []struct {
+		key string
+		ok  bool
+		v   any
+		is  string
+	}{
+		{"scale", positiveFinite(c.Scale), c.Scale, "> 0 and finite"},
+		{"days", c.Days > 0, c.Days, "> 0"},
+		{"Files", c.Files > 0, c.Files, "> 0"},
+		{"Jobs", c.Jobs > 0, c.Jobs, "> 0"},
+		{"Users", c.Users > 0, c.Users, "> 0"},
+		{"Sites", c.Sites > 0, c.Sites, "> 0"},
+		{"MeanFileSizeMB", positiveFinite(c.MeanFileSizeMB), c.MeanFileSizeMB, "> 0 and finite"},
+		{"FileSizeSigma", c.FileSizeSigma >= 0 && !math.IsInf(c.FileSizeSigma, 1), c.FileSizeSigma, ">= 0 and finite"},
+		{"MaxFileSizeMB", c.MaxFileSizeMB >= 1 && !math.IsInf(c.MaxFileSizeMB, 1), c.MaxFileSizeMB, ">= 1 and finite"},
+		{"mean-files", c.MeanFilesPerJob >= 1 && !math.IsInf(c.MeanFilesPerJob, 1), c.MeanFilesPerJob, ">= 1 and finite"},
+		{"one-touch", c.OneTouchFrac >= 0 && c.OneTouchFrac < 1, c.OneTouchFrac, "in [0,1)"},
+		{"decay-days", positiveFinite(c.DecayDays), c.DecayDays, "> 0 and finite"},
+		{"group-prob", c.GroupProb >= 0 && c.GroupProb <= 1, c.GroupProb, "in [0,1]"},
+		{"group-size", c.GroupSize >= 1 && !math.IsInf(c.GroupSize, 1), c.GroupSize, ">= 1 and finite"},
+		{"ZipfS", c.ZipfS >= 0 && !math.IsInf(c.ZipfS, 1), c.ZipfS, ">= 0 and finite"},
+	} {
+		if !k.ok {
+			return fmt.Errorf("synth: xrootd %s=%v must be %s", k.key, k.v, k.is)
+		}
 	}
 	return nil
 }
@@ -172,7 +133,6 @@ var XRootDEpoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 // workload. Jobs are emitted in nondecreasing start order, so materializing
 // and sorting is a stable no-op reordering.
 func NewXRootDSource(cfg XRootDConfig) (trace.Source, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

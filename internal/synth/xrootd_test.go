@@ -2,13 +2,15 @@ package synth
 
 import (
 	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"filecule/internal/trace"
 )
 
 func xrootdTestConfig(seed int64) XRootDConfig {
-	return XRootDConfig{Seed: seed, Scale: 0.01}
+	return XRootDDefaults(seed, 0.01)
 }
 
 func TestXRootDGenerateValid(t *testing.T) {
@@ -113,7 +115,7 @@ func TestXRootDSourceMatchesGenerate(t *testing.T) {
 // model exists to reproduce: a substantial one-touch population, small
 // input sets, and reuse concentrated on young files.
 func TestXRootDWorkloadShape(t *testing.T) {
-	tr, err := GenerateXRootD(XRootDConfig{Seed: 5, Scale: 0.05})
+	tr, err := GenerateXRootD(XRootDDefaults(5, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +149,35 @@ func TestXRootDWorkloadShape(t *testing.T) {
 	}
 }
 
-// TestXRootDConfigValidation rejects nonsense configurations.
+// TestXRootDConfigValidation rejects nonsense configurations, naming the
+// option key of the refused value.
 func TestXRootDConfigValidation(t *testing.T) {
-	bad := []XRootDConfig{
-		{Seed: 1, Scale: 0},
-		{Seed: 1, Scale: -2},
-		{Seed: 1, Scale: 0.1, OneTouchFrac: 1.5},
-		{Seed: 1, Scale: 0.1, GroupProb: 2},
-		{Seed: 1, Scale: 0.1, DecayDays: -1},
-	}
-	for i, c := range bad {
-		if _, err := NewXRootDSource(c); err == nil {
-			t.Errorf("bad config %d accepted: %+v", i, c)
+	for _, c := range []struct {
+		key    string
+		mutate func(*XRootDConfig)
+	}{
+		{"scale", func(c *XRootDConfig) { c.Scale = 0 }},
+		{"scale", func(c *XRootDConfig) { c.Scale = -2 }},
+		{"days", func(c *XRootDConfig) { c.Days = 0 }},
+		{"one-touch", func(c *XRootDConfig) { c.OneTouchFrac = 1.5 }},
+		{"one-touch", func(c *XRootDConfig) { c.OneTouchFrac = math.NaN() }},
+		{"group-prob", func(c *XRootDConfig) { c.GroupProb = 2 }},
+		{"decay-days", func(c *XRootDConfig) { c.DecayDays = -1 }},
+		{"decay-days", func(c *XRootDConfig) { c.DecayDays = 0 }},
+		{"group-size", func(c *XRootDConfig) { c.GroupSize = 0.5 }},
+		{"mean-files", func(c *XRootDConfig) { c.MeanFilesPerJob = 0 }},
+		{"Files", func(c *XRootDConfig) { c.Files = 0 }},
+		{"MaxFileSizeMB", func(c *XRootDConfig) { c.MaxFileSizeMB = 0 }},
+	} {
+		cfg := XRootDDefaults(1, 0.1)
+		c.mutate(&cfg)
+		_, err := NewXRootDSource(cfg)
+		if err == nil || !strings.Contains(err.Error(), " "+c.key+"=") {
+			t.Errorf("%+v: err = %v, want one naming %s", cfg, err, c.key)
 		}
+	}
+	if _, err := NewXRootDSource(XRootDConfig{Seed: 1, Scale: 0.1}); err == nil {
+		t.Error("a config with only Seed and Scale set was accepted: zero is not a default")
 	}
 }
 

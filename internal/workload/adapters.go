@@ -128,6 +128,11 @@ func dzeroConfig(opts map[string]string) (synth.Config, synth.Shape, error) {
 	if err != nil {
 		return synth.Config{}, synth.Shape{}, err
 	}
+	// UserScale 0 stands for sqrt(scale): a given zero is refused, not
+	// taken for the default.
+	if opts["user-scale"] != "" && !(us > 0) {
+		return synth.Config{}, synth.Shape{}, fmt.Errorf("workload: dzero user-scale=%v must be > 0 (omit it for sqrt(scale))", us)
+	}
 	cfg := synth.DZero(seed, scale)
 	cfg.UserScale = us
 	sh, err := ShapeFromOpts(opts)
@@ -268,24 +273,24 @@ func openXRootD(opts map[string]string) (trace.Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := synth.XRootDConfig{Seed: seed, Scale: scale}
-	if cfg.Days, err = optInt(opts, "days", 0); err != nil {
+	// Each given key overrides its default, zero included.
+	cfg := synth.XRootDDefaults(seed, scale)
+	if cfg.Days, err = optInt(opts, "days", cfg.Days); err != nil {
 		return nil, err
 	}
-	if cfg.OneTouchFrac, err = optFloat(opts, "one-touch", 0); err != nil {
-		return nil, err
-	}
-	if cfg.DecayDays, err = optFloat(opts, "decay-days", 0); err != nil {
-		return nil, err
-	}
-	if cfg.GroupProb, err = optFloat(opts, "group-prob", 0); err != nil {
-		return nil, err
-	}
-	if cfg.GroupSize, err = optFloat(opts, "group-size", 0); err != nil {
-		return nil, err
-	}
-	if cfg.MeanFilesPerJob, err = optFloat(opts, "mean-files", 0); err != nil {
-		return nil, err
+	for _, o := range []struct {
+		key string
+		v   *float64
+	}{
+		{"one-touch", &cfg.OneTouchFrac},
+		{"decay-days", &cfg.DecayDays},
+		{"group-prob", &cfg.GroupProb},
+		{"group-size", &cfg.GroupSize},
+		{"mean-files", &cfg.MeanFilesPerJob},
+	} {
+		if *o.v, err = optFloat(opts, o.key, *o.v); err != nil {
+			return nil, err
+		}
 	}
 	sh, err := ShapeFromOpts(opts)
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -340,6 +342,94 @@ func TestLoadMatchesOpenMaterialized(t *testing.T) {
 		mt.SortJobsByStart()
 		if !bytes.Equal(encodeBin(t, lt), encodeBin(t, mt)) {
 			t.Errorf("%s: Load differs from materialized Open", spec)
+		}
+	}
+}
+
+// TestXRootDRegistryDefaults: the defaults -workload help prints for the
+// xrootd knobs are the ones the adapter starts from.
+func TestXRootDRegistryDefaults(t *testing.T) {
+	a, err := workload.Lookup("xrootd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := synth.XRootDDefaults(1, 1)
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	want := map[string]string{
+		"seed":       "1",
+		"scale":      "1",
+		"days":       strconv.Itoa(d.Days),
+		"one-touch":  f(d.OneTouchFrac),
+		"decay-days": f(d.DecayDays),
+		"group-prob": f(d.GroupProb),
+		"group-size": f(d.GroupSize),
+		"mean-files": f(d.MeanFilesPerJob),
+	}
+	seen := 0
+	for _, o := range a.Options {
+		w, ok := want[o.Key]
+		if !ok {
+			continue
+		}
+		seen++
+		if o.Default != w {
+			t.Errorf("xrootd %s: registry default %q, XRootDDefaults %q", o.Key, o.Default, w)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("registry lists %d of the %d xrootd knobs", seen, len(want))
+	}
+}
+
+// xrootdDiffersAtZero requires knob=0 to run a trace other than the
+// default's, and knob=<its default> the default's own.
+func xrootdDiffersAtZero(t *testing.T, knob, def string) {
+	t.Helper()
+	const base = "xrootd,seed=2,scale=0.01"
+	load := func(spec string) *trace.Trace {
+		t.Helper()
+		tr, err := workload.Load(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	dflt := load(base)
+	if !sameJobs(load(base+","+knob+"="+def), dflt) {
+		t.Errorf("%s=%s differs from the default trace", knob, def)
+	}
+	if sameJobs(load(base+","+knob+"=0"), dflt) {
+		t.Errorf("%s=0 ran the default trace", knob)
+	}
+}
+
+func sameJobs(a, b *trace.Trace) bool {
+	if len(a.Jobs) != len(b.Jobs) {
+		return false
+	}
+	for i := range a.Jobs {
+		if !slices.Equal(a.Jobs[i].Files, b.Jobs[i].Files) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestXRootDZeroOneTouch(t *testing.T) { xrootdDiffersAtZero(t, "one-touch", "0.35") }
+
+func TestXRootDZeroGroupProb(t *testing.T) { xrootdDiffersAtZero(t, "group-prob", "0.3") }
+
+// TestZeroIsNotADefault: a knob whose valid range excludes zero refuses an
+// explicit zero, naming the key, instead of running its default.
+func TestZeroIsNotADefault(t *testing.T) {
+	for _, c := range []struct{ spec, key string }{
+		{"xrootd,decay-days=0", "decay-days"},
+		{"xrootd,group-size=0", "group-size"},
+		{"xrootd,days=0", "days"},
+		{"dzero,user-scale=0", "user-scale"},
+	} {
+		if _, err := workload.Open(c.spec); err == nil || !strings.Contains(err.Error(), c.key+"=") {
+			t.Errorf("workload.Open(%q) err = %v, want one naming %s", c.spec, err, c.key)
 		}
 	}
 }
