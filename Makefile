@@ -19,7 +19,7 @@ BENCH_TOLERANCE ?= 0.15
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build fmt-check vet test race cpu-matrix lint fuzz-smoke kill-recover chaos bench \
+.PHONY: all build fmt-check vet test race cpu-matrix lint fuzz-smoke kill-recover chaos doc-slow bench \
 	selftest sweep-smoke ci bench-json bench-gate bench-baseline e2e e2e-repeat
 
 all: ci
@@ -96,6 +96,12 @@ kill-recover:
 # the race detector.
 chaos:
 	$(GO) test -race -tags slow -run TestChaosMatrix ./internal/fed
+
+# EXPERIMENTS.md's rendered blocks above scale 0.05 — Figure 10 at the
+# paper's scale over five seeds, about 1 GB of memory — rerun byte for byte;
+# the plain test run checks the rest (docdrift_test.go).
+doc-slow:
+	$(GO) test -tags slow -run TestExperimentsRenderSlow -timeout 30m .
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem .

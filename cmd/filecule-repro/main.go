@@ -10,13 +10,13 @@
 //	filecule-repro -list                    # list experiment IDs and groups
 //	filecule-repro -workload dzero,seed=1,scale=0.1    # bigger workload (slower, closer shapes)
 //	filecule-repro -workload file,path=t.bin,scale=0.1 # a recorded trace of that scale
+//	filecule-repro -exp fig10 -seeds 5      # seeds 1-5: median [min–max] where they differ
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"filecule/internal/cli"
@@ -26,10 +26,10 @@ import (
 
 func main() {
 	var (
-		spec = cli.WorkloadFlag(flag.CommandLine)
-		exp  = flag.String("exp", "", "comma-separated experiment IDs and groups to run (default: all)")
-		list = flag.Bool("list", false, "list experiment IDs and groups and exit")
-		csv  = flag.String("csv", "", "also dump every table as CSV into this directory")
+		spec  = cli.WorkloadFlag(flag.CommandLine)
+		exp   = flag.String("exp", "", "comma-separated experiment IDs and groups to run (default: all)")
+		list  = flag.Bool("list", false, "list experiment IDs and groups and exit")
+		seeds = flag.Int("seeds", 1, "run at this many consecutive seeds from the workload's own and print each cell that differs as median [min–max]")
 	)
 	cli.Parse(flag.CommandLine, os.Args[1:])
 
@@ -45,13 +45,28 @@ func main() {
 		return
 	}
 
-	if err := run(*spec, *exp, *csv); err != nil {
+	specs := []string{*spec}
+	if *seeds != 1 {
+		var err error
+		if *seeds < 1 {
+			err = fmt.Errorf("-seeds %d: want at least 1", *seeds)
+		} else {
+			specs, err = workload.SeedSpecs(*spec, *seeds)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "filecule-repro: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	if err := run(specs, *exp); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(spec, exp, csv string) error {
+// run runs the experiments (all of them when exp is empty) once per spec
+// and prints each folded over the specs by experiments.Aggregate.
+func run(specs []string, exp string) error {
 	var ids []string
 	if exp != "" {
 		var err error
@@ -59,64 +74,40 @@ func run(spec, exp, csv string) error {
 			return err
 		}
 	}
-	// The scale sizes the caches and budgets relative to the paper's.
-	scale, err := workload.Scale(spec)
-	if err != nil {
-		return err
-	}
-	t, err := workload.Load(spec)
-	if err != nil {
-		return err
-	}
-	r := experiments.NewForTrace(t, scale)
-
-	var results []*experiments.Result
-	if exp == "" {
-		if results, err = r.RunAll(); err != nil {
-			return err
-		}
-		fmt.Printf("filecule reproduction report (%s)\n\n", spec)
-		for _, res := range results {
-			fmt.Print(res.Render())
-			fmt.Println()
-		}
-	}
-	for _, id := range ids {
-		res, err := r.Run(id)
+	var runs [][]*experiments.Result // by experiment, then spec
+	for _, spec := range specs {
+		// The scale sizes the caches and budgets relative to the paper's.
+		scale, err := workload.Scale(spec)
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.Render())
-		if len(ids) > 1 {
-			fmt.Println() // a list reads as a report; one ID prints bare
+		t, err := workload.Load(spec)
+		if err != nil {
+			return err
 		}
-		results = append(results, res)
+		results, err := experiments.NewForTrace(t, scale).RunAll(ids...)
+		if err != nil {
+			return err
+		}
+		if runs == nil {
+			runs = make([][]*experiments.Result, len(results))
+		}
+		for i, res := range results {
+			runs[i] = append(runs[i], res)
+		}
 	}
-	if csv != "" {
-		return dumpCSV(csv, results)
-	}
-	return nil
-}
 
-// dumpCSV writes every result table as <dir>/<experiment>-<i>.csv.
-func dumpCSV(dir string, results []*experiments.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+	if exp == "" {
+		header := specs[0]
+		if len(specs) > 1 {
+			header += " … " + specs[len(specs)-1]
+		}
+		fmt.Printf("filecule reproduction report (%s)\n\n", header)
 	}
-	for _, res := range results {
-		for i, tb := range res.Tables {
-			path := filepath.Join(dir, fmt.Sprintf("%s-%d.csv", res.ID, i))
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := tb.CSV(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
+	for _, rs := range runs {
+		fmt.Print(experiments.Aggregate(rs).Render())
+		if len(runs) > 1 {
+			fmt.Println() // a list reads as a report; one ID prints bare
 		}
 	}
 	return nil

@@ -86,6 +86,12 @@ func TestCommandExitCodes(t *testing.T) {
 		{"stray arg repro", "filecule-repro", []string{"-list", "stray", "-exp", "fig99"}, 2},
 		{"stray arg state", "filecule-state", []string{"dump", "-dir", t.TempDir(), "extra"}, 2},
 		{"stray arg benchgate", "filecule-benchgate", []string{"-bench", benchTxt, "-o", filepath.Join(t.TempDir(), "r.json"), "stray"}, 2},
+		// -seeds counts seeds from the spec's own, so it needs at least one
+		// and an adapter with a seed option.
+		{"repro zero seeds", "filecule-repro", append([]string{"-seeds", "0", "-exp", "table1"}, tiny...), 2},
+		{"repro negative seeds", "filecule-repro", append([]string{"-seeds", "-1", "-exp", "table1"}, tiny...), 2},
+		{"repro seeds on a file spec", "filecule-repro", []string{"-seeds", "2", "-exp", "table1", "-workload", "file,path=t.bin"}, 2},
+		{"repro seeds on a kv-csv spec", "filecule-repro", []string{"-seeds", "2", "-exp", "table1", "-workload", "kv-csv,path=k.csv"}, 2},
 
 		// Operational failures: exit 1. The analyze and swarm cases are the
 		// sec3 and sec5 groups of filecule-repro, the cmds they used to be.
@@ -122,6 +128,7 @@ func TestCommandExitCodes(t *testing.T) {
 			append([]string{"-sweep", "-policies", "lru", "-grans", "file", "-sizes", "1"}, tiny...), 0},
 		{"repro list ok", "filecule-repro", []string{"-list"}, 0},
 		{"repro group ok", "filecule-repro", append([]string{"-exp", "sec5,table1"}, tiny...), 0},
+		{"repro seeds ok", "filecule-repro", append([]string{"-seeds", "2", "-exp", "sec5,table1"}, tiny...), 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -175,6 +182,19 @@ func TestCommandExitCodes(t *testing.T) {
 	}
 	if got, err := os.ReadFile(tableFile); err != nil || string(got) != plain {
 		t.Errorf("cachesim -table -o wrote %q (%v), want the tables\n%s", got, err, plain)
+	}
+
+	// One seed is the plain report, byte for byte.
+	repro := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bins["filecule-repro"], append(args, tiny...)...).Output()
+		if err != nil {
+			t.Fatalf("repro %v: %v", args, err)
+		}
+		return string(out)
+	}
+	if plain, one := repro("-exp", "sec5,table1"), repro("-exp", "sec5,table1", "-seeds", "1"); plain != one || plain == "" {
+		t.Errorf("repro -seeds 1 printed\n%s\nwant what it prints without the flag\n%s", one, plain)
 	}
 
 	// Successful trace generation must produce a loadable trace.

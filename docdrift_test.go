@@ -5,10 +5,14 @@
 // not list, or a cmd with no directory under cmd/, fails. The documents also
 // quote speedups, and those are recomputed from BENCH_baseline.json, and
 // README's endpoint table must list exactly the routes the server mounts.
+// EXPERIMENTS.md's measured tables are blocks its own command lines print,
+// rerun here byte for byte.
 package filecule_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -19,6 +23,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -408,4 +413,182 @@ func TestDesignFitsItsCap(t *testing.T) {
 	if fi.Size() > 40960 {
 		t.Errorf("DESIGN.md is %d bytes, over its 40 960-byte cap", fi.Size())
 	}
+}
+
+var updateExperiments = flag.Bool("update-experiments", false,
+	"rewrite the rendered blocks of EXPERIMENTS.md with what their command lines print")
+
+var (
+	// A rendered block: a fence, the `$ filecule-...` lines, what they
+	// print, and the closing fence.
+	renderedBlockRE = regexp.MustCompile("(?ms)^```[a-z]*\n((?:\\$ filecule-[^\n]*\n)+)(.*?)^```$")
+	specScaleRE     = regexp.MustCompile(`scale=([0-9.]+)`)
+)
+
+// renderedBlock is one block of EXPERIMENTS.md: its command lines, what the
+// document says they print, and where that text sits in the document.
+type renderedBlock struct {
+	line       int
+	cmds       [][]string
+	want       string
+	start, end int
+}
+
+// slow reports whether a command line names a workload above scale 0.05,
+// which the plain test run leaves to the slow-tagged one.
+func (b renderedBlock) slow() bool {
+	for _, args := range b.cmds {
+		for _, m := range specScaleRE.FindAllStringSubmatch(strings.Join(args, " "), -1) {
+			if v, _ := strconv.ParseFloat(m[1], 64); v > 0.05 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func renderedBlocks(t *testing.T, doc string) []renderedBlock {
+	t.Helper()
+	var blocks []renderedBlock
+	for _, m := range renderedBlockRE.FindAllStringSubmatchIndex(doc, -1) {
+		b := renderedBlock{line: strings.Count(doc[:m[0]], "\n") + 1, want: doc[m[4]:m[5]], start: m[4], end: m[5]}
+		for _, l := range strings.Split(strings.TrimSuffix(doc[m[2]:m[3]], "\n"), "\n") {
+			b.cmds = append(b.cmds, strings.Fields(strings.TrimPrefix(l, "$ ")))
+		}
+		blocks = append(blocks, b)
+	}
+	if len(blocks) < 10 {
+		t.Fatalf("EXPERIMENTS.md has %d rendered blocks, expected dozens: the extraction is broken", len(blocks))
+	}
+	return blocks
+}
+
+// checkExperiments reruns EXPERIMENTS.md's rendered blocks, the slow ones or
+// the rest, each in a directory of its own on freshly built binaries, and
+// fails on any byte that differs from the document (or, with
+// -update-experiments, writes what they printed into it).
+func checkExperiments(t *testing.T, slow bool) {
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	var blocks []renderedBlock
+	names := map[string]bool{}
+	for _, b := range renderedBlocks(t, doc) {
+		if b.slow() == slow {
+			blocks = append(blocks, b)
+			for _, args := range b.cmds {
+				names[args[0]] = true
+			}
+		}
+	}
+	var cmds []string
+	for name := range names {
+		cmds = append(cmds, name)
+	}
+	bins := buildCmds(t, cmds...)
+
+	got := make([]string, len(blocks))
+	errs := make([]error, len(blocks))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				got[i], errs[i] = runBlock(bins, blocks[i].cmds, t.TempDir())
+			}
+		}()
+	}
+	for i := range blocks {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+
+	for i := len(blocks) - 1; i >= 0; i-- {
+		b := blocks[i]
+		switch {
+		case errs[i] != nil:
+			t.Errorf("EXPERIMENTS.md:%d: %v", b.line, errs[i])
+		case got[i] == b.want:
+		case *updateExperiments:
+			doc = doc[:b.start] + got[i] + doc[b.end:]
+		default:
+			wl, gl := strings.Split(b.want, "\n"), strings.Split(got[i], "\n")
+			n := 0
+			for n < len(wl) && n < len(gl) && wl[n] == gl[n] {
+				n++
+			}
+			at := func(l []string) string {
+				if n < len(l) {
+					return l[n]
+				}
+				return "(end of output)"
+			}
+			t.Errorf("EXPERIMENTS.md:%d: %s prints, at line %d of the block's output,\n%q\nwhere the document says\n%q\n(go test -run %s -update-experiments rewrites the block)",
+				b.line, strings.Join(b.cmds[0], " "), n+1, at(gl), at(wl), t.Name())
+		}
+	}
+	if *updateExperiments && doc != string(raw) {
+		if err := os.WriteFile("EXPERIMENTS.md", []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d blocks rerun", len(blocks))
+}
+
+// runBlock runs a block's command lines in order in dir and returns what
+// they printed to stdout, together.
+func runBlock(bins map[string]string, cmds [][]string, dir string) (string, error) {
+	var out bytes.Buffer
+	for _, args := range cmds {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bins[args[0]], args[1:]...)
+		cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &out, &stderr
+		if err := cmd.Run(); err != nil {
+			return "", fmt.Errorf("%s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+		}
+	}
+	return out.String(), nil
+}
+
+// TestExperimentsRender: every block of EXPERIMENTS.md that opens with
+// `$ filecule-...` lines is what those lines print, at workloads up to scale
+// 0.05; `make doc-slow` runs the larger ones.
+func TestExperimentsRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the commands; skipped in -short mode")
+	}
+	checkExperiments(t, false)
+}
+
+// TestExperimentsProseNumbers: every decimal number EXPERIMENTS.md states in
+// prose (outside code) appears in a rendered block of the same section, so a
+// rerendered block cannot leave a stale number in the text around it.
+func TestExperimentsProseNumbers(t *testing.T) {
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fence := regexp.MustCompile("(?ms)^```.*?^```$")
+	decimal := regexp.MustCompile(`\b[0-9]+\.[0-9]+\b`)
+	checked := 0
+	for _, section := range strings.Split("\n"+string(raw), "\n## ") {
+		title, _, _ := strings.Cut(section, "\n")
+		var blocks strings.Builder
+		for _, m := range renderedBlockRE.FindAllString(section, -1) {
+			blocks.WriteString(m)
+		}
+		prose := codeSpanRE.ReplaceAllString(fence.ReplaceAllString(section, ""), "")
+		for _, n := range decimal.FindAllString(prose, -1) {
+			checked++
+			if !strings.Contains(blocks.String(), n) {
+				t.Errorf("EXPERIMENTS.md section %q states %s, which none of its rendered blocks prints", title, n)
+			}
+		}
+	}
+	t.Logf("%d prose numbers checked", checked)
 }

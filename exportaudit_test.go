@@ -24,7 +24,6 @@ var testOnlyExports = map[string]string{
 	"GenerateXRootD":   "synth: the golden and shape tests materialise the workload through it",
 	"InFlight":         "grid.Network: tests read the flow table",
 	"KSTest":           "stats: synth's TestGeneratorDistributionStability compares size distributions with it",
-	"NumRows":          "report.Table: experiments and report tests assert tables are not empty",
 	"NumStored":        "prefetch.WorkingSet: tests read the sequence store",
 	"ObserveSource":    "core.Engine: the codec differentials drain every trace.Source through it",
 	"ObserveTrace":     "core.Engine and the reference Refiner: how tests and benchmarks load a trace",

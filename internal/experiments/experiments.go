@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,6 +45,40 @@ func (r *Result) Render() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
+}
+
+// Aggregate folds one experiment's results at several seeds into one:
+// each table through report.Aggregate, the text as it is when every seed
+// agrees, and the notes, which no driver words by the seed. A table or text
+// that does not fold is the first seed's, marked so.
+func Aggregate(runs []*Result) *Result {
+	out := *runs[0]
+	out.Tables = make([]*report.Table, len(runs[0].Tables))
+	for i, tb := range runs[0].Tables {
+		group := make([]*report.Table, 0, len(runs))
+		for _, r := range runs {
+			if len(r.Tables) == len(runs[0].Tables) {
+				group = append(group, r.Tables[i])
+			}
+		}
+		agg, err := report.Aggregate(group)
+		if err == nil && len(group) < len(runs) {
+			err = fmt.Errorf("table counts differ")
+		}
+		if err != nil {
+			first := *tb
+			first.Title = fmt.Sprintf("%s [first seed only: %v]", tb.Title, err)
+			agg = &first
+		}
+		out.Tables[i] = agg
+	}
+	for _, r := range runs[1:] {
+		if !slices.Equal(r.Text, out.Text) {
+			out.Text = append([]string{"[first seed only: the text below differs across seeds]"}, out.Text...)
+			break
+		}
+	}
+	return &out
 }
 
 // Runner owns the shared workload and caches derived state across
@@ -195,11 +230,15 @@ func (r *Runner) Run(id string) (*Result, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, known)
 }
 
-// RunAll executes every experiment in report order.
-func (r *Runner) RunAll() ([]*Result, error) {
-	out := make([]*Result, 0, len(registry))
-	for _, d := range registry {
-		res, err := r.Run(d.id)
+// RunAll executes the experiments ids names in order, or every experiment
+// in report order when it names none.
+func (r *Runner) RunAll(ids ...string) ([]*Result, error) {
+	if len(ids) == 0 {
+		ids = All()
+	}
+	out := make([]*Result, 0, len(ids))
+	for _, id := range ids {
+		res, err := r.Run(id)
 		if err != nil {
 			return nil, err
 		}

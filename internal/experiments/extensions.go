@@ -141,8 +141,9 @@ func (r *Runner) fileBundle() (*Result, error) {
 // placement gap evolves with available replica space.
 func (r *Runner) replSweep() (*Result, error) {
 	t := r.Trace()
-	tb := report.NewTable("replication budget sweep (WAN GB | remote stalled)",
-		"budget (full-scale TB)", "none", "popular-files", "popular-filecules")
+	tb := report.NewTable("replication budget sweep (WAN GB and remote stalled jobs per strategy)",
+		"budget (full-scale TB)", "none GB", "none stalled", "popular-files GB", "popular-files stalled",
+		"popular-filecules GB", "popular-filecules stalled")
 	for _, budgetTB := range []float64{2, 10, 40} {
 		budget := int64(budgetTB * r.scale * float64(int64(1)<<40))
 		if budget < 1<<30 {
@@ -158,10 +159,11 @@ func (r *Runner) replSweep() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cell := func(o replica.Outcome) string {
-			return fmt.Sprintf("%.0f | %d", float64(o.Grid.WANBytes())/(1<<30), o.Grid.RemoteStalled)
+		row := []interface{}{budgetTB}
+		for _, o := range outs {
+			row = append(row, float64(o.Grid.WANBytes())/(1<<30), o.Grid.RemoteStalled)
 		}
-		tb.AddRow(budgetTB, cell(outs[0]), cell(outs[1]), cell(outs[2]))
+		tb.AddRow(row...)
 	}
 	return &Result{Tables: []*report.Table{tb},
 		Notes: []string{"larger budgets widen the absolute savings; filecule placement holds its stall advantage at every budget"}}, nil
@@ -194,7 +196,7 @@ func (r *Runner) chunkSwarm() (*Result, error) {
 		s.Arrivals = arrivals
 		res := swarm.SimulateChunks(s)
 		tb.AddRow(name, len(arrivals),
-			res.Mean.Round(time.Second).String(), res.Max.Round(time.Second).String())
+			res.Mean.Round(time.Second), res.Max.Round(time.Second))
 	}
 	addRow("observed (per-site arrivals)", swarm.ArrivalsFromIntervals(sites))
 	addRow("flash crowd (same peers)", make([]time.Duration, len(sites)))
@@ -293,7 +295,7 @@ func (r *Runner) placement() (*Result, error) {
 		tb.AddRow(su.name,
 			float64(m.HubBytes)/(1<<30), float64(m.PeerBytes)/(1<<30),
 			m.HubShare(), float64(m.LocalBytes)/(1<<30),
-			m.JobsStalled, m.MeanStage().Round(1e9).String())
+			m.JobsStalled, m.MeanStage().Round(1e9))
 	}
 	return &Result{Tables: []*report.Table{tb},
 		Notes: []string{

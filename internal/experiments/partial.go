@@ -31,7 +31,13 @@ func (r *Runner) partialKnowledge() (*Result, error) {
 		}
 		rows = append(rows, row{domain, len(jobs), core.CompareToGlobal(global, partial)})
 	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a].jobs > rows[b].jobs })
+	// Busiest first, ties by name: the rows come from a map.
+	sort.Slice(rows, func(a, b int) bool {
+		if rows[a].jobs != rows[b].jobs {
+			return rows[a].jobs > rows[b].jobs
+		}
+		return rows[a].domain < rows[b].domain
+	})
 
 	tb := report.NewTable("Section 6: per-domain (partial-knowledge) identification",
 		"domain", "jobs", "covered files", "filecules",
@@ -125,8 +131,7 @@ func (r *Runner) replication() (*Result, error) {
 			float64(o.Grid.WANBytes())/(1<<30),
 			float64(o.Grid.LocalBytes)/(1<<30),
 			o.Grid.RemoteStalled,
-			o.Grid.MeanStage().Round(1e9).String(),
-			o.Grid.MaxStage.Round(1e9).String())
+			o.Grid.MeanStage().Round(1e9), o.Grid.MaxStage.Round(1e9))
 	}
 	return &Result{Tables: []*report.Table{tb},
 		Notes: []string{

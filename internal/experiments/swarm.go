@@ -114,7 +114,7 @@ func (r *Runner) swarmFeasibility() (*Result, error) {
 		cs := swarm.SimulateClientServer(s)
 		sw := swarm.SimulateSwarm(s)
 		tb.AddRow(name, len(arrivals), maxConc,
-			cs.Mean.Round(time.Second).String(), sw.Mean.Round(time.Second).String(),
+			cs.Mean.Round(time.Second), sw.Mean.Round(time.Second),
 			sw.Speedup(cs))
 	}
 

@@ -74,8 +74,7 @@ func (r *Runner) table2() (*Result, error) {
 		p := paper[d.Domain]
 		partial := core.IdentifyDomain(t, d.Domain)
 		tb.AddRow(d.Domain, d.Jobs,
-			fmt.Sprintf("%.4f", float64(d.Jobs)/totalJobs),
-			fmt.Sprintf("%.4f", float64(p.Jobs)/paperJobs),
+			float64(d.Jobs)/totalJobs, float64(p.Jobs)/paperJobs,
 			d.Nodes, d.Sites, d.Users,
 			partial.NumFilecules(), d.Files, d.TotalDataGB)
 	}

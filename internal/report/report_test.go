@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTableRender(t *testing.T) {
@@ -28,28 +29,79 @@ func TestTableRender(t *testing.T) {
 	if len(lines) != 5 { // title, header, rule, 2 rows
 		t.Errorf("got %d lines:\n%s", len(lines), out)
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if rows := tb.Rows(); len(rows) != 2 || rows[0][2] != "0.5123" {
+		t.Errorf("Rows = %q", rows)
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow("x,y", "plain")
-	tb.AddRow(`quote"inside`, 5)
-	var buf bytes.Buffer
-	if err := tb.CSV(&buf); err != nil {
-		t.Fatal(err)
+// TestFormatFloatSmall: a nonzero value under 1e-4 keeps three significant
+// digits, so 0.00005 and 0.0001 (cache sizes of one sweep) stay apart.
+func TestFormatFloatSmall(t *testing.T) {
+	for v, want := range map[float64]string{
+		0.00001: "1e-05", 0.00005: "5e-05", -0.00005: "-5e-05", 0.0000123456: "1.23e-05",
+		0.0001: "0.0001", 0.00012345: "0.0001", 0: "0", 0.5: "0.5000",
+	} {
+		if got := formatFloat(v); got != want {
+			t.Errorf("formatFloat(%v) = %q, want %q", v, got, want)
+		}
 	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("bad header: %q", out)
+}
+
+// seedTables builds one table per value row: a text cell, a count, a rate
+// and a duration.
+func seedTables(rows ...[]interface{}) []*Table {
+	var out []*Table
+	for _, r := range rows {
+		tb := NewTable("t", "name", "jobs", "rate", "stage")
+		tb.AddRow(r...)
+		out = append(out, tb)
 	}
-	if !strings.Contains(out, `"x,y"`) {
-		t.Errorf("comma cell not quoted: %q", out)
+	return out
+}
+
+func TestAggregate(t *testing.T) {
+	render := func(tables []*Table) string {
+		t.Helper()
+		agg, err := Aggregate(tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		agg.Render(&b)
+		return strings.Split(b.String(), "\n")[3]
 	}
-	if !strings.Contains(out, `"quote""inside"`) {
-		t.Errorf("quote cell not escaped: %q", out)
+	// Equal in every table: the cell as it is. Differing at odd N: the
+	// middle value, at even N the mean of the middle two.
+	odd := render(seedTables(
+		[]interface{}{"a", 3, 0.25, 2 * time.Second},
+		[]interface{}{"a", 1, 0.25, 1 * time.Second},
+		[]interface{}{"a", 2, 0.25, 3 * time.Second}))
+	if want := "a     2 [1–3]  0.2500  2s [1s–3s]"; odd != want {
+		t.Errorf("odd N: got %q, want %q", odd, want)
+	}
+	even := render(seedTables(
+		[]interface{}{"a", 1, 0.5, time.Second},
+		[]interface{}{"a", 2, 0.25, time.Second}))
+	if want := "a     1.50 [1–2]  0.3750 [0.2500–0.5000]  1s   "; even != want {
+		t.Errorf("even N: got %q, want %q", even, want)
+	}
+	if got := render(seedTables([]interface{}{"a", 7, 0.5, time.Second})); got != "a     7     0.5000  1s   " {
+		t.Errorf("one table: got %q", got)
+	}
+
+	// What does not fold is an error: a differing text cell, or row count.
+	if _, err := Aggregate(seedTables(
+		[]interface{}{"a", 1, 0.5, time.Second},
+		[]interface{}{"b", 1, 0.5, time.Second})); err == nil || !strings.Contains(err.Error(), `column "name"`) {
+		t.Errorf("differing text cell: err = %v", err)
+	}
+	short := seedTables([]interface{}{"a", 1, 0.5, time.Second}, []interface{}{"a", 1, 0.5, time.Second})
+	short[1].AddRow("b", 2, 0.5, time.Second)
+	if _, err := Aggregate(short); err == nil || !strings.Contains(err.Error(), "row counts differ: 1/2") {
+		t.Errorf("differing row count: err = %v", err)
+	}
+	if _, err := Aggregate(nil); err == nil {
+		t.Error("no tables: no error")
 	}
 }
 

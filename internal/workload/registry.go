@@ -179,6 +179,48 @@ func Scale(spec string) (float64, error) {
 	return scale, err
 }
 
+// SeedSpecs returns spec at n consecutive seeds from its own (the adapter's
+// default when it names none), the seed key rewritten in place and every
+// other token as given. An adapter with no seed option is an error.
+func SeedSpecs(spec string, n int) ([]string, error) {
+	a, opts, err := ParseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	def := ""
+	for _, o := range a.Options {
+		if o.Key == "seed" {
+			def = o.Default
+		}
+	}
+	if def == "" {
+		return nil, fmt.Errorf("workload: %s has no seed option to vary", a.Name)
+	}
+	seed, err := strconv.ParseInt(def, 10, 64)
+	if err == nil {
+		seed, err = optInt64(opts, "seed", seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	parts := strings.Split(spec, ",")
+	at := len(parts)
+	for i, p := range parts {
+		if k, _, _ := strings.Cut(p, "="); i > 0 && strings.TrimSpace(k) == "seed" {
+			at = i
+		}
+	}
+	if at == len(parts) {
+		parts = append(parts, "")
+	}
+	specs := make([]string, n)
+	for i := range specs {
+		parts[at] = fmt.Sprintf("seed=%d", seed+int64(i))
+		specs[i] = strings.Join(parts, ",")
+	}
+	return specs, nil
+}
+
 func (a *Adapter) hasOption(key string) bool {
 	for _, o := range a.Options {
 		if o.Key == key {

@@ -121,6 +121,27 @@ func TestScale(t *testing.T) {
 // TestDZeroLoadBitIdentity: the registry's dzero Load must produce the
 // byte-identical trace the generator does — what the sweep baseline was
 // recorded on.
+// TestSeedSpecs: the seed key is rewritten where it stands (appended, from
+// the adapter's default, when the spec has none), everything else is kept,
+// and an adapter with no seed cannot be varied.
+func TestSeedSpecs(t *testing.T) {
+	for spec, want := range map[string][]string{
+		"dzero,seed=7,scale=0.02":    {"dzero,seed=7,scale=0.02", "dzero,seed=8,scale=0.02", "dzero,seed=9,scale=0.02"},
+		"dzero,scale=0.02, seed= 41": {"dzero,scale=0.02,seed=41", "dzero,scale=0.02,seed=42", "dzero,scale=0.02,seed=43"},
+		"xrootd,scale=0.1":           {"xrootd,scale=0.1,seed=1", "xrootd,scale=0.1,seed=2", "xrootd,scale=0.1,seed=3"},
+	} {
+		got, err := workload.SeedSpecs(spec, 3)
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("SeedSpecs(%q, 3) = %q, %v; want %q", spec, got, err, want)
+		}
+	}
+	for _, spec := range []string{"file,path=t.bin", "kv-csv,path=k.csv", "dzero,seed=x", "nosuch"} {
+		if got, err := workload.SeedSpecs(spec, 2); err == nil {
+			t.Errorf("SeedSpecs(%q, 2) = %q, want an error", spec, got)
+		}
+	}
+}
+
 func TestDZeroLoadBitIdentity(t *testing.T) {
 	got, err := workload.Load("dzero,seed=1,scale=0.02")
 	if err != nil {
