@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 
+	"filecule/internal/core"
 	"filecule/internal/grid"
 	"filecule/internal/replica"
 	"filecule/internal/report"
@@ -29,7 +30,8 @@ func main() {
 		SiteCacheBytes:   100 << 30,
 	}
 
-	outs, err := replica.Evaluate(tr, 0.6, budget, cfg, ".gov",
+	history, future := tr.SplitByTime(0.6)
+	outs, err := replica.Evaluate(history, future, core.Identify(history), budget, cfg,
 		replica.NoReplication{},
 		replica.PopularFiles{},
 		replica.PopularFilecules{},

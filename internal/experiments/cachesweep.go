@@ -12,45 +12,22 @@ import (
 // scale).
 var Fig10CacheSizesTB = sim.Fig10CacheSizesTB
 
-// CacheSweepPoint is one (cache size, granularity) measurement.
-type CacheSweepPoint struct {
-	CacheTB      float64 // nominal full-scale size
-	CacheBytes   int64   // actual scaled capacity simulated
-	Granularity  string
-	MissRate     float64
-	ByteMissRate float64
-	BytesLoaded  int64
-}
-
 // CacheSweep runs the Figure 10 experiment — LRU at file and filecule
 // granularity over the seven sizes, one pass of the sweep engine — and
-// returns the raw points in size order, file before filecule. The run is
-// memoised: fig10 and fileBundle read the same points.
-func (r *Runner) CacheSweep() []CacheSweepPoint {
-	if r.sweep != nil {
-		return r.sweep
-	}
-	res, err := sim.Sweep(r.Trace(), r.Partition(), r.Requests(), sim.SweepConfig{
-		Policies:      []string{"lru"},
-		Granularities: []string{"file", "filecule"},
-		Scale:         r.scale,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: Figure 10 sweep rejected its own config: %v", err))
-	}
-	// The grid comes back granularity-major: all file cells, then all
-	// filecule cells, each in size order.
-	n := len(res.Cells) / 2
-	r.sweep = make([]CacheSweepPoint, len(res.Cells))
-	for i, c := range res.Cells {
-		r.sweep[2*(i%n)+i/n] = CacheSweepPoint{
-			CacheTB:      c.CacheTB,
-			CacheBytes:   c.CapacityBytes,
-			Granularity:  c.Granularity,
-			MissRate:     c.MissRate,
-			ByteMissRate: c.ByteMissRate,
-			BytesLoaded:  c.Metrics.BytesLoaded,
+// returns its cells granularity-major: the file cells in size order, then
+// the filecule cells. The run is memoised: fig10, prefetchers and
+// fileBundle read the same cells.
+func (r *Runner) CacheSweep() []sim.CellResult {
+	if r.sweep == nil {
+		res, err := sim.Sweep(r.Trace(), r.Partition(), r.Requests(), sim.SweepConfig{
+			Policies:      []string{"lru"},
+			Granularities: []string{"file", "filecule"},
+			Scale:         r.scale,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: Figure 10 sweep rejected its own config: %v", err))
 		}
+		r.sweep = res.Cells
 	}
 	return r.sweep
 }
@@ -58,27 +35,18 @@ func (r *Runner) CacheSweep() []CacheSweepPoint {
 // fig10 reproduces Figure 10: LRU miss rate at file vs filecule granularity
 // across the seven cache sizes.
 func (r *Runner) fig10() (*Result, error) {
-	points := r.CacheSweep()
+	cells := r.CacheSweep()
+	n := len(cells) / 2
 	tb := report.NewTable(
 		fmt.Sprintf("Figure 10: LRU miss rate (cache sizes scaled by %.3g)", r.scale),
 		"cache (full-scale TB)", "file miss rate", "filecule miss rate",
 		"gain (file/filecule)", "file byte-miss", "filecule byte-miss")
-	var rows [][2]CacheSweepPoint
-	for i := 0; i+1 < len(points); i += 2 {
-		rows = append(rows, [2]CacheSweepPoint{points[i], points[i+1]})
+	for i, f := range cells[:n] {
+		c := cells[n+i]
+		tb.AddRow(f.CacheTB, f.MissRate, c.MissRate, ratio(f.MissRate, c.MissRate), f.ByteMissRate, c.ByteMissRate)
 	}
-	for _, pair := range rows {
-		f, c := pair[0], pair[1]
-		gain := 0.0
-		if c.MissRate > 0 {
-			gain = f.MissRate / c.MissRate
-		}
-		tb.AddRow(f.CacheTB, f.MissRate, c.MissRate, gain, f.ByteMissRate, c.ByteMissRate)
-	}
-	small := rows[0]
-	large := rows[len(rows)-1]
-	smallGain := ratio(small[0].MissRate, small[1].MissRate)
-	largeGain := ratio(large[0].MissRate, large[1].MissRate)
+	smallGain := ratio(cells[0].MissRate, cells[n].MissRate)
+	largeGain := ratio(cells[n-1].MissRate, cells[2*n-1].MissRate)
 	sum := report.NewTable("headline comparison",
 		"gain at smallest cache", "paper (~1.1x at 1TB)",
 		"gain at largest cache", "paper (4-5x at 100TB)")

@@ -15,6 +15,7 @@ import (
 
 	"filecule/internal/core"
 	"filecule/internal/report"
+	"filecule/internal/sim"
 	"filecule/internal/trace"
 )
 
@@ -81,32 +82,61 @@ func Aggregate(runs []*Result) *Result {
 	return &out
 }
 
-// Runner owns the shared workload and caches derived state across
-// experiments.
+// Runner owns the shared workload and every partition an experiment reads,
+// each identified once and shared across experiments.
 type Runner struct {
-	scale float64
-	tr    *trace.Trace
-	part  *core.Partition
-	reqs  []trace.Request
-	sweep []CacheSweepPoint // Figure 10, memoised by CacheSweep
+	scale   float64
+	tr      *trace.Trace
+	part    *core.Partition
+	reqs    []trace.Request
+	sweep   []sim.CellResult // Figure 10, memoised by CacheSweep
+	domains map[string]*core.Partition
+
+	// Section 6's split, memoised by split: replicas are planned from the
+	// first 60 % of the jobs and the partition identified from them alone,
+	// and the rest is replayed.
+	history, future *trace.Trace
+	historyPart     *core.Partition
 }
 
 // NewForTrace creates a Runner over a workload. The scale sizes the caches
 // and budgets relative to the paper's (the Figure 10 sweep's 1-100 TB
 // range); pass 1 if the trace is full size.
 func NewForTrace(t *trace.Trace, scale float64) *Runner {
-	return &Runner{scale: scale, tr: t}
+	return &Runner{scale: scale, tr: t, domains: make(map[string]*core.Partition)}
 }
 
 // Trace returns the shared workload.
 func (r *Runner) Trace() *trace.Trace { return r.tr }
 
-// Partition returns the globally identified filecule partition.
+// Partition returns the filecule partition identified from the whole
+// trace: hindsight, since it includes the requests each simulation replays.
 func (r *Runner) Partition() *core.Partition {
 	if r.part == nil {
 		r.part = core.Identify(r.Trace())
 	}
 	return r.part
+}
+
+// split returns Section 6's history and future windows and the partition
+// identified from the history alone.
+func (r *Runner) split() (history, future *trace.Trace, p *core.Partition) {
+	if r.history == nil {
+		r.history, r.future = r.Trace().SplitByTime(0.6)
+		r.historyPart = core.Identify(r.history)
+	}
+	return r.history, r.future, r.historyPart
+}
+
+// domainPartition returns the partition identified from one domain's jobs
+// only: the partial view of Table 2 and Section 6.
+func (r *Runner) domainPartition(domain string) *core.Partition {
+	p := r.domains[domain]
+	if p == nil {
+		p = core.IdentifyDomain(r.Trace(), domain)
+		r.domains[domain] = p
+	}
+	return p
 }
 
 // Requests returns the time-ordered request stream.

@@ -69,9 +69,9 @@ func TestPrefetchersDeterministic(t *testing.T) {
 	}
 
 	fig10 := report.NewTable("", "scheme", "miss rate", "byte miss rate", "prefetch GB", "total loaded GB")
-	for _, pt := range shared.CacheSweep() {
-		if pt.CacheTB == 10 && pt.Granularity == "filecule" {
-			fig10.AddRow("filecule LRU (atomic units)", pt.MissRate, pt.ByteMissRate, 0.0, float64(pt.BytesLoaded)/(1<<30))
+	for _, c := range shared.CacheSweep() {
+		if c.CacheTB == 10 && c.Granularity == "filecule" {
+			fig10.AddRow("filecule LRU (atomic units)", c.MissRate, c.ByteMissRate, 0.0, float64(c.Metrics.BytesLoaded)/(1<<30))
 		}
 	}
 	row := rowLines(fig10)[0]
@@ -113,17 +113,18 @@ func TestRunAllOrder(t *testing.T) {
 // filecule LRU never loses to file LRU, and its advantage grows with cache
 // size.
 func TestFig10Headline(t *testing.T) {
-	points := shared.CacheSweep()
-	if len(points) != 2*len(Fig10CacheSizesTB) {
-		t.Fatalf("sweep returned %d points", len(points))
+	cells := shared.CacheSweep()
+	n := len(Fig10CacheSizesTB)
+	if len(cells) != 2*n {
+		t.Fatalf("sweep returned %d cells", len(cells))
 	}
 	type pair struct{ file, filecule float64 }
-	pairs := make([]pair, 0, len(points)/2)
-	for i := 0; i+1 < len(points); i += 2 {
-		if points[i].Granularity != "file" || points[i+1].Granularity != "filecule" {
+	pairs := make([]pair, 0, n)
+	for i, f := range cells[:n] {
+		if f.Granularity != "file" || cells[n+i].Granularity != "filecule" {
 			t.Fatalf("unexpected sweep order at %d", i)
 		}
-		pairs = append(pairs, pair{points[i].MissRate, points[i+1].MissRate})
+		pairs = append(pairs, pair{f.MissRate, cells[n+i].MissRate})
 	}
 	for i, p := range pairs {
 		if p.filecule > p.file+1e-9 {
@@ -151,36 +152,38 @@ func TestFig10Headline(t *testing.T) {
 }
 
 // TestCacheSweepMatchesReference holds the Figure 10 driver to the reference
-// simulator: each of the 14 points, replayed on its own through cache.Sim
+// simulator: each of the 14 cells, replayed on its own through cache.Sim
 // with a pointer-and-map LRU, must equal what Runner.CacheSweep reads off
-// the sweep engine, field for field, on two seeds.
+// the sweep engine, metrics and rates alike, on two seeds.
 func TestCacheSweepMatchesReference(t *testing.T) {
 	const scale = 0.02
+	n := len(Fig10CacheSizesTB)
 	for _, seed := range []int64{1, 2} {
 		r := generated(seed, scale)
 		tr, p, reqs := r.Trace(), r.Partition(), r.Requests()
-		points := r.CacheSweep()
-		if len(points) != 2*len(Fig10CacheSizesTB) {
-			t.Fatalf("seed %d: %d points, want %d", seed, len(points), 2*len(Fig10CacheSizesTB))
+		cells := r.CacheSweep()
+		if len(cells) != 2*n {
+			t.Fatalf("seed %d: %d cells, want %d", seed, len(cells), 2*n)
 		}
-		for i, got := range points {
-			tb := Fig10CacheSizesTB[i/2]
+		for i, got := range cells {
+			tb := Fig10CacheSizesTB[i%n]
 			capBytes := sim.ScaledCapacity(tb, scale)
 			g, gran := cache.Granularity(cache.NewFileGranularity(tr)), "file"
-			if i%2 == 1 {
+			if i >= n {
 				g, gran = cache.NewFileculeGranularity(tr, p), "filecule"
 			}
 			m := cache.NewSim(tr, g, cache.NewLRU(), capBytes).Replay(reqs)
-			want := CacheSweepPoint{
-				CacheTB:      tb,
-				CacheBytes:   capBytes,
-				Granularity:  gran,
-				MissRate:     m.MissRate(),
-				ByteMissRate: m.ByteMissRate(),
-				BytesLoaded:  m.BytesLoaded,
+			want := sim.CellResult{
+				Policy:        "lru",
+				Granularity:   gran,
+				CacheTB:       tb,
+				CapacityBytes: capBytes,
+				Metrics:       m,
+				MissRate:      m.MissRate(),
+				ByteMissRate:  m.ByteMissRate(),
 			}
 			if got != want {
-				t.Errorf("seed %d point %d: sweep engine %+v != reference %+v", seed, i, got, want)
+				t.Errorf("seed %d cell %d: sweep engine %+v != reference %+v", seed, i, got, want)
 			}
 		}
 	}

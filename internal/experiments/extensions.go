@@ -97,10 +97,10 @@ func (r *Runner) prefetchers() (*Result, error) {
 	run("filecule prefetch + file LRU", prefetch.NewFilecules(p), nil)
 
 	// Atomic filecule LRU at 10 TB is a point of Figure 10's sweep.
-	for _, pt := range r.CacheSweep() {
-		if pt.CacheTB == 10 && pt.Granularity == "filecule" {
-			tb.AddRow("filecule LRU (atomic units)", pt.MissRate, pt.ByteMissRate,
-				0.0, float64(pt.BytesLoaded)/(1<<30))
+	for _, c := range r.CacheSweep() {
+		if c.CacheTB == 10 && c.Granularity == "filecule" {
+			tb.AddRow("filecule LRU (atomic units)", c.MissRate, c.ByteMissRate,
+				0.0, float64(c.Metrics.BytesLoaded)/(1<<30))
 		}
 	}
 
@@ -116,19 +116,19 @@ func (r *Runner) prefetchers() (*Result, error) {
 // Figure 10 cache sizes.
 func (r *Runner) fileBundle() (*Result, error) {
 	t := r.Trace()
-	points := r.CacheSweep() // the two LRU columns are Figure 10's
-	const window = 50        // queued jobs visible to the bundle optimizer
+	cells := r.CacheSweep() // the two LRU columns are Figure 10's
+	n := len(cells) / 2
+	const window = 50 // queued jobs visible to the bundle optimizer
 
 	tb := report.NewTable(
 		fmt.Sprintf("file-bundle (Otoo et al., window %d jobs) vs LRU granularities", window),
 		"cache (full-scale TB)", "file LRU", "file-bundle", "filecule LRU")
-	for i := 0; i+1 < len(points); i += 2 {
-		file, filecule := points[i], points[i+1]
+	for i, file := range cells[:n] {
 		if tbs := file.CacheTB; tbs != 1 && tbs != 10 && tbs != 100 {
 			continue
 		}
-		bm := cache.SimulateFileBundle(t, file.CacheBytes, window)
-		tb.AddRow(file.CacheTB, file.MissRate, bm.MissRate(), filecule.MissRate)
+		bm := cache.SimulateFileBundle(t, file.CapacityBytes, window)
+		tb.AddRow(file.CacheTB, file.MissRate, bm.MissRate(), cells[n+i].MissRate)
 	}
 	return &Result{Tables: []*report.Table{tb},
 		Notes: []string{
@@ -140,21 +140,11 @@ func (r *Runner) fileBundle() (*Result, error) {
 // replSweep sweeps the replication budget, showing how the file-vs-filecule
 // placement gap evolves with available replica space.
 func (r *Runner) replSweep() (*Result, error) {
-	t := r.Trace()
 	tb := report.NewTable("replication budget sweep (WAN GB and remote stalled jobs per strategy)",
 		"budget (full-scale TB)", "none GB", "none stalled", "popular-files GB", "popular-files stalled",
 		"popular-filecules GB", "popular-filecules stalled")
 	for _, budgetTB := range []float64{2, 10, 40} {
-		budget := int64(budgetTB * r.scale * float64(int64(1)<<40))
-		if budget < 1<<30 {
-			budget = 1 << 30
-		}
-		cfg := grid.Config{
-			SiteBandwidth:    1e9 / 8,
-			HubSiteBandwidth: 100e9 / 8,
-			SiteCacheBytes:   budget * 4,
-		}
-		outs, err := replica.Evaluate(t, 0.6, budget, cfg, ".gov",
+		outs, err := r.replicate(budgetTB,
 			replica.NoReplication{}, replica.PopularFiles{}, replica.PopularFilecules{})
 		if err != nil {
 			return nil, err
@@ -212,18 +202,10 @@ func (r *Runner) chunkSwarm() (*Result, error) {
 // peer-assisted grid: where replicas sit decides hub offload and stage
 // latency, because sites can fetch pinned replicas from each other.
 func (r *Runner) placement() (*Result, error) {
-	t := r.Trace()
-	history, future := t.SplitByTime(0.6)
-	p := core.Identify(history)
-	budget := int64(20 * r.scale * float64(int64(1)<<40))
-	if budget < 1<<30 {
-		budget = 1 << 30
-	}
-	cfg := grid.Config{
-		SiteBandwidth:    1e9 / 8,
-		HubSiteBandwidth: 20e9 / 8,
-		SiteCacheBytes:   budget,
-	}
+	history, future, p := r.split()
+	budget, cfg := r.section6(20)
+	cfg.HubSiteBandwidth = 20e9 / 8
+	cfg.SiteCacheBytes = budget
 	// The hub holds every file: a remote miss no other site pins comes
 	// through its link.
 	all := make([]trace.FileID, len(future.Files))
@@ -285,7 +267,7 @@ func (r *Runner) placement() (*Result, error) {
 	tb := report.NewTable("Section 6: replica placement on the peer grid",
 		"setup", "hub GB", "peer GB", "hub share", "local GB", "stalled", "mean stage")
 	for _, su := range setups {
-		sys, err := grid.New(future, cfg, ".gov")
+		sys, err := grid.New(future, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ func (r *Runner) partialKnowledge() (*Result, error) {
 	}
 	var rows []row
 	for domain, jobs := range t.JobsByDomain() {
-		partial := core.IdentifyDomain(t, domain)
+		partial := r.domainPartition(domain)
 		if partial.NumFilecules() == 0 {
 			continue
 		}
@@ -54,8 +54,8 @@ func (r *Runner) partialKnowledge() (*Result, error) {
 	// Combining the two busiest domains refines both.
 	var comb *report.Table
 	if len(rows) >= 2 {
-		a := core.IdentifyDomain(t, rows[0].domain)
-		b := core.IdentifyDomain(t, rows[1].domain)
+		a := r.domainPartition(rows[0].domain)
+		b := r.domainPartition(rows[1].domain)
 		merged := core.Combine(a, b)
 		stA := core.CompareToGlobal(global, a)
 		stB := core.CompareToGlobal(global, b)
@@ -78,50 +78,52 @@ func (r *Runner) partialKnowledge() (*Result, error) {
 	return res, nil
 }
 
-// replication runs the Section 6 replication comparison: plan placement on
-// the first 60% of the trace, replay the rest through the grid.
-func (r *Runner) replication() (*Result, error) {
-	t := r.Trace()
-	// Budget: 20 TB of replica space per site at full scale.
-	budget := int64(20 * r.scale * (1 << 40))
-	if budget < 1<<30 {
-		budget = 1 << 30
-	}
-	cfg := grid.Config{
-		SiteBandwidth:    1e9 / 8, // 1 Gbit/s WAN (2005-era site uplink)
+// section6 returns the replication experiments' per-site replica budget,
+// budgetTB at full scale scaled with the workload and at least 1 GB, and
+// the grid they replay on: 1 Gbit/s site links (a 2005-era uplink), the
+// hub's local access to the mass store at 100 Gbit/s, and a disk cache of
+// four budgets per site.
+func (r *Runner) section6(budgetTB float64) (int64, grid.Config) {
+	budget := max(int64(budgetTB*r.scale*(1<<40)), 1<<30)
+	return budget, grid.Config{
+		SiteBandwidth:    1e9 / 8,
 		HubSiteBandwidth: 100e9 / 8,
 		SiteCacheBytes:   budget * 4,
 	}
-	outs, err := replica.Evaluate(t, 0.6, budget, cfg, ".gov",
-		replica.NoReplication{}, replica.PopularFiles{}, replica.PopularFilecules{})
+}
+
+// replicate plans each strategy on Section 6's history window at the
+// budget of budgetTB and replays the future through the grid.
+func (r *Runner) replicate(budgetTB float64, strategies ...replica.Strategy) ([]replica.Outcome, error) {
+	history, future, p := r.split()
+	budget, cfg := r.section6(budgetTB)
+	return replica.Evaluate(history, future, p, budget, cfg, strategies...)
+}
+
+// filesThenComplete is the two-round placement: half the budget placed at
+// file granularity (the legacy layout), then the rest spent completing
+// partial filecules — Section 6's "status of the filecule ... on the
+// destination storage".
+type filesThenComplete struct{}
+
+func (filesThenComplete) Name() string { return "files then complete-filecules" }
+
+func (filesThenComplete) Plan(h *trace.Trace, p *core.Partition, budget int64) map[trace.SiteID][]trace.FileID {
+	plan := replica.PopularFiles{}.Plan(h, p, budget/2)
+	for site, files := range (replica.CompleteFilecules{Existing: plan}).Plan(h, p, budget/2) {
+		plan[site] = append(plan[site], files...)
+	}
+	return plan
+}
+
+// replication runs the Section 6 replication comparison at 20 TB of replica
+// space per site (full scale).
+func (r *Runner) replication() (*Result, error) {
+	outs, err := r.replicate(20, replica.NoReplication{}, replica.PopularFiles{},
+		replica.PopularFilecules{}, filesThenComplete{})
 	if err != nil {
 		return nil, err
 	}
-	// Two-round variant: half the budget placed at file granularity (the
-	// legacy layout), then the rest spent completing partial filecules —
-	// Section 6's "status of the filecule ... on the destination storage".
-	history, future := t.SplitByTime(0.6)
-	hp := core.Identify(history)
-	round1 := replica.PopularFiles{}.Plan(history, hp, budget/2)
-	round2 := replica.CompleteFilecules{Existing: round1}.Plan(history, hp, budget/2)
-	sys, err := grid.New(future, cfg, ".gov")
-	if err != nil {
-		return nil, err
-	}
-	var placed int64
-	for _, round := range []map[trace.SiteID][]trace.FileID{round1, round2} {
-		for site, files := range round {
-			sys.Warm(site, files)
-			for _, f := range files {
-				placed += t.Files[f].Size
-			}
-		}
-	}
-	outs = append(outs, replica.Outcome{
-		Strategy:    "files then complete-filecules",
-		PlacedBytes: placed,
-		Grid:        sys.Replay(),
-	})
 	tb := report.NewTable("Section 6: proactive replication strategies",
 		"strategy", "placed GB", "WAN GB", "local GB", "remote stalled",
 		"mean stage", "max stage")

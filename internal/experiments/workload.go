@@ -72,7 +72,7 @@ func (r *Runner) table2() (*Result, error) {
 		"filecules", "files", "data GB")
 	for _, d := range doms {
 		p := paper[d.Domain]
-		partial := core.IdentifyDomain(t, d.Domain)
+		partial := r.domainPartition(d.Domain)
 		tb.AddRow(d.Domain, d.Jobs,
 			float64(d.Jobs)/totalJobs, float64(p.Jobs)/paperJobs,
 			d.Nodes, d.Sites, d.Users,

@@ -60,9 +60,6 @@ type Config struct {
 	Interval time.Duration
 	// Timeout bounds one exchange: dial, write and read (default 2s).
 	Timeout time.Duration
-	// BackoffMin..BackoffMax bound the exponential retry backoff after
-	// failures (defaults 100ms..10s); actual waits are jittered.
-	BackoffMin, BackoffMax time.Duration
 	// BreakerFailures is the consecutive-failure count that opens a peer's
 	// circuit breaker (default 5).
 	BreakerFailures int
@@ -96,15 +93,6 @@ func (c *Config) withDefaults() Config {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.BackoffMin <= 0 {
-		cfg.BackoffMin = 100 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 10 * time.Second
-	}
-	if cfg.BackoffMax < cfg.BackoffMin {
-		cfg.BackoffMax = cfg.BackoffMin
-	}
 	if cfg.BreakerFailures <= 0 {
 		cfg.BreakerFailures = 5
 	}
@@ -119,6 +107,13 @@ func (c *Config) withDefaults() Config {
 	}
 	return cfg
 }
+
+// backoffMin..backoffMax bound the exponential retry backoff after
+// failures; actual waits are jittered.
+const (
+	backoffMin = 100 * time.Millisecond
+	backoffMax = 10 * time.Second
+)
 
 // Breaker states, in escalation order.
 const (
@@ -284,11 +279,11 @@ func (n *Node) nextDelay(p *peer, rng *rand.Rand) time.Duration {
 		if remaining := time.Until(p.openUntil); remaining > 0 {
 			return remaining
 		}
-		return n.cfg.BackoffMin
+		return backoffMin
 	case p.consecFails > 0:
-		d := n.cfg.BackoffMin << uint(min(p.consecFails-1, 20))
-		if d > n.cfg.BackoffMax || d <= 0 {
-			d = n.cfg.BackoffMax
+		d := backoffMin << uint(min(p.consecFails-1, 20))
+		if d > backoffMax || d <= 0 {
+			d = backoffMax
 		}
 		return time.Duration(float64(d) * jitter)
 	default:

@@ -124,10 +124,13 @@ type site struct {
 
 func (st *site) pins(f trace.FileID) bool { return st.pinned != nil && st.pinned[f] }
 
-// New builds a System for the trace. The hub is the first site whose
-// domain is hubDomain (usually ".gov"), which need not be site 0 (the
-// busiest); with no such site, or hubDomain "", the hub is site 0.
-func New(t *trace.Trace, cfg Config, hubDomain string) (*System, error) {
+// hubDomain is the mass store's domain: FermiLab's, in the DZero trace.
+const hubDomain = ".gov"
+
+// New builds a System for the trace. The hub is the first site in
+// hubDomain, which need not be site 0 (the busiest); with no such site, the
+// hub is site 0.
+func New(t *trace.Trace, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,7 +143,7 @@ func New(t *trace.Trace, cfg Config, hubDomain string) (*System, error) {
 	s.net = NewNetwork(s.kernel)
 	s.store = s.net.NewEndpoint(math.Inf(1), math.Inf(1))
 	for i := range t.Sites {
-		if hubDomain != "" && t.Sites[i].Domain == hubDomain {
+		if t.Sites[i].Domain == hubDomain {
 			s.hub = trace.SiteID(i)
 			break
 		}

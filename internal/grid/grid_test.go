@@ -39,7 +39,7 @@ func defaultCfg(t *trace.Trace) Config {
 
 func TestReplayColdThenWarm(t *testing.T) {
 	tr := gridTrace(t, [][]trace.FileID{{0, 1}, {0, 1}}, time.Hour)
-	sys, err := New(tr, defaultCfg(tr), ".gov")
+	sys, err := New(tr, defaultCfg(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestReplayColdThenWarm(t *testing.T) {
 
 func TestPlaceAvoidsWAN(t *testing.T) {
 	tr := gridTrace(t, [][]trace.FileID{{0, 1}}, time.Hour)
-	sys, err := New(tr, defaultCfg(tr), ".gov")
+	sys, err := New(tr, defaultCfg(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCacheEvictionCausesRefetch(t *testing.T) {
 	// Cache 400 bytes = 4 files. Jobs touch 8 files then the first 4
 	// again: everything missed.
 	tr := gridTrace(t, [][]trace.FileID{{0, 1, 2, 3}, {4, 5, 6, 7}, {0, 1, 2, 3}}, time.Hour)
-	sys, err := New(tr, defaultCfg(tr), ".gov")
+	sys, err := New(tr, defaultCfg(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestConcurrentJobsShareLink(t *testing.T) {
 	// Two jobs start together, each staging 200 bytes over the 100 B/s
 	// link: fair sharing means both take ~4s rather than 2s.
 	tr := gridTrace(t, [][]trace.FileID{{0, 1}, {2, 3}}, 0)
-	sys, err := New(tr, defaultCfg(tr), ".gov")
+	sys, err := New(tr, defaultCfg(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,28 +103,28 @@ func TestConcurrentJobsShareLink(t *testing.T) {
 	}
 }
 
-// TestHubSelection: the hub is the first site in the hub domain, else
-// site 0 — also when no site is in the domain at all.
+// TestHubSelection: the hub is the first .gov site, also when that is not
+// site 0, else site 0.
 func TestHubSelection(t *testing.T) {
-	tr := gridTrace(t, [][]trace.FileID{{0}}, time.Hour)
-	b := trace.NewBuilder()
-	b.Site("slac", ".edu", 1)
-	edu := b.Site("ucsd", ".edu", 1)
-	b.File("a", 100, trace.TierThumbnail)
-	b.SimpleJob(b.User("u", edu), edu, t0, []trace.FileID{0})
-	noGov := b.Build()
+	withSites := func(domains ...string) *trace.Trace {
+		b := trace.NewBuilder()
+		var last trace.SiteID
+		for i, d := range domains {
+			last = b.Site(fname(i), d, 1)
+		}
+		b.File("a", 100, trace.TierThumbnail)
+		b.SimpleJob(b.User("u", last), last, t0, []trace.FileID{0})
+		return b.Build()
+	}
 	for _, c := range []struct {
-		name   string
-		tr     *trace.Trace
-		domain string
-		hub    trace.SiteID
+		name string
+		tr   *trace.Trace
+		hub  trace.SiteID
 	}{
-		{"by domain", tr, ".gov", 0},
-		{"by site", tr, "", 0},
-		{"another domain", tr, ".de", 1},
-		{"no site in the domain", noGov, ".gov", 0},
+		{"first .gov site, not site 0", withSites(".de", ".gov", ".gov"), 1},
+		{"no .gov site", withSites(".edu", ".edu"), 0},
 	} {
-		sys, err := New(c.tr, defaultCfg(c.tr), c.domain)
+		sys, err := New(c.tr, defaultCfg(c.tr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := defaultCfg(tr)
 		mutate(&cfg)
-		if _, err := New(tr, cfg, ""); err == nil {
+		if _, err := New(tr, cfg); err == nil {
 			t.Errorf("case %d: bad config accepted", i)
 		}
 	}
@@ -180,7 +180,7 @@ func peerCfg() Config {
 // placement experiment's does.
 func newPeerSystem(tb testing.TB, tr *trace.Trace, cfg Config) *System {
 	tb.Helper()
-	sys, err := New(tr, cfg, ".gov")
+	sys, err := New(tr, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestPeerSystemPinnedSurvivesCacheChurn(t *testing.T) {
 // TestPeerSystemValidation: a trace with no jobs is refused; bad configs
 // are TestConfigValidation's.
 func TestPeerSystemValidation(t *testing.T) {
-	if _, err := New(&trace.Trace{}, peerCfg(), ""); err == nil {
+	if _, err := New(&trace.Trace{}, peerCfg()); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
@@ -279,7 +279,7 @@ func TestOwnEvictionRefetches(t *testing.T) {
 	tr := peerTrace(t, [][]trace.FileID{{2, 0}})
 	cfg := peerCfg()
 	cfg.SiteCacheBytes = 200 // two files
-	sys, err := New(tr, cfg, ".gov")
+	sys, err := New(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestHubMissesComeFromMassStore(t *testing.T) {
 	b.Site("kit", ".de", 1)
 	b.File("a", 1000, trace.TierThumbnail)
 	b.SimpleJob(b.User("u", hub), hub, t0, []trace.FileID{0})
-	m, err := New(b.Build(), peerCfg(), ".gov")
+	m, err := New(b.Build(), peerCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestRemoteMissesShareHubUplink(t *testing.T) {
 	b.File("b", 100, trace.TierThumbnail)
 	b.SimpleJob(b.User("u1", s1), s1, t0, []trace.FileID{0})
 	b.SimpleJob(b.User("u2", s2), s2, t0, []trace.FileID{1})
-	sys, err := New(b.Build(), Config{SiteBandwidth: 100, HubSiteBandwidth: 100, SiteCacheBytes: 400}, ".gov")
+	sys, err := New(b.Build(), Config{SiteBandwidth: 100, HubSiteBandwidth: 100, SiteCacheBytes: 400})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,10 +114,7 @@ func (PopularFilecules) Plan(h *trace.Trace, p *core.Partition, budget int64) ma
 	if budget <= 0 {
 		panic(fmt.Sprintf("replica: budget %d must be > 0", budget))
 	}
-	sizes := make([]int64, p.NumFilecules())
-	for i := range sizes {
-		sizes[i] = p.Size(h, i)
-	}
+	sizes := p.SizeTable(h)
 	plan := make(map[trace.SiteID][]trace.FileID)
 	for site, pop := range sitePopularity(h) {
 		// Per-site filecule popularity: requests from this site for any
@@ -164,15 +161,13 @@ type Outcome struct {
 	Grid        grid.Metrics
 }
 
-// Evaluate identifies filecules on the history window, plans placement with
-// each strategy, and replays the future window through a fresh grid. The
-// same grid configuration and hub domain are used for every strategy.
-func Evaluate(t *trace.Trace, splitFrac float64, budget int64, gcfg grid.Config, hubDomain string, strategies ...Strategy) ([]Outcome, error) {
-	history, future := t.SplitByTime(splitFrac)
-	p := core.Identify(history)
+// Evaluate plans placement with each strategy from the history window and
+// its partition p, and replays the future window through a fresh grid with
+// the same configuration for every strategy.
+func Evaluate(history, future *trace.Trace, p *core.Partition, budget int64, gcfg grid.Config, strategies ...Strategy) ([]Outcome, error) {
 	out := make([]Outcome, 0, len(strategies))
 	for _, s := range strategies {
-		sys, err := grid.New(future, gcfg, hubDomain)
+		sys, err := grid.New(future, gcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +175,7 @@ func Evaluate(t *trace.Trace, splitFrac float64, budget int64, gcfg grid.Config,
 		for site, files := range s.Plan(history, p, budget) {
 			sys.Warm(site, files)
 			for _, f := range files {
-				placed += t.Files[f].Size
+				placed += history.Files[f].Size
 			}
 		}
 		out = append(out, Outcome{
@@ -212,10 +207,6 @@ func (CompleteFilecules) Name() string { return "complete-filecules" }
 func (c CompleteFilecules) Plan(h *trace.Trace, p *core.Partition, budget int64) map[trace.SiteID][]trace.FileID {
 	if budget <= 0 {
 		panic(fmt.Sprintf("replica: budget %d must be > 0", budget))
-	}
-	sizes := make([]int64, p.NumFilecules())
-	for i := range sizes {
-		sizes[i] = p.Size(h, i)
 	}
 	plan := make(map[trace.SiteID][]trace.FileID)
 	for site, pop := range sitePopularity(h) {

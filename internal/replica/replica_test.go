@@ -102,7 +102,8 @@ func TestPopularFileculesNeverSplits(t *testing.T) {
 
 func TestEvaluateOrdersStrategies(t *testing.T) {
 	tr := replTrace(t)
-	outs, err := Evaluate(tr, 0.5, 250, gcfg(tr), ".gov",
+	history, future := tr.SplitByTime(0.5)
+	outs, err := Evaluate(history, future, core.Identify(history), 250, gcfg(tr),
 		NoReplication{}, PopularFiles{}, PopularFilecules{})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +240,7 @@ func TestTwoRoundPlacementBeatsFileContinuation(t *testing.T) {
 	round1 := PopularFiles{}.Plan(history, p, 100)
 
 	run := func(round2 map[trace.SiteID][]trace.FileID) grid.Metrics {
-		sys, err := grid.New(future, gcfg(tr), ".gov")
+		sys, err := grid.New(future, gcfg(tr))
 		if err != nil {
 			t.Fatal(err)
 		}

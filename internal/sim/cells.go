@@ -74,40 +74,58 @@ type denseBase interface {
 	remove(v int32)
 }
 
+// ---------------------------------------------------------------- lists
+
+// slotList holds intrusive doubly-linked lists over slots, MRU at the
+// front. Each list is headed by a sentinel slot numbered above the member
+// slots; an empty list's sentinel links to itself.
+type slotList struct {
+	prev, next []int32
+}
+
+// newSlotList makes room for nSlots members and heads at nSlots..n-1.
+func newSlotList(nSlots, n int32) slotList {
+	l := slotList{prev: make([]int32, n), next: make([]int32, n)}
+	for h := nSlots; h < n; h++ {
+		l.prev[h], l.next[h] = h, h
+	}
+	return l
+}
+
+func (l *slotList) pushFront(head, v int32) {
+	h := l.next[head]
+	l.prev[v], l.next[v] = head, h
+	l.next[head], l.prev[h] = v, v
+}
+
+func (l *slotList) unlink(v int32) {
+	p, n := l.prev[v], l.next[v]
+	l.next[p], l.prev[n] = n, p
+}
+
+// back returns the list's least recently pushed member, or head when the
+// list is empty.
+func (l *slotList) back(head int32) int32 { return l.prev[head] }
+
 // ---------------------------------------------------------------- LRU
 
-// lruState is an intrusive doubly-linked list over slots, MRU at the front.
-// Slot nSlots is the sentinel.
+// lruState is one slotList, headed at nSlots.
 type lruState struct {
-	prev, next []int32
-	sentinel   int32
+	slotList
+	head int32
 }
 
 func newLRUState(nSlots int32) *lruState {
-	s := &lruState{prev: make([]int32, nSlots+1), next: make([]int32, nSlots+1), sentinel: nSlots}
-	s.prev[nSlots] = nSlots
-	s.next[nSlots] = nSlots
-	return s
+	return &lruState{slotList: newSlotList(nSlots, nSlots+1), head: nSlots}
 }
 
-func (s *lruState) pushFront(v int32) {
-	h := s.next[s.sentinel]
-	s.prev[v], s.next[v] = s.sentinel, h
-	s.next[s.sentinel], s.prev[h] = v, v
-}
-
-func (s *lruState) unlink(v int32) {
-	p, n := s.prev[v], s.next[v]
-	s.next[p], s.prev[n] = n, p
-}
-
-func (s *lruState) admit(v int32, size, now int64) { s.pushFront(v) }
-func (s *lruState) touch(v int32, now int64)       { s.unlink(v); s.pushFront(v) }
+func (s *lruState) admit(v int32, size, now int64) { s.pushFront(s.head, v) }
+func (s *lruState) touch(v int32, now int64)       { s.unlink(v); s.pushFront(s.head, v) }
 func (s *lruState) remove(v int32)                 { s.unlink(v) }
 
 func (s *lruState) victim() int32 {
-	v := s.prev[s.sentinel]
-	if v == s.sentinel {
+	v := s.back(s.head)
+	if v == s.head {
 		panic("sim: LRU victim requested from empty cache")
 	}
 	return v
@@ -160,18 +178,18 @@ func (h *ghostHeap) pop() int32 {
 	return top
 }
 
-// arcState is the dense byte-aware ARC: T1/T2 as two intrusive lists sharing
-// one link array (sentinels at nSlots and nSlots+1), ghost membership as a
-// per-slot state byte with byte/count totals, and lazy min-heaps standing in
-// for the reference implementation's minKey scans.
+// arcState is the dense byte-aware ARC: T1/T2 as two slotLists sharing one
+// link array (heads at nSlots and nSlots+1), ghost membership as a per-slot
+// state byte with byte/count totals, and lazy min-heaps standing in for the
+// reference implementation's minKey scans.
 type arcState struct {
-	capacity   int64
-	prev, next []int32
-	t1s, t2s   int32
-	inT2       []bool
-	admitSize  []int64 // last admit size per slot; doubles as the ghost size
-	ghost      []uint8 // 0 none, 1 in B1, 2 in B2
-	g1, g2     ghostHeap
+	slotList
+	capacity  int64
+	t1s, t2s  int32
+	inT2      []bool
+	admitSize []int64 // last admit size per slot; doubles as the ghost size
+	ghost     []uint8 // 0 none, 1 in B1, 2 in B2
+	g1, g2    ghostHeap
 
 	t1Bytes, t2Bytes int64
 	b1Bytes, b2Bytes int64
@@ -180,30 +198,15 @@ type arcState struct {
 }
 
 func newARCState(nSlots int32, capacity int64) *arcState {
-	s := &arcState{
+	return &arcState{
+		slotList:  newSlotList(nSlots, nSlots+2),
 		capacity:  capacity,
-		prev:      make([]int32, nSlots+2),
-		next:      make([]int32, nSlots+2),
 		t1s:       nSlots,
 		t2s:       nSlots + 1,
 		inT2:      make([]bool, nSlots),
 		admitSize: make([]int64, nSlots),
 		ghost:     make([]uint8, nSlots),
 	}
-	s.prev[s.t1s], s.next[s.t1s] = s.t1s, s.t1s
-	s.prev[s.t2s], s.next[s.t2s] = s.t2s, s.t2s
-	return s
-}
-
-func (s *arcState) pushFront(sentinel, v int32) {
-	h := s.next[sentinel]
-	s.prev[v], s.next[v] = sentinel, h
-	s.next[sentinel], s.prev[h] = v, v
-}
-
-func (s *arcState) unlink(v int32) {
-	p, n := s.prev[v], s.next[v]
-	s.next[p], s.prev[n] = n, p
 }
 
 func (s *arcState) admit(v int32, size, now int64) {
@@ -214,14 +217,14 @@ func (s *arcState) admit(v int32, size, now int64) {
 		s.ghost[v] = 0
 		s.b1Bytes -= gs
 		s.b1Count--
-		s.p = minI64(s.capacity, s.p+maxI64(gs, s.b2Bytes/maxI64(1, s.b1Count+1)))
+		s.p = min(s.capacity, s.p+max(gs, s.b2Bytes/max(1, s.b1Count+1)))
 		inT2 = true
 	case 2:
 		gs := s.admitSize[v]
 		s.ghost[v] = 0
 		s.b2Bytes -= gs
 		s.b2Count--
-		s.p = maxI64(0, s.p-maxI64(gs, s.b1Bytes/maxI64(1, s.b2Count+1)))
+		s.p = max(0, s.p-max(gs, s.b1Bytes/max(1, s.b2Count+1)))
 		inT2 = true
 	}
 	s.admitSize[v] = size
@@ -251,13 +254,13 @@ func (s *arcState) touch(v int32, now int64) {
 
 func (s *arcState) victim() int32 {
 	var v int32
-	if s.t1Bytes > s.p || s.prev[s.t2s] == s.t2s {
-		v = s.prev[s.t1s]
+	if s.t1Bytes > s.p || s.back(s.t2s) == s.t2s {
+		v = s.back(s.t1s)
 		if v == s.t1s {
 			panic("sim: ARC victim requested from empty cache")
 		}
 	} else {
-		v = s.prev[s.t2s]
+		v = s.back(s.t2s)
 	}
 	return v
 }
@@ -617,54 +620,21 @@ func (c *policyCell) run(rs []resolved, base int64) {
 // bundleCell runs on the file axis but lets a base policy rank bundles
 // (filecules, or per-file singletons), evicting the least recently used
 // resident member of the base's victim bundle — the dense mirror of
-// cache.BundlePolicy. Member lists are -1-terminated intrusive lists over
-// file slots, MRU first.
+// cache.BundlePolicy. Each bundle's resident members are a slotList headed
+// at nSlots+bundle, MRU first; an empty list is an inactive bundle.
 type bundleCell struct {
 	cellCore
-	bundleOf     []int32 // file slot -> bundle slot, shared across cells
-	fprev, fnext []int32 // member links per file slot
-	bhead, btail []int32 // per bundle slot; -1 when the bundle is inactive
-	base         denseBase
+	bundleOf []int32 // file slot -> bundle slot, shared across cells
+	members  slotList
+	base     denseBase
 }
 
 func newBundleCell(sp cellSpec, ax *axisData, bundleOf []int32, nBundles int32, base denseBase) *bundleCell {
-	c := &bundleCell{
+	return &bundleCell{
 		cellCore: newCellCore(sp, ax),
 		bundleOf: bundleOf,
-		fprev:    make([]int32, ax.nSlots),
-		fnext:    make([]int32, ax.nSlots),
-		bhead:    make([]int32, nBundles),
-		btail:    make([]int32, nBundles),
+		members:  newSlotList(ax.nSlots, ax.nSlots+nBundles),
 		base:     base,
-	}
-	for i := range c.bhead {
-		c.bhead[i], c.btail[i] = -1, -1
-	}
-	return c
-}
-
-func (c *bundleCell) memberPushFront(b, f int32) {
-	h := c.bhead[b]
-	c.fprev[f], c.fnext[f] = -1, h
-	if h >= 0 {
-		c.fprev[h] = f
-	} else {
-		c.btail[b] = f
-	}
-	c.bhead[b] = f
-}
-
-func (c *bundleCell) memberRemove(b, f int32) {
-	p, n := c.fprev[f], c.fnext[f]
-	if p >= 0 {
-		c.fnext[p] = n
-	} else {
-		c.bhead[b] = n
-	}
-	if n >= 0 {
-		c.fprev[n] = p
-	} else {
-		c.btail[b] = p
 	}
 }
 
@@ -677,8 +647,8 @@ func (c *bundleCell) run(rs []resolved, base int64) {
 		m.BytesRequested += r.fileSize
 		if c.resident[r.unit] {
 			b := c.bundleOf[r.unit]
-			c.memberRemove(b, r.unit)
-			c.memberPushFront(b, r.unit)
+			c.members.unlink(r.unit)
+			c.members.pushFront(c.ax.nSlots+b, r.unit)
 			c.base.touch(b, now)
 			m.Hits++
 			continue
@@ -693,13 +663,14 @@ func (c *bundleCell) run(rs []resolved, base int64) {
 		}
 		for c.used+size > c.capacity {
 			vb := c.base.victim()
-			v := c.btail[vb]
-			if v < 0 {
+			head := c.ax.nSlots + vb
+			v := c.members.back(head)
+			if v == head {
 				panic(fmt.Sprintf("sim: bundle base chose inactive bundle %d", vb))
 			}
 			vs := c.ax.sizes[v]
-			c.memberRemove(vb, v)
-			if c.bhead[vb] < 0 {
+			c.members.unlink(v)
+			if c.members.back(head) == head {
 				c.base.remove(vb)
 			}
 			c.resident[v] = false
@@ -708,28 +679,15 @@ func (c *bundleCell) run(rs []resolved, base int64) {
 			m.BytesEvicted += vs
 		}
 		b := c.bundleOf[slot]
-		if c.bhead[b] < 0 {
+		head := c.ax.nSlots + b
+		if c.members.back(head) == head {
 			c.base.admit(b, size, now)
 		} else {
 			c.base.touch(b, now)
 		}
 		c.resident[slot] = true
 		c.used += size
-		c.memberPushFront(b, slot)
+		c.members.pushFront(head, slot)
 		m.BytesLoaded += size
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
