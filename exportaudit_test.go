@@ -2,16 +2,22 @@
 // a shipped oracle or a leftover: it costs a reader the same as live code and
 // no program runs it. An exported struct field that no shipped file ever sets
 // is the same thing for options: a knob with one value. This test lists both
-// by name — a parse, no type check — and fails on any that testOnlyExports or
-// neverSetFields does not excuse, so one is either deleted with its unit
-// test, moved into test code, made a constant, or kept for a stated reason.
+// and fails on any that testOnlyExports or neverSetFields does not excuse, so
+// one is either deleted with its unit test, moved into test code, made a
+// constant, or kept for a stated reason. Exports are matched by name; fields
+// by the type that declares them, so a field another type's same-named field
+// is set through is still caught.
 package filecule_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -55,37 +61,83 @@ var testOnlyExports = map[string]string{
 
 // neverSetFields are the exported struct fields under internal/ that no
 // non-test file sets — by composite-literal key, assignment, ++/-- or taking
-// the address, outside a package's own withDefaults — and why each stays
-// exported.
+// the address, outside a package's own withDefaults — keyed package.Type.Field,
+// and why each stays exported.
 var neverSetFields = map[string]string{
 	// fed/faultnet is the fault-injection harness of the federation chaos
 	// tests (see Wrap above): only they write a Plan.
-	"Drop":        "faultnet.Plan: the chaos matrix sets the fault probabilities",
-	"Corrupt":     "faultnet.Plan",
-	"Duplicate":   "faultnet.Plan",
-	"Delay":       "faultnet.Plan, with DelayMax",
-	"DelayMax":    "faultnet.Plan",
-	"HealAfter":   "faultnet.Plan: the eventual connectivity the convergence differential needs",
-	"Partitioned": "faultnet.Plan: the partition-and-heal tests script it",
+	"faultnet.Plan.Drop":        "the chaos matrix sets the fault probabilities",
+	"faultnet.Plan.Corrupt":     "the chaos matrix",
+	"faultnet.Plan.Duplicate":   "the chaos matrix",
+	"faultnet.Plan.Delay":       "the chaos matrix, with DelayMax",
+	"faultnet.Plan.DelayMax":    "the chaos matrix",
+	"faultnet.Plan.HealAfter":   "the eventual connectivity the convergence differential needs",
+	"faultnet.Plan.Partitioned": "the partition-and-heal tests script it",
+	"faultnet.Plan.Seed":        "the chaos tests pin the fault sequence they replay",
 
 	// Model parameters the experiments leave at their defaults and the
 	// package's own tests vary: still to settle, each with those tests, as a
 	// constant or an experiment that sweeps it.
-	"UploadSlots":   "swarm.ChunkScenario, with DownloadSlots: the unchoke-slot tests set 1 and 4",
-	"DownloadSlots": "swarm.ChunkScenario",
-	"SeedAfterDone": "swarm.Scenario and ChunkScenario: the altruistic-seeding tests turn it on",
+	"swarm.ChunkScenario.UploadSlots":   "the unchoke-slot tests set 1 and 4, with DownloadSlots",
+	"swarm.ChunkScenario.DownloadSlots": "the unchoke-slot tests",
+	"swarm.Scenario.SeedAfterDone":      "the altruistic-seeding tests turn it on",
+	"swarm.ChunkScenario.SeedAfterDone": "the altruistic-seeding tests turn it on",
 
-	// Only fed's withDefaults writes these; the breaker tests shorten them
-	// to open and re-probe a breaker in milliseconds.
-	"BreakerFailures": "fed.Config: the breaker tests open a breaker after 3 failures",
-	"BreakerCooldown": "fed.Config: the breaker and chaos tests cool down in 50 ms or less",
+	// Only fed's withDefaults writes these.
+	"fed.Config.BreakerFailures": "the breaker tests open a breaker after 3 failures",
+	"fed.Config.BreakerCooldown": "the breaker and chaos tests cool down in 50 ms or less",
+	"fed.Config.Incarnation":     "the fed, server and chaos tests pin it to restart a site as a known new life",
+	"fed.Config.Seed":            "the fed and server tests pin the exchange jitter",
 }
+
+// modulePath is this module's import path (go.mod).
+const modulePath = "filecule"
+
+// typeCheck type-checks every non-test package of the module from the files
+// parsed in it, keyed by directory; the standard library comes from the
+// default importer's export data.
+func typeCheck(fset *token.FileSet, pkgFiles map[string][]*ast.File) (*types.Info, error) {
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	checked := map[string]*types.Package{}
+	std := importer.Default()
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		if p != modulePath && !strings.HasPrefix(p, modulePath+"/") {
+			return std.Import(p)
+		}
+		if pkg := checked[p]; pkg != nil {
+			return pkg, nil
+		}
+		dir := strings.TrimPrefix(strings.TrimPrefix(p, modulePath), "/")
+		if dir == "" {
+			dir = "."
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(p, fset, pkgFiles[dir], info)
+		if err != nil {
+			return nil, err
+		}
+		checked[p] = pkg
+		return pkg, nil
+	}
+	for dir := range pkgFiles {
+		if _, err := imp(path.Join(modulePath, filepath.ToSlash(dir))); err != nil {
+			return nil, err
+		}
+	}
+	return info, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
-	declared := map[string]token.Pos{} // exported name under internal/ -> a declaration
-	fields := map[string]token.Pos{}   // exported struct field under internal/ -> a declaration
+	declared := map[string]token.Pos{}    // exported name under internal/ -> a declaration
+	fieldNames := map[*ast.Ident]string{} // exported struct field under internal/ -> package.Type.Field
 	declIdent := map[*ast.Ident]bool{}
+	pkgFiles := map[string][]*ast.File{} // directory -> its package's files
 	var files []*ast.File
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
@@ -94,11 +146,15 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), filepath.Base(path)); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		files = append(files, f)
+		pkgFiles[filepath.Dir(path)] = append(pkgFiles[filepath.Dir(path)], f)
 		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
 			return nil
 		}
@@ -121,7 +177,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 							for _, fl := range st.Fields.List {
 								for _, id := range fl.Names {
 									if id.IsExported() {
-										fields[id.Name] = id.Pos()
+										fieldNames[id] = f.Name.Name + "." + s.Name.Name + "." + id.Name
 									}
 								}
 							}
@@ -139,11 +195,24 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	info, err := typeCheck(fset, pkgFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[types.Object]string{}
+	for id, name := range fieldNames {
+		fields[info.Defs[id]] = name
+	}
 
-	used, set := map[string]bool{}, map[string]bool{}
+	used, set := map[string]bool{}, map[types.Object]bool{}
+	setField := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			set[v.Origin()] = true
+		}
+	}
 	setSel := func(e ast.Expr) {
 		if sel, ok := e.(*ast.SelectorExpr); ok {
-			set[sel.Sel.Name] = true
+			setField(sel.Sel)
 		}
 	}
 	for _, f := range files {
@@ -168,7 +237,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok {
-					set[id.Name] = true
+					setField(id)
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
@@ -197,14 +266,17 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	for name, pos := range fields {
-		if _, excused := neverSetFields[name]; !set[name] && !excused {
+	listed := map[string]bool{}
+	for v, name := range fields {
+		_, excused := neverSetFields[name]
+		listed[name] = listed[name] || !set[v]
+		if !set[v] && !excused {
 			t.Errorf("%s: no non-test file sets exported field %s: make it a constant, unexport it, or add it to neverSetFields with the reason",
-				fset.Position(pos), name)
+				fset.Position(v.Pos()), name)
 		}
 	}
 	for name := range neverSetFields {
-		if _, ok := fields[name]; !ok || set[name] {
+		if !listed[name] {
 			t.Errorf("neverSetFields lists %s, which is no longer a never-set field", name)
 		}
 	}

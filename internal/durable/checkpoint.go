@@ -70,9 +70,18 @@ type ckptStats struct {
 // (stale entries dropped).
 func writeCheckpoint(dir string, epoch uint64, st *core.EngineState, cache map[groupKey][]byte) (map[groupKey][]byte, ckptStats, error) {
 	stats := ckptStats{groups: len(st.Groups), observe: st.Observed}
+	path := ckptPath(dir, epoch)
+	totalFiles := 0
+	for i := range st.Groups {
+		totalFiles += len(st.Groups[i].Files)
+	}
+	// A checkpoint recovery would refuse is not written: the WAL chain
+	// behind the previous one stays, and keeps the state.
+	if totalFiles > maxStateFiles {
+		return cache, stats, fmt.Errorf("durable: write %s: %d files, past the %d a checkpoint may hold", path, totalFiles, maxStateFiles)
+	}
 	next := make(map[groupKey][]byte, len(st.Groups))
 
-	path := ckptPath(dir, epoch)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -89,10 +98,6 @@ func writeCheckpoint(dir string, epoch uint64, st *core.EngineState, cache map[g
 
 	if _, err := io.WriteString(cw, ckptMagic); err != nil {
 		return fail(err)
-	}
-	totalFiles := 0
-	for i := range st.Groups {
-		totalFiles += len(st.Groups[i].Files)
 	}
 	hdr := []byte{ckptKindHeader}
 	hdr = binary.AppendUvarint(hdr, epoch)
@@ -269,7 +274,7 @@ func decodeCheckpoint(r io.Reader) (*ckptState, error) {
 		switch kind {
 		case ckptKindGroups:
 			p := trace.NewPayload(payload)
-			st.Groups = core.ReadStateGroups(p, st.Groups, maxWireFileID, &filesLeft)
+			st.Groups = core.ReadStateGroups(p, st.Groups, trace.FileIDCeiling, &filesLeft)
 			if p.Err() != nil {
 				return nil, &trace.ChunkError{Offset: boundary, Kind: kind, Err: p.Err()}
 			}

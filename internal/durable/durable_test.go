@@ -663,3 +663,137 @@ func TestRecoverStateWrittenBySharded8Engine(t *testing.T) {
 		t.Fatal("partition after further splits and a second recovery differs from core.Identify")
 	}
 }
+
+// TestWALRefusesWhatReplayRefuses: an append replay could not read back is
+// an error for that call alone — a job over trace.MaxJobFiles, a negative
+// ID, a batch over trace.MaxBatchFiles — and the jobs around it, one of
+// exactly MaxJobFiles files among them, survive a restart.
+func TestWALRefusesWhatReplayRefuses(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, SyncCommit: true}
+	d := mustOpen(t, opts)
+	full := make([]trace.FileID, trace.MaxJobFiles)
+	jobs := [][]trace.FileID{{1, 2}, full, {2, 3}}
+	tooMany := make([][]trace.FileID, trace.MaxBatchFiles/trace.MaxJobFiles+1)
+	for i := range tooMany {
+		tooMany[i] = full
+	}
+	refused := map[string]func() error{
+		"job over the bound":   func() error { return d.Observe(make([]trace.FileID, trace.MaxJobFiles+1)) },
+		"negative file ID":     func() error { return d.Observe([]trace.FileID{4, -1}) },
+		"batch over the bound": func() error { return d.ObserveBatch(tooMany) },
+	}
+	observeAll(t, d, jobs[:2])
+	for name, try := range refused {
+		if err := try(); err == nil {
+			t.Errorf("%s: appended", name)
+		}
+	}
+	observeAll(t, d, jobs[2:])
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d = mustOpen(t, opts)
+	defer d.Close()
+	if rec := d.Recovery(); rec.Observed != int64(len(jobs)) || rec.TruncatedBytes != 0 {
+		t.Fatalf("recovered %d jobs with %d bytes truncated, want %d and none", rec.Observed, rec.TruncatedBytes, len(jobs))
+	}
+	if !reference(jobs).Equal(d.Core().Snapshot()) {
+		t.Fatal("recovered partition differs from reference")
+	}
+}
+
+// largestFrameBatch returns the batch of the most file IDs one wire frame
+// carries when every ID costs the most a run encoding spends: IDs alternate
+// between 0 and the ceiling, runs of one at 6 bytes each. Its jobs share one
+// backing array.
+func largestFrameBatch(t *testing.T) [][]trace.FileID {
+	ids := make([]trace.FileID, trace.MaxJobFiles)
+	for i := 1; i < len(ids); i += 2 {
+		ids[i] = trace.FileIDCeiling - 1
+	}
+	// A job of m IDs encodes as its run count, a first run of 2 bytes and
+	// 6 bytes for each later ID; a 'B' frame adds its kind and job count.
+	enc := func(m int) int { return len(binary.AppendUvarint(nil, uint64(m))) + 2 + 6*(m-1) }
+	room := trace.MaxChunkPayload - 2
+	var batch [][]trace.FileID
+	for room >= enc(1) {
+		m := min(trace.MaxJobFiles, room/6)
+		for enc(m) > room {
+			m--
+		}
+		batch = append(batch, ids[:m])
+		room -= enc(m)
+	}
+	size, m := 2, 0
+	var rec []byte
+	for _, files := range batch {
+		rec = trace.AppendFileRuns(rec[:0], files)
+		size += len(rec)
+		m += len(files)
+	}
+	if len(batch) > 127 || size > trace.MaxChunkPayload || size+6 <= trace.MaxChunkPayload {
+		t.Fatalf("batch of %d jobs, %d IDs encodes to %d bytes: not the largest a %d-byte frame holds", len(batch), m, size, trace.MaxChunkPayload)
+	}
+	return batch
+}
+
+// TestLargestFrameBatchBesidePendingJob appends, behind a job still pending
+// in the arena, the largest batch a wire frame carries. Together they pass
+// the frame bound replay enforces, so the committer writes them as two
+// frames, and a restart recovers both.
+func TestLargestFrameBatchBesidePendingJob(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, SyncInterval: time.Hour} // the pending job stays pending
+	d := mustOpen(t, opts)
+	jobs := append([][]trace.FileID{{7}}, largestFrameBatch(t)...)
+	if err := d.Observe(jobs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ObserveBatch(jobs[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d = mustOpen(t, opts)
+	defer d.Close()
+	if rec := d.Recovery(); rec.Observed != int64(len(jobs)) || rec.TruncatedBytes != 0 {
+		t.Fatalf("recovered %d jobs with %d bytes truncated, want %d and none", rec.Observed, rec.TruncatedBytes, len(jobs))
+	}
+	if !reference(jobs).Equal(d.Core().Snapshot()) {
+		t.Fatal("recovered partition differs from reference")
+	}
+}
+
+// TestCheckpointRecoveryWouldRefuseIsNotWritten: a state of more files than
+// a checkpoint may declare is refused by the writer, which leaves nothing
+// behind, rather than written for recovery to reject once older epochs are
+// pruned.
+func TestCheckpointRecoveryWouldRefuseIsNotWritten(t *testing.T) {
+	dir := t.TempDir()
+	files := make([]trace.FileID, 1<<20)
+	for i := range files {
+		files[i] = trace.FileID(i)
+	}
+	st := &core.EngineState{Groups: make([]core.StateGroup, maxStateFiles/len(files)+1)}
+	for i := range st.Groups {
+		st.Groups[i] = core.StateGroup{SigLo: uint64(i), Requests: 1, Files: files}
+	}
+	if _, _, err := writeCheckpoint(dir, 1, st, nil); err == nil {
+		t.Fatal("wrote a checkpoint of more files than recovery reads")
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("left %v (%v) behind", left, err)
+	}
+
+	st.Groups = st.Groups[:maxStateFiles/len(files)]
+	if _, _, err := writeCheckpoint(dir, 1, st, nil); err != nil {
+		t.Fatalf("a checkpoint at the bound: %v", err)
+	}
+	if _, err := readCheckpoint(ckptPath(dir, 1), 1); err != nil {
+		t.Fatalf("a checkpoint at the bound does not read back: %v", err)
+	}
+}

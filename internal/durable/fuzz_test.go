@@ -138,8 +138,8 @@ func FuzzWAL(f *testing.F) {
 			t.Fatal(err)
 		}
 		seg, err := walReplay(path, 0, 0, func(files []trace.FileID) {
-			if len(files) > maxJobFiles {
-				t.Fatalf("applied job with %d files, above the wire bound", len(files))
+			if len(files) > trace.MaxJobFiles {
+				t.Fatalf("applied job with %d files, above trace.MaxJobFiles", len(files))
 			}
 		})
 		if err == nil {

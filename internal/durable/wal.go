@@ -48,17 +48,22 @@ const (
 	walKindObserves = 'O'
 )
 
-// maxJobFiles bounds one job's input-set size on the wire, so corrupt run
-// lengths cannot drive huge allocations during replay.
-const maxJobFiles = 1 << 20
-
-// maxWireFileID bounds decoded file IDs (FileID is an int32).
-const maxWireFileID = int64(1) << 31
-
 // walFlushIDs triggers an early flush when a batch's arena grows past this
 // many file IDs, keeping memory bounded under observe bursts faster than
 // the sync cadence.
 const walFlushIDs = 1 << 18
+
+// walChunkIDs caps the file IDs of one 'O' frame, so one corrupt record
+// cannot force a huge allocation on replay. An appender finds fewer than
+// walFlushIDs IDs pending and adds one batch of at most trace.MaxBatchFiles.
+const walChunkIDs = trace.MaxBatchFiles + walFlushIDs
+
+// frameFits reports whether jobs records of recBytes in all fit one 'O'
+// frame: its kind byte, the job count and the records.
+func frameFits(jobs, recBytes int) bool {
+	var count [binary.MaxVarintLen64]byte
+	return 1+binary.PutUvarint(count[:], uint64(jobs))+recBytes <= trace.MaxChunkPayload
+}
 
 // appendUv is binary.AppendUvarint with a fast path for one-byte values,
 // which run deltas and lengths almost always are. The committer encodes
@@ -98,6 +103,44 @@ func appendJobIDs(dst []byte, ids []trace.FileID) []byte {
 	return dst
 }
 
+// recordBytes refuses, before anything is logged, a batch that replay would
+// refuse — a job of more than trace.MaxJobFiles files or with a negative ID,
+// more than trace.MaxBatchFiles IDs in all, records that no frame holds —
+// and returns the bytes its records take, or a bound on them.
+func recordBytes(jobs [][]trace.FileID) (int, error) {
+	ids := 0
+	for i, files := range jobs {
+		if len(files) > trace.MaxJobFiles {
+			return 0, fmt.Errorf("durable: job %d of %d files exceeds the limit %d", i, len(files), trace.MaxJobFiles)
+		}
+		for _, f := range files {
+			if f < 0 {
+				return 0, fmt.Errorf("durable: job %d names file ID %d", i, f)
+			}
+		}
+		ids += len(files)
+	}
+	if ids > trace.MaxBatchFiles {
+		return 0, fmt.Errorf("durable: batch of %d file IDs exceeds the limit %d", ids, trace.MaxBatchFiles)
+	}
+	// A record is a count of at most 4 bytes and runs of at most 6 bytes an
+	// ID. Only a batch of millions of IDs can pass the frame on that bound;
+	// it is measured exactly.
+	size := 4*len(jobs) + 6*ids
+	if !frameFits(len(jobs), size) {
+		size = 0
+		var rec []byte
+		for _, files := range jobs {
+			rec = appendJobIDs(rec[:0], files)
+			size += len(rec)
+		}
+		if !frameFits(len(jobs), size) {
+			return 0, fmt.Errorf("durable: batch of %d record bytes passes the %d-byte frame", size, trace.MaxChunkPayload)
+		}
+	}
+	return size, nil
+}
+
 // jobIDs decodes one appendJobIDs record into dst, validating that the
 // runs cover exactly the declared file count and every ID is in range.
 func jobIDs(p *trace.Payload, dst []trace.FileID) []trace.FileID {
@@ -105,8 +148,8 @@ func jobIDs(p *trace.Payload, dst []trace.FileID) []trace.FileID {
 	if p.Err() != nil {
 		return dst
 	}
-	if nf > maxJobFiles {
-		p.Fail("job of %d files exceeds limit %d", nf, maxJobFiles)
+	if nf > trace.MaxJobFiles {
+		p.Fail("job of %d files exceeds limit %d", nf, trace.MaxJobFiles)
 		return dst
 	}
 	left := int64(nf)
@@ -121,7 +164,7 @@ func jobIDs(p *trace.Payload, dst []trace.FileID) []trace.FileID {
 			p.Fail("run length %d with %d files left in job", length, left)
 			return dst
 		}
-		if start < 0 || start+int64(length) > maxWireFileID {
+		if start < 0 || start+int64(length) > trace.FileIDCeiling {
 			p.Fail("run [%d,%d) outside file-ID range", start, start+int64(length))
 			return dst
 		}
@@ -149,6 +192,7 @@ type wal struct {
 	path        string
 	pendIDs     []trace.FileID // flat arena of the accumulating batch's file lists
 	pendLens    []int          // per-job list lengths within pendIDs
+	pendBytes   int            // what recordBytes said of the pending batches
 	spareIDs    []trace.FileID // committer-returned buffers for the next batch
 	spareLens   []int
 	seq         int64 // batch number the accumulating records belong to
@@ -194,13 +238,20 @@ func newWAL(f *os.File, path string, strict bool, interval time.Duration) *wal {
 // AppendBatch copies jobs into the accumulating batch's arena. In strict
 // mode it returns once the records are fsynced (an error means they may
 // not be durable); in async mode it returns after the in-memory copy and
-// the committer encodes and syncs on its cadence.
+// the committer encodes and syncs on its cadence. A batch replay would
+// refuse is refused here, with an error for this call only.
 func (w *wal) AppendBatch(jobs [][]trace.FileID) error {
+	size, err := recordBytes(jobs)
+	if err != nil {
+		return err
+	}
 	w.mu.Lock()
 	// Backpressure: when observes outrun the committer, wait for the
 	// in-flight flush instead of growing the arena without bound. This
 	// caps memory (and the async-mode loss window) at about two batches.
-	for len(w.pendIDs) >= walFlushIDs && w.err == nil {
+	// A batch that would carry the pending frame past its bound also waits,
+	// so a frame ends at a batch boundary and a batch is never split.
+	for len(w.pendLens) > 0 && (len(w.pendIDs) >= walFlushIDs || !frameFits(len(w.pendLens)+len(jobs), w.pendBytes+size)) && w.err == nil {
 		w.kickCommitter()
 		w.cond.Wait()
 	}
@@ -213,6 +264,7 @@ func (w *wal) AppendBatch(jobs [][]trace.FileID) error {
 		w.pendIDs = append(w.pendIDs, files...)
 		w.pendLens = append(w.pendLens, len(files))
 	}
+	w.pendBytes += size
 	w.appended.Add(int64(len(jobs)))
 	seq := w.seq
 	if w.strict {
@@ -351,7 +403,7 @@ func (w *wal) flush(sync bool) {
 	ids, lens := w.pendIDs, w.pendLens
 	if n > 0 {
 		seq = w.seq
-		w.pendIDs, w.pendLens = w.spareIDs[:0], w.spareLens[:0]
+		w.pendIDs, w.pendLens, w.pendBytes = w.spareIDs[:0], w.spareLens[:0], 0
 		w.seq++
 		// The arena is empty again: wake appenders blocked on backpressure
 		// now, so they refill it while this batch encodes and writes.
@@ -515,6 +567,9 @@ func walReplay(path string, wantEpoch uint64, wantBase int64, apply func([]trace
 			start := len(arena)
 			arena = jobIDs(p, arena)
 			batch = append(batch, arena[start:len(arena):len(arena)])
+			if len(arena) > walChunkIDs {
+				p.Fail("frame passes %d file IDs", walChunkIDs)
+			}
 		}
 		if p.Err() == nil && p.Remaining() != 0 {
 			p.Fail("%d bytes after last job record", p.Remaining())

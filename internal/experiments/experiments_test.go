@@ -5,11 +5,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"filecule/internal/cache"
 	"filecule/internal/report"
 	"filecule/internal/sim"
 	"filecule/internal/synth"
+	"filecule/internal/trace"
 )
 
 // generated returns a Runner over the DZero workload at seed and scale.
@@ -276,6 +278,30 @@ func TestPartialRowOrder(t *testing.T) {
 			first = lines
 		} else if !slices.Equal(lines, first) {
 			t.Fatalf("run %d differs from run 0:\n%q\n%q", run, lines, first)
+		}
+	}
+}
+
+// TestSection6OnOneSite: on a one-site workload every job runs at the hub and
+// nothing is fetched over the WAN, so each Section 6 replay experiment prints
+// a note saying so in place of a table of zeros.
+func TestSection6OnOneSite(t *testing.T) {
+	b := trace.NewBuilder()
+	site := b.Site("lab", ".com", 4)
+	user := b.User("u", site)
+	files := []trace.FileID{b.File("a", 1<<30, trace.TierThumbnail), b.File("b", 1<<30, trace.TierThumbnail)}
+	start := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 20; i++ {
+		b.SimpleJob(user, site, start.Add(time.Duration(i)*time.Hour), files[:1+i%2])
+	}
+	r := NewForTrace(b.Build(), 0.01)
+	for _, id := range []string{"replication", "replsweep", "placement"} {
+		res, err := r.Run(id)
+		if err != nil {
+			t.Fatalf("Run(%s): %v", id, err)
+		}
+		if len(res.Tables) != 0 || len(res.Notes) != 1 || !strings.Contains(res.Notes[0], "hub") {
+			t.Errorf("%s: %d tables, notes %q; want only the hub-only note", id, len(res.Tables), res.Notes)
 		}
 	}
 }

@@ -140,6 +140,9 @@ func (r *Runner) fileBundle() (*Result, error) {
 // replSweep sweeps the replication budget, showing how the file-vs-filecule
 // placement gap evolves with available replica space.
 func (r *Runner) replSweep() (*Result, error) {
+	if res := r.hubOnly(); res != nil {
+		return res, nil
+	}
 	tb := report.NewTable("replication budget sweep (WAN GB and remote stalled jobs per strategy)",
 		"budget (full-scale TB)", "none GB", "none stalled", "popular-files GB", "popular-files stalled",
 		"popular-filecules GB", "popular-filecules stalled")
@@ -202,6 +205,9 @@ func (r *Runner) chunkSwarm() (*Result, error) {
 // peer-assisted grid: where replicas sit decides hub offload and stage
 // latency, because sites can fetch pinned replicas from each other.
 func (r *Runner) placement() (*Result, error) {
+	if res := r.hubOnly(); res != nil {
+		return res, nil
+	}
 	history, future, p := r.split()
 	budget, cfg := r.section6(20)
 	cfg.HubSiteBandwidth = 20e9 / 8

@@ -92,6 +92,20 @@ func (r *Runner) section6(budgetTB float64) (int64, grid.Config) {
 	}
 }
 
+// hubOnly is the result that replaces a Section 6 table when no job of the
+// replayed window runs away from the hub: nothing is fetched over the WAN,
+// so every row would print zeros that measured nothing.
+func (r *Runner) hubOnly() *Result {
+	_, future, _ := r.split()
+	hub := grid.Hub(future)
+	for i := range future.Jobs {
+		if future.Jobs[i].Site != hub {
+			return nil
+		}
+	}
+	return &Result{Notes: []string{"every replayed job runs at the hub site, so no fetch is remote: this experiment measures nothing on this workload"}}
+}
+
 // replicate plans each strategy on Section 6's history window at the
 // budget of budgetTB and replays the future through the grid.
 func (r *Runner) replicate(budgetTB float64, strategies ...replica.Strategy) ([]replica.Outcome, error) {
@@ -119,6 +133,9 @@ func (filesThenComplete) Plan(h *trace.Trace, p *core.Partition, budget int64) m
 // replication runs the Section 6 replication comparison at 20 TB of replica
 // space per site (full scale).
 func (r *Runner) replication() (*Result, error) {
+	if res := r.hubOnly(); res != nil {
+		return res, nil
+	}
 	outs, err := r.replicate(20, replica.NoReplication{}, replica.PopularFiles{},
 		replica.PopularFilecules{}, filesThenComplete{})
 	if err != nil {

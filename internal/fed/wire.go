@@ -73,7 +73,6 @@ const (
 	maxSiteName     = 200
 	maxFedGroups    = 1 << 22
 	maxFedFiles     = 1 << 24
-	maxFedFileID    = 1 << 31
 	fedChunkBytes   = 1 << 18
 	maxFedDeltaSize = 1 << 28
 	maxFedAckSize   = 1 << 12
@@ -259,7 +258,7 @@ func decodeDelta(b []byte) (*delta, error) {
 		switch kind {
 		case KindGroups:
 			p := trace.NewPayload(payload)
-			d.Records = core.ReadStateGroups(p, d.Records, maxFedFileID, &filesLeft)
+			d.Records = core.ReadStateGroups(p, d.Records, trace.FileIDCeiling, &filesLeft)
 			if p.Err() != nil {
 				return nil, fmt.Errorf("fed: %w", &trace.ChunkError{Offset: boundary, Kind: kind, Err: p.Err()})
 			}

@@ -127,9 +127,18 @@ func (st *site) pins(f trace.FileID) bool { return st.pinned != nil && st.pinned
 // hubDomain is the mass store's domain: FermiLab's, in the DZero trace.
 const hubDomain = ".gov"
 
-// New builds a System for the trace. The hub is the first site in
-// hubDomain, which need not be site 0 (the busiest); with no such site, the
-// hub is site 0.
+// Hub returns the trace's hub site: the first site in hubDomain, which need
+// not be site 0 (the busiest); with no such site, site 0.
+func Hub(t *trace.Trace) trace.SiteID {
+	for i := range t.Sites {
+		if t.Sites[i].Domain == hubDomain {
+			return trace.SiteID(i)
+		}
+	}
+	return 0
+}
+
+// New builds a System for the trace, its hub at Hub(t).
 func New(t *trace.Trace, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -138,16 +147,10 @@ func New(t *trace.Trace, cfg Config) (*System, error) {
 	if !ok {
 		return nil, fmt.Errorf("grid: trace has no jobs")
 	}
-	s := &System{tr: t, kernel: sim.New(start), seen: make([]int, len(t.Files)),
+	s := &System{tr: t, hub: Hub(t), kernel: sim.New(start), seen: make([]int, len(t.Files)),
 		pending: make([]int64, len(t.Sites)+1)}
 	s.net = NewNetwork(s.kernel)
 	s.store = s.net.NewEndpoint(math.Inf(1), math.Inf(1))
-	for i := range t.Sites {
-		if t.Sites[i].Domain == hubDomain {
-			s.hub = trace.SiteID(i)
-			break
-		}
-	}
 	for i := range t.Sites {
 		bw := cfg.SiteBandwidth
 		if trace.SiteID(i) == s.hub {

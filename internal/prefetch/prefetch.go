@@ -200,8 +200,6 @@ func (p *ProbGraph) addEdge(from, to trace.FileID) {
 // filecule-LRU design.
 type Filecules struct {
 	part *core.Partition
-	// MaxFiles bounds a single suggestion burst (0 = unlimited).
-	MaxFiles int
 }
 
 // NewFilecules returns the filecule predictor.
@@ -223,9 +221,6 @@ func (p *Filecules) Suggest(_ trace.JobID, f trace.FileID) []trace.FileID {
 		if g != f {
 			out = append(out, g)
 		}
-	}
-	if p.MaxFiles > 0 && len(out) > p.MaxFiles {
-		out = out[:p.MaxFiles]
 	}
 	return out
 }

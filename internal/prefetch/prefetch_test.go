@@ -219,10 +219,6 @@ func TestFileculesPrefetcher(t *testing.T) {
 	if got2 := p.Suggest(0, 3); len(got2) != 0 {
 		t.Errorf("singleton filecule suggested %v", got2)
 	}
-	p.MaxFiles = 1
-	if got3 := p.Suggest(0, 0); len(got3) != 1 {
-		t.Errorf("MaxFiles cap ignored: %v", got3)
-	}
 }
 
 func TestPrefetcherInSimulator(t *testing.T) {

@@ -2,14 +2,17 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"filecule/internal/core"
 	"filecule/internal/durable"
 	"filecule/internal/synth"
 	"filecule/internal/trace"
+	"filecule/internal/wire"
 )
 
 // durableServer returns a server whose observes flow through the durability
@@ -80,6 +83,88 @@ func TestDurableObserveSurvivesRestart(t *testing.T) {
 	ref := core.Identify(&trace.Trace{Files: tr.Files, Jobs: tr.Jobs[:half]})
 	if !ref.Equal(d2.Core().Snapshot()) {
 		t.Error("recovered engine partition differs from core.Identify over observed jobs")
+	}
+}
+
+// TestDurableKeepsEveryAcknowledgedJob sends, over each surface in
+// strict-commit mode, an ordinary job, a job of exactly trace.MaxJobFiles
+// files and another ordinary job: a restart recovers all three, as
+// core.Identify partitions them. A job one file over the bound is a 400 that
+// never reaches the WAL.
+func TestDurableKeepsEveryAcknowledgedJob(t *testing.T) {
+	jobs := [][]trace.FileID{{5, 6, 7}, make([]trace.FileID, trace.MaxJobFiles), {6, 7}}
+	over := make([]trace.FileID, trace.MaxJobFiles+1)
+	surfaces := []struct {
+		name    string
+		observe func(t *testing.T, s *Server) func([]trace.FileID) int
+	}{
+		{"http", func(t *testing.T, s *Server) func([]trace.FileID) int {
+			return func(files []trace.FileID) int {
+				body, err := json.Marshal(JobBody{Files: files})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return do(s, "POST", "/v1/jobs", string(body)).Code
+			}
+		}},
+		{"wire", func(t *testing.T, s *Server) func([]trace.FileID) int {
+			l := listen(t)
+			startWireOn(t, s, l)
+			c, err := wire.Dial(l.Addr().String(), 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return func(files []trace.FileID) int {
+				var re *wire.RemoteError
+				if _, err := c.Observe(files); errors.As(err, &re) {
+					return re.Code
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				return http.StatusOK
+			}
+		}},
+	}
+	for _, sf := range surfaces {
+		t.Run(sf.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := durable.Open(durable.Options{Dir: dir, SyncCommit: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			observe := sf.observe(t, New(Config{Durable: d}))
+			for i, files := range jobs {
+				if code := observe(files); code != http.StatusOK {
+					t.Fatalf("job %d of %d files: %d, want 200", i, len(files), code)
+				}
+			}
+			if code := observe(over); code != http.StatusBadRequest {
+				t.Errorf("job of %d files: %d, want 400", len(over), code)
+			}
+			if got := d.Stats().WALAppended; got != int64(len(jobs)) {
+				t.Errorf("WAL took %d jobs, want %d", got, len(jobs))
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			d2, err := durable.Open(durable.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d2.Close()
+			if rec := d2.Recovery(); rec.Observed != int64(len(jobs)) || rec.TruncatedBytes != 0 {
+				t.Fatalf("recovered %d jobs with %d bytes truncated, want %d and none", rec.Observed, rec.TruncatedBytes, len(jobs))
+			}
+			tr := &trace.Trace{Files: make([]trace.File, 8)}
+			for _, files := range jobs {
+				tr.Jobs = append(tr.Jobs, trace.Job{Files: files})
+			}
+			if !core.Identify(tr).Equal(d2.Core().Snapshot()) {
+				t.Error("recovered partition differs from core.Identify over the acknowledged jobs")
+			}
+		})
 	}
 }
 

@@ -78,8 +78,7 @@ type Config struct {
 // limits are the JSON decoder's budgets. New sets them; tests narrow one to
 // reach a bound cheaply.
 type limits struct {
-	bodyBytes int64 // request body cap
-	batchJobs int   // jobs per batch request
+	bodyBytes int64 // request body cap; what the body may hold is the wire.Service's
 	// bodyRead bounds reading any single request body via a per-request
 	// connection read deadline, independent of the server-wide ReadTimeout.
 	// This is the slowloris guard: a client trickling body bytes is cut off
@@ -123,7 +122,7 @@ func New(cfg Config) *Server {
 	cfg.Catalog = nil // the caller's catalog, names and all, is not held
 	s := &Server{
 		cfg:     cfg,
-		lim:     limits{bodyBytes: 32 << 20, batchJobs: wire.MaxBatchJobs, bodyRead: 30 * time.Second},
+		lim:     limits{bodyBytes: 32 << 20, bodyRead: 30 * time.Second},
 		svc:     svc,
 		metrics: NewMetrics(),
 		mux:     http.NewServeMux(),
@@ -141,7 +140,7 @@ func New(cfg Config) *Server {
 		fc := *cfg.Fed
 		fc.Self = svc.Engine
 		if fc.MaxFiles == 0 && svc.Catalog != nil {
-			// Bound incoming deltas by the catalog, as Service.CheckFiles
+			// Bound incoming deltas by the catalog, as Service.CheckJobs
 			// bounds observes: remote state may never reference a file the
 			// local catalog cannot resolve.
 			fc.MaxFiles = svc.Catalog.NumFiles()
@@ -332,7 +331,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &body) {
 		return
 	}
-	if rerr := s.svc.CheckFiles(body.Files); rerr != nil {
+	if rerr := s.svc.CheckJobs(body.Files); rerr != nil {
 		reply(w, nil, rerr)
 		return
 	}
@@ -345,17 +344,13 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &body) {
 		return
 	}
-	if rerr := wire.CheckBatchJobs(len(body.Jobs), s.lim.batchJobs); rerr != nil {
-		reply(w, nil, rerr)
-		return
-	}
 	jobs := make([][]trace.FileID, len(body.Jobs))
 	for i, j := range body.Jobs {
-		if rerr := s.svc.CheckFiles(j.Files); rerr != nil {
-			writeError(w, rerr.Code, "job %d: %s", i, rerr.Msg)
-			return
-		}
 		jobs[i] = j.Files
+	}
+	if rerr := s.svc.CheckJobs(jobs...); rerr != nil {
+		reply(w, nil, rerr)
+		return
 	}
 	res, rerr := s.svc.ObserveBatch(jobs)
 	reply(w, res, rerr)
@@ -448,7 +443,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if rerr := s.svc.CheckFiles(req.Files); rerr != nil {
+	if rerr := s.svc.CheckJobs(req.Files); rerr != nil {
 		reply(w, nil, rerr)
 		return
 	}

@@ -274,10 +274,10 @@ func TestClientErrors(t *testing.T) {
 
 func TestBatchLimit(t *testing.T) {
 	s := New(Config{})
-	s.lim.batchJobs = 2
-	w := do(s, "POST", "/v1/jobs/batch", `{"jobs":[{"files":[1]},{"files":[2]},{"files":[3]}]}`)
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("oversized batch: %d, want 400", w.Code)
+	over := `{"jobs":[` + strings.Repeat(`{"files":[1]},`, wire.MaxBatchJobs) + `{"files":[2]}]}`
+	w := do(s, "POST", "/v1/jobs/batch", over)
+	if w.Code != http.StatusBadRequest || s.Engine().Observed() != 0 {
+		t.Errorf("oversized batch: %d with %d jobs observed, want 400 and none", w.Code, s.Engine().Observed())
 	}
 }
 

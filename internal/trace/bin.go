@@ -61,10 +61,6 @@ const (
 	// maxBinChunkPayload bounds a single chunk so corrupt length prefixes
 	// cannot force huge allocations.
 	maxBinChunkPayload = 1 << 26
-	// maxBinChunkListEntries bounds the expanded file-ID entries per
-	// chunk (runs expand cheaply, so the cap is enforced on both sides:
-	// the encoder flushes early, the decoder rejects).
-	maxBinChunkListEntries = 1 << 22
 	// maxBinDurSeconds / maxBinAbsStart keep start+duration arithmetic
 	// far from int64 overflow.
 	maxBinDurSeconds = int64(1) << 40
@@ -261,10 +257,13 @@ func (bw *BinWriter) writeJob(j *Job) error {
 	if len(j.Outputs) > 0 && bw.listIdx[string(outsEnc)] == 0 {
 		newEntries += len(j.Outputs)
 	}
-	if newEntries > maxBinChunkListEntries {
-		return fmt.Errorf("trace: bin: job %d has %d file-list entries (chunk limit %d)", id, newEntries, maxBinChunkListEntries)
+	// A chunk's interned file lists hold at most MaxJobFiles entries in all,
+	// so one maximal job fits a chunk: the encoder flushes early, the decoder
+	// rejects.
+	if newEntries > MaxJobFiles {
+		return fmt.Errorf("trace: bin: job %d has %d file-list entries (chunk limit %d)", id, newEntries, MaxJobFiles)
 	}
-	if bw.n > 0 && (bw.n >= binChunkJobs || bw.listEntries+newEntries > maxBinChunkListEntries) {
+	if bw.n > 0 && (bw.n >= binChunkJobs || bw.listEntries+newEntries > MaxJobFiles) {
 		if err := bw.flushJobs(); err != nil {
 			return err
 		}
@@ -802,7 +801,7 @@ func (c *binJobChunk) decode(payload []byte, nFiles, nUsers, nSites int, intern 
 				b.fail("bad varint")
 				return binChunkErr(b)
 			}
-			if length == 0 || length > uint64(maxBinChunkListEntries) {
+			if length == 0 || length > uint64(MaxJobFiles) {
 				b.pos = pos
 				b.fail("list %d run length %d out of range", i, length)
 				return binChunkErr(b)
@@ -812,10 +811,10 @@ func (c *binJobChunk) decode(payload []byte, nFiles, nUsers, nSites int, intern 
 				b.fail("list %d references file IDs %d..%d outside catalog of %d", i, start, start+int64(length)-1, nFiles)
 				return binChunkErr(b)
 			}
-			if len(c.listArena)-from+int(length) > maxBinChunkListEntries ||
-				len(c.listArena)+int(length) > maxBinChunkListEntries {
+			if len(c.listArena)-from+int(length) > MaxJobFiles ||
+				len(c.listArena)+int(length) > MaxJobFiles {
 				b.pos = pos
-				b.fail("chunk file-list entries exceed limit %d", maxBinChunkListEntries)
+				b.fail("chunk file-list entries exceed limit %d", MaxJobFiles)
 				return binChunkErr(b)
 			}
 			// Extend the arena without zeroing when capacity allows (the

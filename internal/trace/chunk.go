@@ -25,6 +25,22 @@ import (
 // cannot force huge allocations.
 const MaxChunkPayload = maxBinChunkPayload
 
+// The bounds of the observe path, stated once for every codec that carries
+// jobs: the bin trace chunks, the wire frames, the JSON bodies and the
+// write-ahead log. Each writer refuses what its reader refuses, so a job a
+// writer accepted can always be read back. Runs expand cheaply, so readers
+// check these before they allocate.
+const (
+	// MaxJobFiles bounds one job's file list.
+	MaxJobFiles = 1 << 22
+	// MaxBatchFiles bounds the file IDs of one batch of jobs: a 32 MiB JSON
+	// body, at two bytes or more an ID, holds fewer.
+	MaxBatchFiles = 1 << 24
+	// FileIDCeiling bounds every file ID from above (exclusive): FileID is an
+	// int32.
+	FileIDCeiling = 1 << 31
+)
+
 // ChunkError reports a frame that could not be read: the byte offset of the
 // frame's first byte within the stream (after any magic the caller consumed
 // before handing the reader its io.Reader), the chunk kind when the kind

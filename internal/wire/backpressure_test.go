@@ -19,7 +19,7 @@ func TestHostilePipelining(t *testing.T) {
 	defer cliConn.Close()
 	s := newTestServer(16, 10)
 	s.WriteTimeout = 100 * time.Millisecond
-	s.lim.pipeline, s.lim.idle = 4, 5*time.Second
+	s.flow.pipeline, s.flow.idle = 4, 5*time.Second
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -60,7 +60,7 @@ func TestPipelineCapStillAnswersEverything(t *testing.T) {
 	srvConn, cliConn := net.Pipe()
 	s := newTestServer(16, 10)
 	s.WriteTimeout = 2 * time.Second
-	s.lim.pipeline, s.lim.idle = 2, 5*time.Second
+	s.flow.pipeline, s.flow.idle = 2, 5*time.Second
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -119,7 +119,7 @@ func TestFedDeltaErrorsClose(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s := newFedTestServer(t, 16)
 			if c.limit > 0 {
-				s.lim.delta = c.limit
+				s.flow.delta = c.limit
 			}
 			out, err := runStream(t, s, c.in)
 			if err == nil {

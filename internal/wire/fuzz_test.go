@@ -58,7 +58,7 @@ func FuzzWireProto(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s := newFedTestServer(t, 16)
-		s.lim.batchJobs = 64
+		s.Service.lim = narrowed(func(l *limits) { l.batchJobs = 64 })
 		var out bytes.Buffer
 		err := s.serveStream(&connState{},
 			bufio.NewReader(bytes.NewReader(in)), bufio.NewWriter(&out), nil)

@@ -31,15 +31,13 @@ type Server struct {
 	// the operation, e.g. "wire_fed_exchange") with an HTTP-aligned code.
 	Metrics func(route string, code int, d time.Duration)
 
-	lim limits
+	flow flowLimits
 }
 
-// limits are a frame server's decode and flow budgets. NewServer sets them;
-// tests narrow one to reach a bound cheaply.
-type limits struct {
-	batchJobs  int // jobs per 'B' request
-	jobFiles   int // one job's expanded file list
-	batchFiles int // expanded file IDs across one 'B' request
+// flowLimits are a frame server's flow budgets; what a request may hold is
+// the Service's (see limits). NewServer sets them; tests narrow one to reach
+// a bound cheaply.
+type flowLimits struct {
 	// pipeline bounds the responses a connection may have pending (answered
 	// but not yet flushed to the socket): a client pipelining more than this
 	// many requests without draining responses forces a flush, which blocks
@@ -58,13 +56,10 @@ func NewServer(svc *Service) *Server {
 	return &Server{
 		Service:      svc,
 		WriteTimeout: 60 * time.Second,
-		lim: limits{
-			batchJobs:  MaxBatchJobs,
-			jobFiles:   maxJobFiles,
-			batchFiles: maxBatchFiles,
-			pipeline:   64,
-			idle:       120 * time.Second,
-			delta:      fed.MaxDeltaSize,
+		flow: flowLimits{
+			pipeline: 64,
+			idle:     120 * time.Second,
+			delta:    fed.MaxDeltaSize,
 		},
 	}
 }
@@ -149,7 +144,7 @@ type connDeadlines struct {
 }
 
 func (s *Server) handleConn(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(s.lim.idle))
+	conn.SetReadDeadline(time.Now().Add(s.flow.idle))
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != Magic {
@@ -163,7 +158,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	dl := &connDeadlines{
-		read:  func() { conn.SetReadDeadline(time.Now().Add(s.lim.idle)) },
+		read:  func() { conn.SetReadDeadline(time.Now().Add(s.flow.idle)) },
 		write: func() { conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)) },
 	}
 	s.serveStream(&connState{}, br, bw, dl)
@@ -172,7 +167,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // serveStream runs the post-magic frame loop: read a request frame,
 // dispatch, append the response, and flush once all buffered input is
 // drained (so a pipelined burst of requests is answered with one write) or
-// once limits.pipeline responses are pending: a hostile pipeliner that never
+// once flowLimits.pipeline responses are pending: a hostile pipeliner that never
 // drains blocks on its own connection (and is disconnected by the write
 // deadline) instead of queueing responses without limit. dl, when non-nil,
 // re-arms the connection deadlines. The returned error is nil on clean EOF.
@@ -218,7 +213,7 @@ func (s *Server) serveStream(st *connState, br *bufio.Reader, bw *bufio.Writer, 
 			s.Metrics(route, code, time.Since(t0))
 		}
 		pending++
-		if br.Buffered() == 0 || pending >= s.lim.pipeline {
+		if br.Buffered() == 0 || pending >= s.flow.pipeline {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -282,7 +277,7 @@ func (st *connState) reqErr(off int64) *RemoteError {
 }
 
 func (s *Server) handleObserve(st *connState, off int64) *RemoteError {
-	st.files = st.pl.FileRuns(st.files[:0], s.MaxID(), s.lim.jobFiles)
+	st.files = st.pl.FileRuns(st.files[:0], s.MaxID(), s.limits().jobFiles)
 	if rerr := st.reqErr(off); rerr != nil {
 		return rerr
 	}
@@ -294,9 +289,10 @@ func (s *Server) handleObserve(st *connState, off int64) *RemoteError {
 }
 
 func (s *Server) handleBatch(st *connState, off int64) *RemoteError {
+	lim := s.limits()
 	n := st.pl.Count("job")
 	if st.pl.Err() == nil {
-		if rerr := CheckBatchJobs(n, s.lim.batchJobs); rerr != nil {
+		if rerr := lim.checkBatchJobs(n); rerr != nil {
 			return rerr
 		}
 	}
@@ -309,7 +305,7 @@ func (s *Server) handleBatch(st *connState, off int64) *RemoteError {
 	// with a cursor error naming the limit, answered 400 below.
 	maxID := s.MaxID()
 	for i := 0; i < n && st.pl.Err() == nil; i++ {
-		budget := min(s.lim.batchFiles-len(st.jobFiles), s.lim.jobFiles)
+		budget := min(lim.batchFiles-len(st.jobFiles), lim.jobFiles)
 		st.jobFiles = st.pl.FileRuns(st.jobFiles, maxID, budget)
 		st.jobEnds = append(st.jobEnds, len(st.jobFiles))
 	}
@@ -336,7 +332,7 @@ func (s *Server) handleAdvise(st *connState, off int64) *RemoteError {
 	// refuses like any other non-positive capacity; a resident unit that
 	// large narrows to a negative ID, which names no unit. Both are 400s.
 	req := cache.AdviceRequest{Capacity: int64(st.pl.Uvarint())}
-	st.files = st.pl.FileRuns(st.files[:0], s.MaxID(), s.lim.jobFiles)
+	st.files = st.pl.FileRuns(st.files[:0], s.MaxID(), s.limits().jobFiles)
 	st.resident = st.resident[:0]
 	for n := st.pl.Count("resident unit"); n > 0 && st.pl.Err() == nil; n-- {
 		st.resident = append(st.resident, cache.ResidentUnit{
@@ -387,8 +383,8 @@ func (s *Server) readDelta(cr *trace.ChunkReader, header []byte, dl *connDeadlin
 		case kind != fed.KindGroups && kind != fed.KindLive && kind != fed.KindEnd:
 			return nil, fmt.Errorf("frame %q at byte offset %d inside a federation delta", kind, off)
 		}
-		if delta = trace.AppendChunk(delta, payload); len(delta) > s.lim.delta {
-			return nil, fmt.Errorf("federation delta passes %d bytes at byte offset %d", s.lim.delta, off)
+		if delta = trace.AppendChunk(delta, payload); len(delta) > s.flow.delta {
+			return nil, fmt.Errorf("federation delta passes %d bytes at byte offset %d", s.flow.delta, off)
 		}
 		if kind == fed.KindEnd {
 			return delta, nil

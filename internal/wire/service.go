@@ -42,6 +42,40 @@ type Service struct {
 	// gran is the advice granularity, rebuilt only when the engine's
 	// membership has moved past the partition it was built from.
 	gran atomic.Pointer[cache.FileculeGranularity]
+	// lim, when non-nil, narrows requestLimits: tests reach a bound cheaply
+	// through it, on both surfaces at once.
+	lim *limits
+}
+
+// limits bound what one request may hold. The Service owns them for both
+// surfaces: the JSON handlers pass what they decoded to CheckJobs, and the
+// frame decoder applies the same numbers while it expands runs, so a
+// compact run encoding never materialises more than a JSON body could say.
+type limits struct {
+	batchJobs  int // jobs per batch request
+	jobFiles   int // file IDs of one job or one advice request
+	batchFiles int // file IDs across one batch request
+}
+
+// requestLimits are the protocol's: a request the Service accepts is one
+// the write-ahead log takes and replays (trace owns the per-job and
+// per-batch file counts).
+var requestLimits = limits{batchJobs: MaxBatchJobs, jobFiles: trace.MaxJobFiles, batchFiles: trace.MaxBatchFiles}
+
+func (s *Service) limits() *limits {
+	if s.lim != nil {
+		return s.lim
+	}
+	return &requestLimits
+}
+
+// checkBatchJobs refuses a batch of n jobs over the limit. The frame decoder
+// asks before it materialises the batch.
+func (l *limits) checkBatchJobs(n int) *RemoteError {
+	if n > l.batchJobs {
+		return failf(CodeBadRequest, "batch of %d jobs exceeds limit %d", n, l.batchJobs)
+	}
+	return nil
 }
 
 func failf(code int, format string, args ...any) *RemoteError {
@@ -53,26 +87,44 @@ func (s *Service) MaxID() int64 {
 	if s.Catalog != nil {
 		return int64(s.Catalog.NumFiles())
 	}
-	return maxAnyFileID
+	return trace.FileIDCeiling
 }
 
-// CheckFiles validates already-decoded file IDs against MaxID. The frame
-// decoder applies the same bound while it expands run lengths.
-func (s *Service) CheckFiles(files []trace.FileID) *RemoteError {
-	maxID := s.MaxID()
-	for _, f := range files {
-		if f < 0 || int64(f) >= maxID {
-			return failf(CodeBadRequest, "file ID %d out of range [0, %d)", f, maxID)
+// CheckJobs is the one check of a decoded request's file lists: at most
+// MaxBatchJobs lists, each of at most trace.MaxJobFiles IDs and
+// trace.MaxBatchFiles in all, every ID in [0, MaxID). An observe or advice
+// request is one list; a batch names the job at fault.
+func (s *Service) CheckJobs(jobs ...[]trace.FileID) *RemoteError {
+	lim := s.limits()
+	if rerr := lim.checkBatchJobs(len(jobs)); rerr != nil {
+		return rerr
+	}
+	maxID, total := s.MaxID(), 0
+	for i, files := range jobs {
+		total += len(files)
+		if rerr := lim.checkJob(files, total, maxID); rerr != nil {
+			if len(jobs) > 1 {
+				rerr.Msg = fmt.Sprintf("job %d: %s", i, rerr.Msg)
+			}
+			return rerr
 		}
 	}
 	return nil
 }
 
-// CheckBatchJobs rejects a batch of n jobs over limit. Each decoder asks
-// before it hands (or, for frames, before it materialises) the batch.
-func CheckBatchJobs(n, limit int) *RemoteError {
-	if n > limit {
-		return failf(CodeBadRequest, "batch of %d jobs exceeds limit %d", n, limit)
+// checkJob refuses one job's files, total being the batch's IDs up to and
+// including them.
+func (l *limits) checkJob(files []trace.FileID, total int, maxID int64) *RemoteError {
+	if len(files) > l.jobFiles {
+		return failf(CodeBadRequest, "job of %d files exceeds limit %d", len(files), l.jobFiles)
+	}
+	if total > l.batchFiles {
+		return failf(CodeBadRequest, "batch passes %d files", l.batchFiles)
+	}
+	for _, f := range files {
+		if f < 0 || int64(f) >= maxID {
+			return failf(CodeBadRequest, "file ID %d out of range [0, %d)", f, maxID)
+		}
 	}
 	return nil
 }
@@ -84,7 +136,7 @@ func (s *Service) observed(err error) (ObserveReply, *RemoteError) {
 	return ObserveReply{Observed: s.Engine.Observed(), Filecules: s.Engine.NumFilecules()}, nil
 }
 
-// Observe folds one job whose file IDs the caller has bounded by MaxID.
+// Observe folds one job that passed CheckJobs or the frame decoder.
 func (s *Service) Observe(files []trace.FileID) (ObserveReply, *RemoteError) {
 	if s.Journal != nil {
 		return s.observed(s.Journal.Observe(files))
@@ -185,7 +237,7 @@ func (s *Service) Granularity() (*cache.FileculeGranularity, *RemoteError) {
 // Advise plans req against the current membership with the caller's planner
 // (a zero Planner works; a connection keeps one so steady-state advice
 // allocates nothing). The plan is valid until pl is used again. req.Files
-// must already be bounded by MaxID.
+// must already have passed CheckJobs or the frame decoder.
 func (s *Service) Advise(pl *cache.Planner, req cache.AdviceRequest) (*cache.Advice, *RemoteError) {
 	g, rerr := s.Granularity()
 	if rerr != nil {

@@ -111,25 +111,8 @@ const (
 	CodeInternal    = 500
 )
 
-// maxAnyFileID bounds file IDs in replies, which a client decodes without a
-// catalog: any non-negative int32.
-const maxAnyFileID = 1 << 31
-
 // MaxBatchJobs caps the jobs of one batch request on both surfaces.
 const MaxBatchJobs = 10000
-
-// maxJobFiles caps one job's expanded file list. The HTTP surface caps bodies
-// at 32 MiB of JSON, which bounds a job to a few million file IDs; this is
-// the binary equivalent.
-const maxJobFiles = 1 << 22
-
-// maxBatchFiles caps the total expanded file IDs across one 'B' request. The
-// per-job and per-batch caps alone are not enough: run-length encoding lets
-// ~6 bytes expand to a full job's worth of IDs, so a ~70 KB frame could
-// otherwise legally decode to jobs × jobFiles ≈ 4e10 IDs. A 32 MiB JSON batch
-// body spends ≥ 2 bytes per ID, bounding it to ~16M files; this is the binary
-// equivalent.
-const maxBatchFiles = 1 << 24
 
 // --- request encoders (client side; also the fuzz seed builders) ---
 
@@ -322,13 +305,13 @@ func decodeAdviceReply(pl *trace.Payload) (*AdviceReply, error) {
 	}
 	for n := pl.Count("load unit"); n > 0 && pl.Err() == nil; n-- {
 		lu := cache.LoadUnit{Unit: cache.UnitID(pl.Uvarint()), Bytes: int64(pl.Uvarint())}
-		lu.Files = pl.FileRuns(nil, maxAnyFileID, maxJobFiles)
+		lu.Files = pl.FileRuns(nil, trace.FileIDCeiling, trace.MaxJobFiles)
 		r.Load = append(r.Load, lu)
 	}
 	for n := pl.Count("evict"); n > 0 && pl.Err() == nil; n-- {
 		r.Evict = append(r.Evict, cache.UnitID(pl.Uvarint()))
 	}
-	r.Bypassed = pl.FileRuns(nil, maxAnyFileID, maxJobFiles)
+	r.Bypassed = pl.FileRuns(nil, trace.FileIDCeiling, trace.MaxJobFiles)
 	r.BytesToLoad = int64(pl.Uvarint())
 	r.BytesToEvict = int64(pl.Uvarint())
 	return r, replyErr(pl, "advice")
@@ -339,7 +322,7 @@ func decodePartitionReply(pl *trace.Payload) (*PartitionReply, error) {
 	n := pl.Count("filecule")
 	for i := 0; i < n && pl.Err() == nil; i++ {
 		fc := FileculeLookupReply{ID: i, Requests: int(pl.Uvarint()), Bytes: int64(pl.Uvarint())}
-		fc.Files = pl.FileRuns(nil, maxAnyFileID, maxAnyFileID)
+		fc.Files = pl.FileRuns(nil, trace.FileIDCeiling, trace.FileIDCeiling)
 		r.Filecules = append(r.Filecules, fc)
 	}
 	return r, replyErr(pl, "partition")
@@ -363,7 +346,7 @@ func decodeFileculeReply(pl *trace.Payload) (*FileculeLookupReply, error) {
 		Requests: int(pl.Uvarint()),
 		Bytes:    int64(pl.Uvarint()),
 	}
-	r.Files = pl.FileRuns(nil, maxAnyFileID, maxAnyFileID)
+	r.Files = pl.FileRuns(nil, trace.FileIDCeiling, trace.FileIDCeiling)
 	return r, replyErr(pl, "filecule")
 }
 

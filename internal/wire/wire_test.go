@@ -302,9 +302,17 @@ func TestBrokenFramingClosesWithFinalError(t *testing.T) {
 	}
 }
 
+// narrowed returns the protocol's request limits with edit applied, for a
+// test to set on a Service.
+func narrowed(edit func(*limits)) *limits {
+	l := requestLimits
+	edit(&l)
+	return &l
+}
+
 func TestBatchOverLimitRejected(t *testing.T) {
 	s := newTestServer(4, 10)
-	s.lim.batchJobs = 2
+	s.Service.lim = narrowed(func(l *limits) { l.batchJobs = 2 })
 	jobs := [][]trace.FileID{{0}, {1}, {2}}
 	_, re := answer(t, s, AppendBatchRequest(nil, jobs))
 	if re == nil || re.Code != CodeBadRequest || !strings.Contains(re.Msg, "exceeds limit 2") {
@@ -317,7 +325,7 @@ func TestBatchOverLimitRejected(t *testing.T) {
 // to jobs × jobFiles IDs, so the total across all jobs must also be capped.
 func TestBatchTotalExpansionCapped(t *testing.T) {
 	s := newTestServer(64, 10)
-	s.lim.batchFiles = 10
+	s.Service.lim = narrowed(func(l *limits) { l.batchFiles = 10 })
 
 	// 12 total files over three jobs: exceeds the batch cap even though
 	// each job is well under the per-job cap.
@@ -338,11 +346,11 @@ func TestBatchTotalExpansionCapped(t *testing.T) {
 
 // TestBatchAmplificationFrameRejected replays the review's attack shape: a
 // frame whose run-length encoding is a few bytes per job but whose decoded
-// form would be jobs × maxJobFiles IDs. It must be answered 400 without the
+// form would be jobs × MaxJobFiles IDs. It must be answered 400 without the
 // server materializing more than the batch budget.
 func TestBatchAmplificationFrameRejected(t *testing.T) {
 	s := newTestServer(0, 0)
-	s.lim.jobFiles, s.lim.batchFiles = 1<<10, 1<<12
+	s.Service.lim = narrowed(func(l *limits) { l.jobFiles, l.batchFiles = 1<<10, 1<<12 })
 	jobs := 100
 	payload := []byte{KindObserveBatch}
 	payload = binary.AppendUvarint(payload, uint64(jobs))
