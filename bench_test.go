@@ -102,7 +102,6 @@ func BenchmarkDynamics(b *testing.B)         { benchExperiment(b, "dynamics") }
 func BenchmarkPrefetchers(b *testing.B)      { benchExperiment(b, "prefetchers") }
 func BenchmarkFileBundle(b *testing.B)       { benchExperiment(b, "filebundle") }
 func BenchmarkReplicationSweep(b *testing.B) { benchExperiment(b, "replsweep") }
-func BenchmarkChunkSwarm(b *testing.B)       { benchExperiment(b, "chunkswarm") }
 func BenchmarkPlacement(b *testing.B)        { benchExperiment(b, "placement") }
 
 // --- micro-benchmarks of the building blocks ---
@@ -233,11 +232,21 @@ func BenchmarkTraceCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf writeCounter
-		if err := trace.Write(&buf, t); err != nil {
+		if err := writeText(&buf, t); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf))
 	}
+}
+
+// writeText serializes t in the v1 text format.
+func writeText(w io.Writer, t *trace.Trace) error {
+	tw, err := trace.NewTextWriter(w, t.Files, t.Users, t.Sites)
+	if err != nil {
+		return err
+	}
+	_, err = trace.CopySource(tw, trace.NewTraceSource(t))
+	return err
 }
 
 type writeCounter int
@@ -268,7 +277,7 @@ func benchDecode(b *testing.B, encode func(io.Writer, *trace.Trace) error,
 }
 
 // BenchmarkDecodeText measures full-trace parsing of the v1 text codec.
-func BenchmarkDecodeText(b *testing.B) { benchDecode(b, trace.Write, trace.Read) }
+func BenchmarkDecodeText(b *testing.B) { benchDecode(b, writeText, trace.Read) }
 
 // BenchmarkDecodeBin measures the parallel chunk decode of filecule-bin/v1.
 // The benchgate enforces a floor on DecodeBin/DecodeText (bin must stay at

@@ -4,9 +4,11 @@
 // is the same thing for options: a knob with one value. This test lists both
 // and fails on any that testOnlyExports or neverSetFields does not excuse, so
 // one is either deleted with its unit test, moved into test code, made a
-// constant, or kept for a stated reason. Exports are matched by name; fields
-// by the type that declares them, so a field another type's same-named field
-// is set through is still caught.
+// constant, or kept for a stated reason. Top-level exports and fields are
+// matched by the object they declare, so a same-named identifier used
+// elsewhere (another package's function, any type's method) hides neither;
+// methods are matched by name, since a method reached through an interface
+// is never named at its call site.
 package filecule_test
 
 import (
@@ -36,7 +38,7 @@ var testOnlyExports = map[string]string{
 	"RecvObserve":      "wire.Client, with SendObserve: the protocol's pipelining primitive; the gated BenchmarkServeTCPWire and TestClientServerOverTCP drive a depth-64 window through it",
 	"SendObserve":      "wire.Client: see RecvObserve",
 	"SimpleJob":        "trace.Builder: the small-trace fixture of a dozen test files",
-	"SitesPerFilecule": "core: synth's hot-filecule test reads the site count",
+	"SitesPerFilecule": "core: synth's hot-filecule test reads the site count, and the swarm experiment's test counts its multi-site filecules",
 	"Torn":             "trace.ChunkError: the torn-versus-corrupt tests classify errors with it",
 	"Total":            "stats.Histogram: mass-conservation tests sum the bins",
 	"Train":            "prefetch.WorkingSet: loads the history the Suggest tests match against",
@@ -74,14 +76,6 @@ var neverSetFields = map[string]string{
 	"faultnet.Plan.HealAfter":   "the eventual connectivity the convergence differential needs",
 	"faultnet.Plan.Partitioned": "the partition-and-heal tests script it",
 	"faultnet.Plan.Seed":        "the chaos tests pin the fault sequence they replay",
-
-	// Model parameters the experiments leave at their defaults and the
-	// package's own tests vary: still to settle, each with those tests, as a
-	// constant or an experiment that sweeps it.
-	"swarm.ChunkScenario.UploadSlots":   "the unchoke-slot tests set 1 and 4, with DownloadSlots",
-	"swarm.ChunkScenario.DownloadSlots": "the unchoke-slot tests",
-	"swarm.Scenario.SeedAfterDone":      "the altruistic-seeding tests turn it on",
-	"swarm.ChunkScenario.SeedAfterDone": "the altruistic-seeding tests turn it on",
 
 	// Only fed's withDefaults writes these.
 	"fed.Config.BreakerFailures": "the breaker tests open a breaker after 3 failures",
@@ -134,7 +128,8 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
-	declared := map[string]token.Pos{}    // exported name under internal/ -> a declaration
+	var declared []*ast.Ident             // exported top-level names under internal/
+	methods := map[string]token.Pos{}     // exported method name under internal/ -> a declaration
 	fieldNames := map[*ast.Ident]string{} // exported struct field under internal/ -> package.Type.Field
 	declIdent := map[*ast.Ident]bool{}
 	pkgFiles := map[string][]*ast.File{} // directory -> its package's files
@@ -161,13 +156,20 @@ func TestNoTestOnlyExports(t *testing.T) {
 		declare := func(id *ast.Ident) {
 			declIdent[id] = true
 			if id.IsExported() {
-				declared[id.Name] = id.Pos()
+				declared = append(declared, id)
 			}
 		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				declare(d.Name)
+				if d.Recv == nil {
+					declare(d.Name)
+					break
+				}
+				declIdent[d.Name] = true
+				if d.Name.IsExported() {
+					methods[d.Name.Name] = d.Name.Pos()
+				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
@@ -204,7 +206,18 @@ func TestNoTestOnlyExports(t *testing.T) {
 		fields[info.Defs[id]] = name
 	}
 
-	used, set := map[string]bool{}, map[types.Object]bool{}
+	usedName, used, set := map[string]bool{}, map[types.Object]bool{}, map[types.Object]bool{}
+	use := func(id *ast.Ident) {
+		if declIdent[id] {
+			return
+		}
+		usedName[id.Name] = true
+		obj := info.Uses[id]
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin() // a generic function's instance
+		}
+		used[obj] = true
+	}
 	setField := func(id *ast.Ident) {
 		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
 			set[v.Origin()] = true
@@ -224,17 +237,15 @@ func TestNoTestOnlyExports(t *testing.T) {
 				// names still count as uses.
 				if n.Name.Name == "withDefaults" {
 					ast.Inspect(n, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok && !declIdent[id] {
-							used[id.Name] = true
+						if id, ok := n.(*ast.Ident); ok {
+							use(id)
 						}
 						return true
 					})
 					return false
 				}
 			case *ast.Ident:
-				if !declIdent[n] {
-					used[n.Name] = true
-				}
+				use(n)
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok {
 					setField(id)
@@ -254,14 +265,25 @@ func TestNoTestOnlyExports(t *testing.T) {
 		})
 	}
 
-	for name, pos := range declared {
-		if _, excused := testOnlyExports[name]; !used[name] && !excused {
+	testOnly := map[string]token.Pos{}
+	for _, id := range declared {
+		if !used[info.Defs[id]] {
+			testOnly[id.Name] = id.Pos()
+		}
+	}
+	for name, pos := range methods {
+		if !usedName[name] {
+			testOnly[name] = pos
+		}
+	}
+	for name, pos := range testOnly {
+		if _, excused := testOnlyExports[name]; !excused {
 			t.Errorf("%s: %s is exported but only tests use it: delete it, unexport it, or add it to testOnlyExports with the reason",
 				fset.Position(pos), name)
 		}
 	}
 	for name := range testOnlyExports {
-		if _, ok := declared[name]; !ok || used[name] {
+		if _, ok := testOnly[name]; !ok {
 			t.Errorf("testOnlyExports lists %s, which is no longer a test-only export", name)
 		}
 	}

@@ -34,7 +34,11 @@ func TestObserveSourceAcrossCodecs(t *testing.T) {
 		}
 
 		var text bytes.Buffer
-		if err := trace.Write(&text, tr); err != nil {
+		tw, err := trace.NewTextWriter(&text, tr.Files, tr.Users, tr.Sites)
+		if err == nil {
+			_, err = trace.CopySource(tw, trace.NewTraceSource(tr))
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		sc, err := trace.NewScanner(bytes.NewReader(text.Bytes()))

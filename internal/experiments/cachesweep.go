@@ -8,10 +8,6 @@ import (
 	"filecule/internal/synth"
 )
 
-// Fig10CacheSizesTB are the paper's seven cache sizes in TB (at full trace
-// scale).
-var Fig10CacheSizesTB = sim.Fig10CacheSizesTB
-
 // CacheSweep runs the Figure 10 experiment — LRU at file and filecule
 // granularity over the seven sizes, one pass of the sweep engine — and
 // returns its cells granularity-major: the file cells in size order, then

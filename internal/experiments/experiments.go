@@ -16,6 +16,7 @@ import (
 	"filecule/internal/core"
 	"filecule/internal/report"
 	"filecule/internal/sim"
+	"filecule/internal/swarm"
 	"filecule/internal/trace"
 )
 
@@ -97,6 +98,10 @@ type Runner struct {
 	// and the rest is replayed.
 	history, future *trace.Trace
 	historyPart     *core.Partition
+
+	// Section 5's access intervals of every filecule under the whole-trace
+	// partition, per site and per user, memoised by intervals.
+	sites, users [][]swarm.Interval
 }
 
 // NewForTrace creates a Runner over a workload. The scale sizes the caches
@@ -176,7 +181,6 @@ var registry = []driver{
 	{"prefetchers", "Related Work prefetching baselines vs filecule LRU (Section 7)", (*Runner).prefetchers},
 	{"filebundle", "Otoo file-bundle caching vs filecule LRU (deferred comparison)", (*Runner).fileBundle},
 	{"replsweep", "replication budget sweep, files vs filecules (Section 6)", (*Runner).replSweep},
-	{"chunkswarm", "chunk-level BitTorrent cross-check (Section 5)", (*Runner).chunkSwarm},
 	{"placement", "replica placement on the peer-assisted grid (Section 6)", (*Runner).placement},
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"filecule/internal/cache"
+	"filecule/internal/core"
 	"filecule/internal/report"
 	"filecule/internal/sim"
 	"filecule/internal/synth"
@@ -116,7 +117,7 @@ func TestRunAllOrder(t *testing.T) {
 // size.
 func TestFig10Headline(t *testing.T) {
 	cells := shared.CacheSweep()
-	n := len(Fig10CacheSizesTB)
+	n := len(sim.Fig10CacheSizesTB)
 	if len(cells) != 2*n {
 		t.Fatalf("sweep returned %d cells", len(cells))
 	}
@@ -131,7 +132,7 @@ func TestFig10Headline(t *testing.T) {
 	for i, p := range pairs {
 		if p.filecule > p.file+1e-9 {
 			t.Errorf("size %v TB: filecule miss rate %v worse than file %v",
-				Fig10CacheSizesTB[i], p.filecule, p.file)
+				sim.Fig10CacheSizesTB[i], p.filecule, p.file)
 		}
 	}
 	smallGain := pairs[0].file / pairs[0].filecule
@@ -159,7 +160,7 @@ func TestFig10Headline(t *testing.T) {
 // the sweep engine, metrics and rates alike, on two seeds.
 func TestCacheSweepMatchesReference(t *testing.T) {
 	const scale = 0.02
-	n := len(Fig10CacheSizesTB)
+	n := len(sim.Fig10CacheSizesTB)
 	for _, seed := range []int64{1, 2} {
 		r := generated(seed, scale)
 		tr, p, reqs := r.Trace(), r.Partition(), r.Requests()
@@ -168,7 +169,7 @@ func TestCacheSweepMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: %d cells, want %d", seed, len(cells), 2*n)
 		}
 		for i, got := range cells {
-			tb := Fig10CacheSizesTB[i%n]
+			tb := sim.Fig10CacheSizesTB[i%n]
 			capBytes := sim.ScaledCapacity(tb, scale)
 			g, gran := cache.Granularity(cache.NewFileGranularity(tr)), "file"
 			if i >= n {
@@ -303,5 +304,54 @@ func TestSection6OnOneSite(t *testing.T) {
 		if len(res.Tables) != 0 || len(res.Notes) != 1 || !strings.Contains(res.Notes[0], "hub") {
 			t.Errorf("%s: %d tables, notes %q; want only the hub-only note", id, len(res.Tables), res.Notes)
 		}
+	}
+}
+
+// TestArrivalGapsCoverMultiSiteFilecules: swarm's whole-trace table bins
+// every filecule read at two or more sites exactly once, with its bytes,
+// and prints all six bins at every seed so the seeds fold.
+func TestArrivalGapsCoverMultiSiteFilecules(t *testing.T) {
+	tr, p := shared.Trace(), shared.Partition()
+	want, wantBytes := 0, int64(0)
+	for fc, n := range core.SitesPerFilecule(tr, p) {
+		if n >= 2 {
+			want++
+			wantBytes += p.Size(tr, fc)
+		}
+	}
+	if want == 0 {
+		t.Fatal("no filecule read at two sites; the check is vacuous")
+	}
+	got, gotBytes := 0, int64(0)
+	for _, b := range shared.arrivalGaps() {
+		got += b.filecules
+		gotBytes += b.bytes
+		if b.filecules == 0 && (b.overlap != 0 || b.downloads != 0 || b.speedups != 0) {
+			t.Errorf("empty bin with totals %+v", b)
+		}
+	}
+	if got != want || gotBytes != wantBytes {
+		t.Errorf("bins hold %d filecules of %d B, want %d of %d B", got, gotBytes, want, wantBytes)
+	}
+	res, err := shared.Run("swarm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := res.Tables[1].Rows(); len(rows) != len(arrivalGapBins) {
+		t.Errorf("whole-trace table has %d rows, want one per bin (%d)", len(rows), len(arrivalGapBins))
+	}
+
+	// A trace may hold empty files (trace.Validate allows size 0). A
+	// filecule of no bytes read at two sites has nothing to download, so
+	// the model is not run on it: it counts in the last bin, at speedup 1.
+	b := trace.NewBuilder()
+	gov, de := b.Site("gov-0", ".gov", 1), b.Site("de-0", ".de", 1)
+	empty := []trace.FileID{b.File("empty", 0, trace.TierThumbnail)}
+	start := time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC)
+	b.SimpleJob(b.User("u0", gov), gov, start, empty)
+	b.SimpleJob(b.User("u1", de), de, start.Add(time.Hour), empty)
+	bins := NewForTrace(b.Build(), 1).arrivalGaps()
+	if last := bins[len(bins)-1]; last.filecules != 1 || last.bytes != 0 || last.speedups != 1 {
+		t.Errorf("empty filecule at two sites: last bin %+v, want one filecule of 0 B at speedup 1", last)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"filecule/internal/cache"
 	"filecule/internal/core"
@@ -11,7 +10,6 @@ import (
 	"filecule/internal/replica"
 	"filecule/internal/report"
 	"filecule/internal/sim"
-	"filecule/internal/swarm"
 	"filecule/internal/trace"
 )
 
@@ -19,8 +17,8 @@ import (
 // future work: filecule dynamics over time (Section 8), the comparison with
 // Otoo et al.'s file-bundle caching ("We leave as future work the
 // comparison of this strategy with filecule LRU on the DZero traces"), the
-// Related Work prefetching baselines, a replication budget sweep, and a
-// chunk-level check of the Section 5 swarm conclusion.
+// Related Work prefetching baselines, a replication budget sweep, and replica
+// placement on the peer-assisted grid.
 
 // dynamics answers Section 8: how stable are filecules across time windows?
 func (r *Runner) dynamics() (*Result, error) {
@@ -160,45 +158,6 @@ func (r *Runner) replSweep() (*Result, error) {
 	}
 	return &Result{Tables: []*report.Table{tb},
 		Notes: []string{"larger budgets widen the absolute savings; filecule placement holds its stall advantage at every budget"}}, nil
-}
-
-// chunkSwarm cross-checks the Section 5 conclusion with the chunk-level
-// protocol simulator instead of the fluid model.
-func (r *Runner) chunkSwarm() (*Result, error) {
-	t := r.Trace()
-	p := r.Partition()
-	fc, sites, _ := r.hotCase()
-
-	size := p.Size(t, fc)
-	const chunkBytes = 4 << 20 // BitTorrent-typical 4 MB pieces
-	chunks := int(size / chunkBytes)
-	if chunks < 1 {
-		chunks = 1
-	}
-	base := swarm.ChunkScenario{
-		Chunks:       chunks,
-		ChunkBytes:   chunkBytes,
-		SeedUpload:   100e6 / 8,
-		PeerUpload:   50e6 / 8,
-		PeerDownload: 400e6 / 8,
-	}
-	tb := report.NewTable("Section 5 cross-check: chunk-level swarm simulator",
-		"scenario", "peers", "mean download", "max download")
-	addRow := func(name string, arrivals []time.Duration) {
-		s := base
-		s.Arrivals = arrivals
-		res := swarm.SimulateChunks(s)
-		tb.AddRow(name, len(arrivals),
-			res.Mean.Round(time.Second), res.Max.Round(time.Second))
-	}
-	addRow("observed (per-site arrivals)", swarm.ArrivalsFromIntervals(sites))
-	addRow("flash crowd (same peers)", make([]time.Duration, len(sites)))
-	addRow("flash crowd (50 peers)", make([]time.Duration, 50))
-
-	return &Result{Tables: []*report.Table{tb},
-		Notes: []string{
-			"rarest-first chunk exchange with bounded unchoke slots reproduces the fluid model's verdict: no benefit at observed concurrency",
-		}}, nil
 }
 
 // placement exercises the Section 6 "replica placement" question on the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -27,7 +28,18 @@ func (r *Runner) hotCase() (fc int, sites, users []swarm.Interval) {
 	if fc < 0 {
 		fc = swarm.HottestFilecule(t, p)
 	}
-	return fc, swarm.SiteIntervals(t, p, fc), swarm.UserIntervals(t, p, fc)
+	allSites, allUsers := r.intervals()
+	return fc, allSites[fc], allUsers[fc]
+}
+
+// intervals returns every filecule's per-site and per-user access
+// intervals under the whole-trace partition.
+func (r *Runner) intervals() (sites, users [][]swarm.Interval) {
+	if r.sites == nil {
+		t, p := r.Trace(), r.Partition()
+		r.sites, r.users = swarm.SiteIntervals(t, p), swarm.UserIntervals(t, p)
+	}
+	return r.sites, r.users
 }
 
 // fig11 reproduces Figure 11: per-site access intervals for the hottest
@@ -89,51 +101,128 @@ func (r *Runner) fig12() (*Result, error) {
 		Notes: []string{"the paper observes periods where ~10 users might hold partial copies, still too few for BitTorrent"}}, nil
 }
 
+// swarmLinks are Section 5's link rates; a scenario adds the filecule's
+// bytes and the arrivals.
+var swarmLinks = swarm.Scenario{
+	SeedUpload:   100e6 / 8, // 100 Mbit/s origin (2005-era WAN)
+	PeerUpload:   50e6 / 8,  // 50 Mbit/s per site
+	PeerDownload: 400e6 / 8, // 400 Mbit/s site ingress
+	Eta:          0.85,
+}
+
 // swarmFeasibility answers Section 5's question quantitatively: it runs the
-// fluid swarm model at the concurrency observed in the trace and at a
-// flash-crowd counterfactual.
+// fluid swarm model on the case-study filecule at the concurrency observed
+// in the trace and at flash-crowd counterfactuals, then on every filecule
+// read at two or more sites. "Overlapping downloads" is the most
+// client-server downloads in flight at once, the demand a swarm would
+// share; "interval overlap" is the most sites whose access windows
+// overlap, which the speedup does not depend on.
 func (r *Runner) swarmFeasibility() (*Result, error) {
 	t := r.Trace()
 	p := r.Partition()
 	fc, sites, _ := r.hotCase()
 
-	base := swarm.Scenario{
-		FileBytes:    p.Size(t, fc),
-		SeedUpload:   100e6 / 8, // 100 Mbit/s origin (2005-era WAN)
-		PeerUpload:   50e6 / 8,  // 50 Mbit/s per site
-		PeerDownload: 400e6 / 8, // 400 Mbit/s site ingress
-		Eta:          0.85,
-	}
+	base := swarmLinks
+	base.FileBytes = p.Size(t, fc)
 
 	tb := report.NewTable("Section 5: swarm vs client-server download times",
-		"scenario", "peers", "max concurrency", "client-server mean", "swarm mean", "speedup")
+		"scenario", "peers", "interval overlap", "overlapping downloads",
+		"client-server mean", "swarm mean", "speedup")
 
-	addScenario := func(name string, arrivals []time.Duration, maxConc int) {
+	addScenario := func(name string, arrivals []time.Duration, overlap int) {
 		s := base
 		s.Arrivals = arrivals
 		cs := swarm.SimulateClientServer(s)
 		sw := swarm.SimulateSwarm(s)
-		tb.AddRow(name, len(arrivals), maxConc,
+		tb.AddRow(name, len(arrivals), overlap, cs.PeakDownloads,
 			cs.Mean.Round(time.Second), sw.Mean.Round(time.Second),
 			sw.Speedup(cs))
 	}
 
 	// Observed: one peer per site, arriving at its first access.
-	obs := swarm.ArrivalsFromIntervals(sites)
-	conc := swarm.MeasureConcurrency(sites)
-	addScenario("observed (per-site arrivals)", obs, conc.Max)
+	addScenario("observed (per-site arrivals)", swarm.ArrivalsFromIntervals(sites),
+		swarm.MeasureConcurrency(sites).Max)
 
 	// Counterfactual: same number of peers in a flash crowd.
-	crowd := make([]time.Duration, len(sites))
-	addScenario("flash crowd (same peers)", crowd, len(sites))
+	addScenario("flash crowd (same peers)", make([]time.Duration, len(sites)), len(sites))
 
 	// Web-scale flash crowd.
-	big := make([]time.Duration, 50)
-	addScenario("flash crowd (50 peers)", big, 50)
+	addScenario("flash crowd (50 peers)", make([]time.Duration, 50), 50)
 
-	return &Result{Tables: []*report.Table{tb},
+	all := report.NewTable("every filecule read at two or more sites, by smallest arrival gap in client-server transfer times",
+		"arrival gap", "filecules", "GB", "interval overlap", "overlapping downloads", "mean speedup")
+	for i, b := range r.arrivalGaps() {
+		mean := 0.0
+		if b.filecules > 0 {
+			mean = b.speedups / float64(b.filecules)
+		}
+		all.AddRow(arrivalGapBins[i].label, b.filecules, float64(b.bytes)/(1<<30),
+			b.overlap, b.downloads, mean)
+	}
+
+	return &Result{Tables: []*report.Table{tb, all},
 		Notes: []string{
 			"with the observed arrival spread, swarming gains almost nothing over direct transfer — the paper's conclusion",
 			"the same mechanism yields large gains only under flash-crowd concurrency DZero does not exhibit",
+			"a filecule gains only where two of its sites' downloads overlap, which needs arrivals closer than one transfer time",
 		}}, nil
+}
+
+// arrivalGapBins are the rows of swarm's whole-trace table: a filecule goes
+// in the first bin its smallest gap between site arrivals, in client-server
+// transfer times (FileBytes / SeedUpload), falls below.
+var arrivalGapBins = []struct {
+	label string
+	below float64
+}{
+	{"< 1", 1}, {"1–10", 10}, {"10–100", 100}, {"100–1k", 1e3}, {"1k–10k", 1e4}, {"≥ 10k", math.Inf(1)},
+}
+
+// gapBin totals one row of the whole-trace table.
+type gapBin struct {
+	filecules          int
+	bytes              int64
+	overlap, downloads int     // the largest over the bin's filecules
+	speedups           float64 // summed, for the mean
+}
+
+// arrivalGaps runs the fluid model on the per-site arrivals of every
+// filecule read at two or more sites and totals the runs by arrivalGapBins.
+// A filecule of no bytes has nothing to download: it goes in the last bin
+// with a speedup of 1.
+func (r *Runner) arrivalGaps() []gapBin {
+	t, p := r.Trace(), r.Partition()
+	sites, _ := r.intervals()
+	bins := make([]gapBin, len(arrivalGapBins))
+	for fc, ivs := range sites {
+		if len(ivs) < 2 {
+			continue
+		}
+		s := swarmLinks
+		s.FileBytes = p.Size(t, fc)
+		s.Arrivals = swarm.ArrivalsFromIntervals(ivs)
+		gap := ivs[1].First.Sub(ivs[0].First) // ivs is ordered by first access
+		for i := 2; i < len(ivs); i++ {
+			gap = min(gap, ivs[i].First.Sub(ivs[i-1].First))
+		}
+		bin := len(bins) - 1
+		speedup := 1.0
+		downloads := 0
+		if s.FileBytes > 0 {
+			ratio := gap.Seconds() / (float64(s.FileBytes) / s.SeedUpload)
+			bin = 0
+			for ratio >= arrivalGapBins[bin].below {
+				bin++
+			}
+			cs, sw := swarm.SimulateClientServer(s), swarm.SimulateSwarm(s)
+			speedup, downloads = sw.Speedup(cs), cs.PeakDownloads
+		}
+		b := &bins[bin]
+		b.filecules++
+		b.bytes += s.FileBytes
+		b.overlap = max(b.overlap, swarm.MeasureConcurrency(ivs).Max)
+		b.downloads = max(b.downloads, downloads)
+		b.speedups += speedup
+	}
+	return bins
 }

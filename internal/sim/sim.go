@@ -1,5 +1,5 @@
 // Package sim is a minimal discrete-event simulation kernel used by the
-// grid and swarm substrates: an event calendar ordered by virtual time with
+// grid substrate: an event calendar ordered by virtual time with
 // deterministic FIFO tie-breaking.
 package sim
 

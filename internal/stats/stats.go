@@ -86,16 +86,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Ints converts an int sample to float64 for use with the float-based
-// helpers.
-func Ints(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // LinearFit is a least-squares line y = Intercept + Slope*x with its
 // coefficient of determination.
 type LinearFit struct {

@@ -103,10 +103,3 @@ func TestFitZipfFlattenedHead(t *testing.T) {
 		t.Errorf("overall alpha = %v, want clearly positive", f.Alpha)
 	}
 }
-
-func TestIntsConversions(t *testing.T) {
-	f := Ints([]int{1, 2})
-	if len(f) != 2 || f[1] != 2 {
-		t.Errorf("Ints = %v", f)
-	}
-}

@@ -22,9 +22,6 @@ type Scenario struct {
 	// imperfect). Qiu & Srikant measure it close to 1 for large swarms;
 	// 0.85 is a reasonable default.
 	Eta float64
-	// SeedAfterDone keeps finished leechers uploading until the whole
-	// swarm drains (altruistic seeding). Off models selfish departure.
-	SeedAfterDone bool
 	// Arrivals are leecher arrival offsets from the scenario start,
 	// in any order.
 	Arrivals []time.Duration
@@ -61,10 +58,13 @@ type Result struct {
 	// (ordered by arrival time).
 	Completions []time.Duration
 	Mean, Max   time.Duration
+	// PeakDownloads is the most leechers downloading at one instant. A
+	// download that completes as another arrives does not overlap it.
+	PeakDownloads int
 }
 
-func newResult(times []time.Duration) Result {
-	r := Result{Completions: times}
+func newResult(times []time.Duration, peak int) Result {
+	r := Result{Completions: times, PeakDownloads: peak}
 	var sum time.Duration
 	for _, t := range times {
 		sum += t
@@ -88,33 +88,28 @@ func (r Result) Speedup(baseline Result) float64 {
 }
 
 // SimulateSwarm runs the fluid BitTorrent model (after Qiu & Srikant): with
-// n active leechers and k extra seeds, aggregate service capacity is
+// n active leechers, aggregate service capacity is
 //
-//	SeedUpload + Eta*PeerUpload*(n-1+k)    (leechers serve each other)
+//	SeedUpload + Eta*PeerUpload*(n-1)    (leechers serve each other)
 //
-// split equally, capped by each leecher's download capacity.
+// split equally, capped by each leecher's download capacity. Departure is
+// selfish: a leecher stops uploading when its own download completes.
 func SimulateSwarm(s Scenario) Result {
-	capacity := func(n, extraSeeds int) float64 {
-		helpers := float64(n-1) + float64(extraSeeds)
-		if helpers < 0 {
-			helpers = 0
-		}
-		return s.SeedUpload + s.Eta*s.PeerUpload*helpers
-	}
-	return simulateFluid(s, capacity)
+	return simulateFluid(s, func(n int) float64 {
+		return s.SeedUpload + s.Eta*s.PeerUpload*float64(n-1)
+	})
 }
 
 // SimulateClientServer runs the baseline: every leecher downloads from the
 // origin only, which divides its upload fairly.
 func SimulateClientServer(s Scenario) Result {
-	return simulateFluid(s, func(n, extraSeeds int) float64 {
-		return s.SeedUpload
-	})
+	return simulateFluid(s, func(int) float64 { return s.SeedUpload })
 }
 
 // simulateFluid advances piecewise-constant rates between events (arrivals
-// and completions).
-func simulateFluid(s Scenario, capacity func(activeLeechers, extraSeeds int) float64) Result {
+// and completions). capacity is only asked about one or more active
+// leechers.
+func simulateFluid(s Scenario, capacity func(activeLeechers int) float64) Result {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
@@ -129,7 +124,7 @@ func simulateFluid(s Scenario, capacity func(activeLeechers, extraSeeds int) flo
 	completions := make([]time.Duration, len(arrivals))
 	var active []*leecher
 	nextArrival := 0
-	extraSeeds := 0
+	peak := 0
 	now := time.Duration(0)
 
 	rate := func() float64 {
@@ -137,7 +132,7 @@ func simulateFluid(s Scenario, capacity func(activeLeechers, extraSeeds int) flo
 		if n == 0 {
 			return 0
 		}
-		r := capacity(n, extraSeeds) / float64(n)
+		r := capacity(n) / float64(n)
 		if r > s.PeerDownload {
 			r = s.PeerDownload
 		}
@@ -177,9 +172,6 @@ func simulateFluid(s Scenario, capacity func(activeLeechers, extraSeeds int) flo
 		for _, l := range active {
 			if l.remaining <= 1e-6 {
 				completions[l.idx] = now - l.arrived
-				if s.SeedAfterDone {
-					extraSeeds++
-				}
 			} else {
 				still = append(still, l)
 			}
@@ -194,12 +186,9 @@ func simulateFluid(s Scenario, capacity func(activeLeechers, extraSeeds int) flo
 			})
 			nextArrival++
 		}
-		// If idle but arrivals remain, jump to the next arrival.
-		if len(active) == 0 && nextArrival < len(arrivals) && arrivals[nextArrival] > now {
-			continue
-		}
+		peak = max(peak, len(active))
 	}
-	return newResult(completions)
+	return newResult(completions, peak)
 }
 
 // ArrivalsFromIntervals turns entity access intervals into leecher arrival

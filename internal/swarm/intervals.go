@@ -28,65 +28,60 @@ type Interval struct {
 // Duration returns the interval length.
 func (iv Interval) Duration() time.Duration { return iv.Last.Sub(iv.First) }
 
-// SiteIntervals computes the per-site access intervals of filecule fc
-// (Figure 11). Sites are labelled by name; entries are ordered by first
-// access.
-func SiteIntervals(t *trace.Trace, p *core.Partition, fc int) []Interval {
-	return intervals(t, p, fc, func(j *trace.Job) string {
-		return t.Sites[j.Site].Name
+// SiteIntervals computes every filecule's per-site access intervals
+// (Figure 11): out[fc] holds one interval per site whose jobs requested
+// filecule fc, labelled by the site's name and ordered by first access.
+func SiteIntervals(t *trace.Trace, p *core.Partition) [][]Interval {
+	return intervals(t, p, func(j *trace.Job) (int, string) {
+		return int(j.Site), t.Sites[j.Site].Name
 	})
 }
 
-// UserIntervals computes the per-user access intervals of filecule fc
-// (Figure 12).
-func UserIntervals(t *trace.Trace, p *core.Partition, fc int) []Interval {
-	return intervals(t, p, fc, func(j *trace.Job) string {
-		return t.Users[j.User].Name
+// UserIntervals computes every filecule's per-user access intervals
+// (Figure 12), indexed and ordered as SiteIntervals'.
+func UserIntervals(t *trace.Trace, p *core.Partition) [][]Interval {
+	return intervals(t, p, func(j *trace.Job) (int, string) {
+		return int(j.User), t.Users[j.User].Name
 	})
 }
 
-func intervals(t *trace.Trace, p *core.Partition, fc int, key func(*trace.Job) string) []Interval {
-	if fc < 0 || fc >= p.NumFilecules() {
-		panic("swarm: filecule index out of range")
-	}
-	member := make(map[trace.FileID]struct{}, p.Filecules[fc].NumFiles())
-	for _, f := range p.Filecules[fc].Files {
-		member[f] = struct{}{}
-	}
-	byEntity := make(map[string]*Interval)
-	var order []string
+// intervals makes one pass over the jobs. A job counts once against each
+// filecule it touches, under the entity key returns; an entity's interval
+// is placed where the entity first appears in job order, and the stable
+// sort by first access keeps that order among ties.
+func intervals(t *trace.Trace, p *core.Partition, key func(*trace.Job) (int, string)) [][]Interval {
+	type slot struct{ fc, entity int }
+	out := make([][]Interval, p.NumFilecules())
+	at := make(map[slot]int)                 // -> index into out[fc]
+	counted := make([]int, p.NumFilecules()) // 1 + the last job counted against each filecule
 	for i := range t.Jobs {
 		j := &t.Jobs[i]
-		touches := false
+		entity, name := key(j)
 		for _, f := range j.Files {
-			if _, ok := member[f]; ok {
-				touches = true
-				break
+			fc := p.Of(f)
+			if fc < 0 || counted[fc] == i+1 {
+				continue
+			}
+			counted[fc] = i + 1
+			k, ok := at[slot{fc, entity}]
+			if !ok {
+				at[slot{fc, entity}] = len(out[fc])
+				out[fc] = append(out[fc], Interval{Entity: name, First: j.Start, Last: j.End, Jobs: 1})
+				continue
+			}
+			iv := &out[fc][k]
+			iv.Jobs++
+			if j.Start.Before(iv.First) {
+				iv.First = j.Start
+			}
+			if j.End.After(iv.Last) {
+				iv.Last = j.End
 			}
 		}
-		if !touches {
-			continue
-		}
-		k := key(j)
-		iv := byEntity[k]
-		if iv == nil {
-			byEntity[k] = &Interval{Entity: k, First: j.Start, Last: j.End, Jobs: 1}
-			order = append(order, k)
-			continue
-		}
-		iv.Jobs++
-		if j.Start.Before(iv.First) {
-			iv.First = j.Start
-		}
-		if j.End.After(iv.Last) {
-			iv.Last = j.End
-		}
 	}
-	out := make([]Interval, 0, len(order))
-	for _, k := range order {
-		out = append(out, *byEntity[k])
+	for _, ivs := range out {
+		sort.SliceStable(ivs, func(a, b int) bool { return ivs[a].First.Before(ivs[b].First) })
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].First.Before(out[b].First) })
 	return out
 }
 
@@ -117,41 +112,49 @@ type Concurrency struct {
 }
 
 // MeasureConcurrency sweeps the intervals and reports the maximum and
-// time-averaged number of simultaneously active entities.
+// time-averaged number of simultaneously active entities. An interval holds
+// from its First up to its Last, so touching intervals do not overlap; a
+// zero-length one holds at its one instant, beside every interval open
+// there.
 func MeasureConcurrency(ivs []Interval) Concurrency {
 	if len(ivs) == 0 {
 		return Concurrency{}
 	}
 	type edge struct {
 		at    time.Time
-		delta int
+		delta int // +1 opens, -1 closes, 0 is a zero-length interval
 	}
 	var edges []edge
 	for _, iv := range ivs {
+		if iv.Last.Equal(iv.First) {
+			edges = append(edges, edge{iv.First, 0})
+			continue
+		}
 		edges = append(edges, edge{iv.First, +1}, edge{iv.Last, -1})
 	}
-	sort.Slice(edges, func(a, b int) bool {
-		if !edges[a].at.Equal(edges[b].at) {
-			return edges[a].at.Before(edges[b].at)
-		}
-		return edges[a].delta < edges[b].delta // close before open on ties
-	})
+	sort.Slice(edges, func(a, b int) bool { return edges[a].at.Before(edges[b].at) })
 	var c Concurrency
 	active := 0
 	var weighted float64
 	var total time.Duration
 	last := edges[0].at
-	for _, e := range edges {
-		span := e.at.Sub(last)
-		if active > 0 {
+	for i := 0; i < len(edges); {
+		at := edges[i].at
+		if span := at.Sub(last); active > 0 {
 			weighted += float64(active) * span.Seconds()
 			total += span
 		}
-		last = e.at
-		active += e.delta
-		if active > c.Max {
-			c.Max = active
+		last = at
+		// Every edge at one instant applies before the count is read, so a
+		// close and an open there net out and the count never goes negative.
+		points := 0
+		for ; i < len(edges) && edges[i].at.Equal(at); i++ {
+			if edges[i].delta == 0 {
+				points++
+			}
+			active += edges[i].delta
 		}
+		c.Max = max(c.Max, active+points)
 	}
 	if total > 0 {
 		c.Mean = weighted / total.Seconds()

@@ -2,10 +2,13 @@ package swarm
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"filecule/internal/core"
+	"filecule/internal/synth"
 	"filecule/internal/trace"
 )
 
@@ -53,7 +56,7 @@ func TestSiteAndUserIntervals(t *testing.T) {
 	p := core.Identify(tr)
 	hc := HottestFilecule(tr, p)
 
-	sites := SiteIntervals(tr, p, hc)
+	sites := SiteIntervals(tr, p)[hc]
 	if len(sites) != 2 {
 		t.Fatalf("site intervals = %+v, want 2 sites", sites)
 	}
@@ -68,12 +71,91 @@ func TestSiteAndUserIntervals(t *testing.T) {
 		t.Errorf("second site interval = %+v", sites[1])
 	}
 
-	users := UserIntervals(tr, p, hc)
+	users := UserIntervals(tr, p)[hc]
 	if len(users) != 3 {
 		t.Fatalf("user intervals = %+v, want 3 users", users)
 	}
 	if users[0].Entity != "alice" || users[0].Duration() != 49*time.Hour {
 		t.Errorf("alice interval = %+v", users[0])
+	}
+}
+
+// intervalsOf is the per-filecule scan SiteIntervals and UserIntervals
+// replace: one member set, then every job, for one filecule. It is the
+// oracle of the one-pass version.
+func intervalsOf(t *trace.Trace, p *core.Partition, fc int, key func(*trace.Job) string) []Interval {
+	member := make(map[trace.FileID]struct{}, p.Filecules[fc].NumFiles())
+	for _, f := range p.Filecules[fc].Files {
+		member[f] = struct{}{}
+	}
+	byEntity := make(map[string]*Interval)
+	var order []string
+	for i := range t.Jobs {
+		j := &t.Jobs[i]
+		touches := false
+		for _, f := range j.Files {
+			if _, ok := member[f]; ok {
+				touches = true
+				break
+			}
+		}
+		if !touches {
+			continue
+		}
+		k := key(j)
+		iv := byEntity[k]
+		if iv == nil {
+			byEntity[k] = &Interval{Entity: k, First: j.Start, Last: j.End, Jobs: 1}
+			order = append(order, k)
+			continue
+		}
+		iv.Jobs++
+		if j.Start.Before(iv.First) {
+			iv.First = j.Start
+		}
+		if j.End.After(iv.Last) {
+			iv.Last = j.End
+		}
+	}
+	out := make([]Interval, 0, len(order))
+	for _, k := range order {
+		out = append(out, *byEntity[k])
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].First.Before(out[b].First) })
+	return out
+}
+
+// TestIntervalsMatchPerFileculeScan holds the one pass to the per-filecule
+// scan on every filecule of generated traces: entities, windows, job counts
+// and order.
+func TestIntervalsMatchPerFileculeScan(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		tr, err := synth.Generate(synth.DZero(seed, 0.005))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := core.Identify(tr)
+		sites, users := SiteIntervals(tr, p), UserIntervals(tr, p)
+		if len(sites) != p.NumFilecules() || len(users) != p.NumFilecules() {
+			t.Fatalf("seed %d: %d site and %d user lists for %d filecules", seed, len(sites), len(users), p.NumFilecules())
+		}
+		site := func(j *trace.Job) string { return tr.Sites[j.Site].Name }
+		user := func(j *trace.Job) string { return tr.Users[j.User].Name }
+		multi := 0
+		for fc := range p.Filecules {
+			if want := intervalsOf(tr, p, fc, site); !reflect.DeepEqual(sites[fc], want) {
+				t.Fatalf("seed %d filecule %d: site intervals\n got %+v\nwant %+v", seed, fc, sites[fc], want)
+			}
+			if want := intervalsOf(tr, p, fc, user); !reflect.DeepEqual(users[fc], want) {
+				t.Fatalf("seed %d filecule %d: user intervals\n got %+v\nwant %+v", seed, fc, users[fc], want)
+			}
+			if len(sites[fc]) > 1 {
+				multi++
+			}
+		}
+		if multi == 0 {
+			t.Errorf("seed %d: no filecule read at two sites; the comparison is vacuous", seed)
+		}
 	}
 }
 
@@ -97,6 +179,33 @@ func TestMeasureConcurrency(t *testing.T) {
 	c = MeasureConcurrency([]Interval{mk(0, 10), mk(10, 20)})
 	if c.Max != 1 {
 		t.Errorf("touching intervals max = %d, want 1", c.Max)
+	}
+	// A zero-length interval holds at its instant: one entity whose only
+	// job is a point is one, and n at one instant are n.
+	for n := 1; n <= 3; n++ {
+		ivs := make([]Interval, n)
+		for i := range ivs {
+			ivs[i] = mk(5, 5)
+		}
+		if c := MeasureConcurrency(ivs); c.Max != n {
+			t.Errorf("%d coincident zero-length intervals: max = %d, want %d", n, c.Max, n)
+		}
+	}
+	// A point inside an interval overlaps it; at an interval's end, it
+	// does not (touching), but it does overlap one opening there.
+	cases := []struct {
+		ivs  []Interval
+		want int
+	}{
+		{[]Interval{mk(0, 10), mk(5, 5)}, 2},
+		{[]Interval{mk(0, 10), mk(10, 10)}, 1},
+		{[]Interval{mk(0, 10), mk(10, 10), mk(10, 20)}, 2},
+		{[]Interval{mk(0, 0), mk(10, 20)}, 1},
+	}
+	for i, tc := range cases {
+		if c := MeasureConcurrency(tc.ivs); c.Max != tc.want {
+			t.Errorf("case %d: max = %d, want %d", i, c.Max, tc.want)
+		}
 	}
 }
 
@@ -154,19 +263,6 @@ func TestLowConcurrencySwarmGainIsSmall(t *testing.T) {
 	cs := SimulateClientServer(s)
 	if sp := sw.Speedup(cs); sp > 1.05 {
 		t.Errorf("disjoint-arrival speedup = %v, want ~1 (no overlap, no gain)", sp)
-	}
-}
-
-func TestSeedAfterDoneHelps(t *testing.T) {
-	s := baseScenario()
-	s.SeedUpload = 50
-	s.PeerDownload = 200
-	s.Arrivals = []time.Duration{0, 0, 0, 0}
-	selfish := SimulateSwarm(s)
-	s.SeedAfterDone = true
-	altruistic := SimulateSwarm(s)
-	if altruistic.Mean > selfish.Mean {
-		t.Errorf("seeding after done slower: %v vs %v", altruistic.Mean, selfish.Mean)
 	}
 }
 

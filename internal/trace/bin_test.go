@@ -314,7 +314,7 @@ func TestBinSourceStreamsSameJobs(t *testing.T) {
 func TestBinSmallerThanText(t *testing.T) {
 	tr := buildManyJobs(t, 2000)
 	var text, bin bytes.Buffer
-	if err := Write(&text, tr); err != nil {
+	if err := writeText(&text, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteBin(&bin, tr); err != nil {

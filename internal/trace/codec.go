@@ -24,20 +24,6 @@ import (
 
 const formatHeader = "#filecule-trace v1"
 
-// Write serializes t in the v1 text format.
-func Write(w io.Writer, t *Trace) error {
-	tw, err := NewTextWriter(w, t.Files, t.Users, t.Sites)
-	if err != nil {
-		return err
-	}
-	for i := range t.Jobs {
-		if err := tw.WriteJob(&t.Jobs[i]); err != nil {
-			return err
-		}
-	}
-	return tw.Close()
-}
-
 // TextWriter incrementally emits the v1 text format: the catalogs are
 // written at construction, then one J record per WriteJob call. It is the
 // text counterpart of BinWriter, so job streams encode in either codec

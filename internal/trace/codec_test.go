@@ -2,16 +2,27 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
+// writeText serializes t in the v1 text format.
+func writeText(w io.Writer, t *Trace) error {
+	tw, err := NewTextWriter(w, t.Files, t.Users, t.Sites)
+	if err != nil {
+		return err
+	}
+	_, err = CopySource(tw, NewTraceSource(t))
+	return err
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	tr := smallTrace(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	if err := writeText(&buf, tr); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	got, err := Read(&buf)
@@ -30,7 +41,7 @@ func TestCodecRejectsWhitespaceNames(t *testing.T) {
 	f := b.File("f", 1, TierRaw)
 	b.SimpleJob(u, s, t0, []FileID{f})
 	tr := b.Build()
-	if err := Write(&bytes.Buffer{}, tr); err == nil {
+	if err := writeText(&bytes.Buffer{}, tr); err == nil {
 		t.Error("Write accepted site name with space")
 	}
 }
@@ -83,7 +94,7 @@ func TestCodecLargeJob(t *testing.T) {
 	tr := b.Build()
 
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	if err := writeText(&buf, tr); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	got, err := Read(&buf)
@@ -125,7 +136,7 @@ func TestCodecJobOutputs(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	if err := writeText(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)

@@ -48,7 +48,7 @@ func fuzzSeedTrace() *Trace {
 // decode→encode→decode yields the same trace and the same bytes.
 func FuzzTraceCodec(f *testing.F) {
 	var seed bytes.Buffer
-	if err := Write(&seed, fuzzSeedTrace()); err != nil {
+	if err := writeText(&seed, fuzzSeedTrace()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -71,7 +71,7 @@ func FuzzTraceCodec(f *testing.F) {
 			t.Fatalf("accepted trace fails Validate: %v", err)
 		}
 		var enc1 bytes.Buffer
-		if err := Write(&enc1, t1); err != nil {
+		if err := writeText(&enc1, t1); err != nil {
 			// Write rejects names that the reader cannot produce
 			// (whitespace is a field separator), so an accepted
 			// trace must always encode.
@@ -82,7 +82,7 @@ func FuzzTraceCodec(f *testing.F) {
 			t.Fatalf("re-decode of encoded trace failed: %v", err)
 		}
 		var enc2 bytes.Buffer
-		if err := Write(&enc2, t2); err != nil {
+		if err := writeText(&enc2, t2); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
 		if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {

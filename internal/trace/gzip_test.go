@@ -12,7 +12,7 @@ import (
 // the format sniffer is tested with. No tool writes gzip; operators do.
 func writeGzip(w io.Writer, t *Trace) error {
 	zw := gzip.NewWriter(w)
-	if err := Write(zw, t); err != nil {
+	if err := writeText(zw, t); err != nil {
 		zw.Close()
 		return err
 	}
@@ -37,7 +37,7 @@ func TestGzipRoundTrip(t *testing.T) {
 func TestReadAutoPlain(t *testing.T) {
 	tr := smallTrace(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	if err := writeText(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadAuto(&buf)
@@ -52,7 +52,7 @@ func TestReadAutoPlain(t *testing.T) {
 func TestGzipActuallyCompresses(t *testing.T) {
 	tr := smallTrace(t)
 	var plain, packed bytes.Buffer
-	Write(&plain, tr)
+	writeText(&plain, tr)
 	writeGzip(&packed, tr)
 	if packed.Len() >= plain.Len() {
 		t.Errorf("gzip output %d >= plain %d", packed.Len(), plain.Len())
@@ -77,7 +77,7 @@ func FuzzRead(f *testing.F) {
 	b.SimpleJob(u, s, t0, []FileID{fid})
 	tr = b.Build()
 	var buf bytes.Buffer
-	Write(&buf, tr)
+	writeText(&buf, tr)
 	f.Add(buf.Bytes())
 	f.Add([]byte(formatHeader + "\nF 0 f 10 raw\n"))
 	f.Add([]byte(formatHeader + "\nJ 0 0 0 n raw analysis a v 0 1 1 0\n"))
@@ -94,7 +94,7 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("Read accepted invalid trace: %v", vErr)
 		}
 		var out bytes.Buffer
-		if wErr := Write(&out, got); wErr != nil {
+		if wErr := writeText(&out, got); wErr != nil {
 			return // names with exotic bytes may be unwritable; fine
 		}
 		again, err := Read(&out)

@@ -156,7 +156,7 @@ func TestOpenFallsBack(t *testing.T) {
 
 	t.Run("text", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
+		if err := writeText(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
 		check(t, writeFile(t, buf.Bytes()))

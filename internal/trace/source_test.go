@@ -44,7 +44,7 @@ func TestCloneJobDetachesSlices(t *testing.T) {
 func TestScannerStreamsTextTrace(t *testing.T) {
 	tr := smallTrace(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	if err := writeText(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewScanner(bytes.NewReader(buf.Bytes()))
@@ -81,7 +81,7 @@ func TestScannerAllocsBounded(t *testing.T) {
 	const nJobs = 6000
 	tr := buildManyJobs(t, nJobs)
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
+	if err := writeText(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -165,7 +165,7 @@ func TestReadErrorsCarryLineAndKind(t *testing.T) {
 func TestNewSourceAutoDetects(t *testing.T) {
 	tr := smallTrace(t)
 	var text, bin, gzText bytes.Buffer
-	if err := Write(&text, tr); err != nil {
+	if err := writeText(&text, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteBin(&bin, tr); err != nil {

@@ -30,7 +30,11 @@ func TestProducersShareExecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var text bytes.Buffer
-	if err := trace.Write(&text, dzero); err != nil {
+	tw, err := trace.NewTextWriter(&text, dzero.Files, dzero.Users, dzero.Sites)
+	if err == nil {
+		_, err = trace.CopySource(tw, trace.NewTraceSource(dzero))
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	csv := filepath.Join(dir, "kv.csv")
