@@ -27,7 +27,8 @@
 //
 // Entry points: cmd/filecule-repro (the reproduction report, whole or by
 // experiment), cmd/filecule-gen, cmd/filecule-cachesim, cmd/filecule-serve,
-// and the runnable walkthroughs under examples/.
+// and examples/quickstart; the Example functions of core, cache, prefetch
+// and replica are walkthroughs that go test runs and checks.
 //
 // The benchmarks in bench_test.go regenerate every table and figure; see
 // EXPERIMENTS.md for paper-vs-measured numbers and DESIGN.md for the system

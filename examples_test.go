@@ -1,64 +1,45 @@
-// Smoke tests for examples/: every example must build and run to
-// completion with exit status 0. The examples are the library's executable
-// documentation; these tests keep them compiling and working as the APIs
-// underneath them evolve.
+// examples/quickstart is README's first command, so README shows what it
+// prints. The package walkthroughs are Example functions in their packages'
+// tests, where go test checks their output.
 package filecule_test
 
 import (
-	"context"
 	"os"
 	"os/exec"
-	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 )
 
-// exampleDirs discovers every example program.
-func exampleDirs(t *testing.T) []string {
+// readmeBlock returns the body of the first ```text block after heading in
+// README.md.
+func readmeBlock(t *testing.T, heading string) string {
 	t.Helper()
-	entries, err := os.ReadDir("examples")
+	b, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dirs []string
-	for _, e := range entries {
-		if e.IsDir() {
-			dirs = append(dirs, e.Name())
-		}
+	_, section, ok := strings.Cut(string(b), "\n"+heading+"\n")
+	if ok {
+		_, section, ok = strings.Cut(section, "\n```text\n")
 	}
-	if len(dirs) == 0 {
-		t.Fatal("no examples found")
+	block, _, closed := strings.Cut(section, "\n```\n")
+	if !ok || !closed {
+		t.Fatalf("README.md has no ```text block under %q", heading)
 	}
-	return dirs
+	return block + "\n"
 }
 
+// TestExamplesBuildAndRun runs examples/quickstart and holds its output to
+// the block README shows under "## Quickstart", byte for byte.
 func TestExamplesBuildAndRun(t *testing.T) {
-	bindir := t.TempDir()
-	for _, name := range exampleDirs(t) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			bin := filepath.Join(bindir, name)
-			build := exec.Command("go", "build", "-o", bin, "./examples/"+name)
-			if out, err := build.CombinedOutput(); err != nil {
-				t.Fatalf("go build: %v\n%s", err, out)
-			}
-
-			// The examples are self-contained demos at tiny scales and
-			// fixed seeds; the timeout guards against hangs, not
-			// slowness.
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-			defer cancel()
-			out, err := exec.CommandContext(ctx, bin).CombinedOutput()
-			if ctx.Err() != nil {
-				t.Fatalf("example %s timed out", name)
-			}
-			if err != nil {
-				t.Fatalf("example %s exited with %v\n%s", name, err, out)
-			}
-			if len(out) == 0 {
-				t.Errorf("example %s produced no output", name)
-			}
-		})
-	}
+	t.Run("quickstart", func(t *testing.T) {
+		want := readmeBlock(t, "## Quickstart")
+		out, err := exec.Command("go", "run", "./examples/quickstart").Output()
+		if err != nil {
+			t.Fatalf("go run ./examples/quickstart: %v", err)
+		}
+		if string(out) != want {
+			t.Errorf("README's quickstart output is stale; go run ./examples/quickstart prints:\n%s\nREADME shows:\n%s", out, want)
+		}
+	})
 }

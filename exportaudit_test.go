@@ -4,11 +4,13 @@
 // is the same thing for options: a knob with one value. This test lists both
 // and fails on any that testOnlyExports or neverSetFields does not excuse, so
 // one is either deleted with its unit test, moved into test code, made a
-// constant, or kept for a stated reason. Top-level exports and fields are
+// constant, or kept for a stated reason. Exports, methods and fields are
 // matched by the object they declare, so a same-named identifier used
-// elsewhere (another package's function, any type's method) hides neither;
-// methods are matched by name, since a method reached through an interface
-// is never named at its call site.
+// elsewhere (another package's function, another type's method) hides none
+// of them. A method reached through an interface is never named at its call
+// site, so a method also counts as used when its type implements an
+// interface that declares it and that either lives outside the module or has
+// that method called by a non-test file.
 package filecule_test
 
 import (
@@ -25,29 +27,35 @@ import (
 	"testing"
 )
 
-// testOnlyExports are the exports no non-test file names, and why each stays.
+// testOnlyExports are the exports no non-test file uses, and why each stays:
+// a top-level one keyed by its name, a method by package.Type.Method.
 var testOnlyExports = map[string]string{
 	// Fixtures and oracles that tests of other code are built on.
-	"ExchangeAll":      "fed.Node: the federation tests step gossip rounds by hand",
 	"GenerateXRootD":   "synth: the golden and shape tests materialise the workload through it",
-	"InFlight":         "grid.Network: tests read the flow table",
 	"KSTest":           "stats: synth's TestGeneratorDistributionStability compares size distributions with it",
-	"NumStored":        "prefetch.WorkingSet: tests read the sequence store",
-	"ObserveSource":    "core.Engine: the codec differentials drain every trace.Source through it",
-	"ObserveTrace":     "core.Engine and the reference Refiner: how tests and benchmarks load a trace",
-	"RecvObserve":      "wire.Client, with SendObserve: the protocol's pipelining primitive; the gated BenchmarkServeTCPWire and TestClientServerOverTCP drive a depth-64 window through it",
-	"SendObserve":      "wire.Client: see RecvObserve",
-	"SimpleJob":        "trace.Builder: the small-trace fixture of a dozen test files",
-	"SitesPerFilecule": "core: synth's hot-filecule test reads the site count, and the swarm experiment's test counts its multi-site filecules",
-	"Torn":             "trace.ChunkError: the torn-versus-corrupt tests classify errors with it",
-	"Total":            "stats.Histogram: mass-conservation tests sum the bins",
-	"Train":            "prefetch.WorkingSet: loads the history the Suggest tests match against",
-	"Used":             "cache.Sim: capacity invariants in the policy tests",
+	"SitesPerFilecule": "core: synth's hot-filecule test reads the site count, and TestArrivalGapsCoverMultiSiteFilecules counts multi-site filecules",
 	"Wrap":             "fed/faultnet: the chaos tests inject faults through it",
 
-	// Called through an interface, never by name.
-	"Less":   "sim.eventHeap: container/heap",
-	"Unwrap": "trace.ChunkError: errors.Is / errors.As",
+	"core.Engine.ObserveSource":     "TestMonitorObserveSource and the codec differentials drain every trace.Source through it",
+	"core.Engine.ObserveTrace":      "how tests load a trace: TestDifferentialIdentification, TestJobCacheFollowsLiveSet, fed's TestDeltaDecodeRejectsFlips",
+	"core.Partition.Equal":          "the oracle comparison of every differential: FuzzEnginePrefix, TestObserveSourceAcrossCodecs, TestKillAndRecover",
+	"fed.Node.ExchangeAll":          "TestBreakerLifecycle, TestIncarnationResync and the chaos tests step gossip rounds by hand",
+	"grid.Network.InFlight":         "TestNetworkZeroByteFlow and TestNetworkIndependentSourcesDontShare read the flow table",
+	"prefetch.WorkingSet.NumStored": "TestWorkingSetMaxStored and TestWorkingSetOnlineLearning read the sequence store",
+	"prefetch.WorkingSet.Train":     "TestWorkingSetDefersUntilUnique loads the history Suggest matches against",
+	"server.Server.Engine":          "the server tests and BenchmarkServerAdvise, BenchmarkServerPartitionQuery and benchTCPServer warm and read the engine",
+	"stats.Histogram.Total":         "TestLogHistogram and TestHistogramMassConservationProperty sum the bins",
+	"trace.Builder.SimpleJob":       "the small-trace fixture of a dozen test files: TestAllExperimentsRunOnOneJob, smallTrace, replTrace",
+	"trace.ChunkError.Torn":         "TestChunkTornVsCorrupt classifies errors with it",
+	"wire.Client.RecvObserve":       "with SendObserve, the protocol's pipelining primitive: TestClientServerOverTCP and the gated BenchmarkServeTCPWire drive a depth-64 window through it",
+	"wire.Client.SendObserve":       "see wire.Client.RecvObserve",
+
+	// Called through an interface the standard library declares inline,
+	// which the audit cannot see.
+	"durable.noWalHeader.Is":       "errors.Is: replayChain recognises an unreadable header by it (FuzzWAL, TestDurableExitCodes)",
+	"durable.noWalHeader.Unwrap":   "errors.As: replayChain finds a read fault under a header by it (TestNewestSegmentBadBaseFailsClosed/cannot_be_read)",
+	"server.statusRecorder.Unwrap": "http.ResponseController arms the body read deadline through it (TestSlowlorisBodyCutOff)",
+	"trace.ChunkError.Unwrap":      "errors.Is / errors.As reach a frame's cause through it (TestChunkTornVsCorrupt)",
 
 	// PAPER.md is truncated; these are the only transcription of the
 	// paper's numbers.
@@ -88,9 +96,9 @@ var neverSetFields = map[string]string{
 const modulePath = "filecule"
 
 // typeCheck type-checks every non-test package of the module from the files
-// parsed in it, keyed by directory; the standard library comes from the
-// default importer's export data.
-func typeCheck(fset *token.FileSet, pkgFiles map[string][]*ast.File) (*types.Info, error) {
+// parsed in it, keyed by directory, and returns them; the standard library
+// comes from the default importer's export data.
+func typeCheck(fset *token.FileSet, pkgFiles map[string][]*ast.File) (*types.Info, []*types.Package, error) {
 	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
 	checked := map[string]*types.Package{}
 	std := importer.Default()
@@ -114,12 +122,66 @@ func typeCheck(fset *token.FileSet, pkgFiles map[string][]*ast.File) (*types.Inf
 		checked[p] = pkg
 		return pkg, nil
 	}
+	var pkgs []*types.Package
 	for dir := range pkgFiles {
-		if _, err := imp(path.Join(modulePath, filepath.ToSlash(dir))); err != nil {
-			return nil, err
+		pkg, err := imp(path.Join(modulePath, filepath.ToSlash(dir)))
+		if err != nil {
+			return nil, nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return info, pkgs, nil
+}
+
+// reachable returns, by method name, the interfaces through which a call
+// may reach a method that is never named: every interface the module's
+// packages can see from outside it (the standard library calls their
+// methods, and error is the universe's), and the module's own interfaces
+// counted only for the methods a non-test file calls.
+func reachable(pkgs []*types.Package, called map[types.Object]bool) map[string][]*types.Interface {
+	reach := map[string][]*types.Interface{}
+	add := func(iface *types.Interface, outside bool) {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if m := iface.Method(i); outside || called[m] {
+				reach[m.Name()] = append(reach[m.Name()], iface)
+			}
 		}
 	}
-	return info, nil
+	add(types.Universe.Lookup("error").Type().Underlying().(*types.Interface), true)
+	seen := map[*types.Package]bool{}
+	var visit func(pkg *types.Package)
+	visit = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		outside := pkg.Path() != modulePath && !strings.HasPrefix(pkg.Path(), modulePath+"/")
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+					add(iface, outside)
+				}
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range pkgs {
+		visit(pkg)
+	}
+	return reach
+}
+
+// implements reports whether a value of named (or a pointer to one)
+// satisfies one of ifaces.
+func implements(named types.Type, ifaces []*types.Interface) bool {
+	for _, iface := range ifaces {
+		if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+			return true
+		}
+	}
+	return false
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -129,7 +191,7 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	var declared []*ast.Ident             // exported top-level names under internal/
-	methods := map[string]token.Pos{}     // exported method name under internal/ -> a declaration
+	var methods []*ast.Ident              // exported methods under internal/, interfaces' included
 	fieldNames := map[*ast.Ident]string{} // exported struct field under internal/ -> package.Type.Field
 	declIdent := map[*ast.Ident]bool{}
 	pkgFiles := map[string][]*ast.File{} // directory -> its package's files
@@ -168,18 +230,27 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 				declIdent[d.Name] = true
 				if d.Name.IsExported() {
-					methods[d.Name.Name] = d.Name.Pos()
+					methods = append(methods, d.Name)
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						declare(s.Name)
-						if st, ok := s.Type.(*ast.StructType); ok {
-							for _, fl := range st.Fields.List {
+						switch t := s.Type.(type) {
+						case *ast.StructType:
+							for _, fl := range t.Fields.List {
 								for _, id := range fl.Names {
 									if id.IsExported() {
 										fieldNames[id] = f.Name.Name + "." + s.Name.Name + "." + id.Name
+									}
+								}
+							}
+						case *ast.InterfaceType:
+							for _, fl := range t.Methods.List {
+								for _, id := range fl.Names {
+									if id.IsExported() {
+										methods = append(methods, id)
 									}
 								}
 							}
@@ -197,7 +268,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := typeCheck(fset, pkgFiles)
+	info, pkgs, err := typeCheck(fset, pkgFiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +277,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 		fields[info.Defs[id]] = name
 	}
 
-	usedName, used, set := map[string]bool{}, map[types.Object]bool{}, map[types.Object]bool{}
+	used, set := map[types.Object]bool{}, map[types.Object]bool{}
 	use := func(id *ast.Ident) {
 		if declIdent[id] {
 			return
 		}
-		usedName[id.Name] = true
 		obj := info.Uses[id]
 		if f, ok := obj.(*types.Func); ok {
 			obj = f.Origin() // a generic function's instance
@@ -271,9 +341,16 @@ func TestNoTestOnlyExports(t *testing.T) {
 			testOnly[id.Name] = id.Pos()
 		}
 	}
-	for name, pos := range methods {
-		if !usedName[name] {
-			testOnly[name] = pos
+	reach := reachable(pkgs, used)
+	for _, id := range methods {
+		fn := info.Defs[id].(*types.Func)
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		named := recv.(*types.Named).Origin()
+		if !used[fn] && !implements(named, reach[id.Name]) {
+			testOnly[fn.Pkg().Name()+"."+named.Obj().Name()+"."+id.Name] = id.Pos()
 		}
 	}
 	for name, pos := range testOnly {

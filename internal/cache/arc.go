@@ -129,9 +129,6 @@ func (a *ARC) Remove(u UnitID) {
 	a.trimGhosts()
 }
 
-// Len implements Policy.
-func (a *ARC) Len() int { return len(a.nodes) }
-
 // trimGhosts bounds each ghost list to the cache capacity in bytes,
 // dropping arbitrary (map-order-independent: smallest unit ID) entries.
 // Ghost eviction order does not affect correctness, only adaptation

@@ -25,8 +25,8 @@ func TestARCGhostHitAdapts(t *testing.T) {
 	// Evict 1 (T1 ghost).
 	v := a.Victim()
 	a.Remove(v)
-	if a.Len() != 1 {
-		t.Fatalf("len = %d", a.Len())
+	if len(a.nodes) != 1 {
+		t.Fatalf("len = %d", len(a.nodes))
 	}
 	p0 := a.p
 	// Re-admit the ghost: p must grow and the unit enters T2.
@@ -73,7 +73,7 @@ func TestARCInvariantsProperty(t *testing.T) {
 		reqs := tr.Requests()
 		for i, r := range reqs {
 			sim.Access(r.File, int64(i))
-			if sim.Used() > capacity {
+			if sim.used > capacity {
 				return false
 			}
 		}

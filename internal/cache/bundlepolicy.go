@@ -29,7 +29,6 @@ type BundlePolicy struct {
 
 	bundles map[int64]*policyBundle
 	byUnit  map[UnitID]*policyBundleFile
-	count   int
 }
 
 type policyBundle struct {
@@ -89,7 +88,6 @@ func (p *BundlePolicy) Admit(u UnitID, size, now int64) {
 	bf.node.unit = u
 	b.files.pushFront(&bf.node)
 	p.byUnit[u] = bf
-	p.count++
 }
 
 // Touch implements Policy: refresh both the file and its bundle.
@@ -119,12 +117,8 @@ func (p *BundlePolicy) Remove(u UnitID) {
 	b := bf.b
 	b.files.remove(&bf.node)
 	delete(p.byUnit, u)
-	p.count--
 	if b.files.back() == nil {
 		p.base.Remove(UnitID(b.key))
 		delete(p.bundles, b.key)
 	}
 }
-
-// Len implements Policy.
-func (p *BundlePolicy) Len() int { return p.count }

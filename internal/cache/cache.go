@@ -36,8 +36,6 @@ func degenerate(f trace.FileID) UnitID { return degenerateBase + UnitID(f) }
 
 // Granularity maps files to replacement units.
 type Granularity interface {
-	// Name labels result rows ("file", "filecule").
-	Name() string
 	// UnitOf returns the replacement unit for a file.
 	UnitOf(f trace.FileID) UnitID
 	// SizeOf returns a unit's total byte size.
@@ -83,7 +81,6 @@ func (m Metrics) ByteMissRate() float64 {
 // probability graphs, working sets) and filecule prefetching. Suggest is
 // consulted before Record so predictions use only past accesses.
 type Prefetcher interface {
-	Name() string
 	// Suggest returns files worth prefetching given that job j is about
 	// to read f.
 	Suggest(j trace.JobID, f trace.FileID) []trace.FileID
@@ -101,8 +98,6 @@ type Policy interface {
 	Touch(u UnitID, now int64)
 	Victim() UnitID
 	Remove(u UnitID)
-	// Len returns the number of tracked units (for invariant checks).
-	Len() int
 }
 
 // Sim replays a request stream against one policy and one granularity.
@@ -131,9 +126,6 @@ func NewSim(t *trace.Trace, g Granularity, p Policy, capacity int64) *Sim {
 		resident: make(map[UnitID]int64),
 	}
 }
-
-// Used returns the currently resident bytes.
-func (s *Sim) Used() int64 { return s.used }
 
 // Metrics returns the counters accumulated so far.
 func (s *Sim) Metrics() Metrics { return s.metrics }

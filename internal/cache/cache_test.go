@@ -121,8 +121,8 @@ func TestFileculeEvictsWholeUnit(t *testing.T) {
 	if m.Evictions != 3 {
 		t.Errorf("evictions = %d, want 3 (A and A' evicted for B, B evicted for A)", m.Evictions)
 	}
-	if sim.Used() != 1 {
-		t.Errorf("used = %d, want 1 (only A resident)", sim.Used())
+	if sim.used != 1 {
+		t.Errorf("used = %d, want 1 (only A resident)", sim.used)
 	}
 	if !resident(sim, 0) || resident(sim, 4) || resident(sim, 1) {
 		t.Error("expected only A={0} resident at end")
@@ -285,8 +285,8 @@ func TestInvariantsProperty(t *testing.T) {
 			reqs := tr.Requests()
 			for i, r := range reqs {
 				sim.Access(r.File, int64(i))
-				if sim.Used() > capacity {
-					t.Logf("policy %s: used %d > capacity %d", pol.Name(), sim.Used(), capacity)
+				if sim.used > capacity {
+					t.Logf("policy %s: used %d > capacity %d", pol.Name(), sim.used, capacity)
 					return false
 				}
 			}

@@ -119,9 +119,6 @@ func (p *GreedyDual) Remove(u UnitID) {
 	delete(p.entries, u)
 }
 
-// Len implements Policy.
-func (p *GreedyDual) Len() int { return len(p.entries) }
-
 // gdHeap is a min-heap on priority h.
 type gdHeap []*gdEntry
 

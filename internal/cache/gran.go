@@ -17,9 +17,6 @@ func NewFileGranularity(t *trace.Trace) *FileGranularity {
 	return &FileGranularity{files: t.Files}
 }
 
-// Name implements Granularity.
-func (g *FileGranularity) Name() string { return "file" }
-
 // UnitOf implements Granularity: the unit is the file itself.
 func (g *FileGranularity) UnitOf(f trace.FileID) UnitID { return UnitID(f) }
 
@@ -46,9 +43,6 @@ type FileculeGranularity struct {
 func NewFileculeGranularity(c trace.Catalog, p *core.Partition) *FileculeGranularity {
 	return &FileculeGranularity{catalog: c, part: p, sizes: p.SizeTable(c)}
 }
-
-// Name implements Granularity.
-func (g *FileculeGranularity) Name() string { return "filecule" }
 
 // UnitOf implements Granularity: the enclosing filecule, or a degenerate
 // unit for files the partition does not cover.

@@ -15,7 +15,6 @@ type stubPrefetcher struct {
 	records int
 }
 
-func (s *stubPrefetcher) Name() string { return "stub" }
 func (s *stubPrefetcher) Suggest(trace.JobID, trace.FileID) []trace.FileID {
 	return s.suggest
 }
@@ -96,12 +95,12 @@ func TestPreloadIdempotentAndEvicts(t *testing.T) {
 	sim.Preload(0, 0)
 	sim.Preload(0, 1) // refresh, not duplicate
 	sim.Preload(1, 2)
-	if sim.Used() != 2 {
-		t.Fatalf("used = %d", sim.Used())
+	if sim.used != 2 {
+		t.Fatalf("used = %d", sim.used)
 	}
 	sim.Preload(2, 3) // evicts LRU (0)
-	if sim.Used() != 2 || resident(sim, 0) {
-		t.Errorf("preload eviction failed: used=%d contains0=%v", sim.Used(), resident(sim, 0))
+	if sim.used != 2 || resident(sim, 0) {
+		t.Errorf("preload eviction failed: used=%d contains0=%v", sim.used, resident(sim, 0))
 	}
 	if m := sim.Metrics(); m.Requests != 0 || m.BytesLoaded != 0 {
 		t.Errorf("preload touched metrics: %+v", m)

@@ -89,6 +89,3 @@ func (p *LRU) Remove(u UnitID) {
 	p.order.remove(n)
 	delete(p.nodes, u)
 }
-
-// Len implements Policy.
-func (p *LRU) Len() int { return len(p.nodes) }

@@ -105,9 +105,6 @@ func (p *OPTPolicy) Remove(u UnitID) {
 	delete(p.entries, u)
 }
 
-// Len implements Policy.
-func (p *OPTPolicy) Len() int { return len(p.entries) }
-
 type optEntry struct {
 	unit  UnitID
 	size  int64

@@ -64,8 +64,8 @@ func TestOPTPolicyMatchesSimulateOPT(t *testing.T) {
 			want := SimulateOPT(tr, g, capacity, reqs)
 			got := NewSim(tr, g, NewOPTPolicy(next), capacity).Replay(reqs)
 			if got != want {
-				t.Errorf("%s gran, capacity %d: Sim+OPTPolicy %+v != SimulateOPT %+v",
-					g.Name(), capacity, got, want)
+				t.Errorf("%T, capacity %d: Sim+OPTPolicy %+v != SimulateOPT %+v",
+					g, capacity, got, want)
 			}
 		}
 	}
@@ -127,8 +127,8 @@ func TestBundlePolicyInvariants(t *testing.T) {
 		if m.Hits+m.Misses != m.Requests {
 			t.Errorf("%s: hits %d + misses %d != requests %d", name, m.Hits, m.Misses, m.Requests)
 		}
-		if bp.Len() == 0 || s.Used() <= 0 || s.Used() > capacity {
-			t.Errorf("%s: end state len=%d used=%d capacity=%d", name, bp.Len(), s.Used(), capacity)
+		if len(bp.byUnit) == 0 || s.used <= 0 || s.used > capacity {
+			t.Errorf("%s: end state len=%d used=%d capacity=%d", name, len(bp.byUnit), s.used, capacity)
 		}
 	}
 }

@@ -37,9 +37,6 @@ func (l Lognormal) FromNormal(z float64) float64 {
 	return math.Exp(l.Mu + l.Sigma*z)
 }
 
-// Mean returns the analytic mean exp(mu + sigma^2/2).
-func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
 // LognormalFromMean builds a lognormal with the given arithmetic mean and
 // shape sigma, solving for mu.
 func LognormalFromMean(mean, sigma float64) Lognormal {
@@ -202,9 +199,6 @@ func (w *WeightedChoice) Choose(r *rand.Rand) int {
 	x := r.Float64() * w.cum[len(w.cum)-1]
 	return sort.SearchFloat64s(w.cum, x)
 }
-
-// Len returns the number of choices.
-func (w *WeightedChoice) Len() int { return len(w.cum) }
 
 // ClampInt rounds a float sample to the nearest int and clamps it to
 // [lo, hi]. The range test is made in float64, before any conversion (Go

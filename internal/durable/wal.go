@@ -453,13 +453,6 @@ func (w *wal) flush(sync bool) {
 	w.mu.Unlock()
 }
 
-// Err returns the sticky failure, if any.
-func (w *wal) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // createWalFile creates dir/wal-<epoch> with magic and header written and
 // fsynced, and the directory entry fsynced, returning the open file
 // positioned for appends. base is the observed-count the epoch starts at. A

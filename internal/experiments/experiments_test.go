@@ -307,6 +307,36 @@ func TestSection6OnOneSite(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsRunOnOneJob: the smallest valid trace, one job reading
+// one file, runs through every experiment, with the file empty (trace.Validate
+// allows size 0) and with it 1 MB. Swarm's case study is then a filecule of no
+// bytes, which the fluid model refuses: it prints speedup 1, as the
+// whole-trace table does for such a filecule.
+func TestAllExperimentsRunOnOneJob(t *testing.T) {
+	for _, size := range []int64{0, 1 << 20} {
+		b := trace.NewBuilder()
+		site := b.Site("lab", ".gov", 1)
+		f := b.File("only", size, trace.TierThumbnail)
+		b.SimpleJob(b.User("u", site), site, time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC), []trace.FileID{f})
+		r := NewForTrace(b.Build(), 1)
+		for _, id := range All() {
+			t.Run(strconv.FormatInt(size, 10)+"B/"+id, func(t *testing.T) {
+				res, err := r.Run(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id == "swarm" && size == 0 {
+					for _, row := range res.Tables[0].Rows() {
+						if got := row[len(row)-1]; got != "1" {
+							t.Errorf("%s: speedup %s on an empty filecule, want 1", row[0], got)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestArrivalGapsCoverMultiSiteFilecules: swarm's whole-trace table bins
 // every filecule read at two or more sites exactly once, with its bytes,
 // and prints all six bins at every seed so the seeds fold.

@@ -129,7 +129,13 @@ func (r *Runner) swarmFeasibility() (*Result, error) {
 		"scenario", "peers", "interval overlap", "overlapping downloads",
 		"client-server mean", "swarm mean", "speedup")
 
+	// A filecule of no bytes has nothing to download: as in the whole-trace
+	// table, the model is not run on it and its speedup is 1.
 	addScenario := func(name string, arrivals []time.Duration, overlap int) {
+		if base.FileBytes == 0 {
+			tb.AddRow(name, len(arrivals), overlap, 0, time.Duration(0), time.Duration(0), 1.0)
+			return
+		}
 		s := base
 		s.Arrivals = arrivals
 		cs := swarm.SimulateClientServer(s)

@@ -223,9 +223,6 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Site returns the node's site name.
-func (n *Node) Site() string { return n.cfg.Site }
-
 // Start launches one exchange loop per peer. Safe to call once.
 func (n *Node) Start() {
 	n.startOnce.Do(func() {

@@ -56,9 +56,6 @@ func NewSuccessor(depth int) *Successor {
 	}
 }
 
-// Name implements cache.Prefetcher.
-func (p *Successor) Name() string { return "successor" }
-
 // Suggest implements cache.Prefetcher: follow the best-successor chain.
 func (p *Successor) Suggest(_ trace.JobID, f trace.FileID) []trace.FileID {
 	var out []trace.FileID
@@ -129,9 +126,6 @@ func NewProbGraph(window int, minChance float64) *ProbGraph {
 		recent:     make(map[trace.JobID][]trace.FileID),
 	}
 }
-
-// Name implements cache.Prefetcher.
-func (p *ProbGraph) Name() string { return "probgraph" }
 
 // Suggest implements cache.Prefetcher.
 func (p *ProbGraph) Suggest(_ trace.JobID, f trace.FileID) []trace.FileID {
@@ -206,9 +200,6 @@ type Filecules struct {
 func NewFilecules(p *core.Partition) *Filecules {
 	return &Filecules{part: p}
 }
-
-// Name implements cache.Prefetcher.
-func (p *Filecules) Name() string { return "filecule-prefetch" }
 
 // Suggest implements cache.Prefetcher.
 func (p *Filecules) Suggest(_ trace.JobID, f trace.FileID) []trace.FileID {

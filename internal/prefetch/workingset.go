@@ -40,9 +40,6 @@ func NewWorkingSet() *WorkingSet {
 	}
 }
 
-// Name implements cache.Prefetcher.
-func (p *WorkingSet) Name() string { return "working-set" }
-
 // Train stores every job input sequence of a history trace — the offline
 // "working tree" construction of the original system.
 func (p *WorkingSet) Train(t *trace.Trace) {

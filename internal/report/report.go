@@ -166,13 +166,17 @@ func (t *Table) Render(w io.Writer) error {
 	if t.Title != "" {
 		fmt.Fprintf(&b, "== %s ==\n", t.Title)
 	}
+	// A row ends at its last non-blank character: trailing spaces would not
+	// survive an Example's "// Output:" comment or an editor's save.
 	writeRow := func(cells []string) {
+		var line strings.Builder
 		for i, cell := range cells {
 			if i > 0 {
-				b.WriteString("  ")
+				line.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			fmt.Fprintf(&line, "%-*s", widths[i], cell)
 		}
+		b.WriteString(strings.TrimRight(line.String(), " "))
 		b.WriteString("\n")
 	}
 	writeRow(t.Columns)

@@ -29,6 +29,12 @@ func TestTableRender(t *testing.T) {
 	if len(lines) != 5 { // title, header, rule, 2 rows
 		t.Errorf("got %d lines:\n%s", len(lines), out)
 	}
+	// The last column is not padded: "rate" is narrower than "0.5123".
+	for _, l := range lines {
+		if strings.HasSuffix(l, " ") {
+			t.Errorf("line %q ends in a space", l)
+		}
+	}
 	if rows := tb.Rows(); len(rows) != 2 || rows[0][2] != "0.5123" {
 		t.Errorf("Rows = %q", rows)
 	}
@@ -82,10 +88,10 @@ func TestAggregate(t *testing.T) {
 	even := render(seedTables(
 		[]interface{}{"a", 1, 0.5, time.Second},
 		[]interface{}{"a", 2, 0.25, time.Second}))
-	if want := "a     1.50 [1–2]  0.3750 [0.2500–0.5000]  1s   "; even != want {
+	if want := "a     1.50 [1–2]  0.3750 [0.2500–0.5000]  1s"; even != want {
 		t.Errorf("even N: got %q, want %q", even, want)
 	}
-	if got := render(seedTables([]interface{}{"a", 7, 0.5, time.Second})); got != "a     7     0.5000  1s   " {
+	if got := render(seedTables([]interface{}{"a", 7, 0.5, time.Second})); got != "a     7     0.5000  1s" {
 		t.Errorf("one table: got %q", got)
 	}
 

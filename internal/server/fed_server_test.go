@@ -370,7 +370,7 @@ func TestFedLargeDeltaOverWire(t *testing.T) {
 	if err := exchange(t, wl.Addr().String(), delta); err != nil {
 		t.Fatalf("exchange of a %d-byte delta: %v", len(delta), err)
 	}
-	if sites := s.Fed().Sites(); len(sites) != 1 || sites[0].Groups != len(jobs) {
+	if sites := s.svc.Fed.Sites(); len(sites) != 1 || sites[0].Groups != len(jobs) {
 		t.Fatalf("held %+v, want bulky's %d groups", sites, len(jobs))
 	}
 }

@@ -176,12 +176,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // bypasses the durability layer when one is configured.
 func (s *Server) Engine() *core.Engine { return s.svc.Engine }
 
-// Metrics exposes the request metrics collector.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Fed exposes the federation node, or nil when federation is off.
-func (s *Server) Fed() *fed.Node { return s.svc.Fed }
-
 // Run serves on l until ctx is cancelled, then drains in-flight requests
 // for at most Config.ShutdownGrace before returning. It returns nil on a
 // clean shutdown.

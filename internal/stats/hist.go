@@ -110,17 +110,6 @@ func (h *Histogram) Total() int {
 	return n
 }
 
-// Mode returns the bin with the highest count (first on ties).
-func (h *Histogram) Mode() Bin {
-	best := h.Bins[0]
-	for _, b := range h.Bins[1:] {
-		if b.Count > best.Count {
-			best = b
-		}
-	}
-	return best
-}
-
 // CountHistogram tallies integer-valued samples exactly (one bucket per
 // distinct value), used for small-support discrete figures such as
 // "number of users sharing a filecule".

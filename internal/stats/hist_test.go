@@ -74,14 +74,6 @@ func TestHistogramPanics(t *testing.T) {
 	}
 }
 
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram([]float64{1, 1, 1, 6, 6}, []float64{0, 5, 10})
-	m := h.Mode()
-	if m.Lo != 0 || m.Count != 3 {
-		t.Errorf("Mode = %+v", m)
-	}
-}
-
 func TestCountHistogram(t *testing.T) {
 	h := NewCountHistogram([]int{1, 1, 2, 3, 3, 3})
 	if h.Min != 1 || h.Max != 3 || h.N != 6 {

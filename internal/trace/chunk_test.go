@@ -115,6 +115,11 @@ func TestChunkTornVsCorrupt(t *testing.T) {
 		if !ce.Torn() {
 			t.Fatalf("cut=%d: error %v not classified as torn", cut, ce)
 		}
+		// Unwrap hands the cause on, so errors.Is sees the truncation
+		// without naming ChunkError.
+		if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, errTornLength) {
+			t.Fatalf("cut=%d: errors.Is does not reach the cause of %v", cut, err)
+		}
 		if ce.Offset != int64(whole) {
 			t.Fatalf("cut=%d: torn offset %d, want %d", cut, ce.Offset, whole)
 		}

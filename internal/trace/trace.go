@@ -278,15 +278,6 @@ func (t *Trace) NumRequests() int {
 	return n
 }
 
-// TotalBytes returns the catalog size: the sum of all file sizes.
-func (t *Trace) TotalBytes() int64 {
-	var n int64
-	for i := range t.Files {
-		n += t.Files[i].Size
-	}
-	return n
-}
-
 // Span returns the interval [first job start, last job end]. ok is false for
 // a trace with no jobs.
 func (t *Trace) Span() (start, end time.Time, ok bool) {

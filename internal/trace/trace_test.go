@@ -62,9 +62,6 @@ func TestTraceAggregates(t *testing.T) {
 	if got, want := tr.NumRequests(), 8; got != want {
 		t.Errorf("NumRequests = %d, want %d", got, want)
 	}
-	if got, want := tr.TotalBytes(), int64(100+200+300+400+500); got != want {
-		t.Errorf("TotalBytes = %d, want %d", got, want)
-	}
 	start, end, ok := tr.Span()
 	if !ok || !start.Equal(t0) || !end.Equal(t0.Add(7*time.Hour)) {
 		t.Errorf("Span = %v..%v ok=%v", start, end, ok)
