@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzIdentify -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzServerHandlers -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzAdviseConsistency -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzAdviseMatchesSim -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) ./internal/durable
 	$(GO) test -run=^$$ -fuzz=FuzzWAL -fuzztime=$(FUZZTIME) ./internal/durable
 	$(GO) test -run=^$$ -fuzz=FuzzSiteSplit -fuzztime=$(FUZZTIME) ./internal/core

@@ -536,9 +536,8 @@ func TestDurableExitCodes(t *testing.T) {
 	}
 }
 
-// TestFormatFlagExitCodes pins filecule-gen's -format / -stream and the file
-// adapter's format option: binary traces round through the tools, asserted
-// formats are enforced, and corrupt binary input fails loudly.
+// TestFormatFlagExitCodes pins filecule-gen's -format / -stream: binary
+// traces round through the tools, and corrupt binary input fails loudly.
 func TestFormatFlagExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds commands; skipped in -short mode")
@@ -585,8 +584,8 @@ func TestFormatFlagExitCodes(t *testing.T) {
 
 	// The traces were recorded at scale 0.001; the spec says so, so the
 	// sweep's cache sizes match.
-	sweepFile := func(path, more string) []string {
-		return []string{"-workload", "file,path=" + path + ",scale=0.001" + more,
+	sweepFile := func(path string) []string {
+		return []string{"-workload", "file,path=" + path + ",scale=0.001",
 			"-sweep", "-policies", "lru", "-grans", "file", "-sizes", "1"}
 	}
 	cases := []struct {
@@ -595,16 +594,12 @@ func TestFormatFlagExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"sweep reads bin", "filecule-cachesim", sweepFile(binTrace, ""), 0},
-		{"sweep reads streamed bin", "filecule-cachesim", sweepFile(streamBin, ""), 0},
-		{"sweep rejects corrupt bin", "filecule-cachesim", sweepFile(corrupt, ""), 1},
-		{"cachesim format mismatch", "filecule-cachesim", sweepFile(textTrace, ",format=bin"), 1},
-		{"cachesim bad format", "filecule-cachesim", sweepFile(binTrace, ",format=xml"), 1},
+		{"sweep reads bin", "filecule-cachesim", sweepFile(binTrace), 0},
+		{"sweep reads streamed bin", "filecule-cachesim", sweepFile(streamBin), 0},
+		{"sweep rejects corrupt bin", "filecule-cachesim", sweepFile(corrupt), 1},
 		{"gen bad format", "filecule-gen", append([]string{"-format", "xml"}, tiny...), 1},
 		{"gen convert missing input", "filecule-gen",
 			[]string{"-workload", "file,path=" + filepath.Join(dir, "missing.trace"), "-o", filepath.Join(dir, "x.bin")}, 1},
-		{"analyze format mismatch", "filecule-repro",
-			[]string{"-workload", "file,path=" + binTrace + ",format=text", "-exp", "table1"}, 1},
 	}
 	for _, tc := range cases {
 		tc := tc

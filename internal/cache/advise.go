@@ -1,24 +1,27 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"filecule/internal/trace"
 )
 
 // This file implements stateless cache advice: given a remote cache's
-// reported state and the files it is about to serve, compute which
-// replacement units to admit and which resident units to evict, at whatever
-// granularity the caller supplies. It is the decision kernel behind the
-// serving layer's /v1/cache/advise endpoint — the deployment Section 6 of
-// the paper sketches, where a central identification service advises
-// distributed site caches on filecule-granularity staging.
+// reported state and the files it is about to serve, compute which filecules
+// to admit and which resident units to evict. It is the decision kernel
+// behind the serving layer's /v1/cache/advise endpoint — the deployment
+// Section 6 of the paper sketches, where a central identification service
+// advises distributed site caches on filecule-granularity staging.
 //
-// Advise mirrors the admission semantics of Sim.serve exactly (including
-// the degenerate single-file fallback for units larger than the whole
-// cache) but leaves the state on the client: the server never tracks remote
-// residency, so any number of caches can consult one service.
+// Advise places each file with the same locate and fit as Sim, but leaves
+// the state on the client: the server never tracks remote residency, so any
+// number of caches can consult one service. Whenever the job's hit and
+// loaded units fit the capacity, the plan is what a filecule-LRU Sim holding
+// the reported residency does when it first touches the job's resident units
+// and then serves the job's files in order: the same hits, loads (in order),
+// bypasses and evictions (FuzzAdviseMatchesSim).
 
 // ResidentUnit is one replacement unit a client cache reports as resident.
 // LastAccess is the client's own logical or wall clock; Advise only
@@ -69,22 +72,6 @@ type Advice struct {
 	BytesToEvict int64 `json:"bytesToEvict"`
 }
 
-// unitLister is implemented by granularities that can enumerate a unit's
-// member files (the filecule granularity); units of granularities without
-// it load only the requested file.
-type unitLister interface {
-	FilesOf(u UnitID) []trace.FileID
-}
-
-// FilesOf returns the member files of unit u: the filecule's files, or the
-// single file for degenerate units.
-func (g *FileculeGranularity) FilesOf(u UnitID) []trace.FileID {
-	if u >= degenerateBase {
-		return []trace.FileID{trace.FileID(u - degenerateBase)}
-	}
-	return g.part.Filecules[u].Files
-}
-
 // ValidUnit reports whether u denotes an existing replacement unit.
 func (g *FileculeGranularity) ValidUnit(u UnitID) bool {
 	if u >= degenerateBase {
@@ -92,20 +79,6 @@ func (g *FileculeGranularity) ValidUnit(u UnitID) bool {
 		return f >= 0 && int(f) < g.catalog.NumFiles()
 	}
 	return u >= 0 && int(u) < len(g.sizes)
-}
-
-// ValidUnit reports whether u denotes an existing replacement unit.
-func (g *FileGranularity) ValidUnit(u UnitID) bool {
-	if u >= degenerateBase {
-		u -= degenerateBase
-	}
-	return u >= 0 && int(u) < len(g.files)
-}
-
-// unitValidator is implemented by granularities that can check unit
-// existence; Advise rejects unknown units instead of panicking in SizeOf.
-type unitValidator interface {
-	ValidUnit(u UnitID) bool
 }
 
 // Advise computes the admission/eviction plan for req under granularity g.
@@ -116,7 +89,7 @@ type unitValidator interface {
 // requests (the binary wire protocol's per-connection handler) should hold a
 // Planner instead, which reuses its scratch state and produces identical
 // plans.
-func Advise(g Granularity, req AdviceRequest) (*Advice, error) {
+func Advise(g *FileculeGranularity, req AdviceRequest) (*Advice, error) {
 	return NewPlanner(g).Advise(req)
 }
 
@@ -126,39 +99,31 @@ func Advise(g Granularity, req AdviceRequest) (*Advice, error) {
 // carries) is valid only until the next call. Not safe for concurrent use;
 // give each connection or goroutine its own Planner.
 type Planner struct {
-	g      Granularity
-	val    unitValidator // nil when g cannot validate units
-	lister unitLister    // nil when g cannot enumerate unit members
+	g *FileculeGranularity
 
 	resident map[UnitID]int64
 	planned  map[UnitID]bool
 	hit      map[UnitID]bool
 	victims  []ResidentUnit
-	// singles backs the one-file member lists of degenerate (and
-	// lister-less) load units. It is grown to its high-water mark before
-	// planning so appends never reallocate out from under earlier slices.
+	// singles backs the one-file member lists of degenerate load units. It
+	// is grown to its high-water mark before planning so appends never
+	// reallocate out from under earlier slices.
 	singles []trace.FileID
 	adv     Advice
 }
 
 // NewPlanner returns a Planner over g.
-func NewPlanner(g Granularity) *Planner {
-	pl := &Planner{}
-	pl.Reset(g)
-	return pl
+func NewPlanner(g *FileculeGranularity) *Planner {
+	return &Planner{g: g}
 }
 
 // Reset rebinds the planner to a new granularity (typically after the
 // underlying partition snapshot changed), keeping its scratch allocations.
-func (pl *Planner) Reset(g Granularity) {
-	pl.g = g
-	pl.val, _ = g.(unitValidator)
-	pl.lister, _ = g.(unitLister)
-}
+func (pl *Planner) Reset(g *FileculeGranularity) { pl.g = g }
 
 // Granularity returns the granularity the planner is bound to, so callers
 // caching a Planner can detect snapshot changes by identity.
-func (pl *Planner) Granularity() Granularity { return pl.g }
+func (pl *Planner) Granularity() *FileculeGranularity { return pl.g }
 
 // Advise computes the admission/eviction plan for req. It is the single
 // implementation behind the package-level Advise: a fresh Planner and a
@@ -194,7 +159,7 @@ func (pl *Planner) Advise(req AdviceRequest) (*Advice, error) {
 	resident := pl.resident
 	var used int64
 	for _, r := range req.Resident {
-		if pl.val != nil && !pl.val.ValidUnit(r.Unit) {
+		if !g.ValidUnit(r.Unit) {
 			return nil, fmt.Errorf("cache: advise: unknown resident unit %d", r.Unit)
 		}
 		if _, dup := resident[r.Unit]; dup {
@@ -207,51 +172,39 @@ func (pl *Planner) Advise(req AdviceRequest) (*Advice, error) {
 
 	planned, hit := pl.planned, pl.hit
 	for _, f := range req.Files {
-		if pl.val != nil && !pl.val.ValidUnit(degenerate(f)) {
+		if !g.ValidUnit(degenerate(f)) {
 			return nil, fmt.Errorf("cache: advise: unknown file %d", f)
 		}
-		unit := g.UnitOf(f)
-		if _, ok := resident[unit]; ok {
+		unit, held := locate(resident, g.UnitOf(f), f)
+		if held {
 			if !hit[unit] {
 				hit[unit] = true
 				adv.Hits = append(adv.Hits, unit)
 			}
 			continue
 		}
-		// The file may be resident as a degenerate unit from an
-		// earlier bypass.
-		if _, ok := resident[degenerate(f)]; ok {
-			if !hit[degenerate(f)] {
-				hit[degenerate(f)] = true
-				adv.Hits = append(adv.Hits, degenerate(f))
-			}
-			continue
-		}
 		if planned[unit] {
 			continue
 		}
-		size := g.SizeOf(unit)
-		if size > req.Capacity {
-			// Whole unit cannot fit; stage just the file.
-			unit = degenerate(f)
-			if planned[unit] {
+		load, size, bypass, fits := fit(g, unit, f, req.Capacity)
+		if bypass {
+			if planned[load] {
 				continue
 			}
-			size = g.SizeOf(unit)
 			adv.Bypassed = append(adv.Bypassed, f)
-			if size > req.Capacity {
-				continue // single file larger than the cache
-			}
 		}
-		planned[unit] = true
+		if !fits {
+			continue
+		}
+		planned[load] = true
 		var files []trace.FileID
-		if pl.lister != nil && unit < degenerateBase {
-			files = pl.lister.FilesOf(unit)
+		if load < degenerateBase {
+			files = g.part.Filecules[load].Files
 		} else {
 			pl.singles = append(pl.singles, f)
 			files = pl.singles[len(pl.singles)-1 : len(pl.singles) : len(pl.singles)]
 		}
-		adv.Load = append(adv.Load, LoadUnit{Unit: unit, Files: files, Bytes: size})
+		adv.Load = append(adv.Load, LoadUnit{Unit: load, Files: files, Bytes: size})
 		adv.BytesToLoad += size
 	}
 
@@ -267,11 +220,11 @@ func (pl *Planner) Advise(req AdviceRequest) (*Advice, error) {
 			victims = append(victims, r)
 		}
 		pl.victims = victims
-		sort.Slice(victims, func(a, b int) bool {
-			if victims[a].LastAccess != victims[b].LastAccess {
-				return victims[a].LastAccess < victims[b].LastAccess
+		slices.SortFunc(victims, func(a, b ResidentUnit) int {
+			if c := cmp.Compare(a.LastAccess, b.LastAccess); c != 0 {
+				return c
 			}
-			return victims[a].Unit < victims[b].Unit
+			return cmp.Compare(a.Unit, b.Unit)
 		})
 		for _, v := range victims {
 			if used+adv.BytesToLoad <= req.Capacity {

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -139,19 +142,121 @@ func TestAdviseRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestAdviseFileGranularity(t *testing.T) {
-	tr, _ := adviseTrace(t)
-	g := NewFileGranularity(tr)
-	adv, err := Advise(g, AdviceRequest{Capacity: 1000, Files: []trace.FileID{0, 1}})
+// FuzzAdviseMatchesSim holds the planner to the simulator: advice for a job
+// is what a filecule-LRU Sim holding the reported residency does when it
+// first touches the job's resident units and then serves the job's files in
+// order — the same hits, loads in order, bypasses and evictions — whenever
+// the job's hit and loaded units fit the capacity.
+func FuzzAdviseMatchesSim(f *testing.F) {
+	for seed := int64(0); seed < 64; seed++ {
+		f.Add(seed, uint16(seed*37))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, capRaw uint16) {
+		tr := randomReplayTrace(t, seed)
+		g := NewFileculeGranularity(tr, core.Identify(tr))
+		capacity := int64(capRaw%300) + 1
+		r := rand.New(rand.NewSource(^seed))
+		lru := NewLRU()
+		rec := &recordingPolicy{Policy: lru}
+		s := NewSim(tr, g, rec, capacity)
+		var now int64
+		for i := r.Intn(12); i > 0; i-- {
+			s.Preload(trace.FileID(r.Intn(len(tr.Files))), now)
+			now++
+		}
+		req := AdviceRequest{Capacity: capacity}
+		for n := lru.order.root.prev; n != &lru.order.root; n = n.prev {
+			req.Resident = append(req.Resident, ResidentUnit{Unit: n.unit, LastAccess: int64(len(req.Resident))})
+		}
+		for i := 1 + r.Intn(8); i > 0; i-- {
+			req.Files = append(req.Files, trace.FileID(r.Intn(len(tr.Files))))
+		}
+		got, err := Advise(g, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := got.BytesToLoad
+		for _, u := range got.Hits {
+			held += g.SizeOf(u)
+		}
+		if held > capacity {
+			return // the Sim may evict what the job loads; the plan cannot
+		}
+
+		var want Advice
+		for _, f := range req.Files {
+			if u, ok := locate(s.resident, g.UnitOf(f), f); ok && !slices.Contains(want.Hits, u) {
+				want.Hits = append(want.Hits, u)
+				s.Preload(f, now)
+				now++
+			}
+		}
+		rec.admitted, rec.removed = nil, nil
+		before := s.Metrics()
+		for _, f := range req.Files {
+			bypasses := s.metrics.Bypasses
+			s.Access(f, now)
+			now++
+			if s.metrics.Bypasses > bypasses {
+				want.Bypassed = append(want.Bypassed, f)
+			}
+		}
+		for _, lu := range rec.admitted {
+			if lu.Unit >= degenerateBase {
+				lu.Files = []trace.FileID{trace.FileID(lu.Unit - degenerateBase)}
+			} else {
+				lu.Files = g.Partition().Filecules[lu.Unit].Files
+			}
+			want.Load = append(want.Load, lu)
+		}
+		want.Evict = rec.removed
+		want.BytesToLoad = s.metrics.BytesLoaded - before.BytesLoaded
+		want.BytesToEvict = s.metrics.BytesEvicted - before.BytesEvicted
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("capacity %d, resident %v, job %v:\nadvice %+v\n   sim %+v", capacity, req.Resident, req.Files, *got, want)
+		}
+	})
+}
+
+// recordingPolicy records the units a Policy admits and removes.
+type recordingPolicy struct {
+	Policy
+	admitted []LoadUnit
+	removed  []UnitID
+}
+
+func (p *recordingPolicy) Admit(u UnitID, size, now int64) {
+	p.admitted = append(p.admitted, LoadUnit{Unit: u, Bytes: size})
+	p.Policy.Admit(u, size, now)
+}
+
+func (p *recordingPolicy) Remove(u UnitID) {
+	p.removed = append(p.removed, u)
+	p.Policy.Remove(u)
+}
+
+// TestPlannerReuseAllocatesNothing pins the reused Planner's contract: once
+// warm, a plan with a hit, a degenerate load, two bypasses and an eviction
+// allocates nothing.
+func TestPlannerReuseAllocatesNothing(t *testing.T) {
+	tr, p := adviseTrace(t)
+	pl := NewPlanner(NewFileculeGranularity(tr, p))
+	// Filecule {0,1} (300 bytes) exceeds the capacity, so file 0 loads alone
+	// and evicts file 3's degenerate unit; file 4 fits not even alone.
+	req := AdviceRequest{
+		Capacity: 155,
+		Files:    []trace.FileID{2, 0, 4},
+		Resident: []ResidentUnit{{Unit: UnitID(p.Of(2)), LastAccess: 1}, {Unit: degenerate(3), LastAccess: 0}},
+	}
+	adv, err := pl.Advise(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(adv.Load) != 2 || adv.BytesToLoad != 300 {
-		t.Errorf("Load = %+v, want files 0 and 1 separately", adv.Load)
+	if len(adv.Hits) != 1 || len(adv.Load) != 1 || adv.Load[0].Unit != degenerate(0) ||
+		len(adv.Bypassed) != 2 || len(adv.Evict) != 1 {
+		t.Fatalf("plan %+v, want a hit, file 0 loaded alone, two bypasses and an eviction", adv)
 	}
-	for _, lu := range adv.Load {
-		if len(lu.Files) != 1 {
-			t.Errorf("file-granularity unit lists %v", lu.Files)
-		}
+	if avg := testing.AllocsPerRun(100, func() { pl.Advise(req) }); avg != 0 {
+		t.Errorf("reused Planner allocates %.1f objects per plan, want 0", avg)
 	}
 }

@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 
-	"filecule/internal/core"
 	"filecule/internal/trace"
 )
 
@@ -25,14 +24,14 @@ import (
 // "bundle" granularity axis.
 type BundlePolicy struct {
 	base Policy
-	part *core.Partition
+	gran *FileculeGranularity // its units are the bundles
 
-	bundles map[int64]*policyBundle
+	bundles map[UnitID]*policyBundle
 	byUnit  map[UnitID]*policyBundleFile
 }
 
 type policyBundle struct {
-	key   int64
+	key   UnitID
 	files list // resident member files, MRU first
 }
 
@@ -41,12 +40,13 @@ type policyBundleFile struct {
 	b    *policyBundle
 }
 
-// NewBundlePolicy wraps base with bundle-aware eviction over the partition.
-func NewBundlePolicy(base Policy, p *core.Partition) *BundlePolicy {
+// NewBundlePolicy wraps base with bundle-aware eviction; g's units are the
+// bundles.
+func NewBundlePolicy(base Policy, g *FileculeGranularity) *BundlePolicy {
 	return &BundlePolicy{
 		base:    base,
-		part:    p,
-		bundles: make(map[int64]*policyBundle),
+		gran:    g,
+		bundles: make(map[UnitID]*policyBundle),
 		byUnit:  make(map[UnitID]*policyBundleFile),
 	}
 }
@@ -54,35 +54,22 @@ func NewBundlePolicy(base Policy, p *core.Partition) *BundlePolicy {
 // Name implements Policy.
 func (p *BundlePolicy) Name() string { return "bundle-" + p.base.Name() }
 
-// KeyOf maps a file to its bundle key: the enclosing filecule, or a unique
-// per-file key when the partition does not cover the file.
-func (p *BundlePolicy) KeyOf(f trace.FileID) int64 {
-	if i := p.part.Of(f); i >= 0 {
-		return int64(i)
-	}
-	return int64(degenerateBase) + int64(f)
-}
-
-// keyOfUnit maps a (possibly degenerate) file unit to its bundle key.
-func (p *BundlePolicy) keyOfUnit(u UnitID) int64 {
-	f := trace.FileID(u)
-	if u >= degenerateBase {
-		f = trace.FileID(u - degenerateBase)
-	}
-	return p.KeyOf(f)
-}
-
-// Admit implements Policy.
+// Admit implements Policy. u is a file unit: the file, or its degenerate
+// unit.
 func (p *BundlePolicy) Admit(u UnitID, size, now int64) {
-	key := p.keyOfUnit(u)
+	f := u
+	if f >= degenerateBase {
+		f -= degenerateBase
+	}
+	key := p.gran.UnitOf(trace.FileID(f))
 	b := p.bundles[key]
 	if b == nil {
 		b = &policyBundle{key: key}
 		b.files.init()
 		p.bundles[key] = b
-		p.base.Admit(UnitID(key), size, now)
+		p.base.Admit(key, size, now)
 	} else {
-		p.base.Touch(UnitID(key), now)
+		p.base.Touch(key, now)
 	}
 	bf := &policyBundleFile{b: b}
 	bf.node.unit = u
@@ -96,14 +83,14 @@ func (p *BundlePolicy) Touch(u UnitID, now int64) {
 	b := bf.b
 	b.files.remove(&bf.node)
 	b.files.pushFront(&bf.node)
-	p.base.Touch(UnitID(b.key), now)
+	p.base.Touch(b.key, now)
 }
 
 // Victim implements Policy: the coldest resident file of the bundle the
 // base policy would evict.
 func (p *BundlePolicy) Victim() UnitID {
 	key := p.base.Victim()
-	b := p.bundles[int64(key)]
+	b := p.bundles[key]
 	if b == nil {
 		panic(fmt.Sprintf("cache: %s base chose unknown bundle %d", p.Name(), key))
 	}
@@ -118,7 +105,7 @@ func (p *BundlePolicy) Remove(u UnitID) {
 	b.files.remove(&bf.node)
 	delete(p.byUnit, u)
 	if b.files.back() == nil {
-		p.base.Remove(UnitID(b.key))
+		p.base.Remove(b.key)
 		delete(p.bundles, b.key)
 	}
 }

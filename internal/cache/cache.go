@@ -172,71 +172,50 @@ func (s *Sim) serve(f trace.FileID, now int64) {
 	s.metrics.Requests++
 	s.metrics.BytesRequested += fileSize
 
-	unit := s.gran.UnitOf(f)
-	if _, ok := s.resident[unit]; ok {
+	unit, hit := locate(s.resident, s.gran.UnitOf(f), f)
+	if hit {
 		s.policy.Touch(unit, now)
 		s.metrics.Hits++
 		return
 	}
-	// The file may be resident as a degenerate unit from an earlier
-	// bypass.
-	if _, ok := s.resident[degenerate(f)]; ok {
-		s.policy.Touch(degenerate(f), now)
-		s.metrics.Hits++
-		return
-	}
-
 	s.metrics.Misses++
 	s.metrics.BytesMissed += fileSize
 
-	size := s.gran.SizeOf(unit)
-	if size > s.capacity {
-		// Whole unit cannot fit; cache just the requested file.
+	load, size, bypass, ok := fit(s.gran, unit, f, s.capacity)
+	if bypass {
 		s.metrics.Bypasses++
-		unit = degenerate(f)
-		size = fileSize
-		if size > s.capacity {
-			return // pathological: single file larger than the cache
-		}
 	}
-	s.load(unit, size, now)
-	s.metrics.BytesLoaded += size
+	if ok {
+		s.load(load, size, now)
+	}
 }
 
 // prefetch speculatively loads the unit containing g, charging the
 // prefetch counters instead of the demand-miss ones. Oversized units are
 // skipped (speculation never bypasses).
 func (s *Sim) prefetch(g trace.FileID, now int64) {
-	unit := s.gran.UnitOf(g)
-	if _, ok := s.resident[unit]; ok {
+	unit, hit := locate(s.resident, s.gran.UnitOf(g), g)
+	if hit {
 		return
 	}
-	if _, ok := s.resident[degenerate(g)]; ok {
-		return
+	if _, size, bypass, _ := fit(s.gran, unit, g, s.capacity); !bypass {
+		s.load(unit, size, now)
+		s.metrics.PrefetchLoads++
+		s.metrics.PrefetchBytes += size
 	}
-	size := s.gran.SizeOf(unit)
-	if size > s.capacity {
-		return
-	}
-	s.load(unit, size, now)
-	s.metrics.PrefetchLoads++
-	s.metrics.PrefetchBytes += size
+}
+
+// load admits unit, counting the bytes it loads and the units it evicts.
+func (s *Sim) load(unit UnitID, size, now int64) {
+	n, bytes := s.admit(unit, size, now)
+	s.metrics.Evictions += n
+	s.metrics.BytesEvicted += bytes
 	s.metrics.BytesLoaded += size
 }
 
-// load evicts until size fits, counting the evictions, then admits unit.
-func (s *Sim) load(unit UnitID, size, now int64) {
-	n, bytes := s.evictFor(size)
-	s.metrics.Evictions += n
-	s.metrics.BytesEvicted += bytes
-	s.resident[unit] = size
-	s.used += size
-	s.policy.Admit(unit, size, now)
-}
-
-// evictFor frees space until size fits and returns the units and bytes it
-// discarded.
-func (s *Sim) evictFor(size int64) (units, bytes int64) {
+// admit evicts until size fits, then admits unit, and returns the units and
+// bytes it discarded.
+func (s *Sim) admit(unit UnitID, size, now int64) (units, bytes int64) {
 	for s.used+size > s.capacity {
 		v := s.policy.Victim()
 		vsize, ok := s.resident[v]
@@ -249,6 +228,9 @@ func (s *Sim) evictFor(size int64) (units, bytes int64) {
 		units++
 		bytes += vsize
 	}
+	s.resident[unit] = size
+	s.used += size
+	s.policy.Admit(unit, size, now)
 	return units, bytes
 }
 
@@ -256,25 +238,39 @@ func (s *Sim) evictFor(size int64) (units, bytes int64) {
 // touching the metrics. It models cache warming and replica placement. The
 // logical time stamps the unit's recency for the policy.
 func (s *Sim) Preload(f trace.FileID, now int64) {
-	unit := s.gran.UnitOf(f)
-	if _, ok := s.resident[unit]; ok {
+	unit, hit := locate(s.resident, s.gran.UnitOf(f), f)
+	if hit {
 		s.policy.Touch(unit, now)
 		return
 	}
-	if _, ok := s.resident[degenerate(f)]; ok {
-		s.policy.Touch(degenerate(f), now)
-		return
+	if load, size, _, ok := fit(s.gran, unit, f, s.capacity); ok {
+		s.admit(load, size, now)
 	}
-	size := s.gran.SizeOf(unit)
-	if size > s.capacity {
-		unit = degenerate(f)
-		size = s.catalog[f].Size
-		if size > s.capacity {
-			return
-		}
+}
+
+// locate returns the resident unit that serves f, whose unit is unit: the
+// unit itself, or the degenerate unit an earlier bypass left. On a miss it
+// returns unit and false. Sim and Planner place every request with locate
+// and fit.
+func locate(resident map[UnitID]int64, unit UnitID, f trace.FileID) (UnitID, bool) {
+	if _, ok := resident[unit]; ok {
+		return unit, true
 	}
-	s.evictFor(size)
-	s.resident[unit] = size
-	s.used += size
-	s.policy.Admit(unit, size, now)
+	if _, ok := resident[degenerate(f)]; ok {
+		return degenerate(f), true
+	}
+	return unit, false
+}
+
+// fit returns what a miss on f, whose unit is unit, loads into a cache of
+// the given capacity: the unit and its size, or — when the unit exceeds the
+// capacity (bypass) — f alone as a degenerate unit. ok is false when even f
+// alone does not fit, and nothing loads.
+func fit(g Granularity, unit UnitID, f trace.FileID, capacity int64) (load UnitID, size int64, bypass, ok bool) {
+	if size = g.SizeOf(unit); size <= capacity {
+		return unit, size, false, true
+	}
+	load = degenerate(f)
+	size = g.SizeOf(load)
+	return load, size, true, size <= capacity
 }

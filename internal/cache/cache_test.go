@@ -14,10 +14,7 @@ var t0 = time.Date(2003, 1, 15, 12, 0, 0, 0, time.UTC)
 
 // resident reports whether file f would hit in s right now.
 func resident(s *Sim, f trace.FileID) bool {
-	if _, ok := s.resident[s.gran.UnitOf(f)]; ok {
-		return true
-	}
-	_, ok := s.resident[degenerate(f)]
+	_, ok := locate(s.resident, s.gran.UnitOf(f), f)
 	return ok
 }
 
@@ -215,7 +212,7 @@ func TestBundleLRUProtectsActiveBundles(t *testing.T) {
 	if m.Misses != 2 {
 		t.Errorf("filecule LRU misses = %d, want 2", m.Misses)
 	}
-	mb := replayFiles(t, tr, NewFileGranularity(tr), NewBundlePolicy(NewLRU(), p), 4)
+	mb := replayFiles(t, tr, NewFileGranularity(tr), NewBundlePolicy(NewLRU(), NewFileculeGranularity(tr, p)), 4)
 	// Bundle LRU does not prefetch: every first touch of a file misses.
 	if mb.Misses != 4 {
 		t.Errorf("bundle LRU misses = %d, want 4", mb.Misses)
@@ -224,7 +221,7 @@ func TestBundleLRUProtectsActiveBundles(t *testing.T) {
 	// coherently: victims come from the cold bundle.
 	tr2 := seqTrace(t, 4, 1, [][]trace.FileID{{0, 1}, {2, 3}, {0, 1}})
 	p2 := core.Identify(tr2)
-	m2 := replayFiles(t, tr2, NewFileGranularity(tr2), NewBundlePolicy(NewLRU(), p2), 2)
+	m2 := replayFiles(t, tr2, NewFileGranularity(tr2), NewBundlePolicy(NewLRU(), NewFileculeGranularity(tr2, p2)), 2)
 	if m2.Misses != 6 {
 		t.Errorf("bundle LRU thrash misses = %d, want 6", m2.Misses)
 	}
@@ -270,15 +267,15 @@ func TestInvariantsProperty(t *testing.T) {
 	f := func(seed int64, capRaw uint16) bool {
 		tr := randomReplayTrace(t, seed)
 		capacity := int64(capRaw%500) + 1
-		p := core.Identify(tr)
+		fg := NewFileculeGranularity(tr, core.Identify(tr))
 		for _, mk := range []func() (Granularity, Policy){
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewLRU() },
-			func() (Granularity, Policy) { return NewFileculeGranularity(tr, p), NewLRU() },
+			func() (Granularity, Policy) { return fg, NewLRU() },
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewGDS() },
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewGDSF() },
 			func() (Granularity, Policy) { return NewFileGranularity(tr), NewLFUDA() },
-			func() (Granularity, Policy) { return NewFileGranularity(tr), NewBundlePolicy(NewLRU(), p) },
-			func() (Granularity, Policy) { return NewFileculeGranularity(tr, p), NewGDS() },
+			func() (Granularity, Policy) { return NewFileGranularity(tr), NewBundlePolicy(NewLRU(), fg) },
+			func() (Granularity, Policy) { return fg, NewGDS() },
 		} {
 			g, pol := mk()
 			sim := NewSim(tr, g, pol, capacity)

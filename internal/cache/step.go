@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 
-	"filecule/internal/core"
 	"filecule/internal/trace"
 )
 
@@ -17,27 +16,10 @@ const Never = int64(1) << 62
 // pre-pass behind Belady's OPT; computing it once and sharing it across all
 // cache capacities of a granularity is one of the sweep engine's savings.
 func NextUse(g Granularity, reqs []trace.Request) []int64 {
-	return nextUseBy(func(f trace.FileID) UnitID { return g.UnitOf(f) }, reqs)
-}
-
-// NextUseBundles returns the per-request next-use chain at bundle
-// granularity: the next request touching any file of the same bundle
-// (filecule, or the file itself when the partition does not cover it).
-// It feeds OPT cells wrapped in a BundlePolicy.
-func NextUseBundles(p *core.Partition, reqs []trace.Request) []int64 {
-	return nextUseBy(func(f trace.FileID) UnitID {
-		if i := p.Of(f); i >= 0 {
-			return UnitID(i)
-		}
-		return degenerate(f)
-	}, reqs)
-}
-
-func nextUseBy(unitOf func(trace.FileID) UnitID, reqs []trace.Request) []int64 {
 	next := make([]int64, len(reqs))
 	lastSeen := make(map[UnitID]int64, 1024)
 	for i := len(reqs) - 1; i >= 0; i-- {
-		u := unitOf(reqs[i].File)
+		u := g.UnitOf(reqs[i].File)
 		if j, ok := lastSeen[u]; ok {
 			next[i] = j
 		} else {
@@ -51,9 +33,10 @@ func nextUseBy(unitOf func(trace.FileID) UnitID, reqs []trace.Request) []int64 {
 // OPTPolicy is Belady's offline-optimal replacement expressed as a Policy,
 // so that OPT cells compose with Sim, with granularities, and with the
 // BundlePolicy wrapper exactly like the online policies. It requires the
-// per-request next-use chain (from NextUse or NextUseBundles) computed over
-// the same request stream the simulator replays, and it relies on the Sim
-// contract that Admit/Touch are called with now = the current request index.
+// per-request next-use chain (NextUse over the units it ranks: a
+// BundlePolicy base ranks the filecule granularity's) computed over the same
+// request stream the simulator replays, and it relies on the Sim contract
+// that Admit/Touch are called with now = the current request index.
 //
 // Driven through Sim at file or filecule granularity it reproduces the
 // independently coded SimulateOPT oracle exactly (see

@@ -87,7 +87,7 @@ func TestStepMatchesReplay(t *testing.T) {
 		"arc":        func() Policy { return NewARC(capacity) },
 		"gds":        func() Policy { return NewGDS() },
 		"opt":        func() Policy { return NewOPTPolicy(NextUse(g, reqs)) },
-		"bundle-gds": func() Policy { return NewBundlePolicy(NewGDS(), p) },
+		"bundle-gds": func() Policy { return NewBundlePolicy(NewGDS(), g) },
 	}
 	for name, f := range mk {
 		want := NewSim(tr, g, f(), capacity).Replay(reqs)
@@ -106,7 +106,7 @@ func TestStepMatchesReplay(t *testing.T) {
 // cache ends non-empty.
 func TestBundlePolicyInvariants(t *testing.T) {
 	tr := stepTrace(17, 64, 400)
-	p := core.Identify(tr)
+	bundles := NewFileculeGranularity(tr, core.Identify(tr))
 	reqs := tr.Requests()
 	g := NewFileGranularity(tr)
 	const capacity = 48 << 20
@@ -115,10 +115,10 @@ func TestBundlePolicyInvariants(t *testing.T) {
 		"lru": func() Policy { return NewLRU() },
 		"arc": func() Policy { return NewARC(capacity) },
 		"gds": func() Policy { return NewGDS() },
-		"opt": func() Policy { return NewOPTPolicy(NextUseBundles(p, reqs)) },
+		"opt": func() Policy { return NewOPTPolicy(NextUse(bundles, reqs)) },
 	}
 	for name, f := range bases {
-		bp := NewBundlePolicy(f(), p)
+		bp := NewBundlePolicy(f(), bundles)
 		s := NewSim(tr, g, bp, capacity)
 		m := s.Replay(reqs)
 		if m.Requests != int64(len(reqs)) {

@@ -225,16 +225,16 @@ func TestAblationMatchesReference(t *testing.T) {
 			case "lfuda":
 				pol = cache.NewLFUDA()
 			case "opt":
+				ranked := g
 				if gran == "bundle" {
-					pol = cache.NewOPTPolicy(cache.NextUseBundles(p, reqs))
-				} else {
-					pol = cache.NewOPTPolicy(cache.NextUse(g, reqs))
+					ranked = cache.NewFileculeGranularity(tr, p)
 				}
+				pol = cache.NewOPTPolicy(cache.NextUse(ranked, reqs))
 			default:
 				t.Fatalf("no reference for sweep policy %q", name)
 			}
 			if gran == "bundle" {
-				pol = cache.NewBundlePolicy(pol, p)
+				pol = cache.NewBundlePolicy(pol, cache.NewFileculeGranularity(tr, p))
 			}
 			m := cache.NewSim(tr, g, pol, capBytes).Replay(reqs)
 			want.AddRow(gran, name, m.MissRate(), m.ByteMissRate(), float64(m.BytesLoaded)/(1<<30))

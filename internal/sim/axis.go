@@ -142,9 +142,10 @@ func (a *axisData) resolve(chunk []trace.FileID, out []resolved) {
 
 // nextUseBySlot computes the per-request next-use chain over an arbitrary
 // per-file slot mapping (axis units, or bundle keys), densely. It orders
-// requests exactly as cache.NextUse / cache.NextUseBundles do, with never in
-// place of cache.Never, and is shared by every OPT cell of the axis — one
-// backward pass instead of one per cell.
+// requests exactly as cache.NextUse does over the axis's granularity (over
+// the filecule granularity for bundle keys), with never in place of
+// cache.Never, and is shared by every OPT cell of the axis — one backward
+// pass instead of one per cell.
 func nextUseBySlot(slotOf []int32, nSlots int32, files []trace.FileID) []int32 {
 	next := make([]int32, len(files))
 	last := make([]int32, nSlots)
@@ -160,10 +161,10 @@ func nextUseBySlot(slotOf []int32, nSlots int32, files []trace.FileID) []int32 {
 }
 
 // bundleKeys numbers the bundles — the K filecules, then one singleton per
-// uncovered requested file in catalog order, as cache.BundlePolicy.KeyOf
-// orders them — and returns each requested file's bundle twice: indexed by
-// catalog file (for next-use over the stream) and by file-axis slot (for the
-// cells).
+// uncovered requested file in catalog order, as
+// cache.FileculeGranularity.UnitOf orders them — and returns each requested
+// file's bundle twice: indexed by catalog file (for next-use over the
+// stream) and by file-axis slot (for the cells).
 func bundleKeys(p *core.Partition, fileAx *axisData) (byFile, bySlot []int32, nBundles int32) {
 	nBundles = int32(p.NumFilecules())
 	byFile = make([]int32, len(fileAx.slotOf))

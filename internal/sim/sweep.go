@@ -435,10 +435,9 @@ func SweepSequential(t *trace.Trace, p *core.Partition, reqs []trace.Request, cf
 
 	res := newSweepResult(t, p, len(reqs), cfg, "sequential", 1)
 	for _, sp := range specs {
-		var g cache.Granularity
-		if sp.Granularity == "filecule" {
-			g = cache.NewFileculeGranularity(t, p)
-		} else {
+		fg := cache.NewFileculeGranularity(t, p) // the filecule cells' units, the bundle cells' bundles
+		var g cache.Granularity = fg
+		if sp.Granularity != "filecule" {
 			g = cache.NewFileGranularity(t)
 		}
 		var pol cache.Policy
@@ -454,14 +453,14 @@ func SweepSequential(t *trace.Trace, p *core.Partition, reqs []trace.Request, cf
 		case "lfuda":
 			pol = cache.NewLFUDA()
 		case "opt":
+			ranked := g
 			if sp.Granularity == "bundle" {
-				pol = cache.NewOPTPolicy(cache.NextUseBundles(p, reqs))
-			} else {
-				pol = cache.NewOPTPolicy(cache.NextUse(g, reqs))
+				ranked = fg
 			}
+			pol = cache.NewOPTPolicy(cache.NextUse(ranked, reqs))
 		}
 		if sp.Granularity == "bundle" {
-			pol = cache.NewBundlePolicy(pol, p)
+			pol = cache.NewBundlePolicy(pol, fg)
 		}
 		m := cache.NewSim(t, g, pol, sp.Capacity).Replay(reqs)
 		res.Cells = append(res.Cells, cellResultOf(sp, m))

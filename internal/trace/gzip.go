@@ -46,23 +46,6 @@ func ReadAuto(r io.Reader) (*Trace, error) {
 	return Read(br)
 }
 
-// DetectFormat reports which codec the stream holds — "bin" if it starts
-// with the filecule-bin magic, "text" otherwise — transparently looking
-// through gzip framing. It consumes r; reopen the stream to parse it.
-func DetectFormat(r io.Reader) (string, error) {
-	_, isBin, zr, err := sniff(r)
-	if err != nil {
-		return "", err
-	}
-	if zr != nil {
-		zr.Close()
-	}
-	if isBin {
-		return "bin", nil
-	}
-	return "text", nil
-}
-
 // NewSource opens a streaming Source over r with the same auto-detection
 // as ReadAuto: text input yields a Scanner, binary input a BinSource, and
 // gzip framing of either is unwrapped transparently. Closing the returned

@@ -243,7 +243,7 @@ func (s *Service) Advise(pl *cache.Planner, req cache.AdviceRequest) (*cache.Adv
 	if rerr != nil {
 		return nil, rerr
 	}
-	if pl.Granularity() != cache.Granularity(g) {
+	if pl.Granularity() != g {
 		pl.Reset(g)
 	}
 	adv, err := pl.Advise(req)

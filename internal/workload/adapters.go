@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"filecule/internal/synth"
@@ -12,8 +11,8 @@ import (
 // Built-in adapters. Each registers at init so the registry is complete
 // before any flag parsing happens.
 
-// CheckFormat validates a trace codec name: the file adapter's format option
-// and filecule-gen's -format take the same two.
+// CheckFormat validates a trace codec name, as filecule-gen's -format takes
+// it.
 func CheckFormat(format string) error {
 	if format == "text" || format == "bin" {
 		return nil
@@ -75,7 +74,6 @@ func init() {
 		Summary: "replay a recorded trace file (v1 text, filecule-bin/v1, or gzip of either)",
 		Options: []Option{
 			{Key: "path", Help: "<file> trace to replay (required)"},
-			{Key: "format", Help: "<text|bin> assert the file's codec instead of auto-detecting"},
 			{Key: "scale", Default: "1", Help: "<float> the scale the trace was recorded at: Scale reports it, the replay ignores it"},
 		},
 		Open: openFile,
@@ -202,34 +200,7 @@ func filePath(opts map[string]string) (string, error) {
 	if path == "" {
 		return "", fmt.Errorf("workload: file: the path option is required (file,path=<trace>)")
 	}
-	if err := checkFileFormat(path, optString(opts, "format", "")); err != nil {
-		return "", err
-	}
 	return path, nil
-}
-
-// checkFileFormat enforces a format assertion against the file's detected
-// codec: a mismatch is an error rather than silently auto-detected.
-func checkFileFormat(path, format string) error {
-	if format == "" {
-		return nil
-	}
-	if err := CheckFormat(format); err != nil {
-		return err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	got, err := trace.DetectFormat(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if got != format {
-		return fmt.Errorf("%s: trace is %s, not %s as the format option asserts", path, got, format)
-	}
-	return nil
 }
 
 func openFile(opts map[string]string) (trace.Source, error) {

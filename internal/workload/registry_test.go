@@ -49,7 +49,7 @@ func TestParseSpecErrors(t *testing.T) {
 		// No escape character: the tail of a path with a comma in it is
 		// named, with the reason.
 		{"file,path=runs/a,b.bin", `"b.bin" is not key=value (spec values cannot contain commas)`},
-		{"file,path=a,b=c.bin", `unknown option "b" (have path, format, scale; spec values cannot contain commas)`},
+		{"file,path=a,b=c.bin", `unknown option "b" (have path, scale; spec values cannot contain commas)`},
 		// help and list name no adapter: the error is the listing.
 		{"help", "workload spec: name[,key=value]..."},
 		{"list", "kv-csv"},
