@@ -42,15 +42,19 @@ race:
 	$(GO) test -race ./...
 
 # ReadFile's decode queue and IdentifyJobs' page-owning workers size
-# themselves from GOMAXPROCS, and Generate builds its file catalog on a
-# goroutine beside the job draws; no output may depend on the scheduler: the
-# trace codec and order tests, every generator test (goldens included) and
-# batch identification (held to its reference at every worker count) and
-# Combine at one, two and four Ps, whatever the runner's core count.
+# themselves from GOMAXPROCS, Generate builds its file catalog on a
+# goroutine beside the job draws, and a default sweep's workers (one per P)
+# take grid cells in whatever order the scheduler runs them; no output may
+# depend on the scheduler: the trace codec and order tests, every generator
+# test (goldens included), batch identification (held to its reference at
+# every worker count) and Combine, and the streamed, worker- and
+# batch-invariance sweep tests at one, two and four Ps, whatever the
+# runner's core count.
 cpu-matrix:
 	$(GO) test -cpu 1,2,4 ./internal/trace
 	$(GO) test -cpu 1,2,4 ./internal/synth
 	$(GO) test -cpu 1,2,4 -run 'Identify|Combine' ./internal/core
+	$(GO) test -cpu 1,2,4 -run 'SweepSource|SweepWorker|SweepBatch' ./internal/sim
 
 # Static analysis beyond vet plus known-vulnerability scanning. Run via
 # `go run pkg@version` (needs network on first use; the module cache keeps

@@ -43,7 +43,7 @@ func run(args []string, stdout io.Writer) error {
 		sweep    = fs.Bool("sweep", false, "run the whole grid (policies x granularities x sizes) and write JSON")
 		policies = fs.String("policies", "", "comma-separated policies: lru, arc, gds, gdsf, lfuda, opt (default lru; with -sweep lru,arc,gds,opt)")
 		grans    = fs.String("grans", "", "comma-separated granularities: file, filecule, bundle (default file,filecule; with -sweep all three)")
-		workers  = fs.Int("workers", 0, "simulation workers (default GOMAXPROCS)")
+		workers  = fs.Int("workers", 0, "simulation workers, and the most grid cells held in memory at once (default GOMAXPROCS)")
 		table    = fs.Bool("table", false, "sweep: render per-policy tables instead of JSON")
 		out      = fs.String("o", "-", "output path ('-' for stdout)")
 	)
@@ -84,9 +84,9 @@ func run(args []string, stdout io.Writer) error {
 // filecule-sweep/v1 schema) or rendered tables to out, or to stdout when out
 // is "-". The output file is created only once the sweep has succeeded.
 // File-backed traces stream through SweepSource — the trace is never
-// materialized, so peak memory is the merged request stream, briefly, then
-// the 4-byte file-ID stream and cell state sized by the requested files, not
-// the job history or the catalog. The synthetic path materializes first to
+// materialized, so peak memory is the 4-byte file-ID stream the merge
+// emits and the state of at most -workers cells, sized by the requested
+// files, not the job history or the catalog. The synthetic path materializes first to
 // keep jobs in start-time order (tie-order stability pins the benchmark
 // baseline) and streams from the in-memory adapter.
 func runSweep(spec string, cfg sim.SweepConfig, asTable bool, out string, stdout io.Writer) (err error) {

@@ -21,7 +21,8 @@ import (
 // loaded units fit the capacity, the plan is what a filecule-LRU Sim holding
 // the reported residency does when it first touches the job's resident units
 // and then serves the job's files in order: the same hits, loads (in order),
-// bypasses and evictions (FuzzAdviseMatchesSim).
+// bypasses and evictions (FuzzAdviseMatchesSim). When they do not, the Sim
+// would evict the job's own earlier loads; the plan loads less instead.
 
 // ResidentUnit is one replacement unit a client cache reports as resident.
 // LastAccess is the client's own logical or wall clock; Advise only
@@ -54,7 +55,11 @@ type LoadUnit struct {
 	Bytes int64          `json:"bytes"`
 }
 
-// Advice is the admission/eviction plan for one AdviceRequest.
+// Advice is the admission/eviction plan for one AdviceRequest. A load that
+// does not fit beside the job's hits and the loads planned before it is left
+// out, so a client that follows the plan never holds more than its capacity;
+// a requested file whose unit is left out appears in none of Hits, Load and
+// Bypassed, and the client reads it without caching.
 type Advice struct {
 	// Hits are requested units already resident — touch them.
 	Hits []UnitID `json:"hits,omitempty"`
@@ -170,20 +175,23 @@ func (pl *Planner) Advise(req AdviceRequest) (*Advice, error) {
 		used += sz
 	}
 
+	// The job's hits stay; loads are planned in first-request order while
+	// they fit beside the hits and the loads before them.
 	planned, hit := pl.planned, pl.hit
+	room := req.Capacity
 	for _, f := range req.Files {
 		if !g.ValidUnit(degenerate(f)) {
 			return nil, fmt.Errorf("cache: advise: unknown file %d", f)
 		}
-		unit, held := locate(resident, g.UnitOf(f), f)
-		if held {
-			if !hit[unit] {
-				hit[unit] = true
-				adv.Hits = append(adv.Hits, unit)
-			}
-			continue
+		if unit, held := locate(resident, g.UnitOf(f), f); held && !hit[unit] {
+			hit[unit] = true
+			adv.Hits = append(adv.Hits, unit)
+			room -= resident[unit]
 		}
-		if planned[unit] {
+	}
+	for _, f := range req.Files {
+		unit, held := locate(resident, g.UnitOf(f), f)
+		if held || planned[unit] {
 			continue
 		}
 		load, size, bypass, fits := fit(g, unit, f, req.Capacity)
@@ -193,7 +201,7 @@ func (pl *Planner) Advise(req AdviceRequest) (*Advice, error) {
 			}
 			adv.Bypassed = append(adv.Bypassed, f)
 		}
-		if !fits {
+		if !fits || size > room-adv.BytesToLoad {
 			continue
 		}
 		planned[load] = true

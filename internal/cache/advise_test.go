@@ -122,6 +122,31 @@ func TestAdviseOversizedUnitBypasses(t *testing.T) {
 	}
 }
 
+// TestAdviseStaysWithinCapacity: two 60-byte filecules fit a 100-byte cache
+// one at a time, so the plan loads the first requested and leaves the second
+// to be read uncached, in no list, rather than hold 120 bytes.
+func TestAdviseStaysWithinCapacity(t *testing.T) {
+	t0 := time.Unix(0, 0).UTC()
+	tr := &trace.Trace{
+		Sites: []trace.Site{{ID: 0, Name: "s", Domain: ".gov", Nodes: 1}},
+		Users: []trace.User{{ID: 0, Name: "u", Site: 0}},
+		Files: []trace.File{{ID: 0, Name: "a", Size: 60}, {ID: 1, Name: "b", Size: 60}},
+		Jobs: []trace.Job{
+			{ID: 0, Start: t0, End: t0, Files: []trace.FileID{0}},
+			{ID: 1, Start: t0, End: t0, Files: []trace.FileID{1}},
+		},
+	}
+	p := core.Identify(tr)
+	adv, err := Advise(NewFileculeGranularity(tr, p), AdviceRequest{Capacity: 100, Files: []trace.FileID{1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Advice{Load: []LoadUnit{{Unit: UnitID(p.Of(1)), Files: []trace.FileID{1}, Bytes: 60}}, BytesToLoad: 60}
+	if !reflect.DeepEqual(*adv, want) {
+		t.Errorf("plan %+v, want %+v", *adv, want)
+	}
+}
+
 func TestAdviseRejectsBadInput(t *testing.T) {
 	tr, p := adviseTrace(t)
 	g := NewFileculeGranularity(tr, p)
@@ -146,7 +171,8 @@ func TestAdviseRejectsBadInput(t *testing.T) {
 // is what a filecule-LRU Sim holding the reported residency does when it
 // first touches the job's resident units and then serves the job's files in
 // order — the same hits, loads in order, bypasses and evictions — whenever
-// the job's hit and loaded units fit the capacity.
+// the job's hit and loaded units fit the capacity. In every case, a client
+// that follows the plan holds no more than its capacity.
 func FuzzAdviseMatchesSim(f *testing.F) {
 	for seed := int64(0); seed < 64; seed++ {
 		f.Add(seed, uint16(seed*37))
@@ -175,12 +201,13 @@ func FuzzAdviseMatchesSim(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held := got.BytesToLoad
-		for _, u := range got.Hits {
-			held += g.SizeOf(u)
+		held := got.BytesToLoad - got.BytesToEvict
+		for _, r := range req.Resident {
+			held += g.SizeOf(r.Unit)
 		}
 		if held > capacity {
-			return // the Sim may evict what the job loads; the plan cannot
+			t.Fatalf("capacity %d, resident %v, job %v: the client holds %d bytes after the plan %+v",
+				capacity, req.Resident, req.Files, held, *got)
 		}
 
 		var want Advice
@@ -212,6 +239,13 @@ func FuzzAdviseMatchesSim(f *testing.F) {
 		want.Evict = rec.removed
 		want.BytesToLoad = s.metrics.BytesLoaded - before.BytesLoaded
 		want.BytesToEvict = s.metrics.BytesEvicted - before.BytesEvicted
+		need := want.BytesToLoad
+		for _, u := range want.Hits {
+			need += g.SizeOf(u)
+		}
+		if need > capacity {
+			return // the Sim evicts what the job loads; the plan loads less instead
+		}
 		if !reflect.DeepEqual(*got, want) {
 			t.Fatalf("capacity %d, resident %v, job %v:\nadvice %+v\n   sim %+v", capacity, req.Resident, req.Files, *got, want)
 		}

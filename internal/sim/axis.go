@@ -8,8 +8,9 @@ import (
 )
 
 // The sweep engine avoids interface dispatch and map lookups on its hot path
-// by resolving each request once per *axis* (a granularity's unit space) into
-// a dense, slot-indexed form shared by every cell on that axis.
+// by resolving each request through its cell's *axis* (a granularity's unit
+// space) into a dense, slot-indexed form whose tables every cell on that axis
+// shares.
 //
 // Slot spaces cover what the request stream can reach, not the catalog:
 //
@@ -29,9 +30,9 @@ import (
 // ghost trimming) behave byte-identically to their cache-package
 // counterparts.
 
-// axisKind indexes the resolved streams carried by each batch. The bundle
-// granularity shares the file axis stream (its replacement units are files);
-// only its eviction keys differ.
+// axisKind names the axis a cell resolves the stream through. The bundle
+// granularity shares the file axis (its replacement units are files); only
+// its eviction keys differ.
 type axisKind int
 
 const (
@@ -46,7 +47,7 @@ const never = math.MaxInt32
 
 // resolved is one request after unit resolution: the replacement-unit slot,
 // the degenerate fallback slot, and the two sizes Sim.serve needs. 24 bytes,
-// filled sequentially into pooled batch buffers.
+// filled a chunk at a time into a buffer the sweep worker owns.
 type resolved struct {
 	unit     int32
 	deg      int32

@@ -27,17 +27,15 @@ type cellSpec struct {
 	axis        axisKind
 }
 
-// cell is one grid cell's simulator. run consumes a resolved batch whose
-// first request has global index base; batches arrive in stream order.
+// cell is one grid cell's simulator. run consumes a resolved chunk whose
+// first request has global index base; chunks arrive in stream order.
 type cell interface {
 	run(rs []resolved, base int64)
 	metrics() cache.Metrics
-	spec() cellSpec
 }
 
 // cellCore carries the policy-independent simulator state.
 type cellCore struct {
-	sp       cellSpec
 	capacity int64
 	used     int64
 	resident []bool
@@ -46,11 +44,10 @@ type cellCore struct {
 }
 
 func newCellCore(sp cellSpec, ax *axisData) cellCore {
-	return cellCore{sp: sp, capacity: sp.Capacity, resident: make([]bool, ax.nSlots), ax: ax}
+	return cellCore{capacity: sp.Capacity, resident: make([]bool, ax.nSlots), ax: ax}
 }
 
 func (c *cellCore) metrics() cache.Metrics { return c.m }
-func (c *cellCore) spec() cellSpec         { return c.sp }
 
 // place is the dense statement of the bypass rule (cache.Sim.serve holds the
 // reference one): a missed request loads its whole unit, unless the unit is

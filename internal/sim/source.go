@@ -11,18 +11,18 @@ import (
 // SweepSource replays the full grid from a job stream instead of a
 // materialized trace: one pass drains src, folding each job into an online
 // identification engine and keeping what its request expansion reads (ID,
-// interval, a copy of the file list), then merges the runs into the request
-// stream, projects it to file IDs and drops the runs and the requests before
-// any axis or cell is built. Peak memory is the larger of that merge (runs,
-// requests and the 4-byte stream at once) and the sweep itself: the stream,
-// one 4-byte next-use chain per axis OPT runs on, and cell state sized by the
-// requested files and the filecules. Job records proper are never retained,
-// so traces read from a chunked Source (text Scanner or binary BinSource)
-// stream through without ever existing in full.
+// interval, a copy of the file list), then merges the runs straight into the
+// 4-byte file-ID stream and drops the runs before any axis or cell is built.
+// Peak memory is the larger of that merge (the runs and the stream at once)
+// and the sweep itself: the stream, one 4-byte next-use chain per axis OPT
+// runs on, and the state of at most Workers cells, sized by the requested
+// files and the filecules. Job records proper are never retained, so traces
+// read from a chunked Source (text Scanner or binary BinSource) stream
+// through without ever existing in full.
 //
 // For any trace t, SweepSource(trace.NewTraceSource(t), cfg) is cell-for-cell
 // identical to Sweep(t, core.Identify(t), t.Requests(), cfg): identification
-// is commutative over job order, and trace.MergeRequests over the jobs in
+// is commutative over job order, and trace.MergeFiles over the jobs in
 // stream order is exactly the Requests ordering.
 func SweepSource(src trace.Source, cfg SweepConfig) (*SweepResult, error) {
 	if err := cfg.validate(); err != nil {
@@ -30,7 +30,7 @@ func SweepSource(src trace.Source, cfg SweepConfig) (*SweepResult, error) {
 	}
 	e := core.NewEngine(0)
 	var runs []trace.Job
-	jobs := 0
+	jobs, requests := 0, 0
 	for {
 		j, err := src.Next()
 		if err == io.EOF {
@@ -42,15 +42,16 @@ func SweepSource(src trace.Source, cfg SweepConfig) (*SweepResult, error) {
 		e.Observe(j.Files)
 		if len(j.Files) > 0 {
 			runs = append(runs, trace.Job{ID: j.ID, Start: j.Start, End: j.End, Files: slices.Clone(j.Files)})
+			requests += len(j.Files)
 		}
 		jobs++
 	}
-	// Neither runs nor the merged requests are named past this line, so
-	// both are garbage before the grid allocates.
-	files, err := fileIDs(trace.MergeRequests(runs))
-	if err != nil {
+	if err := checkStreamLen(requests); err != nil {
 		return nil, err
 	}
+	// runs is not named past this line, so it is garbage before the grid
+	// allocates.
+	files := trace.MergeFiles(runs)
 	p := e.Snapshot()
 
 	// The grid only needs the file catalog (sizes for capacity accounting)

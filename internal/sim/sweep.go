@@ -42,12 +42,13 @@ type SweepConfig struct {
 	// Scale is the trace subsampling factor the capacities are scaled by.
 	// Default 1.
 	Scale float64
-	// Workers is the number of simulation goroutines the cells are
-	// sharded over. Default GOMAXPROCS. Results are identical for any
-	// worker count.
+	// Workers is the number of goroutines that take the grid's cells in
+	// turn, and so the most cells whose state is live at once. Default
+	// GOMAXPROCS. Results are identical for any worker count.
 	Workers int
-	// batchSize is the number of requests resolved per pooled batch.
-	// Default 4096; tests set it to pin batch-boundary invariance.
+	// batchSize is the number of requests a worker resolves through a
+	// cell's axis at a time. Default 4096; tests set it to pin
+	// batch-boundary invariance.
 	batchSize int
 }
 
@@ -221,22 +222,15 @@ func (r *SweepResult) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// batch is one resolved chunk of the request stream, fanned out to every
-// worker and returned to the pool by whichever worker finishes it last.
-type batch struct {
-	base int64
-	n    int
-	res  [numAxes][]resolved
-	refs atomic.Int32
-}
-
-// Sweep replays the full policy × granularity × capacity grid from a single
-// pass over reqs. One reader resolves each request once per axis into pooled
-// batches; the cells are sharded round-robin over Workers goroutines, each
-// owning its cells' state exclusively (no locks on the simulation path).
-// Every cell consumes batches in stream order, so results are deterministic
-// and independent of Workers, and — cell for cell — byte-identical to
-// SweepSequential and to cache.Sim replays (see TestSweepMatchesSequential).
+// Sweep replays the full policy × granularity × capacity grid over one
+// projection of reqs. Workers goroutines take the grid's cells in turn: each
+// builds a cell, replays the whole stream through it — resolving each chunk
+// through the cell's axis into a buffer the worker owns — records its
+// metrics and drops it, so at most Workers cells' state is live at once.
+// Each cell is owned by one goroutine (no locks on the simulation path) and
+// consumes the stream in order, so results are deterministic and independent
+// of Workers, and — cell for cell — byte-identical to SweepSequential and to
+// cache.Sim replays (see TestSweepMatchesSequential).
 //
 // The grid reads only the requests' file IDs, so Sweep projects reqs to a
 // 4-byte stream first. Its memory beyond that follows the requests: per-cell
@@ -246,25 +240,24 @@ func Sweep(t *trace.Trace, p *core.Partition, reqs []trace.Request, cfg SweepCon
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	files, err := fileIDs(reqs)
-	if err != nil {
+	if err := checkStreamLen(len(reqs)); err != nil {
 		return nil, err
-	}
-	return sweepFiles(t, p, files, cfg), nil
-}
-
-// fileIDs projects a request stream onto the file IDs the grid reads. The
-// next-use chains index requests in 32 bits, so a stream must stay below
-// never.
-func fileIDs(reqs []trace.Request) ([]trace.FileID, error) {
-	if len(reqs) >= never {
-		return nil, fmt.Errorf("sim: sweep of %d requests: the engine indexes at most %d", len(reqs), never-1)
 	}
 	files := make([]trace.FileID, len(reqs))
 	for i := range reqs {
 		files[i] = reqs[i].File
 	}
-	return files, nil
+	return sweepFiles(t, p, files, cfg), nil
+}
+
+// checkStreamLen refuses a stream of n requests before it is allocated when
+// a request index could reach never: the next-use chains index requests in
+// 32 bits.
+func checkStreamLen(n int) error {
+	if n >= never {
+		return fmt.Errorf("sim: sweep of %d requests: the engine indexes at most %d", n, never-1)
+	}
+	return nil
 }
 
 // sweepFiles is Sweep over a validated configuration and a projected stream.
@@ -316,73 +309,39 @@ func sweepFiles(t *trace.Trace, p *core.Partition, files []trace.FileID, cfg Swe
 		}
 	}
 
-	cells := make([]cell, len(specs))
-	for i, sp := range specs {
-		cells[i] = buildCell(sp, axes[sp.axis], nextUse[sp.axis], bundleOf, nBundles, bundleNextUse)
-	}
-
-	// Fan the resolved stream out to the workers.
-	workers := cfg.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	pool := sync.Pool{New: func() interface{} {
-		b := &batch{}
-		for k := axisKind(0); k < numAxes; k++ {
-			if needAxis[k] {
-				b.res[k] = make([]resolved, cfg.batchSize)
-			}
-		}
-		return b
-	}}
-	chans := make([]chan *batch, workers)
-	for i := range chans {
-		chans[i] = make(chan *batch, 4)
-	}
+	// Each worker takes the next cell, replays the stream through it and
+	// drops it.
+	workers := min(cfg.Workers, len(specs))
+	metrics := make([]cache.Metrics, len(specs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			mine := cells[w:]
-			for b := range chans[w] {
-				for i := 0; i < len(mine); i += workers {
-					c := mine[i]
-					c.run(b.res[c.spec().axis][:b.n], b.base)
+			buf := make([]resolved, min(cfg.batchSize, len(files)))
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
 				}
-				if b.refs.Add(-1) == 0 {
-					pool.Put(b)
+				sp := specs[i]
+				ax := axes[sp.axis]
+				c := buildCell(sp, ax, nextUse[sp.axis], bundleOf, nBundles, bundleNextUse)
+				for off := 0; off < len(files); off += len(buf) {
+					rs := buf[:min(len(buf), len(files)-off)]
+					ax.resolve(files[off:off+len(rs)], rs)
+					c.run(rs, int64(off))
 				}
+				metrics[i] = c.metrics()
 			}
-		}(w)
-	}
-	for off := 0; off < len(files); off += cfg.batchSize {
-		end := off + cfg.batchSize
-		if end > len(files) {
-			end = len(files)
-		}
-		chunk := files[off:end]
-		b := pool.Get().(*batch)
-		b.base = int64(off)
-		b.n = len(chunk)
-		for k := axisKind(0); k < numAxes; k++ {
-			if needAxis[k] {
-				axes[k].resolve(chunk, b.res[k][:len(chunk)])
-			}
-		}
-		b.refs.Store(int32(workers))
-		for _, ch := range chans {
-			ch <- b
-		}
-	}
-	for _, ch := range chans {
-		close(ch)
+		}()
 	}
 	wg.Wait()
 
 	res := newSweepResult(t, p, len(files), cfg, "single-pass", workers)
-	for _, c := range cells {
-		res.Cells = append(res.Cells, cellResultOf(c.spec(), c.metrics()))
+	for i, sp := range specs {
+		res.Cells = append(res.Cells, cellResultOf(sp, metrics[i]))
 	}
 	res.WallSeconds = time.Since(start).Seconds()
 	return res

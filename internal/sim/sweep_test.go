@@ -6,9 +6,12 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"filecule/internal/core"
 	"filecule/internal/synth"
@@ -155,8 +158,8 @@ func TestSweepMemoryFollowsRequests(t *testing.T) {
 		paddedReqs[i] = r
 	}
 
-	// Small batches keep the pool's share of the allocation, which varies
-	// with scheduling, far below the margin.
+	// Small chunks keep the workers' resolve buffers, one per worker, far
+	// below the margin.
 	cfg := SweepConfig{Scale: diffScale, Workers: 2, batchSize: 256}
 	sweep := func(tr *trace.Trace, p *core.Partition, reqs []trace.Request) (*SweepResult, uint64) {
 		p.Of(0) // the partition's lazy file index is the caller's, not the sweep's
@@ -180,6 +183,64 @@ func TestSweepMemoryFollowsRequests(t *testing.T) {
 	if perFile > 48 {
 		t.Errorf("padding the catalog with %d never-requested files grew Sweep's allocation by %.1f B per file, want <= 48: per-cell state follows the catalog",
 			padFiles, perFile)
+	}
+}
+
+// TestSweepLiveStateBound pins that a sweep holds one worker's cell at a
+// time, not the grid: at one worker, the heap the full default grid adds at
+// its peak stays within a small multiple of what a one-cell sweep adds. The
+// shared state — stream, axes, next-use chains — is in both; a grid whose
+// cells are all live at once adds 84 cells' state to it. A sampler reads the
+// heap while each sweep runs, under a low GC percent so the heap tracks what
+// is live, on a second P. It is skipped in -short runs and under the race detector, whose
+// workload is too small for the cells to show.
+func TestSweepLiveStateBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap sampling skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's workload is too small to measure")
+	}
+	tr, p, reqs := workload(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(5))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))) // the sampler runs beside the worker
+	peak := func(cfg SweepConfig) uint64 {
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		runtime.GC()
+		metrics.Read(sample)
+		before := sample[0].Value.Uint64()
+		done := make(chan struct{})
+		high := make(chan uint64)
+		go func() {
+			var hi uint64
+			for {
+				select {
+				case <-done:
+					high <- hi
+					return
+				default:
+				}
+				metrics.Read(sample)
+				hi = max(hi, sample[0].Value.Uint64())
+				time.Sleep(50 * time.Microsecond)
+			}
+		}()
+		if _, err := Sweep(tr, p, reqs, cfg); err != nil {
+			t.Fatalf("Sweep: %v", err)
+		}
+		close(done)
+		return max(<-high, before) - before
+	}
+	one := peak(SweepConfig{Scale: diffScale, Workers: 1, Policies: []string{"gds"},
+		Granularities: []string{"file"}, CapacitiesTB: []float64{100}})
+	grid := peak(SweepConfig{Scale: diffScale, Workers: 1})
+	t.Logf("heap added at peak: one cell %d B, the default grid %d B (%.1fx)", one, grid, float64(grid)/float64(one))
+	if one == 0 {
+		t.Fatal("the sampler saw no heap added by a one-cell sweep")
+	}
+	if grid > 5*one {
+		t.Errorf("the default grid at one worker adds %d B to the heap at its peak, more than 5x a one-cell sweep's %d B: cells outlive their replay",
+			grid, one)
 	}
 }
 

@@ -153,9 +153,24 @@ func (a run) before(b run) bool { return a.key < b.key || (a.key == b.key && a.p
 // a Duration send the whole input down the generic path: concatenate, then
 // stable-sort.
 func MergeRequests(jobs []Job) []Request {
+	reqs, _ := merge(jobs, false)
+	return reqs
+}
+
+// MergeFiles is MergeRequests projected onto the requested files, built by
+// the same merge at 4 bytes a request: the stream a cache replay reads, with
+// no Request slice behind it.
+func MergeFiles(jobs []Job) []FileID {
+	_, files := merge(jobs, true)
+	return files
+}
+
+// merge is MergeRequests' one loop. It appends each request to reqs, or, when
+// filesOnly, just its file to files; the other result is nil.
+func merge(jobs []Job, filesOnly bool) (reqs []Request, files []FileID) {
 	n := len(jobs)
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	base := jobs[0].Start.Round(0) // wall clock only, as in startOrder
 	total, mergeable := 0, true
@@ -166,13 +181,25 @@ func MergeRequests(jobs []Job) []Request {
 			mergeable = false
 		}
 	}
-	out := make([]Request, 0, total)
 	if !mergeable {
+		reqs = make([]Request, 0, total)
 		for i := 0; i < n; i++ {
-			out = AppendRequests(out, &jobs[i])
+			reqs = AppendRequests(reqs, &jobs[i])
 		}
-		slices.SortStableFunc(out, func(a, b Request) int { return a.Time.Compare(b.Time) })
-		return out
+		slices.SortStableFunc(reqs, func(a, b Request) int { return a.Time.Compare(b.Time) })
+		if !filesOnly {
+			return reqs, nil
+		}
+		files = make([]FileID, len(reqs))
+		for i := range reqs {
+			files[i] = reqs[i].File
+		}
+		return nil, files
+	}
+	if filesOnly {
+		files = make([]FileID, 0, total)
+	} else {
+		reqs = make([]Request, 0, total)
 	}
 	order := startOrder(n, func(i int) time.Time { return jobs[i].Start })
 	var heap []run
@@ -191,8 +218,12 @@ func MergeRequests(jobs []Job) []Request {
 		for len(heap) > 0 && heap[0].key < limit {
 			h := &heap[0]
 			j := &jobs[h.pos]
-			// Start.Add(k*step) is the value AppendRequests reaches in k Adds.
-			out = append(out, Request{Time: j.Start.Add(time.Duration(int64(h.k) * h.step)), Job: j.ID, File: j.Files[h.k]})
+			if filesOnly {
+				files = append(files, j.Files[h.k])
+			} else {
+				// Start.Add(k*step) is the value AppendRequests reaches in k Adds.
+				reqs = append(reqs, Request{Time: j.Start.Add(time.Duration(int64(h.k) * h.step)), Job: j.ID, File: j.Files[h.k]})
+			}
 			h.key += h.step
 			if h.k++; int(h.k) == len(j.Files) {
 				*h = heap[len(heap)-1]
@@ -218,5 +249,5 @@ func MergeRequests(jobs []Job) []Request {
 			}
 		}
 	}
-	return out
+	return reqs, files
 }

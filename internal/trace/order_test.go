@@ -87,7 +87,7 @@ func diffRequests(t *testing.T, name string, got, want []Request) {
 }
 
 // checkOrdering holds every user of the ordering primitive to the reference
-// on one job list.
+// on one job list, and MergeFiles to the files of MergeRequests.
 func checkOrdering(t *testing.T, jobs []Job) {
 	t.Helper()
 	tr := &Trace{Jobs: jobs}
@@ -99,7 +99,17 @@ func checkOrdering(t *testing.T, jobs []Job) {
 		id := JobID((i*7 + 3) % len(jobs))
 		picked = append(picked, jobs[id])
 	}
-	diffRequests(t, "MergeRequests", MergeRequests(picked), referenceRequests(picked))
+	merged := MergeRequests(picked)
+	diffRequests(t, "MergeRequests", merged, referenceRequests(picked))
+	files := MergeFiles(picked)
+	if len(files) != len(merged) {
+		t.Fatalf("MergeFiles: %d files, MergeRequests has %d requests", len(files), len(merged))
+	}
+	for i, f := range files {
+		if f != merged[i].File {
+			t.Fatalf("MergeFiles: file %d is %d, MergeRequests has %+v", i, f, merged[i])
+		}
+	}
 
 	want := slices.Clone(jobs)
 	referenceSortJobs(want)
