@@ -8,9 +8,8 @@ import (
 )
 
 // The sweep engine avoids interface dispatch and map lookups on its hot path
-// by resolving each request through its cell's *axis* (a granularity's unit
-// space) into a dense, slot-indexed form whose tables every cell on that axis
-// shares.
+// by reading each request through its cell's *axis* (a granularity's unit
+// space): dense, slot-indexed tables that every cell on that axis shares.
 //
 // Slot spaces cover what the request stream can reach, not the catalog:
 //
@@ -22,7 +21,7 @@ import (
 //	               requested file
 //
 // A file's degenerate slot is unreachable on the file axis (a file too big
-// for the cache is as big as its own degenerate unit, so cellCore.place never
+// for the cache is as big as its own degenerate unit, so cell.place never
 // returns it) and for a filecule no cache is too small for; there the
 // degenerate slot is the unit slot. Each range is in catalog order, so slot
 // order is cache.UnitID order: real units sort below degenerate units and
@@ -30,7 +29,7 @@ import (
 // ghost trimming) behave byte-identically to their cache-package
 // counterparts.
 
-// axisKind names the axis a cell resolves the stream through. The bundle
+// axisKind names the axis a cell reads the stream through. The bundle
 // granularity shares the file axis (its replacement units are files); only
 // its eviction keys differ.
 type axisKind int
@@ -45,16 +44,6 @@ const (
 // Sweep refuses streams long enough for a request index to reach it.
 const never = math.MaxInt32
 
-// resolved is one request after unit resolution: the replacement-unit slot,
-// the degenerate fallback slot, and the two sizes Sim.serve needs. 24 bytes,
-// filled a chunk at a time into a buffer the sweep worker owns.
-type resolved struct {
-	unit     int32
-	deg      int32
-	size     int64
-	fileSize int64
-}
-
 // axisData is the static, read-only shape of one axis, shared by all cells
 // and all workers. The catalog-indexed tables are only read for requested
 // files; every per-cell array is sized by nSlots.
@@ -67,7 +56,7 @@ type axisData struct {
 }
 
 // catalogSizes copies the catalog's file sizes into the flat table both axes
-// resolve through.
+// read through.
 func catalogSizes(t *trace.Trace) []int64 {
 	sizes := make([]int64, len(t.Files))
 	for i := range t.Files {
@@ -131,14 +120,6 @@ func newFileculeAxis(t *trace.Trace, p *core.Partition, fileSize []int64, reques
 		}
 	}
 	return &axisData{nSlots: int32(len(sizes)), sizes: sizes, fileSize: fileSize, slotOf: slot, degOf: deg}
-}
-
-// resolve fills out with the axis view of chunk. out must have len(chunk).
-func (a *axisData) resolve(chunk []trace.FileID, out []resolved) {
-	for i, f := range chunk {
-		u := a.slotOf[f]
-		out[i] = resolved{unit: u, deg: a.degOf[f], size: a.sizes[u], fileSize: a.fileSize[f]}
-	}
 }
 
 // nextUseBySlot computes the per-request next-use chain over an arbitrary

@@ -4,19 +4,21 @@ import (
 	"fmt"
 
 	"filecule/internal/cache"
+	"filecule/internal/trace"
 )
 
-// This file holds the dense grid-cell simulators: five policy states over
-// slot-indexed arrays and the two loops that drive them (policyCell,
-// bundleCell). A cell replays the resolved request stream with the exact
-// branch and counter order of cache.Sim.serve, with zero steady-state
-// allocation and one interface call per policy operation. The differential
-// test (sweep_test.go) pins every cell to struct equality with the cache
-// package.
+// This file holds the dense grid-cell simulator: one cell type whose run
+// loop replays the file-ID stream through an axis with the exact branch and
+// counter order of cache.Sim.serve, and the policy states it drives through
+// denseBase: LRU, ARC, GreedyDual (gds, gdsf, lfuda), OPT, and the bundle
+// wrapper over any of them. A cell allocates nothing in steady state and
+// makes one interface call per policy operation. The differential test
+// (sweep_test.go) pins every cell to struct equality with the cache package.
 //
-// The heap-backed policies (GreedyDual, OPT) replicate container/heap's
-// up/down/Fix/Remove algorithms verbatim so their sift sequences — and hence
-// later victim choices — match the reference implementations step for step.
+// The heap-backed policies (GreedyDual, OPT) share one slotHeap, which
+// replicates container/heap's up/down/Fix/Remove algorithms verbatim so its
+// sift sequences — and hence later victim choices — match the reference
+// implementations step for step.
 
 // cellSpec identifies one grid cell.
 type cellSpec struct {
@@ -27,43 +29,79 @@ type cellSpec struct {
 	axis        axisKind
 }
 
-// cell is one grid cell's simulator. run consumes a resolved chunk whose
-// first request has global index base; chunks arrive in stream order.
-type cell interface {
-	run(rs []resolved, base int64)
-	metrics() cache.Metrics
-}
-
-// cellCore carries the policy-independent simulator state.
-type cellCore struct {
+// cell is one grid cell's simulator: the policy-independent cache state and
+// the policy state that ranks its slots.
+type cell struct {
 	capacity int64
 	used     int64
 	resident []bool
 	ax       *axisData
+	st       denseBase
 	m        cache.Metrics
 }
 
-func newCellCore(sp cellSpec, ax *axisData) cellCore {
-	return cellCore{capacity: sp.Capacity, resident: make([]bool, ax.nSlots), ax: ax}
+func newCell(sp cellSpec, ax *axisData, st denseBase) *cell {
+	return &cell{capacity: sp.Capacity, resident: make([]bool, ax.nSlots), ax: ax, st: st}
 }
-
-func (c *cellCore) metrics() cache.Metrics { return c.m }
 
 // place is the dense statement of the bypass rule (cache.Sim.serve holds the
 // reference one): a missed request loads its whole unit, unless the unit is
 // larger than the cache, in which case only the requested file is cached, as
-// the degenerate slot. ok is false when even that file cannot fit. Both run
-// loops call it; it must stay small enough to inline.
-func (c *cellCore) place(r *resolved) (slot int32, size int64, ok bool) {
-	if r.size <= c.capacity {
-		return r.unit, r.size, true
+// the degenerate slot. ok is false when even that file cannot fit. It must
+// stay small enough to inline.
+func (c *cell) place(unit, deg int32, fileSize int64) (slot int32, size int64, ok bool) {
+	if size := c.ax.sizes[unit]; size <= c.capacity {
+		return unit, size, true
 	}
 	c.m.Bypasses++
-	return r.deg, r.fileSize, r.fileSize <= c.capacity
+	return deg, fileSize, fileSize <= c.capacity
 }
 
-// denseBase is the slot-level policy contract, mirroring cache.Policy. All
-// five dense policy states implement it; both cells drive theirs through it.
+// run replays the whole stream in order; a request's index is its time.
+func (c *cell) run(files []trace.FileID) {
+	ax, m := c.ax, &c.m
+	for i, f := range files {
+		now := int64(i)
+		unit, fileSize := ax.slotOf[f], ax.fileSize[f]
+		m.Requests++
+		m.BytesRequested += fileSize
+		if c.resident[unit] {
+			c.st.touch(unit, now)
+			m.Hits++
+			continue
+		}
+		// The file may be resident as a degenerate unit from an earlier
+		// bypass. On the file axis deg == unit, so this never fires there.
+		deg := ax.degOf[f]
+		if deg != unit && c.resident[deg] {
+			c.st.touch(deg, now)
+			m.Hits++
+			continue
+		}
+		m.Misses++
+		m.BytesMissed += fileSize
+		slot, size, ok := c.place(unit, deg, fileSize)
+		if !ok {
+			continue
+		}
+		for c.used+size > c.capacity {
+			v := c.st.victim()
+			vs := ax.sizes[v]
+			c.st.remove(v)
+			c.resident[v] = false
+			c.used -= vs
+			m.Evictions++
+			m.BytesEvicted += vs
+		}
+		c.resident[slot] = true
+		c.used += size
+		c.st.admit(slot, size, now)
+		m.BytesLoaded += size
+	}
+}
+
+// denseBase is the slot-level policy contract, mirroring cache.Policy. Every
+// dense policy state implements it.
 type denseBase interface {
 	admit(v int32, size, now int64)
 	touch(v int32, now int64)
@@ -306,51 +344,45 @@ func (s *arcState) popGhost(h *ghostHeap, want uint8) int32 {
 	panic("sim: ARC ghost accounting out of sync")
 }
 
-// ---------------------------------------------------------------- indexed heaps
+// ---------------------------------------------------------------- heaps
 
-// gdsState is dense GreedyDual-Size with uniform cost: H = L + 1/size, a
-// min-heap on H maintained with container/heap's exact algorithms (slot
-// positions tracked in pos, -1 when absent). gdsfState adds the frequency
-// term on top of it.
-type gdsState struct {
-	hVal   []float64
-	sizeOf []int64
-	pos    []int32
-	heap   []int32
-	l      float64
+// slotHeap is an indexed binary min-heap of slots on a per-slot float64 key,
+// with container/heap's exact algorithms (slot positions tracked in pos, -1
+// when absent). GreedyDual keys a slot by its H value, OPT by its negated
+// next use.
+type slotHeap struct {
+	key  []float64
+	pos  []int32
+	heap []int32
 }
 
-func newGDSState(nSlots int32) *gdsState {
-	s := &gdsState{
-		hVal:   make([]float64, nSlots),
-		sizeOf: make([]int64, nSlots),
-		pos:    make([]int32, nSlots),
+func newSlotHeap(nSlots int32) slotHeap {
+	h := slotHeap{key: make([]float64, nSlots), pos: make([]int32, nSlots)}
+	for i := range h.pos {
+		h.pos[i] = -1
 	}
-	for i := range s.pos {
-		s.pos[i] = -1
-	}
-	return s
+	return h
 }
 
-func (s *gdsState) less(i, j int) bool { return s.hVal[s.heap[i]] < s.hVal[s.heap[j]] }
+func (h *slotHeap) less(i, j int) bool { return h.key[h.heap[i]] < h.key[h.heap[j]] }
 
-func (s *gdsState) swap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.pos[s.heap[i]], s.pos[s.heap[j]] = int32(i), int32(j)
+func (h *slotHeap) swap(i, j int) {
+	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
+	h.pos[h.heap[i]], h.pos[h.heap[j]] = int32(i), int32(j)
 }
 
-func (s *gdsState) up(j int) {
+func (h *slotHeap) up(j int) {
 	for {
 		i := (j - 1) / 2
-		if i == j || !s.less(j, i) {
+		if i == j || !h.less(j, i) {
 			break
 		}
-		s.swap(i, j)
+		h.swap(i, j)
 		j = i
 	}
 }
 
-func (s *gdsState) down(i0, n int) bool {
+func (h *slotHeap) down(i0, n int) bool {
 	i := i0
 	for {
 		j1 := 2*i + 1
@@ -358,67 +390,80 @@ func (s *gdsState) down(i0, n int) bool {
 			break
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < n && s.less(j2, j1) {
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
 			j = j2
 		}
-		if !s.less(j, i) {
+		if !h.less(j, i) {
 			break
 		}
-		s.swap(i, j)
+		h.swap(i, j)
 		i = j
 	}
 	return i > i0
 }
 
-func (s *gdsState) push(v int32) {
-	s.heap = append(s.heap, v)
-	s.pos[v] = int32(len(s.heap) - 1)
-	s.up(len(s.heap) - 1)
+func (h *slotHeap) push(v int32) {
+	h.heap = append(h.heap, v)
+	h.pos[v] = int32(len(h.heap) - 1)
+	h.up(len(h.heap) - 1)
 }
 
-func (s *gdsState) fix(i int) {
-	if !s.down(i, len(s.heap)) {
-		s.up(i)
+// fix restores the heap after slot v's key changed.
+func (h *slotHeap) fix(v int32) {
+	i := int(h.pos[v])
+	if !h.down(i, len(h.heap)) {
+		h.up(i)
 	}
 }
 
-func (s *gdsState) removeAt(i int) {
-	n := len(s.heap) - 1
+func (h *slotHeap) remove(v int32) {
+	i, n := int(h.pos[v]), len(h.heap)-1
 	if n != i {
-		s.swap(i, n)
-		if !s.down(i, n) {
-			s.up(i)
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
 		}
 	}
-	s.pos[s.heap[n]] = -1
-	s.heap = s.heap[:n]
+	h.pos[h.heap[n]] = -1
+	h.heap = h.heap[:n]
+}
+
+func (h *slotHeap) victim() int32 {
+	if len(h.heap) == 0 {
+		panic("sim: heap victim requested from empty cache")
+	}
+	return h.heap[0]
+}
+
+// gdsState is dense GreedyDual-Size with uniform cost: H = L + 1/size, the
+// slot heap's key. gdsfState adds the frequency term on top of it.
+type gdsState struct {
+	slotHeap
+	sizeOf []int64
+	l      float64
+}
+
+func newGDSState(nSlots int32) *gdsState {
+	return &gdsState{slotHeap: newSlotHeap(nSlots), sizeOf: make([]int64, nSlots)}
 }
 
 func (s *gdsState) admit(v int32, size, now int64) {
 	s.sizeOf[v] = size
-	s.hVal[v] = s.l + 1/float64(size)
+	s.key[v] = s.l + 1/float64(size)
 	s.push(v)
 }
 
 func (s *gdsState) touch(v int32, now int64) {
-	s.hVal[v] = s.l + 1/float64(s.sizeOf[v])
-	s.fix(int(s.pos[v]))
-}
-
-func (s *gdsState) victim() int32 {
-	if len(s.heap) == 0 {
-		panic("sim: gds victim requested from empty cache")
-	}
-	return s.heap[0]
+	s.key[v] = s.l + 1/float64(s.sizeOf[v])
+	s.fix(v)
 }
 
 func (s *gdsState) remove(v int32) {
-	i := int(s.pos[v])
-	if i == 0 {
+	if s.pos[v] == 0 {
 		// Evicting the current victim advances the inflation value.
-		s.l = s.hVal[v]
+		s.l = s.key[v]
 	}
-	s.removeAt(i)
+	s.slotHeap.remove(v)
 }
 
 // gdsfState is GreedyDual with frequency: H = L + freq×cost/size, where cost
@@ -449,242 +494,91 @@ func (s *gdsfState) priority(v int32) float64 {
 func (s *gdsfState) admit(v int32, size, now int64) {
 	s.sizeOf[v] = size
 	s.freq[v] = 1
-	s.hVal[v] = s.priority(v)
+	s.key[v] = s.priority(v)
 	s.push(v)
 }
 
 func (s *gdsfState) touch(v int32, now int64) {
 	s.freq[v]++
-	s.hVal[v] = s.priority(v)
-	s.fix(int(s.pos[v]))
+	s.key[v] = s.priority(v)
+	s.fix(v)
 }
 
-// optState is dense Belady: a max-heap on each resident slot's next use,
-// fed by the axis's shared per-request next-use chain.
+// optState is dense Belady: the slot heap keyed by each resident slot's
+// negated next use, so its minimum is the slot used furthest ahead. Next uses
+// are below 2³¹, so the negation is exact in a float64 and ties fall as in a
+// max-heap on the uses themselves. The per-request chain is the axis's,
+// shared by all its OPT cells.
 type optState struct {
-	nu   []int32 // per-request next use, shared across OPT cells of the axis
-	key  []int32 // per-slot next use while resident
-	pos  []int32
-	heap []int32
+	slotHeap
+	nu []int32
 }
 
 func newOPTState(nSlots int32, nextUse []int32) *optState {
-	s := &optState{
-		nu:  nextUse,
-		key: make([]int32, nSlots),
-		pos: make([]int32, nSlots),
-	}
-	for i := range s.pos {
-		s.pos[i] = -1
-	}
-	return s
-}
-
-func (s *optState) less(i, j int) bool { return s.key[s.heap[i]] > s.key[s.heap[j]] }
-
-func (s *optState) swap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.pos[s.heap[i]], s.pos[s.heap[j]] = int32(i), int32(j)
-}
-
-func (s *optState) up(j int) {
-	for {
-		i := (j - 1) / 2
-		if i == j || !s.less(j, i) {
-			break
-		}
-		s.swap(i, j)
-		j = i
-	}
-}
-
-func (s *optState) down(i0, n int) bool {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && s.less(j2, j1) {
-			j = j2
-		}
-		if !s.less(j, i) {
-			break
-		}
-		s.swap(i, j)
-		i = j
-	}
-	return i > i0
-}
-
-func (s *optState) push(v int32) {
-	s.heap = append(s.heap, v)
-	s.pos[v] = int32(len(s.heap) - 1)
-	s.up(len(s.heap) - 1)
-}
-
-func (s *optState) fix(i int) {
-	if !s.down(i, len(s.heap)) {
-		s.up(i)
-	}
-}
-
-func (s *optState) removeAt(i int) {
-	n := len(s.heap) - 1
-	if n != i {
-		s.swap(i, n)
-		if !s.down(i, n) {
-			s.up(i)
-		}
-	}
-	s.pos[s.heap[n]] = -1
-	s.heap = s.heap[:n]
+	return &optState{slotHeap: newSlotHeap(nSlots), nu: nextUse}
 }
 
 func (s *optState) admit(v int32, size, now int64) {
-	s.key[v] = s.nu[now]
+	s.key[v] = -float64(s.nu[now])
 	s.push(v)
 }
 
 func (s *optState) touch(v int32, now int64) {
-	s.key[v] = s.nu[now]
-	s.fix(int(s.pos[v]))
+	s.key[v] = -float64(s.nu[now])
+	s.fix(v)
 }
 
-func (s *optState) victim() int32 {
-	if len(s.heap) == 0 {
-		panic("sim: opt victim requested from empty cache")
-	}
-	return s.heap[0]
-}
+// ---------------------------------------------------------------- bundles
 
-func (s *optState) remove(v int32) { s.removeAt(int(s.pos[v])) }
-
-// ---------------------------------------------------------------- cells
-
-// policyCell is a cell whose replacement units are the axis's own slots:
-// every policy at file or filecule granularity. One loop serves all five
-// policy states through denseBase; the four copies with direct calls it
-// replaced measured 0-3 % faster, inside their own run-to-run spread
-// (CHANGES.md, "one replay skeleton per engine", has the runs).
-type policyCell struct {
-	cellCore
-	st denseBase
-}
-
-func (c *policyCell) run(rs []resolved, base int64) {
-	m := &c.m
-	for k := range rs {
-		r := &rs[k]
-		now := base + int64(k)
-		m.Requests++
-		m.BytesRequested += r.fileSize
-		if c.resident[r.unit] {
-			c.st.touch(r.unit, now)
-			m.Hits++
-			continue
-		}
-		// The file may be resident as a degenerate unit from an earlier
-		// bypass.
-		if r.deg != r.unit && c.resident[r.deg] {
-			c.st.touch(r.deg, now)
-			m.Hits++
-			continue
-		}
-		m.Misses++
-		m.BytesMissed += r.fileSize
-		slot, size, ok := c.place(r)
-		if !ok {
-			continue
-		}
-		for c.used+size > c.capacity {
-			v := c.st.victim()
-			vs := c.ax.sizes[v]
-			c.st.remove(v)
-			c.resident[v] = false
-			c.used -= vs
-			m.Evictions++
-			m.BytesEvicted += vs
-		}
-		c.resident[slot] = true
-		c.used += size
-		c.st.admit(slot, size, now)
-		m.BytesLoaded += size
-	}
-}
-
-// bundleCell runs on the file axis but lets a base policy rank bundles
+// bundleState runs on the file axis but lets a base state rank bundles
 // (filecules, or per-file singletons), evicting the least recently used
 // resident member of the base's victim bundle — the dense mirror of
 // cache.BundlePolicy. Each bundle's resident members are a slotList headed
 // at nSlots+bundle, MRU first; an empty list is an inactive bundle.
-type bundleCell struct {
-	cellCore
+type bundleState struct {
+	base     denseBase
 	bundleOf []int32 // file slot -> bundle slot, shared across cells
 	members  slotList
-	base     denseBase
+	nSlots   int32
 }
 
-func newBundleCell(sp cellSpec, ax *axisData, bundleOf []int32, nBundles int32, base denseBase) *bundleCell {
-	return &bundleCell{
-		cellCore: newCellCore(sp, ax),
-		bundleOf: bundleOf,
-		members:  newSlotList(ax.nSlots, ax.nSlots+nBundles),
-		base:     base,
+func newBundleState(base denseBase, bundleOf []int32, nSlots, nBundles int32) *bundleState {
+	return &bundleState{base: base, bundleOf: bundleOf, members: newSlotList(nSlots, nSlots+nBundles), nSlots: nSlots}
+}
+
+func (s *bundleState) admit(v int32, size, now int64) {
+	b := s.bundleOf[v]
+	head := s.nSlots + b
+	if s.members.back(head) == head {
+		s.base.admit(b, size, now)
+	} else {
+		s.base.touch(b, now)
 	}
+	s.members.pushFront(head, v)
 }
 
-func (c *bundleCell) run(rs []resolved, base int64) {
-	m := &c.m
-	for k := range rs {
-		r := &rs[k]
-		now := base + int64(k)
-		m.Requests++
-		m.BytesRequested += r.fileSize
-		if c.resident[r.unit] {
-			b := c.bundleOf[r.unit]
-			c.members.unlink(r.unit)
-			c.members.pushFront(c.ax.nSlots+b, r.unit)
-			c.base.touch(b, now)
-			m.Hits++
-			continue
-		}
-		// The file axis has no degenerate slots (a bypassed file is itself
-		// oversized, so place never loads one), hence no fallback hit check.
-		m.Misses++
-		m.BytesMissed += r.fileSize
-		slot, size, ok := c.place(r)
-		if !ok {
-			continue
-		}
-		for c.used+size > c.capacity {
-			vb := c.base.victim()
-			head := c.ax.nSlots + vb
-			v := c.members.back(head)
-			if v == head {
-				panic(fmt.Sprintf("sim: bundle base chose inactive bundle %d", vb))
-			}
-			vs := c.ax.sizes[v]
-			c.members.unlink(v)
-			if c.members.back(head) == head {
-				c.base.remove(vb)
-			}
-			c.resident[v] = false
-			c.used -= vs
-			m.Evictions++
-			m.BytesEvicted += vs
-		}
-		b := c.bundleOf[slot]
-		head := c.ax.nSlots + b
-		if c.members.back(head) == head {
-			c.base.admit(b, size, now)
-		} else {
-			c.base.touch(b, now)
-		}
-		c.resident[slot] = true
-		c.used += size
-		c.members.pushFront(head, slot)
-		m.BytesLoaded += size
+func (s *bundleState) touch(v int32, now int64) {
+	b := s.bundleOf[v]
+	s.members.unlink(v)
+	s.members.pushFront(s.nSlots+b, v)
+	s.base.touch(b, now)
+}
+
+func (s *bundleState) victim() int32 {
+	b := s.base.victim()
+	head := s.nSlots + b
+	v := s.members.back(head)
+	if v == head {
+		panic(fmt.Sprintf("sim: bundle base chose inactive bundle %d", b))
+	}
+	return v
+}
+
+// remove drops the file; its bundle leaves the base with its last member.
+func (s *bundleState) remove(v int32) {
+	b := s.bundleOf[v]
+	s.members.unlink(v)
+	if head := s.nSlots + b; s.members.back(head) == head {
+		s.base.remove(b)
 	}
 }

@@ -59,10 +59,8 @@ func TestPlaceOutcomes(t *testing.T) {
 		{"filecule axis, uncovered file", fcAx, 4 * mb, 4, want{2 + 2, 1 * mb, true, 0}},
 	}
 	for _, tc := range cases {
-		var rs [1]resolved
-		tc.ax.resolve([]trace.FileID{tc.file}, rs[:])
-		c := newCellCore(cellSpec{Capacity: tc.capacity}, tc.ax)
-		slot, size, ok := c.place(&rs[0])
+		c := newCell(cellSpec{Capacity: tc.capacity}, tc.ax, nil)
+		slot, size, ok := c.place(tc.ax.slotOf[tc.file], tc.ax.degOf[tc.file], sizes[tc.file])
 		if got := (want{slot, size, ok, c.m.Bypasses}); got != tc.want {
 			t.Errorf("%s: place = %+v, want %+v", tc.name, got, tc.want)
 		}
@@ -71,11 +69,8 @@ func TestPlaceOutcomes(t *testing.T) {
 	// Through a whole cell: the bypassed file hits its degenerate slot.
 	c := buildCell(cellSpec{Policy: "lru", Granularity: "filecule", Capacity: 4 * mb, axis: axisFilecule},
 		fcAx, nil, nil, 0, nil)
-	reqs := []trace.FileID{0, 1, 0}
-	rs := make([]resolved, len(reqs))
-	fcAx.resolve(reqs, rs)
-	c.run(rs, 0)
-	if m := c.metrics(); m.Bypasses != 2 || m.Requests != 3 || m.Hits != 1 || m.Misses != 2 {
+	c.run([]trace.FileID{0, 1, 0})
+	if m := c.m; m.Bypasses != 2 || m.Requests != 3 || m.Hits != 1 || m.Misses != 2 {
 		t.Errorf("[bypass, oversized, hit]: %+v, want 2 bypasses, 3 requests, 1 hit, 2 misses", m)
 	}
 }

@@ -46,10 +46,6 @@ type SweepConfig struct {
 	// turn, and so the most cells whose state is live at once. Default
 	// GOMAXPROCS. Results are identical for any worker count.
 	Workers int
-	// batchSize is the number of requests a worker resolves through a
-	// cell's axis at a time. Default 4096; tests set it to pin
-	// batch-boundary invariance.
-	batchSize int
 }
 
 // Fig10CacheSizesTB are the paper's seven cache sizes in TB (at full trace
@@ -73,9 +69,6 @@ func (c *SweepConfig) withDefaults() SweepConfig {
 	}
 	if out.Workers <= 0 {
 		out.Workers = runtime.GOMAXPROCS(0)
-	}
-	if out.batchSize <= 0 {
-		out.batchSize = 4096
 	}
 	return out
 }
@@ -224,9 +217,9 @@ func (r *SweepResult) WriteJSON(w io.Writer) error {
 
 // Sweep replays the full policy × granularity × capacity grid over one
 // projection of reqs. Workers goroutines take the grid's cells in turn: each
-// builds a cell, replays the whole stream through it — resolving each chunk
-// through the cell's axis into a buffer the worker owns — records its
-// metrics and drops it, so at most Workers cells' state is live at once.
+// builds a cell, replays the whole stream through it, reading each request
+// through the cell's axis, records its metrics and drops it, so at most
+// Workers cells' state is live at once.
 // Each cell is owned by one goroutine (no locks on the simulation path) and
 // consumes the stream in order, so results are deterministic and independent
 // of Workers, and — cell for cell — byte-identical to SweepSequential and to
@@ -319,21 +312,15 @@ func sweepFiles(t *trace.Trace, p *core.Partition, files []trace.FileID, cfg Swe
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]resolved, min(cfg.batchSize, len(files)))
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(specs) {
 					return
 				}
 				sp := specs[i]
-				ax := axes[sp.axis]
-				c := buildCell(sp, ax, nextUse[sp.axis], bundleOf, nBundles, bundleNextUse)
-				for off := 0; off < len(files); off += len(buf) {
-					rs := buf[:min(len(buf), len(files)-off)]
-					ax.resolve(files[off:off+len(rs)], rs)
-					c.run(rs, int64(off))
-				}
-				metrics[i] = c.metrics()
+				c := buildCell(sp, axes[sp.axis], nextUse[sp.axis], bundleOf, nBundles, bundleNextUse)
+				c.run(files)
+				metrics[i] = c.m
 			}
 		}()
 	}
@@ -348,8 +335,9 @@ func sweepFiles(t *trace.Trace, p *core.Partition, files []trace.FileID, cfg Swe
 }
 
 // buildCell constructs one dense cell for a spec. A bundle cell's policy
-// state ranks bundle slots; every other cell's ranks the axis's own.
-func buildCell(sp cellSpec, ax *axisData, nextUse []int32, bundleOf []int32, nBundles int32, bundleNextUse []int32) cell {
+// state ranks bundle slots inside a bundleState; every other cell's ranks
+// the axis's own.
+func buildCell(sp cellSpec, ax *axisData, nextUse []int32, bundleOf []int32, nBundles int32, bundleNextUse []int32) *cell {
 	bundle := sp.Granularity == "bundle"
 	nSlots := ax.nSlots
 	if bundle {
@@ -373,9 +361,9 @@ func buildCell(sp cellSpec, ax *axisData, nextUse []int32, bundleOf []int32, nBu
 		panic("sim: unreachable policy " + sp.Policy)
 	}
 	if bundle {
-		return newBundleCell(sp, ax, bundleOf, nBundles, st)
+		st = newBundleState(st, bundleOf, ax.nSlots, nBundles)
 	}
-	return &policyCell{cellCore: newCellCore(sp, ax), st: st}
+	return newCell(sp, ax, st)
 }
 
 // SweepSequential replays the identical grid cell by cell through the

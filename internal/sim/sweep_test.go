@@ -158,9 +158,7 @@ func TestSweepMemoryFollowsRequests(t *testing.T) {
 		paddedReqs[i] = r
 	}
 
-	// Small chunks keep the workers' resolve buffers, one per worker, far
-	// below the margin.
-	cfg := SweepConfig{Scale: diffScale, Workers: 2, batchSize: 256}
+	cfg := SweepConfig{Scale: diffScale, Workers: 2}
 	sweep := func(tr *trace.Trace, p *core.Partition, reqs []trace.Request) (*SweepResult, uint64) {
 		p.Of(0) // the partition's lazy file index is the caller's, not the sweep's
 		var before, after runtime.MemStats
@@ -263,34 +261,6 @@ func TestSweepWorkerInvariance(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Cells, base) {
 			t.Errorf("workers=%d: cells differ from workers=1 run", workers)
-		}
-	}
-}
-
-// TestSweepBatchInvariance pins that results do not depend on batch
-// boundaries, including the degenerate one-request-per-batch case.
-func TestSweepBatchInvariance(t *testing.T) {
-	tr, p, reqs := workload(t)
-	cfg := SweepConfig{
-		Scale:         diffScale,
-		Policies:      []string{"lru", "arc"},
-		Granularities: []string{"filecule", "bundle"},
-		CapacitiesTB:  []float64{5},
-	}
-
-	var base []CellResult
-	for _, bs := range []int{1, 7, 4096} {
-		cfg.batchSize = bs
-		res, err := Sweep(tr, p, reqs, cfg)
-		if err != nil {
-			t.Fatalf("Sweep(batch=%d): %v", bs, err)
-		}
-		if base == nil {
-			base = res.Cells
-			continue
-		}
-		if !reflect.DeepEqual(res.Cells, base) {
-			t.Errorf("batch=%d: cells differ from batch=1 run", bs)
 		}
 	}
 }
