@@ -54,7 +54,7 @@ cpu-matrix:
 	$(GO) test -cpu 1,2,4 ./internal/trace
 	$(GO) test -cpu 1,2,4 ./internal/synth
 	$(GO) test -cpu 1,2,4 -run 'Identify|Combine' ./internal/core
-	$(GO) test -cpu 1,2,4 -run 'SweepSource|SweepWorker|SweepBatch' ./internal/sim
+	$(GO) test -cpu 1,2,4 -run 'SweepSource|SweepWorker|SweepRelabel' ./internal/sim
 
 # Static analysis beyond vet plus known-vulnerability scanning. Run via
 # `go run pkg@version` (needs network on first use; the module cache keeps

@@ -4,8 +4,10 @@ import "fmt"
 
 // ARC is a byte-aware adaptation of Megiddo & Modha's Adaptive Replacement
 // Cache. Resident units live in two LRU lists — T1 (seen once) and T2 (seen
-// at least twice) — and evicted units leave byte-sized ghosts in B1/B2. A
-// ghost hit on re-admission steers the adaptation target p (the byte share
+// at least twice) — and evicted units leave byte-sized ghosts in B1/B2,
+// recency lists that each hold at most capacity bytes and drop their least
+// recently evicted ghost first, so no outcome depends on unit IDs. A ghost
+// hit on re-admission steers the adaptation target p (the byte share
 // of the cache earmarked for T1): B1 hits grow p (recency was undervalued),
 // B2 hits shrink it (frequency was undervalued). The victim comes from T1
 // when T1 exceeds p, else from T2.
@@ -16,17 +18,36 @@ type ARC struct {
 	capacity int64 // advisory: ghost lists are bounded to this many bytes
 
 	t1, t2 list
-	b1, b2 map[UnitID]int64 // ghost -> size
-	nodes  map[UnitID]*arcNode
+	b1, b2 ghosts
+	nodes  map[UnitID]*arcNode // resident units
 
 	t1Bytes, t2Bytes int64
-	b1Bytes, b2Bytes int64
 	p                int64 // target T1 bytes
 }
 
 type arcNode struct {
 	lruNode
 	inT2 bool
+}
+
+// ghosts is one ghost list: evicted units with their sizes, most recently
+// evicted first.
+type ghosts struct {
+	list
+	of    map[UnitID]*lruNode
+	bytes int64
+}
+
+func (g *ghosts) add(n *lruNode) {
+	g.pushFront(n)
+	g.of[n.unit] = n
+	g.bytes += n.size
+}
+
+func (g *ghosts) drop(n *lruNode) {
+	g.remove(n)
+	delete(g.of, n.unit)
+	g.bytes -= n.size
 }
 
 // NewARC returns an ARC policy. The capacity (bytes) bounds the ghost
@@ -37,12 +58,14 @@ func NewARC(capacity int64) *ARC {
 	}
 	a := &ARC{
 		capacity: capacity,
-		b1:       make(map[UnitID]int64),
-		b2:       make(map[UnitID]int64),
+		b1:       ghosts{of: make(map[UnitID]*lruNode)},
+		b2:       ghosts{of: make(map[UnitID]*lruNode)},
 		nodes:    make(map[UnitID]*arcNode),
 	}
 	a.t1.init()
 	a.t2.init()
+	a.b1.init()
+	a.b2.init()
 	return a
 }
 
@@ -58,16 +81,14 @@ func (a *ARC) Admit(u UnitID, size, now int64) {
 	n.unit = u
 	n.size = size
 
-	if ghost, ok := a.b1[u]; ok {
+	if g, ok := a.b1.of[u]; ok {
 		// Recency ghost hit: grow p proportionally to the miss.
-		delete(a.b1, u)
-		a.b1Bytes -= ghost
-		a.p = minI64(a.capacity, a.p+maxI64(ghost, a.b2Bytes/maxI64(1, int64(len(a.b1)+1))))
+		a.b1.drop(g)
+		a.p = min(a.capacity, a.p+max(g.size, a.b2.bytes/max(1, int64(len(a.b1.of)+1))))
 		n.inT2 = true
-	} else if ghost, ok := a.b2[u]; ok {
-		delete(a.b2, u)
-		a.b2Bytes -= ghost
-		a.p = maxI64(0, a.p-maxI64(ghost, a.b1Bytes/maxI64(1, int64(len(a.b2)+1))))
+	} else if g, ok := a.b2.of[u]; ok {
+		a.b2.drop(g)
+		a.p = max(0, a.p-max(g.size, a.b1.bytes/max(1, int64(len(a.b2.of)+1))))
 		n.inT2 = true
 	}
 
@@ -79,7 +100,6 @@ func (a *ARC) Admit(u UnitID, size, now int64) {
 		a.t1.pushFront(&n.lruNode)
 		a.t1Bytes += size
 	}
-	a.trimGhosts()
 }
 
 // Touch implements Policy: a second access promotes to T2.
@@ -118,56 +138,22 @@ func (a *ARC) Remove(u UnitID) {
 	if n.inT2 {
 		a.t2.remove(&n.lruNode)
 		a.t2Bytes -= n.size
-		a.b2[u] = n.size
-		a.b2Bytes += n.size
+		a.b2.add(&n.lruNode)
 	} else {
 		a.t1.remove(&n.lruNode)
 		a.t1Bytes -= n.size
-		a.b1[u] = n.size
-		a.b1Bytes += n.size
+		a.b1.add(&n.lruNode)
 	}
 	a.trimGhosts()
 }
 
-// trimGhosts bounds each ghost list to the cache capacity in bytes,
-// dropping arbitrary (map-order-independent: smallest unit ID) entries.
-// Ghost eviction order does not affect correctness, only adaptation
-// fidelity; dropping the smallest ID keeps runs deterministic.
+// trimGhosts bounds each ghost list to the cache capacity in bytes, dropping
+// the least recently evicted ghosts first, as Megiddo & Modha's ARC does. A
+// ghost list only grows in Remove, so only Remove trims.
 func (a *ARC) trimGhosts() {
-	for a.b1Bytes > a.capacity {
-		u := minKey(a.b1)
-		a.b1Bytes -= a.b1[u]
-		delete(a.b1, u)
-	}
-	for a.b2Bytes > a.capacity {
-		u := minKey(a.b2)
-		a.b2Bytes -= a.b2[u]
-		delete(a.b2, u)
-	}
-}
-
-func minKey(m map[UnitID]int64) UnitID {
-	first := true
-	var min UnitID
-	for u := range m {
-		if first || u < min {
-			min = u
-			first = false
+	for _, g := range [2]*ghosts{&a.b1, &a.b2} {
+		for g.bytes > a.capacity {
+			g.drop(g.back())
 		}
 	}
-	return min
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -23,11 +23,8 @@ import (
 // A file's degenerate slot is unreachable on the file axis (a file too big
 // for the cache is as big as its own degenerate unit, so cell.place never
 // returns it) and for a filecule no cache is too small for; there the
-// degenerate slot is the unit slot. Each range is in catalog order, so slot
-// order is cache.UnitID order: real units sort below degenerate units and
-// both sort by ID, and policies whose tie-breaking inspects unit order (ARC's
-// ghost trimming) behave byte-identically to their cache-package
-// counterparts.
+// degenerate slot is the unit slot. No policy reads slot order, so no cell
+// depends on how files are numbered (TestSweepRelabelInvariance).
 
 // axisKind names the axis a cell reads the stream through. The bundle
 // granularity shares the file axis (its replacement units are files); only

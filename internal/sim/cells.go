@@ -168,180 +168,101 @@ func (s *lruState) victim() int32 {
 
 // ---------------------------------------------------------------- ARC
 
-// ghostHeap is a plain binary min-heap of slot numbers, used to find the
-// minimum-ID member of a ghost list without scanning. Entries go stale when
-// a slot leaves its ghost list; popGhost discards them lazily. Every current
-// ghost has at least one live entry, so the first valid pop is the true
-// minimum — matching the reference ARC's minKey map scan.
-type ghostHeap []int32
+// ARC's four lists. A slot is in at most one; arcState.in holds which.
+const (
+	arcNone uint8 = iota
+	arcT1
+	arcT2
+	arcB1 // ghosts evicted from T1
+	arcB2 // ghosts evicted from T2
+)
 
-func (h *ghostHeap) push(v int32) {
-	*h = append(*h, v)
-	a := *h
-	j := len(a) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if a[i] <= a[j] {
-			break
-		}
-		a[i], a[j] = a[j], a[i]
-		j = i
-	}
-}
-
-func (h *ghostHeap) pop() int32 {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	*h = a[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && a[r] < a[l] {
-			l = r
-		}
-		if a[i] <= a[l] {
-			break
-		}
-		a[i], a[l] = a[l], a[i]
-		i = l
-	}
-	return top
-}
-
-// arcState is the dense byte-aware ARC: T1/T2 as two slotLists sharing one
-// link array (heads at nSlots and nSlots+1), ghost membership as a per-slot
-// state byte with byte/count totals, and lazy min-heaps standing in for the
-// reference implementation's minKey scans.
+// arcState is the dense byte-aware ARC: T1, T2 and the ghost lists B1, B2
+// are four recency lists on one slotList (list l headed at nSlots+l-1), each
+// with its byte and member totals. Ghosts are trimmed from the cold end of
+// their list, as in cache.ARC.
 type arcState struct {
 	slotList
-	capacity  int64
-	t1s, t2s  int32
-	inT2      []bool
-	admitSize []int64 // last admit size per slot; doubles as the ghost size
-	ghost     []uint8 // 0 none, 1 in B1, 2 in B2
-	g1, g2    ghostHeap
-
-	t1Bytes, t2Bytes int64
-	b1Bytes, b2Bytes int64
-	b1Count, b2Count int64
-	p                int64
+	nSlots   int32
+	capacity int64
+	in       []uint8
+	size     []int64 // last admit size per slot; doubles as the ghost size
+	bytes    [5]int64
+	count    [5]int64
+	p        int64
 }
 
 func newARCState(nSlots int32, capacity int64) *arcState {
 	return &arcState{
-		slotList:  newSlotList(nSlots, nSlots+2),
-		capacity:  capacity,
-		t1s:       nSlots,
-		t2s:       nSlots + 1,
-		inT2:      make([]bool, nSlots),
-		admitSize: make([]int64, nSlots),
-		ghost:     make([]uint8, nSlots),
+		slotList: newSlotList(nSlots, nSlots+4),
+		nSlots:   nSlots,
+		capacity: capacity,
+		in:       make([]uint8, nSlots),
+		size:     make([]int64, nSlots),
+	}
+}
+
+func (s *arcState) head(l uint8) int32 { return s.nSlots + int32(l) - 1 }
+
+// move takes v out of its list, if any, and to the front of list to, unless
+// to is arcNone.
+func (s *arcState) move(v int32, to uint8) {
+	if from := s.in[v]; from != arcNone {
+		s.unlink(v)
+		s.bytes[from] -= s.size[v]
+		s.count[from]--
+	}
+	s.in[v] = to
+	if to != arcNone {
+		s.pushFront(s.head(to), v)
+		s.bytes[to] += s.size[v]
+		s.count[to]++
 	}
 }
 
 func (s *arcState) admit(v int32, size, now int64) {
-	inT2 := false
-	switch s.ghost[v] {
-	case 1: // recency ghost hit: grow p proportionally to the miss
-		gs := s.admitSize[v]
-		s.ghost[v] = 0
-		s.b1Bytes -= gs
-		s.b1Count--
-		s.p = min(s.capacity, s.p+max(gs, s.b2Bytes/max(1, s.b1Count+1)))
-		inT2 = true
-	case 2:
-		gs := s.admitSize[v]
-		s.ghost[v] = 0
-		s.b2Bytes -= gs
-		s.b2Count--
-		s.p = max(0, s.p-max(gs, s.b1Bytes/max(1, s.b2Count+1)))
-		inT2 = true
+	to := arcT1
+	switch s.in[v] {
+	case arcB1: // recency ghost hit: grow p proportionally to the miss
+		gs := s.size[v]
+		s.move(v, arcNone)
+		s.p = min(s.capacity, s.p+max(gs, s.bytes[arcB2]/max(1, s.count[arcB1]+1)))
+		to = arcT2
+	case arcB2:
+		gs := s.size[v]
+		s.move(v, arcNone)
+		s.p = max(0, s.p-max(gs, s.bytes[arcB1]/max(1, s.count[arcB2]+1)))
+		to = arcT2
 	}
-	s.admitSize[v] = size
-	s.inT2[v] = inT2
-	if inT2 {
-		s.pushFront(s.t2s, v)
-		s.t2Bytes += size
-	} else {
-		s.pushFront(s.t1s, v)
-		s.t1Bytes += size
-	}
-	s.trimGhosts()
+	s.size[v] = size
+	s.move(v, to)
 }
 
-func (s *arcState) touch(v int32, now int64) {
-	if s.inT2[v] {
-		s.unlink(v)
-		s.pushFront(s.t2s, v)
-		return
-	}
-	s.unlink(v)
-	s.t1Bytes -= s.admitSize[v]
-	s.inT2[v] = true
-	s.pushFront(s.t2s, v)
-	s.t2Bytes += s.admitSize[v]
-}
+// touch promotes to (or refreshes in) T2.
+func (s *arcState) touch(v int32, now int64) { s.move(v, arcT2) }
 
 func (s *arcState) victim() int32 {
-	var v int32
-	if s.t1Bytes > s.p || s.back(s.t2s) == s.t2s {
-		v = s.back(s.t1s)
-		if v == s.t1s {
-			panic("sim: ARC victim requested from empty cache")
-		}
-	} else {
-		v = s.back(s.t2s)
+	l := arcT1
+	if s.bytes[arcT1] <= s.p && s.count[arcT2] > 0 {
+		l = arcT2
+	}
+	v := s.back(s.head(l))
+	if v == s.head(l) {
+		panic("sim: ARC victim requested from empty cache")
 	}
 	return v
 }
 
+// remove turns v into a ghost of the list it leaves (T1 to B1, T2 to B2) and
+// trims both ghost lists to the capacity in bytes, least recently evicted
+// first.
 func (s *arcState) remove(v int32) {
-	size := s.admitSize[v]
-	s.unlink(v)
-	if s.inT2[v] {
-		s.t2Bytes -= size
-		s.ghost[v] = 2
-		s.b2Bytes += size
-		s.b2Count++
-		s.g2.push(v)
-	} else {
-		s.t1Bytes -= size
-		s.ghost[v] = 1
-		s.b1Bytes += size
-		s.b1Count++
-		s.g1.push(v)
-	}
-	s.trimGhosts()
-}
-
-func (s *arcState) trimGhosts() {
-	for s.b1Bytes > s.capacity {
-		v := s.popGhost(&s.g1, 1)
-		s.b1Bytes -= s.admitSize[v]
-		s.ghost[v] = 0
-		s.b1Count--
-	}
-	for s.b2Bytes > s.capacity {
-		v := s.popGhost(&s.g2, 2)
-		s.b2Bytes -= s.admitSize[v]
-		s.ghost[v] = 0
-		s.b2Count--
-	}
-}
-
-func (s *arcState) popGhost(h *ghostHeap, want uint8) int32 {
-	for len(*h) > 0 {
-		v := h.pop()
-		if s.ghost[v] == want {
-			return v
+	s.move(v, s.in[v]+2)
+	for _, b := range [2]uint8{arcB1, arcB2} {
+		for s.bytes[b] > s.capacity {
+			s.move(s.back(s.head(b)), arcNone)
 		}
 	}
-	panic("sim: ARC ghost accounting out of sync")
 }
 
 // ---------------------------------------------------------------- heaps

@@ -3,11 +3,14 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -261,6 +264,67 @@ func TestSweepWorkerInvariance(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Cells, base) {
 			t.Errorf("workers=%d: cells differ from workers=1 run", workers)
+		}
+	}
+}
+
+// TestSweepRelabelInvariance pins that no cell depends on how files are
+// numbered or on the unit sizes are counted in. Two random permutations of
+// the file IDs, applied to the catalog, the partition's filecules (which
+// reorders the filecules too) and the stream, must leave every cell's
+// metrics identical. Doubling every file size and the sweep's scale, which
+// doubles every capacity, must leave every count identical and double every
+// byte total.
+func TestSweepRelabelInvariance(t *testing.T) {
+	tr, p, reqs := workload(t)
+	cfg := SweepConfig{Scale: diffScale}
+	base, err := Sweep(tr, p, reqs, cfg)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	for _, seed := range []int64{1, 2} {
+		perm := rand.New(rand.NewSource(seed)).Perm(len(tr.Files))
+		id := func(f trace.FileID) trace.FileID { return trace.FileID(perm[f]) }
+		relabeled := &trace.Trace{Files: make([]trace.File, len(tr.Files))}
+		for _, f := range tr.Files {
+			f.ID = id(f.ID)
+			relabeled.Files[f.ID] = f
+		}
+		fcs := make([]core.Filecule, p.NumFilecules())
+		for i, fc := range p.Filecules {
+			fcs[i] = core.Filecule{Files: make([]trace.FileID, len(fc.Files)), Requests: fc.Requests}
+			for j, f := range fc.Files {
+				fcs[i].Files[j] = id(f)
+			}
+			slices.Sort(fcs[i].Files)
+		}
+		relabeledReqs := make([]trace.Request, len(reqs))
+		for i, r := range reqs {
+			r.File = id(r.File)
+			relabeledReqs[i] = r
+		}
+		got, err := Sweep(relabeled, core.NewPartition(fcs), relabeledReqs, cfg)
+		if err != nil {
+			t.Fatalf("Sweep: %v", err)
+		}
+		diffCells(t, fmt.Sprintf("permutation %d", seed), got, base)
+	}
+
+	doubled := &trace.Trace{Files: slices.Clone(tr.Files)}
+	for i := range doubled.Files {
+		doubled.Files[i].Size *= 2
+	}
+	got, err := Sweep(doubled, p, reqs, SweepConfig{Scale: 2 * diffScale})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	for i, g := range got.Cells {
+		w := base.Cells[i].Metrics
+		w.BytesRequested, w.BytesMissed, w.BytesLoaded, w.BytesEvicted, w.PrefetchBytes =
+			2*w.BytesRequested, 2*w.BytesMissed, 2*w.BytesLoaded, 2*w.BytesEvicted, 2*w.PrefetchBytes
+		if g.Metrics != w {
+			t.Errorf("doubled sizes, cell %s/%s/%gTB: %+v, want the original counts and doubled bytes %+v",
+				g.Policy, g.Granularity, g.CacheTB, g.Metrics, w)
 		}
 	}
 }
